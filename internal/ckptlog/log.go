@@ -27,9 +27,11 @@
 // scan of all segments in sequence order, last record per tenant wins
 // (append order, not round numbers — a tenant closed and re-opened
 // legitimately restarts at round 0). A torn or corrupt record in the
-// final segment marks the crash point: recovery logs it loudly and
-// keeps everything before it. Corruption in a sealed segment cannot be
-// explained by a crash mid-append and is reported as an error.
+// final segment marks the crash point: recovery logs it loudly, keeps
+// everything before it and cuts the tail off the file before sealing
+// it, so the next recovery reads that segment clean. Corruption in a
+// sealed segment cannot be explained by a crash mid-append and is
+// reported as an error.
 //
 // The log stores three record kinds: KindFull (a complete snapshot),
 // KindDelta (a snap.ApplyDelta delta against the tenant's latest full
@@ -193,7 +195,7 @@ type Log struct {
 // seals every existing segment, opens a fresh active segment and
 // starts the background committer. A torn tail in the newest segment
 // (the signature of a crash mid-commit) is logged via Options.Logf and
-// truncated from the index; corruption anywhere else fails Open.
+// cut from the file; corruption anywhere else fails Open.
 func Open(opt Options) (*Log, error) {
 	opt.fill()
 	l := &Log{
@@ -274,12 +276,7 @@ func (l *Log) scanSegment(path string, seq int, last bool) error {
 		}
 		l.opt.Logf("ckptlog: recovery: %s: torn segment header (%d bytes); discarding (crash at creation)",
 			filepath.Base(path), len(data))
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		l.sealed = append(l.sealed, &segment{seq: seq, path: path, f: f})
-		return nil
+		return l.sealTorn(path, seq, 0)
 	}
 	if string(data[:4]) != segMagic {
 		return fmt.Errorf("ckptlog: %s: not a checkpoint-log segment", filepath.Base(path))
@@ -319,7 +316,7 @@ func (l *Log) scanSegment(path string, seq int, last bool) error {
 			}
 			l.opt.Logf("ckptlog: recovery: %s: %s at offset %d; discarding the tail (crash mid-commit)",
 				filepath.Base(path), bad, off)
-			break
+			return l.sealTorn(path, seq, off)
 		}
 		off += 4 + int64(len(payload)) + 4
 	}
@@ -329,6 +326,41 @@ func (l *Log) scanSegment(path string, seq int, last bool) error {
 	}
 	l.sealed = append(l.sealed, &segment{seq: seq, path: path, f: f})
 	return nil
+}
+
+// sealTorn seals the newest segment after recovery found it torn at
+// off: the file is cut back to its last whole record (a torn header is
+// rewritten whole) and fsynced first. Sealing the torn bytes instead
+// would fail the next recovery, which no longer sees this segment as
+// the newest and so reads the same tail as corruption.
+func (l *Log) sealTorn(path string, seq int, off int64) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	if off < segHeader {
+		hdr := segmentHeader()
+		_, err = f.WriteAt(hdr[:], 0)
+		off = segHeader
+	}
+	if err == nil {
+		err = f.Truncate(off)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("ckptlog: cutting the torn tail of %s: %w", filepath.Base(path), err)
+	}
+	l.sealed = append(l.sealed, &segment{seq: seq, path: path, f: f})
+	return nil
+}
+
+func segmentHeader() (hdr [segHeader]byte) {
+	copy(hdr[:], segMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], segVersion)
+	return hdr
 }
 
 // indexRecord folds one decoded record into the tenant index, in
@@ -376,9 +408,7 @@ func (l *Log) openActive(seq int) error {
 	if err != nil {
 		return err
 	}
-	var hdr [segHeader]byte
-	copy(hdr[:], segMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], segVersion)
+	hdr := segmentHeader()
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return err

@@ -440,6 +440,73 @@ func TestLogAbortLosesOnlyTail(t *testing.T) {
 	}
 }
 
+// TestLogRecoverTwice: recovery from a torn newest segment seals it,
+// so a second crash and recovery of the same directory reads it as a
+// sealed segment. That must succeed — the torn bytes are gone from
+// disk, not just from the index — and keep every record acked before
+// either crash.
+func TestLogRecoverTwice(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, nil)
+	for round := 1; round <= 3; round++ {
+		if err := l.Append("c", KindFull, round, 0, blobFor("c", round)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "log-*.seg"))
+	whole, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := segHeader + 4 + int(binary.LittleEndian.Uint32(whole[segHeader:])) + 4
+
+	for _, tc := range []struct {
+		name string
+		cut  int
+	}{
+		{"torn-header", 5},
+		{"torn-length-word", first + 2},
+		{"torn-crc", len(whole) - 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(segs[0])), whole[:tc.cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l1 := openTest(t, dir, nil)
+			cBlob, cRound, cOK, err := l1.Latest("c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l1.Append("a", KindFull, 4, 0, blobFor("a", 4)); err != nil {
+				t.Fatal(err)
+			}
+			if err := l1.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l1.Abort(); err != nil {
+				t.Fatal(err)
+			}
+
+			l2, err := Open(Options{Dir: dir, CommitInterval: time.Hour, Logf: t.Logf})
+			if err != nil {
+				t.Fatalf("second recovery: %v", err)
+			}
+			defer l2.Close()
+			if blob, round, ok, err := l2.Latest("a"); err != nil || !ok || round != 4 || !bytes.Equal(blob, blobFor("a", 4)) {
+				t.Fatalf("Latest(a) = round %d, ok %v, err %v; want the acked round 4", round, ok, err)
+			}
+			blob, round, ok, err := l2.Latest("c")
+			if err != nil || ok != cOK || round != cRound || !bytes.Equal(blob, cBlob) {
+				t.Fatalf("Latest(c) = round %d, ok %v, err %v; first recovery had round %d, ok %v", round, ok, err, cRound, cOK)
+			}
+		})
+	}
+}
+
 // TestLogGroupCommitBatches: many appends inside one commit interval
 // cost one fsync, not one per append.
 func TestLogGroupCommitBatches(t *testing.T) {

@@ -3,8 +3,6 @@ package proxy
 import (
 	"fmt"
 	"slices"
-
-	"repro/internal/serve"
 )
 
 // Migrate moves one live tenant to the target backend: release on the
@@ -32,16 +30,18 @@ func (p *Proxy) Migrate(tenant, target string) error {
 	if src == target {
 		return nil
 	}
-	sc, err := serve.Dial(src)
+	// Fresh connections, not pooled ones: release and restore mutate
+	// state, so they must never take the fan-out's stale-retry path.
+	sc, err := p.dialBackend(src)
 	if err != nil {
-		return fmt.Errorf("proxy: migrate %s: dialing source %s: %w", tenant, src, err)
+		return fmt.Errorf("proxy: migrate %s: source: %w", tenant, err)
 	}
 	defer sc.Close()
 	rel, err := sc.Release(tenant)
 	if err != nil {
 		return fmt.Errorf("proxy: migrate %s: releasing from %s: %w", tenant, src, err)
 	}
-	tc, err := serve.Dial(target)
+	tc, err := p.dialBackend(target)
 	if err == nil {
 		defer tc.Close()
 		_, err = tc.Restore(tenant, rel.Config, rel.Blob)

@@ -3,8 +3,18 @@
 // the front — clients need no change — and fans out to N backends on
 // the back, sharding tenants across them by rendezvous hashing on the
 // tenant ID (Pick). Per-tenant requests are relayed byte-for-byte to
-// the owning backend; fleet-wide requests (ping, all-tenant stats) are
-// fanned out and merged at the proxy.
+// the owning backend; fleet-wide requests (ping, all-tenant stats,
+// dura-stats) are fanned out and merged at the proxy.
+//
+// The fan-out queries every backend concurrently, each on a pooled,
+// persistent control connection, so a fleet request costs one backend
+// round trip rather than a dial plus a round trip per backend in turn.
+// A pooled connection that fails is treated as stale (the backend may
+// have restarted on the same address): it is discarded and the request
+// is retried once on a fresh dial before the backend counts as failed,
+// which is safe because every fanned-out request is read-only. Every
+// control dial — fan-out and Migrate alike — is bounded by
+// Config.DialTimeout.
 //
 // Two operations make the tier more than a load balancer:
 //
@@ -91,12 +101,14 @@ func (c *Config) fill() error {
 }
 
 // Proxy is the router: one listener, one lazily-dialed upstream per
-// (client connection, backend) pair, a shared standby tee, and the
-// routing table (hash + overrides + dead set).
+// (client connection, backend) pair, a shared standby tee, a pool of
+// control connections for the fleet-wide requests, and the routing
+// table (hash + overrides + dead set).
 type Proxy struct {
 	cfg Config
 	ln  net.Listener
 	tee *tee
+	ctl ctlPool
 
 	mu sync.Mutex
 	// dead marks backends that failed a liveness probe. Sticky for the
@@ -129,6 +141,7 @@ func New(cfg Config) (*Proxy, error) {
 		dead:      make(map[string]bool),
 		overrides: make(map[string]string),
 		conns:     make(map[net.Conn]struct{}),
+		ctl:       ctlPool{idle: make(map[string][]*serve.Client)},
 	}
 	if cfg.Standby != "" {
 		p.tee = newTee(cfg.Standby, cfg.TeeBuffer, cfg.DialTimeout, p.logf)
@@ -174,8 +187,8 @@ func (p *Proxy) Serve() error {
 }
 
 // Close stops the proxy: listener, every client connection (and with
-// them the backend upstreams), and the standby tee, which is flushed
-// best-effort first.
+// them the backend upstreams), the idle control connections, and the
+// standby tee, which is flushed best-effort first.
 func (p *Proxy) Close() error {
 	p.stopOnce.Do(func() {
 		p.closing.Store(true)
@@ -186,6 +199,9 @@ func (p *Proxy) Close() error {
 		}
 		p.mu.Unlock()
 		p.connWG.Wait()
+		// Fleet requests run on the connection goroutines just joined, so
+		// nothing returns a control connection to the pool after this.
+		p.ctl.drop("")
 		if p.tee != nil {
 			p.tee.close()
 		}
@@ -256,6 +272,7 @@ func (p *Proxy) probeBackend(addr string) {
 	wasDead := p.dead[addr]
 	p.dead[addr] = true
 	p.mu.Unlock()
+	p.ctl.drop(addr) // dead is sticky: nothing will use them again
 	if !wasDead {
 		p.logf("proxy: backend %s is down (%v); failing its tenants over", addr, err)
 	}
@@ -283,6 +300,8 @@ type frontConn struct {
 	mu     sync.Mutex
 	ups    map[string]*upstream
 	closed bool
+
+	dirty []*upstream // flushUpstreams scratch, reader goroutine only
 
 	down sync.Once
 }
@@ -451,7 +470,7 @@ func (fc *frontConn) writeLocal(body []byte) bool {
 // reporting false (after teardown) when a backend write fails.
 func (fc *frontConn) flushUpstreams() bool {
 	fc.mu.Lock()
-	dirty := make([]*upstream, 0, len(fc.ups))
+	dirty := fc.dirty[:0]
 	for _, u := range fc.ups {
 		if u.dirty {
 			u.dirty = false
@@ -459,6 +478,7 @@ func (fc *frontConn) flushUpstreams() bool {
 		}
 	}
 	fc.mu.Unlock()
+	fc.dirty = dirty
 	for _, u := range dirty {
 		if err := u.bw.Flush(); err != nil {
 			fc.teardown(u.addr)
@@ -497,24 +517,21 @@ func (fc *frontConn) teardown(failedAddr string) {
 // backend drains, tenant counts summed over the primaries (the standby
 // hosts only teed replicas, which would double-count).
 func (p *Proxy) appendPing(enc *snap.Encoder, info serve.PeekInfo) {
-	draining := false
-	tenants := 0
-	for _, addr := range p.liveBackends() {
-		c, err := serve.Dial(addr)
-		if err != nil {
-			p.probeBackend(addr)
-			continue
+	addrs := p.liveBackends()
+	draining := make([]bool, len(addrs))
+	tenants := make([]int, len(addrs))
+	errs := p.fanout(addrs, func(i int, c *serve.Client) (err error) {
+		draining[i], tenants[i], err = c.Ping()
+		return err
+	})
+	anyDraining, total := false, 0
+	for i, err := range errs {
+		if err == nil {
+			anyDraining = anyDraining || draining[i]
+			total += tenants[i]
 		}
-		d, n, err := c.Ping()
-		c.Close()
-		if err != nil {
-			p.probeBackend(addr)
-			continue
-		}
-		draining = draining || d
-		tenants += n
 	}
-	serve.AppendPingResponse(enc, info, draining, tenants)
+	serve.AppendPingResponse(enc, info, anyDraining, total)
 }
 
 // appendFleetStats answers an all-tenant stats request by fanning out
@@ -523,27 +540,30 @@ func (p *Proxy) appendPing(enc *snap.Encoder, info serve.PeekInfo) {
 // fleet-wide served-rounds total (each backend only knows its own).
 // Standby rows are included only for tenants the routing table actually
 // sends there (their primary died); otherwise the standby's teed
-// replicas would shadow the primaries' live rows. Unreachable backends
-// are skipped best-effort: a stats poll must not fail because one
-// backend is mid-crash.
+// replicas would shadow the primaries' live rows.
 func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
+	addrs := p.liveBackends()
+	if p.cfg.Standby != "" && len(addrs) < len(p.cfg.Backends) {
+		addrs = append(addrs, p.cfg.Standby)
+	}
+	perBackend := make([][]serve.TenantStats, len(addrs))
+	p.fanout(addrs, func(i int, c *serve.Client) (err error) {
+		if info.Extended {
+			perBackend[i], err = c.Stats("")
+		} else {
+			perBackend[i], err = c.StatsCompat("")
+		}
+		return err
+	})
 	var rows []serve.TenantStats
-	backends := p.liveBackends()
-	anyDead := len(backends) < len(p.cfg.Backends)
-	for _, addr := range backends {
-		rs, err := p.statsFrom(addr, info.Extended)
-		if err != nil {
-			p.probeBackend(addr)
+	for i, rs := range perBackend {
+		if addrs[i] != p.cfg.Standby {
+			rows = append(rows, rs...)
 			continue
 		}
-		rows = append(rows, rs...)
-	}
-	if p.cfg.Standby != "" && anyDead {
-		if rs, err := p.statsFrom(p.cfg.Standby, info.Extended); err == nil {
-			for _, r := range rs {
-				if p.route(r.ID) == p.cfg.Standby {
-					rows = append(rows, r)
-				}
+		for _, r := range rs {
+			if p.route(r.ID) == p.cfg.Standby {
+				rows = append(rows, r)
 			}
 		}
 	}
@@ -566,20 +586,17 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 // appendDuraStats answers a durability-stats request for the fleet
 // (protocol v6): the counters summed across every live backend, with a
 // per-backend breakdown labelled by address in Backends. Mode is the
-// backends' common mode, or "mixed" when they disagree. Unreachable
-// backends are skipped best-effort, like the stats fan-out.
+// backends' common mode, or "mixed" when they disagree.
 func (p *Proxy) appendDuraStats(enc *snap.Encoder, info serve.PeekInfo) {
+	addrs := p.liveBackends()
+	perBackend := make([]serve.DuraStats, len(addrs))
+	errs := p.fanout(addrs, func(i int, c *serve.Client) (err error) {
+		perBackend[i], err = c.DuraStats()
+		return err
+	})
 	var sum serve.DuraStats
-	for _, addr := range p.liveBackends() {
-		c, err := serve.Dial(addr)
-		if err != nil {
-			p.probeBackend(addr)
-			continue
-		}
-		st, err := c.DuraStats()
-		c.Close()
-		if err != nil {
-			p.probeBackend(addr)
+	for i, st := range perBackend {
+		if errs[i] != nil {
 			continue
 		}
 		switch {
@@ -596,21 +613,9 @@ func (p *Proxy) appendDuraStats(enc *snap.Encoder, info serve.PeekInfo) {
 		sum.Compactions += st.Compactions
 		sum.Segments += st.Segments
 		st.Backends = nil // a backend never reports rows; keep it that way
-		sum.Backends = append(sum.Backends, serve.BackendDuraStats{Addr: addr, DuraStats: st})
+		sum.Backends = append(sum.Backends, serve.BackendDuraStats{Addr: addrs[i], DuraStats: st})
 	}
 	serve.AppendDuraStatsResponse(enc, info, sum)
-}
-
-func (p *Proxy) statsFrom(addr string, extended bool) ([]serve.TenantStats, error) {
-	c, err := serve.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	if extended {
-		return c.Stats("")
-	}
-	return c.StatsCompat("")
 }
 
 // liveBackends snapshots the backends not marked dead.

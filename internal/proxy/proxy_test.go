@@ -1,8 +1,13 @@
 package proxy
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -581,5 +586,295 @@ func TestProxyMigrateAdmissionBounce(t *testing.T) {
 	rows, err = c.Stats(name)
 	if err != nil || len(rows) != 1 || rows[0].ReservedRate != 0.6 {
 		t.Fatalf("stats after successful migration = (%v, %v), want reserved rate 0.6", rows, err)
+	}
+}
+
+// startProxy boots a proxy over cfg and stops it at cleanup.
+func startProxy(t *testing.T, cfg Config) *Proxy {
+	t.Helper()
+	cfg.Addr, cfg.Logf = "127.0.0.1:0", t.Logf
+	px, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- px.Serve() }()
+	t.Cleanup(func() {
+		px.Close()
+		if err := <-done; err != nil {
+			t.Errorf("proxy serve: %v", err)
+		}
+	})
+	return px
+}
+
+// spreadNames picks perBackend tenant names the hash sends to each of
+// addrs.
+func spreadNames(addrs []string, perBackend int) []string {
+	var names []string
+	count := make(map[int]int)
+	for i := 0; len(names) < perBackend*len(addrs); i++ {
+		name := fmt.Sprintf("spread-%03d", i)
+		if node := Pick(addrs, name); count[node] < perBackend {
+			count[node]++
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// openTenants opens each of names through c, feeds it one round and
+// drains it.
+func openTenants(t *testing.T, c *serve.Client, names []string) {
+	t.Helper()
+	tc := serve.TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}}
+	for _, name := range names {
+		if _, _, err := c.Open(name, tc); err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
+		if _, _, err := c.Submit(name, 0, sched.Request{{Color: 0, Count: 1}}); err != nil {
+			t.Fatalf("submit %s: %v", name, err)
+		}
+		if _, err := c.DrainTenant(name); err != nil {
+			t.Fatalf("drain %s: %v", name, err)
+		}
+	}
+}
+
+// TestProxyFanoutStalePool: a backend restarted on the same address
+// leaves the proxy's pooled control connection to it stale. The next
+// fleet stats must retry on a fresh dial — the backend's rows still
+// arrive, and it is not marked dead.
+func TestProxyFanoutStalePool(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir()}
+	backends := make([]*serve.Server, 2)
+	addrs := make([]string, 2)
+	for i := range backends {
+		backends[i] = startBackend(t, serve.Config{CheckpointDir: dirs[i]})
+		addrs[i] = backends[i].Addr().String()
+	}
+	// Open the tenants on the backends directly: the proxy then holds no
+	// per-tenant upstream whose failure would probe the killed backend
+	// before it is back, only the pooled control connection.
+	for i, addr := range addrs {
+		dc, err := serve.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		openTenants(t, dc, []string{fmt.Sprintf("stale-%d-a", i), fmt.Sprintf("stale-%d-b", i)})
+		dc.Close()
+	}
+	px := startProxy(t, Config{Backends: addrs})
+	c, err := serve.Dial(px.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if rows, err := c.Stats(""); err != nil || len(rows) != 4 {
+		t.Fatalf("fleet stats = %d rows, %v; want 4", len(rows), err)
+	}
+	px.ctl.mu.Lock()
+	pooled := len(px.ctl.idle[addrs[0]])
+	px.ctl.mu.Unlock()
+	if pooled != 1 {
+		t.Fatalf("%d idle control connections to %s after one stats, want 1", pooled, addrs[0])
+	}
+
+	// Kill backend 0 and restart it on the same address from its
+	// checkpoints: the pooled connection now points at a dead process.
+	if err := backends[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	startBackend(t, serve.Config{Addr: addrs[0], CheckpointDir: dirs[0]})
+
+	rows, err := c.Stats("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("fleet stats after backend restart = %d rows, want 4 (stale pooled connection not retried)", len(rows))
+	}
+	px.mu.Lock()
+	dead := px.dead[addrs[0]]
+	px.mu.Unlock()
+	if dead {
+		t.Fatalf("restarted backend %s marked dead", addrs[0])
+	}
+}
+
+// TestProxyFanoutConcurrent: many clients issuing fleet stats, ping and
+// dura-stats at once share the control pool; every answer must still be
+// exact. Run under -race.
+func TestProxyFanoutConcurrent(t *testing.T) {
+	backends := []*serve.Server{
+		startBackend(t, serve.Config{CheckpointDir: t.TempDir(), CheckpointEvery: 1}),
+		startBackend(t, serve.Config{}),
+	}
+	addrs := []string{backends[0].Addr().String(), backends[1].Addr().String()}
+	px := startProxy(t, Config{Backends: addrs})
+	c, err := serve.Dial(px.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	openTenants(t, c, spreadNames(addrs, 3))
+	c.Close()
+	const tenants = 6
+	want := backends[0].DuraStats().Appends + backends[1].DuraStats().Appends
+	if want == 0 {
+		t.Fatal("durable backend shows no appends")
+	}
+
+	const clients, iters = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := serve.Dial(px.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for i := 0; i < iters; i++ {
+				rows, err := c.Stats("")
+				if err != nil || len(rows) != tenants {
+					t.Errorf("stats = %d rows, %v; want %d", len(rows), err, tenants)
+					return
+				}
+				var served int64
+				for _, r := range rows {
+					served += r.ServedRounds
+				}
+				if served != tenants {
+					t.Errorf("summed ServedRounds = %d, want %d", served, tenants)
+					return
+				}
+				if _, n, err := c.Ping(); err != nil || n != tenants {
+					t.Errorf("ping = %d tenants, %v; want %d", n, err, tenants)
+					return
+				}
+				st, err := c.DuraStats()
+				if err != nil || st.Appends != want || len(st.Backends) != 2 {
+					t.Errorf("dura-stats = %d appends over %d rows, %v; want %d over 2",
+						st.Appends, len(st.Backends), err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// connCounter is a TCP relay in front of a backend that tracks how many
+// connections the proxy holds open through it.
+type connCounter struct {
+	ln       net.Listener
+	accepted atomic.Int64
+	open     atomic.Int64
+	closed   chan struct{} // one token per relayed connection that ends
+}
+
+func newConnCounter(t *testing.T, backend string) *connCounter {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &connCounter{ln: ln, closed: make(chan struct{}, 64)}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			front, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			back, err := net.Dial("tcp", backend)
+			if err != nil {
+				front.Close()
+				continue
+			}
+			cc.accepted.Add(1)
+			cc.open.Add(1)
+			var once sync.Once
+			done := func() {
+				once.Do(func() {
+					front.Close()
+					back.Close()
+					cc.open.Add(-1)
+					cc.closed <- struct{}{}
+				})
+			}
+			go func() { io.Copy(back, front); done() }()
+			go func() { io.Copy(front, back); done() }()
+		}
+	}()
+	return cc
+}
+
+// TestProxyFanoutPoolReuseAndClose: repeated fleet requests reuse one
+// pooled control connection per backend instead of dialing per request,
+// and Proxy.Close leaves no backend connection open.
+func TestProxyFanoutPoolReuseAndClose(t *testing.T) {
+	b := startBackend(t, serve.Config{})
+	cc := newConnCounter(t, b.Addr().String())
+	px := startProxy(t, Config{Backends: []string{cc.ln.Addr().String()}})
+	c, err := serve.Dial(px.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 10; i++ {
+		if _, err := c.Stats(""); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cc.accepted.Load(); n != 1 {
+		t.Fatalf("20 sequential fleet requests opened %d backend connections, want 1", n)
+	}
+
+	px.Close()
+	deadline := time.After(5 * time.Second)
+	for cc.open.Load() > 0 {
+		select {
+		case <-cc.closed:
+		case <-deadline:
+			t.Fatalf("%d backend connections still open after Proxy.Close", cc.open.Load())
+		}
+	}
+}
+
+// TestFlushUpstreamsNoAlloc pins the per-burst upstream flush, run once
+// per strict submit through the proxy, at zero allocations.
+func TestFlushUpstreamsNoAlloc(t *testing.T) {
+	fc := &frontConn{ups: make(map[string]*upstream)}
+	for _, addr := range []string{"a", "b"} {
+		near, far := net.Pipe()
+		t.Cleanup(func() { near.Close(); far.Close() })
+		go func() {
+			buf := make([]byte, 4096)
+			for {
+				if _, err := far.Read(buf); err != nil {
+					return
+				}
+			}
+		}()
+		fc.ups[addr] = &upstream{addr: addr, conn: near, bw: bufio.NewWriter(near)}
+	}
+	frame := []byte("staged frame bytes")
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, u := range fc.ups {
+			u.bw.Write(frame) // stage without framing: only the flush is pinned
+			u.dirty = true
+		}
+		if !fc.flushUpstreams() {
+			t.Fatal("flush failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("flushUpstreams: %v allocs per burst, want 0", allocs)
 	}
 }
