@@ -55,13 +55,14 @@ faultsmoke:
 
 # The group-commit durability smoke (docs/CHECKPOINT.md "Group-commit
 # log"): the whole ckptlog package fresh — segment framing, recovery
-# scans over truncated/corrupted tails, rotation and compaction — plus
-# the serve-layer log-mode contracts: tombstones shadowing closed and
-# released tenants, compacting restarts, delta-chain recovery and the
-# adaptive pacer. Fresh runs, never cached.
+# scans over truncated/corrupted tails, rotation and compaction, sticky
+# write/sync failures — plus the serve-layer durability contracts:
+# tombstones shadowing closed and released tenants, compacting
+# restarts, delta-chain recovery, meta-file versions and the adaptive
+# pacer. Fresh runs, never cached.
 durasmoke:
 	go test -count=1 ./internal/ckptlog/
-	go test -run 'TestCloseTenantLogTombstone|TestReleaseLogTombstone|TestServeLog|TestServeCrashRestartLogSegments|TestServeAdaptivePacing' -count=1 ./internal/serve/
+	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestReleaseLogTombstone|TestServeLog|TestServeCrashRestartLogSegments|TestServeAdaptivePacing|TestMetaVersions' -count=1 ./internal/serve/
 
 # The admission-control smoke (docs/SCHEDULING.md "Admission (layer
 # 0)"): the whole internal/bdr package fresh — SBF feasibility
@@ -103,11 +104,12 @@ optsmoke:
 docscheck:
 	go run ./cmd/docscheck
 
-# The pre-commit gate: static analysis, the docs drift gate, the
-# race-detector subset on the hot-path packages, the fault-injection,
-# durability, exact-solver and server harnesses, then the full test
-# suite under the race detector.
-check: vet docscheck race-hot faultsmoke durasmoke bdrsmoke optsmoke servesmoke proxysmoke race
+# The pre-commit gate: static analysis, the docs drift gate, then every
+# test of the module exactly once, fresh, under the race detector. The
+# smoke targets above are subsets of that run, kept as shortcuts for
+# iterating on one subsystem.
+check: vet docscheck
+	go test -race -count=1 ./...
 
 # Regenerate every experiment table/figure (DESIGN.md §3) and refresh the
 # data section of EXPERIMENTS.md.

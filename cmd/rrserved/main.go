@@ -7,8 +7,6 @@
 //	rrserved                          # listen on 127.0.0.1:7145, in-memory only
 //	rrserved -addr :7145 -ckpt state  # durable: checkpoints in state/, recovered
 //	                                  # automatically on restart
-//	rrserved -ckpt-mode files         # one fsynced .ckpt file per tenant instead
-//	                                  # of the default group-commit segment log
 //	rrserved -ckpt-adaptive           # pace checkpoints from measured costs
 //	rrserved -round-interval 10ms     # pace rounds instead of applying eagerly
 //	rrserved -allocator fifo          # legacy drain-in-scan-order cross-tenant order
@@ -18,12 +16,10 @@
 //	                                  # the machine's supply bound before admission
 //	rrserved -bdr -machine-rate 8 -shard-rate 1   # explicit capacity model
 //
-// Durable mode defaults to the group-commit checkpoint log
-// (docs/CHECKPOINT.md): all tenants' checkpoints are appended to shared
-// segment files and one background fsync per -ckpt-commit-interval
-// covers every append in the window, so checkpoint cost stays flat as
-// tenant counts grow. -ckpt-mode files restores the one-file-per-tenant
-// backend, which pays one fsync per checkpoint.
+// Durable mode uses the group-commit checkpoint log (docs/CHECKPOINT.md):
+// all tenants' checkpoints are appended to shared segment files and one
+// background fsync per -ckpt-commit-interval covers every append in the
+// window, so checkpoint cost stays flat as tenant counts grow.
 //
 // Which backlogged tenant a worker serves next is the cross-tenant
 // allocator's decision (-allocator, -alloc-quantum, -alloc-escalation);
@@ -62,10 +58,9 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7145", "TCP listen address")
 		ckptDir      = flag.String("ckpt", "", "checkpoint directory (empty = no durability)")
 		ckptEvery    = flag.Int("checkpoint-every", 64, "rounds between periodic per-tenant checkpoints")
-		ckptMode     = flag.String("ckpt-mode", "", "durability backend: log (group-commit segments, the default) or files (one .ckpt per tenant)")
-		ckptCommit   = flag.Duration("ckpt-commit-interval", 0, "group-commit fsync interval in log mode (0 = default 2ms)")
+		ckptCommit   = flag.Duration("ckpt-commit-interval", 0, "checkpoint-log group-commit fsync interval (0 = default 2ms)")
 		ckptSegBytes = flag.Int("ckpt-segment-bytes", 0, "log segment size before rotation (0 = default 4MiB)")
-		ckptAdaptive = flag.Bool("ckpt-adaptive", false, "pace checkpoints adaptively from measured snapshot/apply costs (log mode)")
+		ckptAdaptive = flag.Bool("ckpt-adaptive", false, "pace checkpoints adaptively from measured snapshot/apply costs")
 		ckptPaceMin  = flag.Int("ckpt-pace-min", 0, "adaptive pacing floor in rounds (0 = default 1)")
 		ckptPaceMax  = flag.Int("ckpt-pace-max", 0, "adaptive pacing ceiling in rounds (0 = default 1024)")
 		interval     = flag.Duration("round-interval", 0, "pace round application (0 = apply eagerly)")
@@ -94,7 +89,6 @@ func main() {
 		Addr:               *addr,
 		CheckpointDir:      *ckptDir,
 		CheckpointEvery:    *ckptEvery,
-		CkptMode:           *ckptMode,
 		CkptCommitInterval: *ckptCommit,
 		CkptSegmentBytes:   *ckptSegBytes,
 		CkptAdaptive:       *ckptAdaptive,

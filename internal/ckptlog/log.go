@@ -1,5 +1,5 @@
-// Package ckptlog is the group-commit checkpoint log: the default
-// durability backend of the serve tier (docs/CHECKPOINT.md
+// Package ckptlog is the group-commit checkpoint log: the durability
+// backend of the serve tier (docs/CHECKPOINT.md
 // "Group-commit log"). Checkpoint blobs from every tenant on a shard
 // are appended to one shared, CRC-framed segment file, and a single
 // background committer turns any number of appends into one fsync per
@@ -32,6 +32,11 @@
 // it, so the next recovery reads that segment clean. Corruption in a
 // sealed segment cannot be explained by a crash mid-append and is
 // reported as an error.
+//
+// The first failed write or fsync is sticky: from then on every
+// Append, Sync and Close returns it and nothing is written again, since
+// a retry could duplicate bytes mid-segment or report durability for
+// pages the kernel already dropped.
 //
 // The log stores three record kinds: KindFull (a complete snapshot),
 // KindDelta (a snap.ApplyDelta delta against the tenant's latest full
@@ -177,6 +182,9 @@ type Log struct {
 	index      map[string]tenantState
 	closed     bool
 	compacting bool
+	// err is the log's first write or sync failure. It is sticky (see
+	// failLocked): once set, nothing is written again.
+	err error
 
 	enc snap.Encoder // payload scratch, reused under mu
 
@@ -435,13 +443,31 @@ func (l *Log) appendPayloadLocked(payload []byte) recordRef {
 	return ref
 }
 
+// failLocked records err as the log's sticky failure and returns it.
+// After a failed or partial Write the buffered bytes' place in the
+// segment is unknown (activeOff already counts them), and after a failed
+// fsync the kernel may have dropped the dirty pages, so a retry could
+// duplicate bytes mid-segment or "succeed" over lost data. Every later
+// Append, Sync, Close and commit therefore returns this error and
+// writes nothing. Callers hold l.mu.
+func (l *Log) failLocked(err error) error {
+	if l.err == nil {
+		l.err = fmt.Errorf("ckptlog: log failed, refusing further writes: %w", err)
+		l.opt.Logf("%v", l.err)
+	}
+	return l.err
+}
+
 // flushLocked moves buffered bytes into the active file (no fsync).
 func (l *Log) flushLocked() error {
+	if l.err != nil {
+		return l.err
+	}
 	if len(l.wbuf) == 0 {
 		return nil
 	}
 	if _, err := l.active.Write(l.wbuf); err != nil {
-		return err
+		return l.failLocked(err)
 	}
 	l.wbuf = l.wbuf[:0]
 	l.dirty = true
@@ -457,7 +483,7 @@ func (l *Log) commitLocked() error {
 		return nil
 	}
 	if err := l.active.Sync(); err != nil {
-		return err
+		return l.failLocked(err)
 	}
 	l.dirty = false
 	l.fsyncs.Add(1)
@@ -466,6 +492,8 @@ func (l *Log) commitLocked() error {
 
 // committer is the group-commit loop: one fsync per CommitInterval
 // whenever anything was appended, no matter how many tenants appended.
+// A failed commit is sticky (failLocked), so it is logged once and
+// never retried.
 func (l *Log) committer() {
 	defer l.wg.Done()
 	t := time.NewTicker(l.opt.CommitInterval)
@@ -476,10 +504,8 @@ func (l *Log) committer() {
 			return
 		case <-t.C:
 			l.mu.Lock()
-			if !l.closed && (len(l.wbuf) > 0 || l.dirty) {
-				if err := l.commitLocked(); err != nil {
-					l.opt.Logf("ckptlog: commit: %v", err)
-				}
+			if !l.closed && l.err == nil && (len(l.wbuf) > 0 || l.dirty) {
+				_ = l.commitLocked() // a failure is sticky and logged by failLocked
 			}
 			l.mu.Unlock()
 		}
@@ -496,6 +522,9 @@ func (l *Log) Append(tenant string, kind Kind, round, baseRound int, blob []byte
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("ckptlog: append to closed log")
+	}
+	if l.err != nil {
+		return l.err
 	}
 	st := l.index[tenant]
 	switch kind {
@@ -545,7 +574,8 @@ func (l *Log) AppendTombstone(tenant string) error {
 }
 
 // Sync forces everything appended so far to durable storage now,
-// without waiting for the committer.
+// without waiting for the committer. It returns the log's sticky
+// failure once a write or sync has failed.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -566,8 +596,8 @@ func (l *Log) rotateLocked() error {
 	l.sealed = append(l.sealed, &segment{seq: seq, path: filepath.Join(l.opt.Dir, segName(seq)), f: f})
 	if err := l.openActive(seq + 1); err != nil {
 		// The old active stays usable as a sealed segment; the log is
-		// wedged for writes but recovery remains intact.
-		return err
+		// failed for writes but recovery remains intact.
+		return l.failLocked(err)
 	}
 	l.rotations.Add(1)
 	return l.compactLocked()
@@ -753,7 +783,8 @@ func (l *Log) Stats() Stats {
 }
 
 // Close stops the committer, makes everything appended durable and
-// closes the segment files. The log must not be used afterwards.
+// closes the segment files, returning the log's sticky failure if it
+// has one. The log must not be used afterwards.
 func (l *Log) Close() error {
 	l.stopCommitter()
 	l.mu.Lock()

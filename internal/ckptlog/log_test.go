@@ -651,3 +651,61 @@ func TestLogStaleDeltaAfterCompaction(t *testing.T) {
 		t.Fatalf("dangling latest delta error = %v, want it to name the unresolvable record", err)
 	}
 }
+
+// TestLogFailureIsSticky pins the fsync-failure rule: once a write to
+// the active segment fails, Sync, Append and Close keep failing, and the
+// buffered bytes are never written afterwards — a retry could duplicate
+// bytes mid-segment after a partial write, or report durability for
+// pages the kernel dropped after a failed fsync. The failure is forced
+// by swapping a closed file in for the active segment, then putting the
+// real one back so a retry would succeed if one were attempted.
+func TestLogFailureIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, nil)
+	if err := l.Append("a", KindFull, 1, 0, blobFor("a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Buffered, not yet written: the bytes a retry would write.
+	if err := l.Append("a", KindFull, 2, 0, blobFor("a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	dead, err := os.Create(filepath.Join(t.TempDir(), "dead.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	l.mu.Lock()
+	active, path := l.active, filepath.Join(dir, segName(l.activeSeq))
+	l.active = dead
+	l.mu.Unlock()
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync over a failing segment succeeded")
+	}
+	l.mu.Lock()
+	l.active = active
+	l.mu.Unlock()
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync after a failure succeeded: the failure must be sticky")
+	}
+	if err := l.Append("b", KindFull, 1, 0, blobFor("b", 1)); err == nil {
+		t.Fatal("Append after a failure succeeded: the failure must be sticky")
+	}
+	if err := l.Close(); err == nil {
+		t.Fatal("Close after a failure succeeded: the failure must be sticky")
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Fatalf("segment grew from %d to %d bytes after the failure (buffered bytes rewritten)", before.Size(), after.Size())
+	}
+}

@@ -6,9 +6,8 @@ import (
 )
 
 // Migrate moves one live tenant to the target backend: release on the
-// source (flush its queue, snapshot, tombstone — protocol v4
-// msgRelease), restore on the target (msgRestore), then flip the
-// route. Submits racing the migration bounce off the source's
+// source (flush its queue, snapshot, tombstone), restore on the target,
+// then flip the route. Submits racing the migration bounce off the source's
 // tombstone with a retryable draining error and, once re-routed, off
 // the target's sequence check with a BadSeq rewind — the two
 // mechanisms that make the move invisible to a resumable client

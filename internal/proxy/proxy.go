@@ -19,8 +19,7 @@
 // Two operations make the tier more than a load balancer:
 //
 //   - Live migration (Migrate): release a tenant's state from its
-//     current backend (protocol v4 msgRelease), restore it on another
-//     (msgRestore), and flip the route. In-flight submits resume
+//     current backend, restore it on another, and flip the route. In-flight submits resume
 //     exactly-once off the tenant's sequence numbers: a client racing
 //     the flip sees a retryable draining error or a BadSeq rewind, both
 //     of which the load generator's resume machinery already rides out.
@@ -535,9 +534,9 @@ func (p *Proxy) appendPing(enc *snap.Encoder, info serve.PeekInfo) {
 }
 
 // appendFleetStats answers an all-tenant stats request by fanning out
-// to every live backend, merging the rows sorted by tenant ID, and —
-// for the extended shape — recomputing each ServiceShare against the
-// fleet-wide served-rounds total (each backend only knows its own).
+// to every live backend, merging the rows sorted by tenant ID, and
+// recomputing each ServiceShare against the fleet-wide served-rounds
+// total (each backend only knows its own).
 // Standby rows are included only for tenants the routing table actually
 // sends there (their primary died); otherwise the standby's teed
 // replicas would shadow the primaries' live rows.
@@ -548,11 +547,7 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 	}
 	perBackend := make([][]serve.TenantStats, len(addrs))
 	p.fanout(addrs, func(i int, c *serve.Client) (err error) {
-		if info.Extended {
-			perBackend[i], err = c.Stats("")
-		} else {
-			perBackend[i], err = c.StatsCompat("")
-		}
+		perBackend[i], err = c.Stats("")
 		return err
 	})
 	var rows []serve.TenantStats
@@ -568,23 +563,21 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-	if info.Extended {
-		var total float64
-		for i := range rows {
-			total += float64(rows[i].ServedRounds)
-		}
-		for i := range rows {
-			rows[i].ServiceShare = 0
-			if total > 0 {
-				rows[i].ServiceShare = float64(rows[i].ServedRounds) / total
-			}
+	var total float64
+	for i := range rows {
+		total += float64(rows[i].ServedRounds)
+	}
+	for i := range rows {
+		rows[i].ServiceShare = 0
+		if total > 0 {
+			rows[i].ServiceShare = float64(rows[i].ServedRounds) / total
 		}
 	}
 	serve.AppendStatsResponse(enc, info, rows)
 }
 
-// appendDuraStats answers a durability-stats request for the fleet
-// (protocol v6): the counters summed across every live backend, with a
+// appendDuraStats answers a durability-stats request for the fleet: the
+// counters summed across every live backend, with a
 // per-backend breakdown labelled by address in Backends. Mode is the
 // backends' common mode, or "mixed" when they disagree.
 func (p *Proxy) appendDuraStats(enc *snap.Encoder, info serve.PeekInfo) {

@@ -195,14 +195,6 @@ func TestProxyStatsFanout(t *testing.T) {
 		t.Fatalf("fleet-wide service shares sum to %v, want 1", shares)
 	}
 
-	compat, err := c.StatsCompat("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(compat) != 4 {
-		t.Fatalf("fleet compat stats returned %d rows, want 4", len(compat))
-	}
-
 	one, err := c.Stats(names[0])
 	if err != nil {
 		t.Fatal(err)
@@ -388,11 +380,11 @@ func TestProxyFailover(t *testing.T) {
 	}
 }
 
-// TestProxyDuraStatsFanout: the durability-stats request (protocol v6)
-// fans out like the scheduler stats — the proxy sums the counters
-// across live backends and attaches a per-backend breakdown labelled
-// by address. Two log-mode backends plus a memory-only one make the
-// merged mode "mixed" and give the sum real work to add up.
+// TestProxyDuraStatsFanout: the durability-stats request fans out like
+// the scheduler stats — the proxy sums the counters across live
+// backends and attaches a per-backend breakdown labelled by address.
+// Two log-mode backends plus a memory-only one make the merged mode
+// "mixed" and give the sum real work to add up.
 func TestProxyDuraStatsFanout(t *testing.T) {
 	// CheckpointEvery 1 makes every applied round append a log record,
 	// so a submit + drain deterministically bumps the counters.

@@ -185,8 +185,7 @@ type passState struct {
 // exactly the cup game's emptier, with the budget as the processor
 // count. Rounds admitted mid-pass are
 // not chased — they re-poke the shard and the next pass serves them —
-// so a pass always terminates. Checkpoint blobs captured under the
-// tenant lock are written here, outside it.
+// so a pass always terminates.
 func (s *Server) servePass(sh *shard, ps *passState, budget int) {
 	ps.scratch = sh.snapshot(ps.scratch[:0])
 	ps.live = ps.live[:0]
@@ -212,7 +211,7 @@ func (s *Server) servePass(sh *shard, ps *passState, budget int) {
 		ps.demands = ps.demands[:0]
 		for j, t := range ps.live {
 			ps.demands = append(ps.demands, bdr.Demand{
-				Res: t.res, Backlog: ps.loads[j].Queued, Weight: ps.loads[j].Weight,
+				Res: t.res(), Backlog: ps.loads[j].Queued, Weight: ps.loads[j].Weight,
 			})
 		}
 		if cap(ps.shares) < len(ps.demands) {
@@ -246,12 +245,7 @@ func (s *Server) servePass(sh *shard, ps *passState, budget int) {
 			q = b
 		}
 		t := ps.live[i]
-		applied, blob, round := t.applyQueued(q, s.cfg.CheckpointEvery)
-		if blob != nil {
-			if err := t.writeCheckpoint(blob, round); err != nil {
-				s.logf("%v", err)
-			}
-		}
+		applied := t.applyQueued(q, s.cfg.CheckpointEvery)
 		if !unlimited {
 			budget -= applied
 		}
@@ -295,12 +289,12 @@ func (s *Server) servePass(sh *shard, ps *passState, budget int) {
 		// was backlogged at the start of the pass earns its guaranteed
 		// fraction of the rounds actually served, whether or not the pick
 		// loop reached it — a reserved tenant served less than its accrual
-		// shows a utilization below 1 in stats-ex.
+		// shows a utilization below 1 in its stats row.
 		for _, t := range ps.initLive {
-			if t.res.IsZero() {
+			if t.res().IsZero() {
 				continue
 			}
-			t.accrueBDR(t.res.Rate/s.ctrl.ShardRate*float64(totalApplied), t.passApplied)
+			t.accrueBDR(t.cfg.ResRate/s.ctrl.ShardRate*float64(totalApplied), t.passApplied)
 		}
 	}
 }

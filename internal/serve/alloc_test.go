@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -164,110 +163,8 @@ func TestAllocatorStarvation(t *testing.T) {
 	}
 }
 
-// TestStatsWireCompat pins the v3 compatibility contract: a v1/v2 peer
-// that hand-encodes an open without the trailing weight field and asks
-// for legacy msgStats gets byte-compatible legacy rows (its strict
-// decoder must consume the response exactly), while a v3 client on the
-// same server reads the extended rows, weight included.
-func TestStatsWireCompat(t *testing.T) {
-	inst := testInstance(t, 8, 0)
-	s := startServer(t, Config{})
-	tc := tcFor(inst)
-
-	// A v2 peer: openMsg without the trailing weight, legacy stats.
-	old := dialTest(t, s)
-	old.mu.Lock()
-	old.enc.Reset()
-	e := old.enc
-	e.Uint64(msgOpen)
-	e.Int(2) // a v2 peer's version
-	e.String("legacy")
-	e.String(tc.Policy)
-	e.Int(tc.N)
-	e.Int(tc.Speed)
-	e.Int(tc.Delta)
-	e.Int(tc.QueueCap)
-	e.Ints(tc.Delays)
-	d, err := old.roundtrip(msgOpen)
-	if err != nil {
-		old.mu.Unlock()
-		t.Fatalf("legacy open: %v", err)
-	}
-	var or openResp
-	or.decode(d)
-	if err := old.done(d); err != nil || or.NextSeq != 0 {
-		old.mu.Unlock()
-		t.Fatalf("legacy open = (%+v, %v)", or, err)
-	}
-	old.mu.Unlock()
-
-	if _, _, err := old.Submit("legacy", 0, inst.Requests[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	// StatsCompat speaks the same legacy command a pre-v3 server would
-	// answer; against this server the rows must carry no extensions.
-	if rows, err := old.StatsCompat("legacy"); err != nil || len(rows) != 1 || rows[0].Weight != 0 {
-		t.Fatalf("StatsCompat = (%+v, %v), want one unextended row", rows, err)
-	}
-
-	// The legacy stats request returns rows a strict legacy decoder
-	// consumes exactly — no trailing extended fields.
-	old.mu.Lock()
-	old.enc.Reset()
-	(&tenantMsg{Type: msgStats, Tenant: ""}).encode(old.enc)
-	d, err = old.roundtrip(msgStats)
-	if err != nil {
-		old.mu.Unlock()
-		t.Fatalf("legacy stats: %v", err)
-	}
-	rows := decodeStatsResp(d)
-	err = old.done(d)
-	old.mu.Unlock()
-	if err != nil {
-		t.Fatalf("legacy stats decode left trailing bytes or failed: %v", err)
-	}
-	if len(rows) != 1 || rows[0].ID != "legacy" {
-		t.Fatalf("legacy stats rows = %+v", rows)
-	}
-	if rows[0].Weight != 0 || rows[0].MaxDelayFactor != 0 {
-		t.Fatalf("legacy rows must not carry extended fields: %+v", rows[0])
-	}
-
-	// A v3 client on the same server opens with an explicit weight and
-	// reads it back through the extended stats, service share included.
-	cl := dialTest(t, s)
-	if _, _, err := cl.Open("modern", TenantConfig{Policy: tc.Policy, N: tc.N,
-		Delta: tc.Delta, Delays: tc.Delays, Weight: 3}); err != nil {
-		t.Fatal(err)
-	}
-	rows, err = cl.Stats("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := map[string]TenantStats{}
-	for _, r := range rows {
-		byID[r.ID] = r
-	}
-	if got := byID["modern"].Weight; got != 3 {
-		t.Fatalf("modern weight = %d, want 3", got)
-	}
-	// The legacy open's absent weight normalizes to the default 1.
-	if got := byID["legacy"].Weight; got != 1 {
-		t.Fatalf("legacy weight = %d, want 1", got)
-	}
-	if byID["legacy"].MinDelay <= 0 {
-		t.Fatalf("legacy MinDelay = %d, want > 0", byID["legacy"].MinDelay)
-	}
-
-	// An out-of-range weight is refused at open.
-	var re *RemoteError
-	if _, _, err := cl.Open("heavy", TenantConfig{Policy: tc.Policy, N: tc.N,
-		Delta: tc.Delta, Delays: tc.Delays, Weight: maxTenantWeight + 1}); !errors.As(err, &re) || re.Code != codeBadRequest {
-		t.Fatalf("oversized weight open = %v, want codeBadRequest", err)
-	}
-}
-
+// TestStatsRespExRoundTrip round-trips a stats row with every field
+// set, the cross-tenant scheduling and reservation columns included.
 func TestStatsRespExRoundTrip(t *testing.T) {
 	rows := []TenantStats{
 		{ID: "a", Policy: "ΔLRU-EDF", Round: 9, NextSeq: 11, Pending: 3, QueueDepth: 2,
@@ -279,12 +176,12 @@ func TestStatsRespExRoundTrip(t *testing.T) {
 		{ID: "b"},
 	}
 	e := snap.NewEncoder()
-	encodeStatsRespEx(e, rows)
+	encodeStatsResp(e, rows)
 	d := snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgStatsEx {
+	if typ := d.Uint64(); typ != msgTenantStats {
 		t.Fatalf("type = %d", typ)
 	}
-	got := decodeStatsRespEx(d)
+	got := decodeStatsResp(d)
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,12 @@ import (
 	"repro/internal/snap"
 )
 
-// TenantConfig is the client-side shape of an open request: which
-// policy to run and the stream configuration the tenant simulates
-// under. QueueCap 0 accepts the server's default.
+// TenantConfig describes a tenant: which policy to run, the stream
+// configuration the tenant simulates under, and its queue cap, service
+// weight and BDR reservation. It is the one tenant description of the
+// protocol — open and restore requests carry it, release responses
+// return it — and the server persists it as the tenant's meta file.
+// QueueCap 0 accepts the server's default.
 type TenantConfig struct {
 	Policy string
 	N      int
@@ -26,12 +29,12 @@ type TenantConfig struct {
 	// tenants are backlogged, worker capacity is split in proportion to
 	// their weights (see docs/SCHEDULING.md). 0 accepts the default of 1.
 	Weight int
-	// ResRate and ResDelay declare a BDR reservation (protocol v6): a
-	// guaranteed fractional service rate in (0, 1] and the delay bound,
-	// in rounds, within which that rate must be supplied. Both zero (the
-	// default) opens a best-effort tenant. A reservation is subject to
-	// the server's supply-bound-function admission check; an infeasible
-	// one is rejected with *AdmissionError carrying the shard's residual
+	// ResRate and ResDelay declare a BDR reservation: a guaranteed
+	// fractional service rate in (0, 1] and the delay bound, in rounds,
+	// within which that rate must be supplied. Both zero (the default)
+	// opens a best-effort tenant. A reservation is subject to the
+	// server's supply-bound-function admission check; an infeasible one
+	// is rejected with *AdmissionError carrying the shard's residual
 	// capacity, and a reservation sent to a server without -bdr is
 	// rejected outright.
 	ResRate  float64
@@ -54,6 +57,9 @@ type Client struct {
 	enc  *snap.Encoder
 	buf  []byte
 	err  error // sticky transport/protocol error
+	// one is Submit's batch-of-one scratch, so a strict submit stages
+	// its single tick without allocating.
+	one [1]sched.Request
 }
 
 // Dial connects to an rrserved server.
@@ -152,12 +158,7 @@ func (c *Client) Open(tenant string, tc TenantConfig) (nextSeq int, resumed bool
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.enc.Reset()
-	(&openMsg{
-		Version: ProtocolVersion, Tenant: tenant, Policy: tc.Policy,
-		N: tc.N, Speed: tc.Speed, Delta: tc.Delta,
-		QueueCap: tc.QueueCap, Delays: tc.Delays, Weight: tc.Weight,
-		ResRate: tc.ResRate, ResDelay: tc.ResDelay,
-	}).encode(c.enc)
+	(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc}).encode(c.enc, msgOpen)
 	d, err := c.roundtrip(msgOpen)
 	if err != nil {
 		return 0, false, err
@@ -170,26 +171,22 @@ func (c *Client) Open(tenant string, tc TenantConfig) (nextSeq int, resumed bool
 	return r.NextSeq, r.Resumed, nil
 }
 
-// Submit sends one round tick of arrivals for tenant. seq must equal
-// the tenant's next expected round sequence (from Open, or the previous
-// Submit + 1); a mismatch returns *BadSeqError with the resume point.
-// round is the number of rounds the server has applied so far and depth
-// the tenant's queue depth after admission.
+// Submit sends one round tick of arrivals for tenant — a submit batch
+// of one. seq must equal the tenant's next expected round sequence
+// (from Open, or the previous Submit + 1); a mismatch returns
+// *BadSeqError with the resume point. round is the number of rounds the
+// server has applied so far and depth the tenant's queue depth after
+// admission.
 func (c *Client) Submit(tenant string, seq int, arrivals sched.Request) (round, depth int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.enc.Reset()
-	(&submitMsg{Tenant: tenant, Seq: seq, Arrivals: arrivals}).encode(c.enc)
-	d, err := c.roundtrip(msgSubmit)
+	c.one[0] = arrivals
+	_, round, depth, err = c.submitLocked(tenant, seq, c.one[:])
+	c.one[0] = nil
 	if err != nil {
 		return 0, 0, err
 	}
-	var r submitResp
-	r.decode(d)
-	if err := c.done(d); err != nil {
-		return 0, 0, err
-	}
-	return r.Round, r.QueueDepth, nil
+	return round, depth, nil
 }
 
 // SubmitBatch sends ticks[i] as the round tick at sequence seq+i — up
@@ -207,6 +204,11 @@ func (c *Client) SubmitBatch(tenant string, seq int, ticks []sched.Request) (adm
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.submitLocked(tenant, seq, ticks)
+}
+
+// submitLocked is one strict submit-batch round trip. Callers hold c.mu.
+func (c *Client) submitLocked(tenant string, seq int, ticks []sched.Request) (admitted, round, depth int, err error) {
 	c.enc.Reset()
 	(&batchMsg{Tenant: tenant, Seq: seq, Ticks: ticks}).encode(c.enc)
 	d, err := c.roundtrip(msgSubmitBatch)
@@ -225,39 +227,13 @@ func (c *Client) SubmitBatch(tenant string, seq int, ticks []sched.Request) (adm
 }
 
 // Stats fetches one tenant's stats row, or every tenant's (sorted by
-// ID) when tenant is "". It uses the protocol-v3 extended stats command,
-// so rows include the cross-tenant scheduling fields (Weight,
-// DelayFactor, ServiceShare, …); fetching stats from a pre-v3 server is
-// not supported — a v1/v2 *client* against this server keeps working
-// unchanged via the legacy msgStats command.
+// ID) when tenant is "".
 func (c *Client) Stats(tenant string) ([]TenantStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.enc.Reset()
-	(&tenantMsg{Type: msgStatsEx, Tenant: tenant}).encode(c.enc)
-	d, err := c.roundtrip(msgStatsEx)
-	if err != nil {
-		return nil, err
-	}
-	rows := decodeStatsRespEx(d)
-	if err := c.done(d); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// StatsCompat is Stats over the legacy pre-v3 stats command: the same
-// rows without the scheduling extensions (Weight, MinDelay,
-// ServedRounds, DelayFactor, MaxDelayFactor, ServiceShare all zero).
-// Use it against servers older than protocol v3, which do not answer
-// stats-ex; it is also the op the serve/stats benchmark measures, so
-// the legacy monitoring path stays pinned against regressions.
-func (c *Client) StatsCompat(tenant string) ([]TenantStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	(&tenantMsg{Type: msgStats, Tenant: tenant}).encode(c.enc)
-	d, err := c.roundtrip(msgStats)
+	(&tenantMsg{Type: msgTenantStats, Tenant: tenant}).encode(c.enc)
+	d, err := c.roundtrip(msgTenantStats)
 	if err != nil {
 		return nil, err
 	}
@@ -309,24 +285,6 @@ func (c *Client) resultCommand(typ uint64, tenant string) (*sched.Result, error)
 	return res, nil
 }
 
-// Snapshot fetches the tenant's current state blob — the payload
-// sched.RestoreStream accepts — for mirroring server state.
-func (c *Client) Snapshot(tenant string) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	(&tenantMsg{Type: msgSnapshot, Tenant: tenant}).encode(c.enc)
-	d, err := c.roundtrip(msgSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	blob := d.Blob()
-	if err := c.done(d); err != nil {
-		return nil, err
-	}
-	return blob, nil
-}
-
 // ReleasedTenant is everything Release hands back — the tenant's
 // configuration as opened, the sequence number the next Submit must
 // carry wherever the tenant lands, and the state blob Restore accepts.
@@ -336,12 +294,12 @@ type ReleasedTenant struct {
 	Blob    []byte
 }
 
-// Release is the source half of a live migration (protocol v4): the
-// server flushes the tenant's admission queue, snapshots it, deletes
-// its durable state, and replaces it with a tombstone that answers
-// every later command — including re-opens — with the retryable
-// ErrDraining until a Restore brings the tenant back. Feed the returned
-// state to Restore on the migration target.
+// Release is the source half of a live migration: the server flushes
+// the tenant's admission queue, snapshots it, deletes its durable
+// state, and replaces it with a tombstone that answers every later
+// command — including re-opens — with the retryable ErrDraining until a
+// Restore brings the tenant back. Feed the returned state to Restore on
+// the migration target.
 func (c *Client) Release(tenant string) (*ReleasedTenant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -351,44 +309,31 @@ func (c *Client) Release(tenant string) (*ReleasedTenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	var r releaseResp
+	r := &ReleasedTenant{}
 	r.decode(d)
 	if err := c.done(d); err != nil {
 		return nil, err
 	}
-	return &ReleasedTenant{
-		Config: TenantConfig{
-			Policy: r.Policy, N: r.N, Speed: r.Speed, Delta: r.Delta,
-			Delays: r.Delays, QueueCap: r.QueueCap, Weight: r.Weight,
-			ResRate: r.ResRate, ResDelay: r.ResDelay,
-		},
-		NextSeq: r.NextSeq,
-		Blob:    r.Blob,
-	}, nil
+	return r, nil
 }
 
-// Restore installs a released tenant snapshot on the server (protocol
-// v4): the target half of a live migration. The declared configuration
-// must match the one embedded in the blob. nextSeq is the sequence
-// number the tenant's next Submit must carry on this server — it equals
-// the ReleasedTenant's NextSeq when the blob came from Release.
-// Restoring a tenant that is already open (and not a migration
-// tombstone) fails with ErrTenantExists.
+// Restore installs a released tenant snapshot on the server: the
+// target half of a live migration. The declared configuration must
+// match the one embedded in the blob. nextSeq is the sequence number
+// the tenant's next Submit must carry on this server — it equals the
+// ReleasedTenant's NextSeq when the blob came from Release. Restoring a
+// tenant that is already open (and not a migration tombstone) fails
+// with ErrTenantExists.
 func (c *Client) Restore(tenant string, tc TenantConfig, blob []byte) (nextSeq int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.enc.Reset()
-	(&restoreMsg{
-		Version: ProtocolVersion, Tenant: tenant, Policy: tc.Policy,
-		N: tc.N, Speed: tc.Speed, Delta: tc.Delta,
-		QueueCap: tc.QueueCap, Delays: tc.Delays, Weight: tc.Weight,
-		Blob: blob, ResRate: tc.ResRate, ResDelay: tc.ResDelay,
-	}).encode(c.enc)
+	(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc, Blob: blob}).encode(c.enc, msgRestore)
 	d, err := c.roundtrip(msgRestore)
 	if err != nil {
 		return 0, err
 	}
-	var r restoreResp
+	var r openResp
 	r.decode(d)
 	if err := c.done(d); err != nil {
 		return 0, err
@@ -415,13 +360,11 @@ func (c *Client) Ping() (draining bool, tenants int, err error) {
 	return draining, tenants, nil
 }
 
-// DuraStats reports the server's durability-backend counters (protocol
-// v5): mode ("log", "files", or "off"), append/byte/fsync totals, and
-// the group-commit log's delta, rotation, compaction and segment
-// counts. Since protocol v6 the proxy tier relays it too: a proxy
-// answers with the counters summed across its live backends and a
-// per-backend breakdown in Backends, each row labelled with the
-// backend's address.
+// DuraStats reports the server's durability-backend counters: mode
+// ("log" or "off"), append/byte/fsync totals, and the group-commit
+// log's delta, rotation, compaction and segment counts. A proxy answers
+// with the counters summed across its live backends and a per-backend
+// breakdown in Backends, each row labelled with the backend's address.
 func (c *Client) DuraStats() (DuraStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"testing"
@@ -26,14 +27,14 @@ func fuzzServer(f *testing.F) *Server {
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, &shard{wake: make(chan struct{}, 1)})
 	}
-	if _, er := s.open(&openMsg{
-		Version: ProtocolVersion, Tenant: "fuzz", Policy: "edf",
-		N: 4, Delta: 4, Delays: []int{2, 6},
-	}); er != nil {
+	if _, er := s.open(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Config: fuzzConfig}); er != nil {
 		f.Fatalf("opening fuzz tenant: %s", er.Msg)
 	}
 	return s
 }
+
+// fuzzConfig is the configuration of the fuzz tenants.
+var fuzzConfig = TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}}
 
 // FuzzFrameDecode pins the server's central robustness contract: no
 // byte sequence — malformed, truncated, bit-flipped, or adversarial —
@@ -47,37 +48,38 @@ func FuzzFrameDecode(f *testing.F) {
 		e := snap.NewEncoder()
 		build(e)
 		var frame bytes.Buffer
-		if err := writeFrame(&frame, e.Bytes()); err != nil {
+		bw := bufio.NewWriter(&frame)
+		if err := writeFrame(bw, e.Bytes()); err != nil {
 			f.Fatal(err)
 		}
+		bw.Flush()
 		f.Add(frame.Bytes())
 	}
+	reserved := fuzzConfig
+	reserved.Weight, reserved.ResRate, reserved.ResDelay = 1, 0.25, 32
 	seed(func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}}).encode(e)
+		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Config: fuzzConfig}).encode(e, msgOpen)
 	})
-	seed(func(e *snap.Encoder) {
-		(&submitMsg{Tenant: "fuzz", Seq: 0,
-			Arrivals: sched.Request{{Color: 0, Count: 2}, {Color: 1, Count: 1}}}).encode(e)
+	seed(func(e *snap.Encoder) { // a strict submit: a batch of one
+		(&batchMsg{Tenant: "fuzz", Seq: 0, Ticks: []sched.Request{
+			{{Color: 0, Count: 2}, {Color: 1, Count: 1}}}}).encode(e)
 	})
-	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgStats, Tenant: ""}).encode(e) })
+	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: ""}).encode(e) })
 	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgResult, Tenant: "fuzz"}).encode(e) })
 	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgDrain, Tenant: "fuzz"}).encode(e) })
-	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgSnapshot, Tenant: "fuzz"}).encode(e) })
+	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: "fuzz"}).encode(e) })
 	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgCloseTenant, Tenant: "nope"}).encode(e) })
 	seed(func(e *snap.Encoder) { e.Uint64(msgPing) })
 	seed(func(e *snap.Encoder) { (&errResp{Code: codeBadSeq, Expected: 3, Msg: "x"}).encode(e) })
-	// Protocol v2: tagged envelopes and batched submits.
+	// Tagged envelopes around submits.
 	seed(func(e *snap.Encoder) {
 		e.Uint64(msgTagged)
 		e.Uint64(7)
-		(&submitMsg{Tenant: "fuzz", Seq: 0,
-			Arrivals: sched.Request{{Color: 0, Count: 2}}}).encode(e)
+		(&batchMsg{Tenant: "fuzz", Seq: 0, Ticks: []sched.Request{{{Color: 0, Count: 2}}}}).encode(e)
 	})
-	// Protocol v4: the migration pair.
+	// The migration pair.
 	seed(func(e *snap.Encoder) {
-		(&restoreMsg{Version: ProtocolVersion, Tenant: "fuzz2", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}, Weight: 1, Blob: []byte{1, 2, 3}}).encode(e)
+		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz2", Config: fuzzConfig, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
 	})
 	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgRelease, Tenant: "fuzz"}).encode(e) })
 	seed(func(e *snap.Encoder) {
@@ -103,18 +105,12 @@ func FuzzFrameDecode(f *testing.F) {
 		e.Uint64(3)
 		e.Uint64(msgPing)
 	})
-	// Protocol v6: a reserved open/restore (optional trailing BDR
-	// fields), the release whose response echoes them, and the
-	// durability-stats request the proxy now relays.
+	// A reserved open and restore, and the durability-stats request.
 	seed(func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz3", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}, Weight: 1,
-			ResRate: 0.25, ResDelay: 32}).encode(e)
+		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz3", Config: reserved}).encode(e, msgOpen)
 	})
 	seed(func(e *snap.Encoder) {
-		(&restoreMsg{Version: ProtocolVersion, Tenant: "fuzz4", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}, Weight: 1, Blob: []byte{1, 2, 3},
-			ResRate: 0.125, ResDelay: 16}).encode(e)
+		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz4", Config: reserved, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
 	})
 	seed(func(e *snap.Encoder) { e.Uint64(msgDuraStats) })
 	// A batch claiming far more rounds than it carries — the decoder must
@@ -125,6 +121,11 @@ func FuzzFrameDecode(f *testing.F) {
 		e.Int(0)
 		e.Int(1 << 40)
 	})
+	// An open at another protocol version, and a type past the last one.
+	seed(func(e *snap.Encoder) {
+		(&openMsg{Version: ProtocolVersion - 1, Tenant: "fuzz5", Config: fuzzConfig}).encode(e, msgOpen)
+	})
+	seed(func(e *snap.Encoder) { e.Uint64(msgDuraStats + 1) })
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
@@ -132,7 +133,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The frame reader must survive arbitrary streams: truncated
 		// headers, oversized lengths, short bodies.
-		if body, err := readFrame(bytes.NewReader(data), nil); err == nil {
+		if body, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil); err == nil {
 			processBody(t, s, body)
 		}
 		// And the processor must survive arbitrary bodies directly, as
@@ -179,7 +180,6 @@ func processBody(t *testing.T, s *Server, body []byte) {
 			s.sorted = nil
 			s.mu.Unlock()
 		}
-		s.open(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}})
+		s.open(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Config: fuzzConfig})
 	}
 }

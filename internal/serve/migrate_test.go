@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
-	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,10 +12,10 @@ import (
 )
 
 // TestReleaseRestoreRoundTrip moves a live tenant between two servers
-// mid-trace — the protocol-v4 migration pair — and requires the final
-// result to be bit-identical to an unmigrated local replay. It also
-// pins restore durability: crashing the target right after the move
-// recovers the tenant at its restored round, not at zero.
+// mid-trace — the migration pair — and requires the final result to be
+// bit-identical to an unmigrated local replay. It also pins restore
+// durability: crashing the target right after the move recovers the
+// tenant at its restored round, not at zero.
 func TestReleaseRestoreRoundTrip(t *testing.T) {
 	inst := testInstance(t, 64, 0)
 	tc := tcFor(inst)
@@ -130,10 +129,11 @@ func TestRestoreRejections(t *testing.T) {
 	if _, _, err := c.Open("src", tc); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := c.Snapshot("src")
+	rel, err := c.Release("src")
 	if err != nil {
 		t.Fatal(err)
 	}
+	blob := rel.Blob
 	if _, _, err := c.Open("dup", tc); err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +179,8 @@ func TestRestoreRejections(t *testing.T) {
 }
 
 // TestReleasedTombstone pins the tombstone contract: every command
-// against a released tenant — submit, re-open, stats, drain, close,
-// snapshot — answers with the retryable draining error, the tenant
+// against a released tenant — submit, re-open, stats, result, drain,
+// close — answers with the retryable draining error, the tenant
 // vanishes from aggregate stats and counts, and a restore over the
 // tombstone (migrating back) revives it at its release point.
 func TestReleasedTombstone(t *testing.T) {
@@ -212,8 +212,8 @@ func TestReleasedTombstone(t *testing.T) {
 	if _, err := c.CloseTenant("tomb"); !errors.Is(err, ErrDraining) {
 		t.Fatalf("close: err = %v, want ErrDraining", err)
 	}
-	if _, err := c.Snapshot("tomb"); !errors.Is(err, ErrDraining) {
-		t.Fatalf("snapshot: err = %v, want ErrDraining", err)
+	if _, err := c.Result("tomb"); !errors.Is(err, ErrDraining) {
+		t.Fatalf("result: err = %v, want ErrDraining", err)
 	}
 	if rows, err := c.Stats(""); err != nil || len(rows) != 0 {
 		t.Fatalf("all-tenant stats = %d rows (%v), want 0 (tombstone excluded)", len(rows), err)
@@ -234,42 +234,42 @@ func TestReleasedTombstone(t *testing.T) {
 	}
 }
 
-// TestWireRestoreReleaseCodecs round-trips the protocol-v4 codecs.
+// TestWireRestoreReleaseCodecs round-trips the migration pair: the
+// restore request (the open shape plus the blob) and the release
+// response, reservation included.
 func TestWireRestoreReleaseCodecs(t *testing.T) {
+	tc := TenantConfig{Policy: "edf", N: 4, Speed: 2, Delta: 3, QueueCap: 9,
+		Delays: []int{2, 6}, Weight: 5, ResRate: 0.5, ResDelay: 24}
 	e := snap.NewEncoder()
-	rm := restoreMsg{Version: ProtocolVersion, Tenant: "a", Policy: "edf",
-		N: 4, Speed: 2, Delta: 3, QueueCap: 9, Delays: []int{2, 6}, Weight: 5, Blob: []byte{1, 2, 3}}
-	rm.encode(e)
+	rm := openMsg{Version: ProtocolVersion, Tenant: "a", Config: tc, Blob: []byte{1, 2, 3}}
+	rm.encode(e, msgRestore)
 	d := snap.NewDecoder(e.Bytes())
 	if typ := d.Uint64(); typ != msgRestore {
 		t.Fatalf("type = %d, want msgRestore", typ)
 	}
-	var got restoreMsg
-	got.decode(d)
+	var got openMsg
+	got.decode(d, msgRestore)
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Tenant != rm.Tenant || got.Policy != rm.Policy || got.N != rm.N ||
-		got.Speed != rm.Speed || got.Delta != rm.Delta || got.QueueCap != rm.QueueCap ||
-		got.Weight != rm.Weight || len(got.Delays) != 2 || string(got.Blob) != string(rm.Blob) {
-		t.Fatalf("restoreMsg round trip: got %+v, want %+v", got, rm)
+	if !reflect.DeepEqual(got, rm) {
+		t.Fatalf("restore request round trip: got %+v, want %+v", got, rm)
 	}
 
 	e.Reset()
-	rr := releaseResp{Policy: "edf", N: 4, Speed: 1, Delta: 2, QueueCap: 8,
-		Delays: []int{3, 9}, Weight: 2, NextSeq: 41, Blob: []byte{9, 8}}
+	rr := ReleasedTenant{Config: tc, NextSeq: 41, Blob: []byte{9, 8}}
 	rr.encode(e)
 	d = snap.NewDecoder(e.Bytes())
 	if typ := d.Uint64(); typ != msgRelease {
 		t.Fatalf("type = %d, want msgRelease", typ)
 	}
-	var rgot releaseResp
+	var rgot ReleasedTenant
 	rgot.decode(d)
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if rgot.NextSeq != 41 || rgot.Policy != "edf" || string(rgot.Blob) != string(rr.Blob) {
-		t.Fatalf("releaseResp round trip: got %+v, want %+v", rgot, rr)
+	if !reflect.DeepEqual(rgot, rr) {
+		t.Fatalf("release response round trip: got %+v, want %+v", rgot, rr)
 	}
 }
 
@@ -368,66 +368,4 @@ func TestStatsLoggerStopsOnShutdown(t *testing.T) {
 	// Starting a logger on a stopped server must be a no-op, not a
 	// WaitGroup reuse panic.
 	s.StartStatsLogger(time.Millisecond)
-}
-
-// TestSchedReadoutCompatFallback pins the rrload degraded readout: a
-// pre-v3 server answers the legacy stats command only, and the load
-// report must fall back to it (flagged degraded, worst backlog filled)
-// instead of staying silently empty.
-func TestSchedReadoutCompatFallback(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				br, bw := bufio.NewReader(c), bufio.NewWriter(c)
-				var buf []byte
-				for {
-					var err error
-					buf, err = readFrame(br, buf)
-					if err != nil {
-						return
-					}
-					d := snap.NewDecoder(buf)
-					e := snap.NewEncoder()
-					if typ := d.Uint64(); typ == msgStats {
-						encodeStatsResp(e, []TenantStats{
-							{ID: "load-000", MaxPending: 7},
-							{ID: "load-001", MaxPending: 11},
-							{ID: "other", MaxPending: 99},
-						})
-						writeFrame(bw, e.Bytes())
-						bw.Flush()
-						continue
-					}
-					// A pre-v3 server treats msgStatsEx as an unknown type:
-					// error response, then connection close.
-					(&errResp{Code: codeBadRequest, Msg: "unknown message type"}).encode(e)
-					writeFrame(bw, e.Bytes())
-					bw.Flush()
-					return
-				}
-			}(c)
-		}
-	}()
-
-	rep := &LoadReport{}
-	rep.fillSchedReadout(&LoadConfig{Addr: ln.Addr().String(), Tenants: 2})
-	if !rep.SchedReadoutDegraded {
-		t.Fatal("SchedReadoutDegraded not set against a pre-v3 server")
-	}
-	if rep.WorstBacklog != 11 || rep.WorstBacklogTenant != "load-001" {
-		t.Fatalf("degraded readout = %d (%s), want 11 (load-001)", rep.WorstBacklog, rep.WorstBacklogTenant)
-	}
-	if rep.WorstDelayTenant != "" || rep.WorstDelayFactor != 0 {
-		t.Fatalf("degraded readout must leave DF fields zero, got %v (%s)", rep.WorstDelayFactor, rep.WorstDelayTenant)
-	}
 }

@@ -9,8 +9,8 @@ package serve
 // stats, ping, and routing errors).
 
 import (
+	"bufio"
 	"fmt"
-	"io"
 
 	"repro/internal/snap"
 )
@@ -27,9 +27,8 @@ const (
 	ReqStatsAll
 	// ReqPing is a liveness probe; a router answers for the fleet.
 	ReqPing
-	// ReqDuraStats is a durability-counter request (protocol v6); a
-	// router fans it out and answers with summed totals plus a
-	// per-backend breakdown.
+	// ReqDuraStats is a durability-counter request; a router fans it out
+	// and answers with summed totals plus a per-backend breakdown.
 	ReqDuraStats
 )
 
@@ -38,9 +37,8 @@ const (
 // it generates itself, and decide whether the frame mutates tenant
 // state (and so must be teed to a warm standby).
 type PeekInfo struct {
-	// Tagged reports a protocol-v2 pipelining envelope; Tag is its tag,
-	// which every response — including router-generated errors — must
-	// echo.
+	// Tagged reports a pipelining envelope; Tag is its tag, which every
+	// response — including router-generated errors — must echo.
 	Tagged bool
 	// Tag is the envelope's request tag (meaningful only when Tagged).
 	Tag uint64
@@ -49,14 +47,10 @@ type PeekInfo struct {
 	// Tenant is the routing key: the tenant the request addresses
 	// (meaningful only for ReqTenant).
 	Tenant string
-	// Extended distinguishes the v3 extended stats command from the
-	// legacy one, so a router answering a fan-out picks the right
-	// response shape.
-	Extended bool
 	// Mutating reports a request that advances tenant state (open,
-	// submit, submit-batch, drain, close) — the set a warm-standby tee
-	// must replicate. Read-only commands and the migration pair are
-	// excluded: migration is the router's own operation.
+	// submit-batch, drain, close) — the set a warm-standby tee must
+	// replicate. Read-only commands and the migration pair are excluded:
+	// migration is the router's own operation.
 	Mutating bool
 }
 
@@ -87,16 +81,12 @@ func PeekRequest(body []byte) (PeekInfo, error) {
 		d.Int() // version
 		info.Tenant = d.String()
 		info.Mutating = typ == msgOpen
-	case msgSubmit, msgSubmitBatch:
+	case msgSubmitBatch, msgDrain, msgCloseTenant:
 		info.Tenant = d.String()
 		info.Mutating = true
-	case msgDrain, msgCloseTenant:
+	case msgResult, msgRelease:
 		info.Tenant = d.String()
-		info.Mutating = true
-	case msgResult, msgSnapshot, msgRelease:
-		info.Tenant = d.String()
-	case msgStats, msgStatsEx:
-		info.Extended = typ == msgStatsEx
+	case msgTenantStats:
 		info.Tenant = d.String()
 		if info.Tenant == "" {
 			info.Kind = ReqStatsAll
@@ -115,12 +105,13 @@ func PeekRequest(body []byte) (PeekInfo, error) {
 }
 
 // WriteFrame sends one length-prefixed frame — the exported framing
-// entry point for peers outside this package (the proxy relay).
-func WriteFrame(w io.Writer, body []byte) error { return writeFrame(w, body) }
+// entry point for peers outside this package (the proxy relay). It
+// allocates nothing.
+func WriteFrame(w *bufio.Writer, body []byte) error { return writeFrame(w, body) }
 
 // ReadFrame reads one frame body, reusing buf when it is large enough.
 // It returns io.EOF only on a clean end of stream.
-func ReadFrame(r io.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
+func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
 
 // appendEnvelope echoes a tagged request's envelope onto a response a
 // router generates itself.
@@ -132,15 +123,10 @@ func appendEnvelope(e *snap.Encoder, info PeekInfo) {
 }
 
 // AppendStatsResponse encodes a stats response for the rows a router
-// merged from its backends, in the shape the peeked request asked for
-// (legacy or extended) and under its tagged envelope if any.
+// merged from its backends, under the request's tagged envelope if any.
 func AppendStatsResponse(e *snap.Encoder, info PeekInfo, rows []TenantStats) {
 	appendEnvelope(e, info)
-	if info.Extended {
-		encodeStatsRespEx(e, rows)
-	} else {
-		encodeStatsResp(e, rows)
-	}
+	encodeStatsResp(e, rows)
 }
 
 // AppendPingResponse encodes a ping response (fleet-wide draining flag

@@ -8,12 +8,12 @@ import (
 	"repro/internal/snap"
 )
 
-// SubmitResult is the acknowledgement of one pipelined frame — a single
-// submit (Rounds 1) or a batch (Rounds = the batch size). Admission is
-// sequential, so Admitted is always a prefix length; when Admitted <
-// Rounds, Err is the rejection of round Seq+Admitted, typed exactly as
-// the synchronous Submit would have typed it (*BadSeqError carrying the
-// resume point, ErrOverloaded, ErrDraining, …).
+// SubmitResult is the acknowledgement of one pipelined submit-batch
+// frame (Rounds = the batch size). Admission is sequential, so Admitted
+// is always a prefix length; when Admitted < Rounds, Err is the
+// rejection of round Seq+Admitted, typed exactly as the synchronous
+// Submit would have typed it (*BadSeqError carrying the resume point,
+// ErrOverloaded, ErrDraining, …).
 type SubmitResult struct {
 	// Tenant, Seq and Rounds identify the request: round ticks
 	// [Seq, Seq+Rounds) of tenant Tenant.
@@ -44,7 +44,7 @@ type pinflight struct {
 }
 
 // Pipeline keeps up to window submit frames in flight on one Client
-// connection, using protocol-v2 tagged frames: requests are staged into
+// connection, using tagged frames: requests are staged into
 // the write buffer without waiting for responses, and acknowledgements
 // are reaped — matched to their request by tag — when the window is
 // full or on Flush. Against a loopback server this collapses the
@@ -52,7 +52,7 @@ type pinflight struct {
 // scheduler hop each way) to a share of one flush, which is where the
 // serve/submit/pipelined/* bench specs get their throughput.
 //
-// onAck receives every acknowledgement, in reap order, during Submit /
+// onAck receives every acknowledgement, in reap order, during
 // SubmitBatch / Flush calls on this goroutine; rejections (BadSeq,
 // Overloaded, …) surface only there, so a caller that cares about
 // admission must inspect its acks. The callback must not call back into
@@ -93,35 +93,12 @@ func (p *Pipeline) Outstanding() int {
 	return len(p.infl)
 }
 
-// Submit stages one round tick for tenant at sequence seq. When the
-// window is full it first reaps one acknowledgement (delivering it to
-// onAck), so the call blocks only when the server is a full window
-// behind. The returned error is transport-level only; admission
-// rejections arrive through onAck.
-func (p *Pipeline) Submit(tenant string, seq int, arrivals sched.Request) error {
-	c := p.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	if len(p.infl) >= p.window {
-		if err := p.reapLocked(); err != nil {
-			return err
-		}
-	}
-	c.enc.Reset()
-	tag := p.stageTag(c.enc)
-	(&submitMsg{Tenant: tenant, Seq: seq, Arrivals: arrivals}).encode(c.enc)
-	if err := writeFrame(c.bw, c.enc.Bytes()); err != nil {
-		return c.poison(err)
-	}
-	p.infl = append(p.infl, pinflight{tag: tag, tenant: tenant, seq: seq, rounds: 1, sent: time.Now()})
-	return nil
-}
-
 // SubmitBatch stages ticks[i] as the round tick at sequence seq+i — one
-// tagged frame carrying the whole batch. Otherwise as Submit.
+// tagged frame carrying the whole batch (a single round is a batch of
+// one). When the window is full it first reaps one acknowledgement
+// (delivering it to onAck), so the call blocks only when the server is
+// a full window behind. The returned error is transport-level only;
+// admission rejections arrive through onAck.
 func (p *Pipeline) SubmitBatch(tenant string, seq int, ticks []sched.Request) error {
 	if len(ticks) > MaxBatch {
 		return fmt.Errorf("serve: batch of %d rounds exceeds MaxBatch %d", len(ticks), MaxBatch)
@@ -227,13 +204,6 @@ func (p *Pipeline) reapLocked() error {
 			return c.poison(fmt.Errorf("serve: malformed error response: %w", err))
 		}
 		r.Err = errFromResp(&er)
-	case msgSubmit:
-		var sr submitResp
-		sr.decode(d)
-		if err := d.Done(); err != nil {
-			return c.poison(fmt.Errorf("serve: malformed submit response: %w", err))
-		}
-		r.Admitted, r.Round, r.Depth = 1, sr.Round, sr.QueueDepth
 	case msgSubmitBatch:
 		var br batchResp
 		br.decode(d)

@@ -101,7 +101,7 @@ func TestSubmitBatchPartialAdmit(t *testing.T) {
 }
 
 // TestPipelinedSubmit drives one tenant's whole trace through a
-// pipelined window (mixing single and batched frames), then verifies
+// pipelined window (mixing batches of one and of five), then verifies
 // the acknowledgement stream accounted for every round exactly once and
 // the drained result is bit-identical to a local replay.
 func TestPipelinedSubmit(t *testing.T) {
@@ -132,8 +132,8 @@ func TestPipelinedSubmit(t *testing.T) {
 	})
 	for seq := 0; seq < len(inst.Requests); {
 		var err error
-		if seq%3 == 0 { // mix frame shapes in one window
-			err = pl.Submit("alpha", seq, inst.Requests[seq])
+		if seq%3 == 0 { // mix frame sizes in one window
+			err = pl.SubmitBatch("alpha", seq, inst.Requests[seq:seq+1])
 			seq++
 		} else {
 			k := min(5, len(inst.Requests)-seq)
@@ -187,7 +187,7 @@ func TestPipelinedRejections(t *testing.T) {
 	var results []SubmitResult
 	pl := c.NewPipeline(8, func(r SubmitResult) { results = append(results, r) })
 	for seq := 0; seq < 8; seq++ {
-		if err := pl.Submit("hot", seq, inst.Requests[seq]); err != nil {
+		if err := pl.SubmitBatch("hot", seq, inst.Requests[seq:seq+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,23 +216,30 @@ func TestPipelinedRejections(t *testing.T) {
 	}
 }
 
-// TestOpenVersionNegotiation: the server speaks MinProtocolVersion
-// through ProtocolVersion. A v1 peer (which simply never sends tagged
-// or batch frames) still opens; a future version is refused with the
-// supported range.
+// TestOpenVersionNegotiation: the server speaks exactly
+// ProtocolVersion. An open or a restore one version either side of it
+// is refused with codeBadVersion before any state is created, while the
+// same requests at ProtocolVersion are accepted.
 func TestOpenVersionNegotiation(t *testing.T) {
 	inst := testInstance(t, 4, 0)
 	s := startServer(t, Config{})
 	tc := tcFor(inst)
+	c := dialTest(t, s)
+	if _, _, err := c.Open("src", tc); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := c.Release("src") // a valid blob for the restores
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	open := func(version int, tenant string) error {
+	send := func(typ uint64, version int, tenant string) error {
 		c := dialTest(t, s)
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.enc.Reset()
-		(&openMsg{Version: version, Tenant: tenant, Policy: tc.Policy,
-			N: tc.N, Delta: tc.Delta, Delays: tc.Delays}).encode(c.enc)
-		d, err := c.roundtrip(msgOpen)
+		(&openMsg{Version: version, Tenant: tenant, Config: tc, Blob: rel.Blob}).encode(c.enc, typ)
+		d, err := c.roundtrip(typ)
 		if err != nil {
 			return err
 		}
@@ -240,19 +247,22 @@ func TestOpenVersionNegotiation(t *testing.T) {
 		r.decode(d)
 		return c.done(d)
 	}
-
-	if err := open(MinProtocolVersion, "v1peer"); err != nil {
-		t.Fatalf("open at MinProtocolVersion = %v, want accepted", err)
+	var re *RemoteError
+	for _, typ := range []uint64{msgOpen, msgRestore} {
+		for _, v := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
+			if err := send(typ, v, "skewed"); !errors.As(err, &re) || re.Code != codeBadVersion {
+				t.Fatalf("message type %d at version %d = %v, want codeBadVersion", typ, v, err)
+			}
+		}
 	}
-	if err := open(ProtocolVersion, "v2peer"); err != nil {
+	if s.tenant("skewed") != nil {
+		t.Fatal("a request at the wrong protocol version created a tenant")
+	}
+	if err := send(msgOpen, ProtocolVersion, "opened"); err != nil {
 		t.Fatalf("open at ProtocolVersion = %v, want accepted", err)
 	}
-	var re *RemoteError
-	if err := open(ProtocolVersion+1, "future"); !errors.As(err, &re) || re.Code != codeBadVersion {
-		t.Fatalf("open at version %d = %v, want codeBadVersion", ProtocolVersion+1, err)
-	}
-	if err := open(0, "ancient"); !errors.As(err, &re) || re.Code != codeBadVersion {
-		t.Fatalf("open at version 0 = %v, want codeBadVersion", err)
+	if err := send(msgRestore, ProtocolVersion, "restored"); err != nil {
+		t.Fatalf("restore at ProtocolVersion = %v, want accepted", err)
 	}
 }
 

@@ -28,28 +28,22 @@ type Config struct {
 	// Addr is the TCP listen address ("127.0.0.1:0" picks a free port).
 	Addr string
 	// CheckpointDir enables durability: every tenant gets a metadata
-	// file at open and a periodic checkpoint of its stream state, and
-	// NewServer recovers all tenants found there. "" disables both.
+	// file at open, its periodic checkpoints are appended to the shared
+	// group-commit checkpoint log (internal/ckptlog) in this directory,
+	// and NewServer recovers all tenants found there. "" disables both.
 	CheckpointDir string
 	// CheckpointEvery is the number of applied rounds between periodic
 	// per-tenant checkpoints (default 64). Graceful shutdown always
 	// writes a final checkpoint regardless.
 	CheckpointEvery int
-	// CkptMode selects the durability backend when CheckpointDir is set:
-	// "log" (the default) appends every tenant's checkpoints to a shared
-	// group-commit segment log (internal/ckptlog) whose committer batches
-	// the fsyncs, "files" writes one fsynced .ckpt file per tenant per
-	// checkpoint (the pre-log behavior, and still the release/migration
-	// blob format).
-	CkptMode string
-	// CkptCommitInterval is the group-commit fsync interval of the "log"
-	// backend (default 2ms). Appends buffered within one interval share a
+	// CkptCommitInterval is the checkpoint log's group-commit fsync
+	// interval (default 2ms). Appends buffered within one interval share a
 	// single fsync; a crash loses at most the last interval's records.
 	CkptCommitInterval time.Duration
 	// CkptSegmentBytes caps a log segment before rotation (default 4MiB).
 	CkptSegmentBytes int
-	// CkptAdaptive enables per-tenant adaptive checkpoint pacing in log
-	// mode: the round gap between checkpoints is chosen from the measured
+	// CkptAdaptive enables per-tenant adaptive checkpoint pacing: the
+	// round gap between checkpoints is chosen from the measured
 	// snapshot cost versus apply cost, weighted by the tenant's Weight,
 	// instead of the fixed CheckpointEvery cadence.
 	CkptAdaptive bool
@@ -119,9 +113,6 @@ func (c *Config) fill() {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
 	}
-	if c.CkptMode == "" {
-		c.CkptMode = "log"
-	}
 	if c.CkptPaceMin <= 0 {
 		c.CkptPaceMin = 1
 	}
@@ -174,11 +165,9 @@ type Server struct {
 	tree *bdr.Tree
 	ctrl *bdr.Controller
 
-	// clog is the shared group-commit checkpoint log (CkptMode "log");
-	// nil in files mode or when durability is off. dura counts the
-	// files-mode write traffic so DuraStats has numbers in either mode.
+	// clog is the shared group-commit checkpoint log; nil when
+	// durability is off.
 	clog *ckptlog.Log
-	dura duraCounters
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -197,15 +186,6 @@ type Server struct {
 
 	stopOnce sync.Once
 	stopErr  error
-}
-
-// duraCounters tallies files-mode durability traffic (each checkpoint
-// write is one append, its own fsync). Log mode reads the equivalent
-// numbers from ckptlog.Stats instead.
-type duraCounters struct {
-	appends atomic.Int64
-	bytes   atomic.Int64
-	fsyncs  atomic.Int64
 }
 
 // shard is one worker's set of tenants. wake is a coalesced
@@ -283,26 +263,18 @@ func NewServer(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: creating checkpoint dir: %w", err)
 		}
-		switch cfg.CkptMode {
-		case "log":
-			clog, err := ckptlog.Open(ckptlog.Options{
-				Dir:            cfg.CheckpointDir,
-				CommitInterval: cfg.CkptCommitInterval,
-				SegmentBytes:   int64(cfg.CkptSegmentBytes),
-				Logf:           cfg.Logf,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("serve: opening checkpoint log: %w", err)
-			}
-			s.clog = clog
-		case "files":
-		default:
-			return nil, fmt.Errorf("serve: unknown checkpoint mode %q (want \"log\" or \"files\")", cfg.CkptMode)
+		clog, err := ckptlog.Open(ckptlog.Options{
+			Dir:            cfg.CheckpointDir,
+			CommitInterval: cfg.CkptCommitInterval,
+			SegmentBytes:   int64(cfg.CkptSegmentBytes),
+			Logf:           cfg.Logf,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("serve: opening checkpoint log: %w", err)
 		}
+		s.clog = clog
 		if err := s.recover(); err != nil {
-			if s.clog != nil {
-				s.clog.Close()
-			}
+			s.clog.Close()
 			return nil, err
 		}
 	}
@@ -385,16 +357,7 @@ func (s *Server) stop(flush bool) error {
 		s.shardWG.Wait()
 		if flush {
 			for _, t := range s.tenantList() {
-				blob, round := t.flush()
-				if blob == nil {
-					continue
-				}
-				if err := t.writeCheckpoint(blob, round); err != nil {
-					s.logf("%v", err)
-					if s.stopErr == nil {
-						s.stopErr = err
-					}
-				}
+				t.flush()
 			}
 		}
 		s.mu.Lock()
@@ -519,12 +482,12 @@ func validTenantID(id string) bool {
 	return true
 }
 
-// newSink sizes a tenant's MetricsSink from its configuration: the wait
+// newSink sizes a tenant's MetricsSink from its delay menu: the wait
 // histogram spans the delay-bound range, the depth one a generous
 // multiple of what a full queue can hold.
-func newSink(cfg sched.StreamConfig) *sched.MetricsSink {
+func newSink(delays []int) *sched.MetricsSink {
 	maxDelay := 1
-	for _, d := range cfg.Delays {
+	for _, d := range delays {
 		if d > maxDelay {
 			maxDelay = d
 		}
@@ -535,25 +498,6 @@ func newSink(cfg sched.StreamConfig) *sched.MetricsSink {
 // maxTenantWeight bounds the per-tenant service weight an open request
 // may declare, keeping deficit arithmetic well-conditioned.
 const maxTenantWeight = 1 << 20
-
-// attachDurability points a tenant at the server's durability backend:
-// the shared group-commit log plus the pacing knobs in log mode, a
-// per-tenant .ckpt path plus the files-mode counters otherwise. The
-// meta path is per-tenant in both modes. Callers must have checked
-// s.cfg.CheckpointDir != "".
-func (s *Server) attachDurability(t *tenant) {
-	t.metaPath = filepath.Join(s.cfg.CheckpointDir, t.id+".meta")
-	t.logf = s.logf
-	if s.clog != nil {
-		t.clog = s.clog
-		t.adaptive = s.cfg.CkptAdaptive
-		t.paceMin = s.cfg.CkptPaceMin
-		t.paceMax = s.cfg.CkptPaceMax
-		return
-	}
-	t.ckptPath = filepath.Join(s.cfg.CheckpointDir, t.id+".ckpt")
-	t.dura = &s.dura
-}
 
 // minDelayOf returns the tightest positive delay bound in a tenant's
 // menu (≥ 1): the denominator of its delay factor.
@@ -567,42 +511,49 @@ func minDelayOf(delays []int) int {
 	return max(md, 1)
 }
 
-// matches reports whether an open request names the same configuration
-// this tenant runs under, so a client can re-attach idempotently.
-func (t *tenant) matches(m *openMsg, defaultCap int) bool {
-	qcap := m.QueueCap
-	if qcap <= 0 {
-		qcap = defaultCap
+// normalize applies the server's defaults to a tenant configuration so
+// that two descriptions of one tenant compare equal: QueueCap ≤ 0
+// selects DefaultQueueCap, Speed 0 and Weight 0 select 1. Values out of
+// range stay as they are for install to reject.
+func (s *Server) normalize(tc TenantConfig) TenantConfig {
+	if tc.QueueCap <= 0 {
+		tc.QueueCap = s.cfg.DefaultQueueCap
 	}
-	speed := m.Speed
-	if speed == 0 {
-		speed = 1
+	if tc.Speed == 0 {
+		tc.Speed = 1
 	}
-	return t.spec == m.Policy && t.qcap == qcap && t.weight == max(m.Weight, 1) &&
-		t.cfg.N == m.N && t.cfg.Speed == speed && t.cfg.Delta == m.Delta &&
-		slices.Equal(t.cfg.Delays, m.Delays) &&
-		t.res == (bdr.BDR{Rate: m.ResRate, Delay: m.ResDelay})
+	if tc.Weight == 0 {
+		tc.Weight = 1
+	}
+	return tc
 }
 
-// open creates a tenant, or re-attaches to a live one with a matching
+// equal reports whether two normalized configurations describe the same
+// tenant, so a client can re-attach idempotently.
+func (tc *TenantConfig) equal(o *TenantConfig) bool {
+	return tc.Policy == o.Policy && tc.N == o.N && tc.Speed == o.Speed &&
+		tc.Delta == o.Delta && slices.Equal(tc.Delays, o.Delays) &&
+		tc.QueueCap == o.QueueCap && tc.Weight == o.Weight &&
+		tc.ResRate == o.ResRate && tc.ResDelay == o.ResDelay
+}
+
+// checkVersion rejects an open or restore spoken at any protocol
+// version but this server's.
+func checkVersion(v int) *errResp {
+	if v == ProtocolVersion {
+		return nil
+	}
+	return &errResp{Code: codeBadVersion,
+		Msg: fmt.Sprintf("protocol version %d, server speaks %d", v, ProtocolVersion)}
+}
+
+// open creates a tenant, or re-attaches to a live one with an equal
 // configuration.
 func (s *Server) open(m *openMsg) (*openResp, *errResp) {
-	if m.Version < MinProtocolVersion || m.Version > ProtocolVersion {
-		return nil, &errResp{Code: codeBadVersion,
-			Msg: fmt.Sprintf("protocol version %d, server speaks %d-%d", m.Version, MinProtocolVersion, ProtocolVersion)}
-	}
-	if !validTenantID(m.Tenant) {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("invalid tenant ID %q (want 1-64 chars of [A-Za-z0-9_-])", m.Tenant)}
-	}
-	if m.Weight < 0 || m.Weight > maxTenantWeight {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("invalid tenant weight %d (want 0-%d; 0 selects 1)", m.Weight, maxTenantWeight)}
-	}
-	res, er := s.checkReservation(m.ResRate, m.ResDelay)
-	if er != nil {
+	if er := checkVersion(m.Version); er != nil {
 		return nil, er
 	}
+	cfg := s.normalize(m.Config)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t := s.tenants[m.Tenant]; t != nil {
@@ -612,74 +563,168 @@ func (s *Server) open(m *openMsg) (*openResp, *errResp) {
 		if t.isReleased() {
 			return nil, &errResp{Code: codeDraining, Msg: "tenant " + m.Tenant + " is migrating"}
 		}
-		if !t.matches(m, s.cfg.DefaultQueueCap) {
+		if !t.cfg.equal(&cfg) {
 			return nil, &errResp{Code: codeTenantExists,
 				Msg: "tenant " + m.Tenant + " exists with a different configuration"}
 		}
 		return &openResp{NextSeq: t.nextSeq(), Resumed: true}, nil
 	}
-	if s.draining.Load() {
+	if _, er := s.installLocked(m.Tenant, cfg, nil, false); er != nil {
+		return nil, er
+	}
+	return &openResp{}, nil
+}
+
+// restore installs a released tenant snapshot on this server (see
+// installLocked). Restoring over a released tombstone is allowed — that
+// is how a tenant migrates back — but an open tenant rejects the
+// restore.
+func (s *Server) restore(m *openMsg) (*openResp, *errResp) {
+	if er := checkVersion(m.Version); er != nil {
+		return nil, er
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old := s.tenants[m.Tenant]; old != nil && !old.isReleased() {
+		return nil, &errResp{Code: codeTenantExists, Msg: "tenant " + m.Tenant + " is already open"}
+	}
+	t, er := s.installLocked(m.Tenant, s.normalize(m.Config), m.Blob, false)
+	if er != nil {
+		return nil, er
+	}
+	s.logf("serve: restored tenant %s at round %d", m.Tenant, t.st.Round())
+	return &openResp{NextSeq: t.st.Round()}, nil
+}
+
+// installLocked is the one path by which a tenant comes into existence.
+// It validates the ID, weight and reservation of the normalized cfg,
+// builds the stream — fresh, or from a snapshot blob cross-checked
+// against cfg — admits the reservation into the BDR tree, makes the
+// tenant durable and registers it, replacing whatever the table held
+// under id (callers decide whether that is allowed). Open, restore and
+// recovery differ only in the checks they run first and in recovered,
+// which marks a tenant rebuilt from this server's own checkpoint
+// directory: its meta file and log records already exist, so nothing
+// is written, and the draining and tenant-limit gates for new tenants
+// do not apply. Otherwise the meta file is written and a blob past
+// round 0 is appended and synced as the tenant's first checkpoint, so a
+// crash right after a migration's route flip recovers at the restored
+// round. A failure leaves no reservation and no table entry behind.
+// Callers hold s.mu.
+func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recovered bool) (*tenant, *errResp) {
+	if !validTenantID(id) {
+		return nil, &errResp{Code: codeBadRequest,
+			Msg: fmt.Sprintf("invalid tenant ID %q (want 1-64 chars of [A-Za-z0-9_-])", id)}
+	}
+	if cfg.Weight < 1 || cfg.Weight > maxTenantWeight {
+		return nil, &errResp{Code: codeBadRequest,
+			Msg: fmt.Sprintf("invalid tenant weight %d (want 0-%d; 0 selects 1)", cfg.Weight, maxTenantWeight)}
+	}
+	res, er := s.checkReservation(cfg.ResRate, cfg.ResDelay)
+	if er != nil {
+		return nil, er
+	}
+	if !recovered && s.draining.Load() {
 		return nil, &errResp{Code: codeDraining, Msg: "server is draining"}
 	}
-	if len(s.tenants) >= s.cfg.MaxTenants {
+	if !recovered && len(s.tenants) >= s.cfg.MaxTenants {
 		return nil, &errResp{Code: codeOverloaded,
 			Msg: fmt.Sprintf("tenant limit %d reached", s.cfg.MaxTenants)}
 	}
-	pol, err := NewPolicy(m.Policy)
+	pol, err := NewPolicy(cfg.Policy)
 	if err != nil {
 		return nil, &errResp{Code: codeBadPolicy, Msg: err.Error()}
 	}
-	qcap := m.QueueCap
-	if qcap <= 0 {
-		qcap = s.cfg.DefaultQueueCap
-	}
-	cfg := sched.StreamConfig{N: m.N, Speed: m.Speed, Delta: m.Delta, Delays: slices.Clone(m.Delays)}
-	if cfg.Speed == 0 {
-		cfg.Speed = 1
-	}
-	sink := newSink(cfg)
-	scfg := cfg
-	scfg.Probe = sink
-	st, err := sched.NewStream(pol, scfg)
-	if err != nil {
-		return nil, &errResp{Code: codeBadRequest, Msg: err.Error()}
-	}
 	t := &tenant{
-		id: m.Tenant, spec: m.Policy, polName: pol.Name(),
-		cfg: cfg, qcap: qcap, st: st, sink: sink,
-		weight: max(m.Weight, 1), minDelay: minDelayOf(cfg.Delays),
-		res: res,
+		id: id, cfg: cfg, polName: pol.Name(),
+		minDelay: minDelayOf(cfg.Delays), sink: newSink(cfg.Delays),
 	}
-	shard := s.shardIndex(t.id)
+	if blob == nil {
+		t.st, err = sched.NewStream(pol, sched.StreamConfig{
+			N: cfg.N, Speed: cfg.Speed, Delta: cfg.Delta, Delays: cfg.Delays, Probe: t.sink})
+		if err != nil {
+			return nil, &errResp{Code: codeBadRequest, Msg: err.Error()}
+		}
+	} else {
+		// The blob embeds the configuration it was snapshotted under; a
+		// mismatch with the declared one proves the blob belongs to some
+		// other tenant (or got corrupted in transit) — reject before any
+		// state is created.
+		pcfg, polName, perr := sched.PeekSnapshot(blob)
+		switch {
+		case perr != nil:
+			return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", perr)}
+		case pcfg.N != cfg.N || pcfg.Speed != cfg.Speed || pcfg.Delta != cfg.Delta || !slices.Equal(pcfg.Delays, cfg.Delays):
+			return nil, &errResp{Code: codeBadRequest,
+				Msg: "restore blob configuration does not match the declared configuration"}
+		case polName != pol.Name():
+			return nil, &errResp{Code: codeBadRequest,
+				Msg: fmt.Sprintf("restore blob policy %q does not match declared policy %q", polName, pol.Name())}
+		}
+		if t.st, err = sched.RestoreStream(pol, blob, t.sink); err != nil {
+			return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", err)}
+		}
+	}
+	shard := s.shardIndex(id)
 	if !res.IsZero() {
-		// The supply-bound-function feasibility check (mu is held, so
-		// the admit is atomic with registration): an infeasible
-		// reservation is rejected here, before any state is created —
-		// nothing is queued, nothing shed.
-		if err := s.tree.Admit(shard, t.id, res); err != nil {
+		// The supply-bound-function feasibility check, atomic with
+		// registration (s.mu is held): an infeasible reservation is
+		// rejected before any state exists — nothing queued, nothing shed.
+		// A migration target re-runs it against its own capacity, so
+		// moving a tenant can never overcommit a shard (the proxy restores
+		// a bounced tenant back on its source).
+		if err := s.tree.Admit(shard, id, res); err != nil {
 			return nil, admissionErrResp(err)
 		}
 	}
-	if s.cfg.CheckpointDir != "" {
-		s.attachDurability(t)
-		if err := writeMeta(t.metaPath, t.spec, t.qcap, t.weight, res, cfg); err != nil {
+	if s.clog != nil {
+		t.metaPath = filepath.Join(s.cfg.CheckpointDir, id+".meta")
+		t.clog, t.logf = s.clog, s.logf
+		t.adaptive, t.paceMin, t.paceMax = s.cfg.CkptAdaptive, s.cfg.CkptPaceMin, s.cfg.CkptPaceMax
+		if err := s.persistLocked(t, blob, recovered); err != nil {
 			if !res.IsZero() {
-				s.tree.Release(shard, t.id)
+				s.tree.Release(shard, id)
 			}
 			return nil, &errResp{Code: codeInternal, Msg: err.Error()}
 		}
 	}
-	s.tenants[t.id] = t
+	s.tenants[id] = t
 	s.sorted = nil
 	s.shards[shard].add(t)
-	return &openResp{NextSeq: 0, Resumed: false}, nil
+	return t, nil
 }
 
-// checkReservation validates an open/restore request's optional BDR
-// reservation against the server configuration: a reservation on a
-// non-BDR server is a bad request (the client asked for a guarantee
-// this server cannot enforce), and a malformed one is rejected before
-// the admission check.
+// persistLocked makes a newly installed tenant durable (see
+// installLocked): the meta file, then a restored blob past round 0 as
+// its first, synced, checkpoint-log record — a full record that also
+// shadows any tombstone an earlier release of this id left. A recovered
+// tenant is already durable. Callers hold s.mu.
+func (s *Server) persistLocked(t *tenant, blob []byte, recovered bool) error {
+	if blob != nil {
+		t.lastCkpt, t.writtenRound = t.st.Round(), t.st.Round()
+	}
+	if recovered {
+		return nil
+	}
+	if err := writeMeta(t.metaPath, &t.cfg); err != nil {
+		return err
+	}
+	if round := t.st.Round(); blob != nil && round > 0 {
+		err := s.clog.Append(t.id, ckptlog.KindFull, round, 0, blob)
+		if err == nil {
+			err = s.clog.Sync()
+		}
+		if err != nil {
+			return fmt.Errorf("serve: tenant %s: logging restore checkpoint: %w", t.id, err)
+		}
+	}
+	return nil
+}
+
+// checkReservation validates an open/restore request's BDR reservation
+// against the server configuration: a reservation on a non-BDR server
+// is a bad request (the client asked for a guarantee this server cannot
+// enforce), and a malformed one is rejected before the admission check.
 func (s *Server) checkReservation(rate, delay float64) (bdr.BDR, *errResp) {
 	if rate == 0 && delay == 0 {
 		return bdr.BDR{}, nil
@@ -718,9 +763,9 @@ func admissionErrResp(err error) *errResp {
 // one tenant-lock critical section (drainAndClose), so a concurrent
 // Submit can never be admitted — and acknowledged — after the final
 // Result was computed and then silently dropped with the tenant; it is
-// either included in the Result or rejected as closed. File removal is
-// tombstoned (removeFiles) so a shard worker holding a pre-close
-// snapshot blob cannot resurrect durable files a restart would recover.
+// either included in the Result or rejected as closed. Removal is
+// tombstoned (removeFiles) so a shard worker mid-checkpoint cannot
+// resurrect durable state a restart would recover.
 func (s *Server) closeTenant(id string) (*sched.Result, *errResp) {
 	t := s.tenant(id)
 	if t == nil {
@@ -748,161 +793,29 @@ func (s *Server) closeTenant(id string) (*sched.Result, *errResp) {
 // release hands tenant id's state out of this server: flush its queue,
 // snapshot, tombstone it (the tenant struct stays in the table answering
 // every later command with a retryable draining error), unregister it
-// from its shard and delete its durable files. The returned response
+// from its shard and delete its durable files. The returned state
 // carries everything a restore on the migration target needs.
-func (s *Server) release(id string) (*releaseResp, *errResp) {
+func (s *Server) release(id string) (*ReleasedTenant, *errResp) {
 	t := s.tenant(id)
 	if t == nil {
 		return nil, &errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}
 	}
-	resp, er := t.release()
+	rel, er := t.release()
 	if er != nil {
 		return nil, er
 	}
 	s.shardFor(id).remove(t)
 	if s.tree != nil {
 		// The reservation leaves with the tenant: the migration target
-		// re-admits it from the response's reservation fields, and this
-		// shard's residual opens up for new tenants immediately.
+		// re-admits it from the released configuration, and this shard's
+		// residual opens up for new tenants immediately.
 		s.mu.Lock()
 		s.tree.Release(s.shardIndex(id), id)
 		s.mu.Unlock()
 	}
 	t.removeFiles()
-	s.logf("serve: released tenant %s at round %d", id, resp.NextSeq)
-	return resp, nil
-}
-
-// restore installs a released tenant snapshot on this server: validate
-// the declared configuration against the one embedded in the blob,
-// rebuild the stream at its snapshotted round, persist metadata plus the
-// blob as the tenant's first checkpoint (so a crash right after the
-// route flip recovers at the restored round, not at zero), and register
-// the tenant. Restoring over a released tombstone is allowed — that is
-// how a tenant migrates back — but an open tenant rejects the restore.
-func (s *Server) restore(m *restoreMsg) (*restoreResp, *errResp) {
-	if m.Version < MinProtocolVersion || m.Version > ProtocolVersion {
-		return nil, &errResp{Code: codeBadVersion,
-			Msg: fmt.Sprintf("protocol version %d, server speaks %d-%d", m.Version, MinProtocolVersion, ProtocolVersion)}
-	}
-	if !validTenantID(m.Tenant) {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("invalid tenant ID %q (want 1-64 chars of [A-Za-z0-9_-])", m.Tenant)}
-	}
-	if m.Weight < 0 || m.Weight > maxTenantWeight {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("invalid tenant weight %d (want 0-%d; 0 selects 1)", m.Weight, maxTenantWeight)}
-	}
-	res, rer := s.checkReservation(m.ResRate, m.ResDelay)
-	if rer != nil {
-		return nil, rer
-	}
-	pol, err := NewPolicy(m.Policy)
-	if err != nil {
-		return nil, &errResp{Code: codeBadPolicy, Msg: err.Error()}
-	}
-	cfg := sched.StreamConfig{N: m.N, Speed: m.Speed, Delta: m.Delta, Delays: slices.Clone(m.Delays)}
-	if cfg.Speed == 0 {
-		cfg.Speed = 1
-	}
-	// The blob embeds the configuration it was snapshotted under; a
-	// mismatch with the declared one proves the blob belongs to some
-	// other tenant (or got corrupted in transit) — reject before any
-	// state is created.
-	pcfg, polName, perr := sched.PeekSnapshot(m.Blob)
-	if perr != nil {
-		return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", perr)}
-	}
-	if pcfg.N != cfg.N || pcfg.Speed != cfg.Speed || pcfg.Delta != cfg.Delta || !slices.Equal(pcfg.Delays, cfg.Delays) {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: "restore blob configuration does not match the declared configuration"}
-	}
-	if polName != pol.Name() {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("restore blob policy %q does not match declared policy %q", polName, pol.Name())}
-	}
-	qcap := m.QueueCap
-	if qcap <= 0 {
-		qcap = s.cfg.DefaultQueueCap
-	}
-	sink := newSink(cfg)
-	st, err := sched.RestoreStream(pol, m.Blob, sink)
-	if err != nil {
-		return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", err)}
-	}
-	t := &tenant{
-		id: m.Tenant, spec: m.Policy, polName: pol.Name(),
-		cfg: cfg, qcap: qcap, st: st, sink: sink,
-		weight: max(m.Weight, 1), minDelay: minDelayOf(cfg.Delays),
-		res: res,
-	}
-	shard := s.shardIndex(t.id)
-	s.mu.Lock()
-	if old := s.tenants[m.Tenant]; old != nil && !old.isReleased() {
-		s.mu.Unlock()
-		return nil, &errResp{Code: codeTenantExists, Msg: "tenant " + m.Tenant + " is already open"}
-	}
-	if s.draining.Load() {
-		s.mu.Unlock()
-		return nil, &errResp{Code: codeDraining, Msg: "server is draining"}
-	}
-	if len(s.tenants) >= s.cfg.MaxTenants {
-		s.mu.Unlock()
-		return nil, &errResp{Code: codeOverloaded,
-			Msg: fmt.Sprintf("tenant limit %d reached", s.cfg.MaxTenants)}
-	}
-	if !res.IsZero() {
-		// Re-run admission against this server's shard capacity: a
-		// migration target honors reservations it can feasibly host and
-		// bounces the restore otherwise, so moving a tenant can never
-		// overcommit a shard (the proxy surfaces the typed rejection and
-		// restores the tenant back on its source).
-		if err := s.tree.Admit(shard, t.id, res); err != nil {
-			s.mu.Unlock()
-			return nil, admissionErrResp(err)
-		}
-	}
-	releaseRes := func() {
-		if !res.IsZero() {
-			s.tree.Release(shard, t.id)
-		}
-	}
-	if s.cfg.CheckpointDir != "" {
-		s.attachDurability(t)
-		if err := writeMeta(t.metaPath, t.spec, t.qcap, t.weight, res, cfg); err != nil {
-			releaseRes()
-			s.mu.Unlock()
-			return nil, &errResp{Code: codeInternal, Msg: err.Error()}
-		}
-		if round := st.Round(); round > 0 {
-			if s.clog != nil {
-				// A full record shadows any tombstone left by an earlier
-				// release of this id; synced immediately because the route
-				// flip follows the restore acknowledgement.
-				err := s.clog.Append(t.id, ckptlog.KindFull, round, 0, m.Blob)
-				if err == nil {
-					err = s.clog.Sync()
-				}
-				if err != nil {
-					releaseRes()
-					s.mu.Unlock()
-					return nil, &errResp{Code: codeInternal, Msg: fmt.Sprintf("serve: tenant %s: logging restore checkpoint: %v", t.id, err)}
-				}
-			} else if err := trace.SaveCheckpointState(t.ckptPath, m.Blob); err != nil {
-				releaseRes()
-				s.mu.Unlock()
-				return nil, &errResp{Code: codeInternal, Msg: fmt.Sprintf("serve: tenant %s: writing restore checkpoint: %v", t.id, err)}
-			}
-			t.lastCkpt = round
-			t.writtenRound = round
-		}
-	}
-	s.tenants[t.id] = t
-	s.sorted = nil
-	s.mu.Unlock()
-	s.shards[shard].add(t)
-	s.logf("serve: restored tenant %s at round %d", t.id, st.Round())
-	return &restoreResp{NextSeq: st.Round()}, nil
+	s.logf("serve: released tenant %s at round %d", id, rel.NextSeq)
+	return rel, nil
 }
 
 // StartStatsLogger starts a goroutine that logs SchedSummary through
@@ -932,188 +845,88 @@ func (s *Server) StartStatsLogger(every time.Duration) {
 
 // ——— Durable tenant metadata and recovery ———
 
-// metaVersion 2 appended the tenant weight; version 3 the BDR
-// reservation. Older files (no weight, implicitly 1; no reservation,
-// implicitly none) are still read so an upgrade restarts cleanly over
-// an old checkpoint directory.
+// metaVersion is the layout of a tenant's meta file: the version, then
+// the TenantConfig codec. Versions 1 and 2 predate service weights and
+// reservations and are no longer read.
 const metaVersion = 3
 
-// writeMeta persists the open-time facts a checkpoint blob does not
-// carry — the policy spec string, queue cap, service weight and BDR
-// reservation — plus the stream configuration, so a restart can
+// writeMeta persists the tenant configuration a checkpoint blob does
+// not carry in full — the policy spec string, queue cap, service weight
+// and BDR reservation, plus the stream configuration — so a restart can
 // rebuild a tenant that crashed before its first checkpoint. The
 // payload rides in the same CRC-checked container as checkpoints,
 // written atomically.
-func writeMeta(path, spec string, qcap, weight int, res bdr.BDR, cfg sched.StreamConfig) error {
+func writeMeta(path string, cfg *TenantConfig) error {
 	e := snap.NewEncoder()
 	e.Int(metaVersion)
-	e.String(spec)
-	e.Int(qcap)
-	e.Int(cfg.N)
-	e.Int(cfg.Speed)
-	e.Int(cfg.Delta)
-	e.Ints(cfg.Delays)
-	e.Int(weight)
-	e.Float64(res.Rate)
-	e.Float64(res.Delay)
+	cfg.encode(e)
 	if err := trace.SaveCheckpointState(path, e.Bytes()); err != nil {
 		return fmt.Errorf("serve: writing tenant metadata: %w", err)
 	}
 	return nil
 }
 
-func readMeta(path string) (spec string, qcap, weight int, res bdr.BDR, cfg sched.StreamConfig, err error) {
+func readMeta(path string) (TenantConfig, error) {
+	var cfg TenantConfig
 	f, err := os.Open(path)
 	if err != nil {
-		return "", 0, 0, res, cfg, err
+		return cfg, err
 	}
 	defer f.Close()
 	payload, err := trace.ReadCheckpoint(f)
 	if err != nil {
-		return "", 0, 0, res, cfg, fmt.Errorf("serve: reading tenant metadata %s: %w", path, err)
+		return cfg, fmt.Errorf("serve: reading tenant metadata %s: %w", path, err)
 	}
 	d := snap.NewDecoder(payload)
-	v := d.Int()
-	if d.Err() == nil && (v < 1 || v > metaVersion) {
-		return "", 0, 0, res, cfg, fmt.Errorf("serve: tenant metadata %s: version %d, this build reads 1-%d", path, v, metaVersion)
+	if v := d.Int(); d.Err() == nil && v != metaVersion {
+		return cfg, fmt.Errorf("serve: tenant metadata %s: version %d, this build reads only version %d", path, v, metaVersion)
 	}
-	spec = d.String()
-	qcap = d.Int()
-	cfg.N = d.Int()
-	cfg.Speed = d.Int()
-	cfg.Delta = d.Int()
-	cfg.Delays = d.Ints()
-	weight = 1
-	if v >= 2 {
-		weight = d.Int()
-	}
-	if v >= 3 {
-		res.Rate = d.Float64()
-		res.Delay = d.Float64()
-	}
+	cfg.decode(d)
 	if err := d.Done(); err != nil {
-		return "", 0, 0, res, cfg, fmt.Errorf("serve: tenant metadata %s: %w", path, err)
+		return cfg, fmt.Errorf("serve: tenant metadata %s: %w", path, err)
 	}
-	return spec, qcap, weight, res, cfg, nil
+	return cfg, nil
 }
 
 // recover rebuilds every tenant whose metadata file survives in the
-// checkpoint directory: from its checkpoint when one exists, or fresh
-// at round 0 when the process died before the first checkpoint. A
-// corrupt file fails recovery loudly — silently dropping a tenant would
-// lose its stream.
+// checkpoint directory, from its latest checkpoint-log record when one
+// exists, or fresh at round 0 when the process died before the first
+// checkpoint (or the log holds only a tombstone) — the metadata file is
+// the record of its existence. A corrupt file, or a reservation that no
+// longer fits (the server restarted with less BDR capacity, or without
+// -bdr), fails recovery loudly: silently dropping a tenant or hosting it
+// unreserved would lose its stream or its guarantee.
 func (s *Server) recover() error {
 	entries, err := os.ReadDir(s.cfg.CheckpointDir)
 	if err != nil {
 		return fmt.Errorf("serve: scanning checkpoint dir: %w", err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".meta") {
 			continue
 		}
 		id := strings.TrimSuffix(name, ".meta")
-		t, err := s.recoverTenant(id)
+		cfg, err := readMeta(filepath.Join(s.cfg.CheckpointDir, name))
 		if err != nil {
 			return err
 		}
-		s.tenants[id] = t
-		s.sorted = nil
-		s.shardFor(id).add(t)
+		blob, round, ok, err := s.clog.Latest(id)
+		if err != nil {
+			return fmt.Errorf("serve: tenant %s: checkpoint log: %w", id, err)
+		}
+		t, er := s.installLocked(id, cfg, blob, true)
+		if er != nil {
+			return fmt.Errorf("serve: recovering tenant %s: %s", id, er.Msg)
+		}
+		if ok && round != t.st.Round() {
+			return fmt.Errorf("serve: tenant %s: checkpoint log records round %d but the blob restores at round %d", id, round, t.st.Round())
+		}
 		s.logf("serve: recovered tenant %s at round %d", id, t.st.Round())
 	}
 	return nil
-}
-
-func (s *Server) recoverTenant(id string) (*tenant, error) {
-	metaPath := filepath.Join(s.cfg.CheckpointDir, id+".meta")
-	spec, qcap, weight, res, cfg, err := readMeta(metaPath)
-	if err != nil {
-		return nil, err
-	}
-	pol, err := NewPolicy(spec)
-	if err != nil {
-		return nil, fmt.Errorf("serve: recovering tenant %s: %w", id, err)
-	}
-	if !res.IsZero() {
-		// Re-admit the durable reservation. Failure is loud: it means
-		// the server was restarted with a smaller BDR capacity (or with
-		// -bdr off) than its recovered tenants were promised, and
-		// silently hosting them unreserved would break the guarantee.
-		if !s.cfg.BDR {
-			return nil, fmt.Errorf("serve: tenant %s holds a BDR reservation (rate %g, delay %g) but the server runs without -bdr",
-				id, res.Rate, res.Delay)
-		}
-		if aerr := s.tree.Admit(s.shardIndex(id), id, res); aerr != nil {
-			return nil, fmt.Errorf("serve: recovering tenant %s: %w", id, aerr)
-		}
-	}
-	sink := newSink(cfg)
-	t := &tenant{
-		id: id, spec: spec, polName: pol.Name(),
-		cfg: cfg, qcap: qcap, sink: sink,
-		weight: max(weight, 1), minDelay: minDelayOf(cfg.Delays),
-		res: res,
-	}
-	s.attachDurability(t)
-
-	// Find the newest checkpoint blob in whichever backend is active. A
-	// missing blob (process died before the first checkpoint, or the
-	// log holds only a tombstone) recovers the tenant fresh at round 0
-	// — the metadata file is the record of its existence.
-	var blob []byte
-	logRound := -1
-	if s.clog != nil {
-		b, r, ok, lerr := s.clog.Latest(id)
-		if lerr != nil {
-			return nil, fmt.Errorf("serve: tenant %s: checkpoint log: %w", id, lerr)
-		}
-		if ok {
-			blob, logRound = b, r
-		}
-	} else {
-		f, oerr := os.Open(t.ckptPath)
-		switch {
-		case oerr == nil:
-			b, rerr := trace.ReadCheckpoint(f)
-			f.Close()
-			if rerr != nil {
-				return nil, fmt.Errorf("serve: tenant %s: %w", id, rerr)
-			}
-			blob = b
-		case os.IsNotExist(oerr):
-		default:
-			return nil, fmt.Errorf("serve: tenant %s: opening checkpoint: %w", id, oerr)
-		}
-	}
-	if blob != nil {
-		// Cheap cross-check before the full restore: the checkpoint must
-		// have been taken under the configuration the metadata records.
-		pcfg, _, perr := sched.PeekSnapshot(blob)
-		if perr != nil {
-			return nil, fmt.Errorf("serve: tenant %s: %w", id, perr)
-		}
-		if pcfg.N != cfg.N || pcfg.Speed != cfg.Speed || pcfg.Delta != cfg.Delta || !slices.Equal(pcfg.Delays, cfg.Delays) {
-			return nil, fmt.Errorf("serve: tenant %s: checkpoint configuration does not match metadata", id)
-		}
-		t.st, err = sched.RestoreStream(pol, blob, sink)
-		if err != nil {
-			return nil, fmt.Errorf("serve: tenant %s: %w", id, err)
-		}
-		if logRound >= 0 && logRound != t.st.Round() {
-			return nil, fmt.Errorf("serve: tenant %s: checkpoint log records round %d but the blob restores at round %d", id, logRound, t.st.Round())
-		}
-		t.lastCkpt = t.st.Round()
-		t.writtenRound = t.st.Round()
-	} else {
-		scfg := cfg
-		scfg.Probe = sink
-		t.st, err = sched.NewStream(pol, scfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: tenant %s: %w", id, err)
-		}
-	}
-	return t, nil
 }
 
 // ——— Request processing ———
@@ -1121,7 +934,6 @@ func (s *Server) recoverTenant(id string) (*tenant, error) {
 // connState is the per-connection scratch reused across frames so a
 // steady-state submit loop does not allocate per request.
 type connState struct {
-	sub   submitMsg
 	batch batchMsg
 }
 
@@ -1248,35 +1060,22 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 		}
 	}
 	switch typ {
-	case msgOpen:
+	case msgOpen, msgRestore:
 		var m openMsg
-		m.decode(d)
+		m.decode(d, typ)
 		if d.Done() != nil {
-			return bad("malformed open")
+			return bad("malformed open or restore")
 		}
-		resp, er := s.open(&m)
+		install := s.open
+		if typ == msgRestore {
+			install = s.restore
+		}
+		resp, er := install(&m)
 		if er != nil {
 			er.encode(enc)
 		} else {
-			resp.encode(enc)
+			resp.encode(enc, typ)
 		}
-	case msgSubmit:
-		cs.sub.decode(d)
-		if d.Done() != nil {
-			return bad("malformed submit")
-		}
-		t := s.tenant(cs.sub.Tenant)
-		if t == nil {
-			(&errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + cs.sub.Tenant}).encode(enc)
-			return false
-		}
-		round, depth, er := t.submit(cs.sub.Seq, cs.sub.Arrivals, s.draining.Load())
-		if er != nil {
-			er.encode(enc)
-			return false
-		}
-		s.shardFor(cs.sub.Tenant).poke()
-		(&submitResp{Round: round, QueueDepth: depth}).encode(enc)
 	case msgSubmitBatch:
 		cs.batch.decode(d)
 		if d.Done() != nil {
@@ -1295,7 +1094,7 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 			s.shardFor(cs.batch.Tenant).poke()
 		}
 		(&batchResp{Admitted: admitted, Round: round, QueueDepth: depth, Err: er}).encode(enc)
-	case msgStats, msgStatsEx:
+	case msgTenantStats:
 		var m tenantMsg
 		m.decode(d)
 		if d.Done() != nil {
@@ -1306,13 +1105,9 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 			er.encode(enc)
 			return false
 		}
-		if typ == msgStatsEx {
-			s.fillServiceShares(rows, m.Tenant == "")
-			encodeStatsRespEx(enc, rows)
-		} else {
-			encodeStatsResp(enc, rows)
-		}
-	case msgResult, msgDrain, msgCloseTenant, msgSnapshot:
+		s.fillServiceShares(rows, m.Tenant == "")
+		encodeStatsResp(enc, rows)
+	case msgResult, msgDrain, msgCloseTenant:
 		var m tenantMsg
 		m.decode(d)
 		if d.Done() != nil {
@@ -1332,18 +1127,6 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 		}
 		st := s.DuraStats()
 		st.encode(enc)
-	case msgRestore:
-		var m restoreMsg
-		m.decode(d)
-		if d.Done() != nil {
-			return bad("malformed restore")
-		}
-		resp, er := s.restore(&m)
-		if er != nil {
-			er.encode(enc)
-		} else {
-			resp.encode(enc)
-		}
 	case msgRelease:
 		var m tenantMsg
 		m.decode(d)
@@ -1410,32 +1193,22 @@ func (s *Server) fillServiceShares(rows []TenantStats, allRows bool) {
 	}
 }
 
-// DuraStats reports the durability backend's cumulative counters: the
-// group-commit log's in log mode, the per-file write tallies in files
-// mode, zeros (Mode "off") when durability is disabled.
+// DuraStats reports the checkpoint log's cumulative counters (Mode
+// "log"), or zeros with Mode "off" when durability is disabled.
 func (s *Server) DuraStats() DuraStats {
-	switch {
-	case s.clog != nil:
-		ls := s.clog.Stats()
-		return DuraStats{
-			Mode:        "log",
-			Appends:     ls.Appends,
-			Bytes:       ls.Bytes,
-			Fsyncs:      ls.Fsyncs,
-			Deltas:      ls.Deltas,
-			Rotations:   ls.Rotations,
-			Compactions: ls.Compactions,
-			Segments:    int64(ls.Segments),
-		}
-	case s.cfg.CheckpointDir != "":
-		return DuraStats{
-			Mode:    "files",
-			Appends: s.dura.appends.Load(),
-			Bytes:   s.dura.bytes.Load(),
-			Fsyncs:  s.dura.fsyncs.Load(),
-		}
-	default:
+	if s.clog == nil {
 		return DuraStats{Mode: "off"}
+	}
+	ls := s.clog.Stats()
+	return DuraStats{
+		Mode:        "log",
+		Appends:     ls.Appends,
+		Bytes:       ls.Bytes,
+		Fsyncs:      ls.Fsyncs,
+		Deltas:      ls.Deltas,
+		Rotations:   ls.Rotations,
+		Compactions: ls.Compactions,
+		Segments:    int64(ls.Segments),
 	}
 }
 
@@ -1491,32 +1264,20 @@ func (s *Server) tenantCommand(typ uint64, id string, enc *snap.Encoder) {
 		}
 		encodeResult(enc, msgResult, res)
 	case msgDrain:
-		res, blob, round, err := t.drainStream()
+		res, err := t.drainStream()
+		if err == nil && s.clog != nil {
+			// The drain's final checkpoint was appended inside drainStream;
+			// sync it so a drain acknowledgement means the drained state is
+			// durable. A failed sync fails the drain: acknowledging it would
+			// promise durability the log could not give.
+			if serr := s.clog.Sync(); serr != nil {
+				err = fmt.Errorf("serve: tenant %s: syncing drain checkpoint: %w", id, serr)
+			}
+		}
 		if err != nil {
 			(&errResp{Code: codeInternal, Msg: err.Error()}).encode(enc)
 			return
-		}
-		if blob != nil {
-			if werr := t.writeCheckpoint(blob, round); werr != nil {
-				s.logf("%v", werr)
-			}
-		} else if s.clog != nil {
-			// Log mode: the drain's final checkpoint was appended inside
-			// drainStream; sync it so a drain acknowledgement means the
-			// drained state is durable, exactly as the files-mode write
-			// (with its per-file fsync) guarantees.
-			if werr := s.clog.Sync(); werr != nil {
-				s.logf("serve: tenant %s: syncing drain checkpoint: %v", id, werr)
-			}
 		}
 		encodeResult(enc, msgDrain, res)
-	case msgSnapshot:
-		blob, err := t.snapshot()
-		if err != nil {
-			(&errResp{Code: codeInternal, Msg: err.Error()}).encode(enc)
-			return
-		}
-		enc.Uint64(msgSnapshot)
-		enc.Blob(blob)
 	}
 }

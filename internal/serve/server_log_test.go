@@ -17,23 +17,22 @@ func logTestConfig(dir string) Config {
 	return Config{
 		CheckpointDir:      dir,
 		CheckpointEvery:    1,
-		CkptMode:           "log",
 		CkptCommitInterval: time.Millisecond,
 		CkptSegmentBytes:   4 << 10,
 	}
 }
 
-// TestCloseTenantLogTombstone pins the log-mode half of the
-// CloseTenant durability contract (the files-mode half lives in
-// TestCloseTenantCheckpointRace): a closed tenant's records may remain
-// in the shared segments, but its tombstone must shadow them — across
+// TestCloseTenantLogTombstone pins the CloseTenant durability contract
+// in the shared log (TestCloseTenantCheckpointRace pins the meta-file
+// half): a closed tenant's records may remain in the shared segments,
+// but its tombstone must shadow them — across
 // rapid open/submit/close cycles racing the shard worker's appends, a
 // restart over the directory recovers zero tenants. CheckpointEvery 1
 // keeps a worker appending checkpoints while each close lands, which is
 // exactly the race the in-append tombstone check guards.
 func TestCloseTenantLogTombstone(t *testing.T) {
 	dir := t.TempDir()
-	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1, CkptMode: "log"})
+	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1})
 	c := dialTest(t, s)
 	tc := TenantConfig{Policy: "edf", N: 2, Delta: 2, Delays: []int{8, 8}}
 	tick := sched.Request{{Color: 0, Count: 1}}
@@ -64,7 +63,7 @@ func TestCloseTenantLogTombstone(t *testing.T) {
 	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := startServer(t, Config{CheckpointDir: dir, CkptMode: "log"})
+	s2 := startServer(t, Config{CheckpointDir: dir})
 	if n := s2.NumTenants(); n != 0 {
 		t.Fatalf("restart over closed tenants recovered %d tenants, want 0", n)
 	}
@@ -307,5 +306,27 @@ func TestServeAdaptivePacing(t *testing.T) {
 	res2, err := c2.Result("pace")
 	if err != nil || !resultsEqual(ref, res2) {
 		t.Fatalf("recovered result = (%+v, %v), want the drained result", res2, err)
+	}
+}
+
+// TestDrainFailsWhenLogSyncFails pins the drain acknowledgement as a
+// durability point: when the checkpoint log cannot sync, the drain is
+// answered with an internal error rather than acknowledged.
+func TestDrainFailsWhenLogSyncFails(t *testing.T) {
+	inst := testInstance(t, 16, 0)
+	s := startServer(t, logTestConfig(t.TempDir()))
+	c := dialTest(t, s)
+	tc := tcFor(inst)
+	if _, _, err := c.Open("d", tc); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, c, "d", inst, 0)
+	if _, err := c.DrainTenant("d"); err != nil {
+		t.Fatalf("drain over a healthy log: %v", err)
+	}
+	s.clog.Abort() // every later sync fails
+	var re *RemoteError
+	if _, err := c.DrainTenant("d"); !errors.As(err, &re) || re.Code != codeInternal {
+		t.Fatalf("drain over a failed log = %v, want codeInternal", err)
 	}
 }

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/snap"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -108,6 +111,9 @@ func TestServerRoundTrip(t *testing.T) {
 	if rows[0].QueueCap != 64 { // server default
 		t.Fatalf("QueueCap = %d, want 64", rows[0].QueueCap)
 	}
+	if rows[0].Weight != 1 || rows[0].MinDelay <= 0 { // weight 0 selects 1
+		t.Fatalf("Weight = %d, MinDelay = %d, want 1 and > 0", rows[0].Weight, rows[0].MinDelay)
+	}
 
 	res, err := c.DrainTenant("alpha")
 	if err != nil {
@@ -128,15 +134,6 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 	if got, err := c.Result("alpha"); err != nil || !resultsEqual(res, got) {
 		t.Fatalf("Result = (%+v, %v), want the drained result", got, err)
-	}
-
-	// The snapshot a client mirrors is the restorable stream payload.
-	blob, err := c.Snapshot("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg, pol, err := sched.PeekSnapshot(blob); err != nil || cfg.N != tc.N || pol == "" {
-		t.Fatalf("snapshot peek = (%+v, %q, %v)", cfg, pol, err)
 	}
 
 	if draining, n, err := c.Ping(); err != nil || draining || n != 1 {
@@ -177,6 +174,13 @@ func TestServerRejections(t *testing.T) {
 	badCfg.N = -3
 	if _, _, err := c.Open("a", badCfg); !errors.As(err, &re) || re.Code != codeBadRequest {
 		t.Fatalf("open bad config = %v", err)
+	}
+	for _, w := range []int{-1, maxTenantWeight + 1} {
+		heavy := tc
+		heavy.Weight = w
+		if _, _, err := c.Open("a", heavy); !errors.As(err, &re) || re.Code != codeBadRequest {
+			t.Fatalf("open with weight %d = %v, want codeBadRequest", w, err)
+		}
 	}
 
 	if _, _, err := c.Open("a", tc); err != nil {
@@ -521,32 +525,25 @@ func TestCloseTenantSubmitRace(t *testing.T) {
 	}
 }
 
-// TestCloseTenantCheckpointRace pins the durable-file contract of
-// CloseTenant against the shard worker's checkpoint writes: once
-// CloseTenant returns, the tenant's files are gone and stay gone. The
-// old removal ran outside ckptMu, so a worker holding a snapshot blob
-// taken just before the close could recreate the files afterwards — and
-// a restart would then resurrect a closed tenant.
+// TestCloseTenantCheckpointRace pins the durable-state contract of
+// CloseTenant against the shard worker's checkpoint appends: once
+// CloseTenant returns, the tenant's meta file is gone and its records in
+// the shared log are shadowed by a synced tombstone, so even a crash
+// right afterwards recovers nothing. CheckpointEvery 1 keeps the worker
+// appending while each close lands; the tombstone check under ckptMu is
+// what stops a straggling append from resurrecting the tenant.
 func TestCloseTenantCheckpointRace(t *testing.T) {
 	dir := t.TempDir()
-	// Files mode: the assertion below is that the directory ends empty,
-	// which only the per-tenant-file backend promises (the log backend
-	// legitimately leaves segment files; its tombstone contract is
-	// pinned by TestCloseTenantLogTombstone).
-	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1, CkptMode: "files"})
+	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1})
 	c := dialTest(t, s)
 	tc := TenantConfig{Policy: "edf", N: 2, Delta: 2, Delays: []int{8, 8}}
 	tick := sched.Request{{Color: 0, Count: 1}}
 
-	ids := make([]string, 40)
-	for iter := range ids {
+	for iter := 0; iter < 40; iter++ {
 		id := fmt.Sprintf("ck-%02d", iter)
-		ids[iter] = id
 		if _, _, err := c.Open(id, tc); err != nil {
 			t.Fatal(err)
 		}
-		// Every applied round is checkpoint-due (CheckpointEvery 1), so
-		// the shard worker is writing while we close.
 		for seq := 0; seq < 8; {
 			_, _, err := c.Submit(id, seq, tick)
 			switch {
@@ -561,25 +558,23 @@ func TestCloseTenantCheckpointRace(t *testing.T) {
 		if _, err := c.CloseTenant(id); err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range []string{id + ".ckpt", id + ".meta"} {
-			if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
-				t.Fatalf("%s survives CloseTenant (stat err %v)", f, err)
-			}
+		if _, err := os.Stat(filepath.Join(dir, id+".meta")); !os.IsNotExist(err) {
+			t.Fatalf("%s.meta survives CloseTenant (stat err %v)", id, err)
 		}
 	}
-	// Give any straggling checkpoint writer time to lose the race, then
-	// require the files to have stayed gone — the tombstone's job.
+	// Give any straggling checkpoint append time to lose the race, then
+	// crash: only what was synced survives, and it must recover nothing.
 	time.Sleep(50 * time.Millisecond)
-	left, err := os.ReadDir(dir)
-	if err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(left) != 0 {
-		names := make([]string, len(left))
-		for i, e := range left {
-			names[i] = e.Name()
-		}
-		t.Fatalf("closed tenants resurrected durable files: %v", names)
+	metas, err := filepath.Glob(filepath.Join(dir, "*.meta"))
+	if err != nil || len(metas) != 0 {
+		t.Fatalf("closed tenants left meta files behind: %v (%v)", metas, err)
+	}
+	s2 := startServer(t, Config{CheckpointDir: dir})
+	if n := s2.NumTenants(); n != 0 {
+		t.Fatalf("restart over closed tenants recovered %d tenants, want 0", n)
 	}
 }
 
@@ -623,7 +618,7 @@ func TestShutdownAcceptStorm(t *testing.T) {
 // TestServerRecovery pins the durability lifecycle at the single-tenant
 // level: a crash before the first checkpoint recovers the tenant fresh
 // from its metadata; a crash after rounds recovers it at the checkpoint;
-// CloseTenant removes its durable files.
+// CloseTenant removes its durable state.
 func TestServerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	inst := testInstance(t, 24, 0)
@@ -641,9 +636,6 @@ func TestServerRecovery(t *testing.T) {
 	}
 	feed(t, c1, "solo", inst, 0)
 	s1.Close()
-	if _, err := os.Stat(filepath.Join(dir, "solo.ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint file exists before first checkpoint interval (stat err %v)", err)
-	}
 
 	// The restart rebuilds the tenant at round 0; the client re-feeds
 	// the whole trace and the result matches the reference exactly.
@@ -675,19 +667,66 @@ func TestServerRecovery(t *testing.T) {
 		t.Fatalf("recovered result = (%+v, %v), want the drained result", res3, err)
 	}
 
-	// CloseTenant deletes the durable files: a fourth server is empty.
+	// CloseTenant deletes the durable state: a fourth server is empty.
 	if _, err := c3.CloseTenant("solo"); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"solo.meta", "solo.ckpt"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
-			t.Fatalf("%s survives CloseTenant (stat err %v)", f, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "solo.meta")); !os.IsNotExist(err) {
+		t.Fatalf("solo.meta survives CloseTenant (stat err %v)", err)
 	}
 	s3.Close()
 	s4 := startServer(t, Config{CheckpointDir: dir})
 	if n := s4.NumTenants(); n != 0 {
 		t.Fatalf("server after CloseTenant recovered %d tenants, want 0", n)
+	}
+}
+
+// goldenMetaV3 is a tenant meta file exactly as the server wrote it
+// before the protocol was collapsed to one version (meta version 3, in
+// its CRC-checked checkpoint container), for the configuration
+// {Policy edf, QueueCap 16, N 4, Speed 1, Delta 4, Delays [2 6],
+// Weight 3, no reservation}.
+var goldenMetaV3 = []byte{0x52, 0x52, 0x43, 0x50, 0x1, 0x0, 0x0, 0x0, 0x1d, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0,
+	0x6, 0x6, 0x65, 0x64, 0x66, 0x20, 0x8, 0x2, 0x8, 0x4, 0x4, 0xc, 0x6, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0,
+	0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x96, 0x3b, 0xc8, 0x66}
+
+// TestMetaVersions pins the durable meta format across the protocol
+// collapse: a version-3 meta directory written before it still
+// recovers its tenant with the same configuration, while a version-2
+// file fails NewServer with an error that names the version.
+func TestMetaVersions(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "gold.meta"), goldenMetaV3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, Config{CheckpointDir: dir})
+	want := TenantConfig{Policy: "edf", QueueCap: 16, N: 4, Speed: 1, Delta: 4, Delays: []int{2, 6}, Weight: 3}
+	if tn := s.tenant("gold"); tn == nil || !tn.cfg.equal(&want) {
+		t.Fatalf("recovered tenant = %+v, want config %+v", tn, want)
+	}
+	c := dialTest(t, s)
+	if next, resumed, err := c.Open("gold", want); err != nil || !resumed || next != 0 {
+		t.Fatalf("re-open of the recovered tenant = (%d, %v, %v), want (0, true, nil)", next, resumed, err)
+	}
+
+	old := t.TempDir()
+	e := snap.NewEncoder()
+	e.Int(2) // meta version 2: no reservation pair
+	e.String("edf")
+	e.Int(16)
+	e.Int(4)
+	e.Int(1)
+	e.Int(4)
+	e.Ints([]int{2, 6})
+	e.Int(3)
+	if err := trace.SaveCheckpointState(filepath.Join(old, "old.meta"), e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if s2, err := NewServer(Config{Addr: "127.0.0.1:0", CheckpointDir: old}); err == nil || !strings.Contains(err.Error(), "version 2") {
+		if s2 != nil {
+			s2.Close()
+		}
+		t.Fatalf("NewServer over a version-2 meta file = %v, want an error naming version 2", err)
 	}
 }
 

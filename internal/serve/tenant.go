@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -12,28 +11,23 @@ import (
 	"repro/internal/ckptlog"
 	"repro/internal/sched"
 	"repro/internal/snap"
-	"repro/internal/trace"
 )
 
 // tenant is one hosted stream: the live sched.Stream, its bounded
 // ingest queue of admitted-but-unapplied round ticks, and the
 // admission-control counters. All mutable state is guarded by mu; the
-// checkpoint file is additionally serialized by ckptMu so the write and
-// fsync happen outside the stream lock.
+// checkpoint-log append is additionally serialized by ckptMu so the
+// tombstone check and the append are atomic against removal.
 type tenant struct {
-	id      string
-	spec    string             // policy spec the tenant was opened with
-	polName string             // the policy's display Name, for stats
-	cfg     sched.StreamConfig // normalized (Speed ≥ 1); Probe is sink
-	qcap    int
-	weight  int // provisioned service weight (≥ 1), immutable after open
+	id string
+	// cfg is the tenant's normalized configuration (Server.normalize),
+	// immutable after install: re-opens compare against it, release
+	// hands it out, and the meta file records it.
+	cfg     TenantConfig
+	polName string // the policy's display Name, for stats
 	// minDelay is the tightest delay bound in the tenant's menu; the
 	// tenant's delay factor is queued/minDelay (see TenantLoad).
 	minDelay int
-	// res is the tenant's admitted BDR reservation (zero = best-effort),
-	// immutable after open/restore/recovery; the matching reservation-tree
-	// entry is released with the tenant by the server lifecycle paths.
-	res bdr.BDR
 
 	// deficit is the weighted service this tenant is owed, the state of
 	// the cross-tenant allocator (alloc.go). It is owned by the tenant's
@@ -74,16 +68,13 @@ type tenant struct {
 	checkpoints int64
 	lastCkpt    int // round of the last snapshot taken
 
-	ckptPath, metaPath string // "" = files-mode durability off
+	metaPath string // "" = durability off
 
-	// clog, when non-nil, selects the group-commit log backend
-	// (internal/ckptlog): checkpoints are appended to the shard-shared
-	// segment log under mu+ckptMu instead of written to a per-tenant
-	// file, and the log's committer batches the fsyncs. dura counts the
-	// files-mode writes when clog is nil. logf receives checkpoint-path
-	// diagnostics (never nil after newTenantState).
+	// clog, when non-nil, is the group-commit checkpoint log
+	// (internal/ckptlog): checkpoints are appended to the shared segment
+	// log under mu+ckptMu, and the log's committer batches the fsyncs.
+	// logf receives checkpoint-path diagnostics.
 	clog *ckptlog.Log
-	dura *duraCounters
 	logf func(format string, args ...any)
 
 	// Pooled snapshot-path buffers, guarded by mu. snapBuf holds the
@@ -108,9 +99,14 @@ type tenant struct {
 	paceNext         int     // next checkpoint round; 0 = bootstrap
 
 	ckptMu       sync.Mutex
-	writtenRound int  // round of the newest checkpoint on disk
-	removed      bool // durable files deleted; never write them again
+	writtenRound int  // round of the newest checkpoint appended
+	removed      bool // durable state deleted; never append again
 }
+
+// res is the tenant's admitted BDR reservation (zero = best-effort). The
+// matching reservation-tree entry is released with the tenant by the
+// server lifecycle paths.
+func (t *tenant) res() bdr.BDR { return bdr.BDR{Rate: t.cfg.ResRate, Delay: t.cfg.ResDelay} }
 
 // deltaEveryFull is the delta-chain length bound: after this many
 // consecutive delta checkpoints a full snapshot is re-emitted even if
@@ -143,19 +139,6 @@ func (t *tenant) nextSeq() int {
 	return t.nextSeqLocked()
 }
 
-// submit admits one round tick. It returns the rounds applied so far
-// and the queue depth after admission, or an *errResp describing the
-// rejection; the queue never grows past the tenant's cap, so a client
-// outrunning the round rate is shed (ErrOverloaded), not buffered.
-func (t *tenant) submit(seq int, arrivals sched.Request, draining bool) (round, depth int, er *errResp) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if er := t.submitLocked(seq, arrivals, draining); er != nil {
-		return 0, 0, er
-	}
-	return t.st.Round(), t.queuedLocked(), nil
-}
-
 // submitLocked is one round's admission check and enqueue. Callers hold
 // mu.
 func (t *tenant) submitLocked(seq int, arrivals sched.Request, draining bool) *errResp {
@@ -178,7 +161,7 @@ func (t *tenant) submitLocked(seq int, arrivals sched.Request, draining bool) *e
 		t.badSeqs++
 		return &errResp{Code: codeBadSeq, Expected: expect, Msg: fmt.Sprintf("bad round sequence %d, expected %d", seq, expect)}
 	}
-	if t.queuedLocked() >= t.qcap {
+	if t.queuedLocked() >= t.cfg.QueueCap {
 		t.overloads++
 		return &errResp{Code: codeOverloaded, Msg: "tenant queue full"}
 	}
@@ -186,7 +169,7 @@ func (t *tenant) submitLocked(seq int, arrivals sched.Request, draining bool) *e
 	// the queue keeps its own copy. Compact the ring before it can grow
 	// past twice the cap: live entries are bounded by cap, so memory
 	// stays bounded no matter how long the tenant lives.
-	if t.head > 0 && len(t.queue) >= 2*t.qcap {
+	if t.head > 0 && len(t.queue) >= 2*t.cfg.QueueCap {
 		n := copy(t.queue, t.queue[t.head:])
 		for i := n; i < len(t.queue); i++ {
 			t.queue[i] = nil
@@ -233,7 +216,7 @@ func (t *tenant) load() (TenantLoad, bool) {
 	return TenantLoad{
 		Queued:   q,
 		MinDelay: max(t.minDelay, 1),
-		Weight:   max(t.weight, 1),
+		Weight:   t.cfg.Weight,
 		Deficit:  t.deficit,
 	}, true
 }
@@ -259,11 +242,10 @@ func (t *tenant) accrueBDR(accrued float64, served int) {
 
 // submitBatch admits ticks[i] as the round tick at sequence seq+i,
 // stopping at the first rejection, under one lock acquisition. The
-// admitted count is always a prefix length: the per-round sequence
-// check runs for every round exactly as it does for single submits, so
-// exactly-once ingest is preserved inside a batch. The returned errResp
-// (nil when the whole batch was admitted) describes the rejection of
-// round seq+admitted.
+// admitted count is always a prefix length: the sequence check runs for
+// every round, so exactly-once ingest is preserved inside a batch. The
+// returned errResp (nil when the whole batch was admitted) describes
+// the rejection of round seq+admitted.
 func (t *tenant) submitBatch(seq int, ticks []sched.Request, draining bool) (admitted, round, depth int, er *errResp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -310,56 +292,36 @@ func (t *tenant) applyQueuedLocked(max int) (applied int) {
 	return applied
 }
 
-// applyQueued applies up to max queued round ticks and decides whether
-// a periodic checkpoint is due. When one is, it returns the snapshot
-// blob and its round — taking the (in-memory) snapshot under the lock
-// and leaving the file write to the caller via writeCheckpoint.
-func (t *tenant) applyQueued(max, every int) (applied int, blob []byte, round int) {
+// applyQueued applies up to max queued round ticks and takes a periodic
+// checkpoint when one is due.
+func (t *tenant) applyQueued(max, every int) (applied int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	applied = t.applyQueuedLocked(max)
-	blob, round = t.maybeSnapshotLocked(every, false)
-	return applied, blob, round
+	t.maybeCheckpointLocked(every, false)
+	return applied
 }
 
-// maybeSnapshotLocked snapshots the stream when a checkpoint is due
-// (or, with force, whenever durability is on and the stream has moved
-// since the last snapshot). Callers hold mu.
-//
-// In files mode the blob is returned for the caller to persist outside
-// the stream lock via writeCheckpoint (the write pays an fsync). In
-// log mode the record is appended to the group-commit log right here —
-// an append is a buffered copy, durability is the committer's batched
-// fsync — and (nil, 0) is returned; creation order and append order
-// coincide by construction, which is what keeps the per-tenant delta
-// chains valid without any cross-goroutine ordering protocol.
-func (t *tenant) maybeSnapshotLocked(every int, force bool) (blob []byte, round int) {
-	if (t.ckptPath == "" && t.clog == nil) || t.failed != nil {
-		return nil, 0
+// maybeCheckpointLocked appends a checkpoint to the group-commit log
+// when one is due (or, with force, whenever durability is on and the
+// stream has moved since the last checkpoint). An append is a buffered
+// copy — durability is the committer's batched fsync — and taking it
+// under mu makes creation order and append order coincide, which is
+// what keeps the per-tenant delta chains valid without any
+// cross-goroutine ordering protocol. Callers hold mu.
+func (t *tenant) maybeCheckpointLocked(every int, force bool) {
+	if t.clog == nil || t.failed != nil {
+		return
 	}
 	r := t.st.Round()
 	if force {
 		if r == t.lastCkpt {
-			return nil, 0
+			return
 		}
 	} else if !t.ckptDueLocked(every, r) {
-		return nil, 0
+		return
 	}
-	if t.clog != nil {
-		t.logCheckpointLocked(r)
-		return nil, 0
-	}
-	b, err := t.st.Snapshot()
-	if err != nil {
-		t.failed = fmt.Errorf("serve: tenant %s: snapshot at round %d: %w", t.id, r, err)
-		return nil, 0
-	}
-	t.lastCkpt = r
-	t.checkpoints++
-	if t.adaptive {
-		t.paceNext = r + t.nextPaceLocked()
-	}
-	return b, r
+	t.logCheckpointLocked(r)
 }
 
 // ckptDueLocked decides whether a periodic checkpoint is due at round
@@ -390,7 +352,7 @@ func (t *tenant) nextPaceLocked() int {
 	iv := t.paceMax
 	if t.snapNs > 0 && t.applyNs > 0 {
 		cost := t.snapNs / t.applyNs // snapshot cost in units of rounds
-		iv = int(math.Sqrt(2 * cost / float64(max(t.weight, 1))))
+		iv = int(math.Sqrt(2 * cost / float64(t.cfg.Weight)))
 	}
 	return min(max(iv, max(t.paceMin, 1)), max(t.paceMax, 1))
 }
@@ -422,9 +384,8 @@ func (t *tenant) logCheckpointLocked(r int) {
 	if t.adaptive {
 		t.snapNs = ewma(t.snapNs, float64(time.Since(start).Nanoseconds()))
 	}
-	// The tombstone check guards the log-append path exactly as it
-	// guards files-mode writes: a released or closed tenant must not
-	// resurrect records into the shared log (see removeFiles).
+	// The tombstone check guards the append: a released or closed tenant
+	// must not resurrect records into the shared log (see removeFiles).
 	appended := false
 	t.ckptMu.Lock()
 	if !t.removed && r > t.writtenRound {
@@ -453,96 +414,64 @@ func (t *tenant) logCheckpointLocked(r int) {
 	}
 }
 
-// writeCheckpoint persists a snapshot blob taken by applyQueued, flush
-// or drainStream. It runs outside the stream lock; ckptMu orders
-// concurrent writers (shard worker vs. drain handler) and the round
-// check drops a stale blob that lost the race.
-func (t *tenant) writeCheckpoint(blob []byte, round int) error {
-	t.ckptMu.Lock()
-	defer t.ckptMu.Unlock()
-	// A closed tenant's files are tombstoned: a shard worker that took a
-	// snapshot just before the tenant was removed must not resurrect
-	// durable files a restart would then recover.
-	if t.removed || round <= t.writtenRound {
-		return nil
-	}
-	if err := trace.SaveCheckpointState(t.ckptPath, blob); err != nil {
-		return fmt.Errorf("serve: tenant %s: writing checkpoint: %w", t.id, err)
-	}
-	t.writtenRound = round
-	if t.dura != nil {
-		t.dura.appends.Add(1)
-		t.dura.bytes.Add(int64(len(blob)))
-		t.dura.fsyncs.Add(1) // SaveCheckpointState fsyncs each write
-	}
-	return nil
-}
-
-// removeFiles deletes the tenant's durable files and tombstones the
-// checkpoint path so no in-flight writeCheckpoint can recreate them.
-// Holding ckptMu across the removal orders it against a concurrent
-// writer: whichever side wins the lock, the files end (and stay) gone.
+// removeFiles deletes the tenant's durable state — its meta file, and
+// in the shared log a tombstone shadowing its records — and marks it
+// removed so no in-flight checkpoint append can resurrect it. Holding
+// ckptMu across the removal orders it against a concurrent appender:
+// whichever side wins the lock, the state ends (and stays) gone.
 func (t *tenant) removeFiles() {
-	if t.ckptPath == "" && t.clog == nil {
+	if t.clog == nil {
 		return
 	}
 	t.ckptMu.Lock()
 	defer t.ckptMu.Unlock()
 	t.removed = true
 	os.Remove(t.metaPath)
-	if t.clog != nil {
-		// The tombstone shadows every earlier record for this id so a
-		// restart cannot resurrect the tenant; it is synced immediately
-		// because removal is acknowledged to the client. Best-effort: on
-		// error the meta file is already gone, so recovery skips the
-		// tenant anyway.
-		if err := t.clog.AppendTombstone(t.id); err != nil {
-			t.logf("serve: tenant %s: checkpoint log tombstone: %v", t.id, err)
-		} else if err := t.clog.Sync(); err != nil {
-			t.logf("serve: tenant %s: checkpoint log sync: %v", t.id, err)
-		}
-		return
+	// The tombstone is synced immediately because removal is
+	// acknowledged to the client. Best-effort: on error the meta file is
+	// already gone, so recovery skips the tenant anyway.
+	if err := t.clog.AppendTombstone(t.id); err != nil {
+		t.logf("serve: tenant %s: checkpoint log tombstone: %v", t.id, err)
+	} else if err := t.clog.Sync(); err != nil {
+		t.logf("serve: tenant %s: checkpoint log sync: %v", t.id, err)
 	}
-	os.Remove(t.ckptPath)
 }
 
-// flush applies every queued round tick and takes a final snapshot —
-// the graceful-drain path (server shutdown). The returned blob (nil
-// when durability is off or the stream has not moved) must be handed to
-// writeCheckpoint.
-func (t *tenant) flush() (blob []byte, round int) {
+// flush applies every queued round tick and takes a final checkpoint —
+// the graceful-drain path (server shutdown).
+func (t *tenant) flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.applyQueuedLocked(0)
-	return t.maybeSnapshotLocked(0, true)
+	t.maybeCheckpointLocked(0, true)
 }
 
 // drainStream applies the whole queue, then runs empty rounds until no
 // job is pending, all under one lock acquisition so no submit can
-// interleave, and returns the final Result plus a fresh final snapshot.
+// interleave, checkpoints the result, and returns the final Result.
 // Draining an already-drained tenant is a no-op that returns the same
 // Result, so a client retrying a drain whose acknowledgement was lost
 // observes identical results.
-func (t *tenant) drainStream() (*sched.Result, []byte, int, error) {
+func (t *tenant) drainStream() (*sched.Result, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.drainStreamLocked()
 }
 
-func (t *tenant) drainStreamLocked() (*sched.Result, []byte, int, error) {
+func (t *tenant) drainStreamLocked() (*sched.Result, error) {
 	if t.failed != nil {
-		return nil, nil, 0, t.failed
+		return nil, t.failed
 	}
 	t.applyQueuedLocked(0)
 	if t.failed != nil {
-		return nil, nil, 0, t.failed
+		return nil, t.failed
 	}
 	if _, err := t.st.Drain(); err != nil {
 		t.failed = fmt.Errorf("serve: tenant %s: draining: %w", t.id, err)
-		return nil, nil, 0, t.failed
+		return nil, t.failed
 	}
-	blob, round := t.maybeSnapshotLocked(0, true)
-	return t.st.Result(), blob, round, nil
+	t.maybeCheckpointLocked(0, true)
+	return t.st.Result(), nil
 }
 
 // drainAndClose drains the stream and marks the tenant closed in one
@@ -556,7 +485,7 @@ func (t *tenant) drainStreamLocked() (*sched.Result, []byte, int, error) {
 func (t *tenant) drainAndClose() (*sched.Result, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	res, _, _, err := t.drainStreamLocked()
+	res, err := t.drainStreamLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -583,11 +512,11 @@ func (t *tenant) isReleased() bool {
 
 // release is the source half of a migration: apply everything queued so
 // the snapshot carries no in-flight rounds, snapshot, and turn the
-// tenant into a released tombstone. The response carries the
+// tenant into a released tombstone. The returned state carries the
 // configuration as opened, the resume sequence, and the state blob —
 // everything a restore on the target needs. The caller (server.release)
 // removes the tenant's shard registration and durable files afterwards.
-func (t *tenant) release() (*releaseResp, *errResp) {
+func (t *tenant) release() (*ReleasedTenant, *errResp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -608,30 +537,7 @@ func (t *tenant) release() (*releaseResp, *errResp) {
 		return nil, &errResp{Code: codeInternal, Msg: t.failed.Error()}
 	}
 	t.released = true
-	return &releaseResp{
-		Policy:   t.spec,
-		N:        t.cfg.N,
-		Speed:    t.cfg.Speed,
-		Delta:    t.cfg.Delta,
-		QueueCap: t.qcap,
-		Delays:   slices.Clone(t.cfg.Delays),
-		Weight:   max(t.weight, 1),
-		NextSeq:  t.st.Round(),
-		Blob:     blob,
-		ResRate:  t.res.Rate,
-		ResDelay: t.res.Delay,
-	}, nil
-}
-
-// snapshot returns the current state blob (the payload RestoreStream
-// accepts), for clients mirroring server state.
-func (t *tenant) snapshot() ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.failed != nil {
-		return nil, t.failed
-	}
-	return t.st.Snapshot()
+	return &ReleasedTenant{Config: t.cfg, NextSeq: t.st.Round(), Blob: blob}, nil
 }
 
 // stats fills one TenantStats row.
@@ -647,7 +553,7 @@ func (t *tenant) stats() TenantStats {
 		NextSeq:      t.nextSeqLocked(),
 		Pending:      t.st.TotalPending(),
 		QueueDepth:   t.queuedLocked(),
-		QueueCap:     t.qcap,
+		QueueCap:     t.cfg.QueueCap,
 		Executed:     t.st.Executed(),
 		Dropped:      t.st.Dropped(),
 		Reconfigs:    t.st.Reconfigs(),
@@ -658,14 +564,14 @@ func (t *tenant) stats() TenantStats {
 		BadSeqs:      t.badSeqs,
 		Checkpoints:  t.checkpoints,
 
-		Weight:         max(t.weight, 1),
+		Weight:         t.cfg.Weight,
 		MinDelay:       max(t.minDelay, 1),
 		ServedRounds:   t.served,
 		DelayFactor:    t.delayFactorLocked(),
 		MaxDelayFactor: t.maxDelayFactor,
 
-		ReservedRate:      t.res.Rate,
-		ReservedDelay:     t.res.Delay,
+		ReservedRate:      t.cfg.ResRate,
+		ReservedDelay:     t.cfg.ResDelay,
 		BudgetUtilization: t.budgetUtilizationLocked(),
 	}
 }

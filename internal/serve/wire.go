@@ -9,58 +9,36 @@
 // Every message travels in a frame: a 4-byte little-endian length
 // prefix followed by that many body bytes (at most MaxFrame). The body
 // is encoded with internal/snap's deterministic varint codec and starts
-// with a varint message type; the remaining fields depend on the type.
+// with a varint message type; the remaining fields depend on the type
+// and are always all present — every frame has one fixed layout.
 // Responses reuse the same framing. A malformed, truncated or oversized
 // frame is a protocol error: the reader reports it and the connection
 // is closed — never a panic, pinned by FuzzFrameDecode.
 //
-// Protocol version 2 adds two optional shapes on the same framing: a
-// request may be wrapped in a msgTagged envelope (a varint tag echoed
-// on its response, so many requests can be pipelined per connection and
-// acknowledged out of order or coalesced into one flush), and
-// msgSubmitBatch vectors K consecutive round ticks for one tenant into
-// one frame with a per-round admitted-prefix acknowledgement. Version 3
-// adds an optional trailing service weight to the open request and the
-// msgStatsEx command, whose rows extend the legacy stats row with the
-// cross-tenant scheduling fields (weight, delay factor, service share).
-// Version 4 adds the fleet-migration pair: msgRelease hands a tenant's
-// state out of a server (drain the admission queue, snapshot, leave a
-// tombstone) and msgRestore installs a released snapshot on another
-// server, so a router tier (internal/proxy) can move a live tenant
-// between backends without losing a round. Version 5 adds msgDuraStats,
-// a bare request reporting the durability backend's counters (appends,
-// bytes, fsyncs, and the group-commit log's deltas, rotations,
-// compactions and segment count); it is answered by the server a client
-// dialed directly, and since version 6 the proxy tier relays it as a
-// fan-out with per-backend rows. Version 6 adds bounded-delay admission
-// control (docs/SCHEDULING.md "Admission"): the open and restore
-// requests may append an optional (rate, delay) reservation, an
-// infeasible reservation is rejected with a typed admission error
-// carrying the shard's residual capacity, stats-ex rows append the
-// reservation and its budget utilization, and the durability response
-// may append per-backend rows when answered by a proxy. Every v6 field
-// is an optional trailing extension encoded only when present, so
-// version-1 through version-5 peers never see any of them and keep
-// working unchanged: the legacy msgStats request and response are
-// byte-for-byte identical across versions.
+// Any request may be wrapped in a msgTagged envelope: a varint tag
+// echoed on its response, so many requests can be pipelined per
+// connection and acknowledged out of order or coalesced into one flush.
+// Submits are vectored: msgSubmitBatch carries K consecutive round
+// ticks for one tenant with a per-round admitted-prefix
+// acknowledgement, and a single submit is simply a batch of one.
 //
 // # Rounds, sequence numbers, and exactly-once ingest
 //
-// One Submit carries the arrivals of exactly one round tick for one
-// tenant and names its position in the tenant's round sequence. The
-// server accepts a submit only when its sequence number equals the
-// tenant's next expected round (rounds applied + rounds queued), so a
-// client that resubmits after a lost acknowledgement, a reconnect or a
-// server restart can never duplicate or reorder a round: stale submits
-// are rejected with a BadSeqError carrying the expected sequence, and
-// the client simply resumes from there. Together with per-tenant
-// checkpointing this gives exactly-once round application end to end —
-// the property the bit-identical integration tests pin.
+// Each round tick of a submit names its position in the tenant's round
+// sequence. The server accepts a tick only when its sequence number
+// equals the tenant's next expected round (rounds applied + rounds
+// queued), so a client that resubmits after a lost acknowledgement, a
+// reconnect or a server restart can never duplicate or reorder a round:
+// stale submits are rejected with a BadSeqError carrying the expected
+// sequence, and the client simply resumes from there. Together with
+// per-tenant checkpointing this gives exactly-once round application
+// end to end — the property the bit-identical integration tests pin.
 //
 // See docs/SERVER.md for the full protocol and lifecycle description.
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -69,23 +47,10 @@ import (
 	"repro/internal/snap"
 )
 
-// ProtocolVersion is carried in every open request. Version 2 added
-// tagged frames (pipelining) and vectored submit batches; version 3
-// added the open request's optional tenant weight and the extended
-// stats command (msgStatsEx); version 4 added the live-migration pair
-// msgRelease/msgRestore used by the proxy tier; version 5 added the
-// msgDuraStats durability-counter probe; version 6 added the optional
-// (rate, delay) reservation on open/restore, the typed admission
-// rejection with residual capacity, the reservation columns on
-// stats-ex rows, and the proxy fan-out rows on the durability
-// response. The server still accepts older peers, which simply never
-// send any of these.
-const ProtocolVersion = 6
-
-// MinProtocolVersion is the oldest version the server still speaks.
-// Version-1 clients use strict request/response with untagged frames;
-// everything they send decodes identically under version 2.
-const MinProtocolVersion = 1
+// ProtocolVersion is carried in every open and restore request; the
+// server accepts exactly this version and answers any other with a
+// bad-version error.
+const ProtocolVersion = 7
 
 // MaxBatch bounds the round ticks one submit-batch frame may carry. It
 // keeps a hostile length prefix from forcing a large allocation before
@@ -110,60 +75,50 @@ const MaxFrame = 1 << 22
 const (
 	msgErr = iota // response-only
 	msgOpen
-	msgSubmit
-	msgStats
-	msgResult
-	msgDrain
-	msgCloseTenant
-	msgPing
-	msgSnapshot
-	// msgTagged is the protocol-v2 pipelining envelope: a varint request
-	// tag followed by a complete inner message. The response to a tagged
-	// request is wrapped the same way with the same tag, so a client may
-	// keep many requests in flight and match acknowledgements by tag even
-	// if they return out of order or coalesced into one flush.
-	msgTagged
 	// msgSubmitBatch carries K consecutive round ticks for one tenant in
 	// one frame — one length prefix and one syscall amortized over K
 	// rounds. Admission is per round and strictly sequential, so the
 	// response names the admitted prefix plus the first rejection.
 	msgSubmitBatch
-	// msgStatsEx (protocol v3) shares msgStats' request shape but answers
-	// with extended rows: the legacy fields followed by the cross-tenant
-	// scheduling fields (weight, min delay, served rounds, delay factors,
-	// service share). The legacy msgStats response is left byte-identical
-	// so older clients keep decoding it.
-	msgStatsEx
-	// msgRestore (protocol v4) installs a previously released tenant
-	// snapshot: the open-request fields that describe the tenant's
-	// configuration plus the state blob a msgRelease (or msgSnapshot)
-	// returned. The server validates the blob against the declared
-	// configuration, recreates the tenant at its snapshotted round, and
-	// persists the blob as the tenant's first checkpoint, so a migration
-	// survives a crash immediately after the flip.
+	// msgTenantStats answers with one stats row per tenant (or for the
+	// named one): counters, cross-tenant scheduling fields and the BDR
+	// reservation columns.
+	msgTenantStats
+	msgResult
+	msgDrain
+	msgCloseTenant
+	msgPing
+	// msgTagged is the pipelining envelope: a varint request tag followed
+	// by a complete inner message. The response to a tagged request is
+	// wrapped the same way with the same tag, so a client may keep many
+	// requests in flight and match acknowledgements by tag even if they
+	// return out of order or coalesced into one flush.
+	msgTagged
+	// msgRestore installs a released tenant: the open request's fields
+	// plus the state blob a msgRelease returned. The server validates the
+	// blob against the declared configuration, recreates the tenant at
+	// its snapshotted round, and persists the blob as the tenant's first
+	// checkpoint, so a migration survives a crash right after the flip.
 	msgRestore
-	// msgRelease (protocol v4) is the source half of a migration: the
-	// server applies everything the tenant has queued, snapshots it,
-	// removes its durable state, and replaces the tenant with a released
-	// tombstone that answers every later command with a retryable
-	// draining error. The response carries the tenant's configuration,
-	// resume sequence, and state blob — everything msgRestore needs on
-	// the target.
+	// msgRelease is the source half of a migration: the server applies
+	// everything the tenant has queued, snapshots it, removes its durable
+	// state, and replaces the tenant with a released tombstone that
+	// answers every later command with a retryable draining error. The
+	// response carries the tenant's configuration, resume sequence, and
+	// state blob — everything msgRestore needs on the target.
 	msgRelease
-	// msgDuraStats (protocol v5) is a bare request for the server's
-	// durability counters: the backend mode plus append/byte/fsync
-	// totals, and in log mode the group-commit log's delta, rotation,
-	// compaction and live-segment counts. Since protocol v6 the proxy
-	// tier relays it as a fan-out: the merged response sums every live
-	// backend's counters and appends one labelled row per backend.
+	// msgDuraStats is a bare request for the durability counters: the
+	// backend mode plus the group-commit log's append, byte, fsync,
+	// delta, rotation, compaction and live-segment counts. The proxy
+	// tier answers it as a fan-out: summed counters plus one labelled row
+	// per backend.
 	msgDuraStats
 )
 
 // DuraStats reports the durability backend's cumulative counters.
-// Mode is "log", "files", or "off" (no CheckpointDir). In files mode
-// every append pays its own fsync, so Appends == Fsyncs and the
-// log-only fields stay zero; in log mode Fsyncs counts group commits,
-// which is the number the batching exists to shrink.
+// Mode is "log" (the group-commit checkpoint log) or "off" (no
+// CheckpointDir); Fsyncs counts group commits, which is the number the
+// batching exists to shrink.
 type DuraStats struct {
 	Mode        string
 	Appends     int64
@@ -173,13 +128,11 @@ type DuraStats struct {
 	Rotations   int64
 	Compactions int64
 	Segments    int64
-	// Backends carries the per-backend rows of a proxy fan-out
-	// (protocol v6): when a DuraStats request is answered by the proxy
-	// tier, the top-level counters are the fleet-wide sums (Mode is
-	// "mixed" when the backends disagree) and each row names one
-	// backend's address with its own counters. A server answering a
-	// direct dial leaves it empty, which is also what pre-v6 responses
-	// decode to — the field is an optional trailing extension.
+	// Backends carries the per-backend rows of a proxy fan-out: when a
+	// DuraStats request is answered by the proxy tier, the top-level
+	// counters are the fleet-wide sums (Mode is "mixed" when the backends
+	// disagree) and each row names one backend's address with its own
+	// counters. A server answering a direct dial leaves it empty.
 	Backends []BackendDuraStats
 }
 
@@ -195,6 +148,15 @@ type BackendDuraStats struct {
 
 func (s *DuraStats) encode(e *snap.Encoder) {
 	e.Uint64(msgDuraStats)
+	s.encodeCounters(e)
+	e.Int(len(s.Backends))
+	for i := range s.Backends {
+		e.String(s.Backends[i].Addr)
+		s.Backends[i].encodeCounters(e)
+	}
+}
+
+func (s *DuraStats) encodeCounters(e *snap.Encoder) {
 	e.String(s.Mode)
 	e.Int64(s.Appends)
 	e.Int64(s.Bytes)
@@ -203,26 +165,23 @@ func (s *DuraStats) encode(e *snap.Encoder) {
 	e.Int64(s.Rotations)
 	e.Int64(s.Compactions)
 	e.Int64(s.Segments)
-	// Optional trailing per-backend rows (protocol v6): a direct-dial
-	// response omits them entirely, staying byte-identical to v5.
-	if len(s.Backends) > 0 {
-		e.Int(len(s.Backends))
-		for i := range s.Backends {
-			b := &s.Backends[i]
-			e.String(b.Addr)
-			e.String(b.Mode)
-			e.Int64(b.Appends)
-			e.Int64(b.Bytes)
-			e.Int64(b.Fsyncs)
-			e.Int64(b.Deltas)
-			e.Int64(b.Rotations)
-			e.Int64(b.Compactions)
-			e.Int64(b.Segments)
-		}
-	}
 }
 
 func (s *DuraStats) decode(d *snap.Decoder) {
+	s.decodeCounters(d)
+	n := d.Len()
+	s.Backends = nil
+	// Grow by decoded row, not by the declared count, so a hostile count
+	// cannot force a large allocation.
+	for i := 0; i < n && d.Err() == nil; i++ {
+		var b BackendDuraStats
+		b.Addr = d.String()
+		b.decodeCounters(d)
+		s.Backends = append(s.Backends, b)
+	}
+}
+
+func (s *DuraStats) decodeCounters(d *snap.Decoder) {
 	s.Mode = d.String()
 	s.Appends = d.Int64()
 	s.Bytes = d.Int64()
@@ -231,40 +190,20 @@ func (s *DuraStats) decode(d *snap.Decoder) {
 	s.Rotations = d.Int64()
 	s.Compactions = d.Int64()
 	s.Segments = d.Int64()
-	s.Backends = nil
-	if d.Err() == nil && d.Remaining() > 0 {
-		n := d.Len()
-		if d.Err() != nil {
-			return
-		}
-		s.Backends = make([]BackendDuraStats, 0, min(n, 4096))
-		for i := 0; i < n; i++ {
-			var b BackendDuraStats
-			b.Addr = d.String()
-			b.Mode = d.String()
-			b.Appends = d.Int64()
-			b.Bytes = d.Int64()
-			b.Fsyncs = d.Int64()
-			b.Deltas = d.Int64()
-			b.Rotations = d.Int64()
-			b.Compactions = d.Int64()
-			b.Segments = d.Int64()
-			if d.Err() != nil {
-				return
-			}
-			s.Backends = append(s.Backends, b)
-		}
-	}
 }
 
-// writeFrame sends one length-prefixed frame.
-func writeFrame(w io.Writer, body []byte) error {
+// writeFrame sends one length-prefixed frame. The length header is
+// appended into the writer's own buffer, so framing allocates nothing.
+func writeFrame(w *bufio.Writer, body []byte) error {
 	if len(body) > MaxFrame {
 		return fmt.Errorf("serve: frame body %d bytes exceeds MaxFrame %d", len(body), MaxFrame)
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if w.Available() < 4 {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(body)))); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
@@ -272,19 +211,25 @@ func writeFrame(w io.Writer, body []byte) error {
 }
 
 // readFrame reads one frame body, reusing buf when it is large enough.
-// It returns io.EOF only on a clean end of stream (no bytes read).
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// It returns io.EOF only on a clean end of stream (no bytes read). The
+// header is peeked in the reader's own buffer, so framing allocates
+// nothing beyond growing buf.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			if len(hdr) == 0 {
+				return nil, io.EOF
+			}
+			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("serve: reading frame header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("serve: frame length %d exceeds MaxFrame %d", n, MaxFrame)
 	}
+	r.Discard(4) // cannot fail: Peek buffered these bytes
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
 	}
@@ -295,77 +240,73 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// openMsg asks the server to create a tenant, or to re-attach to an
-// existing one with a matching configuration.
-type openMsg struct {
-	Version  int
-	Tenant   string
-	Policy   string
-	N        int
-	Speed    int
-	Delta    int
-	QueueCap int
-	Delays   []int
-	// Weight is the tenant's cross-tenant service weight (protocol v3,
-	// encoded as an optional trailing field: older peers simply end the
-	// message before it, which decodes as 0 and is normalized to 1).
-	Weight int
-	// ResRate/ResDelay are the tenant's BDR reservation (protocol v6,
-	// optional trailing pair after Weight; encoded only when ResRate is
-	// positive, so an unreserved v6 open stays byte-identical to v5).
-	// A positive rate asks the server to admit the tenant iff the
-	// shard's supply-bound-function check passes; see docs/SCHEDULING.md.
-	ResRate  float64
-	ResDelay float64
+// encode writes the tenant description in the order the durable
+// metadata file has always used: policy, queue cap, N, speed, delta,
+// delays, weight, reservation rate and delay.
+func (tc *TenantConfig) encode(e *snap.Encoder) {
+	e.String(tc.Policy)
+	e.Int(tc.QueueCap)
+	e.Int(tc.N)
+	e.Int(tc.Speed)
+	e.Int(tc.Delta)
+	e.Ints(tc.Delays)
+	e.Int(tc.Weight)
+	e.Float64(tc.ResRate)
+	e.Float64(tc.ResDelay)
 }
 
-func (m *openMsg) encode(e *snap.Encoder) {
-	e.Uint64(msgOpen)
+func (tc *TenantConfig) decode(d *snap.Decoder) {
+	tc.Policy = d.String()
+	tc.QueueCap = d.Int()
+	tc.N = d.Int()
+	tc.Speed = d.Int()
+	tc.Delta = d.Int()
+	tc.Delays = d.Ints()
+	tc.Weight = d.Int()
+	tc.ResRate = d.Float64()
+	tc.ResDelay = d.Float64()
+}
+
+// openMsg is the open request (create a tenant, or re-attach to a live
+// one with an equal configuration) and, with Blob, the restore request
+// (install a released tenant's state). Only msgRestore carries Blob.
+type openMsg struct {
+	Version int
+	Tenant  string
+	Config  TenantConfig
+	Blob    []byte
+}
+
+func (m *openMsg) encode(e *snap.Encoder, typ uint64) {
+	e.Uint64(typ)
 	e.Int(m.Version)
 	e.String(m.Tenant)
-	e.String(m.Policy)
-	e.Int(m.N)
-	e.Int(m.Speed)
-	e.Int(m.Delta)
-	e.Int(m.QueueCap)
-	e.Ints(m.Delays)
-	e.Int(m.Weight)
-	if m.ResRate > 0 {
-		e.Float64(m.ResRate)
-		e.Float64(m.ResDelay)
+	m.Config.encode(e)
+	if typ == msgRestore {
+		e.Blob(m.Blob)
 	}
 }
 
-func (m *openMsg) decode(d *snap.Decoder) {
+func (m *openMsg) decode(d *snap.Decoder, typ uint64) {
 	m.Version = d.Int()
 	m.Tenant = d.String()
-	m.Policy = d.String()
-	m.N = d.Int()
-	m.Speed = d.Int()
-	m.Delta = d.Int()
-	m.QueueCap = d.Int()
-	m.Delays = d.Ints()
-	m.Weight = 0
-	if d.Err() == nil && d.Remaining() > 0 {
-		m.Weight = d.Int()
-	}
-	m.ResRate, m.ResDelay = 0, 0
-	if d.Err() == nil && d.Remaining() > 0 {
-		m.ResRate = d.Float64()
-		m.ResDelay = d.Float64()
+	m.Config.decode(d)
+	if typ == msgRestore {
+		m.Blob = d.Blob()
 	}
 }
 
-// openResp acknowledges an open: NextSeq is the sequence number the
-// next Submit must carry (0 for a fresh tenant; the resume point for a
-// recovered or re-attached one).
+// openResp acknowledges an open or a restore: NextSeq is the sequence
+// number the next submit must carry (0 for a fresh tenant; the resume
+// point for a recovered, re-attached or restored one), and Resumed
+// reports an open that re-attached to a live tenant.
 type openResp struct {
 	NextSeq int
 	Resumed bool
 }
 
-func (m *openResp) encode(e *snap.Encoder) {
-	e.Uint64(msgOpen)
+func (m *openResp) encode(e *snap.Encoder, typ uint64) {
+	e.Uint64(typ)
 	e.Int(m.NextSeq)
 	e.Bool(m.Resumed)
 }
@@ -373,60 +314,6 @@ func (m *openResp) encode(e *snap.Encoder) {
 func (m *openResp) decode(d *snap.Decoder) {
 	m.NextSeq = d.Int()
 	m.Resumed = d.Bool()
-}
-
-// submitMsg carries one round tick of arrivals for one tenant. Seq must
-// equal the tenant's next expected round sequence.
-type submitMsg struct {
-	Tenant   string
-	Seq      int
-	Arrivals sched.Request
-}
-
-func (m *submitMsg) encode(e *snap.Encoder) {
-	e.Uint64(msgSubmit)
-	e.String(m.Tenant)
-	e.Int(m.Seq)
-	e.Int(len(m.Arrivals))
-	for _, b := range m.Arrivals {
-		e.Int(int(b.Color))
-		e.Int(b.Count)
-	}
-}
-
-// decode reuses m.Arrivals' backing array, so a long-lived handler
-// reaches a steady state without per-frame batch allocations.
-func (m *submitMsg) decode(d *snap.Decoder) {
-	m.Tenant = d.StringCached(m.Tenant)
-	m.Seq = d.Int()
-	n := d.Len() // each batch takes ≥ 2 bytes, so Len's bound is safe
-	m.Arrivals = m.Arrivals[:0]
-	for i := 0; i < n; i++ {
-		c, cnt := d.Int(), d.Int()
-		if d.Err() != nil {
-			return
-		}
-		m.Arrivals = append(m.Arrivals, sched.Batch{Color: sched.Color(c), Count: cnt})
-	}
-}
-
-// submitResp acknowledges admission of one round tick: the submit is
-// queued (QueueDepth deep) and will be applied by the tenant's shard
-// worker; Round is the number of rounds applied so far.
-type submitResp struct {
-	Round      int
-	QueueDepth int
-}
-
-func (m *submitResp) encode(e *snap.Encoder) {
-	e.Uint64(msgSubmit)
-	e.Int(m.Round)
-	e.Int(m.QueueDepth)
-}
-
-func (m *submitResp) decode(d *snap.Decoder) {
-	m.Round = d.Int()
-	m.QueueDepth = d.Int()
 }
 
 // batchMsg carries Ticks[i] as the round tick at sequence Seq+i — K
@@ -487,8 +374,7 @@ func (m *batchMsg) decode(d *snap.Decoder) {
 // batchResp acknowledges a submit batch: Admitted rounds (always a
 // prefix — admission is sequential) were queued, Round/QueueDepth
 // describe the tenant afterwards, and when Admitted < the batch size,
-// Err carries the rejection of round Seq+Admitted exactly as a
-// standalone submit of that round would have reported it.
+// Err carries the rejection of round Seq+Admitted.
 type batchResp struct {
 	Admitted   int
 	Round      int
@@ -503,9 +389,7 @@ func (m *batchResp) encode(e *snap.Encoder) {
 	e.Int(m.QueueDepth)
 	e.Bool(m.Err != nil)
 	if m.Err != nil {
-		e.Int(m.Err.Code)
-		e.Int(m.Err.Expected)
-		e.String(m.Err.Msg)
+		m.Err.encodeFields(e)
 	}
 }
 
@@ -515,143 +399,28 @@ func (m *batchResp) decode(d *snap.Decoder) {
 	m.QueueDepth = d.Int()
 	m.Err = nil
 	if d.Bool() {
-		m.Err = &errResp{Code: d.Int(), Expected: d.Int(), Msg: d.String()}
+		m.Err = &errResp{}
+		m.Err.decode(d)
 	}
 }
 
-// restoreMsg installs a released tenant snapshot on this server: the
-// open-request configuration fields plus the state blob a release (or
-// snapshot) returned. The declared configuration must match the one
-// embedded in the blob — a mismatch proves operator error and is
-// rejected before any state is created.
-type restoreMsg struct {
-	Version  int
-	Tenant   string
-	Policy   string
-	N        int
-	Speed    int
-	Delta    int
-	QueueCap int
-	Delays   []int
-	Weight   int
-	Blob     []byte
-	// ResRate/ResDelay carry the migrating tenant's BDR reservation
-	// (protocol v6, optional trailing pair after the blob; encoded only
-	// when ResRate is positive). The target re-runs admission against
-	// its own shard capacity, so a migration can never overcommit it.
-	ResRate  float64
-	ResDelay float64
-}
-
-func (m *restoreMsg) encode(e *snap.Encoder) {
-	e.Uint64(msgRestore)
-	e.Int(m.Version)
-	e.String(m.Tenant)
-	e.String(m.Policy)
-	e.Int(m.N)
-	e.Int(m.Speed)
-	e.Int(m.Delta)
-	e.Int(m.QueueCap)
-	e.Ints(m.Delays)
-	e.Int(m.Weight)
-	e.Blob(m.Blob)
-	if m.ResRate > 0 {
-		e.Float64(m.ResRate)
-		e.Float64(m.ResDelay)
-	}
-}
-
-func (m *restoreMsg) decode(d *snap.Decoder) {
-	m.Version = d.Int()
-	m.Tenant = d.String()
-	m.Policy = d.String()
-	m.N = d.Int()
-	m.Speed = d.Int()
-	m.Delta = d.Int()
-	m.QueueCap = d.Int()
-	m.Delays = d.Ints()
-	m.Weight = d.Int()
-	m.Blob = d.Blob()
-	m.ResRate, m.ResDelay = 0, 0
-	if d.Err() == nil && d.Remaining() > 0 {
-		m.ResRate = d.Float64()
-		m.ResDelay = d.Float64()
-	}
-}
-
-// restoreResp acknowledges a restore: NextSeq is the sequence number
-// the tenant's next Submit must carry on this server.
-type restoreResp struct {
-	NextSeq int
-}
-
-func (m *restoreResp) encode(e *snap.Encoder) {
-	e.Uint64(msgRestore)
-	e.Int(m.NextSeq)
-}
-
-func (m *restoreResp) decode(d *snap.Decoder) {
-	m.NextSeq = d.Int()
-}
-
-// releaseResp carries everything a restore on the migration target
-// needs: the tenant's configuration as opened, the resume sequence
-// (rounds applied — the released queue is always flushed first, so no
-// queued rounds are in flight), and the state blob.
-type releaseResp struct {
-	Policy   string
-	N        int
-	Speed    int
-	Delta    int
-	QueueCap int
-	Delays   []int
-	Weight   int
-	NextSeq  int
-	Blob     []byte
-	// ResRate/ResDelay hand the released tenant's BDR reservation to
-	// the migration target (protocol v6, optional trailing pair after
-	// the blob; encoded only when ResRate is positive), so the restore
-	// request can re-declare it for admission there.
-	ResRate  float64
-	ResDelay float64
-}
-
-func (m *releaseResp) encode(e *snap.Encoder) {
+// encode writes a release response: the tenant's configuration as
+// opened, the resume sequence, and the state blob.
+func (r *ReleasedTenant) encode(e *snap.Encoder) {
 	e.Uint64(msgRelease)
-	e.String(m.Policy)
-	e.Int(m.N)
-	e.Int(m.Speed)
-	e.Int(m.Delta)
-	e.Int(m.QueueCap)
-	e.Ints(m.Delays)
-	e.Int(m.Weight)
-	e.Int(m.NextSeq)
-	e.Blob(m.Blob)
-	if m.ResRate > 0 {
-		e.Float64(m.ResRate)
-		e.Float64(m.ResDelay)
-	}
+	r.Config.encode(e)
+	e.Int(r.NextSeq)
+	e.Blob(r.Blob)
 }
 
-func (m *releaseResp) decode(d *snap.Decoder) {
-	m.Policy = d.String()
-	m.N = d.Int()
-	m.Speed = d.Int()
-	m.Delta = d.Int()
-	m.QueueCap = d.Int()
-	m.Delays = d.Ints()
-	m.Weight = d.Int()
-	m.NextSeq = d.Int()
-	m.Blob = d.Blob()
-	m.ResRate, m.ResDelay = 0, 0
-	if d.Err() == nil && d.Remaining() > 0 {
-		m.ResRate = d.Float64()
-		m.ResDelay = d.Float64()
-	}
+func (r *ReleasedTenant) decode(d *snap.Decoder) {
+	r.Config.decode(d)
+	r.NextSeq = d.Int()
+	r.Blob = d.Blob()
 }
 
 // tenantMsg is the shape shared by the single-tenant commands (stats,
-// result, drain, close, snapshot): a type plus the tenant ID ("" asks
+// result, drain, close, release): a type plus the tenant ID ("" asks
 // stats for every tenant).
 type tenantMsg struct {
 	Type   uint64
@@ -668,8 +437,9 @@ func (m *tenantMsg) decode(d *snap.Decoder) {
 }
 
 // TenantStats is one tenant's row of the stats command: scheduling
-// totals from the live stream, admission-control counters, and the
-// MetricsSink's backlog high-water mark.
+// totals from the live stream, admission-control counters, the
+// MetricsSink's backlog high-water mark, the cross-tenant scheduling
+// fields and the BDR reservation columns.
 type TenantStats struct {
 	// ID and Policy identify the tenant and its policy (Policy is the
 	// policy's Name, not the spec it was opened with).
@@ -698,8 +468,7 @@ type TenantStats struct {
 	Overloads   int64 `json:"overloads"`
 	BadSeqs     int64 `json:"bad_seqs"`
 	Checkpoints int64 `json:"checkpoints"`
-	// Cross-tenant scheduling fields (protocol v3, carried only by the
-	// extended stats command — a legacy msgStats row leaves them zero).
+	// Cross-tenant scheduling fields.
 	//
 	// Weight is the tenant's provisioned service weight; MinDelay the
 	// tightest bound in its delay menu. DelayFactor = QueueDepth/MinDelay
@@ -714,8 +483,7 @@ type TenantStats struct {
 	DelayFactor    float64 `json:"delay_factor,omitempty"`
 	MaxDelayFactor float64 `json:"max_delay_factor,omitempty"`
 	ServiceShare   float64 `json:"service_share,omitempty"`
-	// BDR admission fields (protocol v6, carried only by the extended
-	// stats command). ReservedRate/ReservedDelay are the tenant's
+	// BDR admission fields. ReservedRate/ReservedDelay are the tenant's
 	// admitted reservation (zero for a best-effort tenant).
 	// BudgetUtilization is served rounds over the service the
 	// reservation accrued across the passes the tenant was backlogged
@@ -743,6 +511,15 @@ func (s *TenantStats) encode(e *snap.Encoder) {
 	e.Int64(s.Overloads)
 	e.Int64(s.BadSeqs)
 	e.Int64(s.Checkpoints)
+	e.Int(s.Weight)
+	e.Int(s.MinDelay)
+	e.Int64(s.ServedRounds)
+	e.Float64(s.DelayFactor)
+	e.Float64(s.MaxDelayFactor)
+	e.Float64(s.ServiceShare)
+	e.Float64(s.ReservedRate)
+	e.Float64(s.ReservedDelay)
+	e.Float64(s.BudgetUtilization)
 }
 
 func (s *TenantStats) decode(d *snap.Decoder) {
@@ -762,26 +539,6 @@ func (s *TenantStats) decode(d *snap.Decoder) {
 	s.Overloads = d.Int64()
 	s.BadSeqs = d.Int64()
 	s.Checkpoints = d.Int64()
-}
-
-// encodeEx appends the protocol-v3 scheduling fields after the legacy
-// row. Only msgStatsEx responses carry them; the legacy msgStats row
-// stays byte-identical for older clients.
-func (s *TenantStats) encodeEx(e *snap.Encoder) {
-	s.encode(e)
-	e.Int(s.Weight)
-	e.Int(s.MinDelay)
-	e.Int64(s.ServedRounds)
-	e.Float64(s.DelayFactor)
-	e.Float64(s.MaxDelayFactor)
-	e.Float64(s.ServiceShare)
-	e.Float64(s.ReservedRate)
-	e.Float64(s.ReservedDelay)
-	e.Float64(s.BudgetUtilization)
-}
-
-func (s *TenantStats) decodeEx(d *snap.Decoder) {
-	s.decode(d)
 	s.Weight = d.Int()
 	s.MinDelay = d.Int()
 	s.ServedRounds = d.Int64()
@@ -794,7 +551,7 @@ func (s *TenantStats) decodeEx(d *snap.Decoder) {
 }
 
 func encodeStatsResp(e *snap.Encoder, rows []TenantStats) {
-	e.Uint64(msgStats)
+	e.Uint64(msgTenantStats)
 	e.Int(len(rows))
 	for i := range rows {
 		rows[i].encode(e)
@@ -810,31 +567,6 @@ func decodeStatsResp(d *snap.Decoder) []TenantStats {
 	for i := 0; i < n; i++ {
 		var s TenantStats
 		s.decode(d)
-		if d.Err() != nil {
-			return nil
-		}
-		rows = append(rows, s)
-	}
-	return rows
-}
-
-func encodeStatsRespEx(e *snap.Encoder, rows []TenantStats) {
-	e.Uint64(msgStatsEx)
-	e.Int(len(rows))
-	for i := range rows {
-		rows[i].encodeEx(e)
-	}
-}
-
-func decodeStatsRespEx(d *snap.Decoder) []TenantStats {
-	n := d.Len()
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	rows := make([]TenantStats, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		var s TenantStats
-		s.decodeEx(d)
 		if d.Err() != nil {
 			return nil
 		}
@@ -877,10 +609,9 @@ func decodeResult(d *snap.Decoder) *sched.Result {
 }
 
 // errResp is the error response: a machine-readable code (see
-// errors.go), the expected sequence for errBadSeq, and a human-readable
-// message. A codeAdmission rejection additionally carries the shard's
-// residual capacity (protocol v6, trailing pair encoded only for that
-// code — only v6 clients can provoke it, so older peers never see it).
+// errors.go), the expected sequence for codeBadSeq, a human-readable
+// message, and — meaningful for codeAdmission, zero otherwise — the
+// shard's residual capacity.
 type errResp struct {
 	Code     int
 	Expected int
@@ -894,22 +625,21 @@ type errResp struct {
 
 func (m *errResp) encode(e *snap.Encoder) {
 	e.Uint64(msgErr)
+	m.encodeFields(e)
+}
+
+func (m *errResp) encodeFields(e *snap.Encoder) {
 	e.Int(m.Code)
 	e.Int(m.Expected)
 	e.String(m.Msg)
-	if m.Code == codeAdmission {
-		e.Float64(m.ResidualRate)
-		e.Float64(m.ResidualDelay)
-	}
+	e.Float64(m.ResidualRate)
+	e.Float64(m.ResidualDelay)
 }
 
 func (m *errResp) decode(d *snap.Decoder) {
 	m.Code = d.Int()
 	m.Expected = d.Int()
 	m.Msg = d.String()
-	m.ResidualRate, m.ResidualDelay = 0, 0
-	if m.Code == codeAdmission && d.Err() == nil && d.Remaining() > 0 {
-		m.ResidualRate = d.Float64()
-		m.ResidualDelay = d.Float64()
-	}
+	m.ResidualRate = d.Float64()
+	m.ResidualDelay = d.Float64()
 }

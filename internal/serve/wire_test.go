@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/sched"
@@ -10,16 +13,23 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	bodies := [][]byte{[]byte("hello"), nil, bytes.Repeat([]byte{7}, 1000)}
+	// Buffers smaller than most frames make headers straddle flushes and
+	// refills, the paths a roomy buffer never takes.
+	var conn bytes.Buffer
+	bw := bufio.NewWriterSize(&conn, 16)
+	bodies := [][]byte{[]byte("hello"), nil, bytes.Repeat([]byte{7}, 1000), []byte("abc"), bytes.Repeat([]byte{9}, 13)}
 	for _, b := range bodies {
-		if err := writeFrame(&buf, b); err != nil {
+		if err := writeFrame(bw, b); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReaderSize(&conn, 16)
 	var scratch []byte
 	for _, want := range bodies {
-		got, err := readFrame(&buf, scratch)
+		got, err := readFrame(br, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,53 +38,213 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		scratch = got
 	}
-	if _, err := readFrame(&buf, scratch); err != io.EOF {
+	if _, err := readFrame(br, scratch); err != io.EOF {
 		t.Fatalf("read past end = %v, want io.EOF", err)
 	}
 }
 
+// TestFrameIONoAlloc pins the framing layer at zero allocations per
+// frame: the length header is appended into the bufio.Writer's buffer
+// and peeked out of the bufio.Reader's, so neither escapes to the heap
+// on the client, the server, or a proxy relay.
+func TestFrameIONoAlloc(t *testing.T) {
+	var conn bytes.Buffer
+	bw := bufio.NewWriter(&conn)
+	br := bufio.NewReader(&conn)
+	body := bytes.Repeat([]byte{7}, 100)
+	var buf []byte
+	roundTrip := func() {
+		if err := writeFrame(bw, body); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readFrame(br, buf)
+		if err != nil || len(got) != len(body) {
+			t.Fatalf("readFrame = (%d bytes, %v)", len(got), err)
+		}
+		buf = got
+	}
+	roundTrip() // warm: grows buf once
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("writing and reading one frame allocates %.1f times", allocs)
+	}
+}
+
 func TestFrameRejectsOversize(t *testing.T) {
-	if err := writeFrame(io.Discard, make([]byte, MaxFrame+1)); err == nil {
+	if err := writeFrame(bufio.NewWriter(io.Discard), make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("writeFrame accepted an oversized body")
 	}
 	hdr := []byte{0xff, 0xff, 0xff, 0xff} // length 2^32-1
-	if _, err := readFrame(bytes.NewReader(hdr), nil); err == nil {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr)), nil); err == nil {
 		t.Fatal("readFrame accepted an oversized length prefix")
 	}
 }
 
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("payload")); err != nil {
+	bw := bufio.NewWriter(&buf)
+	if err := writeFrame(bw, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
+	bw.Flush()
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		if _, err := readFrame(bytes.NewReader(full[:cut]), nil); err == nil {
-			t.Fatalf("truncation at %d not detected", cut)
+		// Only an empty stream is a clean end: any cut is a truncation.
+		if _, err := readFrame(bufio.NewReader(bytes.NewReader(full[:cut])), nil); err == nil || err == io.EOF {
+			t.Fatalf("truncation at %d = %v, want a truncation error", cut, err)
 		}
 	}
 }
 
-func TestSubmitMsgRoundTrip(t *testing.T) {
-	e := snap.NewEncoder()
-	in := submitMsg{
-		Tenant: "t1", Seq: 42,
-		Arrivals: sched.Request{{Color: 3, Count: 7}, {Color: 0, Count: 1}},
+// codecCase is one TestWireCodecRoundTrip entry: a value, its message
+// type, and how to encode it and decode it back.
+type codecCase struct {
+	name string
+	typ  uint64
+	in   any
+	enc  func(*snap.Encoder)
+	dec  func(*snap.Decoder) any
+}
+
+// TestWireCodecRoundTrip encodes and decodes every request and response
+// type of the protocol — including zero-valued weights, reservations,
+// blobs and backend rows, which a fixed-layout frame carries like any
+// other value — and requires the decoder to consume each frame exactly
+// and return what was encoded.
+func TestWireCodecRoundTrip(t *testing.T) {
+	cfg := TenantConfig{Policy: "edf", N: 4, Speed: 2, Delta: 3, Delays: []int{2, 6},
+		QueueCap: 32, Weight: 5, ResRate: 0.25, ResDelay: 16}
+	row := TenantStats{ID: "a", Policy: "ΔLRU-EDF", Round: 9, NextSeq: 11, Pending: 3, QueueDepth: 2,
+		QueueCap: 64, Executed: 100, Dropped: 4, Reconfigs: 7, CostReconfig: 28,
+		CostDrop: 4, MaxPending: 12, Overloads: 1, BadSeqs: 2, Checkpoints: 3,
+		Weight: 2, MinDelay: 4, ServedRounds: 70, DelayFactor: 0.5,
+		MaxDelayFactor: 2.25, ServiceShare: 0.125,
+		ReservedRate: 0.25, ReservedDelay: 32, BudgetUtilization: 1.5}
+	counters := DuraStats{Mode: "log", Appends: 6, Bytes: 600, Fsyncs: 2, Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1}
+	res := &sched.Result{Policy: "EDF", Cost: sched.Cost{Reconfig: 12, Drop: 5},
+		Executed: 40, Dropped: 5, Reconfigs: 3, Rounds: 17,
+		DropsByColor: []int{1, 4}, ExecByColor: []int{20, 20}}
+	type ping struct {
+		Draining bool
+		Tenants  int
 	}
-	in.encode(e)
-	d := snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgSubmit {
-		t.Fatalf("type = %d", typ)
+	bare := func(name string, typ uint64) codecCase {
+		return codecCase{name, typ, ping{},
+			func(e *snap.Encoder) { e.Uint64(typ) },
+			func(*snap.Decoder) any { return ping{} }}
 	}
-	var out submitMsg
-	out.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
+	openCase := func(name string, typ uint64, m openMsg) codecCase {
+		return codecCase{name, typ, m,
+			func(e *snap.Encoder) { m.encode(e, typ) },
+			func(d *snap.Decoder) any { var out openMsg; out.decode(d, typ); return out }}
 	}
-	if out.Tenant != in.Tenant || out.Seq != in.Seq || len(out.Arrivals) != 2 ||
-		out.Arrivals[0] != in.Arrivals[0] || out.Arrivals[1] != in.Arrivals[1] {
-		t.Fatalf("round trip: %+v", out)
+	openRespCase := func(name string, typ uint64, m openResp) codecCase {
+		return codecCase{name, typ, m,
+			func(e *snap.Encoder) { m.encode(e, typ) },
+			func(d *snap.Decoder) any { var out openResp; out.decode(d); return out }}
+	}
+	batchCase := func(name string, m batchMsg) codecCase {
+		return codecCase{name, msgSubmitBatch, m,
+			func(e *snap.Encoder) { m.encode(e) },
+			func(d *snap.Decoder) any { var out batchMsg; out.decode(d); return out }}
+	}
+	batchRespCase := func(name string, m batchResp) codecCase {
+		return codecCase{name, msgSubmitBatch, m,
+			func(e *snap.Encoder) { m.encode(e) },
+			func(d *snap.Decoder) any { var out batchResp; out.decode(d); return out }}
+	}
+	tenantCase := func(name string, m tenantMsg) codecCase {
+		return codecCase{name, m.Type, m,
+			func(e *snap.Encoder) { m.encode(e) },
+			func(d *snap.Decoder) any { out := tenantMsg{Type: m.Type}; out.decode(d); return out }}
+	}
+	statsCase := func(name string, rows []TenantStats) codecCase {
+		return codecCase{name, msgTenantStats, rows,
+			func(e *snap.Encoder) { encodeStatsResp(e, rows) },
+			func(d *snap.Decoder) any { return decodeStatsResp(d) }}
+	}
+	resultCase := func(name string, typ uint64) codecCase {
+		return codecCase{name, typ, res,
+			func(e *snap.Encoder) { encodeResult(e, typ, res) },
+			func(d *snap.Decoder) any { return decodeResult(d) }}
+	}
+	releaseCase := func(name string, r *ReleasedTenant) codecCase {
+		return codecCase{name, msgRelease, r,
+			func(e *snap.Encoder) { r.encode(e) },
+			func(d *snap.Decoder) any { out := &ReleasedTenant{}; out.decode(d); return out }}
+	}
+	duraCase := func(name string, st DuraStats) codecCase {
+		return codecCase{name, msgDuraStats, st,
+			func(e *snap.Encoder) { st.encode(e) },
+			func(d *snap.Decoder) any { var out DuraStats; out.decode(d); return out }}
+	}
+	errCase := func(name string, m errResp) codecCase {
+		return codecCase{name, msgErr, m,
+			func(e *snap.Encoder) { m.encode(e) },
+			func(d *snap.Decoder) any { var out errResp; out.decode(d); return out }}
+	}
+	zero := TenantConfig{Policy: "edf"} // weight, reservation, delays all zero
+
+	cases := []codecCase{
+		openCase("open", msgOpen, openMsg{Version: ProtocolVersion, Tenant: "t1", Config: cfg}),
+		openCase("open-zero", msgOpen, openMsg{Version: ProtocolVersion, Tenant: "t0", Config: zero}),
+		openRespCase("open-response", msgOpen, openResp{NextSeq: 7, Resumed: true}),
+		openCase("restore", msgRestore, openMsg{Version: ProtocolVersion, Tenant: "t1", Config: cfg, Blob: []byte{1, 2, 3}}),
+		openCase("restore-zero", msgRestore, openMsg{Version: ProtocolVersion, Tenant: "t0", Config: zero}),
+		openRespCase("restore-response", msgRestore, openResp{NextSeq: 9}),
+		batchCase("submit-batch", batchMsg{Tenant: "t1", Seq: 42, Ticks: []sched.Request{
+			{{Color: 3, Count: 7}, {Color: 0, Count: 1}}, nil, {{Color: 5, Count: 2}}}}),
+		// The frame Client.Submit sends: a batch of one.
+		batchCase("submit-batch-of-one", batchMsg{Tenant: "t1", Seq: 43, Ticks: []sched.Request{{{Color: 1, Count: 1}}}}),
+		batchRespCase("submit-batch-response", batchResp{Admitted: 16, Round: 99, QueueDepth: 3}),
+		batchRespCase("submit-batch-response-rejected", batchResp{Admitted: 4, Round: 7, QueueDepth: 4,
+			Err: &errResp{Code: codeBadSeq, Expected: 11, Msg: "bad round sequence"}}),
+		tenantCase("stats-all", tenantMsg{Type: msgTenantStats, Tenant: ""}),
+		tenantCase("stats-one", tenantMsg{Type: msgTenantStats, Tenant: "a"}),
+		statsCase("stats-response", []TenantStats{row, {ID: "b"}}),
+		statsCase("stats-response-empty", nil),
+		tenantCase("result", tenantMsg{Type: msgResult, Tenant: "a"}),
+		resultCase("result-response", msgResult),
+		tenantCase("drain", tenantMsg{Type: msgDrain, Tenant: "a"}),
+		resultCase("drain-response", msgDrain),
+		tenantCase("close-tenant", tenantMsg{Type: msgCloseTenant, Tenant: "a"}),
+		resultCase("close-tenant-response", msgCloseTenant),
+		tenantCase("release", tenantMsg{Type: msgRelease, Tenant: "a"}),
+		releaseCase("release-response", &ReleasedTenant{Config: cfg, NextSeq: 41, Blob: []byte{9, 8}}),
+		releaseCase("release-response-zero", &ReleasedTenant{Config: zero}),
+		bare("ping", msgPing),
+		{"ping-response", msgPing, ping{Draining: true, Tenants: 3},
+			func(e *snap.Encoder) { AppendPingResponse(e, PeekInfo{}, true, 3) },
+			func(d *snap.Decoder) any { return ping{Draining: d.Bool(), Tenants: d.Int()} }},
+		bare("dura-stats", msgDuraStats),
+		duraCase("dura-stats-response", DuraStats{Mode: "mixed", Appends: 10, Bytes: 1000, Fsyncs: 3,
+			Deltas: 2, Rotations: 1, Compactions: 1, Segments: 2, Backends: []BackendDuraStats{
+				{Addr: "127.0.0.1:1", DuraStats: counters}, {Addr: "127.0.0.1:2", DuraStats: DuraStats{Mode: "off"}}}}),
+		duraCase("dura-stats-response-no-backends", counters),
+		duraCase("dura-stats-response-zero", DuraStats{}),
+		errCase("error-admission", errResp{Code: codeAdmission, Msg: "shard full", ResidualRate: 0.375, ResidualDelay: 2}),
+		errCase("error-bad-seq", errResp{Code: codeBadSeq, Expected: 7, Msg: "bad seq"}),
+		errCase("error-zero", errResp{}),
+	}
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := snap.NewEncoder()
+			c.enc(e)
+			d := snap.NewDecoder(e.Bytes())
+			if typ := d.Uint64(); typ != c.typ {
+				t.Fatalf("type = %d, want %d", typ, c.typ)
+			}
+			got := c.dec(d)
+			if err := d.Done(); err != nil {
+				t.Fatalf("decoding %+v: %v", c.in, err)
+			}
+			if !reflect.DeepEqual(got, c.in) {
+				t.Fatalf("round trip:\n got %+v\nwant %+v", got, c.in)
+			}
+		})
 	}
 }
 
@@ -179,7 +349,7 @@ func TestStatsRespRoundTrip(t *testing.T) {
 	e := snap.NewEncoder()
 	encodeStatsResp(e, rows)
 	d := snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgStats {
+	if typ := d.Uint64(); typ != msgTenantStats {
 		t.Fatalf("type = %d", typ)
 	}
 	got := decodeStatsResp(d)
@@ -212,140 +382,39 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-// The steady-state ingest path must not allocate per frame: encoding a
-// submit into a reused encoder and decoding it into a reused submitMsg
-// both reach zero allocations, which is what keeps a tenant's submit
-// loop allocation-free on the server.
+// The steady-state ingest path must not allocate per frame: staging a
+// submit the way Client.Submit does — one tick in a reused one-element
+// array, sent as a batch of one — into a reused encoder, and decoding it
+// into a reused batchMsg, both reach zero allocations, which is what
+// keeps a tenant's submit loop allocation-free on client and server.
 func TestSubmitCodecSteadyStateAllocs(t *testing.T) {
 	e := snap.NewEncoder()
 	req := sched.Request{{Color: 3, Count: 7}, {Color: 0, Count: 1}, {Color: 5, Count: 2}}
-	msg := submitMsg{Tenant: "tenant-0", Seq: 0, Arrivals: req}
-	var dec submitMsg
-	// Warm: the decoder grows its arrivals buffer once.
-	e.Reset()
-	msg.encode(e)
-	dec.decode(snap.NewDecoder(e.Bytes()))
-
-	allocs := testing.AllocsPerRun(200, func() {
+	var one [1]sched.Request
+	msg := batchMsg{Tenant: "tenant-0", Seq: 0}
+	var dec batchMsg
+	roundTrip := func() {
 		msg.Seq++
+		one[0] = req
+		msg.Ticks = one[:]
 		e.Reset()
 		msg.encode(e)
+		one[0] = nil
 		d := snap.NewDecoder(e.Bytes())
 		d.Uint64()
 		dec.decode(d)
-		if d.Err() != nil {
-			t.Fatal(d.Err())
+		if d.Err() != nil || len(dec.Ticks) != 1 || len(dec.Ticks[0]) != len(req) {
+			t.Fatalf("decoded %+v (%v)", dec, d.Err())
 		}
-	})
-	if allocs != 0 {
+	}
+	roundTrip() // warm: the decoder grows its tick buffers once
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Fatalf("submit encode+decode allocates %.1f per frame", allocs)
 	}
 }
 
-// TestOpenMsgV6RoundTrip pins the protocol-v6 reservation extension: a
-// reserved open round-trips its (rate, delay) pair, and an unreserved
-// v6 open encodes byte-identically to the v5 shape (the optional pair
-// is simply absent), so pre-v6 peers keep decoding it unchanged.
-func TestOpenMsgV6RoundTrip(t *testing.T) {
-	in := openMsg{Version: ProtocolVersion, Tenant: "t1", Policy: "edf",
-		N: 4, Speed: 1, Delta: 4, QueueCap: 32, Delays: []int{2, 6}, Weight: 2,
-		ResRate: 0.25, ResDelay: 16}
-	e := snap.NewEncoder()
-	in.encode(e)
-	d := snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgOpen {
-		t.Fatalf("type = %d", typ)
-	}
-	var out openMsg
-	out.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if out.ResRate != 0.25 || out.ResDelay != 16 || out.Weight != 2 {
-		t.Fatalf("round trip: %+v", out)
-	}
-
-	// Unreserved: byte-identical to the same message with the pair
-	// hand-encoded absent (the v5 shape).
-	in.ResRate, in.ResDelay = 0, 0
-	e.Reset()
-	in.encode(e)
-	v6 := append([]byte(nil), e.Bytes()...)
-	e.Reset()
-	e.Uint64(msgOpen)
-	e.Int(in.Version)
-	e.String(in.Tenant)
-	e.String(in.Policy)
-	e.Int(in.N)
-	e.Int(in.Speed)
-	e.Int(in.Delta)
-	e.Int(in.QueueCap)
-	e.Ints(in.Delays)
-	e.Int(in.Weight)
-	if !bytes.Equal(v6, e.Bytes()) {
-		t.Fatalf("unreserved v6 open differs from the v5 encoding:\n v6 %x\n v5 %x", v6, e.Bytes())
-	}
-}
-
-// TestMigrationV6RoundTrip pins the reservation pair through the
-// migration codecs: releaseResp hands it out after the blob, restoreMsg
-// re-declares it, and the unreserved encodings stay v5-shaped.
-func TestMigrationV6RoundTrip(t *testing.T) {
-	rel := releaseResp{Policy: "edf", N: 4, Speed: 1, Delta: 4, QueueCap: 32,
-		Delays: []int{2, 6}, Weight: 1, NextSeq: 9, Blob: []byte{1, 2, 3},
-		ResRate: 0.5, ResDelay: 24}
-	e := snap.NewEncoder()
-	rel.encode(e)
-	d := snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgRelease {
-		t.Fatalf("type = %d", typ)
-	}
-	var relOut releaseResp
-	relOut.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if relOut.ResRate != 0.5 || relOut.ResDelay != 24 || !bytes.Equal(relOut.Blob, rel.Blob) {
-		t.Fatalf("release round trip: %+v", relOut)
-	}
-
-	res := restoreMsg{Version: ProtocolVersion, Tenant: "t1", Policy: "edf",
-		N: 4, Speed: 1, Delta: 4, QueueCap: 32, Delays: []int{2, 6}, Weight: 1,
-		Blob: []byte{4, 5}, ResRate: 0.5, ResDelay: 24}
-	e.Reset()
-	res.encode(e)
-	d = snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgRestore {
-		t.Fatalf("type = %d", typ)
-	}
-	var resOut restoreMsg
-	resOut.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if resOut.ResRate != 0.5 || resOut.ResDelay != 24 || !bytes.Equal(resOut.Blob, res.Blob) {
-		t.Fatalf("restore round trip: %+v", resOut)
-	}
-
-	// Unreserved messages must end at the blob, exactly as in v5.
-	rel.ResRate, rel.ResDelay = 0, 0
-	e.Reset()
-	rel.encode(e)
-	d = snap.NewDecoder(e.Bytes())
-	d.Uint64()
-	relOut = releaseResp{}
-	relOut.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if relOut.ResRate != 0 || relOut.ResDelay != 0 {
-		t.Fatalf("unreserved release round trip: %+v", relOut)
-	}
-}
-
-// TestErrRespAdmissionRoundTrip: the residual-capacity pair rides only
-// on codeAdmission responses, so every other error code keeps its exact
-// pre-v6 encoding (old clients decode those with a strict Done()).
+// TestErrRespAdmissionRoundTrip: an admission rejection carries the
+// shard's residual capacity through to the client's typed error.
 func TestErrRespAdmissionRoundTrip(t *testing.T) {
 	in := errResp{Code: codeAdmission, Msg: "shard full", ResidualRate: 0.375, ResidualDelay: 2}
 	e := snap.NewEncoder()
@@ -362,64 +431,36 @@ func TestErrRespAdmissionRoundTrip(t *testing.T) {
 	if out != in {
 		t.Fatalf("round trip: %+v, want %+v", out, in)
 	}
-
-	// A non-admission error must not grow the residual fields.
-	plain := errResp{Code: codeBadSeq, Expected: 7, Msg: "bad seq"}
-	e.Reset()
-	plain.encode(e)
-	withRes := errResp{Code: codeBadSeq, Expected: 7, Msg: "bad seq", ResidualRate: 1}
-	e2 := snap.NewEncoder()
-	withRes.encode(e2)
-	if !bytes.Equal(e.Bytes(), e2.Bytes()) {
-		t.Fatal("non-admission errResp encoding depends on residual fields")
+	var ae *AdmissionError
+	if err := errFromResp(&out); !errors.As(err, &ae) || ae.ResidualRate != 0.375 || ae.ResidualDelay != 2 {
+		t.Fatalf("typed error = %v, want *AdmissionError with the residuals", err)
 	}
 }
 
 // TestDuraStatsBackendsRoundTrip pins the proxy fan-out rows: a
 // response with per-backend rows round-trips them labelled, and a
-// row-less response stays byte-identical to the v5 encoding.
+// direct-dial response decodes with no rows.
 func TestDuraStatsBackendsRoundTrip(t *testing.T) {
 	in := DuraStats{Mode: "mixed", Appends: 10, Bytes: 1000, Fsyncs: 3,
 		Deltas: 2, Rotations: 1, Compactions: 1, Segments: 2,
 		Backends: []BackendDuraStats{
 			{Addr: "127.0.0.1:1", DuraStats: DuraStats{Mode: "log", Appends: 6, Bytes: 600, Fsyncs: 2, Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1}},
-			{Addr: "127.0.0.1:2", DuraStats: DuraStats{Mode: "files", Appends: 4, Bytes: 400, Fsyncs: 1, Segments: 1}},
+			{Addr: "127.0.0.1:2", DuraStats: DuraStats{Mode: "off"}},
 		}}
-	e := snap.NewEncoder()
-	in.encode(e)
-	d := snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgDuraStats {
-		t.Fatalf("type = %d", typ)
-	}
-	var out DuraStats
-	out.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if out.Mode != "mixed" || out.Appends != 10 || len(out.Backends) != 2 {
-		t.Fatalf("round trip: %+v", out)
-	}
-	if out.Backends[0].Addr != "127.0.0.1:1" || out.Backends[0].Appends != 6 ||
-		out.Backends[1].Addr != "127.0.0.1:2" || out.Backends[1].Mode != "files" {
-		t.Fatalf("backend rows: %+v", out.Backends)
-	}
-
-	// Row-less: byte-identical to the v5 shape (no trailing count).
-	in.Backends = nil
-	e.Reset()
-	in.encode(e)
-	v6 := append([]byte(nil), e.Bytes()...)
-	e.Reset()
-	e.Uint64(msgDuraStats)
-	e.String(in.Mode)
-	e.Int64(in.Appends)
-	e.Int64(in.Bytes)
-	e.Int64(in.Fsyncs)
-	e.Int64(in.Deltas)
-	e.Int64(in.Rotations)
-	e.Int64(in.Compactions)
-	e.Int64(in.Segments)
-	if !bytes.Equal(v6, e.Bytes()) {
-		t.Fatalf("row-less v6 DuraStats differs from the v5 encoding:\n v6 %x\n v5 %x", v6, e.Bytes())
+	for _, want := range []DuraStats{in, {Mode: "log", Appends: 4}} {
+		e := snap.NewEncoder()
+		want.encode(e)
+		d := snap.NewDecoder(e.Bytes())
+		if typ := d.Uint64(); typ != msgDuraStats {
+			t.Fatalf("type = %d", typ)
+		}
+		var out DuraStats
+		out.decode(d)
+		if err := d.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("round trip: %+v, want %+v", out, want)
+		}
 	}
 }
