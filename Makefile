@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test race race-hot cover bench bench-json benchsmoke faultsmoke durasmoke bdrsmoke optsmoke servesmoke proxysmoke docscheck check experiments fmt vet clean
+.PHONY: all build test race race-hot cover bench bench-json benchsmoke faultsmoke durasmoke bdrsmoke optsmoke servesmoke proxysmoke docscheck check fuzz experiments fmt vet clean
 
 all: build test
 
@@ -110,6 +110,26 @@ docscheck:
 # iterating on one subsystem.
 check: vet docscheck
 	go test -race -count=1 ./...
+
+# Run every fuzz target for FUZZTIME past its seed corpus (`make check`
+# runs only the seeds). `go test -fuzz` takes one target per run, so the
+# targets go one at a time. A failing input is saved under the package's
+# testdata/fuzz, where every later `go test` run replays it.
+FUZZTIME ?= 15s
+FUZZ_TARGETS = \
+	./internal/serve:FuzzFrameDecode \
+	./internal/serve:FuzzResponseDecode \
+	./internal/sched:FuzzReplaySchedule \
+	./internal/sched:FuzzStreamArrivals \
+	./internal/trace:FuzzCheckpointDecode \
+	./internal/trace:FuzzReadCSV \
+	./internal/trace:FuzzReadJSON
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$pkg $$fn ($(FUZZTIME))"; \
+		go test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
 
 # Regenerate every experiment table/figure (DESIGN.md §3) and refresh the
 # data section of EXPERIMENTS.md.

@@ -6,6 +6,14 @@
 // be bit-identical — the end-to-end check that the server lost and
 // duplicated nothing.
 //
+// Every tenant runs the same driver: a pipelined submit window of
+// max(-pipeline, 1) frames, each carrying -batch rounds. At the default
+// window of one every frame is acknowledged before the next is sent;
+// a paced run (-rate) flushes its window before each pacing sleep, so a
+// frame leaves as soon as it is due. Shed rounds are resubmitted after a
+// back-off; sequence rewinds, reconnects and a failed final drain resume
+// from the server's sequence — all through the same submit loop.
+//
 // Usage:
 //
 //	rrload -addr 127.0.0.1:7145                  # 64 tenants, router workload

@@ -14,7 +14,6 @@
 //	rrserved -bdr                     # bounded-delay admission control: tenants may
 //	                                  # reserve (rate, delay) pairs, checked against
 //	                                  # the machine's supply bound before admission
-//	rrserved -bdr -machine-rate 8 -shard-rate 1   # explicit capacity model
 //
 // Durable mode uses the group-commit checkpoint log (docs/CHECKPOINT.md):
 // all tenants' checkpoints are appended to shared segment files and one
@@ -22,8 +21,8 @@
 // window, so checkpoint cost stays flat as tenant counts grow.
 //
 // Which backlogged tenant a worker serves next is the cross-tenant
-// allocator's decision (-allocator, -alloc-quantum, -alloc-escalation);
-// see docs/SCHEDULING.md for the model and tuning guidance.
+// allocator's decision (-allocator); see docs/SCHEDULING.md for the
+// model and tuning guidance.
 //
 // With -bdr the server additionally runs bounded-delay-reservation
 // admission control (docs/SCHEDULING.md "Admission"): a tenant may
@@ -32,9 +31,8 @@
 // the fractional-share controller clamps the tenant's scheduling weight
 // and per-pass budget so the guarantee holds under any competing load —
 // or rejects the open with a typed admission error carrying the
-// residual capacity. -machine-rate/-machine-delay and
-// -shard-rate/-shard-delay set the capacity model; the defaults derive
-// a machine rate equal to the shard count split evenly across shards.
+// residual capacity. The capacity model follows -shards: each shard
+// supplies rate 1 at delay bound 1, under a machine of rate -shards.
 //
 // SIGTERM or SIGINT drains gracefully: the server stops admitting work,
 // applies every queued round tick, writes a final checkpoint per tenant
@@ -67,16 +65,9 @@ func main() {
 		shards       = flag.Int("shards", 0, "round-engine worker shards (0 = GOMAXPROCS, capped at 16)")
 		maxTen       = flag.Int("max-tenants", 0, "live tenant limit (0 = default 4096)")
 		queueCap     = flag.Int("queue-cap", 0, "default per-tenant queue cap (0 = default 64)")
-		connWin      = flag.Int("conn-window", 0, "staged responses per connection before the reader blocks (0 = default 256)")
 		alloc        = flag.String("allocator", "", "cross-tenant allocator: wdrr or fifo (empty = wdrr)")
-		allocQ       = flag.Int("alloc-quantum", 0, "wdrr rounds per pick per unit weight (0 = default 8)")
-		allocEsc     = flag.Float64("alloc-escalation", 0, "delay factor that escalates a tenant (0 = default 0.5, negative disables)")
 		statsInt     = flag.Duration("stats-every", 0, "log a scheduling summary at this interval (0 = off)")
 		bdrOn        = flag.Bool("bdr", false, "enable bounded-delay-reservation admission control")
-		machineRate  = flag.Float64("machine-rate", 0, "BDR machine service rate in rounds per pass (0 = shard count)")
-		machineDelay = flag.Float64("machine-delay", 0, "BDR machine-level delay bound in rounds")
-		shardRate    = flag.Float64("shard-rate", 0, "BDR per-shard service rate (0 = machine-rate/shards)")
-		shardDelay   = flag.Float64("shard-delay", 0, "BDR per-shard delay bound (0 = machine-delay+1)")
 		quiet        = flag.Bool("quiet", false, "suppress operational log lines")
 	)
 	flag.Parse()
@@ -98,15 +89,8 @@ func main() {
 		Shards:             *shards,
 		MaxTenants:         *maxTen,
 		DefaultQueueCap:    *queueCap,
-		ConnWindow:         *connWin,
 		Allocator:          *alloc,
-		AllocQuantum:       *allocQ,
-		AllocEscalation:    *allocEsc,
 		BDR:                *bdrOn,
-		MachineRate:        *machineRate,
-		MachineDelay:       *machineDelay,
-		ShardRate:          *shardRate,
-		ShardDelay:         *shardDelay,
 		Logf:               logf,
 	})
 	if err != nil {

@@ -284,7 +284,7 @@ func serveSubmitSpec(name string, tenants int, boot func(string, int) (*serve.Cl
 
 // servePipelinedSpec measures the pipelined wire path: each op stages
 // batch consecutive rounds for one tenant (rotating across tenants)
-// into a pipelined window of tagged frames, so the round trip is
+// into a pipelined window of frames, so the round trip is
 // amortized over the window and the framing over the batch. The ratio
 // of its rounds_per_sec to serve/submit/*'s is the wire-path tax the
 // pipelining recovers; the floor is step/*, the bare engine cost. boot

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/sched"
 	"repro/internal/snap"
@@ -42,13 +44,15 @@ type TenantConfig struct {
 }
 
 // Client is one connection to an rrserved server. It is safe for
-// concurrent use; synchronous requests serialize on the connection in
-// strict request/response order, and NewPipeline layers a bounded
-// in-flight window on top via tagged frames when round-trip latency is
-// the bottleneck. Server-side rejections come back as the
-// typed errors in errors.go; a transport or protocol failure poisons
-// the client — every later call returns the same error, and the caller
-// should Dial a fresh one.
+// concurrent use. Every request goes through one exchange: stage it
+// under a fresh tag (stage), then receive responses and match them to
+// their requests by the echoed tag (receive). A synchronous call is a
+// window of one — it stages, receives, and checks that its own tag came
+// back — and NewPipeline keeps a bounded window of submits in flight
+// when round-trip latency is the bottleneck. Server-side rejections
+// come back as the typed errors in errors.go; a transport or protocol
+// failure poisons the client — every later call returns the same
+// error, and the caller should Dial a fresh one.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -57,9 +61,22 @@ type Client struct {
 	enc  *snap.Encoder
 	buf  []byte
 	err  error // sticky transport/protocol error
-	// one is Submit's batch-of-one scratch, so a strict submit stages
-	// its single tick without allocating.
-	one [1]sched.Request
+	// tag is the last request tag issued (it wraps at tagSpace); infl
+	// lists the staged requests still awaiting their responses.
+	tag  uint64
+	infl []inflight
+}
+
+// inflight is one staged request awaiting its response: its tag, the
+// type a success response echoes, and — for a submit — the rounds it
+// carries and when it was staged.
+type inflight struct {
+	tag    uint64
+	typ    uint64
+	tenant string
+	seq    int
+	rounds int
+	sent   time.Time
 }
 
 // Dial connects to an rrserved server.
@@ -92,62 +109,107 @@ func (c *Client) Close() error {
 }
 
 // poison records a transport/protocol failure as the client's sticky
-// error and closes the connection. Callers hold c.mu.
+// error and closes the connection; nothing is in flight on it any more.
+// Callers hold c.mu.
 func (c *Client) poison(err error) error {
 	c.err = err
+	c.infl = nil
 	c.conn.Close()
 	return err
 }
 
-// roundtrip sends the frame staged in c.enc and reads one response,
-// returning a decoder positioned after the message type. Callers hold
-// c.mu. wantType is the echoed type of a success response; a msgErr
-// response is mapped to its typed error, any other type is a protocol
-// violation that poisons the client.
-func (c *Client) roundtrip(wantType uint64) (*snap.Decoder, error) {
+// stage is the one way a request reaches the wire: it issues the next
+// tag, encodes the request after it, frames it into the write buffer
+// and records it in flight. Nothing is flushed here — receive pushes the
+// buffer before it blocks. Callers hold c.mu.
+func (c *Client) stage(req inflight, encode func(*snap.Encoder)) error {
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
-	fail := func(err error) (*snap.Decoder, error) {
-		return nil, c.poison(err)
-	}
+	c.tag = (c.tag + 1) % tagSpace
+	req.tag, req.sent = c.tag, time.Now()
+	c.enc.Reset()
+	c.enc.Uint64(req.tag)
+	encode(c.enc)
 	if err := writeFrame(c.bw, c.enc.Bytes()); err != nil {
-		return fail(err)
+		return c.poison(err)
 	}
+	c.infl = append(c.infl, req)
+	return nil
+}
+
+// receive is the one way a response comes back: it pushes every staged
+// frame (the server cannot answer what it has not seen), reads one
+// response and matches its tag to an in-flight request, which it
+// removes and returns. A success response must echo the request's type
+// and comes back as a decoder positioned at its fields; an error
+// response comes back as its typed error, the client still healthy.
+// Anything else — a transport failure, a missing tag or type, an
+// unknown tag, a wrong type, a malformed error body — poisons the
+// client. Callers hold c.mu.
+func (c *Client) receive() (req inflight, d *snap.Decoder, err error) {
 	if err := c.bw.Flush(); err != nil {
-		return fail(err)
+		return req, nil, c.poison(err)
 	}
 	buf, err := readFrame(c.br, c.buf)
 	if err != nil {
-		return fail(err)
+		return req, nil, c.poison(err)
 	}
 	c.buf = buf
-	d := snap.NewDecoder(buf)
-	switch typ := d.Uint64(); {
-	case d.Err() != nil:
-		return fail(fmt.Errorf("serve: response missing message type: %w", d.Err()))
-	case typ == msgErr:
+	d = snap.NewDecoder(buf)
+	tag, typ := d.Uint64(), d.Uint64()
+	if d.Err() != nil {
+		return req, nil, c.poison(fmt.Errorf("serve: response missing tag or type: %w", d.Err()))
+	}
+	i := slices.IndexFunc(c.infl, func(r inflight) bool { return r.tag == tag })
+	if i < 0 {
+		return req, nil, c.poison(fmt.Errorf("serve: response tag %d matches no in-flight request", tag))
+	}
+	req = c.infl[i]
+	c.infl = slices.Delete(c.infl, i, i+1)
+	switch typ {
+	case req.typ:
+		return req, d, nil
+	case msgErr:
 		var e errResp
 		e.decode(d)
-		if err := d.Done(); err != nil {
-			return fail(fmt.Errorf("serve: malformed error response: %w", err))
+		if err := c.done(d); err != nil {
+			return req, nil, err
 		}
-		return nil, errFromResp(&e)
-	case typ != wantType:
-		return fail(fmt.Errorf("serve: response type %d, expected %d", typ, wantType))
+		return req, nil, errFromResp(&e)
 	}
-	return d, nil
+	return req, nil, c.poison(fmt.Errorf("serve: response type %d to a request of type %d", typ, req.typ))
 }
 
-// done validates that a success response was fully consumed; a trailing
+// done validates that a response body was fully consumed; a trailing
 // or truncated body is a protocol violation that poisons the client.
+// Callers hold c.mu.
 func (c *Client) done(d *snap.Decoder) error {
 	if err := d.Done(); err != nil {
-		c.err = fmt.Errorf("serve: malformed response: %w", err)
-		c.conn.Close()
-		return c.err
+		return c.poison(fmt.Errorf("serve: malformed response: %w", err))
 	}
 	return nil
+}
+
+// call is one synchronous exchange, a window of one: stage the request,
+// receive a response, require that it carries the request's own tag,
+// and decode a success response's fields with decode.
+func (c *Client) call(typ uint64, encode func(*snap.Encoder), decode func(*snap.Decoder)) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.stage(inflight{typ: typ}, encode); err != nil {
+		return err
+	}
+	tag := c.tag
+	req, d, err := c.receive()
+	if c.err == nil && req.tag != tag {
+		return c.poison(fmt.Errorf("serve: response tag %d answers another request than %d", req.tag, tag))
+	}
+	if err != nil {
+		return err
+	}
+	decode(d)
+	return c.done(d)
 }
 
 // Open creates tenant on the server, or re-attaches to a live tenant of
@@ -155,20 +217,11 @@ func (c *Client) done(d *snap.Decoder) error {
 // next Submit must carry — 0 for a fresh tenant, the resume point for a
 // recovered or re-attached one (resumed true).
 func (c *Client) Open(tenant string, tc TenantConfig) (nextSeq int, resumed bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc}).encode(c.enc, msgOpen)
-	d, err := c.roundtrip(msgOpen)
-	if err != nil {
-		return 0, false, err
-	}
 	var r openResp
-	r.decode(d)
-	if err := c.done(d); err != nil {
-		return 0, false, err
-	}
-	return r.NextSeq, r.Resumed, nil
+	err = c.call(msgOpen, func(e *snap.Encoder) {
+		(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc}).encode(e, msgOpen)
+	}, r.decode)
+	return r.NextSeq, r.Resumed, err
 }
 
 // Submit sends one round tick of arrivals for tenant — a submit batch
@@ -176,72 +229,29 @@ func (c *Client) Open(tenant string, tc TenantConfig) (nextSeq int, resumed bool
 // (from Open, or the previous Submit + 1); a mismatch returns
 // *BadSeqError with the resume point. round is the number of rounds the
 // server has applied so far and depth the tenant's queue depth after
-// admission.
+// admission. A Pipeline sends several rounds per frame and keeps
+// several frames in flight.
 func (c *Client) Submit(tenant string, seq int, arrivals sched.Request) (round, depth int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.one[0] = arrivals
-	_, round, depth, err = c.submitLocked(tenant, seq, c.one[:])
-	c.one[0] = nil
+	one := [1]sched.Request{arrivals}
+	var r batchResp
+	err = c.call(msgSubmitBatch, func(e *snap.Encoder) {
+		(&batchMsg{Tenant: tenant, Seq: seq, Ticks: one[:]}).encode(e)
+	}, r.decode)
+	if err == nil && r.Err != nil {
+		err = errFromResp(r.Err)
+	}
 	if err != nil {
 		return 0, 0, err
 	}
-	return round, depth, nil
-}
-
-// SubmitBatch sends ticks[i] as the round tick at sequence seq+i — up
-// to MaxBatch consecutive rounds for one tenant in one frame, amortizing
-// the length prefix and the syscall over the batch. Admission is per
-// round and sequential: admitted reports the prefix length the server
-// queued, and when admitted < len(ticks), err is the rejection of round
-// seq+admitted, typed exactly as Submit would have typed it (so
-// *BadSeqError still carries the resume point and ErrOverloaded still
-// means back off and resubmit). round and depth describe the tenant
-// after the admitted prefix.
-func (c *Client) SubmitBatch(tenant string, seq int, ticks []sched.Request) (admitted, round, depth int, err error) {
-	if len(ticks) > MaxBatch {
-		return 0, 0, 0, fmt.Errorf("serve: batch of %d rounds exceeds MaxBatch %d", len(ticks), MaxBatch)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.submitLocked(tenant, seq, ticks)
-}
-
-// submitLocked is one strict submit-batch round trip. Callers hold c.mu.
-func (c *Client) submitLocked(tenant string, seq int, ticks []sched.Request) (admitted, round, depth int, err error) {
-	c.enc.Reset()
-	(&batchMsg{Tenant: tenant, Seq: seq, Ticks: ticks}).encode(c.enc)
-	d, err := c.roundtrip(msgSubmitBatch)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	var r batchResp
-	r.decode(d)
-	if err := c.done(d); err != nil {
-		return 0, 0, 0, err
-	}
-	if r.Err != nil {
-		err = errFromResp(r.Err)
-	}
-	return r.Admitted, r.Round, r.QueueDepth, err
+	return r.Round, r.QueueDepth, nil
 }
 
 // Stats fetches one tenant's stats row, or every tenant's (sorted by
 // ID) when tenant is "".
-func (c *Client) Stats(tenant string) ([]TenantStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	(&tenantMsg{Type: msgTenantStats, Tenant: tenant}).encode(c.enc)
-	d, err := c.roundtrip(msgTenantStats)
-	if err != nil {
-		return nil, err
-	}
-	rows := decodeStatsResp(d)
-	if err := c.done(d); err != nil {
-		return nil, err
-	}
-	return rows, nil
+func (c *Client) Stats(tenant string) (rows []TenantStats, err error) {
+	err = c.call(msgTenantStats, (&tenantMsg{Type: msgTenantStats, Tenant: tenant}).encode,
+		func(d *snap.Decoder) { rows = decodeStatsResp(d) })
+	return rows, err
 }
 
 // Result fetches the tenant's cumulative scheduling totals so far,
@@ -264,23 +274,11 @@ func (c *Client) CloseTenant(tenant string) (*sched.Result, error) {
 	return c.resultCommand(msgCloseTenant, tenant)
 }
 
-func (c *Client) resultCommand(typ uint64, tenant string) (*sched.Result, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	(&tenantMsg{Type: typ, Tenant: tenant}).encode(c.enc)
-	d, err := c.roundtrip(typ)
+func (c *Client) resultCommand(typ uint64, tenant string) (res *sched.Result, err error) {
+	err = c.call(typ, (&tenantMsg{Type: typ, Tenant: tenant}).encode,
+		func(d *snap.Decoder) { res = decodeResult(d) })
 	if err != nil {
 		return nil, err
-	}
-	res := decodeResult(d)
-	if err := c.done(d); err != nil {
-		return nil, err
-	}
-	if res == nil {
-		c.err = fmt.Errorf("serve: malformed result response")
-		c.conn.Close()
-		return nil, c.err
 	}
 	return res, nil
 }
@@ -301,17 +299,8 @@ type ReleasedTenant struct {
 // Restore brings the tenant back. Feed the returned state to Restore on
 // the migration target.
 func (c *Client) Release(tenant string) (*ReleasedTenant, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	(&tenantMsg{Type: msgRelease, Tenant: tenant}).encode(c.enc)
-	d, err := c.roundtrip(msgRelease)
-	if err != nil {
-		return nil, err
-	}
 	r := &ReleasedTenant{}
-	r.decode(d)
-	if err := c.done(d); err != nil {
+	if err := c.call(msgRelease, (&tenantMsg{Type: msgRelease, Tenant: tenant}).encode, r.decode); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -325,39 +314,20 @@ func (c *Client) Release(tenant string) (*ReleasedTenant, error) {
 // tenant that is already open (and not a migration tombstone) fails
 // with ErrTenantExists.
 func (c *Client) Restore(tenant string, tc TenantConfig, blob []byte) (nextSeq int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc, Blob: blob}).encode(c.enc, msgRestore)
-	d, err := c.roundtrip(msgRestore)
-	if err != nil {
-		return 0, err
-	}
 	var r openResp
-	r.decode(d)
-	if err := c.done(d); err != nil {
-		return 0, err
-	}
-	return r.NextSeq, nil
+	err = c.call(msgRestore, func(e *snap.Encoder) {
+		(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc, Blob: blob}).encode(e, msgRestore)
+	}, r.decode)
+	return r.NextSeq, err
 }
 
 // Ping checks liveness, reporting whether the server is draining and
 // how many tenants it hosts.
 func (c *Client) Ping() (draining bool, tenants int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	c.enc.Uint64(msgPing)
-	d, err := c.roundtrip(msgPing)
-	if err != nil {
-		return false, 0, err
-	}
-	draining = d.Bool()
-	tenants = d.Int()
-	if err := c.done(d); err != nil {
-		return false, 0, err
-	}
-	return draining, tenants, nil
+	err = c.call(msgPing, func(e *snap.Encoder) { e.Uint64(msgPing) }, func(d *snap.Decoder) {
+		draining, tenants = d.Bool(), d.Int()
+	})
+	return draining, tenants, err
 }
 
 // DuraStats reports the server's durability-backend counters: mode
@@ -365,19 +335,7 @@ func (c *Client) Ping() (draining bool, tenants int, err error) {
 // log's delta, rotation, compaction and segment counts. A proxy answers
 // with the counters summed across its live backends and a per-backend
 // breakdown in Backends, each row labelled with the backend's address.
-func (c *Client) DuraStats() (DuraStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	c.enc.Uint64(msgDuraStats)
-	d, err := c.roundtrip(msgDuraStats)
-	if err != nil {
-		return DuraStats{}, err
-	}
-	var st DuraStats
-	st.decode(d)
-	if err := c.done(d); err != nil {
-		return DuraStats{}, err
-	}
-	return st, nil
+func (c *Client) DuraStats() (st DuraStats, err error) {
+	err = c.call(msgDuraStats, func(e *snap.Encoder) { e.Uint64(msgDuraStats) }, st.decode)
+	return st, err
 }

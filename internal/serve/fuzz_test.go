@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"net"
 	"testing"
 
@@ -42,10 +43,12 @@ var fuzzConfig = TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}
 // either decodes to a well-formed request or produces an error response
 // / connection close.
 func FuzzFrameDecode(f *testing.F) {
-	// Seed with a valid encoding of every message type, so mutations
-	// explore each handler's decode path, not just the type switch.
-	seed := func(build func(e *snap.Encoder)) {
+	// Seed with a valid tag-first encoding of every message type, so
+	// mutations explore each handler's decode path, not just the type
+	// switch.
+	seed := func(tag uint64, build func(e *snap.Encoder)) {
 		e := snap.NewEncoder()
+		e.Uint64(tag)
 		build(e)
 		var frame bytes.Buffer
 		bw := bufio.NewWriter(&frame)
@@ -57,75 +60,72 @@ func FuzzFrameDecode(f *testing.F) {
 	}
 	reserved := fuzzConfig
 	reserved.Weight, reserved.ResRate, reserved.ResDelay = 1, 0.25, 32
-	seed(func(e *snap.Encoder) {
+	seed(1, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Config: fuzzConfig}).encode(e, msgOpen)
 	})
-	seed(func(e *snap.Encoder) { // a strict submit: a batch of one
+	seed(2, func(e *snap.Encoder) { // a strict submit: a batch of one
 		(&batchMsg{Tenant: "fuzz", Seq: 0, Ticks: []sched.Request{
 			{{Color: 0, Count: 2}, {Color: 1, Count: 1}}}}).encode(e)
 	})
-	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: ""}).encode(e) })
-	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgResult, Tenant: "fuzz"}).encode(e) })
-	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgDrain, Tenant: "fuzz"}).encode(e) })
-	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: "fuzz"}).encode(e) })
-	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgCloseTenant, Tenant: "nope"}).encode(e) })
-	seed(func(e *snap.Encoder) { e.Uint64(msgPing) })
-	seed(func(e *snap.Encoder) { (&errResp{Code: codeBadSeq, Expected: 3, Msg: "x"}).encode(e) })
-	// Tagged envelopes around submits.
-	seed(func(e *snap.Encoder) {
-		e.Uint64(msgTagged)
-		e.Uint64(7)
+	seed(3, func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: ""}).encode(e) })
+	seed(4, func(e *snap.Encoder) { (&tenantMsg{Type: msgResult, Tenant: "fuzz"}).encode(e) })
+	seed(5, func(e *snap.Encoder) { (&tenantMsg{Type: msgDrain, Tenant: "fuzz"}).encode(e) })
+	seed(6, func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: "fuzz"}).encode(e) })
+	seed(7, func(e *snap.Encoder) { (&tenantMsg{Type: msgCloseTenant, Tenant: "nope"}).encode(e) })
+	seed(8, func(e *snap.Encoder) { e.Uint64(msgPing) })
+	seed(9, func(e *snap.Encoder) { (&errResp{Code: codeBadSeq, Expected: 3, Msg: "x"}).encode(e) })
+	// The largest tag a client issues, on a submit and a ping.
+	seed(tagSpace-1, func(e *snap.Encoder) {
 		(&batchMsg{Tenant: "fuzz", Seq: 0, Ticks: []sched.Request{{{Color: 0, Count: 2}}}}).encode(e)
 	})
+	seed(tagSpace-1, func(e *snap.Encoder) { e.Uint64(msgPing) })
 	// The migration pair.
-	seed(func(e *snap.Encoder) {
+	seed(10, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz2", Config: fuzzConfig, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
 	})
-	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgRelease, Tenant: "fuzz"}).encode(e) })
-	seed(func(e *snap.Encoder) {
-		e.Uint64(msgTagged)
-		e.Uint64(9)
-		e.Uint64(msgPing)
-	})
-	seed(func(e *snap.Encoder) {
+	seed(11, func(e *snap.Encoder) { (&tenantMsg{Type: msgRelease, Tenant: "fuzz"}).encode(e) })
+	seed(12, func(e *snap.Encoder) {
 		(&batchMsg{Tenant: "fuzz", Seq: 0, Ticks: []sched.Request{
 			{{Color: 0, Count: 1}}, nil, {{Color: 1, Count: 2}, {Color: 0, Count: 1}},
 		}}).encode(e)
 	})
-	seed(func(e *snap.Encoder) {
-		e.Uint64(msgTagged)
-		e.Uint64(1)
+	seed(13, func(e *snap.Encoder) {
 		(&batchMsg{Tenant: "fuzz", Seq: 3, Ticks: []sched.Request{{{Color: 1, Count: 1}}}}).encode(e)
 	})
-	// Nested tagged envelope — must be rejected, not recursed into.
-	seed(func(e *snap.Encoder) {
-		e.Uint64(msgTagged)
-		e.Uint64(2)
-		e.Uint64(msgTagged)
-		e.Uint64(3)
-		e.Uint64(msgPing)
-	})
 	// A reserved open and restore, and the durability-stats request.
-	seed(func(e *snap.Encoder) {
+	seed(14, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz3", Config: reserved}).encode(e, msgOpen)
 	})
-	seed(func(e *snap.Encoder) {
+	seed(15, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz4", Config: reserved, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
 	})
-	seed(func(e *snap.Encoder) { e.Uint64(msgDuraStats) })
+	seed(16, func(e *snap.Encoder) { e.Uint64(msgDuraStats) })
 	// A batch claiming far more rounds than it carries — the decoder must
 	// bound allocation by MaxBatch and reject, never trust the count.
-	seed(func(e *snap.Encoder) {
+	seed(17, func(e *snap.Encoder) {
 		e.Uint64(msgSubmitBatch)
 		e.String("fuzz")
 		e.Int(0)
 		e.Int(1 << 40)
 	})
 	// An open at another protocol version, and a type past the last one.
-	seed(func(e *snap.Encoder) {
+	seed(18, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion - 1, Tenant: "fuzz5", Config: fuzzConfig}).encode(e, msgOpen)
 	})
-	seed(func(e *snap.Encoder) { e.Uint64(msgDuraStats + 1) })
+	seed(19, func(e *snap.Encoder) { e.Uint64(msgDuraStats + 1) })
+	// A tag with no type behind it.
+	seed(20, func(*snap.Encoder) {})
+	// An open in the version-7 layout, which had no leading tag: its
+	// message type now reads as the tag and its version as the type.
+	f.Add(func() []byte {
+		e := snap.NewEncoder()
+		(&openMsg{Version: 7, Tenant: "fuzz6", Config: fuzzConfig}).encode(e, msgOpen)
+		var frame bytes.Buffer
+		bw := bufio.NewWriter(&frame)
+		writeFrame(bw, e.Bytes())
+		bw.Flush()
+		return frame.Bytes()
+	}())
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
@@ -153,13 +153,14 @@ func processBody(t *testing.T, s *Server, body []byte) {
 	closeConn := s.process(body, &cs, enc)
 	// Whatever happened, the server must have staged a response frame
 	// that fits the protocol (process always encodes either a success
-	// or an error response).
-	if len(enc.Bytes()) == 0 {
-		t.Fatalf("process staged no response for body %x", body)
-	}
+	// or an error response), under the request's tag when it had one.
 	d := snap.NewDecoder(enc.Bytes())
-	if d.Uint64(); d.Err() != nil {
-		t.Fatalf("response has no message type for body %x", body)
+	tag, _ := d.Uint64(), d.Uint64()
+	if d.Err() != nil {
+		t.Fatalf("response has no tag and message type for body %x", body)
+	}
+	if want := snap.NewDecoder(body).Uint64(); tag != want {
+		t.Fatalf("response tag %d, request tag %d (body %x)", tag, want, body)
 	}
 	// Malformed frames (the ones that close the connection) are rejected
 	// atomically: in particular a submit batch with a mangled tail must
@@ -182,4 +183,122 @@ func processBody(t *testing.T, s *Server, body []byte) {
 		}
 		s.open(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Config: fuzzConfig})
 	}
+}
+
+// FuzzResponseDecode pins the client's one receive path: whatever
+// response frame comes back — truncated, mistagged, mistyped or well
+// formed — neither a synchronous call nor a pipelined reap may panic;
+// a response that is not an exact answer under the request's own tag
+// poisons the client, so every later call fails with the same error,
+// and one that is leaves it healthy.
+func FuzzResponseDecode(f *testing.F) {
+	// A fresh client's first request carries tag 1.
+	seed := func(tag uint64, build func(e *snap.Encoder)) {
+		e := snap.NewEncoder()
+		e.Uint64(tag)
+		build(e)
+		f.Add(e.Bytes())
+	}
+	row := TenantStats{ID: "fuzz", Policy: "EDF", Round: 3, NextSeq: 4, Weight: 1, MinDelay: 2}
+	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, []TenantStats{row}) })
+	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, nil) })
+	seed(1, func(e *snap.Encoder) { (&batchResp{Admitted: 1, Round: 1, QueueDepth: 1}).encode(e) })
+	seed(1, func(e *snap.Encoder) {
+		(&batchResp{Round: 1, QueueDepth: 4, Err: &errResp{Code: codeOverloaded, Msg: "full"}}).encode(e)
+	})
+	seed(1, func(e *snap.Encoder) { (&errResp{Code: codeBadSeq, Expected: 9, Msg: "bad seq"}).encode(e) })
+	seed(1, func(e *snap.Encoder) { (&errResp{Code: codeAdmission, ResidualRate: 0.5, ResidualDelay: 1}).encode(e) })
+	seed(2, func(e *snap.Encoder) { encodeStatsResp(e, nil) })               // a tag nothing is waiting for
+	seed(1, func(e *snap.Encoder) { e.Uint64(msgPing) })                     // a type the request did not ask for
+	seed(1, func(*snap.Encoder) {})                                          // a tag with no type
+	seed(1, func(e *snap.Encoder) { e.Uint64(msgTenantStats) })              // a type with no fields
+	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, nil); e.Bool(true) }) // a trailing byte
+	f.Add([]byte{})
+
+	ticks := []sched.Request{{{Color: 0, Count: 1}}}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, pipelined := range []bool{false, true} {
+			c := respondOnce(t, body)
+			var err error
+			want := uint64(msgTenantStats)
+			if pipelined {
+				want = msgSubmitBatch
+				err = c.NewPipeline(1, func(SubmitResult) {}).SubmitBatch("fuzz", 0, ticks)
+			} else {
+				_, err = c.Stats("")
+			}
+			poisoned := c.err != nil
+			switch {
+			case poisoned == wellFormed(body, want):
+				t.Fatalf("pipelined %v: response %x: poisoned %v, want %v (err %v)", pipelined, body, poisoned, !poisoned, err)
+			case poisoned && err == nil:
+				t.Fatalf("pipelined %v: response %x poisoned the client but the call succeeded", pipelined, body)
+			case !poisoned && err != nil && (pipelined || !isRemote(err)):
+				t.Fatalf("pipelined %v: response %x failed the call with %v but left the client healthy", pipelined, body, err)
+			}
+			if poisoned {
+				if _, _, perr := c.Ping(); perr != c.err {
+					t.Fatalf("poisoned client answered a later call with %v, want its sticky %v", perr, c.err)
+				}
+			}
+			c.Close()
+		}
+	})
+}
+
+// wellFormed reports whether body answers a fresh client's first
+// request, of type want, exactly: tag 1, then either the success
+// response's fields or an error response's, with no byte left over.
+func wellFormed(body []byte, want uint64) bool {
+	d := snap.NewDecoder(body)
+	if d.Uint64() != 1 {
+		return false
+	}
+	switch d.Uint64() {
+	case msgErr:
+		var e errResp
+		e.decode(d)
+	case want:
+		if want == msgTenantStats {
+			decodeStatsResp(d)
+		} else {
+			var r batchResp
+			r.decode(d)
+		}
+	default:
+		return false
+	}
+	return d.Done() == nil
+}
+
+// respondOnce returns a client over an in-memory pipe whose peer reads
+// one request frame, answers it with body as the response frame, and
+// hangs up; the peer is joined when the test ends.
+func respondOnce(t *testing.T, body []byte) *Client {
+	near, far := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer far.Close()
+		if _, err := readFrame(bufio.NewReader(far), nil); err != nil {
+			return
+		}
+		bw := bufio.NewWriter(far)
+		if writeFrame(bw, body) == nil {
+			bw.Flush()
+		}
+	}()
+	t.Cleanup(func() { near.Close(); <-done })
+	return NewClient(near)
+}
+
+// isRemote reports a typed server rejection, as opposed to a transport
+// or protocol failure.
+func isRemote(err error) bool {
+	var re *RemoteError
+	var bs *BadSeqError
+	var ae *AdmissionError
+	return errors.As(err, &re) || errors.As(err, &bs) || errors.As(err, &ae) ||
+		errors.Is(err, ErrOverloaded) || errors.Is(err, ErrDraining) ||
+		errors.Is(err, ErrUnknownTenant) || errors.Is(err, ErrTenantExists)
 }

@@ -41,11 +41,11 @@ type LoadConfig struct {
 	// so jobs are delayed, never lost.
 	Rate float64
 	// Pipeline keeps up to this many submit frames in flight per tenant
-	// connection using tagged frames; 0 or 1 keeps the
-	// strict request/response path. Batch packs this many consecutive
-	// rounds into each frame (0 or 1 = one round per frame). Setting
-	// either above 1 selects the pipelined driver; exactly-once ingest
-	// and Verify hold in every mode.
+	// connection; 0 or 1 is strict request/response, each frame
+	// acknowledged before the next is sent. Batch packs this many
+	// consecutive rounds into each frame (0 or 1 = one round per frame).
+	// Every mode runs the same driver, and exactly-once ingest and
+	// Verify hold in all of them.
 	Pipeline int
 	Batch    int
 	// Verify replays every trace locally after the run and requires the
@@ -94,9 +94,6 @@ func (c *LoadConfig) fill() {
 		c.Pipeline = MaxPipeline
 	}
 }
-
-// pipelined reports whether the config selects the pipelined driver.
-func (c *LoadConfig) pipelined() bool { return c.Pipeline > 1 || c.Batch > 1 }
 
 // LoadReport summarizes a RunLoad: achieved throughput, admission
 // behavior, per-submit latency quantiles, and the aggregated scheduling
@@ -207,11 +204,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if cfg.pipelined() {
-				outs[i] = ld.drivePipelined(i, insts[i], start)
-			} else {
-				outs[i] = ld.drive(i, insts[i], start)
-			}
+			outs[i] = ld.drive(i, insts[i], start)
 		}(i)
 	}
 	wg.Wait()
@@ -340,8 +333,7 @@ func retryable(err error) bool {
 }
 
 // tenantConn owns one driver goroutine's connection — (re)dialing and
-// re-opening its tenant with retry — so the strict and pipelined
-// drivers share the resilience logic.
+// re-opening its tenant with retry.
 type tenantConn struct {
 	ld *loadDriver
 	id string
@@ -405,127 +397,29 @@ func (ld *loadDriver) newTenantConn(i int, inst *sched.Instance) *tenantConn {
 	}}
 }
 
-// drainWithRefeed finishes a run: drain the tenant with the same
-// resilience as the submit loop. If the server restarted from a
-// checkpoint behind the trace end, it re-feeds the lost tail (strict
-// submits — this path is rare) before retrying the drain. It fills
-// o.res, or o.err on giving up, and reports success.
-func (ld *loadDriver) drainWithRefeed(conn *tenantConn, trace []sched.Request, o *tenantOutcome) bool {
-	deadline := time.Now().Add(ld.cfg.RetryTimeout)
-	for {
-		res, err := conn.cl.DrainTenant(conn.id)
-		if err == nil {
-			o.res = res
-			return true
-		}
-		if time.Now().After(deadline) {
-			o.err = fmt.Errorf("draining: %w", err)
-			return false
-		}
-		next, cerr := conn.connect()
-		if cerr != nil {
-			o.err = cerr
-			return false
-		}
-		if cursor := min(next, len(trace)); cursor < len(trace) {
-			// The restart lost rounds past the last checkpoint; re-feed
-			// them before draining again.
-			for cursor < len(trace) {
-				if _, _, serr := conn.cl.Submit(conn.id, cursor, trace[cursor]); serr == nil {
-					cursor++
-				} else if errors.Is(serr, ErrOverloaded) {
-					ld.overloads.Add(1)
-					time.Sleep(2 * time.Millisecond)
-				} else {
-					break // fall through to the outer retry
-				}
-			}
-		}
-	}
-}
-
 // drive runs one tenant: open, submit every trace round exactly once,
-// drain, riding out shed ticks and server restarts.
+// drain, riding out shed ticks and server restarts. Submits go through
+// a Pipeline of window max(Pipeline, 1) — a window of one is strict
+// request/response — in frames of Batch rounds. Staging runs ahead of
+// acknowledgements by up to the window; the onAck callback records
+// admissions, and the first rejecting acknowledgement stops staging so
+// the driver can resync: back off and resubmit on ErrOverloaded, jump
+// to the server's resume point on *BadSeqError, reconnect on anything
+// else. A paced driver flushes its window before each pacing sleep, so
+// a frame never idles in the write buffer waiting for the window to
+// fill. A failed drain reconnects and resumes like a failed submit: a
+// server that restarted from a checkpoint behind the trace end names an
+// earlier resume point, and the same loop re-feeds the lost tail.
+// Because admission is sequential and every acknowledgement is
+// eventually reaped, exactly-once ingest holds in every mode.
 func (ld *loadDriver) drive(i int, inst *sched.Instance, start time.Time) (o tenantOutcome) {
 	cfg := ld.cfg
 	conn := ld.newTenantConn(i, inst)
-	id := conn.id
-	trace := inst.Requests
-
-	next, err := conn.connect()
-	if err != nil {
-		o.err = err
-		return o
-	}
-	cursor := min(next, len(trace))
+	id, trace := conn.id, inst.Requests
 	var interval time.Duration
 	if cfg.Rate > 0 {
 		interval = time.Duration(float64(time.Second) / cfg.Rate)
 	}
-	for cursor < len(trace) {
-		if interval > 0 {
-			if d := time.Until(start.Add(time.Duration(cursor+1) * interval)); d > 0 {
-				time.Sleep(d)
-			}
-		}
-		t0 := time.Now()
-		_, _, err := conn.cl.Submit(id, cursor, trace[cursor])
-		var bs *BadSeqError
-		switch {
-		case err == nil:
-			o.lats = append(o.lats, time.Since(t0))
-			ld.roundsSent.Add(1)
-			ld.jobsSent.Add(int64(trace[cursor].Jobs()))
-			cursor++
-		case errors.Is(err, ErrOverloaded):
-			// The tick was shed, not lost: back off and resubmit the same
-			// sequence once the round engine has caught up.
-			ld.overloads.Add(1)
-			time.Sleep(2 * time.Millisecond)
-		case errors.As(err, &bs):
-			// A duplicate after a lost acknowledgement (Expected > cursor)
-			// or a rewind after a crash restore (Expected < cursor): the
-			// server names the resume point either way.
-			ld.resumes.Add(1)
-			cursor = min(bs.Expected, len(trace))
-		default:
-			// Transport failure or graceful drain: reconnect and resume
-			// from the sequence the (possibly restarted) server reports.
-			if errors.Is(err, ErrDraining) {
-				ld.drainingRejects.Add(1)
-			}
-			ld.logf("load %s: %v; reconnecting", id, err)
-			next, cerr := conn.connect()
-			if cerr != nil {
-				o.err = cerr
-				return o
-			}
-			ld.resumes.Add(1)
-			cursor = min(next, len(trace))
-		}
-	}
-
-	if !ld.drainWithRefeed(conn, trace, &o) {
-		return o
-	}
-	conn.cl.Close()
-	return o
-}
-
-// drivePipelined is drive with a bounded in-flight window and optional
-// batched frames. Staging runs ahead of acknowledgements; the onAck
-// callback records admissions, and the first rejecting acknowledgement
-// stops staging so the driver can resync exactly as the strict path
-// does — back off and resubmit on ErrOverloaded, jump to the server's
-// resume point on *BadSeqError, reconnect on anything else. Because
-// admission is sequential and every round's acknowledgement is
-// eventually reaped, exactly-once ingest holds just as in drive.
-func (ld *loadDriver) drivePipelined(i int, inst *sched.Instance, start time.Time) (o tenantOutcome) {
-	cfg := ld.cfg
-	conn := ld.newTenantConn(i, inst)
-	id := conn.id
-	trace := inst.Requests
-	window := max(cfg.Pipeline, 1)
 
 	var (
 		resync   bool         // a reaped ack carried a rejection
@@ -545,94 +439,96 @@ func (ld *loadDriver) drivePipelined(i int, inst *sched.Instance, start time.Tim
 		}
 	}
 
-	next, err := conn.connect()
-	if err != nil {
-		o.err = err
-		return o
-	}
-	cursor := min(next, len(trace))
-	pl := conn.cl.NewPipeline(window, onAck)
-
-	// reconnect re-dials, resumes the cursor from the server's sequence
-	// (in-flight frames whose acknowledgements were lost are accounted
-	// for there), and starts a fresh pipeline on the new connection.
-	reconnect := func() bool {
-		next, cerr := conn.connect()
-		if cerr != nil {
-			o.err = cerr
+	// connect (re)dials and resumes the cursor from the server's sequence
+	// — in-flight frames whose acknowledgements were lost are accounted
+	// for there — on a fresh pipeline.
+	var cursor int
+	var pl *Pipeline
+	connect := func() bool {
+		next, err := conn.connect()
+		if err != nil {
+			o.err = err
 			return false
 		}
-		ld.resumes.Add(1)
 		cursor = min(next, len(trace))
-		pl = conn.cl.NewPipeline(window, onAck)
+		pl = conn.cl.NewPipeline(max(cfg.Pipeline, 1), onAck)
 		resync = false
 		return true
 	}
-
-	var interval time.Duration
-	if cfg.Rate > 0 {
-		interval = time.Duration(float64(time.Second) / cfg.Rate)
+	reconnect := func(cause error) bool {
+		if errors.Is(cause, ErrDraining) {
+			ld.drainingRejects.Add(1)
+		}
+		ld.logf("load %s: %v; reconnecting", id, cause)
+		ld.resumes.Add(1)
+		return connect()
 	}
-	for {
-		for cursor < len(trace) && !resync {
-			if interval > 0 {
-				if d := time.Until(start.Add(time.Duration(cursor+1) * interval)); d > 0 {
-					time.Sleep(d)
-				}
-			}
-			k := min(cfg.Batch, len(trace)-cursor)
-			if serr := pl.SubmitBatch(id, cursor, trace[cursor:cursor+k]); serr != nil {
-				ld.logf("load %s: %v; reconnecting", id, serr)
-				if !reconnect() {
-					return o
-				}
-				continue
-			}
-			cursor += k
-		}
-		// Drain the window; acknowledgements reaped here can still flip
-		// resync, so the rejection check below runs after the flush.
-		if ferr := pl.Flush(); ferr != nil {
-			ld.logf("load %s: %v; reconnecting", id, ferr)
-			if !reconnect() {
-				return o
-			}
-			continue
-		}
-		if resync {
-			r, bs := rejected, (*BadSeqError)(nil)
-			resync = false
-			switch {
-			case errors.As(r.Err, &bs):
-				// Later in-flight frames rejected behind this one changed
-				// nothing, so the first rejection's resume point stands.
-				ld.resumes.Add(1)
-				cursor = min(bs.Expected, len(trace))
-			case errors.Is(r.Err, ErrOverloaded):
-				ld.overloads.Add(1)
-				cursor = min(r.Seq+r.Admitted, len(trace))
-				time.Sleep(2 * time.Millisecond)
-			default:
-				if errors.Is(r.Err, ErrDraining) {
-					ld.drainingRejects.Add(1)
-				}
-				ld.logf("load %s: %v; reconnecting", id, r.Err)
-				if !reconnect() {
-					return o
-				}
-			}
-			continue
-		}
-		if cursor >= len(trace) {
-			break
-		}
-	}
-
-	if !ld.drainWithRefeed(conn, trace, &o) {
+	if !connect() {
 		return o
 	}
-	conn.cl.Close()
-	return o
+	var drainBy time.Time
+	for {
+		var err error
+		for cursor < len(trace) && !resync && err == nil {
+			if due := start.Add(time.Duration(cursor+1) * interval); interval > 0 && time.Until(due) > 0 {
+				if err = pl.Flush(); err != nil || resync {
+					break
+				}
+				time.Sleep(time.Until(due))
+			}
+			k := min(cfg.Batch, len(trace)-cursor)
+			if err = pl.SubmitBatch(id, cursor, trace[cursor:cursor+k]); err == nil {
+				cursor += k
+			}
+		}
+		if err == nil {
+			// Drain the window; acknowledgements reaped here can still flip
+			// resync, so the rejection check below runs after the flush.
+			err = pl.Flush()
+		}
+		var bs *BadSeqError
+		switch {
+		case err != nil:
+			if !reconnect(err) {
+				return o
+			}
+		case resync && errors.As(rejected.Err, &bs):
+			// Frames rejected behind the first rejection changed nothing,
+			// so its resume point stands: a duplicate after a lost
+			// acknowledgement, or a rewind after a crash restore.
+			resync = false
+			ld.resumes.Add(1)
+			cursor = min(bs.Expected, len(trace))
+		case resync && errors.Is(rejected.Err, ErrOverloaded):
+			// The tick was shed, not lost: back off and resubmit the same
+			// sequence once the round engine has caught up.
+			resync = false
+			ld.overloads.Add(1)
+			cursor = min(rejected.Seq+rejected.Admitted, len(trace))
+			time.Sleep(2 * time.Millisecond)
+		case resync:
+			if !reconnect(rejected.Err) {
+				return o
+			}
+		default:
+			res, err := conn.cl.DrainTenant(id)
+			if err == nil {
+				o.res = res
+				conn.cl.Close()
+				return o
+			}
+			if drainBy.IsZero() {
+				drainBy = time.Now().Add(cfg.RetryTimeout)
+			}
+			if time.Now().After(drainBy) {
+				o.err = fmt.Errorf("draining: %w", err)
+				return o
+			}
+			if !reconnect(err) {
+				return o
+			}
+		}
+	}
 }
 
 // LocalReference replays an instance through a local Stream under the

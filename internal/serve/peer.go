@@ -33,14 +33,12 @@ const (
 )
 
 // PeekInfo describes one request frame without consuming it: enough
-// for a router to pick a backend, echo a tagged envelope on responses
+// for a router to pick a backend, echo the request's tag on responses
 // it generates itself, and decide whether the frame mutates tenant
 // state (and so must be teed to a warm standby).
 type PeekInfo struct {
-	// Tagged reports a pipelining envelope; Tag is its tag, which every
-	// response — including router-generated errors — must echo.
-	Tagged bool
-	// Tag is the envelope's request tag (meaningful only when Tagged).
+	// Tag is the request's tag, which every response — including
+	// router-generated errors — must echo.
 	Tag uint64
 	// Kind classifies the request for routing.
 	Kind ReqKind
@@ -61,20 +59,10 @@ type PeekInfo struct {
 func PeekRequest(body []byte) (PeekInfo, error) {
 	var info PeekInfo
 	d := snap.NewDecoder(body)
+	info.Tag = d.Uint64()
 	typ := d.Uint64()
 	if d.Err() != nil {
-		return info, fmt.Errorf("serve: truncated message type")
-	}
-	if typ == msgTagged {
-		info.Tagged = true
-		info.Tag = d.Uint64()
-		typ = d.Uint64()
-		if d.Err() != nil {
-			return info, fmt.Errorf("serve: truncated tagged envelope")
-		}
-		if typ == msgTagged {
-			return info, fmt.Errorf("serve: nested tagged envelope")
-		}
+		return info, fmt.Errorf("serve: truncated request tag or message type")
 	}
 	switch typ {
 	case msgOpen, msgRestore:
@@ -113,53 +101,43 @@ func WriteFrame(w *bufio.Writer, body []byte) error { return writeFrame(w, body)
 // It returns io.EOF only on a clean end of stream.
 func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
 
-// appendEnvelope echoes a tagged request's envelope onto a response a
-// router generates itself.
-func appendEnvelope(e *snap.Encoder, info PeekInfo) {
-	if info.Tagged {
-		e.Uint64(msgTagged)
-		e.Uint64(info.Tag)
-	}
-}
-
 // AppendStatsResponse encodes a stats response for the rows a router
-// merged from its backends, under the request's tagged envelope if any.
+// merged from its backends, under the request's tag.
 func AppendStatsResponse(e *snap.Encoder, info PeekInfo, rows []TenantStats) {
-	appendEnvelope(e, info)
+	e.Uint64(info.Tag)
 	encodeStatsResp(e, rows)
 }
 
 // AppendPingResponse encodes a ping response (fleet-wide draining flag
-// and tenant total) under the request's tagged envelope if any.
+// and tenant total) under the request's tag.
 func AppendPingResponse(e *snap.Encoder, info PeekInfo, draining bool, tenants int) {
-	appendEnvelope(e, info)
+	e.Uint64(info.Tag)
 	e.Uint64(msgPing)
 	e.Bool(draining)
 	e.Int(tenants)
 }
 
 // AppendDuraStatsResponse encodes a durability-stats response under the
-// request's tagged envelope if any — the router's answer to a fan-out,
-// with st carrying the fleet-summed counters and the per-backend rows
-// in st.Backends.
+// request's tag — the router's answer to a fan-out, with st carrying
+// the fleet-summed counters and the per-backend rows in st.Backends.
 func AppendDuraStatsResponse(e *snap.Encoder, info PeekInfo, st DuraStats) {
-	appendEnvelope(e, info)
+	e.Uint64(info.Tag)
 	st.encode(e) // encode writes the message type itself
 }
 
 // AppendErrorResponse encodes a non-retryable bad-request error under
-// the request's tagged envelope if any — the router's answer to a frame
-// it cannot classify or route.
+// the request's tag — the router's answer to a frame it cannot classify
+// or route.
 func AppendErrorResponse(e *snap.Encoder, info PeekInfo, msg string) {
-	appendEnvelope(e, info)
+	e.Uint64(info.Tag)
 	(&errResp{Code: codeBadRequest, Msg: msg}).encode(e)
 }
 
 // AppendUnavailableResponse encodes a retryable draining error under
-// the request's tagged envelope if any — the router's answer while a
-// tenant's backend is unreachable or its migration is in flight; a
-// well-behaved client (the load generator) backs off and retries.
+// the request's tag — the router's answer while a tenant's backend is
+// unreachable or its migration is in flight; a well-behaved client (the
+// load generator) backs off and retries.
 func AppendUnavailableResponse(e *snap.Encoder, info PeekInfo, msg string) {
-	appendEnvelope(e, info)
+	e.Uint64(info.Tag)
 	(&errResp{Code: codeDraining, Msg: msg}).encode(e)
 }

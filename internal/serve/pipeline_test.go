@@ -6,11 +6,27 @@ import (
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/snap"
 	"repro/internal/workload"
 )
 
-// TestSubmitBatchRoundTrip feeds a whole trace through the synchronous
-// batch API in uneven chunks and requires the drained result to be
+// syncBatch sends one batch through a window-1 pipeline — the
+// synchronous exchange — and returns its acknowledgement.
+func syncBatch(t *testing.T, c *Client, tenant string, seq int, ticks []sched.Request) SubmitResult {
+	t.Helper()
+	var ack SubmitResult
+	acks := 0
+	if err := c.NewPipeline(1, func(r SubmitResult) { ack = r; acks++ }).SubmitBatch(tenant, seq, ticks); err != nil {
+		t.Fatalf("batch at %d: %v", seq, err)
+	}
+	if acks != 1 || len(c.infl) != 0 {
+		t.Fatalf("window-1 batch at %d returned with %d acks and %d frames in flight, want 1 and 0", seq, acks, len(c.infl))
+	}
+	return ack
+}
+
+// TestSubmitBatchRoundTrip feeds a whole trace through a window-1
+// pipeline in uneven batches and requires the drained result to be
 // bit-identical to a local replay — batching must change framing only,
 // never scheduling.
 func TestSubmitBatchRoundTrip(t *testing.T) {
@@ -23,7 +39,8 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 	}
 	for seq := 0; seq < len(inst.Requests); {
 		k := min(7, len(inst.Requests)-seq) // uneven: final chunk is short
-		admitted, _, _, err := c.SubmitBatch("alpha", seq, inst.Requests[seq:seq+k])
+		ack := syncBatch(t, c, "alpha", seq, inst.Requests[seq:seq+k])
+		admitted, err := ack.Admitted, ack.Err
 		switch {
 		case err == nil:
 			if admitted != k {
@@ -64,30 +81,30 @@ func TestSubmitBatchPartialAdmit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	admitted, _, depth, err := c.SubmitBatch("hot", 0, inst.Requests[:8])
-	if admitted != 4 || depth != 4 || !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("batch past cap = (admitted %d, depth %d, %v), want (4, 4, ErrOverloaded)", admitted, depth, err)
+	r := syncBatch(t, c, "hot", 0, inst.Requests[:8])
+	if r.Admitted != 4 || r.Depth != 4 || !errors.Is(r.Err, ErrOverloaded) {
+		t.Fatalf("batch past cap = (admitted %d, depth %d, %v), want (4, 4, ErrOverloaded)", r.Admitted, r.Depth, r.Err)
 	}
 
 	// Resubmitting from the shed round: still full, nothing admitted.
-	admitted, _, _, err = c.SubmitBatch("hot", 4, inst.Requests[4:8])
-	if admitted != 0 || !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("refill while full = (admitted %d, %v), want (0, ErrOverloaded)", admitted, err)
+	r = syncBatch(t, c, "hot", 4, inst.Requests[4:8])
+	if r.Admitted != 0 || !errors.Is(r.Err, ErrOverloaded) {
+		t.Fatalf("refill while full = (admitted %d, %v), want (0, ErrOverloaded)", r.Admitted, r.Err)
 	}
 
 	// A batch at the wrong sequence is rejected before admitting anything.
 	var bs *BadSeqError
-	admitted, _, _, err = c.SubmitBatch("hot", 9, inst.Requests[9:12])
-	if admitted != 0 || !errors.As(err, &bs) || bs.Expected != 4 {
-		t.Fatalf("bad-seq batch = (admitted %d, %v), want (0, BadSeq expected 4)", admitted, err)
+	r = syncBatch(t, c, "hot", 9, inst.Requests[9:12])
+	if r.Admitted != 0 || !errors.As(r.Err, &bs) || bs.Expected != 4 {
+		t.Fatalf("bad-seq batch = (admitted %d, %v), want (0, BadSeq expected 4)", r.Admitted, r.Err)
 	}
 
 	// A mid-batch sequence jump splits the batch: the prefix before the
 	// jump is admitted (queue has room again after nothing applied — use
 	// a batch overlapping the expected point instead).
-	admitted, _, _, err = c.SubmitBatch("hot", 3, inst.Requests[3:6])
-	if admitted != 0 || !errors.As(err, &bs) || bs.Expected != 4 {
-		t.Fatalf("duplicate-prefix batch = (admitted %d, %v), want (0, BadSeq expected 4)", admitted, err)
+	r = syncBatch(t, c, "hot", 3, inst.Requests[3:6])
+	if r.Admitted != 0 || !errors.As(r.Err, &bs) || bs.Expected != 4 {
+		t.Fatalf("duplicate-prefix batch = (admitted %d, %v), want (0, BadSeq expected 4)", r.Admitted, r.Err)
 	}
 
 	// The server counted the rejections for observability.
@@ -147,8 +164,8 @@ func TestPipelinedSubmit(t *testing.T) {
 	if err := pl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if pl.Outstanding() != 0 {
-		t.Fatalf("outstanding after flush = %d", pl.Outstanding())
+	if len(c.infl) != 0 {
+		t.Fatalf("%d frames in flight after flush", len(c.infl))
 	}
 	if ackedRounds != len(inst.Requests) {
 		t.Fatalf("acks covered %d rounds in %d acks, want %d", ackedRounds, acks, len(inst.Requests))
@@ -234,18 +251,10 @@ func TestOpenVersionNegotiation(t *testing.T) {
 	}
 
 	send := func(typ uint64, version int, tenant string) error {
-		c := dialTest(t, s)
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.enc.Reset()
-		(&openMsg{Version: version, Tenant: tenant, Config: tc, Blob: rel.Blob}).encode(c.enc, typ)
-		d, err := c.roundtrip(typ)
-		if err != nil {
-			return err
-		}
 		var r openResp
-		r.decode(d)
-		return c.done(d)
+		return dialTest(t, s).call(typ, func(e *snap.Encoder) {
+			(&openMsg{Version: version, Tenant: tenant, Config: tc, Blob: rel.Blob}).encode(e, typ)
+		}, r.decode)
 	}
 	var re *RemoteError
 	for _, typ := range []uint64{msgOpen, msgRestore} {
@@ -301,8 +310,39 @@ func TestServeLoadPipelined(t *testing.T) {
 	}
 }
 
+// TestServeLoadPacedPipelined pins the paced pipelined driver: a frame
+// leaves the client when it is staged, not when the window fills. At 120
+// rounds/s with a window of 8 frames of 4 rounds, a frame held in the
+// write buffer until the window filled would wait about 8×4 pacing
+// intervals (~266ms) for its acknowledgement; flushed before each pacing
+// sleep, it is acknowledged well within one interval (1/120 s).
+func TestServeLoadPacedPipelined(t *testing.T) {
+	s := startServer(t, Config{})
+	rep, err := RunLoad(LoadConfig{
+		Addr:     s.Addr().String(),
+		Tenants:  4,
+		Params:   workload.Params{Rounds: 40, Seed: 11},
+		Rate:     120,
+		Pipeline: 8,
+		Batch:    4,
+		Verify:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Mismatches) != 0 {
+		t.Fatalf("tenants with non-identical results: %v", rep.Mismatches)
+	}
+	if want := int64(4 * 40); rep.RoundsSent != want {
+		t.Fatalf("RoundsSent = %d, want %d", rep.RoundsSent, want)
+	}
+	if interval := 1000.0 / 120; rep.Latency.P50 >= interval {
+		t.Fatalf("paced pipelined p50 submit latency %.3fms, want under one pacing interval (%.3fms)", rep.Latency.P50, interval)
+	}
+}
+
 // TestPipelineRejectsOversizedBatch: client-side guard mirrors the
-// server's MaxBatch bound.
+// server's MaxBatch bound, for a window of one as for a deeper window.
 func TestPipelineRejectsOversizedBatch(t *testing.T) {
 	inst := testInstance(t, 4, 0)
 	s := startServer(t, Config{})
@@ -311,12 +351,10 @@ func TestPipelineRejectsOversizedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	huge := make([]sched.Request, MaxBatch+1)
-	if _, _, _, err := c.SubmitBatch("a", 0, huge); err == nil {
-		t.Fatal("SubmitBatch accepted a batch past MaxBatch")
-	}
-	pl := c.NewPipeline(4, nil)
-	if err := pl.SubmitBatch("a", 0, huge); err == nil {
-		t.Fatal("Pipeline.SubmitBatch accepted a batch past MaxBatch")
+	for _, window := range []int{1, 4} {
+		if err := c.NewPipeline(window, nil).SubmitBatch("a", 0, huge); err == nil {
+			t.Fatalf("window-%d SubmitBatch accepted a batch past MaxBatch", window)
+		}
 	}
 	// The guard fired client-side: the connection is still healthy.
 	if _, _, err := c.Submit("a", 0, inst.Requests[0]); err != nil {

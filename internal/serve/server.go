@@ -64,47 +64,24 @@ type Config struct {
 	// DefaultQueueCap is the per-tenant pending-queue cap applied when
 	// an open request leaves QueueCap 0 (default 64).
 	DefaultQueueCap int
-	// ConnWindow bounds the per-connection table of staged-but-unwritten
-	// responses (default 256). A pipelining client may keep up to this
-	// many requests in flight before the reader stops pulling frames and
-	// TCP backpressure takes over.
-	ConnWindow int
 	// Allocator selects the cross-tenant allocation policy shard workers
 	// use to pick the next backlogged tenant (see NewAllocator): "wdrr"
-	// — weighted deficit round-robin with delay-factor escalation — by
-	// default, or "fifo" for the legacy drain-in-scan-order behavior.
+	// — weighted deficit round-robin with delay-factor escalation, at its
+	// default quantum and escalation threshold — by default, or "fifo"
+	// for the legacy drain-in-scan-order behavior.
 	Allocator string
-	// AllocQuantum is the base rounds served per wdrr pick, scaled by
-	// the tenant's weight (default 8). Smaller quanta interleave tenants
-	// more finely at slightly higher scheduling overhead.
-	AllocQuantum int
-	// AllocEscalation is the delay factor (backlog over tightest delay
-	// bound) at which a tenant enters wdrr's priority set: once any
-	// tenant crosses it, only tenants at or past it are served until the
-	// set empties. 0 selects the default 0.5; negative disables
-	// escalation.
-	AllocEscalation float64
 	// BDR enables bounded-delay admission control (docs/SCHEDULING.md
 	// "Admission"): open requests may carry a (rate, delay) reservation,
 	// admitted iff the shard's supply-bound-function feasibility check
 	// passes, and shard workers run the fractional-share controller that
 	// converts reservations plus measured backlog into per-pass weights
-	// and budgets. Off (the default), a reservation-carrying open is
-	// rejected and scheduling behaves exactly as without this field.
+	// and budgets. The capacity model is one dedicated worker per shard:
+	// each shard supplies rate 1 at delay bound 1 under a machine root of
+	// rate Shards and delay 0, so a tenant's reservation must fit its
+	// shard's residual rate and declare a delay above 1. Off (the
+	// default), a reservation-carrying open is rejected and scheduling
+	// behaves exactly as without this field.
 	BDR bool
-	// MachineRate/MachineDelay are the machine root's BDR when BDR is
-	// on: the total service rate in rounds per shard-worker tick
-	// (default Shards — one dedicated worker per shard) and its delay
-	// bound (default 0).
-	MachineRate  float64
-	MachineDelay float64
-	// ShardRate/ShardDelay are each shard's BDR under the machine
-	// (defaults MachineRate/Shards and MachineDelay+1). Tenant
-	// reservations are admitted against the shard the tenant hashes to:
-	// rates must fit the shard's residual rate and delays must strictly
-	// exceed ShardDelay.
-	ShardRate  float64
-	ShardDelay float64
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -128,24 +105,16 @@ func (c *Config) fill() {
 	if c.DefaultQueueCap <= 0 {
 		c.DefaultQueueCap = 64
 	}
-	if c.ConnWindow <= 0 {
-		c.ConnWindow = 256
-	}
-	if c.BDR {
-		if c.MachineRate <= 0 {
-			c.MachineRate = float64(c.Shards)
-		}
-		if c.MachineDelay < 0 {
-			c.MachineDelay = 0
-		}
-		if c.ShardRate <= 0 {
-			c.ShardRate = c.MachineRate / float64(c.Shards)
-		}
-		if c.ShardDelay <= c.MachineDelay {
-			c.ShardDelay = c.MachineDelay + 1
-		}
-	}
 }
+
+// connWindow bounds a connection's staged-but-unwritten responses. A
+// pipelining client may keep up to this many requests in flight before
+// the reader stops pulling frames and TCP backpressure takes over.
+const connWindow = 256
+
+// shardBDR is each shard's supply under Config.BDR: one worker serving
+// one round per tick, at delay bound 1 below a machine root of delay 0.
+var shardBDR = bdr.BDR{Rate: 1, Delay: 1}
 
 // Server hosts many tenants — each an independent sched.Stream with its
 // own policy — behind the wire protocol (see the package comment).
@@ -230,7 +199,7 @@ func (sh *shard) poke() {
 // and starts the shard workers. Call Serve to accept connections.
 func NewServer(cfg Config) (*Server, error) {
 	cfg.fill()
-	alloc, err := NewAllocator(cfg.Allocator, cfg.AllocQuantum, cfg.AllocEscalation)
+	alloc, err := NewAllocator(cfg.Allocator, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -245,19 +214,17 @@ func NewServer(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, &shard{wake: make(chan struct{}, 1)})
 	}
 	if cfg.BDR {
-		// One BDR per shard under the machine root; fill() has already
-		// defaulted the rates so the split is feasible unless the caller
-		// overcommitted it explicitly — which NewTree rejects.
+		// One BDR per shard under a machine root that is exactly their sum.
 		shardBDRs := make([]bdr.BDR, cfg.Shards)
 		for i := range shardBDRs {
-			shardBDRs[i] = bdr.BDR{Rate: cfg.ShardRate, Delay: cfg.ShardDelay}
+			shardBDRs[i] = shardBDR
 		}
-		tree, err := bdr.NewTree(bdr.BDR{Rate: cfg.MachineRate, Delay: cfg.MachineDelay}, shardBDRs)
+		tree, err := bdr.NewTree(bdr.BDR{Rate: float64(cfg.Shards)}, shardBDRs)
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		s.tree = tree
-		s.ctrl = &bdr.Controller{ShardRate: cfg.ShardRate}
+		s.ctrl = &bdr.Controller{ShardRate: shardBDR.Rate}
 	}
 	if cfg.CheckpointDir != "" {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
@@ -638,6 +605,7 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 	t := &tenant{
 		id: id, cfg: cfg, polName: pol.Name(),
 		minDelay: minDelayOf(cfg.Delays), sink: newSink(cfg.Delays),
+		draining: &s.draining,
 	}
 	if blob == nil {
 		t.st, err = sched.NewStream(pol, sched.StreamConfig{
@@ -967,14 +935,14 @@ func connWriter(bw *bufio.Writer, resp <-chan []byte, free chan<- []byte) {
 // in the reader, so requests on one connection are still applied in the
 // order they were sent — which is what lets a pipelined submit window
 // carry strictly increasing sequence numbers — while the bounded
-// response queue lets up to ConnWindow requests be in flight before
+// response queue lets up to connWindow requests be in flight before
 // backpressure stops the reader.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.connWG.Done()
 	br := bufio.NewReader(c)
 	bw := bufio.NewWriter(c)
-	resp := make(chan []byte, s.cfg.ConnWindow)
-	free := make(chan []byte, s.cfg.ConnWindow)
+	resp := make(chan []byte, connWindow)
+	free := make(chan []byte, connWindow)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -1022,42 +990,26 @@ func (s *Server) handleConn(c net.Conn) {
 
 // process handles one request frame, encoding the response into enc. It
 // reports whether the connection must close (a protocol violation, as
-// opposed to a well-formed request the server rejects). A msgTagged
-// envelope is unwrapped here and its tag echoed onto the response, so
-// every handler below is tag-agnostic. It never panics, whatever the
-// bytes — pinned by FuzzFrameDecode.
+// opposed to a well-formed request the server rejects). The request's
+// tag is echoed here, ahead of the response, so every handler below is
+// tag-agnostic. It never panics, whatever the bytes — pinned by
+// FuzzFrameDecode.
 func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeConn bool) {
 	d := snap.NewDecoder(body)
-	var tag uint64
-	tagged := false
+	tag := d.Uint64() // 0 when truncated: the error below still carries one
 	bad := func(msg string) bool {
 		enc.Reset()
-		if tagged {
-			enc.Uint64(msgTagged)
-			enc.Uint64(tag)
-		}
+		enc.Uint64(tag)
 		(&errResp{Code: codeBadRequest, Msg: msg}).encode(enc)
 		return true
 	}
+	if d.Err() != nil {
+		return bad("truncated request tag")
+	}
+	enc.Uint64(tag)
 	typ := d.Uint64()
 	if d.Err() != nil {
 		return bad("truncated message type")
-	}
-	if typ == msgTagged {
-		tag = d.Uint64()
-		if d.Err() != nil {
-			return bad("truncated request tag")
-		}
-		tagged = true
-		enc.Uint64(msgTagged)
-		enc.Uint64(tag)
-		typ = d.Uint64()
-		if d.Err() != nil {
-			return bad("truncated message type")
-		}
-		if typ == msgTagged {
-			return bad("nested tagged envelope")
-		}
 	}
 	switch typ {
 	case msgOpen, msgRestore:
@@ -1089,7 +1041,7 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 			(&errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + cs.batch.Tenant}).encode(enc)
 			return false
 		}
-		admitted, round, depth, er := t.submitBatch(cs.batch.Seq, cs.batch.Ticks, s.draining.Load())
+		admitted, round, depth, er := t.submitBatch(cs.batch.Seq, cs.batch.Ticks)
 		if admitted > 0 {
 			s.shardFor(cs.batch.Tenant).poke()
 		}

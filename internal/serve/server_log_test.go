@@ -187,9 +187,13 @@ func TestServeLogCompactionRestart(t *testing.T) {
 // only land when they beat the 2× profitability bar, so the tenant is
 // shaped to carry real state: long delays keep a deep pending backlog,
 // making each round's full snapshot large while the round-over-round
-// change stays local. The run must record deltas in DuraStats, and a
-// restart must resolve the tenant through a full+delta chain to the
-// bit-identical drained result.
+// change stays local. The trace goes in small chunks, each applied —
+// and so checkpointed, in the same critical section — before the next
+// is sent; a worker starved of CPU could otherwise leave every round to
+// the drain, whose single full record would leave no delta to find. The
+// run must record deltas in DuraStats, and a restart must resolve the
+// tenant through a full+delta chain to the bit-identical drained
+// result.
 func TestServeLogDeltaSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	cfg := logTestConfig(dir)
@@ -202,15 +206,24 @@ func TestServeLogDeltaSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	tick := sched.Request{{Color: 0, Count: 2}, {Color: 3, Count: 2}, {Color: 5, Count: 1}}
-	for seq := 0; seq < 200; {
-		_, _, err := c.Submit("deep", seq, tick)
-		switch {
-		case err == nil:
-			seq++
-		case errors.Is(err, ErrOverloaded):
-			time.Sleep(50 * time.Microsecond)
-		default:
-			t.Fatal(err)
+	const rounds, chunk = 200, 4
+	for seq := 0; seq < rounds; {
+		for end := seq + chunk; seq < end; seq++ {
+			if _, _, err := c.Submit("deep", seq, tick); err != nil {
+				t.Fatal(err) // a chunk never fills the 256-round queue
+			}
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			rows, err := c.Stats("deep")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows[0].Round == seq {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d not applied after 10s (stats %+v)", seq, rows[0])
+			}
 		}
 	}
 	res, err := c.DrainTenant("deep")

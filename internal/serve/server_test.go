@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -751,4 +752,52 @@ func TestServerDraining(t *testing.T) {
 	if _, resumed, err := c.Open("a", tc); err != nil || !resumed {
 		t.Fatalf("re-attach while draining = (resumed %v, %v), want (true, nil)", resumed, err)
 	}
+}
+
+// TestSubmitDrainingUnderTenantLock pins where admission reads the
+// draining flag: under the tenant lock. A submit that reached its tenant
+// before Shutdown set the flag, but takes the tenant lock only after
+// Shutdown's flush released it, must be rejected as draining — admitted,
+// it would be acknowledged behind the tenant's final checkpoint.
+func TestSubmitDrainingUnderTenantLock(t *testing.T) {
+	inst := testInstance(t, 4, 0)
+	s := startServer(t, Config{})
+	if _, _, err := dialTest(t, s).Open("late", tcFor(inst)); err != nil {
+		t.Fatal(err)
+	}
+	req := snap.NewEncoder()
+	req.Uint64(1)
+	(&batchMsg{Tenant: "late", Ticks: inst.Requests[:1]}).encode(req)
+	resp := snap.NewEncoder()
+	tn := s.tenant("late")
+	tn.mu.Lock() // as Shutdown's flush holds it
+	done := make(chan bool)
+	go func() { done <- s.process(req.Bytes(), &connState{}, resp) }()
+	// Wait until the submit is inside submitBatch, blocked on the lock:
+	// everything it reads before taking the lock has been read.
+	for deadline := time.Now().Add(10 * time.Second); !goroutineIn("(*tenant).submitBatch"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the submit never reached the tenant lock")
+		}
+	}
+	s.draining.Store(true)
+	tn.mu.Unlock()
+	if <-done {
+		t.Fatal("a well-formed submit closed the connection")
+	}
+	d := snap.NewDecoder(resp.Bytes())
+	if tag, typ := d.Uint64(), d.Uint64(); tag != 1 || typ != msgSubmitBatch {
+		t.Fatalf("response tag %d type %d, want 1 and %d", tag, typ, uint64(msgSubmitBatch))
+	}
+	var r batchResp
+	r.decode(d)
+	if r.Admitted != 0 || r.Err == nil || r.Err.Code != codeDraining {
+		t.Fatalf("submit that took the tenant lock after draining began = admitted %d, %+v; want a draining rejection", r.Admitted, r.Err)
+	}
+}
+
+// goroutineIn reports whether some goroutine's stack includes fn.
+func goroutineIn(fn string) bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), fn)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bdr"
@@ -39,6 +40,11 @@ type tenant struct {
 	// by the shard worker: servePass resets it at pass start and folds it
 	// into the BDR budget accounting at pass end.
 	passApplied int
+
+	// draining is the server's draining flag. Admission reads it under mu,
+	// so once Shutdown has flushed a tenant no later submit can be
+	// admitted — and acknowledged — behind the final checkpoint.
+	draining *atomic.Bool
 
 	mu     sync.Mutex
 	st     *sched.Stream
@@ -141,7 +147,7 @@ func (t *tenant) nextSeq() int {
 
 // submitLocked is one round's admission check and enqueue. Callers hold
 // mu.
-func (t *tenant) submitLocked(seq int, arrivals sched.Request, draining bool) *errResp {
+func (t *tenant) submitLocked(seq int, arrivals sched.Request) *errResp {
 	if t.closed {
 		return &errResp{Code: codeUnknownTenant, Msg: "tenant " + t.id + " is closed"}
 	}
@@ -151,7 +157,7 @@ func (t *tenant) submitLocked(seq int, arrivals sched.Request, draining bool) *e
 	if t.failed != nil {
 		return &errResp{Code: codeInternal, Msg: t.failed.Error()}
 	}
-	if draining {
+	if t.draining.Load() {
 		return &errResp{Code: codeDraining, Msg: "server is draining"}
 	}
 	if err := sched.ValidateRequest(arrivals, t.st.NumColors()); err != nil {
@@ -246,11 +252,11 @@ func (t *tenant) accrueBDR(accrued float64, served int) {
 // every round, so exactly-once ingest is preserved inside a batch. The
 // returned errResp (nil when the whole batch was admitted) describes
 // the rejection of round seq+admitted.
-func (t *tenant) submitBatch(seq int, ticks []sched.Request, draining bool) (admitted, round, depth int, er *errResp) {
+func (t *tenant) submitBatch(seq int, ticks []sched.Request) (admitted, round, depth int, er *errResp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, tick := range ticks {
-		if er = t.submitLocked(seq+i, tick, draining); er != nil {
+		if er = t.submitLocked(seq+i, tick); er != nil {
 			break
 		}
 		admitted++

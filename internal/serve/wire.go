@@ -8,16 +8,17 @@
 //
 // Every message travels in a frame: a 4-byte little-endian length
 // prefix followed by that many body bytes (at most MaxFrame). The body
-// is encoded with internal/snap's deterministic varint codec and starts
-// with a varint message type; the remaining fields depend on the type
-// and are always all present — every frame has one fixed layout.
-// Responses reuse the same framing. A malformed, truncated or oversized
-// frame is a protocol error: the reader reports it and the connection
-// is closed — never a panic, pinned by FuzzFrameDecode.
+// is encoded with internal/snap's deterministic varint codec and reads
+// tag | type | fields: a varint request tag the client picks and every
+// response echoes, a varint message type, and the type's fields, which
+// are always all present — every frame has one fixed layout. The tag is
+// what lets a client keep many requests in flight per connection and
+// match acknowledgements that return out of order or coalesced into one
+// flush; a synchronous call is simply a window of one. A malformed,
+// truncated or oversized frame is a protocol error: the reader reports
+// it and the connection is closed — never a panic, pinned by
+// FuzzFrameDecode and FuzzResponseDecode.
 //
-// Any request may be wrapped in a msgTagged envelope: a varint tag
-// echoed on its response, so many requests can be pipelined per
-// connection and acknowledged out of order or coalesced into one flush.
 // Submits are vectored: msgSubmitBatch carries K consecutive round
 // ticks for one tenant with a per-round admitted-prefix
 // acknowledgement, and a single submit is simply a batch of one.
@@ -50,7 +51,7 @@ import (
 // ProtocolVersion is carried in every open and restore request; the
 // server accepts exactly this version and answers any other with a
 // bad-version error.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 // MaxBatch bounds the round ticks one submit-batch frame may carry. It
 // keeps a hostile length prefix from forcing a large allocation before
@@ -63,6 +64,12 @@ const MaxBatch = 1024
 // socket buffers guarantees the reap-when-full client loop can never
 // deadlock against a server blocked on writing acknowledgements.
 const MaxPipeline = 1024
+
+// tagSpace bounds request tags: a client's counter wraps here, so a tag
+// costs at most two varint bytes. Tags need only be unique among the
+// requests in flight on one connection, which MaxPipeline bounds far
+// below it.
+const tagSpace = 1 << 14
 
 // MaxFrame bounds a frame body. It must hold the largest legitimate
 // message (a stats response for every tenant, a snapshot blob); a
@@ -88,12 +95,6 @@ const (
 	msgDrain
 	msgCloseTenant
 	msgPing
-	// msgTagged is the pipelining envelope: a varint request tag followed
-	// by a complete inner message. The response to a tagged request is
-	// wrapped the same way with the same tag, so a client may keep many
-	// requests in flight and match acknowledgements by tag even if they
-	// return out of order or coalesced into one flush.
-	msgTagged
 	// msgRestore installs a released tenant: the open request's fields
 	// plus the state blob a msgRelease returned. The server validates the
 	// blob against the declared configuration, recreates the tenant at

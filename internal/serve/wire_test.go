@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -99,7 +100,7 @@ func TestFrameTruncation(t *testing.T) {
 }
 
 // codecCase is one TestWireCodecRoundTrip entry: a value, its message
-// type, and how to encode it and decode it back.
+// type, and how to encode it (tag first) and decode it back.
 type codecCase struct {
 	name string
 	typ  uint64
@@ -109,11 +110,16 @@ type codecCase struct {
 }
 
 // TestWireCodecRoundTrip encodes and decodes every request and response
-// type of the protocol — including zero-valued weights, reservations,
-// blobs and backend rows, which a fixed-layout frame carries like any
-// other value — and requires the decoder to consume each frame exactly
-// and return what was encoded.
+// type of the protocol in its tag | type | fields layout — including
+// zero-valued weights, reservations, blobs and backend rows, which a
+// fixed-layout frame carries like any other value — and requires the
+// decoder to consume each frame exactly and return what was encoded.
+// The largest tag a client issues must cost at most two bytes.
 func TestWireCodecRoundTrip(t *testing.T) {
+	const tag = tagSpace - 1
+	if n := len(binary.AppendUvarint(nil, tag)); n > 2 {
+		t.Fatalf("tag %d costs %d bytes, want at most 2", uint64(tag), n)
+	}
 	cfg := TenantConfig{Policy: "edf", N: 4, Speed: 2, Delta: 3, Delays: []int{2, 6},
 		QueueCap: 32, Weight: 5, ResRate: 0.25, ResDelay: 16}
 	row := TenantStats{ID: "a", Policy: "ΔLRU-EDF", Round: 9, NextSeq: 11, Pending: 3, QueueDepth: 2,
@@ -132,57 +138,57 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	}
 	bare := func(name string, typ uint64) codecCase {
 		return codecCase{name, typ, ping{},
-			func(e *snap.Encoder) { e.Uint64(typ) },
+			func(e *snap.Encoder) { e.Uint64(tag); e.Uint64(typ) },
 			func(*snap.Decoder) any { return ping{} }}
 	}
 	openCase := func(name string, typ uint64, m openMsg) codecCase {
 		return codecCase{name, typ, m,
-			func(e *snap.Encoder) { m.encode(e, typ) },
+			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e, typ) },
 			func(d *snap.Decoder) any { var out openMsg; out.decode(d, typ); return out }}
 	}
 	openRespCase := func(name string, typ uint64, m openResp) codecCase {
 		return codecCase{name, typ, m,
-			func(e *snap.Encoder) { m.encode(e, typ) },
+			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e, typ) },
 			func(d *snap.Decoder) any { var out openResp; out.decode(d); return out }}
 	}
 	batchCase := func(name string, m batchMsg) codecCase {
 		return codecCase{name, msgSubmitBatch, m,
-			func(e *snap.Encoder) { m.encode(e) },
+			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e) },
 			func(d *snap.Decoder) any { var out batchMsg; out.decode(d); return out }}
 	}
 	batchRespCase := func(name string, m batchResp) codecCase {
 		return codecCase{name, msgSubmitBatch, m,
-			func(e *snap.Encoder) { m.encode(e) },
+			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e) },
 			func(d *snap.Decoder) any { var out batchResp; out.decode(d); return out }}
 	}
 	tenantCase := func(name string, m tenantMsg) codecCase {
 		return codecCase{name, m.Type, m,
-			func(e *snap.Encoder) { m.encode(e) },
+			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e) },
 			func(d *snap.Decoder) any { out := tenantMsg{Type: m.Type}; out.decode(d); return out }}
 	}
 	statsCase := func(name string, rows []TenantStats) codecCase {
 		return codecCase{name, msgTenantStats, rows,
-			func(e *snap.Encoder) { encodeStatsResp(e, rows) },
+			func(e *snap.Encoder) { e.Uint64(tag); encodeStatsResp(e, rows) },
 			func(d *snap.Decoder) any { return decodeStatsResp(d) }}
 	}
 	resultCase := func(name string, typ uint64) codecCase {
 		return codecCase{name, typ, res,
-			func(e *snap.Encoder) { encodeResult(e, typ, res) },
+			func(e *snap.Encoder) { e.Uint64(tag); encodeResult(e, typ, res) },
 			func(d *snap.Decoder) any { return decodeResult(d) }}
 	}
 	releaseCase := func(name string, r *ReleasedTenant) codecCase {
 		return codecCase{name, msgRelease, r,
-			func(e *snap.Encoder) { r.encode(e) },
+			func(e *snap.Encoder) { e.Uint64(tag); r.encode(e) },
 			func(d *snap.Decoder) any { out := &ReleasedTenant{}; out.decode(d); return out }}
 	}
 	duraCase := func(name string, st DuraStats) codecCase {
 		return codecCase{name, msgDuraStats, st,
-			func(e *snap.Encoder) { st.encode(e) },
+			func(e *snap.Encoder) { e.Uint64(tag); st.encode(e) },
 			func(d *snap.Decoder) any { var out DuraStats; out.decode(d); return out }}
 	}
 	errCase := func(name string, m errResp) codecCase {
 		return codecCase{name, msgErr, m,
-			func(e *snap.Encoder) { m.encode(e) },
+			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e) },
 			func(d *snap.Decoder) any { var out errResp; out.decode(d); return out }}
 	}
 	zero := TenantConfig{Policy: "edf"} // weight, reservation, delays all zero
@@ -216,7 +222,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		releaseCase("release-response-zero", &ReleasedTenant{Config: zero}),
 		bare("ping", msgPing),
 		{"ping-response", msgPing, ping{Draining: true, Tenants: 3},
-			func(e *snap.Encoder) { AppendPingResponse(e, PeekInfo{}, true, 3) },
+			func(e *snap.Encoder) { AppendPingResponse(e, PeekInfo{Tag: tag}, true, 3) },
 			func(d *snap.Decoder) any { return ping{Draining: d.Bool(), Tenants: d.Int()} }},
 		bare("dura-stats", msgDuraStats),
 		duraCase("dura-stats-response", DuraStats{Mode: "mixed", Appends: 10, Bytes: 1000, Fsyncs: 3,
@@ -234,6 +240,9 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			e := snap.NewEncoder()
 			c.enc(e)
 			d := snap.NewDecoder(e.Bytes())
+			if got := d.Uint64(); got != tag {
+				t.Fatalf("tag = %d, want %d", got, uint64(tag))
+			}
 			if typ := d.Uint64(); typ != c.typ {
 				t.Fatalf("type = %d, want %d", typ, c.typ)
 			}
@@ -383,25 +392,31 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 // The steady-state ingest path must not allocate per frame: staging a
-// submit the way Client.Submit does — one tick in a reused one-element
-// array, sent as a batch of one — into a reused encoder, and decoding it
-// into a reused batchMsg, both reach zero allocations, which is what
-// keeps a tenant's submit loop allocation-free on client and server.
+// submit the way Client.Submit does — a tag, then one tick sent as a
+// batch of one — into a reused encoder, and decoding tag, type and
+// batch into a reused batchMsg, both reach zero allocations, which is
+// what keeps a tenant's submit loop allocation-free on client and
+// server.
 func TestSubmitCodecSteadyStateAllocs(t *testing.T) {
 	e := snap.NewEncoder()
 	req := sched.Request{{Color: 3, Count: 7}, {Color: 0, Count: 1}, {Color: 5, Count: 2}}
 	var one [1]sched.Request
 	msg := batchMsg{Tenant: "tenant-0", Seq: 0}
 	var dec batchMsg
+	var tag uint64
 	roundTrip := func() {
+		tag = (tag + 1) % tagSpace
 		msg.Seq++
 		one[0] = req
 		msg.Ticks = one[:]
 		e.Reset()
+		e.Uint64(tag)
 		msg.encode(e)
 		one[0] = nil
 		d := snap.NewDecoder(e.Bytes())
-		d.Uint64()
+		if got, typ := d.Uint64(), d.Uint64(); got != tag || typ != msgSubmitBatch {
+			t.Fatalf("decoded tag %d type %d, want %d and %d", got, typ, tag, uint64(msgSubmitBatch))
+		}
 		dec.decode(d)
 		if d.Err() != nil || len(dec.Ticks) != 1 || len(dec.Ticks[0]) != len(req) {
 			t.Fatalf("decoded %+v (%v)", dec, d.Err())

@@ -419,7 +419,7 @@ type (
 	// BadSeqError reports an out-of-sequence Submit, carrying the
 	// tenant's resume point.
 	BadSeqError = serve.BadSeqError
-	// Pipeline keeps a bounded window of tagged submits in flight on
+	// Pipeline keeps a bounded window of submits in flight on
 	// one ServeClient connection; see ServeClient.NewPipeline.
 	Pipeline = serve.Pipeline
 	// SubmitResult is one acknowledgement delivered to a Pipeline's
