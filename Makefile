@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test race race-hot cover bench bench-json benchsmoke faultsmoke durasmoke bdrsmoke optsmoke servesmoke proxysmoke docscheck check fuzz experiments fmt vet clean
+.PHONY: all build test race race-hot cover bench bench-json benchsmoke faultsmoke durasmoke bdrsmoke optsmoke servesmoke proxysmoke docscheck check fuzz loc experiments fmt vet clean
 
 all: build test
 
@@ -130,6 +130,15 @@ fuzz:
 		echo "fuzz $$pkg $$fn ($(FUZZTIME))"; \
 		go test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg; \
 	done
+
+# The size of the network layer, internal/serve plus internal/proxy, as
+# ROADMAP's line-count goals and CHANGES.md entries quote it: non-test
+# lines, and code lines (non-blank lines that do not start with //).
+# It reports only; nothing gates on it.
+LOC_FILES = $(filter-out %_test.go,$(wildcard internal/serve/*.go internal/proxy/*.go))
+loc:
+	@echo "serve+proxy non-test lines: $$(cat $(LOC_FILES) | wc -l)"
+	@echo "serve+proxy code lines:     $$(cat $(LOC_FILES) | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l)"
 
 # Regenerate every experiment table/figure (DESIGN.md §3) and refresh the
 # data section of EXPERIMENTS.md.

@@ -9,8 +9,6 @@
 //	                                  # automatically on restart
 //	rrserved -ckpt-adaptive           # pace checkpoints from measured costs
 //	rrserved -round-interval 10ms     # pace rounds instead of applying eagerly
-//	rrserved -allocator fifo          # legacy drain-in-scan-order cross-tenant order
-//	rrserved -stats-every 10s         # periodic scheduling summary log line
 //	rrserved -bdr                     # bounded-delay admission control: tenants may
 //	                                  # reserve (rate, delay) pairs, checked against
 //	                                  # the machine's supply bound before admission
@@ -21,8 +19,10 @@
 // window, so checkpoint cost stays flat as tenant counts grow.
 //
 // Which backlogged tenant a worker serves next is the cross-tenant
-// allocator's decision (-allocator); see docs/SCHEDULING.md for the
-// model and tuning guidance.
+// allocator's decision: weighted deficit round-robin with delay-factor
+// escalation (docs/SCHEDULING.md). Every counter the server keeps — the
+// tenants' scheduling rows and the checkpoint log's — is read through
+// one stats request (rrload, or serve.Client.ReadOut).
 //
 // With -bdr the server additionally runs bounded-delay-reservation
 // admission control (docs/SCHEDULING.md "Admission"): a tenant may
@@ -65,8 +65,6 @@ func main() {
 		shards       = flag.Int("shards", 0, "round-engine worker shards (0 = GOMAXPROCS, capped at 16)")
 		maxTen       = flag.Int("max-tenants", 0, "live tenant limit (0 = default 4096)")
 		queueCap     = flag.Int("queue-cap", 0, "default per-tenant queue cap (0 = default 64)")
-		alloc        = flag.String("allocator", "", "cross-tenant allocator: wdrr or fifo (empty = wdrr)")
-		statsInt     = flag.Duration("stats-every", 0, "log a scheduling summary at this interval (0 = off)")
 		bdrOn        = flag.Bool("bdr", false, "enable bounded-delay-reservation admission control")
 		quiet        = flag.Bool("quiet", false, "suppress operational log lines")
 	)
@@ -89,7 +87,6 @@ func main() {
 		Shards:             *shards,
 		MaxTenants:         *maxTen,
 		DefaultQueueCap:    *queueCap,
-		Allocator:          *alloc,
 		BDR:                *bdrOn,
 		Logf:               logf,
 	})
@@ -98,11 +95,6 @@ func main() {
 		os.Exit(1)
 	}
 	logf("rrserved: listening on %s (%d tenants recovered)", srv.Addr(), srv.NumTenants())
-
-	// The logger goroutine is joined to the server's worker group, so it
-	// stops — and cannot log — once Shutdown begins (the old inline
-	// ticker goroutine leaked past shutdown and could log after close).
-	srv.StartStatsLogger(*statsInt)
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)

@@ -197,6 +197,10 @@ type Log struct {
 	fsyncs      atomic.Int64
 	rotations   atomic.Int64
 	compactions atomic.Int64
+	// segments mirrors the on-disk segment count (sealed + active) so
+	// that Stats never takes mu, which the committer holds across every
+	// group-commit fsync. countSegmentsLocked keeps it current.
+	segments atomic.Int64
 }
 
 // Open scans dir for existing segments, rebuilds the tenant index,
@@ -425,7 +429,14 @@ func (l *Log) openActive(seq int) error {
 	l.activeSeq = seq
 	l.activeOff = segHeader
 	l.dirty = true // header awaits its first sync
+	l.countSegmentsLocked()
 	return nil
+}
+
+// countSegmentsLocked republishes the segment count after a segment is
+// opened, sealed or compacted away. Callers hold l.mu.
+func (l *Log) countSegmentsLocked() {
+	l.segments.Store(int64(len(l.sealed) + 1))
 }
 
 // appendPayloadLocked frames payload into the write buffer and returns
@@ -652,6 +663,7 @@ func (l *Log) compactLocked() error {
 			return err
 		}
 		l.sealed = l.sealed[1:]
+		l.countSegmentsLocked()
 		l.compactions.Add(1)
 	}
 	return nil
@@ -763,14 +775,9 @@ func (l *Log) Tenants() []string {
 	return ids
 }
 
-// Stats returns a snapshot of the log's counters.
+// Stats returns a snapshot of the log's counters. It reads only
+// atomics, so it never waits behind an append or an fsync.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	segs := len(l.sealed) + 1
-	if l.active == nil {
-		segs--
-	}
-	l.mu.Unlock()
 	return Stats{
 		Appends:     l.appends.Load(),
 		Deltas:      l.deltas.Load(),
@@ -778,7 +785,7 @@ func (l *Log) Stats() Stats {
 		Fsyncs:      l.fsyncs.Load(),
 		Rotations:   l.rotations.Load(),
 		Compactions: l.compactions.Load(),
-		Segments:    segs,
+		Segments:    int(l.segments.Load()),
 	}
 }
 

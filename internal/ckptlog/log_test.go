@@ -709,3 +709,40 @@ func TestLogFailureIsSticky(t *testing.T) {
 		t.Fatalf("segment grew from %d to %d bytes after the failure (buffered bytes rewritten)", before.Size(), after.Size())
 	}
 }
+
+// TestLogStatsSkipsLock: Stats reads only atomics, so a caller polling
+// the counters never queues behind the committer, which holds the log's
+// lock across every group-commit fsync. The segment count it reports
+// must still track rotation and compaction exactly.
+func TestLogStatsSkipsLock(t *testing.T) {
+	dir := t.TempDir()
+	l := openTest(t, dir, func(o *Options) {
+		o.SegmentBytes = 1 << 10
+		o.CompactSegments = 2
+	})
+	defer l.Close()
+	for round := 1; round <= 40; round++ {
+		if err := l.Append("a", KindFull, round, 0, blobFor("a", round)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "log-*.seg"))
+	l.mu.Lock()
+	got := make(chan Stats, 1)
+	go func() { got <- l.Stats() }()
+	var st Stats
+	select {
+	case st = <-got:
+		l.mu.Unlock()
+	case <-time.After(time.Second):
+		l.mu.Unlock()
+		<-got
+		t.Fatal("Stats waited for the log lock")
+	}
+	if st.Appends != 40 || st.Compactions == 0 {
+		t.Fatalf("Stats = %+v, want 40 appends and some compactions", st)
+	}
+	if st.Segments != len(files) {
+		t.Fatalf("Stats reports %d segments, %d on disk", st.Segments, len(files))
+	}
+}

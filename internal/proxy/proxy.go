@@ -3,8 +3,9 @@
 // the front — clients need no change — and fans out to N backends on
 // the back, sharding tenants across them by rendezvous hashing on the
 // tenant ID (Pick). Per-tenant requests are relayed byte-for-byte to
-// the owning backend; fleet-wide requests (ping, all-tenant stats,
-// dura-stats) are fanned out and merged at the proxy.
+// the owning backend; fleet-wide requests (ping and all-tenant stats,
+// whose read-out carries the checkpoint-log counters) are fanned out and
+// merged at the proxy.
 //
 // The fan-out queries every backend concurrently, each on a pooled,
 // persistent control connection, so a fleet request costs one backend
@@ -358,12 +359,6 @@ func (p *Proxy) handleConn(c net.Conn) {
 			if !fc.writeLocal(enc.Bytes()) {
 				return
 			}
-		case serve.ReqDuraStats:
-			enc.Reset()
-			p.appendDuraStats(enc, info)
-			if !fc.writeLocal(enc.Bytes()) {
-				return
-			}
 		default:
 			addr := p.route(info.Tenant)
 			if addr == "" {
@@ -534,9 +529,11 @@ func (p *Proxy) appendPing(enc *snap.Encoder, info serve.PeekInfo) {
 }
 
 // appendFleetStats answers an all-tenant stats request by fanning out
-// to every live backend, merging the rows sorted by tenant ID, and
-// recomputing each ServiceShare against the fleet-wide served-rounds
-// total (each backend only knows its own).
+// to every live backend, one read-out each, merging the rows sorted by
+// tenant ID, and recomputing each ServiceShare against the fleet-wide
+// served-rounds total (each backend only knows its own). The
+// checkpoint-log counters are summed over the backends that answered,
+// each also listed under its address in the counters' Backends.
 // Standby rows are included only for tenants the routing table actually
 // sends there (their primary died); otherwise the standby's teed
 // replicas would shadow the primaries' live rows.
@@ -546,12 +543,27 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 		addrs = append(addrs, p.cfg.Standby)
 	}
 	perBackend := make([][]serve.TenantStats, len(addrs))
-	p.fanout(addrs, func(i int, c *serve.Client) (err error) {
-		perBackend[i], err = c.Stats("")
+	counters := make([]serve.DuraStats, len(addrs))
+	errs := p.fanout(addrs, func(i int, c *serve.Client) (err error) {
+		perBackend[i], counters[i], err = c.ReadOut("")
 		return err
 	})
 	var rows []serve.TenantStats
+	var sum serve.DuraStats
 	for i, rs := range perBackend {
+		if errs[i] != nil {
+			continue
+		}
+		st := counters[i]
+		sum.Appends += st.Appends
+		sum.Bytes += st.Bytes
+		sum.Fsyncs += st.Fsyncs
+		sum.Deltas += st.Deltas
+		sum.Rotations += st.Rotations
+		sum.Compactions += st.Compactions
+		sum.Segments += st.Segments
+		st.Backends = nil // a backend never reports rows; keep it that way
+		sum.Backends = append(sum.Backends, serve.BackendDuraStats{Addr: addrs[i], DuraStats: st})
 		if addrs[i] != p.cfg.Standby {
 			rows = append(rows, rs...)
 			continue
@@ -573,42 +585,7 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 			rows[i].ServiceShare = float64(rows[i].ServedRounds) / total
 		}
 	}
-	serve.AppendStatsResponse(enc, info, rows)
-}
-
-// appendDuraStats answers a durability-stats request for the fleet: the
-// counters summed across every live backend, with a
-// per-backend breakdown labelled by address in Backends. Mode is the
-// backends' common mode, or "mixed" when they disagree.
-func (p *Proxy) appendDuraStats(enc *snap.Encoder, info serve.PeekInfo) {
-	addrs := p.liveBackends()
-	perBackend := make([]serve.DuraStats, len(addrs))
-	errs := p.fanout(addrs, func(i int, c *serve.Client) (err error) {
-		perBackend[i], err = c.DuraStats()
-		return err
-	})
-	var sum serve.DuraStats
-	for i, st := range perBackend {
-		if errs[i] != nil {
-			continue
-		}
-		switch {
-		case sum.Mode == "":
-			sum.Mode = st.Mode
-		case sum.Mode != st.Mode:
-			sum.Mode = "mixed"
-		}
-		sum.Appends += st.Appends
-		sum.Bytes += st.Bytes
-		sum.Fsyncs += st.Fsyncs
-		sum.Deltas += st.Deltas
-		sum.Rotations += st.Rotations
-		sum.Compactions += st.Compactions
-		sum.Segments += st.Segments
-		st.Backends = nil // a backend never reports rows; keep it that way
-		sum.Backends = append(sum.Backends, serve.BackendDuraStats{Addr: addrs[i], DuraStats: st})
-	}
-	serve.AppendDuraStatsResponse(enc, info, sum)
+	serve.AppendStatsResponse(enc, info, rows, &sum)
 }
 
 // liveBackends snapshots the backends not marked dead.

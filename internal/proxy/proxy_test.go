@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,11 +381,11 @@ func TestProxyFailover(t *testing.T) {
 	}
 }
 
-// TestProxyDuraStatsFanout: the durability-stats request fans out like
-// the scheduler stats — the proxy sums the counters across live
-// backends and attaches a per-backend breakdown labelled by address.
-// Two log-mode backends plus a memory-only one make the merged mode
-// "mixed" and give the sum real work to add up.
+// TestProxyDuraStatsFanout: the checkpoint-log counters ride the same
+// all-tenant stats exchange as the rows — the proxy sums them across
+// the backends that answered and attaches a per-backend breakdown
+// labelled by address. Two durable backends give the sum real work to
+// add up; a memory-only one must report an all-zero row.
 func TestProxyDuraStatsFanout(t *testing.T) {
 	// CheckpointEvery 1 makes every applied round append a log record,
 	// so a submit + drain deterministically bumps the counters.
@@ -440,18 +441,18 @@ func TestProxyDuraStatsFanout(t *testing.T) {
 		}
 	}
 
-	st, err := c.DuraStats()
+	rows, st, err := c.ReadOut("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Mode != "mixed" {
-		t.Fatalf("merged mode = %q, want \"mixed\" (log, log, off)", st.Mode)
+	if len(rows) != 2 {
+		t.Fatalf("fan-out returned %d tenant rows, want 2", len(rows))
 	}
 	if len(st.Backends) != 3 {
 		t.Fatalf("fan-out returned %d backend rows, want 3", len(st.Backends))
 	}
 	byAddr := map[string]serve.BackendDuraStats{}
-	var sumAppends, sumBytes int64
+	var sumAppends, sumBytes, sumSegments int64
 	for _, b := range st.Backends {
 		if len(b.Backends) != 0 {
 			t.Fatalf("backend row %s carries nested rows — fan-out must be one level", b.Addr)
@@ -459,26 +460,29 @@ func TestProxyDuraStatsFanout(t *testing.T) {
 		byAddr[b.Addr] = b
 		sumAppends += b.Appends
 		sumBytes += b.Bytes
+		sumSegments += b.Segments
 	}
 	for i, addr := range addrs {
 		row, ok := byAddr[addr]
 		if !ok {
 			t.Fatalf("no row for backend %s", addr)
 		}
-		wantMode := "log"
 		if i == 2 {
-			wantMode = "off"
+			if !reflect.DeepEqual(row.DuraStats, serve.DuraStats{}) {
+				t.Fatalf("memory-only backend %s reports %+v, want all zero", addr, row.DuraStats)
+			}
+			continue
 		}
-		if row.Mode != wantMode {
-			t.Fatalf("backend %s mode = %q, want %q", addr, row.Mode, wantMode)
+		if row.Appends == 0 || row.Segments == 0 {
+			t.Fatalf("durable backend %s shows %d appends over %d segments after a submit", addr, row.Appends, row.Segments)
 		}
-		if i != 2 && row.Appends == 0 {
-			t.Fatalf("durable backend %s shows zero appends after a submit", addr)
+		if want := backends[i].DuraStats(); !reflect.DeepEqual(row.DuraStats, want) {
+			t.Fatalf("backend %s row %+v, want its own counters %+v", addr, row.DuraStats, want)
 		}
 	}
-	if st.Appends != sumAppends || st.Bytes != sumBytes {
-		t.Fatalf("top-level counters (%d appends, %d bytes) != sum of rows (%d, %d)",
-			st.Appends, st.Bytes, sumAppends, sumBytes)
+	if st.Appends != sumAppends || st.Bytes != sumBytes || st.Segments != sumSegments {
+		t.Fatalf("top-level counters (%d appends, %d bytes, %d segments) != sum of rows (%d, %d, %d)",
+			st.Appends, st.Bytes, st.Segments, sumAppends, sumBytes, sumSegments)
 	}
 	if st.Appends == 0 {
 		t.Fatal("fleet-wide appends = 0 after submits on durable backends")
@@ -694,9 +698,10 @@ func TestProxyFanoutStalePool(t *testing.T) {
 	}
 }
 
-// TestProxyFanoutConcurrent: many clients issuing fleet stats, ping and
-// dura-stats at once share the control pool; every answer must still be
-// exact. Run under -race.
+// TestProxyFanoutConcurrent: many clients issuing fleet stats and ping
+// at once share the control pool; every answer — the rows and the
+// checkpoint-log counters of one stats exchange, and the ping — must
+// still be exact. Run under -race.
 func TestProxyFanoutConcurrent(t *testing.T) {
 	backends := []*serve.Server{
 		startBackend(t, serve.Config{CheckpointDir: t.TempDir(), CheckpointEvery: 1}),
@@ -729,9 +734,14 @@ func TestProxyFanoutConcurrent(t *testing.T) {
 			}
 			defer c.Close()
 			for i := 0; i < iters; i++ {
-				rows, err := c.Stats("")
+				rows, st, err := c.ReadOut("")
 				if err != nil || len(rows) != tenants {
 					t.Errorf("stats = %d rows, %v; want %d", len(rows), err, tenants)
+					return
+				}
+				if st.Appends != want || len(st.Backends) != 2 {
+					t.Errorf("stats counters = %d appends over %d backend rows; want %d over 2",
+						st.Appends, len(st.Backends), want)
 					return
 				}
 				var served int64
@@ -744,12 +754,6 @@ func TestProxyFanoutConcurrent(t *testing.T) {
 				}
 				if _, n, err := c.Ping(); err != nil || n != tenants {
 					t.Errorf("ping = %d tenants, %v; want %d", n, err, tenants)
-					return
-				}
-				st, err := c.DuraStats()
-				if err != nil || st.Appends != want || len(st.Backends) != 2 {
-					t.Errorf("dura-stats = %d appends over %d rows, %v; want %d over 2",
-						st.Appends, len(st.Backends), err, want)
 					return
 				}
 			}

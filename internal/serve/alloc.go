@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bdr"
 )
@@ -72,13 +71,6 @@ type Allocator interface {
 // DefaultAllocator is the allocator spec Config.Allocator "" selects.
 const DefaultAllocator = "wdrr"
 
-// AllocatorNames lists the specs NewAllocator accepts, sorted.
-func AllocatorNames() []string {
-	names := []string{"fifo", "wdrr"}
-	sort.Strings(names)
-	return names
-}
-
 // NewAllocator builds a cross-tenant allocator by spec:
 //
 //   - "wdrr" (the default): weighted deficit round-robin with priority
@@ -107,7 +99,7 @@ func NewAllocator(spec string, quantum int, escalation float64) (Allocator, erro
 	case "fifo":
 		return fifoAllocator{}, nil
 	default:
-		return nil, fmt.Errorf("serve: unknown allocator %q (have %v)", spec, AllocatorNames())
+		return nil, fmt.Errorf("serve: unknown allocator %q (have fifo, wdrr)", spec)
 	}
 }
 

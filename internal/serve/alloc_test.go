@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -164,7 +165,8 @@ func TestAllocatorStarvation(t *testing.T) {
 }
 
 // TestStatsRespExRoundTrip round-trips a stats row with every field
-// set, the cross-tenant scheduling and reservation columns included.
+// set, the cross-tenant scheduling and reservation columns included,
+// ahead of the checkpoint-log block.
 func TestStatsRespExRoundTrip(t *testing.T) {
 	rows := []TenantStats{
 		{ID: "a", Policy: "ΔLRU-EDF", Round: 9, NextSeq: 11, Pending: 3, QueueDepth: 2,
@@ -175,17 +177,18 @@ func TestStatsRespExRoundTrip(t *testing.T) {
 			ReservedRate: 0.25, ReservedDelay: 32, BudgetUtilization: 1.5},
 		{ID: "b"},
 	}
+	counters := DuraStats{Appends: 6, Bytes: 600, Fsyncs: 2, Segments: 1}
 	e := snap.NewEncoder()
-	encodeStatsResp(e, rows)
+	encodeStatsResp(e, rows, &counters)
 	d := snap.NewDecoder(e.Bytes())
 	if typ := d.Uint64(); typ != msgTenantStats {
 		t.Fatalf("type = %d", typ)
 	}
-	got := decodeStatsResp(d)
+	got, st := decodeStatsResp(d)
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != rows[0] || got[1] != rows[1] {
-		t.Fatalf("round trip: %+v", got)
+	if len(got) != 2 || got[0] != rows[0] || got[1] != rows[1] || !reflect.DeepEqual(st, counters) {
+		t.Fatalf("round trip: %+v, %+v", got, st)
 	}
 }

@@ -246,11 +246,22 @@ func (c *Client) Submit(tenant string, seq int, arrivals sched.Request) (round, 
 	return r.Round, r.QueueDepth, nil
 }
 
-// Stats fetches one tenant's stats row, or every tenant's (sorted by
-// ID) when tenant is "".
-func (c *Client) Stats(tenant string) (rows []TenantStats, err error) {
+// ReadOut is the server's one read-out, a single stats exchange: one
+// tenant's stats row, or every tenant's (sorted by ID) when tenant is "",
+// together with the answering server's checkpoint-log counters. Through
+// a proxy an all-tenant read-out merges the fleet's rows, sums the
+// counters over the backends the rows came from, and lists each one's
+// own counters in DuraStats.Backends.
+func (c *Client) ReadOut(tenant string) (rows []TenantStats, st DuraStats, err error) {
 	err = c.call(msgTenantStats, (&tenantMsg{Type: msgTenantStats, Tenant: tenant}).encode,
-		func(d *snap.Decoder) { rows = decodeStatsResp(d) })
+		func(d *snap.Decoder) { rows, st = decodeStatsResp(d) })
+	return rows, st, err
+}
+
+// Stats fetches one tenant's stats row, or every tenant's (sorted by
+// ID) when tenant is "": the rows of ReadOut.
+func (c *Client) Stats(tenant string) ([]TenantStats, error) {
+	rows, _, err := c.ReadOut(tenant)
 	return rows, err
 }
 
@@ -330,12 +341,10 @@ func (c *Client) Ping() (draining bool, tenants int, err error) {
 	return draining, tenants, err
 }
 
-// DuraStats reports the server's durability-backend counters: mode
-// ("log" or "off"), append/byte/fsync totals, and the group-commit
-// log's delta, rotation, compaction and segment counts. A proxy answers
-// with the counters summed across its live backends and a per-backend
-// breakdown in Backends, each row labelled with the backend's address.
-func (c *Client) DuraStats() (st DuraStats, err error) {
-	err = c.call(msgDuraStats, func(e *snap.Encoder) { e.Uint64(msgDuraStats) }, st.decode)
+// DuraStats fetches the checkpoint-log counters of an all-tenant
+// ReadOut: the server's own, or through a proxy the fleet's sums with
+// one row per backend in Backends. All zero means durability is off.
+func (c *Client) DuraStats() (DuraStats, error) {
+	_, st, err := c.ReadOut("")
 	return st, err
 }

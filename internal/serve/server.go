@@ -67,8 +67,9 @@ type Config struct {
 	// Allocator selects the cross-tenant allocation policy shard workers
 	// use to pick the next backlogged tenant (see NewAllocator): "wdrr"
 	// — weighted deficit round-robin with delay-factor escalation, at its
-	// default quantum and escalation threshold — by default, or "fifo"
-	// for the legacy drain-in-scan-order behavior.
+	// default quantum and escalation threshold — by default, or "fifo",
+	// the legacy drain-in-scan-order baseline the skewed benchmark
+	// measures against (rrserved always runs the default).
 	Allocator string
 	// BDR enables bounded-delay admission control (docs/SCHEDULING.md
 	// "Admission"): open requests may carry a (rate, delay) reservation,
@@ -449,19 +450,6 @@ func validTenantID(id string) bool {
 	return true
 }
 
-// newSink sizes a tenant's MetricsSink from its delay menu: the wait
-// histogram spans the delay-bound range, the depth one a generous
-// multiple of what a full queue can hold.
-func newSink(delays []int) *sched.MetricsSink {
-	maxDelay := 1
-	for _, d := range delays {
-		if d > maxDelay {
-			maxDelay = d
-		}
-	}
-	return sched.NewMetricsSink(maxDelay, 1024)
-}
-
 // maxTenantWeight bounds the per-tenant service weight an open request
 // may declare, keeping deficit arithmetic well-conditioned.
 const maxTenantWeight = 1 << 20
@@ -604,12 +592,11 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 	}
 	t := &tenant{
 		id: id, cfg: cfg, polName: pol.Name(),
-		minDelay: minDelayOf(cfg.Delays), sink: newSink(cfg.Delays),
-		draining: &s.draining,
+		minDelay: minDelayOf(cfg.Delays), draining: &s.draining,
 	}
 	if blob == nil {
 		t.st, err = sched.NewStream(pol, sched.StreamConfig{
-			N: cfg.N, Speed: cfg.Speed, Delta: cfg.Delta, Delays: cfg.Delays, Probe: t.sink})
+			N: cfg.N, Speed: cfg.Speed, Delta: cfg.Delta, Delays: cfg.Delays})
 		if err != nil {
 			return nil, &errResp{Code: codeBadRequest, Msg: err.Error()}
 		}
@@ -629,7 +616,7 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 			return nil, &errResp{Code: codeBadRequest,
 				Msg: fmt.Sprintf("restore blob policy %q does not match declared policy %q", polName, pol.Name())}
 		}
-		if t.st, err = sched.RestoreStream(pol, blob, t.sink); err != nil {
+		if t.st, err = sched.RestoreStream(pol, blob, nil); err != nil {
 			return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", err)}
 		}
 	}
@@ -784,31 +771,6 @@ func (s *Server) release(id string) (*ReleasedTenant, *errResp) {
 	t.removeFiles()
 	s.logf("serve: released tenant %s at round %d", id, rel.NextSeq)
 	return rel, nil
-}
-
-// StartStatsLogger starts a goroutine that logs SchedSummary through
-// Config.Logf every interval, joined to the server's worker group: it
-// stops — and can no longer log — before Shutdown or Close returns.
-// Call it before either; a non-positive interval, a draining server, or
-// a nil Logf is a no-op. It is the engine behind rrserved -stats-every.
-func (s *Server) StartStatsLogger(every time.Duration) {
-	if every <= 0 || s.cfg.Logf == nil || s.draining.Load() {
-		return
-	}
-	s.shardWG.Add(1)
-	go func() {
-		defer s.shardWG.Done()
-		tk := time.NewTicker(every)
-		defer tk.Stop()
-		for {
-			select {
-			case <-s.stopShard:
-				return
-			case <-tk.C:
-				s.logf("%s", s.SchedSummary())
-			}
-		}
-	}()
 }
 
 // ——— Durable tenant metadata and recovery ———
@@ -1058,7 +1020,8 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 			return false
 		}
 		s.fillServiceShares(rows, m.Tenant == "")
-		encodeStatsResp(enc, rows)
+		st := s.DuraStats()
+		encodeStatsResp(enc, rows, &st)
 	case msgResult, msgDrain, msgCloseTenant:
 		var m tenantMsg
 		m.decode(d)
@@ -1073,12 +1036,6 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 		enc.Uint64(msgPing)
 		enc.Bool(s.draining.Load())
 		enc.Int(s.NumTenants())
-	case msgDuraStats:
-		if d.Done() != nil {
-			return bad("malformed durability stats request")
-		}
-		st := s.DuraStats()
-		st.encode(enc)
 	case msgRelease:
 		var m tenantMsg
 		m.decode(d)
@@ -1122,10 +1079,11 @@ func (s *Server) statsRows(id string) ([]TenantStats, *errResp) {
 }
 
 // fillServiceShares computes each row's ServiceShare — its fraction of
-// every round tick the server has applied — against the live all-tenant
-// total, so even a single-tenant row reports its server-wide share.
-// allRows says rows already covers every tenant, letting the total come
-// from the rows themselves instead of a second locked walk.
+// every round tick the server's live tenants have applied — so even a
+// single-tenant row reports its server-wide share, equal to that
+// tenant's share in the all-tenant rows. allRows says rows already
+// covers every live tenant, letting the total come from the rows
+// themselves instead of a second locked walk.
 func (s *Server) fillServiceShares(rows []TenantStats, allRows bool) {
 	var total float64
 	if allRows {
@@ -1145,15 +1103,14 @@ func (s *Server) fillServiceShares(rows []TenantStats, allRows bool) {
 	}
 }
 
-// DuraStats reports the checkpoint log's cumulative counters (Mode
-// "log"), or zeros with Mode "off" when durability is disabled.
+// DuraStats reports the checkpoint log's cumulative counters, the block
+// every stats response carries, or zeros when durability is disabled.
 func (s *Server) DuraStats() DuraStats {
 	if s.clog == nil {
-		return DuraStats{Mode: "off"}
+		return DuraStats{}
 	}
 	ls := s.clog.Stats()
 	return DuraStats{
-		Mode:        "log",
 		Appends:     ls.Appends,
 		Bytes:       ls.Bytes,
 		Fsyncs:      ls.Fsyncs,
@@ -1162,28 +1119,6 @@ func (s *Server) DuraStats() DuraStats {
 		Compactions: ls.Compactions,
 		Segments:    int64(ls.Segments),
 	}
-}
-
-// SchedSummary returns a one-line cross-tenant scheduling summary —
-// allocator, tenant count, aggregate backlog, and the worst live and
-// high-water delay factors with the tenants holding them — for periodic
-// operational logging (rrserved -stats-every).
-func (s *Server) SchedSummary() string {
-	rows, _ := s.statsRows("")
-	var backlog int64
-	var worst, worstHi float64
-	worstID, worstHiID := "-", "-"
-	for _, r := range rows {
-		backlog += int64(r.QueueDepth)
-		if worstID == "-" || r.DelayFactor > worst {
-			worst, worstID = r.DelayFactor, r.ID
-		}
-		if worstHiID == "-" || r.MaxDelayFactor > worstHi {
-			worstHi, worstHiID = r.MaxDelayFactor, r.ID
-		}
-	}
-	return fmt.Sprintf("sched: alloc=%s tenants=%d backlog=%d worst_df=%.3f(%s) max_df=%.3f(%s)",
-		s.alloc.Name(), len(rows), backlog, worst, worstID, worstHi, worstHiID)
 }
 
 // tenantCommand executes the single-tenant commands that share the

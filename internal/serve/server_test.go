@@ -150,6 +150,51 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsMaxPending pins the stats row's backlog high-water mark: a
+// served trace must report the MaxPending a CounterSink records on a
+// local replay of the same trace, drain included.
+func TestStatsMaxPending(t *testing.T) {
+	inst := testInstance(t, 64, 0)
+	s := startServer(t, Config{})
+	c := dialTest(t, s)
+	tc := tcFor(inst)
+	if _, _, err := c.Open("alpha", tc); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, c, "alpha", inst, 0)
+	if _, err := c.DrainTenant("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := c.Stats("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pol, err := NewPolicy(tc.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink sched.CounterSink
+	st, err := sched.NewStream(pol, sched.StreamConfig{N: tc.N, Delta: inst.Delta, Delays: inst.Delays, Probe: &sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range inst.Requests {
+		if _, err := st.Step(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.MaxPending == 0 {
+		t.Fatal("the replay never had a backlog; the trace pins nothing")
+	}
+	if rows[0].MaxPending != sink.MaxPending {
+		t.Fatalf("served MaxPending = %d, local replay's CounterSink = %d", rows[0].MaxPending, sink.MaxPending)
+	}
+}
+
 func TestServerRejections(t *testing.T) {
 	inst := testInstance(t, 8, 0)
 	s := startServer(t, Config{})

@@ -48,7 +48,6 @@ type tenant struct {
 
 	mu     sync.Mutex
 	st     *sched.Stream
-	sink   *sched.MetricsSink
 	queue  []sched.Request // admitted round ticks; live entries are queue[head:]
 	head   int
 	closed bool
@@ -61,6 +60,7 @@ type tenant struct {
 	failed   error // a poisoned stream rejects all further commands
 
 	served         int64   // rounds applied by workers/drains, for service shares
+	maxPending     int     // high-water of the stream's end-of-round backlog
 	maxDelayFactor float64 // high-water of queued/minDelay, sampled at admission
 	// BDR budget accounting (Config.BDR): bdrAccrued integrates the
 	// service the reservation guaranteed over the passes the tenant was
@@ -228,10 +228,15 @@ func (t *tenant) load() (TenantLoad, bool) {
 }
 
 // servedRounds reports the round ticks applied so far, for server-wide
-// service-share totals.
+// service-share totals. A released migration tombstone counts none: the
+// all-tenant stats rows skip it, and a single-tenant row's total must
+// sum the same tenants.
 func (t *tenant) servedRounds() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.released {
+		return 0
+	}
 	return t.served
 }
 
@@ -291,6 +296,11 @@ func (t *tenant) applyQueuedLocked(max int) (applied int) {
 			// an engine-level fault; poison the tenant rather than guess.
 			t.failed = fmt.Errorf("serve: tenant %s: applying round %d: %w", t.id, t.st.Round(), err)
 			break
+		}
+		// Drain rounds add no arrivals, so sampling after every applied
+		// tick already sees the deepest end-of-round backlog.
+		if p := t.st.TotalPending(); p > t.maxPending {
+			t.maxPending = p
 		}
 		applied++
 	}
@@ -565,7 +575,7 @@ func (t *tenant) stats() TenantStats {
 		Reconfigs:    t.st.Reconfigs(),
 		CostReconfig: cost.Reconfig,
 		CostDrop:     cost.Drop,
-		MaxPending:   t.sink.MaxPending,
+		MaxPending:   t.maxPending,
 		Overloads:    t.overloads,
 		BadSeqs:      t.badSeqs,
 		Checkpoints:  t.checkpoints,

@@ -51,7 +51,7 @@ import (
 // ProtocolVersion is carried in every open and restore request; the
 // server accepts exactly this version and answers any other with a
 // bad-version error.
-const ProtocolVersion = 8
+const ProtocolVersion = 9
 
 // MaxBatch bounds the round ticks one submit-batch frame may carry. It
 // keeps a hostile length prefix from forcing a large allocation before
@@ -87,9 +87,11 @@ const (
 	// rounds. Admission is per round and strictly sequential, so the
 	// response names the admitted prefix plus the first rejection.
 	msgSubmitBatch
-	// msgTenantStats answers with one stats row per tenant (or for the
-	// named one): counters, cross-tenant scheduling fields and the BDR
-	// reservation columns.
+	// msgTenantStats is the server's one read-out. It answers with one
+	// stats row per tenant (or for the named one) — counters,
+	// cross-tenant scheduling fields and the BDR reservation columns —
+	// then the answering server's checkpoint-log counters and the
+	// per-backend counter rows only the proxy tier fills (DuraStats).
 	msgTenantStats
 	msgResult
 	msgDrain
@@ -108,20 +110,14 @@ const (
 	// response carries the tenant's configuration, resume sequence, and
 	// state blob — everything msgRestore needs on the target.
 	msgRelease
-	// msgDuraStats is a bare request for the durability counters: the
-	// backend mode plus the group-commit log's append, byte, fsync,
-	// delta, rotation, compaction and live-segment counts. The proxy
-	// tier answers it as a fan-out: summed counters plus one labelled row
-	// per backend.
-	msgDuraStats
 )
 
-// DuraStats reports the durability backend's cumulative counters.
-// Mode is "log" (the group-commit checkpoint log) or "off" (no
-// CheckpointDir); Fsyncs counts group commits, which is the number the
-// batching exists to shrink.
+// DuraStats is the checkpoint-log block of a stats response: the
+// answering server's cumulative append, byte, fsync, delta, rotation,
+// compaction and live-segment counts, all zero when durability is off
+// (a durable server always has at least one segment). Fsyncs counts
+// group commits, which is the number the batching exists to shrink.
 type DuraStats struct {
-	Mode        string
 	Appends     int64
 	Bytes       int64
 	Fsyncs      int64
@@ -129,16 +125,16 @@ type DuraStats struct {
 	Rotations   int64
 	Compactions int64
 	Segments    int64
-	// Backends carries the per-backend rows of a proxy fan-out: when a
-	// DuraStats request is answered by the proxy tier, the top-level
-	// counters are the fleet-wide sums (Mode is "mixed" when the backends
-	// disagree) and each row names one backend's address with its own
-	// counters. A server answering a direct dial leaves it empty.
+	// Backends carries the per-backend rows of a proxy fan-out: when the
+	// proxy tier answers an all-tenant stats request, the counters above
+	// are the sums over the backends the rows came from and each row
+	// names one backend's address with its own counters. A server
+	// answering a direct dial leaves it empty.
 	Backends []BackendDuraStats
 }
 
-// BackendDuraStats is one backend's row in a proxied DuraStats
-// response: the backend's address plus its own counters.
+// BackendDuraStats is one backend's row in a proxied stats response:
+// the backend's address plus its own counters.
 type BackendDuraStats struct {
 	// Addr is the backend's dial address as configured on the proxy.
 	Addr string
@@ -148,7 +144,6 @@ type BackendDuraStats struct {
 }
 
 func (s *DuraStats) encode(e *snap.Encoder) {
-	e.Uint64(msgDuraStats)
 	s.encodeCounters(e)
 	e.Int(len(s.Backends))
 	for i := range s.Backends {
@@ -158,7 +153,6 @@ func (s *DuraStats) encode(e *snap.Encoder) {
 }
 
 func (s *DuraStats) encodeCounters(e *snap.Encoder) {
-	e.String(s.Mode)
 	e.Int64(s.Appends)
 	e.Int64(s.Bytes)
 	e.Int64(s.Fsyncs)
@@ -183,7 +177,6 @@ func (s *DuraStats) decode(d *snap.Decoder) {
 }
 
 func (s *DuraStats) decodeCounters(d *snap.Decoder) {
-	s.Mode = d.String()
 	s.Appends = d.Int64()
 	s.Bytes = d.Int64()
 	s.Fsyncs = d.Int64()
@@ -438,9 +431,9 @@ func (m *tenantMsg) decode(d *snap.Decoder) {
 }
 
 // TenantStats is one tenant's row of the stats command: scheduling
-// totals from the live stream, admission-control counters, the
-// MetricsSink's backlog high-water mark, the cross-tenant scheduling
-// fields and the BDR reservation columns.
+// totals from the live stream, admission-control counters, the backlog
+// high-water mark, the cross-tenant scheduling fields and the BDR
+// reservation columns.
 type TenantStats struct {
 	// ID and Policy identify the tenant and its policy (Policy is the
 	// policy's Name, not the spec it was opened with).
@@ -462,8 +455,8 @@ type TenantStats struct {
 	Reconfigs    int   `json:"reconfigs"`
 	CostReconfig int64 `json:"cost_reconfig"`
 	CostDrop     int64 `json:"cost_drop"`
-	// MaxPending is the deepest end-of-round backlog the MetricsSink saw
-	// (since this process started — sinks are not checkpointed).
+	// MaxPending is the deepest end-of-round backlog of jobs pending in
+	// the stream (since this process started — it is not checkpointed).
 	MaxPending int `json:"max_pending"`
 	// Admission-control counters (since this process started).
 	Overloads   int64 `json:"overloads"`
@@ -551,29 +544,32 @@ func (s *TenantStats) decode(d *snap.Decoder) {
 	s.BudgetUtilization = d.Float64()
 }
 
-func encodeStatsResp(e *snap.Encoder, rows []TenantStats) {
+// encodeStatsResp writes the stats response: the rows, then the
+// checkpoint-log block with its per-backend rows.
+func encodeStatsResp(e *snap.Encoder, rows []TenantStats, st *DuraStats) {
 	e.Uint64(msgTenantStats)
 	e.Int(len(rows))
 	for i := range rows {
 		rows[i].encode(e)
 	}
+	st.encode(e)
 }
 
-func decodeStatsResp(d *snap.Decoder) []TenantStats {
+func decodeStatsResp(d *snap.Decoder) (rows []TenantStats, st DuraStats) {
 	n := d.Len()
-	if d.Err() != nil || n == 0 {
-		return nil
+	if d.Err() == nil && n > 0 {
+		rows = make([]TenantStats, 0, min(n, 4096))
 	}
-	rows := make([]TenantStats, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		var s TenantStats
 		s.decode(d)
-		if d.Err() != nil {
-			return nil
-		}
 		rows = append(rows, s)
 	}
-	return rows
+	st.decode(d)
+	if d.Err() != nil {
+		return nil, DuraStats{}
+	}
+	return rows, st
 }
 
 // encodeResult writes a sched.Result (minus the never-recorded

@@ -128,7 +128,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		Weight: 2, MinDelay: 4, ServedRounds: 70, DelayFactor: 0.5,
 		MaxDelayFactor: 2.25, ServiceShare: 0.125,
 		ReservedRate: 0.25, ReservedDelay: 32, BudgetUtilization: 1.5}
-	counters := DuraStats{Mode: "log", Appends: 6, Bytes: 600, Fsyncs: 2, Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1}
+	counters := DuraStats{Appends: 6, Bytes: 600, Fsyncs: 2, Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1}
 	res := &sched.Result{Policy: "EDF", Cost: sched.Cost{Reconfig: 12, Drop: 5},
 		Executed: 40, Dropped: 5, Reconfigs: 3, Rounds: 17,
 		DropsByColor: []int{1, 4}, ExecByColor: []int{20, 20}}
@@ -166,10 +166,14 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e) },
 			func(d *snap.Decoder) any { out := tenantMsg{Type: m.Type}; out.decode(d); return out }}
 	}
-	statsCase := func(name string, rows []TenantStats) codecCase {
-		return codecCase{name, msgTenantStats, rows,
-			func(e *snap.Encoder) { e.Uint64(tag); encodeStatsResp(e, rows) },
-			func(d *snap.Decoder) any { return decodeStatsResp(d) }}
+	type readOut struct {
+		Rows []TenantStats
+		Dura DuraStats
+	}
+	statsCase := func(name string, rows []TenantStats, st DuraStats) codecCase {
+		return codecCase{name, msgTenantStats, readOut{rows, st},
+			func(e *snap.Encoder) { e.Uint64(tag); encodeStatsResp(e, rows, &st) },
+			func(d *snap.Decoder) any { var out readOut; out.Rows, out.Dura = decodeStatsResp(d); return out }}
 	}
 	resultCase := func(name string, typ uint64) codecCase {
 		return codecCase{name, typ, res,
@@ -180,11 +184,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		return codecCase{name, msgRelease, r,
 			func(e *snap.Encoder) { e.Uint64(tag); r.encode(e) },
 			func(d *snap.Decoder) any { out := &ReleasedTenant{}; out.decode(d); return out }}
-	}
-	duraCase := func(name string, st DuraStats) codecCase {
-		return codecCase{name, msgDuraStats, st,
-			func(e *snap.Encoder) { e.Uint64(tag); st.encode(e) },
-			func(d *snap.Decoder) any { var out DuraStats; out.decode(d); return out }}
 	}
 	errCase := func(name string, m errResp) codecCase {
 		return codecCase{name, msgErr, m,
@@ -209,8 +208,17 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			Err: &errResp{Code: codeBadSeq, Expected: 11, Msg: "bad round sequence"}}),
 		tenantCase("stats-all", tenantMsg{Type: msgTenantStats, Tenant: ""}),
 		tenantCase("stats-one", tenantMsg{Type: msgTenantStats, Tenant: "a"}),
-		statsCase("stats-response", []TenantStats{row, {ID: "b"}}),
-		statsCase("stats-response-empty", nil),
+		// A server's own answer: its rows and its log counters; an empty
+		// server with durability off; a proxy's answer, the counters
+		// summed over two backend rows, one of them memory-only; a
+		// durable server with no tenants; and tenants with durability off.
+		statsCase("stats-response", []TenantStats{row, {ID: "b"}}, counters),
+		statsCase("stats-response-empty", nil, DuraStats{}),
+		statsCase("dura-stats-response", []TenantStats{row}, DuraStats{Appends: 6, Bytes: 600, Fsyncs: 2,
+			Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1, Backends: []BackendDuraStats{
+				{Addr: "127.0.0.1:1", DuraStats: counters}, {Addr: "127.0.0.1:2"}}}),
+		statsCase("dura-stats-response-no-backends", nil, counters),
+		statsCase("dura-stats-response-zero", []TenantStats{{ID: "b"}}, DuraStats{}),
 		tenantCase("result", tenantMsg{Type: msgResult, Tenant: "a"}),
 		resultCase("result-response", msgResult),
 		tenantCase("drain", tenantMsg{Type: msgDrain, Tenant: "a"}),
@@ -224,12 +232,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		{"ping-response", msgPing, ping{Draining: true, Tenants: 3},
 			func(e *snap.Encoder) { AppendPingResponse(e, PeekInfo{Tag: tag}, true, 3) },
 			func(d *snap.Decoder) any { return ping{Draining: d.Bool(), Tenants: d.Int()} }},
-		bare("dura-stats", msgDuraStats),
-		duraCase("dura-stats-response", DuraStats{Mode: "mixed", Appends: 10, Bytes: 1000, Fsyncs: 3,
-			Deltas: 2, Rotations: 1, Compactions: 1, Segments: 2, Backends: []BackendDuraStats{
-				{Addr: "127.0.0.1:1", DuraStats: counters}, {Addr: "127.0.0.1:2", DuraStats: DuraStats{Mode: "off"}}}}),
-		duraCase("dura-stats-response-no-backends", counters),
-		duraCase("dura-stats-response-zero", DuraStats{}),
 		errCase("error-admission", errResp{Code: codeAdmission, Msg: "shard full", ResidualRate: 0.375, ResidualDelay: 2}),
 		errCase("error-bad-seq", errResp{Code: codeBadSeq, Expected: 7, Msg: "bad seq"}),
 		errCase("error-zero", errResp{}),
@@ -356,17 +358,17 @@ func TestStatsRespRoundTrip(t *testing.T) {
 		{ID: "b"},
 	}
 	e := snap.NewEncoder()
-	encodeStatsResp(e, rows)
+	encodeStatsResp(e, rows, &DuraStats{})
 	d := snap.NewDecoder(e.Bytes())
 	if typ := d.Uint64(); typ != msgTenantStats {
 		t.Fatalf("type = %d", typ)
 	}
-	got := decodeStatsResp(d)
+	got, st := decodeStatsResp(d)
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != rows[0] || got[1] != rows[1] {
-		t.Fatalf("round trip: %+v", got)
+	if len(got) != 2 || got[0] != rows[0] || got[1] != rows[1] || !reflect.DeepEqual(st, DuraStats{}) {
+		t.Fatalf("round trip: %+v, %+v", got, st)
 	}
 }
 
@@ -452,30 +454,30 @@ func TestErrRespAdmissionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDuraStatsBackendsRoundTrip pins the proxy fan-out rows: a
-// response with per-backend rows round-trips them labelled, and a
-// direct-dial response decodes with no rows.
+// TestDuraStatsBackendsRoundTrip pins the proxy fan-out rows in the
+// stats response's counter block: a response with per-backend rows
+// round-trips them labelled, and a direct-dial response decodes with
+// no rows.
 func TestDuraStatsBackendsRoundTrip(t *testing.T) {
-	in := DuraStats{Mode: "mixed", Appends: 10, Bytes: 1000, Fsyncs: 3,
+	in := DuraStats{Appends: 10, Bytes: 1000, Fsyncs: 3,
 		Deltas: 2, Rotations: 1, Compactions: 1, Segments: 2,
 		Backends: []BackendDuraStats{
-			{Addr: "127.0.0.1:1", DuraStats: DuraStats{Mode: "log", Appends: 6, Bytes: 600, Fsyncs: 2, Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1}},
-			{Addr: "127.0.0.1:2", DuraStats: DuraStats{Mode: "off"}},
+			{Addr: "127.0.0.1:1", DuraStats: DuraStats{Appends: 6, Bytes: 600, Fsyncs: 2, Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1}},
+			{Addr: "127.0.0.1:2"},
 		}}
-	for _, want := range []DuraStats{in, {Mode: "log", Appends: 4}} {
+	for _, want := range []DuraStats{in, {Appends: 4, Segments: 1}} {
 		e := snap.NewEncoder()
-		want.encode(e)
+		encodeStatsResp(e, nil, &want)
 		d := snap.NewDecoder(e.Bytes())
-		if typ := d.Uint64(); typ != msgDuraStats {
+		if typ := d.Uint64(); typ != msgTenantStats {
 			t.Fatalf("type = %d", typ)
 		}
-		var out DuraStats
-		out.decode(d)
+		rows, out := decodeStatsResp(d)
 		if err := d.Done(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(out, want) {
-			t.Fatalf("round trip: %+v, want %+v", out, want)
+		if len(rows) != 0 || !reflect.DeepEqual(out, want) {
+			t.Fatalf("round trip: %+v %+v, want %+v", rows, out, want)
 		}
 	}
 }
