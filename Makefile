@@ -58,11 +58,11 @@ faultsmoke:
 # scans over truncated/corrupted tails, rotation and compaction, sticky
 # write/sync failures — plus the serve-layer durability contracts:
 # tombstones shadowing closed and released tenants, compacting
-# restarts, delta-chain recovery, meta-file versions and the adaptive
-# pacer. Fresh runs, never cached.
+# restarts, delta-chain recovery and meta-file versions. Fresh runs,
+# never cached.
 durasmoke:
 	go test -count=1 ./internal/ckptlog/
-	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestReleaseLogTombstone|TestServeLog|TestServeCrashRestartLogSegments|TestServeAdaptivePacing|TestMetaVersions' -count=1 ./internal/serve/
+	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestReleaseLogTombstone|TestServeLog|TestServeCrashRestartLogSegments|TestMetaVersions' -count=1 ./internal/serve/
 
 # The admission-control smoke (docs/SCHEDULING.md "Admission (layer
 # 0)"): the whole internal/bdr package fresh — SBF feasibility
@@ -85,7 +85,7 @@ servesmoke:
 	go test -count=1 ./internal/serve/
 
 # The fleet smoke (docs/SERVER.md "Fleet"): the rrproxy router tier
-# fresh — rendezvous placement stability, stats/ping fan-out, a verified
+# fresh — rendezvous placement stability, stats fan-out, a verified
 # load run through the proxy in both driver modes, a live tenant
 # migration mid-run, and the 3-backend failover harness that kills a
 # primary mid-run and requires bit-identical results via standby replay.

@@ -1,20 +1,19 @@
 // Command rrproxy is the scale-out router tier in front of a fleet of
 // rrserved backends (internal/proxy): it speaks the client protocol on
 // the front, shards tenants across the backends by rendezvous hashing
-// on tenant ID, fans out fleet-wide requests (ping, all-tenant stats),
-// and — with -standby — tees every mutating frame to a warm-standby
-// backend so a dead primary fails over by resuming from the standby's
-// state instead of rewinding clients. See docs/SERVER.md "Fleet".
+// on tenant ID, fans out the all-tenant stats request, and — with
+// -standby — tees every mutating frame to a warm-standby backend so a
+// dead primary fails over by resuming from the standby's state instead
+// of rewinding clients. See docs/SERVER.md "Fleet".
 //
 // Usage:
 //
 //	rrproxy -backends 127.0.0.1:7145,127.0.0.1:7146
 //	rrproxy -addr :7200 -backends host1:7145,host2:7145 -standby host3:7145
-//	rrproxy -tee-buffer 8192          # deeper standby tee buffer
 //
 // SIGTERM or SIGINT stops the proxy after flushing the standby tee.
-// Live migration (moving one tenant between backends) is driven through
-// the embedding API, proxy.(*Proxy).Migrate.
+// Live migration (moving one tenant between backends) has no flag or
+// message: proxy.(*Proxy).Migrate is driven by the package's tests.
 package main
 
 import (
@@ -34,7 +33,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:7200", "TCP listen address")
 		backends = flag.String("backends", "", "comma-separated rrserved backend addresses (required)")
 		standby  = flag.String("standby", "", "warm-standby rrserved address (empty = no standby)")
-		teeBuf   = flag.Int("tee-buffer", 0, "standby tee frame buffer (0 = default 4096)")
 		quiet    = flag.Bool("quiet", false, "suppress operational log lines")
 	)
 	flag.Parse()
@@ -50,11 +48,10 @@ func main() {
 		}
 	}
 	px, err := proxy.New(proxy.Config{
-		Addr:      *addr,
-		Backends:  list,
-		Standby:   *standby,
-		TeeBuffer: *teeBuf,
-		Logf:      logf,
+		Addr:     *addr,
+		Backends: list,
+		Standby:  *standby,
+		Logf:     logf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

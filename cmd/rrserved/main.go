@@ -7,7 +7,6 @@
 //	rrserved                          # listen on 127.0.0.1:7145, in-memory only
 //	rrserved -addr :7145 -ckpt state  # durable: checkpoints in state/, recovered
 //	                                  # automatically on restart
-//	rrserved -ckpt-adaptive           # pace checkpoints from measured costs
 //	rrserved -round-interval 10ms     # pace rounds instead of applying eagerly
 //	rrserved -bdr                     # bounded-delay admission control: tenants may
 //	                                  # reserve (rate, delay) pairs, checked against
@@ -58,9 +57,6 @@ func main() {
 		ckptEvery    = flag.Int("checkpoint-every", 64, "rounds between periodic per-tenant checkpoints")
 		ckptCommit   = flag.Duration("ckpt-commit-interval", 0, "checkpoint-log group-commit fsync interval (0 = default 2ms)")
 		ckptSegBytes = flag.Int("ckpt-segment-bytes", 0, "log segment size before rotation (0 = default 4MiB)")
-		ckptAdaptive = flag.Bool("ckpt-adaptive", false, "pace checkpoints adaptively from measured snapshot/apply costs")
-		ckptPaceMin  = flag.Int("ckpt-pace-min", 0, "adaptive pacing floor in rounds (0 = default 1)")
-		ckptPaceMax  = flag.Int("ckpt-pace-max", 0, "adaptive pacing ceiling in rounds (0 = default 1024)")
 		interval     = flag.Duration("round-interval", 0, "pace round application (0 = apply eagerly)")
 		shards       = flag.Int("shards", 0, "round-engine worker shards (0 = GOMAXPROCS, capped at 16)")
 		maxTen       = flag.Int("max-tenants", 0, "live tenant limit (0 = default 4096)")
@@ -80,9 +76,6 @@ func main() {
 		CheckpointEvery:    *ckptEvery,
 		CkptCommitInterval: *ckptCommit,
 		CkptSegmentBytes:   *ckptSegBytes,
-		CkptAdaptive:       *ckptAdaptive,
-		CkptPaceMin:        *ckptPaceMin,
-		CkptPaceMax:        *ckptPaceMax,
 		RoundInterval:      *interval,
 		Shards:             *shards,
 		MaxTenants:         *maxTen,

@@ -52,14 +52,6 @@ type Measurement struct {
 	RoundsPerSec float64 `json:"rounds_per_sec,omitempty"`
 	JobsPerSec   float64 `json:"jobs_per_sec,omitempty"`
 	StatesPerSec float64 `json:"states_per_sec,omitempty"`
-
-	// Extra carries named quality metrics a spec's Extra hook reports
-	// after its samples — e.g. the skewed serve benchmarks record the
-	// worst victim-tenant delay factor here. Compare ignores them (they
-	// are claims pinned by docs and tests, not per-op timings), and a
-	// measurement without a hook omits the field, so files with and
-	// without Extra share one schema version.
-	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // File is one serialized benchmark run: the unit BENCH_<label>.json
@@ -87,15 +79,10 @@ type Rates struct {
 }
 
 // Spec is one benchmark in a suite. Make builds a fresh warmed-up op
-// closure and reports the Rates a single op covers. Extra, when
-// non-nil, runs once after the spec's last sample and its values are
-// recorded as the measurement's Extra metrics — the hook for
-// quality-of-service numbers (delay factors, shares) that a per-op
-// timer cannot express.
+// closure and reports the Rates a single op covers.
 type Spec struct {
-	Name  string
-	Make  func() (op func() error, rates Rates)
-	Extra func() map[string]float64
+	Name string
+	Make func() (op func() error, rates Rates)
 }
 
 // Options tunes Run.
@@ -194,9 +181,6 @@ func measure(spec Spec, opts Options) (Measurement, error) {
 	}
 	sum := stats.Summarize(nsSamples)
 	m.NsPerOpMean, m.NsPerOpStd = sum.Mean, sum.Std
-	if spec.Extra != nil {
-		m.Extra = spec.Extra()
-	}
 	return m, nil
 }
 
@@ -242,14 +226,6 @@ func Validate(f *File) error {
 		for _, v := range []float64{m.NsPerOp, m.AllocsPerOp, m.BytesPerOp, m.RoundsPerSec, m.JobsPerSec, m.StatesPerSec} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				return fmt.Errorf("bench: %s has invalid value %v", m.Name, v)
-			}
-		}
-		for k, v := range m.Extra {
-			if k == "" {
-				return fmt.Errorf("bench: %s has an unnamed extra metric", m.Name)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("bench: %s extra %q has invalid value %v", m.Name, k, v)
 			}
 		}
 		if m.Iterations < 1 {

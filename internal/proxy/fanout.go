@@ -67,9 +67,9 @@ func (cp *ctlPool) drop(addr string) {
 }
 
 // dialBackend opens a fresh control connection to addr, bounded by
-// Config.DialTimeout so a black-holed backend cannot hang the caller.
+// dialTimeout so a black-holed backend cannot hang the caller.
 func (p *Proxy) dialBackend(addr string) (*serve.Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, p.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: dialing %s: %w", addr, err)
 	}

@@ -3,9 +3,9 @@
 // the front — clients need no change — and fans out to N backends on
 // the back, sharding tenants across them by rendezvous hashing on the
 // tenant ID (Pick). Per-tenant requests are relayed byte-for-byte to
-// the owning backend; fleet-wide requests (ping and all-tenant stats,
-// whose read-out carries the checkpoint-log counters) are fanned out and
-// merged at the proxy.
+// the owning backend; the one fleet-wide request, all-tenant stats
+// (whose read-out carries the checkpoint-log counters), is fanned out
+// and merged at the proxy.
 //
 // The fan-out queries every backend concurrently, each on a pooled,
 // persistent control connection, so a fleet request costs one backend
@@ -14,8 +14,8 @@
 // have restarted on the same address): it is discarded and the request
 // is retried once on a fresh dial before the backend counts as failed,
 // which is safe because every fanned-out request is read-only. Every
-// control dial — fan-out and Migrate alike — is bounded by
-// Config.DialTimeout.
+// backend dial — relay, fan-out, Migrate, death probe and standby tee
+// alike — is bounded by dialTimeout.
 //
 // Two operations make the tier more than a load balancer:
 //
@@ -66,17 +66,15 @@ type Config struct {
 	// frames are teed to it and tenants of a dead backend re-route to
 	// it. It must not also be listed in Backends.
 	Standby string
-	// TeeBuffer bounds the standby tee's frame buffer (default 4096).
-	// On overflow frames are dropped and counted — the standby falls
-	// back to its last consistent point, never corrupts.
-	TeeBuffer int
-	// DialTimeout bounds backend dials and death probes (default 1s).
-	DialTimeout time.Duration
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) fill() error {
+// dialTimeout bounds every backend dial, so a black-holed backend
+// cannot hang a relay, a fleet request, a migration or a death probe.
+const dialTimeout = time.Second
+
+func (c *Config) validate() error {
 	if len(c.Backends) == 0 {
 		return errors.New("proxy: no backends configured")
 	}
@@ -90,12 +88,6 @@ func (c *Config) fill() error {
 		if b == c.Standby {
 			return fmt.Errorf("proxy: standby %s is also a backend", b)
 		}
-	}
-	if c.TeeBuffer <= 0 {
-		c.TeeBuffer = 4096
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = time.Second
 	}
 	return nil
 }
@@ -128,7 +120,7 @@ type Proxy struct {
 
 // New binds the proxy's listener. Call Serve to accept connections.
 func New(cfg Config) (*Proxy, error) {
-	if err := cfg.fill(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -144,7 +136,7 @@ func New(cfg Config) (*Proxy, error) {
 		ctl:       ctlPool{idle: make(map[string][]*serve.Client)},
 	}
 	if cfg.Standby != "" {
-		p.tee = newTee(cfg.Standby, cfg.TeeBuffer, cfg.DialTimeout, p.logf)
+		p.tee = newTee(cfg.Standby, p.logf)
 	}
 	return p, nil
 }
@@ -256,14 +248,14 @@ func (p *Proxy) routeLocked(tenant string) string {
 }
 
 // probeBackend checks whether a backend that just failed an I/O
-// operation is actually down — one connect within DialTimeout — and
+// operation is actually down — one connect within dialTimeout — and
 // marks it dead if so. A transient per-connection failure (peer reset
 // one conn) must not re-home every tenant of a healthy backend.
 func (p *Proxy) probeBackend(addr string) {
 	if addr == "" || addr == p.cfg.Standby || p.closing.Load() {
 		return
 	}
-	c, err := net.DialTimeout("tcp", addr, p.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err == nil {
 		c.Close()
 		return
@@ -309,8 +301,7 @@ type frontConn struct {
 // handleConn runs one client connection: a reader loop peeking each
 // request frame for its routing key and relaying it verbatim to the
 // owning backend, per-upstream relay goroutines copying responses back,
-// and local handling for the fleet-wide requests (ping, all-tenant
-// stats). Any mid-stream upstream failure tears the whole front
+// and local handling for the fleet-wide all-tenant stats request. Any mid-stream upstream failure tears the whole front
 // connection down — the client's reconnect machinery re-opens against
 // whatever the routing table now says, which is what makes backend
 // death transparent to a resumable client.
@@ -347,12 +338,6 @@ func (p *Proxy) handleConn(c net.Conn) {
 			return
 		}
 		switch info.Kind {
-		case serve.ReqPing:
-			enc.Reset()
-			p.appendPing(enc, info)
-			if !fc.writeLocal(enc.Bytes()) {
-				return
-			}
 		case serve.ReqStatsAll:
 			enc.Reset()
 			p.appendFleetStats(enc, info)
@@ -415,7 +400,7 @@ func (fc *frontConn) upstream(addr string) (*upstream, error) {
 	if u, ok := fc.ups[addr]; ok {
 		return u, nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, fc.p.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -505,28 +490,7 @@ func (fc *frontConn) teardown(failedAddr string) {
 	})
 }
 
-// ——— Fleet-wide requests handled at the proxy ———
-
-// appendPing answers a ping for the fleet: draining when any reachable
-// backend drains, tenant counts summed over the primaries (the standby
-// hosts only teed replicas, which would double-count).
-func (p *Proxy) appendPing(enc *snap.Encoder, info serve.PeekInfo) {
-	addrs := p.liveBackends()
-	draining := make([]bool, len(addrs))
-	tenants := make([]int, len(addrs))
-	errs := p.fanout(addrs, func(i int, c *serve.Client) (err error) {
-		draining[i], tenants[i], err = c.Ping()
-		return err
-	})
-	anyDraining, total := false, 0
-	for i, err := range errs {
-		if err == nil {
-			anyDraining = anyDraining || draining[i]
-			total += tenants[i]
-		}
-	}
-	serve.AppendPingResponse(enc, info, anyDraining, total)
-}
+// ——— The fleet-wide request handled at the proxy ———
 
 // appendFleetStats answers an all-tenant stats request by fanning out
 // to every live backend, one read-out each, merging the rows sorted by

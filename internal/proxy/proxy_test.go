@@ -124,10 +124,10 @@ func TestProxyBasicVerify(t *testing.T) {
 	}
 }
 
-// TestProxyStatsFanout: ping and all-tenant stats are answered at the
-// proxy by fanning out and merging — rows sorted by tenant ID, service
-// shares recomputed fleet-wide — while single-tenant requests relay to
-// the owning backend.
+// TestProxyStatsFanout: all-tenant stats are answered at the proxy by
+// fanning out and merging — one row per fleet tenant, sorted by tenant
+// ID, service shares recomputed fleet-wide — while single-tenant
+// requests relay to the owning backend.
 func TestProxyStatsFanout(t *testing.T) {
 	px, backends, _ := startFleet(t, 2, false)
 	addrs := []string{backends[0].Addr().String(), backends[1].Addr().String()}
@@ -165,14 +165,6 @@ func TestProxyStatsFanout(t *testing.T) {
 	if backends[0].NumTenants() != 2 || backends[1].NumTenants() != 2 {
 		t.Fatalf("tenants split %d/%d across backends, want 2/2",
 			backends[0].NumTenants(), backends[1].NumTenants())
-	}
-
-	draining, tenants, err := c.Ping()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if draining || tenants != 4 {
-		t.Fatalf("fleet ping = (draining %v, tenants %d), want (false, 4)", draining, tenants)
 	}
 
 	rows, err := c.Stats("")
@@ -698,10 +690,10 @@ func TestProxyFanoutStalePool(t *testing.T) {
 	}
 }
 
-// TestProxyFanoutConcurrent: many clients issuing fleet stats and ping
-// at once share the control pool; every answer — the rows and the
-// checkpoint-log counters of one stats exchange, and the ping — must
-// still be exact. Run under -race.
+// TestProxyFanoutConcurrent: many clients issuing fleet stats at once
+// share the control pool; every answer — the rows and the
+// checkpoint-log counters of one read-out, and the tenant count of a
+// second — must still be exact. Run under -race.
 func TestProxyFanoutConcurrent(t *testing.T) {
 	backends := []*serve.Server{
 		startBackend(t, serve.Config{CheckpointDir: t.TempDir(), CheckpointEvery: 1}),
@@ -752,8 +744,8 @@ func TestProxyFanoutConcurrent(t *testing.T) {
 					t.Errorf("summed ServedRounds = %d, want %d", served, tenants)
 					return
 				}
-				if _, n, err := c.Ping(); err != nil || n != tenants {
-					t.Errorf("ping = %d tenants, %v; want %d", n, err, tenants)
+				if rows, err := c.Stats(""); err != nil || len(rows) != tenants {
+					t.Errorf("stats = %d rows, %v; want %d", len(rows), err, tenants)
 					return
 				}
 			}
@@ -820,11 +812,8 @@ func TestProxyFanoutPoolReuseAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 20; i++ {
 		if _, err := c.Stats(""); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := c.Ping(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,9 +21,8 @@ import (
 // dropped and counted (drop-to-checkpoint: failover then falls back to
 // the clients' sequence rewind for the gap).
 type tee struct {
-	addr    string
-	timeout time.Duration
-	logf    func(format string, args ...any)
+	addr string
+	logf func(format string, args ...any)
 
 	ch      chan []byte
 	done    chan struct{}
@@ -31,12 +30,15 @@ type tee struct {
 	dropped atomic.Int64
 }
 
-func newTee(addr string, buffer int, timeout time.Duration, logf func(string, ...any)) *tee {
+// teeBuffer bounds the tee's frame buffer: how far the standby may
+// trail the primaries before frames are dropped.
+const teeBuffer = 4096
+
+func newTee(addr string, logf func(string, ...any)) *tee {
 	t := &tee{
 		addr:    addr,
-		timeout: timeout,
 		logf:    logf,
-		ch:      make(chan []byte, buffer),
+		ch:      make(chan []byte, teeBuffer),
 		done:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
@@ -66,7 +68,7 @@ func (t *tee) close() {
 // run is the tee worker: dial the standby lazily, write frames in
 // arrival order, flush when the buffer runs dry, and discard the
 // standby's responses. A write or dial failure drops the in-hand frame,
-// closes the connection, and backs off one timeout before redialing —
+// closes the connection, and backs off one dial timeout before redialing —
 // the standby being down must cost the hot path nothing.
 func (t *tee) run() {
 	defer close(t.stopped)
@@ -101,11 +103,11 @@ func (t *tee) run() {
 			}
 		}
 		if conn == nil {
-			if time.Since(lastFail) < t.timeout {
+			if time.Since(lastFail) < dialTimeout {
 				t.dropped.Add(1)
 				continue
 			}
-			c, err := net.DialTimeout("tcp", t.addr, t.timeout)
+			c, err := net.DialTimeout("tcp", t.addr, dialTimeout)
 			if err != nil {
 				t.dropped.Add(1)
 				disconnect()

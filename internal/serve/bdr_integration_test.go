@@ -194,8 +194,8 @@ func TestBDRReleaseRestore(t *testing.T) {
 		t.Fatalf("bounce residual = %g, want 0.2", ae.ResidualRate)
 	}
 	// The bounced tenant left no trace on the full target.
-	if _, err := cf.Result("mover"); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("bounced tenant result = %v, want ErrUnknownTenant", err)
+	if _, err := cf.Stats("mover"); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("bounced tenant stats = %v, want ErrUnknownTenant", err)
 	}
 }
 

@@ -265,12 +265,6 @@ func (c *Client) Stats(tenant string) ([]TenantStats, error) {
 	return rows, err
 }
 
-// Result fetches the tenant's cumulative scheduling totals so far,
-// without disturbing the stream.
-func (c *Client) Result(tenant string) (*sched.Result, error) {
-	return c.resultCommand(msgResult, tenant)
-}
-
 // DrainTenant applies everything the tenant has queued, runs empty
 // rounds until no job is pending, checkpoints, and returns the final
 // Result. The tenant stays open; draining an already-drained tenant is
@@ -330,15 +324,6 @@ func (c *Client) Restore(tenant string, tc TenantConfig, blob []byte) (nextSeq i
 		(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc, Blob: blob}).encode(e, msgRestore)
 	}, r.decode)
 	return r.NextSeq, err
-}
-
-// Ping checks liveness, reporting whether the server is draining and
-// how many tenants it hosts.
-func (c *Client) Ping() (draining bool, tenants int, err error) {
-	err = c.call(msgPing, func(e *snap.Encoder) { e.Uint64(msgPing) }, func(d *snap.Decoder) {
-		draining, tenants = d.Bool(), d.Int()
-	})
-	return draining, tenants, err
 }
 
 // DuraStats fetches the checkpoint-log counters of an all-tenant

@@ -68,17 +68,17 @@ func FuzzFrameDecode(f *testing.F) {
 			{{Color: 0, Count: 2}, {Color: 1, Count: 1}}}}).encode(e)
 	})
 	seed(3, func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: ""}).encode(e) })
-	seed(4, func(e *snap.Encoder) { (&tenantMsg{Type: msgResult, Tenant: "fuzz"}).encode(e) })
+	seed(4, func(e *snap.Encoder) { (&tenantMsg{Type: msgCloseTenant, Tenant: "fuzz"}).encode(e) })
 	seed(5, func(e *snap.Encoder) { (&tenantMsg{Type: msgDrain, Tenant: "fuzz"}).encode(e) })
 	seed(6, func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: "fuzz"}).encode(e) })
 	seed(7, func(e *snap.Encoder) { (&tenantMsg{Type: msgCloseTenant, Tenant: "nope"}).encode(e) })
-	seed(8, func(e *snap.Encoder) { e.Uint64(msgPing) })
+	seed(8, func(e *snap.Encoder) { (&tenantMsg{Type: msgDrain, Tenant: "nope"}).encode(e) })
 	seed(9, func(e *snap.Encoder) { (&errResp{Code: codeBadSeq, Expected: 3, Msg: "x"}).encode(e) })
-	// The largest tag a client issues, on a submit and a ping.
+	// The largest tag a client issues, on a submit and a stats read-out.
 	seed(tagSpace-1, func(e *snap.Encoder) {
 		(&batchMsg{Tenant: "fuzz", Seq: 0, Ticks: []sched.Request{{{Color: 0, Count: 2}}}}).encode(e)
 	})
-	seed(tagSpace-1, func(e *snap.Encoder) { e.Uint64(msgPing) })
+	seed(tagSpace-1, func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: ""}).encode(e) })
 	// The migration pair.
 	seed(10, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz2", Config: fuzzConfig, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
@@ -110,7 +110,7 @@ func FuzzFrameDecode(f *testing.F) {
 		e.Int(1 << 40)
 	})
 	// An open at the previous protocol version, and a type past the last
-	// one (the retired dura-stats type).
+	// one.
 	seed(18, func(e *snap.Encoder) {
 		(&openMsg{Version: ProtocolVersion - 1, Tenant: "fuzz5", Config: fuzzConfig}).encode(e, msgOpen)
 	})
@@ -216,7 +216,7 @@ func FuzzResponseDecode(f *testing.F) {
 	seed(1, func(e *snap.Encoder) { (&errResp{Code: codeBadSeq, Expected: 9, Msg: "bad seq"}).encode(e) })
 	seed(1, func(e *snap.Encoder) { (&errResp{Code: codeAdmission, ResidualRate: 0.5, ResidualDelay: 1}).encode(e) })
 	seed(2, func(e *snap.Encoder) { encodeStatsResp(e, nil, &off) })               // a tag nothing is waiting for
-	seed(1, func(e *snap.Encoder) { e.Uint64(msgPing) })                           // a type the request did not ask for
+	seed(1, func(e *snap.Encoder) { encodeResult(e, msgDrain, &sched.Result{}) })  // a type the request did not ask for
 	seed(1, func(*snap.Encoder) {})                                                // a tag with no type
 	seed(1, func(e *snap.Encoder) { e.Uint64(msgTenantStats) })                    // a type with no fields
 	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, nil, &off); e.Bool(true) }) // a trailing byte
@@ -249,7 +249,7 @@ func FuzzResponseDecode(f *testing.F) {
 				t.Fatalf("pipelined %v: response %x failed the call with %v but left the client healthy", pipelined, body, err)
 			}
 			if poisoned {
-				if _, _, perr := c.Ping(); perr != c.err {
+				if _, perr := c.Stats(""); perr != c.err {
 					t.Fatalf("poisoned client answered a later call with %v, want its sticky %v", perr, c.err)
 				}
 			}

@@ -172,14 +172,14 @@ func TestRestoreRejections(t *testing.T) {
 		})
 	}
 	// Rejections must leave no residue: the fresh IDs stay unknown.
-	if _, err := c.Result("fresh1"); !errors.Is(err, ErrUnknownTenant) {
+	if _, err := c.Stats("fresh1"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("rejected restore left state behind: %v", err)
 	}
 }
 
 // TestReleasedTombstone pins the tombstone contract: every command
-// against a released tenant — submit, re-open, stats, result, drain,
-// close — answers with the retryable draining error, the tenant
+// against a released tenant — submit, re-open, stats, drain, close —
+// answers with the retryable draining error, the tenant
 // vanishes from aggregate stats and counts, and a restore over the
 // tombstone (migrating back) revives it at its release point.
 func TestReleasedTombstone(t *testing.T) {
@@ -211,9 +211,6 @@ func TestReleasedTombstone(t *testing.T) {
 	if _, err := c.CloseTenant("tomb"); !errors.Is(err, ErrDraining) {
 		t.Fatalf("close: err = %v, want ErrDraining", err)
 	}
-	if _, err := c.Result("tomb"); !errors.Is(err, ErrDraining) {
-		t.Fatalf("result: err = %v, want ErrDraining", err)
-	}
 	if rows, err := c.Stats(""); err != nil || len(rows) != 0 {
 		t.Fatalf("all-tenant stats = %d rows (%v), want 0 (tombstone excluded)", len(rows), err)
 	}
@@ -230,6 +227,44 @@ func TestReleasedTombstone(t *testing.T) {
 	}
 	if _, _, err := c.Submit("tomb", next, nil); err != nil {
 		t.Fatalf("submit after restore-back: %v", err)
+	}
+}
+
+// TestMaxTenantsSkipsTombstones: MaxTenants bounds live tenants, so a
+// released tombstone holds no slot. A server at its limit takes back a
+// tenant whose migration bounced (a restore over its own tombstone) and
+// opens a new tenant in a released one's place, while a third live
+// tenant, new or restored, is still refused.
+func TestMaxTenantsSkipsTombstones(t *testing.T) {
+	s := startServer(t, Config{MaxTenants: 2})
+	c := dialTest(t, s)
+	tc := tcFor(testInstance(t, 8, 0))
+	for _, id := range []string{"a", "b"} {
+		if _, _, err := c.Open(id, tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel, err := c.Release("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Restore("a", rel.Config, rel.Blob); err != nil {
+		t.Fatalf("restore-back at the limit: %v", err)
+	}
+	if rel, err = c.Release("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Open("c", tc); err != nil {
+		t.Fatalf("open beside a tombstone at the limit: %v", err)
+	}
+	if n := s.NumTenants(); n != 2 {
+		t.Fatalf("NumTenants = %d, want 2", n)
+	}
+	if _, _, err := c.Open("d", tc); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("open of a third live tenant = %v, want ErrOverloaded", err)
+	}
+	if _, err := c.Restore("a", rel.Config, rel.Blob); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("restore of a third live tenant = %v, want ErrOverloaded", err)
 	}
 }
 

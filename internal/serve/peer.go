@@ -6,7 +6,7 @@ package serve
 // proxy peeks each request frame for its routing key (the tenant ID),
 // relays the bytes verbatim to the chosen backend, and uses the Append*
 // helpers to answer the few requests it must handle itself (fleet-wide
-// stats, ping, and routing errors).
+// stats and routing errors).
 
 import (
 	"bufio"
@@ -25,8 +25,6 @@ const (
 	// ReqStatsAll is a stats request for every tenant ("" tenant); a
 	// router must fan it out and merge the rows.
 	ReqStatsAll
-	// ReqPing is a liveness probe; a router answers for the fleet.
-	ReqPing
 )
 
 // PeekInfo describes one request frame without consuming it: enough
@@ -69,15 +67,13 @@ func PeekRequest(body []byte) (PeekInfo, error) {
 	case msgSubmitBatch, msgDrain, msgCloseTenant:
 		info.Tenant = d.String()
 		info.Mutating = true
-	case msgResult, msgRelease:
+	case msgRelease:
 		info.Tenant = d.String()
 	case msgTenantStats:
 		info.Tenant = d.String()
 		if info.Tenant == "" {
 			info.Kind = ReqStatsAll
 		}
-	case msgPing:
-		info.Kind = ReqPing
 	default:
 		return info, fmt.Errorf("serve: unknown message type %d", typ)
 	}
@@ -103,15 +99,6 @@ func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) { return readFrame(r
 func AppendStatsResponse(e *snap.Encoder, info PeekInfo, rows []TenantStats, st *DuraStats) {
 	e.Uint64(info.Tag)
 	encodeStatsResp(e, rows, st)
-}
-
-// AppendPingResponse encodes a ping response (fleet-wide draining flag
-// and tenant total) under the request's tag.
-func AppendPingResponse(e *snap.Encoder, info PeekInfo, draining bool, tenants int) {
-	e.Uint64(info.Tag)
-	e.Uint64(msgPing)
-	e.Bool(draining)
-	e.Int(tenants)
 }
 
 // AppendErrorResponse encodes a non-retryable bad-request error under

@@ -40,9 +40,10 @@ type SubmitResult struct {
 // request by tag — when the window is full or on Flush. Against a
 // loopback server this collapses the per-round wire cost from one full
 // round trip (two syscalls and a scheduler hop each way) to a share of
-// one flush, which is where the serve/submit/pipelined/* bench specs
-// get their throughput. A window of one is the synchronous exchange:
-// SubmitBatch returns only after its own frame is acknowledged.
+// one flush, which is where pipelined rrload runs and the submit load of
+// benchmark/ get their throughput. A window of one is the synchronous
+// exchange: SubmitBatch returns only after its own frame is
+// acknowledged.
 //
 // onAck receives every acknowledgement, in reap order, during
 // SubmitBatch / Flush calls on this goroutine; rejections (BadSeq,

@@ -42,15 +42,6 @@ type Config struct {
 	CkptCommitInterval time.Duration
 	// CkptSegmentBytes caps a log segment before rotation (default 4MiB).
 	CkptSegmentBytes int
-	// CkptAdaptive enables per-tenant adaptive checkpoint pacing: the
-	// round gap between checkpoints is chosen from the measured
-	// snapshot cost versus apply cost, weighted by the tenant's Weight,
-	// instead of the fixed CheckpointEvery cadence.
-	CkptAdaptive bool
-	// CkptPaceMin/CkptPaceMax clamp the adaptive pacer's chosen gap in
-	// rounds (defaults 1 and 1024).
-	CkptPaceMin int
-	CkptPaceMax int
 	// RoundInterval, when positive, paces round application: each shard
 	// worker applies at most one queued tick per tenant per interval, so
 	// arrivals batch into timed round ticks and a client outrunning the
@@ -59,7 +50,8 @@ type Config struct {
 	// Shards is the worker-pool size tenants are hashed across
 	// (default GOMAXPROCS, capped at 16).
 	Shards int
-	// MaxTenants bounds the number of live tenants (default 4096).
+	// MaxTenants bounds the number of live tenants (default 4096);
+	// released migration tombstones do not count against it.
 	MaxTenants int
 	// DefaultQueueCap is the per-tenant pending-queue cap applied when
 	// an open request leaves QueueCap 0 (default 64).
@@ -68,7 +60,7 @@ type Config struct {
 	// use to pick the next backlogged tenant (see NewAllocator): "wdrr"
 	// — weighted deficit round-robin with delay-factor escalation, at its
 	// default quantum and escalation threshold — by default, or "fifo",
-	// the legacy drain-in-scan-order baseline the skewed benchmark
+	// the legacy drain-in-scan-order baseline TestAllocatorStarvation
 	// measures against (rrserved always runs the default).
 	Allocator string
 	// BDR enables bounded-delay admission control (docs/SCHEDULING.md
@@ -90,12 +82,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
-	}
-	if c.CkptPaceMin <= 0 {
-		c.CkptPaceMin = 1
-	}
-	if c.CkptPaceMax <= 0 {
-		c.CkptPaceMax = 1024
 	}
 	if c.Shards <= 0 {
 		c.Shards = min(runtime.GOMAXPROCS(0), 16)
@@ -266,6 +252,12 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 func (s *Server) NumTenants() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.numLiveLocked()
+}
+
+// numLiveLocked counts the tenants that are not released migration
+// tombstones. Callers hold s.mu.
+func (s *Server) numLiveLocked() int {
 	n := 0
 	for _, t := range s.tenants {
 		if !t.isReleased() {
@@ -364,6 +356,20 @@ func (s *Server) tenant(id string) *tenant {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.tenants[id]
+}
+
+// liveTenant looks up the tenant a single-tenant command addresses: an
+// unknown ID and a released migration tombstone are answered with their
+// typed errors.
+func (s *Server) liveTenant(id string) (*tenant, *errResp) {
+	t := s.tenant(id)
+	if t == nil {
+		return nil, &errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}
+	}
+	if t.isReleased() {
+		return nil, &errResp{Code: codeDraining, Msg: "tenant " + id + " is migrating"}
+	}
+	return t, nil
 }
 
 // tenantList returns the tenants sorted by ID. The snapshot is cached
@@ -582,7 +588,9 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 	if !recovered && s.draining.Load() {
 		return nil, &errResp{Code: codeDraining, Msg: "server is draining"}
 	}
-	if !recovered && len(s.tenants) >= s.cfg.MaxTenants {
+	// Only a table at the limit needs the live count: tombstones hold
+	// entries but not slots.
+	if !recovered && len(s.tenants) >= s.cfg.MaxTenants && s.numLiveLocked() >= s.cfg.MaxTenants {
 		return nil, &errResp{Code: codeOverloaded,
 			Msg: fmt.Sprintf("tenant limit %d reached", s.cfg.MaxTenants)}
 	}
@@ -635,7 +643,6 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 	if s.clog != nil {
 		t.metaPath = filepath.Join(s.cfg.CheckpointDir, id+".meta")
 		t.clog, t.logf = s.clog, s.logf
-		t.adaptive, t.paceMin, t.paceMax = s.cfg.CkptAdaptive, s.cfg.CkptPaceMin, s.cfg.CkptPaceMax
 		if err := s.persistLocked(t, blob, recovered); err != nil {
 			if !res.IsZero() {
 				s.tree.Release(shard, id)
@@ -722,12 +729,9 @@ func admissionErrResp(err error) *errResp {
 // tombstoned (removeFiles) so a shard worker mid-checkpoint cannot
 // resurrect durable state a restart would recover.
 func (s *Server) closeTenant(id string) (*sched.Result, *errResp) {
-	t := s.tenant(id)
-	if t == nil {
-		return nil, &errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}
-	}
-	if t.isReleased() {
-		return nil, &errResp{Code: codeDraining, Msg: "tenant " + id + " is migrating"}
+	t, er := s.liveTenant(id)
+	if er != nil {
+		return nil, er
 	}
 	res, err := t.drainAndClose()
 	if err != nil {
@@ -1022,20 +1026,22 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 		s.fillServiceShares(rows, m.Tenant == "")
 		st := s.DuraStats()
 		encodeStatsResp(enc, rows, &st)
-	case msgResult, msgDrain, msgCloseTenant:
+	case msgDrain, msgCloseTenant:
 		var m tenantMsg
 		m.decode(d)
 		if d.Done() != nil {
 			return bad("malformed tenant command")
 		}
-		s.tenantCommand(typ, m.Tenant, enc)
-	case msgPing:
-		if d.Done() != nil {
-			return bad("malformed ping")
+		finish := s.drain
+		if typ == msgCloseTenant {
+			finish = s.closeTenant
 		}
-		enc.Uint64(msgPing)
-		enc.Bool(s.draining.Load())
-		enc.Int(s.NumTenants())
+		res, er := finish(m.Tenant)
+		if er != nil {
+			er.encode(enc)
+		} else {
+			encodeResult(enc, typ, res)
+		}
 	case msgRelease:
 		var m tenantMsg
 		m.decode(d)
@@ -1059,12 +1065,9 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 // the server the tenant migrated to.
 func (s *Server) statsRows(id string) ([]TenantStats, *errResp) {
 	if id != "" {
-		t := s.tenant(id)
-		if t == nil {
-			return nil, &errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}
-		}
-		if t.isReleased() {
-			return nil, &errResp{Code: codeDraining, Msg: "tenant " + id + " is migrating"}
+		t, er := s.liveTenant(id)
+		if er != nil {
+			return nil, er
 		}
 		return []TenantStats{t.stats()}, nil
 	}
@@ -1121,50 +1124,25 @@ func (s *Server) DuraStats() DuraStats {
 	}
 }
 
-// tenantCommand executes the single-tenant commands that share the
-// tenantMsg request shape.
-func (s *Server) tenantCommand(typ uint64, id string, enc *snap.Encoder) {
-	if typ == msgCloseTenant {
-		res, er := s.closeTenant(id)
-		if er != nil {
-			er.encode(enc)
-		} else {
-			encodeResult(enc, msgCloseTenant, res)
-		}
-		return
+// drain runs tenant id dry (tenant.drainStream) and returns its final
+// Result.
+func (s *Server) drain(id string) (*sched.Result, *errResp) {
+	t, er := s.liveTenant(id)
+	if er != nil {
+		return nil, er
 	}
-	t := s.tenant(id)
-	if t == nil {
-		(&errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}).encode(enc)
-		return
-	}
-	if t.isReleased() {
-		(&errResp{Code: codeDraining, Msg: "tenant " + id + " is migrating"}).encode(enc)
-		return
-	}
-	switch typ {
-	case msgResult:
-		res, err := t.result()
-		if err != nil {
-			(&errResp{Code: codeInternal, Msg: err.Error()}).encode(enc)
-			return
+	res, err := t.drainStream()
+	if err == nil && s.clog != nil {
+		// The drain's final checkpoint was appended inside drainStream;
+		// sync it so a drain acknowledgement means the drained state is
+		// durable. A failed sync fails the drain: acknowledging it would
+		// promise durability the log could not give.
+		if serr := s.clog.Sync(); serr != nil {
+			err = fmt.Errorf("serve: tenant %s: syncing drain checkpoint: %w", id, serr)
 		}
-		encodeResult(enc, msgResult, res)
-	case msgDrain:
-		res, err := t.drainStream()
-		if err == nil && s.clog != nil {
-			// The drain's final checkpoint was appended inside drainStream;
-			// sync it so a drain acknowledgement means the drained state is
-			// durable. A failed sync fails the drain: acknowledging it would
-			// promise durability the log could not give.
-			if serr := s.clog.Sync(); serr != nil {
-				err = fmt.Errorf("serve: tenant %s: syncing drain checkpoint: %w", id, serr)
-			}
-		}
-		if err != nil {
-			(&errResp{Code: codeInternal, Msg: err.Error()}).encode(enc)
-			return
-		}
-		encodeResult(enc, msgDrain, res)
 	}
+	if err != nil {
+		return nil, &errResp{Code: codeInternal, Msg: err.Error()}
+	}
+	return res, nil
 }

@@ -246,7 +246,7 @@ func TestServeLogDeltaSnapshots(t *testing.T) {
 	if _, resumed, err := c2.Open("deep", tc); err != nil || !resumed {
 		t.Fatalf("open after delta-chain recovery = (resumed %v, %v)", resumed, err)
 	}
-	res2, err := c2.Result("deep")
+	res2, err := c2.DrainTenant("deep")
 	if err != nil || !resultsEqual(res, res2) {
 		t.Fatalf("delta-chain recovered result = (%+v, %v), want the drained result %+v", res2, err, res)
 	}
@@ -267,58 +267,6 @@ func TestServeCrashRestartLogSegments(t *testing.T) {
 	rep := restartLoad(t, cfg, (*Server).Close)
 	if want := int64(64*80) - 64; rep.RoundsSent < want {
 		t.Fatalf("RoundsSent = %d, want ≥ %d", rep.RoundsSent, want)
-	}
-}
-
-// TestServeAdaptivePacing smokes the adaptive pacer end to end: with
-// CkptAdaptive on, a fed tenant takes at least the bootstrap checkpoint
-// and recovery after a graceful shutdown still resumes at the drained
-// round with bit-identical results.
-func TestServeAdaptivePacing(t *testing.T) {
-	dir := t.TempDir()
-	inst := testInstance(t, 48, 0)
-	tc := tcFor(inst)
-	ref, err := LocalReference(inst, tc.Policy, tc.N, tc.Speed)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := logTestConfig(dir)
-	cfg.CheckpointEvery = 1 << 30 // must not matter: the pacer decides
-	cfg.CkptAdaptive = true
-	cfg.CkptPaceMax = 8
-	s := startServer(t, cfg)
-	c := dialTest(t, s)
-	if _, _, err := c.Open("pace", tc); err != nil {
-		t.Fatal(err)
-	}
-	feed(t, c, "pace", inst, 0)
-	res, err := c.DrainTenant("pace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(ref, res) {
-		t.Fatalf("adaptive-paced result differs:\n server %+v\n local  %+v", res, ref)
-	}
-	rows, err := c.Stats("pace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Checkpoints < 2 {
-		t.Fatalf("adaptive pacer took %d checkpoints, want ≥ 2 (bootstrap + paced)", rows[0].Checkpoints)
-	}
-	if err := s.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := startServer(t, cfg)
-	c2 := dialTest(t, s2)
-	if _, resumed, err := c2.Open("pace", tc); err != nil || !resumed {
-		t.Fatalf("open after adaptive recovery = (resumed %v, %v)", resumed, err)
-	}
-	res2, err := c2.Result("pace")
-	if err != nil || !resultsEqual(ref, res2) {
-		t.Fatalf("recovered result = (%+v, %v), want the drained result", res2, err)
 	}
 }
 

@@ -133,12 +133,8 @@ func TestServerRoundTrip(t *testing.T) {
 	if err != nil || !resultsEqual(res, res2) {
 		t.Fatalf("re-drain = (%+v, %v), want the same result", res2, err)
 	}
-	if got, err := c.Result("alpha"); err != nil || !resultsEqual(res, got) {
-		t.Fatalf("Result = (%+v, %v), want the drained result", got, err)
-	}
-
-	if draining, n, err := c.Ping(); err != nil || draining || n != 1 {
-		t.Fatalf("ping = (%v, %d, %v), want (false, 1, nil)", draining, n, err)
+	if rows, err := c.Stats(""); err != nil || len(rows) != 1 {
+		t.Fatalf("all-tenant stats = (%d rows, %v), want 1 row", len(rows), err)
 	}
 
 	final, err := c.CloseTenant("alpha")
@@ -642,7 +638,7 @@ func TestShutdownAcceptStorm(t *testing.T) {
 				if err != nil {
 					return // listener closed; storm over
 				}
-				c.Ping() // errors once draining; keep dialing regardless
+				c.Stats("") // errors once draining; keep dialing regardless
 				c.Close()
 			}
 		}()
@@ -708,7 +704,7 @@ func TestServerRecovery(t *testing.T) {
 	if _, resumed, err := c3.Open("solo", tc); err != nil || !resumed {
 		t.Fatalf("open after checkpoint recovery = (resumed %v, %v)", resumed, err)
 	}
-	res3, err := c3.Result("solo")
+	res3, err := c3.DrainTenant("solo")
 	if err != nil || !resultsEqual(ref, res3) {
 		t.Fatalf("recovered result = (%+v, %v), want the drained result", res3, err)
 	}

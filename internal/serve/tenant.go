@@ -2,11 +2,9 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bdr"
 	"repro/internal/ckptlog"
@@ -95,15 +93,6 @@ type tenant struct {
 	deltasSince    int
 	dm             snap.DeltaMaker
 
-	// Adaptive checkpoint pacing (Config.CkptAdaptive): EWMAs of the
-	// measured snapshot cost and per-round apply cost pick the next
-	// checkpoint round (see nextPaceLocked), clamped to
-	// [paceMin, paceMax]. Guarded by mu.
-	adaptive         bool
-	paceMin, paceMax int
-	snapNs, applyNs  float64 // EWMA, α=0.3; 0 = no measurement yet
-	paceNext         int     // next checkpoint round; 0 = bootstrap
-
 	ckptMu       sync.Mutex
 	writtenRound int  // round of the newest checkpoint appended
 	removed      bool // durable state deleted; never append again
@@ -119,16 +108,6 @@ func (t *tenant) res() bdr.BDR { return bdr.BDR{Rate: t.cfg.ResRate, Delay: t.cf
 // deltas stay small, bounding the work recovery pays to resolve a
 // tenant (one full + one delta, never a chain).
 const deltaEveryFull = 16
-
-// ewmaAlpha weighs new cost measurements into the pacing EWMAs.
-const ewmaAlpha = 0.3
-
-func ewma(old float64, sample float64) float64 {
-	if old == 0 {
-		return sample
-	}
-	return old + ewmaAlpha*(sample-old)
-}
 
 // queuedLocked reports the number of admitted-but-unapplied round ticks.
 // Callers hold mu.
@@ -270,19 +249,8 @@ func (t *tenant) submitBatch(seq int, ticks []sched.Request) (admitted, round, d
 }
 
 // applyQueuedLocked applies up to max queued round ticks (max <= 0 =
-// all) and returns how many it applied. Callers hold mu. Under
-// adaptive pacing the batch is timed so the pacer knows what a round
-// of progress costs relative to a snapshot.
+// all) and returns how many it applied. Callers hold mu.
 func (t *tenant) applyQueuedLocked(max int) (applied int) {
-	var start time.Time
-	if t.adaptive {
-		start = time.Now()
-	}
-	defer func() {
-		if t.adaptive && applied > 0 {
-			t.applyNs = ewma(t.applyNs, float64(time.Since(start).Nanoseconds())/float64(applied))
-		}
-	}()
 	for t.queuedLocked() > 0 && t.failed == nil && (max <= 0 || applied < max) {
 		tick := t.queue[t.head]
 		t.queue[t.head] = nil
@@ -319,58 +287,22 @@ func (t *tenant) applyQueued(max, every int) (applied int) {
 }
 
 // maybeCheckpointLocked appends a checkpoint to the group-commit log
-// when one is due (or, with force, whenever durability is on and the
-// stream has moved since the last checkpoint). An append is a buffered
-// copy — durability is the committer's batched fsync — and taking it
-// under mu makes creation order and append order coincide, which is
-// what keeps the per-tenant delta chains valid without any
+// when one is due — `every` rounds applied since the last one (the
+// CheckpointEvery cadence) — or, with force, whenever durability is on
+// and the stream has moved since the last checkpoint. An append is a
+// buffered copy — durability is the committer's batched fsync — and
+// taking it under mu makes creation order and append order coincide,
+// which is what keeps the per-tenant delta chains valid without any
 // cross-goroutine ordering protocol. Callers hold mu.
 func (t *tenant) maybeCheckpointLocked(every int, force bool) {
 	if t.clog == nil || t.failed != nil {
 		return
 	}
 	r := t.st.Round()
-	if force {
-		if r == t.lastCkpt {
-			return
-		}
-	} else if !t.ckptDueLocked(every, r) {
+	if r == t.lastCkpt || !force && (every <= 0 || r-t.lastCkpt < every) {
 		return
 	}
 	t.logCheckpointLocked(r)
-}
-
-// ckptDueLocked decides whether a periodic checkpoint is due at round
-// r. With adaptive pacing off this is the fixed cadence
-// (CheckpointEvery); with it on, the round the pacer picked after the
-// previous checkpoint. Callers hold mu.
-func (t *tenant) ckptDueLocked(every, r int) bool {
-	if r == t.lastCkpt {
-		return false
-	}
-	if t.adaptive {
-		if t.paceNext <= 0 {
-			return true // bootstrap: take one checkpoint to measure against
-		}
-		return r >= t.paceNext
-	}
-	return every > 0 && r-t.lastCkpt >= every
-}
-
-// nextPaceLocked converts the measured costs into the rounds to wait
-// before the next checkpoint — Young's approximation: the overhead of
-// checkpointing every k rounds is snapCost/k while the expected rewind
-// exposure grows with k·applyCost·weight, minimized at
-// k ≈ sqrt(2·snapCost/applyCost/weight). Heavier tenants (larger
-// Weight) checkpoint more often: their rewind is worth more. Callers
-// hold mu.
-func (t *tenant) nextPaceLocked() int {
-	iv := t.paceMax
-	if t.snapNs > 0 && t.applyNs > 0 {
-		cost := t.snapNs / t.applyNs // snapshot cost in units of rounds
-		iv = int(math.Sqrt(2 * cost / float64(t.cfg.Weight)))
-	}
-	return min(max(iv, max(t.paceMin, 1)), max(t.paceMax, 1))
 }
 
 // logCheckpointLocked takes one checkpoint into the group-commit log:
@@ -379,10 +311,6 @@ func (t *tenant) nextPaceLocked() int {
 // otherwise. Buffers are pooled; the steady state allocates nothing.
 // Callers hold mu.
 func (t *tenant) logCheckpointLocked(r int) {
-	var start time.Time
-	if t.adaptive {
-		start = time.Now()
-	}
 	cur, err := t.st.AppendSnapshot(t.snapBuf[:0])
 	if err != nil {
 		t.failed = fmt.Errorf("serve: tenant %s: snapshot at round %d: %w", t.id, r, err)
@@ -396,9 +324,6 @@ func (t *tenant) logCheckpointLocked(r int) {
 		if 2*len(d) <= len(cur) {
 			kind, base, rec = ckptlog.KindDelta, t.deltaBaseRound, d
 		}
-	}
-	if t.adaptive {
-		t.snapNs = ewma(t.snapNs, float64(time.Since(start).Nanoseconds()))
 	}
 	// The tombstone check guards the append: a released or closed tenant
 	// must not resurrect records into the shared log (see removeFiles).
@@ -425,9 +350,6 @@ func (t *tenant) logCheckpointLocked(r int) {
 	}
 	t.lastCkpt = r
 	t.checkpoints++
-	if t.adaptive {
-		t.paceNext = r + t.nextPaceLocked()
-	}
 }
 
 // removeFiles deletes the tenant's durable state — its meta file, and
@@ -507,16 +429,6 @@ func (t *tenant) drainAndClose() (*sched.Result, error) {
 	}
 	t.closed = true
 	return res, nil
-}
-
-// result returns a retained copy of the scheduling totals so far.
-func (t *tenant) result() (*sched.Result, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.failed != nil {
-		return nil, t.failed
-	}
-	return t.st.Result(), nil
 }
 
 // isReleased reports whether the tenant is a migration tombstone.

@@ -51,7 +51,7 @@ import (
 // ProtocolVersion is carried in every open and restore request; the
 // server accepts exactly this version and answers any other with a
 // bad-version error.
-const ProtocolVersion = 9
+const ProtocolVersion = 10
 
 // MaxBatch bounds the round ticks one submit-batch frame may carry. It
 // keeps a hostile length prefix from forcing a large allocation before
@@ -93,10 +93,8 @@ const (
 	// then the answering server's checkpoint-log counters and the
 	// per-backend counter rows only the proxy tier fills (DuraStats).
 	msgTenantStats
-	msgResult
 	msgDrain
 	msgCloseTenant
-	msgPing
 	// msgRestore installs a released tenant: the open request's fields
 	// plus the state blob a msgRelease returned. The server validates the
 	// blob against the declared configuration, recreates the tenant at
@@ -414,8 +412,8 @@ func (r *ReleasedTenant) decode(d *snap.Decoder) {
 }
 
 // tenantMsg is the shape shared by the single-tenant commands (stats,
-// result, drain, close, release): a type plus the tenant ID ("" asks
-// stats for every tenant).
+// drain, close, release): a type plus the tenant ID ("" asks stats for
+// every tenant).
 type tenantMsg struct {
 	Type   uint64
 	Tenant string
@@ -573,8 +571,8 @@ func decodeStatsResp(d *snap.Decoder) (rows []TenantStats, st DuraStats) {
 }
 
 // encodeResult writes a sched.Result (minus the never-recorded
-// Schedule) under the given response type (msgResult, msgDrain or
-// msgCloseTenant, which all answer with a Result).
+// Schedule) under the given response type (msgDrain or msgCloseTenant,
+// which both answer with a Result).
 func encodeResult(e *snap.Encoder, typ uint64, r *sched.Result) {
 	e.Uint64(typ)
 	e.String(r.Policy)

@@ -132,15 +132,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	res := &sched.Result{Policy: "EDF", Cost: sched.Cost{Reconfig: 12, Drop: 5},
 		Executed: 40, Dropped: 5, Reconfigs: 3, Rounds: 17,
 		DropsByColor: []int{1, 4}, ExecByColor: []int{20, 20}}
-	type ping struct {
-		Draining bool
-		Tenants  int
-	}
-	bare := func(name string, typ uint64) codecCase {
-		return codecCase{name, typ, ping{},
-			func(e *snap.Encoder) { e.Uint64(tag); e.Uint64(typ) },
-			func(*snap.Decoder) any { return ping{} }}
-	}
 	openCase := func(name string, typ uint64, m openMsg) codecCase {
 		return codecCase{name, typ, m,
 			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e, typ) },
@@ -219,8 +210,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 				{Addr: "127.0.0.1:1", DuraStats: counters}, {Addr: "127.0.0.1:2"}}}),
 		statsCase("dura-stats-response-no-backends", nil, counters),
 		statsCase("dura-stats-response-zero", []TenantStats{{ID: "b"}}, DuraStats{}),
-		tenantCase("result", tenantMsg{Type: msgResult, Tenant: "a"}),
-		resultCase("result-response", msgResult),
 		tenantCase("drain", tenantMsg{Type: msgDrain, Tenant: "a"}),
 		resultCase("drain-response", msgDrain),
 		tenantCase("close-tenant", tenantMsg{Type: msgCloseTenant, Tenant: "a"}),
@@ -228,10 +217,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		tenantCase("release", tenantMsg{Type: msgRelease, Tenant: "a"}),
 		releaseCase("release-response", &ReleasedTenant{Config: cfg, NextSeq: 41, Blob: []byte{9, 8}}),
 		releaseCase("release-response-zero", &ReleasedTenant{Config: zero}),
-		bare("ping", msgPing),
-		{"ping-response", msgPing, ping{Draining: true, Tenants: 3},
-			func(e *snap.Encoder) { AppendPingResponse(e, PeekInfo{Tag: tag}, true, 3) },
-			func(d *snap.Decoder) any { return ping{Draining: d.Bool(), Tenants: d.Int()} }},
 		errCase("error-admission", errResp{Code: codeAdmission, Msg: "shard full", ResidualRate: 0.375, ResidualDelay: 2}),
 		errCase("error-bad-seq", errResp{Code: codeBadSeq, Expected: 7, Msg: "bad seq"}),
 		errCase("error-zero", errResp{}),
