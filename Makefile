@@ -121,6 +121,7 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzResponseDecode \
 	./internal/sched:FuzzReplaySchedule \
 	./internal/sched:FuzzStreamArrivals \
+	./internal/snap:FuzzDelta \
 	./internal/trace:FuzzCheckpointDecode \
 	./internal/trace:FuzzReadCSV \
 	./internal/trace:FuzzReadJSON

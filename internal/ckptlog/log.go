@@ -4,10 +4,12 @@
 // are appended to one shared, CRC-framed segment file, and a single
 // background committer turns any number of appends into one fsync per
 // commit interval — the batching that collapses the serve tier's
-// fsyncs/round from ~1 to ~1/batch. Segments rotate at a size bound;
-// a compactor rewrites the records still live (each tenant's latest
-// full snapshot, its latest delta, or its tombstone) out of the oldest
-// segments so disk use tracks live state, not history.
+// fsyncs/round from ~1 to ~1/batch. Segments rotate at a size bound.
+// The log counts, per segment, the records still live (each tenant's
+// latest full snapshot, its latest delta, or its tombstone); at every
+// rotation it deletes the sealed segments holding none, wherever they
+// sit, and rewrites the live records out of the oldest segments beyond
+// a bound, so disk use and recovery work track live state, not history.
 //
 // On-disk layout, one directory per shard:
 //
@@ -36,7 +38,8 @@
 // The first failed write or fsync is sticky: from then on every
 // Append, Sync and Close returns it and nothing is written again, since
 // a retry could duplicate bytes mid-segment or report durability for
-// pages the kernel already dropped.
+// pages the kernel already dropped. That error, like every error from a
+// closed log, wraps ErrFailed.
 //
 // The log stores three record kinds: KindFull (a complete snapshot),
 // KindDelta (a snap.ApplyDelta delta against the tenant's latest full
@@ -46,10 +49,12 @@ package ckptlog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,6 +86,12 @@ const (
 	maxPayload = 1 << 30
 )
 
+// ErrFailed is wrapped by every error the log returns once it can take
+// no more writes: its sticky write or sync failure, and any use after
+// Close or Abort. errors.Is(err, ErrFailed) tells a dead log from a
+// rejected record.
+var ErrFailed = errors.New("ckptlog: log failed")
+
 // Options configures Open.
 type Options struct {
 	// Dir is the directory holding the segment files. It must exist.
@@ -93,8 +104,9 @@ type Options struct {
 	// bytes. Default 4 MiB.
 	SegmentBytes int64
 	// CompactSegments is the number of sealed segments tolerated before
-	// the compactor rewrites live records out of the oldest one.
-	// Default 4.
+	// the compactor rewrites live records out of the oldest one. Sealed
+	// segments holding no live record are deleted at every rotation, so
+	// it bounds the segments pinned by live records. Default 4.
 	CompactSegments int
 	// Logf, when non-nil, receives recovery diagnostics (torn tails,
 	// discarded records). Default: silent.
@@ -182,6 +194,10 @@ type Log struct {
 	index      map[string]tenantState
 	closed     bool
 	compacting bool
+	// live counts, per segment sequence number, the index's references
+	// into that segment (see addLive); setLocked keeps it current. A
+	// sealed segment at zero holds only superseded records.
+	live map[int]int
 	// err is the log's first write or sync failure. It is sticky (see
 	// failLocked): once set, nothing is written again.
 	err error
@@ -207,12 +223,15 @@ type Log struct {
 // seals every existing segment, opens a fresh active segment and
 // starts the background committer. A torn tail in the newest segment
 // (the signature of a crash mid-commit) is logged via Options.Logf and
-// cut from the file; corruption anywhere else fails Open.
+// cut from the file; corruption anywhere else fails Open. The newest
+// segment is fsynced as it is sealed, so every sealed segment is
+// durable before compaction deletes a record it supersedes.
 func Open(opt Options) (*Log, error) {
 	opt.fill()
 	l := &Log{
 		opt:   opt,
 		index: make(map[string]tenantState),
+		live:  make(map[int]int),
 		done:  make(chan struct{}),
 	}
 	names, err := filepath.Glob(filepath.Join(opt.Dir, "log-*.seg"))
@@ -288,7 +307,7 @@ func (l *Log) scanSegment(path string, seq int, last bool) error {
 		}
 		l.opt.Logf("ckptlog: recovery: %s: torn segment header (%d bytes); discarding (crash at creation)",
 			filepath.Base(path), len(data))
-		return l.sealTorn(path, seq, 0)
+		return l.sealNewest(path, seq, 0)
 	}
 	if string(data[:4]) != segMagic {
 		return fmt.Errorf("ckptlog: %s: not a checkpoint-log segment", filepath.Base(path))
@@ -328,9 +347,12 @@ func (l *Log) scanSegment(path string, seq int, last bool) error {
 			}
 			l.opt.Logf("ckptlog: recovery: %s: %s at offset %d; discarding the tail (crash mid-commit)",
 				filepath.Base(path), bad, off)
-			return l.sealTorn(path, seq, off)
+			return l.sealNewest(path, seq, off)
 		}
 		off += 4 + int64(len(payload)) + 4
+	}
+	if last {
+		return l.sealNewest(path, seq, off)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -340,12 +362,14 @@ func (l *Log) scanSegment(path string, seq int, last bool) error {
 	return nil
 }
 
-// sealTorn seals the newest segment after recovery found it torn at
-// off: the file is cut back to its last whole record (a torn header is
-// rewritten whole) and fsynced first. Sealing the torn bytes instead
-// would fail the next recovery, which no longer sees this segment as
-// the newest and so reads the same tail as corruption.
-func (l *Log) sealTorn(path string, seq int, off int64) error {
+// sealNewest seals the newest segment, whose records end at off: the
+// file is cut back to off (a torn header is rewritten whole) and
+// fsynced first. Sealing torn bytes instead would fail the next
+// recovery, which no longer sees this segment as the newest and so
+// reads the same tail as corruption. The fsync covers a clean segment
+// too: the crashed writer may have left its last records unsynced, and
+// they must be durable before a rotation deletes what they supersede.
+func (l *Log) sealNewest(path string, seq int, off int64) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return err
@@ -363,7 +387,7 @@ func (l *Log) sealTorn(path string, seq int, off int64) error {
 	}
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("ckptlog: cutting the torn tail of %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("ckptlog: sealing %s: %w", filepath.Base(path), err)
 	}
 	l.sealed = append(l.sealed, &segment{seq: seq, path: path, f: f})
 	return nil
@@ -411,8 +435,36 @@ func (l *Log) indexRecord(seq int, payloadOff int64, payload []byte) error {
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
 	_ = blobLen
-	l.index[tenant] = st
+	l.setLocked(tenant, st, true)
 	return nil
+}
+
+// setLocked replaces tenant's index entry with st, or deletes the entry
+// when keep is false, and moves the per-segment live counts with it.
+// The Open scan, Append and compaction all change the index through
+// it. Callers hold l.mu (or own l, during Open).
+func (l *Log) setLocked(tenant string, st tenantState, keep bool) {
+	l.addLive(l.index[tenant], -1)
+	if !keep {
+		delete(l.index, tenant)
+		return
+	}
+	l.addLive(st, 1)
+	l.index[tenant] = st
+}
+
+// addLive adds d to the live count of every segment st references: its
+// tombstone, or its full record and the delta against it.
+func (l *Log) addLive(st tenantState, d int) {
+	switch {
+	case st.tomb:
+		l.live[st.tombRef.seg] += d
+	case st.full.n > 0:
+		l.live[st.full.seg] += d
+		if st.hasDelta {
+			l.live[st.delta.seg] += d
+		}
+	}
 }
 
 func (l *Log) openActive(seq int) error {
@@ -463,7 +515,7 @@ func (l *Log) appendPayloadLocked(payload []byte) recordRef {
 // writes nothing. Callers hold l.mu.
 func (l *Log) failLocked(err error) error {
 	if l.err == nil {
-		l.err = fmt.Errorf("ckptlog: log failed, refusing further writes: %w", err)
+		l.err = fmt.Errorf("%w, refusing further writes: %w", ErrFailed, err)
 		l.opt.Logf("%v", l.err)
 	}
 	return l.err
@@ -532,7 +584,7 @@ func (l *Log) Append(tenant string, kind Kind, round, baseRound int, blob []byte
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return fmt.Errorf("ckptlog: append to closed log")
+		return fmt.Errorf("%w: append to closed log", ErrFailed)
 	}
 	if l.err != nil {
 		return l.err
@@ -560,14 +612,14 @@ func (l *Log) Append(tenant string, kind Kind, round, baseRound int, blob []byte
 	ref := l.appendPayloadLocked(l.enc.Bytes())
 	switch kind {
 	case KindFull:
-		l.index[tenant] = tenantState{full: ref, fullRound: round}
+		st = tenantState{full: ref, fullRound: round}
 	case KindDelta:
 		st.delta, st.deltaRound, st.hasDelta = ref, round, true
-		l.index[tenant] = st
 		l.deltas.Add(1)
 	case KindTombstone:
-		l.index[tenant] = tenantState{tomb: true, tombRef: ref}
+		st = tenantState{tomb: true, tombRef: ref}
 	}
+	l.setLocked(tenant, st, true)
 	l.appends.Add(1)
 	if l.activeOff > l.opt.SegmentBytes && !l.compacting {
 		return l.rotateLocked()
@@ -591,7 +643,7 @@ func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return fmt.Errorf("ckptlog: sync of closed log")
+		return fmt.Errorf("%w: sync of closed log", ErrFailed)
 	}
 	return l.commitLocked()
 }
@@ -638,37 +690,53 @@ func (l *Log) readRef(ref recordRef) ([]byte, error) {
 	return buf, nil
 }
 
-// compactLocked rewrites live records out of the oldest sealed
-// segments until at most CompactSegments remain, then deletes them. A
-// tenant whose latest full or delta lives in the doomed segment has
-// the whole full(+delta) pair re-appended — together, so the
-// full-before-delta chronology recovery depends on survives. A
-// tombstone in the doomed segment is dropped along with the segment:
-// the tombstone being the tenant's latest record means every record it
-// was shadowing lived in this or earlier segments, all gone.
+// compactLocked deletes sealed segments until none is dead and at most
+// CompactSegments remain. A dead segment — one no index entry
+// references, its records all superseded — goes first, wherever it
+// sits; nothing needs copying. Rotation commits before it compacts, so
+// every record superseding a dead segment's is already durable. Then,
+// while too many sealed segments remain, the oldest one's live records
+// are rewritten to the active segment (compactSegmentLocked) and it
+// goes too. Unlinks happen under l.mu: compaction drops a tombstone
+// only from the oldest segment, which is safe only while every older
+// segment, and so every record it shadows, is already gone from disk.
 func (l *Log) compactLocked() error {
-	for len(l.sealed) > l.opt.CompactSegments {
-		doomed := l.sealed[0]
-		if err := l.flushLocked(); err != nil {
-			return err
+	for {
+		i := slices.IndexFunc(l.sealed, func(s *segment) bool { return l.live[s.seq] == 0 })
+		if i < 0 {
+			if len(l.sealed) <= l.opt.CompactSegments {
+				return nil
+			}
+			i = 0
+			if err := l.flushLocked(); err != nil {
+				return err
+			}
+			l.compacting = true
+			err := l.compactSegmentLocked(l.sealed[0])
+			l.compacting = false
+			if err != nil {
+				return err
+			}
 		}
-		l.compacting = true
-		err := l.compactSegmentLocked(doomed)
-		l.compacting = false
-		if err != nil {
-			return err
-		}
+		doomed := l.sealed[i]
 		doomed.f.Close()
 		if err := os.Remove(doomed.path); err != nil {
 			return err
 		}
-		l.sealed = l.sealed[1:]
+		l.sealed = slices.Delete(l.sealed, i, i+1)
+		delete(l.live, doomed.seq)
 		l.countSegmentsLocked()
 		l.compactions.Add(1)
 	}
-	return nil
 }
 
+// compactSegmentLocked re-appends every live record of doomed to the
+// active segment. A tenant whose latest full or delta lives in doomed
+// has the whole full(+delta) pair re-appended — together, so the
+// full-before-delta chronology recovery depends on survives. A
+// tombstone in doomed is dropped along with the segment: doomed is the
+// oldest segment, so every record the tombstone shadowed lived in this
+// or earlier segments, all gone.
 func (l *Log) compactSegmentLocked(doomed *segment) error {
 	// Deterministic order keeps tests reproducible.
 	tenants := make([]string, 0, len(l.index))
@@ -680,7 +748,7 @@ func (l *Log) compactSegmentLocked(doomed *segment) error {
 		st := l.index[id]
 		switch {
 		case st.tomb && st.tombRef.seg == doomed.seq:
-			delete(l.index, id)
+			l.setLocked(id, tenantState{}, false)
 		case st.tomb:
 			// Tombstone lives in a later segment; nothing to move.
 		case st.full.seg == doomed.seq || (st.hasDelta && st.delta.seg == doomed.seq):
@@ -696,7 +764,7 @@ func (l *Log) compactSegmentLocked(doomed *segment) error {
 				}
 				nst.delta, nst.deltaRound, nst.hasDelta = l.appendPayloadLocked(delta), st.deltaRound, true
 			}
-			l.index[id] = nst
+			l.setLocked(id, nst, true)
 		}
 	}
 	// The moved records must be durable before the doomed segment
@@ -712,7 +780,7 @@ func (l *Log) Latest(tenant string) (blob []byte, round int, ok bool, err error)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil, 0, false, fmt.Errorf("ckptlog: read of closed log")
+		return nil, 0, false, fmt.Errorf("%w: read of closed log", ErrFailed)
 	}
 	st, found := l.index[tenant]
 	if !found || st.tomb {

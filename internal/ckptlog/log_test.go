@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,6 +40,52 @@ func openTest(t *testing.T, dir string, mut func(*Options)) *Log {
 		t.Fatalf("Open: %v", err)
 	}
 	return l
+}
+
+// liveFromIndex recomputes, from the index alone, how many of the
+// index's references point into each segment: a tenant's tombstone, or
+// its full record and the delta against it.
+func liveFromIndex(l *Log) map[int]int {
+	refs := make(map[int]int)
+	for _, st := range l.index {
+		switch {
+		case st.tomb:
+			refs[st.tombRef.seg]++
+		case st.full.n > 0:
+			refs[st.full.seg]++
+			if st.hasDelta {
+				refs[st.delta.seg]++
+			}
+		}
+	}
+	return refs
+}
+
+// checkLive requires the log's per-segment live counts to equal a
+// recount from the index, and every referenced segment to exist. It
+// reports with t.Errorf, so appending goroutines may call it.
+func checkLive(t *testing.T, l *Log) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	want := liveFromIndex(l)
+	exists := map[int]bool{l.activeSeq: true}
+	for _, s := range l.sealed {
+		exists[s.seq] = true
+	}
+	for seq, n := range want {
+		if !exists[seq] {
+			t.Errorf("index references segment %d, which is gone", seq)
+		}
+		if l.live[seq] != n {
+			t.Errorf("segment %d: live count %d, index holds %d references", seq, l.live[seq], n)
+		}
+	}
+	for seq, n := range l.live {
+		if n != 0 && want[seq] == 0 {
+			t.Errorf("segment %d: live count %d, index holds no reference", seq, n)
+		}
+	}
 }
 
 func TestLogRoundtrip(t *testing.T) {
@@ -187,6 +234,7 @@ func TestLogRotationCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 			last[id] = round
+			checkLive(t, l)
 		}
 	}
 	// One tenant dies mid-history; its records must be GCed, not
@@ -194,6 +242,7 @@ func TestLogRotationCompaction(t *testing.T) {
 	if err := l.AppendTombstone("t3"); err != nil {
 		t.Fatal(err)
 	}
+	checkLive(t, l)
 	st := l.Stats()
 	if st.Rotations == 0 || st.Compactions == 0 {
 		t.Fatalf("expected rotations and compactions, got %+v", st)
@@ -226,6 +275,7 @@ func TestLogRotationCompaction(t *testing.T) {
 	}
 	l2 := openTest(t, dir, mut)
 	defer l2.Close()
+	checkLive(t, l2)
 	check(l2, "reopened")
 }
 
@@ -274,6 +324,143 @@ func TestLogCompactionPreservesDeltaPairs(t *testing.T) {
 	blob, round, ok, err = l2.Latest("pair")
 	if err != nil || !ok || round != 2 || !bytes.Equal(blob, target) {
 		t.Fatalf("reopened: Latest(pair) = round %d, ok %v, err %v", round, ok, err)
+	}
+}
+
+// TestLogReclaimsDeadSegments: every rotation deletes the sealed
+// segments holding no live record, wherever they sit, so after it the
+// files on disk are exactly the active segment plus the sealed segments
+// a live record needs. An idle tenant's full record, or its delta,
+// keeps a segment alive among younger dead ones, and a closed tenant's
+// latest tombstone keeps its segment — and the tenant closed across a
+// crash, although its older full record survives in the idle tenant's
+// segment.
+func TestLogReclaimsDeadSegments(t *testing.T) {
+	dir := t.TempDir()
+	mut := func(o *Options) {
+		o.SegmentBytes = 1 << 10
+		o.CompactSegments = 1 << 20 // only dead segments go
+	}
+	l := openTest(t, dir, mut)
+	onDisk := func() []int {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "log-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqs []int
+		for _, name := range names {
+			seq, err := segSeq(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs = append(seqs, seq)
+		}
+		sort.Ints(seqs)
+		return seqs
+	}
+	needed := func() []int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		seqs := []int{l.activeSeq}
+		for seq, n := range liveFromIndex(l) {
+			if n > 0 && seq != l.activeSeq {
+				seqs = append(seqs, seq)
+			}
+		}
+		sort.Ints(seqs)
+		return seqs
+	}
+	rotations := int64(0)
+	step := func(id string, kind Kind, round, base int, blob []byte) {
+		t.Helper()
+		if err := l.Append(id, kind, round, base, blob); err != nil {
+			t.Fatal(err)
+		}
+		checkLive(t, l)
+		if st := l.Stats(); st.Rotations > rotations {
+			rotations = st.Rotations
+			if got, want := onDisk(), needed(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("after rotation %d: segments on disk %v, want active + live sealed %v", rotations, got, want)
+			}
+		}
+	}
+
+	step("idle", KindFull, 1, 0, blobFor("idle", 1))
+	step("gone", KindFull, 1, 0, blobFor("gone", 1))
+	var tombSeg int
+	var dBase []byte
+	dBaseRound := 0
+	for round := 1; round <= 60; round++ {
+		for _, id := range []string{"c0", "c1", "c2", "c3"} {
+			step(id, KindFull, round, 0, blobFor(id, round))
+		}
+		// d stops at round 40, so its last delta ends up the only live
+		// record of its segment, and its base full of another one.
+		switch {
+		case round > 40:
+		case round%8 == 1:
+			dBase, dBaseRound = blobFor("d", round), round
+			step("d", KindFull, round, 0, dBase)
+		default:
+			step("d", KindDelta, round, dBaseRound, snap.MakeDelta(dBase, blobFor("d", round)))
+		}
+		if round == 10 {
+			step("gone", KindTombstone, 0, 0, nil)
+			l.mu.Lock()
+			tombSeg = l.index["gone"].tombRef.seg
+			l.mu.Unlock()
+		}
+	}
+
+	files := onDisk()
+	st := l.Stats()
+	if files[0] != 1 {
+		t.Fatalf("segment 1, pinned by the idle tenant, is gone: on disk %v", files)
+	}
+	if files[1] == 2 {
+		t.Fatalf("dead segment 2 survived behind segment 1: on disk %v", files)
+	}
+	if !slices.Contains(files, tombSeg) {
+		t.Fatalf("segment %d holding gone's tombstone was deleted: on disk %v", tombSeg, files)
+	}
+	l.mu.Lock()
+	created := l.activeSeq
+	l.mu.Unlock()
+	if int64(created-len(files)) != st.Compactions {
+		t.Fatalf("%d segments created, %d on disk, but %d compactions counted", created, len(files), st.Compactions)
+	}
+
+	ids := []string{"idle", "c0", "c1", "c2", "c3", "d"}
+	want := make(map[string][]byte)
+	rounds := make(map[string]int)
+	for _, id := range ids {
+		blob, round, ok, err := l.Latest(id)
+		if err != nil || !ok {
+			t.Fatalf("Latest(%s): ok %v, err %v", id, ok, err)
+		}
+		want[id], rounds[id] = blob, round
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	l2 := openTest(t, dir, mut)
+	defer l2.Close()
+	checkLive(t, l2)
+	if _, _, ok, err := l2.Latest("gone"); ok || err != nil {
+		t.Fatalf("closed tenant after reopen: ok %v, err %v; want it to stay closed", ok, err)
+	}
+	if got := l2.Tenants(); !equalStrings(got, ids) {
+		t.Fatalf("Tenants after reopen = %v, want %v", got, ids)
+	}
+	for _, id := range ids {
+		blob, round, ok, err := l2.Latest(id)
+		if err != nil || !ok || round != rounds[id] || !bytes.Equal(blob, want[id]) {
+			t.Fatalf("Latest(%s) after reopen = round %d, ok %v, err %v; want round %d", id, round, ok, err, rounds[id])
+		}
 	}
 }
 
@@ -365,6 +552,15 @@ func TestLogCorruptionLoudness(t *testing.T) {
 		for round := 1; round <= 40; round++ {
 			if err := l.Append("ten", KindFull, round, 0, blobFor("ten", round)); err != nil {
 				t.Fatal(err)
+			}
+			// A tenant written once pins its segment: without pins every
+			// sealed segment but the newest holds only superseded records
+			// of "ten", and rotation deletes it.
+			if round%4 == 1 {
+				pin := fmt.Sprintf("pin%d", round)
+				if err := l.Append(pin, KindFull, round, 0, blobFor(pin, round)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if err := l.Close(); err != nil {
@@ -555,6 +751,7 @@ func TestLogConcurrentAppends(t *testing.T) {
 					t.Errorf("%s append: %v", id, err)
 					return
 				}
+				checkLive(t, l)
 				if round%10 == 0 {
 					if _, _, _, err := l.Latest(id); err != nil {
 						t.Errorf("%s latest: %v", id, err)
@@ -565,11 +762,13 @@ func TestLogConcurrentAppends(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	checkLive(t, l)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	l2 := openTest(t, dir, nil)
 	defer l2.Close()
+	checkLive(t, l2)
 	for g := 0; g < 8; g++ {
 		id := fmt.Sprintf("g%d", g)
 		blob, round, ok, err := l2.Latest(id)
@@ -588,27 +787,30 @@ func TestLogConcurrentAppends(t *testing.T) {
 func TestLogStaleDeltaAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, func(o *Options) {
-		o.SegmentBytes = 1 // every append seals its own segment
+		o.SegmentBytes = 300 // two records seal a segment
 		o.CompactSegments = 4
 	})
-	// seg1: a's chain base; seg2: a delta against it (soon stale).
-	if err := l.Append("a", KindFull, 1, 0, blobFor("a", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("a", KindDelta, 2, 1, blobFor("a", 2)); err != nil {
-		t.Fatal(err)
-	}
-	// seg3: a new full supersedes the chain, making seg1 droppable and
-	// seg2's delta stale.
-	if err := l.Append("a", KindFull, 10, 0, blobFor("a", 10)); err != nil {
-		t.Fatal(err)
-	}
-	// Filler appends push the sealed count past CompactSegments so
-	// compaction deletes seg1 (old full, not latest) but keeps seg2.
-	for i := 1; i <= 2; i++ {
-		if err := l.Append("b", KindFull, i, 0, blobFor("b", i)); err != nil {
+	step := func(id string, kind Kind, round, base int) {
+		t.Helper()
+		if err := l.Append(id, kind, round, base, blobFor(id, round)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// seg1: a's chain base, beside z's first record.
+	step("a", KindFull, 1, 0)
+	step("z", KindFull, 1, 0)
+	// seg2: a delta against it (soon stale), beside p's only record,
+	// which keeps seg2 alive.
+	step("a", KindDelta, 2, 1)
+	step("p", KindFull, 1, 0)
+	// seg3: a new full supersedes the chain, and z is rewritten, leaving
+	// seg1 with no live record: compaction deletes it (old full, not
+	// latest) but keeps seg2, whose delta is now stale.
+	step("a", KindFull, 10, 0)
+	step("z", KindFull, 2, 0)
+	// Filler appends keep the log rotating past seg3.
+	for i := 1; i <= 2; i++ {
+		step("b", KindFull, i, 0)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -289,5 +291,49 @@ func TestDrainFailsWhenLogSyncFails(t *testing.T) {
 	var re *RemoteError
 	if _, err := c.DrainTenant("d"); !errors.As(err, &re) || re.Code != codeInternal {
 		t.Fatalf("drain over a failed log = %v, want codeInternal", err)
+	}
+}
+
+// TestFailedLogReportedOnce: once the checkpoint log takes no more
+// writes, a tenant stops checkpointing, so the failure is logged once
+// per tenant instead of once per applied round, and a drain is still
+// refused.
+func TestFailedLogReportedOnce(t *testing.T) {
+	ids := []string{"f0", "f1"}
+	var mu sync.Mutex
+	lines := make(map[string]int)
+	cfg := logTestConfig(t.TempDir())
+	cfg.Logf = func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		mu.Lock()
+		defer mu.Unlock()
+		for _, id := range ids {
+			if strings.Contains(msg, "tenant "+id+": checkpoint") {
+				lines[id]++
+			}
+		}
+	}
+	s := startServer(t, cfg)
+	c := dialTest(t, s)
+	inst := testInstance(t, 64, 0)
+	for _, id := range ids {
+		if _, _, err := c.Open(id, tcFor(inst)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.clog.Abort()
+	for _, id := range ids {
+		feed(t, c, id, inst, 0)
+		var re *RemoteError
+		if _, err := c.DrainTenant(id); !errors.As(err, &re) || re.Code != codeInternal {
+			t.Fatalf("drain of %s over a failed log = %v, want codeInternal", id, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, id := range ids {
+		if lines[id] > 1 {
+			t.Errorf("tenant %s logged %d checkpoint lines over a failed log, want at most 1", id, lines[id])
+		}
 	}
 }

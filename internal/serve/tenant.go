@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -70,7 +71,8 @@ type tenant struct {
 	overloads   int64
 	badSeqs     int64
 	checkpoints int64
-	lastCkpt    int // round of the last snapshot taken
+	lastCkpt    int  // round of the last snapshot taken
+	logFailed   bool // the checkpoint log takes no more writes
 
 	metaPath string // "" = durability off
 
@@ -295,7 +297,7 @@ func (t *tenant) applyQueued(max, every int) (applied int) {
 // which is what keeps the per-tenant delta chains valid without any
 // cross-goroutine ordering protocol. Callers hold mu.
 func (t *tenant) maybeCheckpointLocked(every int, force bool) {
-	if t.clog == nil || t.failed != nil {
+	if t.clog == nil || t.failed != nil || t.logFailed {
 		return
 	}
 	r := t.st.Round()
@@ -332,6 +334,9 @@ func (t *tenant) logCheckpointLocked(r int) {
 	if !t.removed && r > t.writtenRound {
 		if err := t.clog.Append(t.id, kind, r, base, rec); err != nil {
 			t.logf("serve: tenant %s: checkpoint log append at round %d: %v", t.id, r, err)
+			// A failed or closed log stays so: stop checkpointing, which
+			// also reports the failure once rather than every round.
+			t.logFailed = errors.Is(err, ckptlog.ErrFailed)
 		} else {
 			t.writtenRound = r
 			appended = true

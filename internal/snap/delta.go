@@ -3,8 +3,9 @@
 // to store steady-state checkpoints as changes against a retained full
 // snapshot. The scheme is a greedy block-match in the rsync family:
 // the base is indexed at block-aligned offsets, the target is scanned
-// byte by byte, and runs that match the base verbatim become COPY ops
-// while everything else becomes LITERAL bytes. A delta embeds the
+// byte by byte under a rolling hash of the block-sized window starting
+// there, and runs that match the base verbatim become COPY ops while
+// everything else becomes LITERAL bytes. A delta embeds the
 // target's exact length and CRC-32, so ApplyDelta either reproduces
 // the target bit-identically or fails loudly — it never panics on
 // corrupt input, matching the Decoder's defensive contract.
@@ -14,6 +15,7 @@ package snap
 import (
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 )
 
 const (
@@ -21,9 +23,12 @@ const (
 	deltaVersion = 1
 	// deltaBlock is the match granularity: the base is indexed at this
 	// alignment. Smaller blocks find more matches but cost more index
-	// space and more per-byte hashing; 32 suits the few-KiB snapshot
-	// blobs the checkpoint path produces.
+	// space; 32 suits the few-KiB snapshot blobs the checkpoint path
+	// produces.
 	deltaBlock = 32
+	// hashMul is the rolling hash's multiplier: any odd constant whose
+	// bits are well spread.
+	hashMul = 0x9e3779b97f4a7c15
 	// maxDeltaTarget bounds the declared output size so a corrupt delta
 	// cannot trigger an unbounded allocation.
 	maxDeltaTarget = 1 << 30
@@ -36,8 +41,9 @@ const (
 // calls so steady-state delta encoding does not allocate (beyond output
 // growth). The zero value is ready to use. Not safe for concurrent use.
 type DeltaMaker struct {
-	keys []uint64 // open-addressed block hash table: hashed block content
-	offs []int32  // base offset per slot; -1 marks an empty slot
+	keys  []uint64 // open-addressed block hash table: hashed block content
+	offs  []int32  // base offset per slot; -1 marks an empty slot
+	shift uint     // 64 - log2(len(keys)): a hash's slot is its top bits
 }
 
 // MakeDelta computes a delta that transforms base into target. It is
@@ -47,15 +53,33 @@ func MakeDelta(base, target []byte) []byte {
 	return dm.AppendDelta(nil, base, target)
 }
 
-// fnv1a64 hashes one block of b starting at off. Inlined FNV-1a keeps
-// the scan loop free of interface dispatch and allocation.
-func fnv1a64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
+// windowHash hashes one block as the polynomial Σ b[i]·hashMul^(n−i)
+// mod 2^64, the form roll updates in O(1). Every byte, the last one
+// too, is multiplied into the top bits, which pick a table slot. The
+// index and the scan share it, so a block of the target hashes as the
+// same block of the base.
+func windowHash(b []byte) uint64 {
+	var h uint64
 	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+		h = (h + uint64(c)) * hashMul
 	}
 	return h
+}
+
+// hashOut is hashMul^deltaBlock, the weight of a window's first byte,
+// which roll subtracts as the byte leaves.
+var hashOut = func() uint64 {
+	m := uint64(1)
+	for i := 0; i < deltaBlock; i++ {
+		m *= hashMul
+	}
+	return m
+}()
+
+// roll slides a window's hash h one byte: out leaves at the front, in
+// joins at the back.
+func roll(h uint64, out, in byte) uint64 {
+	return (h - uint64(out)*hashOut + uint64(in)) * hashMul
 }
 
 // index (re)builds the block hash table over base. Later blocks
@@ -71,6 +95,7 @@ func (dm *DeltaMaker) index(base []byte) {
 	if size < 8 {
 		size = 8
 	}
+	dm.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	if cap(dm.keys) < size {
 		dm.keys = make([]uint64, size)
 		dm.offs = make([]int32, size)
@@ -82,8 +107,8 @@ func (dm *DeltaMaker) index(base []byte) {
 	}
 	mask := uint64(size - 1)
 	for off := 0; off+deltaBlock <= len(base); off += deltaBlock {
-		h := fnv1a64(base[off : off+deltaBlock])
-		slot := h & mask
+		h := windowHash(base[off : off+deltaBlock])
+		slot := h >> dm.shift
 		for probes := 0; dm.offs[slot] >= 0 && dm.keys[slot] != h; probes++ {
 			if probes >= 8 {
 				// Bounded probing: give up on this block rather than
@@ -103,7 +128,7 @@ func (dm *DeltaMaker) index(base []byte) {
 // lookup returns the base offset whose indexed block hashes to h, or -1.
 func (dm *DeltaMaker) lookup(h uint64) int {
 	mask := uint64(len(dm.keys) - 1)
-	slot := h & mask
+	slot := h >> dm.shift
 	for probes := 0; probes < 9; probes++ {
 		off := dm.offs[slot]
 		if off < 0 {
@@ -132,10 +157,16 @@ func (dm *DeltaMaker) AppendDelta(dst, base, target []byte) []byte {
 
 	litStart := 0 // start of the pending literal run
 	i := 0
+	var h uint64 // hash of target[i:i+deltaBlock]
+	if len(target) >= deltaBlock {
+		h = windowHash(target[:deltaBlock])
+	}
 	for i+deltaBlock <= len(target) {
-		h := fnv1a64(target[i : i+deltaBlock])
 		off := dm.lookup(h)
 		if off < 0 || string(base[off:off+deltaBlock]) != string(target[i:i+deltaBlock]) {
+			if i+deltaBlock < len(target) {
+				h = roll(h, target[i], target[i+deltaBlock])
+			}
 			i++
 			continue
 		}
@@ -158,6 +189,9 @@ func (dm *DeltaMaker) AppendDelta(dst, base, target []byte) []byte {
 		e.Int(ln)
 		i += ln
 		litStart = i
+		if i+deltaBlock <= len(target) {
+			h = windowHash(target[i : i+deltaBlock])
+		}
 	}
 	if litStart < len(target) {
 		e.Uint64(deltaOpLiteral)

@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -163,6 +164,81 @@ func TestDeltaMakerSteadyStateAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("warmed AppendDelta allocates %.1f/op; want 0", allocs)
 	}
+}
+
+// referenceDelta is AppendDelta without the rolling update: it
+// re-hashes every window of the target from scratch.
+func referenceDelta(base, target []byte) []byte {
+	var dm DeltaMaker
+	var e Encoder
+	e.Uint64(deltaVersion)
+	e.Int(len(target))
+	e.Uint64(uint64(crc32.ChecksumIEEE(target)))
+	dm.index(base)
+	litStart, i := 0, 0
+	for i+deltaBlock <= len(target) {
+		off := dm.lookup(windowHash(target[i : i+deltaBlock]))
+		if off < 0 || !bytes.Equal(base[off:off+deltaBlock], target[i:i+deltaBlock]) {
+			i++
+			continue
+		}
+		for off > 0 && i > litStart && base[off-1] == target[i-1] {
+			off--
+			i--
+		}
+		ln := deltaBlock
+		for off+ln < len(base) && i+ln < len(target) && base[off+ln] == target[i+ln] {
+			ln++
+		}
+		if litStart < i {
+			e.Uint64(deltaOpLiteral)
+			e.Blob(target[litStart:i])
+		}
+		e.Uint64(deltaOpCopy)
+		e.Int(off)
+		e.Int(ln)
+		i += ln
+		litStart = i
+	}
+	if litStart < len(target) {
+		e.Uint64(deltaOpLiteral)
+		e.Blob(target[litStart:])
+	}
+	return e.Bytes()
+}
+
+// FuzzDelta requires AppendDelta to round-trip through ApplyDelta bit
+// for bit, in both directions with one reused DeltaMaker, and to emit
+// exactly what referenceDelta emits, which pins the rolling hash update
+// to a from-scratch hash of every window. The target's bytes, read as a
+// delta against the base, must never make ApplyDelta panic.
+func FuzzDelta(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	base := make([]byte, 512)
+	rng.Read(base)
+	edited := append(append(append([]byte(nil), base[:200]...), "inserted run"...), base[150:]...)
+	edited[400] ^= 0x10
+	f.Add([]byte{}, []byte{})
+	f.Add(base, base)
+	f.Add(base, edited)
+	f.Add(base[:100], base)
+	f.Add(bytes.Repeat([]byte("abcdefg"), 40), bytes.Repeat([]byte("abcdefgh"), 40))
+	f.Add(make([]byte, 256), append(make([]byte, 200), 1))
+	f.Add(base, MakeDelta(base, edited))
+	f.Fuzz(func(t *testing.T, base, target []byte) {
+		var dm DeltaMaker
+		for _, p := range [][2][]byte{{base, target}, {target, base}} {
+			delta := dm.AppendDelta(nil, p[0], p[1])
+			got, err := ApplyDelta(nil, p[0], delta)
+			if err != nil || !bytes.Equal(got, p[1]) {
+				t.Fatalf("round trip of %d→%d bytes: err %v, equal %v", len(p[0]), len(p[1]), err, bytes.Equal(got, p[1]))
+			}
+			if ref := referenceDelta(p[0], p[1]); !bytes.Equal(delta, ref) {
+				t.Fatalf("rolling scan emitted %d bytes, re-hashing every window %d", len(delta), len(ref))
+			}
+		}
+		ApplyDelta(nil, base, target)
+	})
 }
 
 func BenchmarkDeltaEncode(b *testing.B) {
