@@ -58,11 +58,11 @@ faultsmoke:
 # scans over truncated/corrupted tails, rotation and compaction, sticky
 # write/sync failures — plus the serve-layer durability contracts:
 # tombstones shadowing closed and released tenants, compacting
-# restarts, delta-chain recovery and meta-file versions. Fresh runs,
+# restarts, delta-chain recovery and record versions. Fresh runs,
 # never cached.
 durasmoke:
 	go test -count=1 ./internal/ckptlog/
-	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestReleaseLogTombstone|TestServeLog|TestServeCrashRestartLogSegments|TestMetaVersions' -count=1 ./internal/serve/
+	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestReleaseLogTombstone|TestServeLog|TestServeCrashRestartLogSegments|TestRecordVersions' -count=1 ./internal/serve/
 
 # The admission-control smoke (docs/SCHEDULING.md "Admission (layer
 # 0)"): the whole internal/bdr package fresh — SBF feasibility

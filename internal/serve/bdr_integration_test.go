@@ -97,7 +97,7 @@ func TestBDRRequiresFlag(t *testing.T) {
 }
 
 // TestBDRRecovery pins the durable half of admission: a reserved
-// tenant's (rate, delay) survives a restart via metaVersion 3 and is
+// tenant's (rate, delay) survives a restart in its log records and is
 // re-admitted into the tree (a new open against the recovered residual
 // is rejected), while restarting the same directory without -bdr fails
 // loudly instead of silently dropping the guarantee.

@@ -16,8 +16,8 @@ import (
 // configuration the tenant simulates under, and its queue cap, service
 // weight and BDR reservation. It is the one tenant description of the
 // protocol — open and restore requests carry it, release responses
-// return it — and the server persists it as the tenant's meta file.
-// QueueCap 0 accepts the server's default.
+// return it — and the server persists it in every checkpoint-log record
+// the tenant writes. QueueCap 0 accepts the server's default.
 type TenantConfig struct {
 	Policy string
 	N      int

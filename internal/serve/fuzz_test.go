@@ -22,6 +22,7 @@ func fuzzServer(f *testing.F) *Server {
 	s := &Server{
 		cfg:       cfg,
 		tenants:   make(map[string]*tenant),
+		released:  make(map[string]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		stopShard: make(chan struct{}),
 	}
@@ -173,16 +174,13 @@ func processBody(t *testing.T, s *Server, body []byte) {
 				before, ft.nextSeq(), body)
 		}
 	}
-	// A mutated close frame can legitimately remove the fuzz tenant, and
-	// a release frame can tombstone it; restore it so later inputs still
-	// reach the tenant-addressed handlers.
-	if ft := s.tenant("fuzz"); ft == nil || ft.isReleased() {
-		if ft != nil {
-			s.mu.Lock()
-			delete(s.tenants, "fuzz")
-			s.sorted = nil
-			s.mu.Unlock()
-		}
+	// A mutated close or release frame can legitimately remove the fuzz
+	// tenant; forget a release and re-open it so later inputs still reach
+	// the tenant-addressed handlers.
+	if s.tenant("fuzz") == nil {
+		s.mu.Lock()
+		delete(s.released, "fuzz")
+		s.mu.Unlock()
 		s.open(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Config: fuzzConfig})
 	}
 }

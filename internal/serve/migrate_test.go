@@ -96,9 +96,9 @@ func TestReleaseRestoreRoundTrip(t *testing.T) {
 	}
 	c2.Close()
 
-	// Crash the target: the restore persisted metadata plus the blob as
-	// a first checkpoint, so recovery resumes at or past the restored
-	// round instead of forking a fresh stream at zero.
+	// Crash the target: the restore appended and synced the tenant's
+	// first record, so recovery resumes at or past the restored round
+	// instead of forking a fresh stream at zero.
 	addr := s2.Addr().String()
 	s2.Close()
 	if err := <-done2; err != nil {
@@ -177,11 +177,12 @@ func TestRestoreRejections(t *testing.T) {
 	}
 }
 
-// TestReleasedTombstone pins the tombstone contract: every command
-// against a released tenant — submit, re-open, stats, drain, close —
-// answers with the retryable draining error, the tenant
-// vanishes from aggregate stats and counts, and a restore over the
-// tombstone (migrating back) revives it at its release point.
+// TestReleasedTombstone pins the tombstone contract: a released tenant
+// leaves the server's table, every command against it — submit,
+// re-open, stats, drain, close — answers with the retryable draining
+// error, the tenant vanishes from aggregate stats and counts, and a
+// restore over the tombstone (migrating back) revives it at its release
+// point.
 func TestReleasedTombstone(t *testing.T) {
 	inst := testInstance(t, 16, 0)
 	tc := tcFor(inst)
@@ -194,6 +195,9 @@ func TestReleasedTombstone(t *testing.T) {
 	rel, err := c.Release("tomb")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.tenant("tomb") != nil {
+		t.Fatal("released tenant still in the table")
 	}
 
 	if _, _, err := c.Submit("tomb", rel.NextSeq, nil); !errors.Is(err, ErrDraining) {

@@ -25,8 +25,8 @@ var policyBySpec = map[string]func() sched.Policy{
 
 // NewPolicy builds a fresh policy from a tenant spec string. The spec —
 // not the policy's display Name — is what open requests carry and what
-// the server persists in tenant metadata, so a restart reconstructs the
-// same policy type for RestoreStream's name check.
+// the server persists in the tenant's log records, so a restart
+// reconstructs the same policy type for RestoreStream's name check.
 func NewPolicy(spec string) (sched.Policy, error) {
 	mk, ok := policyBySpec[spec]
 	if !ok {

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,17 +20,17 @@ import (
 	"repro/internal/ckptlog"
 	"repro/internal/sched"
 	"repro/internal/snap"
-	"repro/internal/trace"
 )
 
 // Config configures a Server.
 type Config struct {
 	// Addr is the TCP listen address ("127.0.0.1:0" picks a free port).
 	Addr string
-	// CheckpointDir enables durability: every tenant gets a metadata
-	// file at open, its periodic checkpoints are appended to the shared
-	// group-commit checkpoint log (internal/ckptlog) in this directory,
-	// and NewServer recovers all tenants found there. "" disables both.
+	// CheckpointDir enables durability: every tenant's records — its
+	// configuration and stream state, from a first one at open onwards —
+	// are appended to the shared group-commit checkpoint log
+	// (internal/ckptlog) in this directory, and NewServer recovers every
+	// tenant the log holds. "" disables both.
 	CheckpointDir string
 	// CheckpointEvery is the number of applied rounds between periodic
 	// per-tenant checkpoints (default 64). Graceful shutdown always
@@ -51,7 +51,7 @@ type Config struct {
 	// (default GOMAXPROCS, capped at 16).
 	Shards int
 	// MaxTenants bounds the number of live tenants (default 4096);
-	// released migration tombstones do not count against it.
+	// released tenants leave the table and do not count against it.
 	MaxTenants int
 	// DefaultQueueCap is the per-tenant pending-queue cap applied when
 	// an open request leaves QueueCap 0 (default 64).
@@ -127,6 +127,11 @@ type Server struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
+	// released holds the IDs this server released to a migration target
+	// and has not installed since: every command naming one is answered
+	// with a retryable draining error, so a racing re-open cannot fork a
+	// fresh stream at sequence 0 while the migration settles.
+	released map[string]struct{}
 	// sorted caches tenantList's ID-ordered snapshot; it is rebuilt on
 	// demand and dropped whenever the tenant set changes. Published
 	// slices are never mutated, so callers may hold one across the lock.
@@ -194,6 +199,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		alloc:     alloc,
 		tenants:   make(map[string]*tenant),
+		released:  make(map[string]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		stopShard: make(chan struct{}),
 	}
@@ -216,6 +222,15 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.CheckpointDir != "" {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: creating checkpoint dir: %w", err)
+		}
+		// An older build kept each tenant's configuration in <id>.meta.
+		// Such a directory is refused, naming the file, not migrated
+		// (docs/CHECKPOINT.md "Versioning"), and before the log is opened,
+		// so it is left as it was. Glob's only error is a malformed
+		// pattern, and this one is constant.
+		if metas, _ := fs.Glob(os.DirFS(cfg.CheckpointDir), "*.meta"); len(metas) > 0 {
+			return nil, fmt.Errorf("serve: %s is a tenant meta file from an older build; this build keeps tenant configuration in the checkpoint log (record version %d) and does not migrate older directories",
+				filepath.Join(cfg.CheckpointDir, metas[0]), recordVersion)
 		}
 		clog, err := ckptlog.Open(ckptlog.Options{
 			Dir:            cfg.CheckpointDir,
@@ -247,24 +262,12 @@ func NewServer(cfg Config) (*Server, error) {
 // Addr reports the bound listen address (useful with ":0").
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// NumTenants reports the number of live tenants. Released migration
-// tombstones are not counted — their state lives on another server.
+// NumTenants reports the number of live tenants. Released tenants are
+// not counted — their state lives on another server.
 func (s *Server) NumTenants() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.numLiveLocked()
-}
-
-// numLiveLocked counts the tenants that are not released migration
-// tombstones. Callers hold s.mu.
-func (s *Server) numLiveLocked() int {
-	n := 0
-	for _, t := range s.tenants {
-		if !t.isReleased() {
-			n++
-		}
-	}
-	return n
+	return len(s.tenants)
 }
 
 // Serve accepts connections until the listener closes. It returns nil
@@ -352,24 +355,26 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func (s *Server) tenant(id string) *tenant {
+// liveTenant looks up the tenant a command addresses. Only a miss
+// consults the released set, so a live tenant's lookup costs one map
+// read: a released ID is answered with the retryable draining error, any
+// other with the unknown-tenant error.
+func (s *Server) liveTenant(id string) (*tenant, *errResp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tenants[id]
+	if t := s.tenants[id]; t != nil {
+		return t, nil
+	}
+	if _, ok := s.released[id]; ok {
+		return nil, migrating(id)
+	}
+	return nil, &errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}
 }
 
-// liveTenant looks up the tenant a single-tenant command addresses: an
-// unknown ID and a released migration tombstone are answered with their
-// typed errors.
-func (s *Server) liveTenant(id string) (*tenant, *errResp) {
-	t := s.tenant(id)
-	if t == nil {
-		return nil, &errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}
-	}
-	if t.isReleased() {
-		return nil, &errResp{Code: codeDraining, Msg: "tenant " + id + " is migrating"}
-	}
-	return t, nil
+// migrating is the retryable error every command naming a released
+// tenant gets until a restore installs it again.
+func migrating(id string) *errResp {
+	return &errResp{Code: codeDraining, Msg: "tenant " + id + " is migrating"}
 }
 
 // tenantList returns the tenants sorted by ID. The snapshot is cached
@@ -440,8 +445,8 @@ func (s *Server) shardWorker(sh *shard) {
 
 // ——— Tenant lifecycle ———
 
-// validTenantID restricts IDs to filename-safe tokens, since durable
-// tenants name their metadata and checkpoint files after the ID.
+// validTenantID restricts IDs to short tokens of [A-Za-z0-9_-], which
+// log lines, stats rows and checkpoint-log records carry verbatim.
 func validTenantID(id string) bool {
 	if id == "" || len(id) > 64 {
 		return false
@@ -518,17 +523,17 @@ func (s *Server) open(m *openMsg) (*openResp, *errResp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t := s.tenants[m.Tenant]; t != nil {
-		// A released tombstone keeps re-opens at bay until the migration
-		// settles: forking a fresh stream at sequence 0 here would split
-		// the tenant's history across two servers.
-		if t.isReleased() {
-			return nil, &errResp{Code: codeDraining, Msg: "tenant " + m.Tenant + " is migrating"}
-		}
 		if !t.cfg.equal(&cfg) {
 			return nil, &errResp{Code: codeTenantExists,
 				Msg: "tenant " + m.Tenant + " exists with a different configuration"}
 		}
 		return &openResp{NextSeq: t.nextSeq(), Resumed: true}, nil
+	}
+	// A released ID keeps re-opens at bay until the migration settles:
+	// forking a fresh stream at sequence 0 here would split the tenant's
+	// history across two servers.
+	if _, ok := s.released[m.Tenant]; ok {
+		return nil, migrating(m.Tenant)
 	}
 	if _, er := s.installLocked(m.Tenant, cfg, nil, false); er != nil {
 		return nil, er
@@ -537,7 +542,7 @@ func (s *Server) open(m *openMsg) (*openResp, *errResp) {
 }
 
 // restore installs a released tenant snapshot on this server (see
-// installLocked). Restoring over a released tombstone is allowed — that
+// installLocked). Restoring an ID this server released is allowed — that
 // is how a tenant migrates back — but an open tenant rejects the
 // restore.
 func (s *Server) restore(m *openMsg) (*openResp, *errResp) {
@@ -546,7 +551,7 @@ func (s *Server) restore(m *openMsg) (*openResp, *errResp) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old := s.tenants[m.Tenant]; old != nil && !old.isReleased() {
+	if s.tenants[m.Tenant] != nil {
 		return nil, &errResp{Code: codeTenantExists, Msg: "tenant " + m.Tenant + " is already open"}
 	}
 	t, er := s.installLocked(m.Tenant, s.normalize(m.Config), m.Blob, false)
@@ -561,17 +566,18 @@ func (s *Server) restore(m *openMsg) (*openResp, *errResp) {
 // It validates the ID, weight and reservation of the normalized cfg,
 // builds the stream — fresh, or from a snapshot blob cross-checked
 // against cfg — admits the reservation into the BDR tree, makes the
-// tenant durable and registers it, replacing whatever the table held
-// under id (callers decide whether that is allowed). Open, restore and
-// recovery differ only in the checks they run first and in recovered,
-// which marks a tenant rebuilt from this server's own checkpoint
-// directory: its meta file and log records already exist, so nothing
-// is written, and the draining and tenant-limit gates for new tenants
-// do not apply. Otherwise the meta file is written and a blob past
-// round 0 is appended and synced as the tenant's first checkpoint, so a
-// crash right after a migration's route flip recovers at the restored
-// round. A failure leaves no reservation and no table entry behind.
-// Callers hold s.mu.
+// tenant durable and registers it under id, which the table must not
+// hold (callers check). Open, restore and recovery differ only in the
+// checks they run first and in recovered, which marks a tenant rebuilt
+// from this server's own checkpoint log: its records already exist, so
+// nothing is written, and the draining and tenant-limit gates for new
+// tenants do not apply. Otherwise the tenant's first full record is
+// appended and synced before the install is acknowledged: its
+// configuration survives a crash before the first periodic checkpoint,
+// a restored tenant recovers at its restored round even right after a
+// migration's route flip, and the record shadows any tombstone an
+// earlier close or release of id left. A failure leaves no reservation
+// and no table entry behind. Callers hold s.mu.
 func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recovered bool) (*tenant, *errResp) {
 	if !validTenantID(id) {
 		return nil, &errResp{Code: codeBadRequest,
@@ -588,9 +594,7 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 	if !recovered && s.draining.Load() {
 		return nil, &errResp{Code: codeDraining, Msg: "server is draining"}
 	}
-	// Only a table at the limit needs the live count: tombstones hold
-	// entries but not slots.
-	if !recovered && len(s.tenants) >= s.cfg.MaxTenants && s.numLiveLocked() >= s.cfg.MaxTenants {
+	if !recovered && len(s.tenants) >= s.cfg.MaxTenants {
 		return nil, &errResp{Code: codeOverloaded,
 			Msg: fmt.Sprintf("tenant limit %d reached", s.cfg.MaxTenants)}
 	}
@@ -641,46 +645,32 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 		}
 	}
 	if s.clog != nil {
-		t.metaPath = filepath.Join(s.cfg.CheckpointDir, id+".meta")
 		t.clog, t.logf = s.clog, s.logf
-		if err := s.persistLocked(t, blob, recovered); err != nil {
-			if !res.IsZero() {
-				s.tree.Release(shard, id)
+		e := snap.NewEncoder()
+		e.Int(recordVersion)
+		cfg.encode(e)
+		t.prefix = e.Bytes()
+		t.lastCkpt = t.st.Round()
+		if !recovered {
+			// t is not shared yet, so its lock need not be held.
+			err = t.logCheckpointLocked(t.lastCkpt)
+			if err == nil {
+				err = s.clog.Sync()
 			}
-			return nil, &errResp{Code: codeInternal, Msg: err.Error()}
+			if err != nil {
+				if !res.IsZero() {
+					s.tree.Release(shard, id)
+				}
+				return nil, &errResp{Code: codeInternal,
+					Msg: fmt.Sprintf("serve: tenant %s: logging its first record: %v", id, err)}
+			}
 		}
 	}
+	delete(s.released, id)
 	s.tenants[id] = t
 	s.sorted = nil
 	s.shards[shard].add(t)
 	return t, nil
-}
-
-// persistLocked makes a newly installed tenant durable (see
-// installLocked): the meta file, then a restored blob past round 0 as
-// its first, synced, checkpoint-log record — a full record that also
-// shadows any tombstone an earlier release of this id left. A recovered
-// tenant is already durable. Callers hold s.mu.
-func (s *Server) persistLocked(t *tenant, blob []byte, recovered bool) error {
-	if blob != nil {
-		t.lastCkpt, t.writtenRound = t.st.Round(), t.st.Round()
-	}
-	if recovered {
-		return nil
-	}
-	if err := writeMeta(t.metaPath, &t.cfg); err != nil {
-		return err
-	}
-	if round := t.st.Round(); blob != nil && round > 0 {
-		err := s.clog.Append(t.id, ckptlog.KindFull, round, 0, blob)
-		if err == nil {
-			err = s.clog.Sync()
-		}
-		if err != nil {
-			return fmt.Errorf("serve: tenant %s: logging restore checkpoint: %w", t.id, err)
-		}
-	}
-	return nil
 }
 
 // checkReservation validates an open/restore request's BDR reservation
@@ -720,142 +710,102 @@ func admissionErrResp(err error) *errResp {
 	return er
 }
 
-// closeTenant drains a tenant fully, removes it and deletes its durable
-// files, returning the final Result. The drain and the close happen in
-// one tenant-lock critical section (drainAndClose), so a concurrent
-// Submit can never be admitted — and acknowledged — after the final
-// Result was computed and then silently dropped with the tenant; it is
-// either included in the Result or rejected as closed. Removal is
-// tombstoned (removeFiles) so a shard worker mid-checkpoint cannot
-// resurrect durable state a restart would recover.
+// closeTenant drains a tenant fully, tombstones it in the checkpoint
+// log and removes it, returning the final Result. The drain, the synced
+// tombstone and the close happen in one tenant-lock critical section
+// (drainAndClose), so a concurrent Submit can never be admitted — and
+// acknowledged — after the final Result was computed and then silently
+// dropped with the tenant, and no checkpoint can land behind the
+// tombstone. A failure leaves the tenant live.
 func (s *Server) closeTenant(id string) (*sched.Result, *errResp) {
 	t, er := s.liveTenant(id)
 	if er != nil {
 		return nil, er
 	}
-	res, err := t.drainAndClose()
-	if err != nil {
-		return nil, &errResp{Code: codeInternal, Msg: err.Error()}
+	res, er := t.drainAndClose()
+	if er != nil {
+		return nil, er
 	}
-	s.mu.Lock()
-	delete(s.tenants, id)
-	s.sorted = nil
-	if s.tree != nil {
-		s.tree.Release(s.shardIndex(id), id)
-	}
-	s.mu.Unlock()
-	s.shardFor(id).remove(t)
-	t.removeFiles()
+	s.remove(t, false)
 	return res, nil
 }
 
 // release hands tenant id's state out of this server: flush its queue,
-// snapshot, tombstone it (the tenant struct stays in the table answering
-// every later command with a retryable draining error), unregister it
-// from its shard and delete its durable files. The returned state
-// carries everything a restore on the migration target needs.
+// snapshot, tombstone it in the checkpoint log (tenant.release), then
+// drop it from the table and its shard, leaving its ID in the released
+// set. The returned state carries everything a restore on the migration
+// target needs.
 func (s *Server) release(id string) (*ReleasedTenant, *errResp) {
-	t := s.tenant(id)
-	if t == nil {
-		return nil, &errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}
+	t, er := s.liveTenant(id)
+	if er != nil {
+		return nil, er
 	}
 	rel, er := t.release()
 	if er != nil {
 		return nil, er
 	}
-	s.shardFor(id).remove(t)
-	if s.tree != nil {
-		// The reservation leaves with the tenant: the migration target
-		// re-admits it from the released configuration, and this shard's
-		// residual opens up for new tenants immediately.
-		s.mu.Lock()
-		s.tree.Release(s.shardIndex(id), id)
-		s.mu.Unlock()
-	}
-	t.removeFiles()
+	s.remove(t, true)
 	s.logf("serve: released tenant %s at round %d", id, rel.NextSeq)
 	return rel, nil
 }
 
-// ——— Durable tenant metadata and recovery ———
-
-// metaVersion is the layout of a tenant's meta file: the version, then
-// the TenantConfig codec. Versions 1 and 2 predate service weights and
-// reservations and are no longer read.
-const metaVersion = 3
-
-// writeMeta persists the tenant configuration a checkpoint blob does
-// not carry in full — the policy spec string, queue cap, service weight
-// and BDR reservation, plus the stream configuration — so a restart can
-// rebuild a tenant that crashed before its first checkpoint. The
-// payload rides in the same CRC-checked container as checkpoints,
-// written atomically.
-func writeMeta(path string, cfg *TenantConfig) error {
-	e := snap.NewEncoder()
-	e.Int(metaVersion)
-	cfg.encode(e)
-	if err := trace.SaveCheckpointState(path, e.Bytes()); err != nil {
-		return fmt.Errorf("serve: writing tenant metadata: %w", err)
+// remove unregisters a closed or released tenant: the table entry, the
+// BDR reservation — whose residual opens up for new tenants at once (a
+// migration target re-admits it from the released configuration) — and
+// the shard registration. A released ID joins the released set.
+func (s *Server) remove(t *tenant, released bool) {
+	s.mu.Lock()
+	delete(s.tenants, t.id)
+	s.sorted = nil
+	if released {
+		s.released[t.id] = struct{}{}
 	}
-	return nil
+	if s.tree != nil {
+		s.tree.Release(s.shardIndex(t.id), t.id)
+	}
+	s.mu.Unlock()
+	s.shardFor(t.id).remove(t)
 }
 
-func readMeta(path string) (TenantConfig, error) {
-	var cfg TenantConfig
-	f, err := os.Open(path)
-	if err != nil {
-		return cfg, err
-	}
-	defer f.Close()
-	payload, err := trace.ReadCheckpoint(f)
-	if err != nil {
-		return cfg, fmt.Errorf("serve: reading tenant metadata %s: %w", path, err)
-	}
-	d := snap.NewDecoder(payload)
-	if v := d.Int(); d.Err() == nil && v != metaVersion {
-		return cfg, fmt.Errorf("serve: tenant metadata %s: version %d, this build reads only version %d", path, v, metaVersion)
-	}
-	cfg.decode(d)
-	if err := d.Done(); err != nil {
-		return cfg, fmt.Errorf("serve: tenant metadata %s: %w", path, err)
-	}
-	return cfg, nil
-}
+// ——— Recovery ———
 
-// recover rebuilds every tenant whose metadata file survives in the
-// checkpoint directory, from its latest checkpoint-log record when one
-// exists, or fresh at round 0 when the process died before the first
-// checkpoint (or the log holds only a tombstone) — the metadata file is
-// the record of its existence. A corrupt file, or a reservation that no
-// longer fits (the server restarted with less BDR capacity, or without
-// -bdr), fails recovery loudly: silently dropping a tenant or hosting it
-// unreserved would lose its stream or its guarantee.
+// recordVersion is the layout of every record a tenant appends to the
+// checkpoint log: this version, the TenantConfig codec, then the Stream
+// snapshot (a delta record encodes that whole byte string). Version 4
+// follows the retired meta files' version 3; a record of any other
+// version is refused, not migrated.
+const recordVersion = 4
+
+// recover rebuilds every tenant the checkpoint log holds a live record
+// for, from its latest one: the configuration in the record's prefix,
+// the stream from the snapshot behind it, cross-checked by install and
+// against the round the log recorded. A corrupt record, an older
+// build's record, or a reservation that no longer fits (the server
+// restarted with less BDR capacity, or without -bdr) fails recovery
+// loudly: silently dropping a tenant or hosting it unreserved would lose
+// its stream or its guarantee.
 func (s *Server) recover() error {
-	entries, err := os.ReadDir(s.cfg.CheckpointDir)
-	if err != nil {
-		return fmt.Errorf("serve: scanning checkpoint dir: %w", err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".meta") {
-			continue
-		}
-		id := strings.TrimSuffix(name, ".meta")
-		cfg, err := readMeta(filepath.Join(s.cfg.CheckpointDir, name))
-		if err != nil {
-			return err
-		}
-		blob, round, ok, err := s.clog.Latest(id)
+	for _, id := range s.clog.Tenants() {
+		rec, round, _, err := s.clog.Latest(id)
 		if err != nil {
 			return fmt.Errorf("serve: tenant %s: checkpoint log: %w", id, err)
 		}
-		t, er := s.installLocked(id, cfg, blob, true)
+		d := snap.NewDecoder(rec)
+		if v := d.Int(); d.Err() == nil && v != recordVersion {
+			return fmt.Errorf("serve: tenant %s: checkpoint log holds record version %d, this build reads only version %d", id, v, recordVersion)
+		}
+		var cfg TenantConfig
+		cfg.decode(d)
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("serve: tenant %s: checkpoint record: %w", id, err)
+		}
+		t, er := s.installLocked(id, cfg, rec[len(rec)-d.Remaining():], true)
 		if er != nil {
 			return fmt.Errorf("serve: recovering tenant %s: %s", id, er.Msg)
 		}
-		if ok && round != t.st.Round() {
+		if round != t.st.Round() {
 			return fmt.Errorf("serve: tenant %s: checkpoint log records round %d but the blob restores at round %d", id, round, t.st.Round())
 		}
 		s.logf("serve: recovered tenant %s at round %d", id, t.st.Round())
@@ -1002,9 +952,9 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 			// sequence advance behind.
 			return bad("malformed submit batch")
 		}
-		t := s.tenant(cs.batch.Tenant)
-		if t == nil {
-			(&errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + cs.batch.Tenant}).encode(enc)
+		t, er := s.liveTenant(cs.batch.Tenant)
+		if er != nil {
+			er.encode(enc)
 			return false
 		}
 		admitted, round, depth, er := t.submitBatch(cs.batch.Seq, cs.batch.Ticks)
@@ -1061,8 +1011,6 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 }
 
 // statsRows builds the stats rows for one tenant (id non-empty) or all.
-// Released migration tombstones are skipped — their live row belongs to
-// the server the tenant migrated to.
 func (s *Server) statsRows(id string) ([]TenantStats, *errResp) {
 	if id != "" {
 		t, er := s.liveTenant(id)
@@ -1073,9 +1021,6 @@ func (s *Server) statsRows(id string) ([]TenantStats, *errResp) {
 	}
 	var rows []TenantStats
 	for _, t := range s.tenantList() {
-		if t.isReleased() {
-			continue
-		}
 		rows = append(rows, t.stats())
 	}
 	return rows, nil
@@ -1131,18 +1076,18 @@ func (s *Server) drain(id string) (*sched.Result, *errResp) {
 	if er != nil {
 		return nil, er
 	}
-	res, err := t.drainStream()
-	if err == nil && s.clog != nil {
+	res, er := t.drainStream()
+	if er == nil && s.clog != nil {
 		// The drain's final checkpoint was appended inside drainStream;
 		// sync it so a drain acknowledgement means the drained state is
 		// durable. A failed sync fails the drain: acknowledging it would
 		// promise durability the log could not give.
-		if serr := s.clog.Sync(); serr != nil {
-			err = fmt.Errorf("serve: tenant %s: syncing drain checkpoint: %w", id, serr)
+		if err := s.clog.Sync(); err != nil {
+			er = &errResp{Code: codeInternal, Msg: fmt.Sprintf("serve: tenant %s: syncing drain checkpoint: %v", id, err)}
 		}
 	}
-	if err != nil {
-		return nil, &errResp{Code: codeInternal, Msg: err.Error()}
+	if er != nil {
+		return nil, er
 	}
 	return res, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckptlog"
 	"repro/internal/sched"
 )
 
@@ -24,14 +25,27 @@ func logTestConfig(dir string) Config {
 	}
 }
 
+// logTenants reopens the checkpoint log in dir, which no server may be
+// using, and returns the tenants it holds a live record for.
+func logTenants(t *testing.T, dir string) []string {
+	t.Helper()
+	l, err := ckptlog.Open(ckptlog.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Tenants()
+}
+
 // TestCloseTenantLogTombstone pins the CloseTenant durability contract
-// in the shared log (TestCloseTenantCheckpointRace pins the meta-file
-// half): a closed tenant's records may remain in the shared segments,
-// but its tombstone must shadow them — across
+// in the shared log after a graceful stop (TestCloseTenantCheckpointRace
+// pins it across a crash): a closed tenant's records may remain in the
+// shared segments, but its tombstone must shadow them — across
 // rapid open/submit/close cycles racing the shard worker's appends, a
 // restart over the directory recovers zero tenants. CheckpointEvery 1
 // keeps a worker appending checkpoints while each close lands, which is
-// exactly the race the in-append tombstone check guards.
+// exactly the race that appending the tombstone under the tenant lock,
+// and skipping a closed tenant's checkpoints, guards.
 func TestCloseTenantLogTombstone(t *testing.T) {
 	dir := t.TempDir()
 	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1})
@@ -291,6 +305,70 @@ func TestDrainFailsWhenLogSyncFails(t *testing.T) {
 	var re *RemoteError
 	if _, err := c.DrainTenant("d"); !errors.As(err, &re) || re.Code != codeInternal {
 		t.Fatalf("drain over a failed log = %v, want codeInternal", err)
+	}
+}
+
+// TestCloseAndReleaseFailWhenLogFails pins close-tenant and release as
+// durability points: the tombstone is the only record that removes a
+// tenant, so when the log cannot take it both are answered with an
+// internal error, the tenants stay live, and a restart recovers them.
+func TestCloseAndReleaseFailWhenLogFails(t *testing.T) {
+	dir := t.TempDir()
+	inst := testInstance(t, 16, 0)
+	s := startServer(t, logTestConfig(dir))
+	c := dialTest(t, s)
+	for _, id := range []string{"a", "b"} {
+		if _, _, err := c.Open(id, tcFor(inst)); err != nil {
+			t.Fatal(err)
+		}
+		feed(t, c, id, inst, 0)
+		if _, err := c.DrainTenant(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.clog.Abort() // every later append and sync fails
+	var re *RemoteError
+	if _, err := c.CloseTenant("a"); !errors.As(err, &re) || re.Code != codeInternal {
+		t.Fatalf("close over a failed log = %v, want codeInternal", err)
+	}
+	if _, err := c.Release("b"); !errors.As(err, &re) || re.Code != codeInternal {
+		t.Fatalf("release over a failed log = %v, want codeInternal", err)
+	}
+	if rows, err := c.Stats(""); err != nil || len(rows) != 2 || rows[0].ID != "a" || rows[1].ID != "b" {
+		t.Fatalf("stats after the failed close and release = %+v (%v), want rows for a and b", rows, err)
+	}
+	s.Close()
+	s2 := startServer(t, logTestConfig(dir))
+	if s2.tenant("a") == nil || s2.tenant("b") == nil {
+		t.Fatalf("restart recovered %d tenants, want a and b", s2.NumTenants())
+	}
+}
+
+// TestReleasedTenantTakesNoCheckpoint pins the one-lock checkpoint
+// path: a shard worker still holding a tenant that release removed takes
+// no checkpoint, so nothing lands behind the tombstone. Periodic
+// checkpoints are off, so the stream is past its last record when it is
+// released; the late flush stands in for a worker pass that raced the
+// release.
+func TestReleasedTenantTakesNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	inst := testInstance(t, 16, 0)
+	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1 << 30})
+	c := dialTest(t, s)
+	if _, _, err := c.Open("mig", tcFor(inst)); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, c, "mig", inst, 0)
+	tn := s.tenant("mig")
+	if _, err := c.Release("mig"); err != nil {
+		t.Fatal(err)
+	}
+	tn.flush()
+	if err := s.Shutdown(); err != nil { // commits anything appended
+		t.Fatal(err)
+	}
+	if ids := logTenants(t, dir); len(ids) != 0 {
+		t.Fatalf("released tenant %v live again in the reopened log", ids)
 	}
 }
 

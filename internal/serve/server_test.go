@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckptlog"
 	"repro/internal/sched"
 	"repro/internal/snap"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -37,6 +37,13 @@ func startServer(t *testing.T, cfg Config) *Server {
 		}
 	})
 	return s
+}
+
+// tenant returns the table's entry for id, nil when there is none.
+func (s *Server) tenant(id string) *tenant {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tenants[id]
 }
 
 func dialTest(t *testing.T, s *Server) *Client {
@@ -569,11 +576,12 @@ func TestCloseTenantSubmitRace(t *testing.T) {
 
 // TestCloseTenantCheckpointRace pins the durable-state contract of
 // CloseTenant against the shard worker's checkpoint appends: once
-// CloseTenant returns, the tenant's meta file is gone and its records in
-// the shared log are shadowed by a synced tombstone, so even a crash
-// right afterwards recovers nothing. CheckpointEvery 1 keeps the worker
-// appending while each close lands; the tombstone check under ckptMu is
-// what stops a straggling append from resurrecting the tenant.
+// CloseTenant returns, the tenant's records in the shared log are
+// shadowed by a synced tombstone, so even a crash right afterwards
+// recovers nothing. CheckpointEvery 1 keeps the worker appending while
+// each close lands; appending the tombstone under the tenant lock, after
+// which a closed tenant takes no checkpoint, is what stops a straggling
+// append from resurrecting the tenant.
 func TestCloseTenantCheckpointRace(t *testing.T) {
 	dir := t.TempDir()
 	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1})
@@ -600,9 +608,6 @@ func TestCloseTenantCheckpointRace(t *testing.T) {
 		if _, err := c.CloseTenant(id); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, id+".meta")); !os.IsNotExist(err) {
-			t.Fatalf("%s.meta survives CloseTenant (stat err %v)", id, err)
-		}
 	}
 	// Give any straggling checkpoint append time to lose the race, then
 	// crash: only what was synced survives, and it must recover nothing.
@@ -610,9 +615,8 @@ func TestCloseTenantCheckpointRace(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	metas, err := filepath.Glob(filepath.Join(dir, "*.meta"))
-	if err != nil || len(metas) != 0 {
-		t.Fatalf("closed tenants left meta files behind: %v (%v)", metas, err)
+	if ids := logTenants(t, dir); len(ids) != 0 {
+		t.Fatalf("closed tenants %v still live in the reopened log", ids)
 	}
 	s2 := startServer(t, Config{CheckpointDir: dir})
 	if n := s2.NumTenants(); n != 0 {
@@ -658,9 +662,10 @@ func TestShutdownAcceptStorm(t *testing.T) {
 }
 
 // TestServerRecovery pins the durability lifecycle at the single-tenant
-// level: a crash before the first checkpoint recovers the tenant fresh
-// from its metadata; a crash after rounds recovers it at the checkpoint;
-// CloseTenant removes its durable state.
+// level: a crash before the first periodic checkpoint recovers the
+// tenant fresh from the round-0 record its open synced; a crash after
+// rounds recovers it at the checkpoint; CloseTenant removes its durable
+// state.
 func TestServerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	inst := testInstance(t, 24, 0)
@@ -670,7 +675,8 @@ func TestServerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash before any checkpoint: only the metadata file survives.
+	// Crash before any periodic checkpoint: only the round-0 record
+	// survives.
 	s1 := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1 << 30})
 	c1 := dialTest(t, s1)
 	if _, _, err := c1.Open("solo", tc); err != nil {
@@ -685,7 +691,7 @@ func TestServerRecovery(t *testing.T) {
 	c2 := dialTest(t, s2)
 	next, resumed, err := c2.Open("solo", tc)
 	if err != nil || !resumed || next != 0 {
-		t.Fatalf("open after meta-only recovery = (%d, %v, %v), want (0, true, nil)", next, resumed, err)
+		t.Fatalf("open after round-0 recovery = (%d, %v, %v), want (0, true, nil)", next, resumed, err)
 	}
 	feed(t, c2, "solo", inst, 0)
 	res, err := c2.DrainTenant("solo")
@@ -713,63 +719,90 @@ func TestServerRecovery(t *testing.T) {
 	if _, err := c3.CloseTenant("solo"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "solo.meta")); !os.IsNotExist(err) {
-		t.Fatalf("solo.meta survives CloseTenant (stat err %v)", err)
-	}
 	s3.Close()
+	if ids := logTenants(t, dir); len(ids) != 0 {
+		t.Fatalf("closed tenant still live in the reopened log: %v", ids)
+	}
 	s4 := startServer(t, Config{CheckpointDir: dir})
 	if n := s4.NumTenants(); n != 0 {
 		t.Fatalf("server after CloseTenant recovered %d tenants, want 0", n)
 	}
 }
 
-// goldenMetaV3 is a tenant meta file exactly as the server wrote it
-// before the protocol was collapsed to one version (meta version 3, in
-// its CRC-checked checkpoint container), for the configuration
-// {Policy edf, QueueCap 16, N 4, Speed 1, Delta 4, Delays [2 6],
-// Weight 3, no reservation}.
+// goldenMetaV3 is a tenant meta file exactly as an older build wrote it
+// (meta version 3, in its CRC-checked checkpoint container), for the
+// configuration {Policy edf, QueueCap 16, N 4, Speed 1, Delta 4,
+// Delays [2 6], Weight 3, no reservation}.
 var goldenMetaV3 = []byte{0x52, 0x52, 0x43, 0x50, 0x1, 0x0, 0x0, 0x0, 0x1d, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0,
 	0x6, 0x6, 0x65, 0x64, 0x66, 0x20, 0x8, 0x2, 0x8, 0x4, 0x4, 0xc, 0x6, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0,
 	0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x96, 0x3b, 0xc8, 0x66}
 
-// TestMetaVersions pins the durable meta format across the protocol
-// collapse: a version-3 meta directory written before it still
-// recovers its tenant with the same configuration, while a version-2
-// file fails NewServer with an error that names the version.
-func TestMetaVersions(t *testing.T) {
+// TestRecordVersions pins the durable record format. A tenant's
+// configuration rides in its first log record, so it survives a crash
+// before the first periodic checkpoint and re-opens resumed at 0. A
+// directory an older build wrote is refused by name, not migrated: a
+// leftover meta file fails NewServer naming the file, and a record
+// without the version-4 prefix — a bare snapshot, the older layout —
+// fails it naming the version it holds.
+func TestRecordVersions(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "gold.meta"), goldenMetaV3, 0o644); err != nil {
+	want := TenantConfig{Policy: "edf", QueueCap: 16, N: 4, Speed: 1, Delta: 4, Delays: []int{2, 6}, Weight: 3}
+	s1 := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1 << 30})
+	c1 := dialTest(t, s1)
+	if _, _, err := c1.Open("gold", want); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := c1.Submit("gold", 0, sched.Request{{Color: 0, Count: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close() // crash: only the round-0 record the open synced survives
 	s := startServer(t, Config{CheckpointDir: dir})
-	want := TenantConfig{Policy: "edf", QueueCap: 16, N: 4, Speed: 1, Delta: 4, Delays: []int{2, 6}, Weight: 3}
 	if tn := s.tenant("gold"); tn == nil || !tn.cfg.equal(&want) {
 		t.Fatalf("recovered tenant = %+v, want config %+v", tn, want)
 	}
-	c := dialTest(t, s)
-	if next, resumed, err := c.Open("gold", want); err != nil || !resumed || next != 0 {
+	if next, resumed, err := dialTest(t, s).Open("gold", want); err != nil || !resumed || next != 0 {
 		t.Fatalf("re-open of the recovered tenant = (%d, %v, %v), want (0, true, nil)", next, resumed, err)
 	}
 
-	old := t.TempDir()
-	e := snap.NewEncoder()
-	e.Int(2) // meta version 2: no reservation pair
-	e.String("edf")
-	e.Int(16)
-	e.Int(4)
-	e.Int(1)
-	e.Int(4)
-	e.Ints([]int{2, 6})
-	e.Int(3)
-	if err := trace.SaveCheckpointState(filepath.Join(old, "old.meta"), e.Bytes()); err != nil {
+	refused := func(older, name string) {
+		t.Helper()
+		if s2, err := NewServer(Config{Addr: "127.0.0.1:0", CheckpointDir: older}); err == nil || !strings.Contains(err.Error(), name) {
+			if s2 != nil {
+				s2.Close()
+			}
+			t.Fatalf("NewServer over an older directory = %v, want an error naming %q", err, name)
+		}
+	}
+	metaDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(metaDir, "gold.meta"), goldenMetaV3, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if s2, err := NewServer(Config{Addr: "127.0.0.1:0", CheckpointDir: old}); err == nil || !strings.Contains(err.Error(), "version 2") {
-		if s2 != nil {
-			s2.Close()
-		}
-		t.Fatalf("NewServer over a version-2 meta file = %v, want an error naming version 2", err)
+	refused(metaDir, "gold.meta")
+
+	bareDir := t.TempDir()
+	pol, err := NewPolicy(want.Policy)
+	if err != nil {
+		t.Fatal(err)
 	}
+	st, err := sched.NewStream(pol, sched.StreamConfig{N: want.N, Speed: want.Speed, Delta: want.Delta, Delays: want.Delays})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := ckptlog.Open(ckptlog.Options{Dir: bareDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append("bare", ckptlog.KindFull, 0, 0, blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refused(bareDir, "record version 1")
 }
 
 // TestServerDrainingRejectsWork: once Shutdown begins, submits and new

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -15,14 +14,14 @@ import (
 
 // tenant is one hosted stream: the live sched.Stream, its bounded
 // ingest queue of admitted-but-unapplied round ticks, and the
-// admission-control counters. All mutable state is guarded by mu; the
-// checkpoint-log append is additionally serialized by ckptMu so the
-// tombstone check and the append are atomic against removal.
+// admission-control counters. All mutable state is guarded by mu, and
+// every checkpoint-log record the tenant writes, its tombstone included,
+// is appended under it.
 type tenant struct {
 	id string
 	// cfg is the tenant's normalized configuration (Server.normalize),
 	// immutable after install: re-opens compare against it, release
-	// hands it out, and the meta file records it.
+	// hands it out, and every checkpoint-log record carries it.
 	cfg     TenantConfig
 	polName string // the policy's display Name, for stats
 	// minDelay is the tightest delay bound in the tenant's menu; the
@@ -45,16 +44,14 @@ type tenant struct {
 	// admitted — and acknowledged — behind the final checkpoint.
 	draining *atomic.Bool
 
-	mu     sync.Mutex
-	st     *sched.Stream
-	queue  []sched.Request // admitted round ticks; live entries are queue[head:]
-	head   int
-	closed bool
-	// released marks a tenant whose state was handed to another server
-	// by msgRelease. The tombstone stays in the table so every later
-	// command — including a racing re-open that would otherwise fork a
-	// fresh stream at sequence 0 — is answered with a retryable draining
-	// error until a restore (migrating back) replaces it.
+	mu    sync.Mutex
+	st    *sched.Stream
+	queue []sched.Request // admitted round ticks; live entries are queue[head:]
+	head  int
+	// closed and released mark a tenant tombstoned by close-tenant or by
+	// release, which then drop it from the server's table; a command that
+	// looked the tenant up before that still reads them here.
+	closed   bool
 	released bool
 	failed   error // a poisoned stream rejects all further commands
 
@@ -74,30 +71,26 @@ type tenant struct {
 	lastCkpt    int  // round of the last snapshot taken
 	logFailed   bool // the checkpoint log takes no more writes
 
-	metaPath string // "" = durability off
-
-	// clog, when non-nil, is the group-commit checkpoint log
-	// (internal/ckptlog): checkpoints are appended to the shared segment
-	// log under mu+ckptMu, and the log's committer batches the fsyncs.
-	// logf receives checkpoint-path diagnostics.
+	// clog, when non-nil (durability on), is the group-commit checkpoint
+	// log (internal/ckptlog): records are appended to the shared segment
+	// log under mu, and the log's committer batches the fsyncs. logf
+	// receives checkpoint-path diagnostics.
 	clog *ckptlog.Log
 	logf func(format string, args ...any)
 
-	// Pooled snapshot-path buffers, guarded by mu. snapBuf holds the
-	// latest full snapshot (reused every checkpoint), deltaBase the full
-	// snapshot the current delta chain is computed against, deltaBuf the
-	// delta scratch — so a steady-state log-mode checkpoint allocates
-	// nothing.
+	// prefix is every record's head — recordVersion, then the cfg codec —
+	// encoded once at install. Pooled snapshot-path buffers, guarded by
+	// mu: snapBuf holds the latest full record, prefix and snapshot
+	// (reused every checkpoint), deltaBase the full record the current
+	// delta chain is computed against, deltaBuf the delta scratch — so a
+	// steady-state checkpoint allocates nothing.
+	prefix         []byte
 	snapBuf        []byte
 	deltaBase      []byte
 	deltaBuf       []byte
 	deltaBaseRound int
 	deltasSince    int
 	dm             snap.DeltaMaker
-
-	ckptMu       sync.Mutex
-	writtenRound int  // round of the newest checkpoint appended
-	removed      bool // durable state deleted; never append again
 }
 
 // res is the tenant's admitted BDR reservation (zero = best-effort). The
@@ -126,14 +119,24 @@ func (t *tenant) nextSeq() int {
 	return t.nextSeqLocked()
 }
 
-// submitLocked is one round's admission check and enqueue. Callers hold
-// mu.
-func (t *tenant) submitLocked(seq int, arrivals sched.Request) *errResp {
+// goneLocked is the typed error for a command that reached the tenant
+// after close or release — it looked the tenant up before the table
+// dropped it — and nil while the tenant is live. Callers hold mu.
+func (t *tenant) goneLocked() *errResp {
 	if t.closed {
 		return &errResp{Code: codeUnknownTenant, Msg: "tenant " + t.id + " is closed"}
 	}
 	if t.released {
-		return &errResp{Code: codeDraining, Msg: "tenant " + t.id + " is migrating"}
+		return migrating(t.id)
+	}
+	return nil
+}
+
+// submitLocked is one round's admission check and enqueue. Callers hold
+// mu.
+func (t *tenant) submitLocked(seq int, arrivals sched.Request) *errResp {
+	if er := t.goneLocked(); er != nil {
+		return er
 	}
 	if t.failed != nil {
 		return &errResp{Code: codeInternal, Msg: t.failed.Error()}
@@ -209,15 +212,10 @@ func (t *tenant) load() (TenantLoad, bool) {
 }
 
 // servedRounds reports the round ticks applied so far, for server-wide
-// service-share totals. A released migration tombstone counts none: the
-// all-tenant stats rows skip it, and a single-tenant row's total must
-// sum the same tenants.
+// service-share totals.
 func (t *tenant) servedRounds() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.released {
-		return 0
-	}
 	return t.served
 }
 
@@ -295,28 +293,37 @@ func (t *tenant) applyQueued(max, every int) (applied int) {
 // buffered copy — durability is the committer's batched fsync — and
 // taking it under mu makes creation order and append order coincide,
 // which is what keeps the per-tenant delta chains valid without any
-// cross-goroutine ordering protocol. Callers hold mu.
+// cross-goroutine ordering protocol, and keeps every append of a closed
+// or released tenant from landing behind its tombstone. Callers hold mu.
 func (t *tenant) maybeCheckpointLocked(every int, force bool) {
-	if t.clog == nil || t.failed != nil || t.logFailed {
+	if t.clog == nil || t.closed || t.released || t.failed != nil || t.logFailed {
 		return
 	}
 	r := t.st.Round()
 	if r == t.lastCkpt || !force && (every <= 0 || r-t.lastCkpt < every) {
 		return
 	}
-	t.logCheckpointLocked(r)
+	// A snapshot failure has poisoned the tenant already; an append
+	// failure is reported here. A failed or closed log stays so: stop
+	// checkpointing, which also reports the failure once rather than
+	// every round.
+	if err := t.logCheckpointLocked(r); err != nil && t.failed == nil {
+		t.logf("serve: tenant %s: checkpoint log append at round %d: %v", t.id, r, err)
+		t.logFailed = errors.Is(err, ckptlog.ErrFailed)
+	}
 }
 
-// logCheckpointLocked takes one checkpoint into the group-commit log:
-// a delta against the retained base when the chain is short and the
-// delta pays for itself, a fresh full snapshot (restarting the chain)
-// otherwise. Buffers are pooled; the steady state allocates nothing.
-// Callers hold mu.
-func (t *tenant) logCheckpointLocked(r int) {
-	cur, err := t.st.AppendSnapshot(t.snapBuf[:0])
+// logCheckpointLocked appends one record at round r to the group-commit
+// log: the prefix and a fresh snapshot as a full record, restarting the
+// delta chain, or a delta of that against the retained base when the
+// chain is short and the delta pays for itself. A failed append leaves
+// the chain untouched. Buffers are pooled; the steady state allocates
+// nothing. Callers hold mu.
+func (t *tenant) logCheckpointLocked(r int) error {
+	cur, err := t.st.AppendSnapshot(append(t.snapBuf[:0], t.prefix...))
 	if err != nil {
 		t.failed = fmt.Errorf("serve: tenant %s: snapshot at round %d: %w", t.id, r, err)
-		return
+		return t.failed
 	}
 	t.snapBuf = cur
 	kind, base, rec := ckptlog.KindFull, 0, cur
@@ -327,24 +334,8 @@ func (t *tenant) logCheckpointLocked(r int) {
 			kind, base, rec = ckptlog.KindDelta, t.deltaBaseRound, d
 		}
 	}
-	// The tombstone check guards the append: a released or closed tenant
-	// must not resurrect records into the shared log (see removeFiles).
-	appended := false
-	t.ckptMu.Lock()
-	if !t.removed && r > t.writtenRound {
-		if err := t.clog.Append(t.id, kind, r, base, rec); err != nil {
-			t.logf("serve: tenant %s: checkpoint log append at round %d: %v", t.id, r, err)
-			// A failed or closed log stays so: stop checkpointing, which
-			// also reports the failure once rather than every round.
-			t.logFailed = errors.Is(err, ckptlog.ErrFailed)
-		} else {
-			t.writtenRound = r
-			appended = true
-		}
-	}
-	t.ckptMu.Unlock()
-	if !appended {
-		return // removed, stale, or failed: leave the chain untouched and retry later
+	if err := t.clog.Append(t.id, kind, r, base, rec); err != nil {
+		return err
 	}
 	if kind == ckptlog.KindFull {
 		t.deltaBase = append(t.deltaBase[:0], cur...)
@@ -355,29 +346,25 @@ func (t *tenant) logCheckpointLocked(r int) {
 	}
 	t.lastCkpt = r
 	t.checkpoints++
+	return nil
 }
 
-// removeFiles deletes the tenant's durable state — its meta file, and
-// in the shared log a tombstone shadowing its records — and marks it
-// removed so no in-flight checkpoint append can resurrect it. Holding
-// ckptMu across the removal orders it against a concurrent appender:
-// whichever side wins the lock, the state ends (and stays) gone.
-func (t *tenant) removeFiles() {
+// tombstoneLocked appends the tenant's tombstone and syncs it. Close and
+// release call it before they flip their flag: the tombstone is the only
+// record that removes a tenant from recovery, so an acknowledged removal
+// must be durable, and on failure the tenant stays live. Callers hold mu.
+func (t *tenant) tombstoneLocked() *errResp {
 	if t.clog == nil {
-		return
+		return nil
 	}
-	t.ckptMu.Lock()
-	defer t.ckptMu.Unlock()
-	t.removed = true
-	os.Remove(t.metaPath)
-	// The tombstone is synced immediately because removal is
-	// acknowledged to the client. Best-effort: on error the meta file is
-	// already gone, so recovery skips the tenant anyway.
-	if err := t.clog.AppendTombstone(t.id); err != nil {
-		t.logf("serve: tenant %s: checkpoint log tombstone: %v", t.id, err)
-	} else if err := t.clog.Sync(); err != nil {
-		t.logf("serve: tenant %s: checkpoint log sync: %v", t.id, err)
+	err := t.clog.AppendTombstone(t.id)
+	if err == nil {
+		err = t.clog.Sync()
 	}
+	if err != nil {
+		return &errResp{Code: codeInternal, Msg: fmt.Sprintf("serve: tenant %s: logging tombstone: %v", t.id, err)}
+	}
+	return nil
 }
 
 // flush applies every queued round tick and takes a final checkpoint —
@@ -395,68 +382,62 @@ func (t *tenant) flush() {
 // Draining an already-drained tenant is a no-op that returns the same
 // Result, so a client retrying a drain whose acknowledgement was lost
 // observes identical results.
-func (t *tenant) drainStream() (*sched.Result, error) {
+func (t *tenant) drainStream() (*sched.Result, *errResp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.drainStreamLocked()
 }
 
-func (t *tenant) drainStreamLocked() (*sched.Result, error) {
-	if t.failed != nil {
-		return nil, t.failed
+func (t *tenant) drainStreamLocked() (*sched.Result, *errResp) {
+	if er := t.goneLocked(); er != nil {
+		return nil, er
 	}
-	t.applyQueuedLocked(0)
-	if t.failed != nil {
-		return nil, t.failed
+	if t.failed == nil {
+		t.applyQueuedLocked(0)
 	}
-	if _, err := t.st.Drain(); err != nil {
-		t.failed = fmt.Errorf("serve: tenant %s: draining: %w", t.id, err)
-		return nil, t.failed
+	if t.failed == nil {
+		if _, err := t.st.Drain(); err != nil {
+			t.failed = fmt.Errorf("serve: tenant %s: draining: %w", t.id, err)
+		}
+	}
+	if t.failed != nil {
+		return nil, &errResp{Code: codeInternal, Msg: t.failed.Error()}
 	}
 	t.maybeCheckpointLocked(0, true)
 	return t.st.Result(), nil
 }
 
-// drainAndClose drains the stream and marks the tenant closed in one
-// critical section, returning the final Result. Because no submit can
-// interleave between the drain and the close, every round ever
-// acknowledged is included in the Result — the exactly-once contract
-// CloseTenant relies on. (The old two-acquisition sequence had a window
-// where a submit could be admitted and acknowledged after the drain,
-// then silently dropped with the tenant.) A drain failure leaves the
-// tenant open (and poisoned) so the caller can surface the fault.
-func (t *tenant) drainAndClose() (*sched.Result, error) {
+// drainAndClose drains the stream, tombstones the tenant and marks it
+// closed in one critical section, returning the final Result. Because
+// no submit can interleave between the drain and the close, every round
+// ever acknowledged is included in the Result — the exactly-once
+// contract CloseTenant relies on. A drain or tombstone failure leaves
+// the tenant open so the caller can surface the fault.
+func (t *tenant) drainAndClose() (*sched.Result, *errResp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	res, err := t.drainStreamLocked()
-	if err != nil {
-		return nil, err
+	res, er := t.drainStreamLocked()
+	if er == nil {
+		er = t.tombstoneLocked()
+	}
+	if er != nil {
+		return nil, er
 	}
 	t.closed = true
 	return res, nil
 }
 
-// isReleased reports whether the tenant is a migration tombstone.
-func (t *tenant) isReleased() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.released
-}
-
 // release is the source half of a migration: apply everything queued so
-// the snapshot carries no in-flight rounds, snapshot, and turn the
-// tenant into a released tombstone. The returned state carries the
-// configuration as opened, the resume sequence, and the state blob —
+// the snapshot carries no in-flight rounds, snapshot, tombstone the
+// tenant in the log and mark it released. The returned state carries
+// the configuration as opened, the resume sequence, and the state blob —
 // everything a restore on the target needs. The caller (server.release)
-// removes the tenant's shard registration and durable files afterwards.
+// drops the tenant from the table and its shard afterwards.
 func (t *tenant) release() (*ReleasedTenant, *errResp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
-		return nil, &errResp{Code: codeUnknownTenant, Msg: "tenant " + t.id + " is closed"}
-	}
-	if t.released {
-		return nil, &errResp{Code: codeDraining, Msg: "tenant " + t.id + " is migrating"}
+	if er := t.goneLocked(); er != nil {
+		return nil, er
 	}
 	if t.failed == nil {
 		t.applyQueuedLocked(0)
@@ -468,6 +449,9 @@ func (t *tenant) release() (*ReleasedTenant, *errResp) {
 	if err != nil {
 		t.failed = fmt.Errorf("serve: tenant %s: snapshot for release: %w", t.id, err)
 		return nil, &errResp{Code: codeInternal, Msg: t.failed.Error()}
+	}
+	if er := t.tombstoneLocked(); er != nil {
+		return nil, er
 	}
 	t.released = true
 	return &ReleasedTenant{Config: t.cfg, NextSeq: t.st.Round(), Blob: blob}, nil

@@ -232,8 +232,8 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// encode writes the tenant description in the order the durable
-// metadata file has always used: policy, queue cap, N, speed, delta,
+// encode writes the tenant description in the one order the wire and
+// every checkpoint-log record use: policy, queue cap, N, speed, delta,
 // delays, weight, reservation rate and delay.
 func (tc *TenantConfig) encode(e *snap.Encoder) {
 	e.String(tc.Policy)

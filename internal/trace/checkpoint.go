@@ -111,15 +111,6 @@ func SaveCheckpoint(path string, st *sched.Stream) error {
 	if err != nil {
 		return err
 	}
-	return SaveCheckpointState(path, state)
-}
-
-// SaveCheckpointState writes an already-captured snapshot blob
-// atomically to path, with the same temp-file + fsync + rename protocol
-// as SaveCheckpoint. Servers multiplexing many streams use it to take
-// the (cheap, in-memory) snapshot under the tenant's lock and pay for
-// the write and fsync outside it.
-func SaveCheckpointState(path string, state []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
