@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test race race-hot cover bench bench-json benchsmoke faultsmoke durasmoke bdrsmoke optsmoke servesmoke proxysmoke docscheck check fuzz loc experiments fmt vet clean
+.PHONY: all build test race race-hot cover bench benchsmoke faultsmoke durasmoke bdrsmoke optsmoke servesmoke proxysmoke docscheck check fuzz loc experiments fmt vet clean
 
 all: build test
 
@@ -27,23 +27,14 @@ cover:
 bench:
 	go test -bench=. -benchmem -run '^$$' ./...
 
-# Measure the fixed regression suite and write BENCH_$(BENCH_LABEL).json
-# (see docs/PERFORMANCE.md). Compare two files with:
-#   go run ./cmd/rrbench -compare old.json new.json
-BENCH_LABEL ?= local
-BENCHTIME ?= 1s
-bench-json:
-	go run ./cmd/rrbench -json -label $(BENCH_LABEL) -benchtime $(BENCHTIME)
-
-# One iteration of every benchmark plus an end-to-end run of the JSON
-# emitter and comparator (self-compare doubles as a schema validation):
-# a fast smoke test that the harnesses still compile and run, not a
-# measurement.
+# One iteration of every benchmark, then rrbench end to end (flag
+# parsing, the T9 experiment's exp.Sweep at 1-8 workers, the markdown
+# writer): a fast smoke test that the benchmarks and the experiment CLI
+# still compile and run, not a measurement.
 benchsmoke:
 	go test -bench=. -benchtime=1x -benchmem -run '^$$' ./...
-	go run ./cmd/rrbench -json -label smoke -benchtime 10ms -out /tmp/BENCH_smoke.json
-	go run ./cmd/rrbench -compare /tmp/BENCH_smoke.json /tmp/BENCH_smoke.json
-	rm -f /tmp/BENCH_smoke.json
+	go run ./cmd/rrbench -quick -run T9 -md /tmp/rrbench_smoke.md
+	rm -f /tmp/rrbench_smoke.md
 
 # The crash-fault-injection harness for the checkpoint/restore subsystem
 # (docs/CHECKPOINT.md): kill a stream at every round, restore it, finish

@@ -107,3 +107,32 @@ func TestSweepManyWorkersFewItems(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 }
+
+// BenchmarkSweep measures the sharded runner end to end: 16 independent
+// ΔLRU-EDF simulations of a 256-round router trace each, at one worker
+// (serial) and at GOMAXPROCS (parallel). The ratio of the two is the
+// runner's scaling on the host; a single-core host reads ≈1.0.
+func BenchmarkSweep(b *testing.B) {
+	seeds := seedRange(900, 16)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := Sweep(bc.workers, seeds, func(seed uint64) (int64, error) {
+					inst := workload.Router(seed, 4, 8, 256, 12)
+					r, err := sched.Run(inst, core.NewDLRUEDF(), sched.Options{N: 16})
+					if err != nil {
+						return 0, err
+					}
+					return r.Cost.Total(), nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -7,9 +7,8 @@ import (
 	"repro/internal/workload"
 )
 
-// The two pinned solver benchmark instances. internal/bench/suite.go
-// builds the same shapes for the rrbench regression suite (BENCH files);
-// change both together.
+// The two pinned solver benchmark instances, whose states/s numbers
+// docs/PERFORMANCE.md quotes.
 //
 // Small: the legacy reference still solves it in well under a second.
 // Medium: ≈610k expanded states — beyond the pre-PR-4 200k-state

@@ -4,9 +4,16 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/serve"
 )
+
+// ctlTimeout bounds each call on a control connection, so a backend
+// that accepts and then never answers cannot hang a fleet request, nor
+// Close behind it. With the stale-connection retry in call, a stalled
+// backend holds a fleet request up for at most two of these plus a dial.
+const ctlTimeout = 2 * time.Second
 
 // maxIdlePerBackend caps how many idle control connections the proxy
 // keeps per backend. One covers a single poller; the slack absorbs a few
@@ -81,10 +88,16 @@ func (p *Proxy) dialBackend(addr string) (*serve.Client, error) {
 // backend restarted on the same address since it was last used — so it
 // is discarded together with its idle siblings, and the request is
 // retried once on a fresh dial; only a failure there counts against the
-// backend.
+// backend. Each attempt is bounded by ctlTimeout.
 func (p *Proxy) call(addr string, fn func(*serve.Client) error) error {
+	bounded := func(c *serve.Client) error {
+		if err := c.SetDeadline(time.Now().Add(ctlTimeout)); err != nil {
+			return err
+		}
+		return fn(c)
+	}
 	if c := p.ctl.get(addr); c != nil {
-		if fn(c) == nil {
+		if bounded(c) == nil {
 			p.ctl.put(addr, c)
 			return nil
 		}
@@ -95,7 +108,7 @@ func (p *Proxy) call(addr string, fn func(*serve.Client) error) error {
 	if err != nil {
 		return err
 	}
-	if err := fn(c); err != nil {
+	if err := bounded(c); err != nil {
 		c.Close()
 		return err
 	}

@@ -15,7 +15,8 @@
 // is retried once on a fresh dial before the backend counts as failed,
 // which is safe because every fanned-out request is read-only. Every
 // backend dial — relay, fan-out, Migrate, death probe and standby tee
-// alike — is bounded by dialTimeout.
+// alike — is bounded by dialTimeout, and every fan-out call by
+// ctlTimeout.
 //
 // Two operations make the tier more than a load balancer:
 //
@@ -235,12 +236,7 @@ func (p *Proxy) routeLocked(tenant string) string {
 	if p.cfg.Standby != "" {
 		return p.cfg.Standby
 	}
-	live := make([]string, 0, len(p.cfg.Backends))
-	for _, b := range p.cfg.Backends {
-		if !p.dead[b] {
-			live = append(live, b)
-		}
-	}
+	live := p.liveLocked()
 	if i := Pick(live, tenant); i >= 0 {
 		return live[i]
 	}
@@ -337,8 +333,8 @@ func (p *Proxy) handleConn(c net.Conn) {
 			fc.writeLocal(enc.Bytes())
 			return
 		}
-		switch info.Kind {
-		case serve.ReqStatsAll:
+		switch {
+		case info.StatsAll:
 			enc.Reset()
 			p.appendFleetStats(enc, info)
 			if !fc.writeLocal(enc.Bytes()) {
@@ -556,6 +552,11 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 func (p *Proxy) liveBackends() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.liveLocked()
+}
+
+// liveLocked lists the backends not marked dead. The caller holds p.mu.
+func (p *Proxy) liveLocked() []string {
 	live := make([]string, 0, len(p.cfg.Backends))
 	for _, b := range p.cfg.Backends {
 		if !p.dead[b] {

@@ -863,3 +863,110 @@ func TestFlushUpstreamsNoAlloc(t *testing.T) {
 		t.Fatalf("flushUpstreams: %v allocs per burst, want 0", allocs)
 	}
 }
+
+// TestProxyFanoutStalledBackend: a backend that accepts control
+// connections and never answers on them must not hang fleet stats, nor
+// Proxy.Close (rrproxy's SIGTERM path) behind it. Stats must return the
+// healthy backend's rows within the fan-out's worst case, and Close
+// must return while a fleet request still waits on the stalled backend.
+// A watchdog fails the test instead of hanging it, then closes the
+// stalled connections so a proxy without the deadline unwinds.
+func TestProxyFanoutStalledBackend(t *testing.T) {
+	healthy := startBackend(t, serve.Config{})
+	dc, err := serve.Dial(healthy.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	openTenants(t, dc, []string{"live"})
+	dc.Close()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu       sync.Mutex
+		held     []net.Conn
+		released bool
+	)
+	// One token per connection on which the stalled backend got a
+	// request; the test makes a few, so no sender ever blocks.
+	requests := make(chan struct{}, 16)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			if released {
+				conn.Close()
+			}
+			held = append(held, conn)
+			mu.Unlock()
+			go func() {
+				if _, err := conn.Read(make([]byte, 1)); err == nil {
+					requests <- struct{}{}
+				}
+			}()
+		}
+	}()
+	release := func() {
+		ln.Close()
+		mu.Lock()
+		released = true
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+	}
+
+	px := startProxy(t, Config{Backends: []string{healthy.Addr().String(), ln.Addr().String()}})
+	t.Cleanup(release) // runs before the proxy's cleanup Close
+	c, err := serve.Dial(px.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	type result struct {
+		rows []serve.TenantStats
+		err  error
+	}
+	stats := func() <-chan result {
+		ch := make(chan result, 1)
+		go func() {
+			rows, err := c.Stats("")
+			ch <- result{rows, err}
+		}()
+		return ch
+	}
+	bound := 2*ctlTimeout + dialTimeout
+
+	select {
+	case r := <-stats():
+		if r.err != nil || len(r.rows) != 1 || r.rows[0].ID != "live" {
+			t.Fatalf("fleet stats with a stalled backend = %v, %v; want the healthy backend's one row", r.rows, r.err)
+		}
+	case <-time.After(bound):
+		release()
+		t.Fatalf("fleet stats still blocked after %v with one backend stalled", bound)
+	}
+	<-requests // the stats request the stalled backend got
+
+	pending := stats()
+	select {
+	case <-requests:
+	case <-time.After(bound):
+		release()
+		t.Fatal("second fleet request never reached the stalled backend")
+	}
+	closed := make(chan struct{})
+	go func() { px.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(bound):
+		release()
+		t.Fatalf("Proxy.Close still blocked after %v behind a fleet request to a stalled backend", bound)
+	}
+	<-pending
+}

@@ -108,6 +108,11 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
+// SetDeadline bounds every later call on the client by t, as
+// net.Conn.SetDeadline does: a call still waiting at t fails with a
+// timeout and poisons the client. The zero time removes the bound.
+func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
+
 // poison records a transport/protocol failure as the client's sticky
 // error and closes the connection; nothing is in flight on it any more.
 // Callers hold c.mu.

@@ -153,6 +153,7 @@ func processBody(t *testing.T, s *Server, body []byte) {
 	if ft := s.tenant("fuzz"); ft != nil {
 		before, hadTenant = ft.nextSeq(), true
 	}
+	info, perr := PeekRequest(body)
 	closeConn := s.process(body, &cs, enc)
 	// Whatever happened, the server must have staged a response frame
 	// that fits the protocol (process always encodes either a success
@@ -162,8 +163,19 @@ func processBody(t *testing.T, s *Server, body []byte) {
 	if d.Err() != nil {
 		t.Fatalf("response has no tag and message type for body %x", body)
 	}
-	if want := snap.NewDecoder(body).Uint64(); tag != want {
+	want := snap.NewDecoder(body).Uint64()
+	if tag != want {
 		t.Fatalf("response tag %d, request tag %d (body %x)", tag, want, body)
+	}
+	// rrproxy peeks every frame before it relays one, and answers a
+	// frame the peek rejects with a bad request and a close: the server
+	// must close on every such frame too, and a peek that succeeds must
+	// read the request's tag.
+	if perr != nil && !closeConn {
+		t.Fatalf("PeekRequest rejected a frame the server kept the connection for: %v (body %x)", perr, body)
+	}
+	if perr == nil && info.Tag != want {
+		t.Fatalf("PeekRequest tag %d, request tag %d (body %x)", info.Tag, want, body)
 	}
 	// Malformed frames (the ones that close the connection) are rejected
 	// atomically: in particular a submit batch with a mangled tail must

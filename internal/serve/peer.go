@@ -15,18 +15,6 @@ import (
 	"repro/internal/snap"
 )
 
-// ReqKind classifies a peeked request frame for routing.
-type ReqKind int
-
-const (
-	// ReqTenant is a request addressed to one tenant; route it to the
-	// backend owning PeekInfo.Tenant.
-	ReqTenant ReqKind = iota
-	// ReqStatsAll is a stats request for every tenant ("" tenant); a
-	// router must fan it out and merge the rows.
-	ReqStatsAll
-)
-
 // PeekInfo describes one request frame without consuming it: enough
 // for a router to pick a backend, echo the request's tag on responses
 // it generates itself, and decide whether the frame mutates tenant
@@ -35,10 +23,11 @@ type PeekInfo struct {
 	// Tag is the request's tag, which every response — including
 	// router-generated errors — must echo.
 	Tag uint64
-	// Kind classifies the request for routing.
-	Kind ReqKind
-	// Tenant is the routing key: the tenant the request addresses
-	// (meaningful only for ReqTenant).
+	// StatsAll reports a stats request for every tenant ("" tenant): a
+	// router must fan it out and merge the rows. Every other request is
+	// routed to the backend owning Tenant.
+	StatsAll bool
+	// Tenant is the routing key: the tenant the request addresses.
 	Tenant string
 	// Mutating reports a request that advances tenant state (open,
 	// submit-batch, drain, close) — the set a warm-standby tee must
@@ -71,9 +60,7 @@ func PeekRequest(body []byte) (PeekInfo, error) {
 		info.Tenant = d.String()
 	case msgTenantStats:
 		info.Tenant = d.String()
-		if info.Tenant == "" {
-			info.Kind = ReqStatsAll
-		}
+		info.StatsAll = info.Tenant == ""
 	default:
 		return info, fmt.Errorf("serve: unknown message type %d", typ)
 	}

@@ -466,3 +466,61 @@ func TestDuraStatsBackendsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestPeekRequest pins the proxy's view of each request type, built
+// with the real encoders: the tag and the tenant come back, StatsAll
+// marks only an all-tenant stats request, and Mutating marks exactly
+// the frames a warm standby must replicate (open, submit-batch, drain,
+// close). A frame the peek cannot classify is an error.
+func TestPeekRequest(t *testing.T) {
+	tc := TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}}
+	for _, tt := range []struct {
+		name   string
+		encode func(e *snap.Encoder)
+		want   PeekInfo
+	}{
+		{"open", func(e *snap.Encoder) {
+			(&openMsg{Version: ProtocolVersion, Tenant: "a", Config: tc}).encode(e, msgOpen)
+		}, PeekInfo{Tenant: "a", Mutating: true}},
+		{"restore", func(e *snap.Encoder) {
+			(&openMsg{Version: ProtocolVersion, Tenant: "b", Config: tc, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
+		}, PeekInfo{Tenant: "b"}},
+		{"submit-batch", func(e *snap.Encoder) {
+			(&batchMsg{Tenant: "c", Seq: 4, Ticks: []sched.Request{{{Color: 1, Count: 2}}, nil}}).encode(e)
+		}, PeekInfo{Tenant: "c", Mutating: true}},
+		{"stats", func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: "d"}).encode(e) },
+			PeekInfo{Tenant: "d"}},
+		{"stats-all", func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats}).encode(e) },
+			PeekInfo{StatsAll: true}},
+		{"drain", func(e *snap.Encoder) { (&tenantMsg{Type: msgDrain, Tenant: "e"}).encode(e) },
+			PeekInfo{Tenant: "e", Mutating: true}},
+		{"close", func(e *snap.Encoder) { (&tenantMsg{Type: msgCloseTenant, Tenant: "f"}).encode(e) },
+			PeekInfo{Tenant: "f", Mutating: true}},
+		{"release", func(e *snap.Encoder) { (&tenantMsg{Type: msgRelease, Tenant: "g"}).encode(e) },
+			PeekInfo{Tenant: "g"}},
+	} {
+		for _, tag := range []uint64{1, tagSpace - 1} {
+			e := snap.NewEncoder()
+			e.Uint64(tag)
+			tt.encode(e)
+			got, err := PeekRequest(e.Bytes())
+			want := tt.want
+			want.Tag = tag
+			if err != nil || got != want {
+				t.Errorf("%s, tag %d: PeekRequest = %+v, %v; want %+v", tt.name, tag, got, err, want)
+			}
+		}
+	}
+	for _, body := range [][]byte{
+		nil,                         // no tag
+		{7},                         // a tag with no type
+		{7, msgErr},                 // a response-only type
+		{7, msgRelease + 1},         // a type past the last one
+		{7, msgOpen, 2},             // an open cut before its tenant
+		{7, msgSubmitBatch, 5, 'a'}, // a tenant ID cut short
+	} {
+		if info, err := PeekRequest(body); err == nil {
+			t.Errorf("PeekRequest(%x) = %+v, want an error", body, info)
+		}
+	}
+}

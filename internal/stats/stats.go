@@ -13,7 +13,7 @@ import (
 
 // Summary aggregates a sample of float64 observations. The JSON tags
 // give it a stable serialized form for tooling that persists summaries
-// (e.g. the benchmark regression harness in internal/bench).
+// (e.g. the submit latency in rrload's -json report).
 type Summary struct {
 	N    int     `json:"n"`
 	Mean float64 `json:"mean"`
