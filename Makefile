@@ -110,6 +110,7 @@ FUZZTIME ?= 15s
 FUZZ_TARGETS = \
 	./internal/serve:FuzzFrameDecode \
 	./internal/serve:FuzzResponseDecode \
+	./internal/serve:FuzzRestoreStep \
 	./internal/sched:FuzzReplaySchedule \
 	./internal/sched:FuzzStreamArrivals \
 	./internal/snap:FuzzDelta \

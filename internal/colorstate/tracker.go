@@ -106,7 +106,7 @@ func NewWithThreshold(delta, threshold int, delays []int) *Tracker {
 		threshold: threshold,
 		delays:    delays,
 		states:    make([]State, len(delays)),
-		due:       container.NewIndexedHeap[sched.Color, int](func(a, b int) bool { return a < b }),
+		due:       container.NewIndexedHeap[sched.Color, int](len(delays), func(a, b int) bool { return a < b }),
 	}
 }
 

@@ -1,35 +1,55 @@
 // Package container provides the data-structure substrate used by the
 // scheduling policies: an indexed min-heap with decrease-key, a deadline
-// bucket queue, an intrusive LRU list, a multiset, a deque, and a
-// deterministic RNG. All structures are deterministic and allocation-lean;
-// none are safe for concurrent use unless stated otherwise.
+// bucket queue, and a deterministic RNG. All structures are deterministic
+// and allocation-lean; none are safe for concurrent use unless stated
+// otherwise.
 package container
 
-// IndexedHeap is a binary min-heap over items identified by a comparable
-// key. It supports O(log n) push, pop, remove-by-key and priority update
-// (both decrease and increase), which the EDF-style policies need when a
-// color's deadline or idleness rank changes in place.
+// Integer is the key constraint of IndexedHeap: any integer type, so a
+// key doubles as an index into the heap's dense position table.
+type Integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 |
+		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr
+}
+
+// IndexedHeap is a binary min-heap over items identified by an integer
+// key in [0, n). It supports O(log n) push, pop, remove-by-key and
+// priority update (both decrease and increase), which the EDF-style
+// policies need when a color's deadline or idleness rank changes in
+// place. Item positions live in a dense table indexed by key, so the
+// sift loops update a slice entry instead of hashing the key.
 //
 // The zero value is not ready for use; construct with NewIndexedHeap.
-type IndexedHeap[K comparable, P any] struct {
+type IndexedHeap[K Integer, P any] struct {
 	items []heapItem[K, P]
-	pos   map[K]int
+	pos   []int32 // pos[key] is key's index in items, −1 when absent
 	less  func(a, b P) bool
 }
 
-type heapItem[K comparable, P any] struct {
+type heapItem[K Integer, P any] struct {
 	key K
 	pri P
 }
 
-// NewIndexedHeap returns an empty indexed heap ordered by less
-// (a min-heap: the item for which less(a, b) holds for all other b pops
-// first).
-func NewIndexedHeap[K comparable, P any](less func(a, b P) bool) *IndexedHeap[K, P] {
-	return &IndexedHeap[K, P]{
-		pos:  make(map[K]int),
-		less: less,
+// NewIndexedHeap returns an empty indexed heap over the keys [0, n),
+// ordered by less (a min-heap: the item for which less(a, b) holds for
+// all other b pops first).
+func NewIndexedHeap[K Integer, P any](n int, less func(a, b P) bool) *IndexedHeap[K, P] {
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
 	}
+	return &IndexedHeap[K, P]{pos: pos, less: less}
+}
+
+// index returns key's position in items, and whether key is present. A
+// key outside [0, n) is never present.
+func (h *IndexedHeap[K, P]) index(key K) (int, bool) {
+	if uint64(key) >= uint64(len(h.pos)) {
+		return 0, false
+	}
+	i := h.pos[key]
+	return int(i), i >= 0
 }
 
 // Len reports the number of items in the heap.
@@ -37,13 +57,13 @@ func (h *IndexedHeap[K, P]) Len() int { return len(h.items) }
 
 // Contains reports whether key is present.
 func (h *IndexedHeap[K, P]) Contains(key K) bool {
-	_, ok := h.pos[key]
+	_, ok := h.index(key)
 	return ok
 }
 
 // Priority returns the priority stored for key, and whether key is present.
 func (h *IndexedHeap[K, P]) Priority(key K) (P, bool) {
-	i, ok := h.pos[key]
+	i, ok := h.index(key)
 	if !ok {
 		var zero P
 		return zero, false
@@ -52,23 +72,24 @@ func (h *IndexedHeap[K, P]) Priority(key K) (P, bool) {
 }
 
 // Push inserts key with the given priority. If key is already present its
-// priority is updated instead (equivalent to Update).
+// priority is updated instead (equivalent to Update). key must lie in
+// [0, n).
 func (h *IndexedHeap[K, P]) Push(key K, pri P) {
-	if i, ok := h.pos[key]; ok {
+	if i, ok := h.index(key); ok {
 		h.items[i].pri = pri
 		h.fix(i)
 		return
 	}
 	h.items = append(h.items, heapItem[K, P]{key: key, pri: pri})
 	i := len(h.items) - 1
-	h.pos[key] = i
+	h.pos[key] = int32(i)
 	h.up(i)
 }
 
 // Update changes the priority of key and restores heap order. It reports
 // whether key was present.
 func (h *IndexedHeap[K, P]) Update(key K, pri P) bool {
-	i, ok := h.pos[key]
+	i, ok := h.index(key)
 	if !ok {
 		return false
 	}
@@ -102,7 +123,7 @@ func (h *IndexedHeap[K, P]) Pop() (key K, pri P, ok bool) {
 
 // Remove deletes key from the heap, reporting whether it was present.
 func (h *IndexedHeap[K, P]) Remove(key K) bool {
-	i, ok := h.pos[key]
+	i, ok := h.index(key)
 	if !ok {
 		return false
 	}
@@ -112,8 +133,10 @@ func (h *IndexedHeap[K, P]) Remove(key K) bool {
 
 // Clear empties the heap, retaining allocated capacity.
 func (h *IndexedHeap[K, P]) Clear() {
+	for _, it := range h.items {
+		h.pos[it.key] = -1
+	}
 	h.items = h.items[:0]
-	clear(h.pos)
 }
 
 // Keys returns the keys currently in the heap in unspecified order.
@@ -145,23 +168,23 @@ func (h *IndexedHeap[K, P]) Export(f func(key K, pri P)) {
 // Import appends one item without re-establishing heap order, rebuilding
 // the exact layout captured by Export: the caller must Clear first and
 // replay the pairs in Export order. It reports false (and leaves the
-// heap unchanged) when key is already present — a corrupt checkpoint,
-// which the caller must treat as an error.
+// heap unchanged) when key is already present or outside [0, n) — a
+// corrupt checkpoint, which the caller must treat as an error.
 func (h *IndexedHeap[K, P]) Import(key K, pri P) bool {
-	if _, ok := h.pos[key]; ok {
+	if uint64(key) >= uint64(len(h.pos)) || h.pos[key] >= 0 {
 		return false
 	}
 	h.items = append(h.items, heapItem[K, P]{key: key, pri: pri})
-	h.pos[key] = len(h.items) - 1
+	h.pos[key] = int32(len(h.items) - 1)
 	return true
 }
 
 func (h *IndexedHeap[K, P]) removeAt(i int) {
 	last := len(h.items) - 1
-	delete(h.pos, h.items[i].key)
+	h.pos[h.items[i].key] = -1
 	if i != last {
 		h.items[i] = h.items[last]
-		h.pos[h.items[i].key] = i
+		h.pos[h.items[i].key] = int32(i)
 	}
 	h.items = h.items[:last]
 	if i < len(h.items) {
@@ -210,6 +233,6 @@ func (h *IndexedHeap[K, P]) down(i int) bool {
 
 func (h *IndexedHeap[K, P]) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].key] = i
-	h.pos[h.items[j].key] = j
+	h.pos[h.items[i].key] = int32(i)
+	h.pos[h.items[j].key] = int32(j)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func intHeap() *IndexedHeap[int, int] {
-	return NewIndexedHeap[int, int](func(a, b int) bool { return a < b })
+	return NewIndexedHeap[int, int](64, func(a, b int) bool { return a < b })
 }
 
 func TestIndexedHeapBasic(t *testing.T) {
@@ -237,5 +237,25 @@ func TestIndexedHeapKeys(t *testing.T) {
 		if !seen[i] {
 			t.Fatalf("Keys missing %d", i)
 		}
+	}
+}
+
+// TestIndexedHeapKeyRange: a key outside [0, n) is never present, and
+// Import refuses it, so a corrupt checkpoint naming one is an error.
+func TestIndexedHeapKeyRange(t *testing.T) {
+	h := NewIndexedHeap[int32, int](4, func(a, b int) bool { return a < b })
+	for _, k := range []int32{-1, 4, 1 << 30} {
+		if h.Import(k, 0) {
+			t.Fatalf("Import(%d) accepted a key outside [0, 4)", k)
+		}
+		if h.Contains(k) || h.Update(k, 1) || h.Remove(k) {
+			t.Fatalf("key %d outside [0, 4) reported present", k)
+		}
+	}
+	if !h.Import(3, 7) || h.Import(3, 8) {
+		t.Fatal("Import of key 3 once must succeed and twice must fail")
+	}
+	if p, ok := h.Priority(3); !ok || p != 7 || h.Len() != 1 {
+		t.Fatalf("after Import(3, 7): Priority = (%d, %v), Len %d", p, ok, h.Len())
 	}
 }

@@ -85,14 +85,13 @@ func (d *DLRUEDF) adaptTick() {
 func (d *DLRUEDF) CurrentLRUShare() float64 { return d.lruShare }
 
 // noteReconfigs lets the policy approximate its own reconfiguration count
-// by diffing the cache content it requests round over round. The engine
-// charges the true cost; this counter only feeds the adaptive controller.
-func (d *DLRUEDF) noteReconfigs(prev map[sched.Color]bool) int {
+// by diffing the cache content it requests, cur, against the previous
+// round's. The engine charges the true cost; this counter only feeds the
+// adaptive controller.
+func (d *DLRUEDF) noteReconfigs(cur []sched.Color) int {
 	changes := 0
-	var cur []sched.Color
-	cur = d.cache.Colors(cur)
 	for _, c := range cur {
-		if !prev[c] {
+		if !d.prevCache[c] {
 			changes += 2 // each color occupies two locations (or one without replication)
 		}
 	}

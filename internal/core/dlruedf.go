@@ -52,11 +52,12 @@ type DLRUEDF struct {
 	ineligibleDrops int64
 
 	// Adaptive-split extension (see adaptive.go); nil for the paper's
-	// fixed split.
+	// fixed split. prevCache is indexed by color and marks the cache
+	// content the previous round requested.
 	adaptive       *adaptiveState
 	roundDrops     int
 	roundReconfigs int
-	prevCache      map[sched.Color]bool
+	prevCache      []bool
 }
 
 // Option configures a DLRUEDF instance.
@@ -125,7 +126,7 @@ func (d *DLRUEDF) Reset(env sched.Env) {
 	if d.recordTs {
 		d.tr.RecordTsEvents()
 	}
-	d.cache = policy.NewCache(env.N, !d.noRepl)
+	d.cache = policy.NewCache(env.N, len(env.Delays), !d.noRepl)
 	cap := d.cache.Capacity()
 	d.lruQuota = int(float64(cap) * d.lruShare)
 	if d.lruQuota < 0 {
@@ -138,7 +139,7 @@ func (d *DLRUEDF) Reset(env sched.Env) {
 	d.lruMark = make([]bool, len(env.Delays))
 	d.eligibleDrops, d.ineligibleDrops = 0, 0
 	d.roundDrops, d.roundReconfigs = 0, 0
-	d.prevCache = make(map[sched.Color]bool, cap)
+	d.prevCache = make([]bool, len(env.Delays))
 }
 
 // Tracker exposes the color-state tracker for instrumentation.
@@ -219,9 +220,9 @@ func (d *DLRUEDF) Reconfigure(ctx *sched.Context) []sched.Color {
 	policy.AdmitTop(d.cache, nonLRU, d.edfQuota, d.lruMark, ctx)
 
 	if d.adaptive != nil && ctx.Mini == 0 {
-		d.roundReconfigs += d.noteReconfigs(d.prevCache)
-		clear(d.prevCache)
 		d.scratchC = d.cache.Colors(d.scratchC[:0])
+		d.roundReconfigs += d.noteReconfigs(d.scratchC)
+		clear(d.prevCache)
 		for _, c := range d.scratchC {
 			d.prevCache[c] = true
 		}

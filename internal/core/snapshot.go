@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/sched"
 	"repro/internal/snap"
 )
@@ -18,8 +16,7 @@ var _ sched.Snapshotter = (*DLRUEDF)(nil)
 // controller — the cost EWMAs plus the previous round's counts and cache
 // content the next adaptTick will consume. The per-round scratch
 // (lruMark, scratchA/B/C) is rebuilt from zero each round and is not
-// state. prevCache is written in ascending color order so identical
-// states always serialize to identical bytes.
+// state. prevCache is written as its marked colors in ascending order.
 func (d *DLRUEDF) SnapshotState(e *snap.Encoder) {
 	e.Int(dlruedfSnapVersion)
 	d.tr.Snapshot(e)
@@ -33,14 +30,17 @@ func (d *DLRUEDF) SnapshotState(e *snap.Encoder) {
 	if d.adaptive != nil {
 		e.Float64(d.adaptive.reconfigEWMA)
 		e.Float64(d.adaptive.dropEWMA)
-		prev := make([]sched.Color, 0, len(d.prevCache))
-		for c := range d.prevCache {
-			prev = append(prev, c)
+		n := 0
+		for _, marked := range d.prevCache {
+			if marked {
+				n++
+			}
 		}
-		slices.Sort(prev)
-		e.Int(len(prev))
-		for _, c := range prev {
-			e.Int(int(c))
+		e.Int(n)
+		for c, marked := range d.prevCache {
+			if marked {
+				e.Int(c)
+			}
 		}
 	}
 }

@@ -85,7 +85,7 @@ func (g *GreedyPending) Name() string { return "GreedyPending" }
 // Reset implements sched.Policy.
 func (g *GreedyPending) Reset(env sched.Env) {
 	g.env = env
-	g.cache = NewCache(env.N, false)
+	g.cache = NewCache(env.N, len(env.Delays), false)
 }
 
 // Reconfigure implements sched.Policy.

@@ -22,21 +22,22 @@ type Cache struct {
 	n      int
 	half   int
 	slots  []sched.Color
-	slotOf map[sched.Color]int
+	slotOf []int32 // slotOf[col] is col's slot, −1 when col is not cached
 	assign []sched.Color
 	free   []int
 	repl   bool
 
 	// Scratch reused by SyncTo so the per-round "pin the exact cache
 	// content" policies (ΔLRU, GreedyPending) stay allocation-free in the
-	// steady state.
-	wantSet  map[sched.Color]struct{}
+	// steady state: want marks the requested colors during one call.
+	want     []bool
 	evictBuf []sched.Color
 }
 
-// NewCache builds a cache over n locations. With replicate set, n must be
-// even and the distinct capacity is n/2; otherwise the capacity is n.
-func NewCache(n int, replicate bool) *Cache {
+// NewCache builds a cache over n locations for the colors [0,
+// numColors). With replicate set, n must be even and the distinct
+// capacity is n/2; otherwise the capacity is n.
+func NewCache(n, numColors int, replicate bool) *Cache {
 	if n < 1 {
 		panic(fmt.Sprintf("policy: NewCache with n=%d", n))
 	}
@@ -51,12 +52,16 @@ func NewCache(n int, replicate bool) *Cache {
 		n:      n,
 		half:   half,
 		slots:  make([]sched.Color, half),
-		slotOf: make(map[sched.Color]int, half),
+		slotOf: make([]int32, numColors),
 		assign: make([]sched.Color, n),
 		repl:   replicate,
+		want:   make([]bool, numColors),
 	}
 	for i := range c.slots {
 		c.slots[i] = sched.NoColor
+	}
+	for i := range c.slotOf {
+		c.slotOf[i] = -1
 	}
 	for i := range c.assign {
 		c.assign[i] = sched.NoColor
@@ -74,18 +79,17 @@ func NewCache(n int, replicate bool) *Cache {
 func (c *Cache) Capacity() int { return c.half }
 
 // Len reports the number of distinct colors currently cached.
-func (c *Cache) Len() int { return len(c.slotOf) }
+func (c *Cache) Len() int { return c.half - len(c.free) }
 
 // Contains reports whether color col is cached.
 func (c *Cache) Contains(col sched.Color) bool {
-	_, ok := c.slotOf[col]
-	return ok
+	return uint32(col) < uint32(len(c.slotOf)) && c.slotOf[col] >= 0
 }
 
 // Insert caches col in a free slot. It panics if col is already cached and
 // reports false when the cache is full.
 func (c *Cache) Insert(col sched.Color) bool {
-	if _, ok := c.slotOf[col]; ok {
+	if c.Contains(col) {
 		panic(fmt.Sprintf("policy: Insert of already-cached color %d", col))
 	}
 	if len(c.free) == 0 {
@@ -94,19 +98,19 @@ func (c *Cache) Insert(col sched.Color) bool {
 	slot := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
 	c.slots[slot] = col
-	c.slotOf[col] = slot
+	c.slotOf[col] = int32(slot)
 	return true
 }
 
 // Evict removes col from the cache, reporting whether it was present.
 func (c *Cache) Evict(col sched.Color) bool {
-	slot, ok := c.slotOf[col]
-	if !ok {
+	if !c.Contains(col) {
 		return false
 	}
-	delete(c.slotOf, col)
+	slot := c.slotOf[col]
+	c.slotOf[col] = -1
 	c.slots[slot] = sched.NoColor
-	c.free = append(c.free, slot)
+	c.free = append(c.free, int(slot))
 	return true
 }
 
@@ -125,21 +129,17 @@ func (c *Cache) Colors(dst []sched.Color) []sched.Color {
 // are evicted, missing ones inserted. The scratch it needs is owned by
 // the cache, so steady-state calls do not allocate.
 func (c *Cache) SyncTo(want []sched.Color) {
-	if c.wantSet == nil {
-		c.wantSet = make(map[sched.Color]struct{}, c.half)
-	}
-	clear(c.wantSet)
 	for _, col := range want {
-		c.wantSet[col] = struct{}{}
+		c.want[col] = true
 	}
 	c.evictBuf = c.evictBuf[:0]
 	for _, col := range c.slots {
-		if col == sched.NoColor {
-			continue
-		}
-		if _, ok := c.wantSet[col]; !ok {
+		if col != sched.NoColor && !c.want[col] {
 			c.evictBuf = append(c.evictBuf, col)
 		}
+	}
+	for _, col := range want {
+		c.want[col] = false
 	}
 	for _, col := range c.evictBuf {
 		c.Evict(col)
@@ -173,10 +173,10 @@ func (c *Cache) Snapshot(e *snap.Encoder) {
 }
 
 // Restore rebuilds the cache from d. The receiver must be freshly
-// constructed with the same n/replication the snapshot was taken under.
-// Every structural invariant is re-validated — slot colors distinct,
-// free stack exactly covering the empty slots — and violations surface
-// as errors, never panics.
+// constructed with the same n, color count and replication the snapshot
+// was taken under. Every structural invariant is re-validated — slot
+// colors distinct and inside [0, numColors), free stack exactly covering
+// the empty slots — and violations surface as errors, never panics.
 func (c *Cache) Restore(d *snap.Decoder) error {
 	if v := d.Int(); d.Err() == nil && v != cacheSnapVersion {
 		d.Failf("policy: cache snapshot version %d, this build reads %d", v, cacheSnapVersion)
@@ -193,22 +193,26 @@ func (c *Cache) Restore(d *snap.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	clear(c.slotOf)
+	for i := range c.slotOf {
+		c.slotOf[i] = -1
+	}
+	cached := 0
 	for i := range c.slots {
 		col := sched.Color(d.Int())
 		if d.Err() != nil {
 			return d.Err()
 		}
 		if col != sched.NoColor {
-			if col < 0 {
-				d.Failf("policy: slot %d holds invalid color %d", i, col)
+			if col < 0 || int(col) >= len(c.slotOf) {
+				d.Failf("policy: slot %d holds color %d outside [0, %d)", i, col, len(c.slotOf))
 				return d.Err()
 			}
-			if _, dup := c.slotOf[col]; dup {
+			if c.slotOf[col] >= 0 {
 				d.Failf("policy: color %d cached in two slots", col)
 				return d.Err()
 			}
-			c.slotOf[col] = i
+			c.slotOf[col] = int32(i)
+			cached++
 		}
 		c.slots[i] = col
 	}
@@ -216,11 +220,11 @@ func (c *Cache) Restore(d *snap.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if len(free) != c.half-len(c.slotOf) {
-		d.Failf("policy: free stack has %d entries for %d empty slots", len(free), c.half-len(c.slotOf))
+	if len(free) != c.half-cached {
+		d.Failf("policy: free stack has %d entries for %d empty slots", len(free), c.half-cached)
 		return d.Err()
 	}
-	seen := make(map[int]bool, len(free))
+	seen := make([]bool, c.half)
 	for _, f := range free {
 		if f < 0 || f >= c.half || c.slots[f] != sched.NoColor || seen[f] {
 			d.Failf("policy: free stack entry %d is not a distinct empty slot", f)

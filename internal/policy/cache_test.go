@@ -1,13 +1,15 @@
 package policy
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/snap"
 )
 
 func TestCacheReplicatedLayout(t *testing.T) {
-	c := NewCache(4, true)
+	c := NewCache(4, 16, true)
 	if c.Capacity() != 2 {
 		t.Fatalf("Capacity = %d", c.Capacity())
 	}
@@ -35,7 +37,7 @@ func TestCacheReplicatedLayout(t *testing.T) {
 }
 
 func TestCacheUnreplicated(t *testing.T) {
-	c := NewCache(3, false)
+	c := NewCache(3, 16, false)
 	if c.Capacity() != 3 {
 		t.Fatalf("Capacity = %d", c.Capacity())
 	}
@@ -53,7 +55,7 @@ func TestCacheUnreplicated(t *testing.T) {
 }
 
 func TestCacheEvictReusesSlots(t *testing.T) {
-	c := NewCache(4, true)
+	c := NewCache(4, 16, true)
 	c.Insert(1)
 	c.Insert(2)
 	if !c.Evict(1) {
@@ -74,7 +76,7 @@ func TestCacheEvictReusesSlots(t *testing.T) {
 }
 
 func TestCacheInsertDuplicatePanics(t *testing.T) {
-	c := NewCache(4, true)
+	c := NewCache(4, 16, true)
 	c.Insert(1)
 	defer func() {
 		if recover() == nil {
@@ -90,11 +92,11 @@ func TestCacheOddReplicatedPanics(t *testing.T) {
 			t.Fatal("odd replicated cache did not panic")
 		}
 	}()
-	NewCache(3, true)
+	NewCache(3, 16, true)
 }
 
 func TestCacheColorsSlotOrder(t *testing.T) {
-	c := NewCache(6, true)
+	c := NewCache(6, 16, true)
 	c.Insert(5)
 	c.Insert(1)
 	c.Insert(3)
@@ -109,12 +111,29 @@ func TestCacheColorsSlotOrder(t *testing.T) {
 }
 
 func TestSyncCacheToSet(t *testing.T) {
-	c := NewCache(6, true)
+	c := NewCache(6, 16, true)
 	c.Insert(1)
 	c.Insert(2)
 	c.Insert(3)
 	SyncCacheToSet(c, []sched.Color{2, 4})
 	if c.Len() != 2 || !c.Contains(2) || !c.Contains(4) || c.Contains(1) || c.Contains(3) {
 		t.Fatalf("SyncCacheToSet wrong: %v", c.Colors(nil))
+	}
+}
+
+// TestCacheRestoreRejectsForeignColor: a snapshot whose slot holds a
+// color outside the restoring cache's [0, numColors) is an error, not a
+// cache that hands the engine an unknown color on the next Step.
+func TestCacheRestoreRejectsForeignColor(t *testing.T) {
+	src := NewCache(4, 100, true)
+	src.Insert(99)
+	e := snap.NewEncoder()
+	src.Snapshot(e)
+	if err := NewCache(4, 100, true).Restore(snap.NewDecoder(e.Bytes())); err != nil {
+		t.Fatalf("restore over 100 colors: %v", err)
+	}
+	err := NewCache(4, 3, true).Restore(snap.NewDecoder(e.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "color 99 outside [0, 3)") {
+		t.Fatalf("restore over 3 colors: %v, want the slot color named out of range", err)
 	}
 }

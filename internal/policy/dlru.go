@@ -30,7 +30,7 @@ func (d *DLRU) Name() string { return "DLRU" }
 func (d *DLRU) Reset(env sched.Env) {
 	d.env = env
 	d.tr = colorstate.New(env.Delta, env.Delays)
-	d.cache = NewCache(env.N, true)
+	d.cache = NewCache(env.N, len(env.Delays), true)
 }
 
 // Tracker exposes the color-state tracker for instrumentation.

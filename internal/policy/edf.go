@@ -32,7 +32,7 @@ func (e *EDF) Name() string { return "EDF" }
 func (e *EDF) Reset(env sched.Env) {
 	e.env = env
 	e.tr = colorstate.New(env.Delta, env.Delays)
-	e.cache = NewCache(env.N, true)
+	e.cache = NewCache(env.N, len(env.Delays), true)
 }
 
 // Tracker exposes the color-state tracker for instrumentation.

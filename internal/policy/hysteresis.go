@@ -23,9 +23,10 @@ type Hysteresis struct {
 	cache *Cache
 	theta float64
 
-	// credit[c] counts executions still owed before color c may be
-	// displaced cheaply; pressure is recomputed every round.
-	credit        map[sched.Color]int
+	// credit[c] counts executions still owed before cached color c may
+	// be displaced cheaply (0 for every uncached color); pressure is
+	// recomputed every round.
+	credit        []int
 	scratch       []sched.Color
 	cachedScratch []sched.Color
 }
@@ -45,8 +46,8 @@ func (h *Hysteresis) Name() string { return "Hysteresis" }
 // Reset implements sched.Policy.
 func (h *Hysteresis) Reset(env sched.Env) {
 	h.env = env
-	h.cache = NewCache(env.N, false)
-	h.credit = make(map[sched.Color]int)
+	h.cache = NewCache(env.N, len(env.Delays), false)
+	h.credit = make([]int, len(env.Delays))
 }
 
 func (h *Hysteresis) threshold() int {
@@ -83,7 +84,7 @@ func (h *Hysteresis) Reconfigure(ctx *sched.Context) []sched.Color {
 	for _, c := range h.cachedScratch {
 		if ctx.Pending(c) == 0 && h.credit[c] <= 0 {
 			h.cache.Evict(c)
-			delete(h.credit, c)
+			h.credit[c] = 0
 		}
 	}
 
@@ -110,7 +111,7 @@ func (h *Hysteresis) Reconfigure(ctx *sched.Context) []sched.Color {
 		}
 		if victim != sched.NoColor && h.credit[victim] <= 0 && ctx.Pending(c) >= 2*victimPending+thr {
 			h.cache.Evict(victim)
-			delete(h.credit, victim)
+			h.credit[victim] = 0
 			h.cache.Insert(c)
 			h.credit[c] = thr
 		}

@@ -1,10 +1,12 @@
 package policy
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sched"
+	"repro/internal/snap"
 	"repro/internal/workload"
 )
 
@@ -86,5 +88,37 @@ func TestHysteresisConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHysteresisRestoreRequiresEveryCredit: a snapshot carries one credit
+// per cached color, so one that omits a cached color's credit is
+// rejected rather than restored with that credit read as 0.
+func TestHysteresisRestoreRequiresEveryCredit(t *testing.T) {
+	env := sched.Env{N: 2, Speed: 1, Delta: 4, Delays: []int{8, 8, 8}}
+	cache := NewCache(env.N, len(env.Delays), false)
+	cache.Insert(2)
+	blob := func(credits ...int) []byte {
+		e := snap.NewEncoder()
+		e.Int(hysteresisSnapVersion)
+		e.Float64(1)
+		cache.Snapshot(e)
+		e.Int(len(credits))
+		for _, v := range credits {
+			e.Int(2)
+			e.Int(v)
+		}
+		return e.Bytes()
+	}
+	restore := func(b []byte) error {
+		h := NewHysteresis(1)
+		h.Reset(env)
+		return h.RestoreState(snap.NewDecoder(b))
+	}
+	if err := restore(blob(3)); err != nil {
+		t.Fatalf("restore with the cached color's credit: %v", err)
+	}
+	if err := restore(blob()); err == nil || !strings.Contains(err.Error(), "0 credit entries for 1 cached colors") {
+		t.Fatalf("restore without it: %v, want a rejection", err)
 	}
 }

@@ -35,7 +35,7 @@ func (p *RandomEvict) Name() string { return "RandomEvict" }
 func (p *RandomEvict) Reset(env sched.Env) {
 	p.env = env
 	p.tr = colorstate.New(env.Delta, env.Delays)
-	p.cache = NewCache(env.N, true)
+	p.cache = NewCache(env.N, len(env.Delays), true)
 	p.rng = container.NewRNG(p.seed)
 }
 

@@ -45,7 +45,7 @@ func (s *SeqEDF) Reset(env sched.Env) {
 		threshold = 1
 	}
 	s.tr = colorstate.NewWithThreshold(env.Delta, threshold, env.Delays)
-	s.cache = NewCache(env.N, false)
+	s.cache = NewCache(env.N, len(env.Delays), false)
 }
 
 // Tracker exposes the color-state tracker for instrumentation.

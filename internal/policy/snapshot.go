@@ -176,23 +176,21 @@ func (p *RandomEvict) RestoreState(d *snap.Decoder) error {
 	return nil
 }
 
-// SnapshotState implements sched.Snapshotter. The credit map is written
-// in ascending color order so identical states serialize to identical
-// bytes (map iteration order must not leak into the snapshot).
+// SnapshotState implements sched.Snapshotter. Every cached color's
+// credit is written in ascending color order so identical states
+// serialize to identical bytes, whatever slots the colors sit in.
 func (p *Hysteresis) SnapshotState(e *snap.Encoder) {
 	e.Int(hysteresisSnapVersion)
 	e.Float64(p.theta)
 	p.cache.Snapshot(e)
-	keys := make([]sched.Color, 0, len(p.credit))
-	for c := range p.credit {
-		keys = append(keys, c)
-	}
+	keys := p.cache.Colors(p.cachedScratch[:0])
 	slices.Sort(keys)
 	e.Int(len(keys))
 	for _, c := range keys {
 		e.Int(int(c))
 		e.Int(p.credit[c])
 	}
+	p.cachedScratch = keys[:0]
 }
 
 // RestoreState implements sched.Snapshotter.
@@ -213,6 +211,12 @@ func (p *Hysteresis) RestoreState(d *snap.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
+	// Credits exist for exactly the cached colors, never go negative,
+	// and are serialized in strictly ascending color order.
+	if n != p.cache.Len() {
+		d.Failf("policy: %d credit entries for %d cached colors", n, p.cache.Len())
+		return d.Err()
+	}
 	clear(p.credit)
 	prev := sched.Color(-1)
 	for i := 0; i < n; i++ {
@@ -221,9 +225,7 @@ func (p *Hysteresis) RestoreState(d *snap.Decoder) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		// Credits exist only for cached colors, never go negative, and
-		// are serialized in strictly ascending color order.
-		if c <= prev || int(c) >= len(p.env.Delays) || v < 0 || !p.cache.Contains(c) {
+		if c <= prev || v < 0 || !p.cache.Contains(c) {
 			d.Failf("policy: invalid credit entry (color %d, credit %d)", c, v)
 			return d.Err()
 		}

@@ -22,7 +22,7 @@ type jobPool struct {
 func newJobPool(numColors int) *jobPool {
 	return &jobPool{
 		queues: make([]container.BucketQueue, numColors),
-		dl:     container.NewIndexedHeap[Color, int](func(a, b int) bool { return a < b }),
+		dl:     container.NewIndexedHeap[Color, int](numColors, func(a, b int) bool { return a < b }),
 	}
 }
 

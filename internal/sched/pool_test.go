@@ -1,6 +1,11 @@
 package sched
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/snap"
+)
 
 func TestJobPoolExpireAndTake(t *testing.T) {
 	p := newJobPool(3)
@@ -64,5 +69,36 @@ func TestJobPoolExpireMultipleColors(t *testing.T) {
 	}
 	if p.totalPending() != 1 {
 		t.Fatalf("total = %d", p.totalPending())
+	}
+}
+
+// TestJobPoolRestoreDeadlineWindow: a stream at round r holds deadlines
+// in [r, r+D_c−1] only. A restored pool with one outside that window is
+// an error: past it, the color's next arrival would be due ahead of the
+// queued deadline, which the bucket queue cannot hold.
+func TestJobPoolRestoreDeadlineWindow(t *testing.T) {
+	src := newJobPool(2)
+	src.add(1, 3072, 2) // color 1 with D = 3072, arrived in round 0
+	enc := snap.NewEncoder()
+	src.snapshotState(enc)
+	blob := enc.Bytes()
+	restore := func(r int, delays []int) error {
+		return newJobPool(2).restoreState(snap.NewDecoder(blob), r, delays)
+	}
+	if err := restore(1, []int{24, 3072}); err != nil {
+		t.Fatalf("in-window restore: %v", err)
+	}
+	for _, tc := range []struct {
+		r      int
+		delays []int
+		want   string
+	}{
+		{1, []int{24, 24}, "pool color 1 deadline 3072 outside [1, 24]"},
+		{3073, []int{24, 3072}, "pool color 1 deadline 3072 outside [3073, 6144]"},
+	} {
+		err := restore(tc.r, tc.delays)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("restore at round %d with delays %v: %v, want %q", tc.r, tc.delays, err, tc.want)
+		}
 	}
 }

@@ -275,7 +275,7 @@ func (e *roundEngine) restoreState(d *snap.Decoder) error {
 		}
 		e.cur[k] = c
 	}
-	return e.pool.restoreState(d)
+	return e.pool.restoreState(d, e.round, e.env.Delays)
 }
 
 // snapshotState appends the pool's pending buckets per color plus the
@@ -298,12 +298,15 @@ func (p *jobPool) snapshotState(enc *snap.Encoder) {
 	})
 }
 
-// restoreState rebuilds the pool from d; the pool must be empty (as
-// newJobPool leaves it). Bucket sequences are validated — positive
-// counts, strictly increasing deadlines — before being replayed, and
-// the heap is cross-checked against the rebuilt queues, so corrupt
-// input yields an error, never a panic or a silently broken pool.
-func (p *jobPool) restoreState(d *snap.Decoder) error {
+// restoreState rebuilds the pool of a stream at round r with the given
+// delay bounds from d; the pool must be empty (as newJobPool leaves it).
+// Bucket sequences are validated — positive counts, strictly increasing
+// deadlines inside the window [r, r+D_c−1] a live stream holds (round
+// r−1 dropped every deadline ≤ r−1 and enqueued its arrivals at
+// r−1+D_c) — before being replayed, and the heap is cross-checked
+// against the rebuilt queues, so corrupt input yields an error, never a
+// panic or a silently broken pool.
+func (p *jobPool) restoreState(d *snap.Decoder, r int, delays []int) error {
 	nq := d.Len()
 	if d.Err() == nil && nq != len(p.queues) {
 		d.Failf("sched: snapshot pool has %d colors, engine has %d", nq, len(p.queues))
@@ -330,6 +333,11 @@ func (p *jobPool) restoreState(d *snap.Decoder) error {
 			}
 			if deadline <= prev {
 				d.Failf("sched: pool color %d deadlines not strictly increasing at bucket %d", i, j)
+				return d.Err()
+			}
+			if deadline < r || deadline > r+delays[i]-1 {
+				d.Failf("sched: pool color %d deadline %d outside [%d, %d], the window of a stream at round %d",
+					i, deadline, r, r+delays[i]-1, r)
 				return d.Err()
 			}
 			p.queues[i].Add(deadline, count)

@@ -175,6 +175,19 @@ func TestRestoreRejections(t *testing.T) {
 	if _, err := c.Stats("fresh1"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("rejected restore left state behind: %v", err)
 	}
+
+	// A blob holding a deadline past the window a live stream can hold
+	// is a bad request. Installed, it would panic the shard worker on
+	// the tenant's next arrival of that color.
+	lateTC, late := lateDeadlineBlob(t)
+	_, err = c.Restore("late", lateTC, late)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != codeBadRequest || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("restore of a late-deadline blob: %v, want a bad request naming the window", err)
+	}
+	if s.tenant("late") != nil {
+		t.Fatal("rejected restore installed the tenant")
+	}
 }
 
 // TestReleasedTombstone pins the tombstone contract: a released tenant

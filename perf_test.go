@@ -3,8 +3,8 @@ package rrs
 // This file pins the repository's zero-allocation contracts (see
 // docs/PERFORMANCE.md): a steady-state Stream.Step must not allocate for
 // the full ΔLRU-EDF policy — tracker bookkeeping, recency sort, EDF
-// ranking, cache sync and engine accounting included — nor for the ΔLRU,
-// EDF and Seq-EDF baselines. The contract covers the complete policy
+// ranking, cache sync and engine accounting included — nor for any other
+// policy a server tenant can run. The contract covers the complete policy
 // step, not just the unprobed engine (which TestStepAllocFree in
 // internal/sched pins separately with a trivial Static policy).
 
@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/serve"
 )
 
 // steadyStream warms a stream over a mixed workload until every scratch
@@ -57,16 +57,20 @@ func pinStepAllocs(t *testing.T, name string, pol sched.Policy, probe sched.Prob
 }
 
 // TestFullPolicyStepAllocFree is the allocation-pinning test for the
-// complete ΔLRU-EDF policy step (and the §3.1 baselines): zero heap
-// allocations per round in the steady state. A regression here means a
-// hot-path change reintroduced per-round garbage — see docs/PERFORMANCE.md
-// for the usual culprits (sort.Slice, per-call maps, local scratch).
+// complete policy step of every servable policy (ΔLRU-EDF, its adaptive
+// split and the §3.1 baselines), so a policy is pinned the moment it is
+// registered: zero heap allocations per round in the steady state. A
+// regression here means a hot-path change reintroduced per-round garbage
+// — see docs/PERFORMANCE.md for the usual culprits (sort.Slice, per-call
+// maps, local scratch).
 func TestFullPolicyStepAllocFree(t *testing.T) {
-	pinStepAllocs(t, "DLRU-EDF", core.NewDLRUEDF(), nil, 0)
-	pinStepAllocs(t, "DLRU", policy.NewDLRU(), nil, 0)
-	pinStepAllocs(t, "EDF", policy.NewEDF(), nil, 0)
-	pinStepAllocs(t, "SeqEDF", policy.NewSeqEDF(), nil, 0)
-	pinStepAllocs(t, "GreedyPending", policy.NewGreedyPending(), nil, 0)
+	for _, spec := range serve.PolicySpecs() {
+		pol, err := serve.NewPolicy(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinStepAllocs(t, spec, pol, nil, 0)
+	}
 }
 
 // TestFullPolicyStepAllocFreeWithCounterSink extends the contract to the
