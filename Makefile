@@ -48,23 +48,23 @@ faultsmoke:
 # log"): the whole ckptlog package fresh — segment framing, recovery
 # scans over truncated/corrupted tails, rotation and compaction, sticky
 # write/sync failures — plus the serve-layer durability contracts:
-# tombstones shadowing closed and released tenants, compacting
-# restarts, delta-chain recovery and record versions. Fresh runs,
-# never cached.
+# tombstones shadowing closed tenants, compacting restarts, delta-chain
+# recovery, record versions and the snapshot checks recovery runs.
+# Fresh runs, never cached.
 durasmoke:
 	go test -count=1 ./internal/ckptlog/
-	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestReleaseLogTombstone|TestServeLog|TestServeCrashRestartLogSegments|TestRecordVersions' -count=1 ./internal/serve/
+	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestServeLog|TestServeCrashRestartLogSegments|TestRecordVersions|TestRestoreRejections' -count=1 ./internal/serve/
 
 # The admission-control smoke (docs/SCHEDULING.md "Admission (layer
 # 0)"): the whole internal/bdr package fresh — SBF feasibility
 # properties, the reservation tree, the fractional-share controller —
 # plus the serve-layer BDR contracts: typed admission rejection with
-# residuals, durable reservations across restarts, migration bounce and
-# the deterministic isolation harness. Fresh runs, never cached.
+# residuals, durable reservations across restarts and the deterministic
+# isolation harness. Fresh runs, never cached.
 bdrsmoke:
 	go test -count=1 ./internal/bdr/
 	go test -run 'TestBDR' -count=1 ./internal/serve/
-	go test -run 'TestProxyMigrateAdmissionBounce|TestProxyDuraStatsFanout' -count=1 ./internal/proxy/
+	go test -run 'TestProxyDuraStatsFanout' -count=1 ./internal/proxy/
 
 # The multi-tenant server smoke (docs/SERVER.md): the full serve-layer
 # suite fresh — wire codec, admission control and overload shedding, the
@@ -77,9 +77,9 @@ servesmoke:
 
 # The fleet smoke (docs/SERVER.md "Fleet"): the rrproxy router tier
 # fresh — rendezvous placement stability, stats fan-out, a verified
-# load run through the proxy in both driver modes, a live tenant
-# migration mid-run, and the 3-backend failover harness that kills a
-# primary mid-run and requires bit-identical results via standby replay.
+# load run through the proxy in both driver modes, and the 3-backend
+# failover harness that kills a primary mid-run and requires
+# bit-identical results via standby replay.
 proxysmoke:
 	go test -count=1 ./internal/proxy/
 
@@ -111,6 +111,7 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzFrameDecode \
 	./internal/serve:FuzzResponseDecode \
 	./internal/serve:FuzzRestoreStep \
+	./internal/serve:FuzzOpenStep \
 	./internal/sched:FuzzReplaySchedule \
 	./internal/sched:FuzzStreamArrivals \
 	./internal/snap:FuzzDelta \

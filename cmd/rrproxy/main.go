@@ -12,8 +12,6 @@
 //	rrproxy -addr :7200 -backends host1:7145,host2:7145 -standby host3:7145
 //
 // SIGTERM or SIGINT stops the proxy after flushing the standby tee.
-// Live migration (moving one tenant between backends) has no flag or
-// message: proxy.(*Proxy).Migrate is driven by the package's tests.
 package main
 
 import (

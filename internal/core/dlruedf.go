@@ -8,8 +8,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/colorstate"
 	"repro/internal/policy"
 	"repro/internal/sched"
@@ -108,10 +106,20 @@ func NewDLRUEDF(opts ...Option) *DLRUEDF {
 // Name implements sched.Policy.
 func (d *DLRUEDF) Name() string { return "DLRU-EDF" }
 
+// CheckEnv implements sched.EnvChecker: ΔLRU-EDF caches n/4 colors by
+// the ΔLRU rule and n/4 by the EDF rule, each in two locations, so n
+// must be a positive multiple of 4.
+func (d *DLRUEDF) CheckEnv(env sched.Env) error {
+	if env.N < 4 || env.N%4 != 0 {
+		return &sched.ConfigError{Field: "N", Color: -1, Value: env.N, Want: "a positive multiple of 4, for ΔLRU-EDF"}
+	}
+	return nil
+}
+
 // Reset implements sched.Policy.
 func (d *DLRUEDF) Reset(env sched.Env) {
-	if env.N < 4 || env.N%4 != 0 {
-		panic(fmt.Sprintf("core: ΔLRU-EDF needs n divisible by 4 and ≥ 4, got %d", env.N))
+	if err := d.CheckEnv(env); err != nil {
+		panic(err)
 	}
 	d.env = env
 	threshold := env.Delta

@@ -34,18 +34,29 @@ type Cache struct {
 	evictBuf []sched.Color
 }
 
+// checkCacheN states a cache's rule on its location count: at least
+// one location, and an even count when replicated, since each cached
+// color then takes two. NewCache panics with its error; the policies
+// over a replicated cache report it as their sched.EnvChecker.
+func checkCacheN(n int, replicate bool) error {
+	switch {
+	case n < 1:
+		return &sched.ConfigError{Field: "N", Color: -1, Value: n, Want: "≥ 1"}
+	case replicate && n%2 != 0:
+		return &sched.ConfigError{Field: "N", Color: -1, Value: n, Want: "even, for a replicated cache"}
+	}
+	return nil
+}
+
 // NewCache builds a cache over n locations for the colors [0,
 // numColors). With replicate set, n must be even and the distinct
 // capacity is n/2; otherwise the capacity is n.
 func NewCache(n, numColors int, replicate bool) *Cache {
-	if n < 1 {
-		panic(fmt.Sprintf("policy: NewCache with n=%d", n))
+	if err := checkCacheN(n, replicate); err != nil {
+		panic(err)
 	}
 	half := n
 	if replicate {
-		if n%2 != 0 {
-			panic(fmt.Sprintf("policy: replicated cache needs even n, got %d", n))
-		}
 		half = n / 2
 	}
 	c := &Cache{

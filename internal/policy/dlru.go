@@ -26,6 +26,9 @@ func NewDLRU() *DLRU { return &DLRU{} }
 // Name implements sched.Policy.
 func (d *DLRU) Name() string { return "DLRU" }
 
+// CheckEnv implements sched.EnvChecker: ΔLRU runs a replicated cache.
+func (d *DLRU) CheckEnv(env sched.Env) error { return checkCacheN(env.N, true) }
+
 // Reset implements sched.Policy.
 func (d *DLRU) Reset(env sched.Env) {
 	d.env = env

@@ -28,6 +28,9 @@ func NewEDF() *EDF { return &EDF{} }
 // Name implements sched.Policy.
 func (e *EDF) Name() string { return "EDF" }
 
+// CheckEnv implements sched.EnvChecker: EDF runs a replicated cache.
+func (e *EDF) CheckEnv(env sched.Env) error { return checkCacheN(env.N, true) }
+
 // Reset implements sched.Policy.
 func (e *EDF) Reset(env sched.Env) {
 	e.env = env

@@ -31,6 +31,10 @@ func NewRandomEvict(seed uint64) *RandomEvict {
 // Name implements sched.Policy.
 func (p *RandomEvict) Name() string { return "RandomEvict" }
 
+// CheckEnv implements sched.EnvChecker: RandomEvict runs a replicated
+// cache.
+func (p *RandomEvict) CheckEnv(env sched.Env) error { return checkCacheN(env.N, true) }
+
 // Reset implements sched.Policy.
 func (p *RandomEvict) Reset(env sched.Env) {
 	p.env = env

@@ -14,29 +14,22 @@
 // have restarted on the same address): it is discarded and the request
 // is retried once on a fresh dial before the backend counts as failed,
 // which is safe because every fanned-out request is read-only. Every
-// backend dial — relay, fan-out, Migrate, death probe and standby tee
-// alike — is bounded by dialTimeout, and every fan-out call by
-// ctlTimeout.
+// backend dial — relay, fan-out, death probe and standby tee alike — is
+// bounded by dialTimeout, and every fan-out call by ctlTimeout.
 //
-// Two operations make the tier more than a load balancer:
+// A warm standby (Config.Standby) makes the tier more than a load
+// balancer: every state-mutating frame routed to a primary is teed —
+// asynchronously, through a bounded buffer — to a standby backend
+// running the same admission logic, so the standby trails the fleet by
+// at most the buffer. When a primary dies, its tenants re-route to the
+// standby and resume from the standby's sequence instead of rewinding
+// to the last client-side checkpoint; tee overflow degrades to exactly
+// that rewind (the sequence check on the standby rejects the gap) rather
+// than ever corrupting state. A tenant never moves between live
+// backends: placement is a pure function of the tenant ID and the dead
+// set.
 //
-//   - Live migration (Migrate): release a tenant's state from its
-//     current backend, restore it on another, and flip the route. In-flight submits resume
-//     exactly-once off the tenant's sequence numbers: a client racing
-//     the flip sees a retryable draining error or a BadSeq rewind, both
-//     of which the load generator's resume machinery already rides out.
-//
-//   - Warm standby (Config.Standby): every state-mutating frame routed
-//     to a primary is teed — asynchronously, through a bounded buffer —
-//     to a standby backend running the same admission logic, so the
-//     standby trails the fleet by at most the buffer. When a primary
-//     dies, its tenants re-route to the standby and resume from the
-//     standby's sequence instead of rewinding to the last client-side
-//     checkpoint; tee overflow degrades to exactly that rewind (the
-//     sequence check on the standby rejects the gap) rather than ever
-//     corrupting state.
-//
-// See docs/SERVER.md "Fleet" for the protocol sequence and semantics.
+// See docs/SERVER.md "Fleet" for the placement and failover semantics.
 package proxy
 
 import (
@@ -72,7 +65,7 @@ type Config struct {
 }
 
 // dialTimeout bounds every backend dial, so a black-holed backend
-// cannot hang a relay, a fleet request, a migration or a death probe.
+// cannot hang a relay, a fleet request or a death probe.
 const dialTimeout = time.Second
 
 func (c *Config) validate() error {
@@ -96,7 +89,7 @@ func (c *Config) validate() error {
 // Proxy is the router: one listener, one lazily-dialed upstream per
 // (client connection, backend) pair, a shared standby tee, a pool of
 // control connections for the fleet-wide requests, and the routing
-// table (hash + overrides + dead set).
+// table (hash + dead set).
 type Proxy struct {
 	cfg Config
 	ln  net.Listener
@@ -108,11 +101,8 @@ type Proxy struct {
 	// proxy's lifetime: a backend that died mid-run stays routed around
 	// until the operator restarts the tier, because routing tenants back
 	// to a restarted-but-empty backend would fork their history.
-	dead map[string]bool
-	// overrides pins tenants to a backend regardless of the hash — the
-	// result of a Migrate whose target is not the tenant's hash home.
-	overrides map[string]string
-	conns     map[net.Conn]struct{}
+	dead  map[string]bool
+	conns map[net.Conn]struct{}
 
 	closing  atomic.Bool
 	connWG   sync.WaitGroup
@@ -129,12 +119,11 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, fmt.Errorf("proxy: listening on %s: %w", cfg.Addr, err)
 	}
 	p := &Proxy{
-		cfg:       cfg,
-		ln:        ln,
-		dead:      make(map[string]bool),
-		overrides: make(map[string]string),
-		conns:     make(map[net.Conn]struct{}),
-		ctl:       ctlPool{idle: make(map[string][]*serve.Client)},
+		cfg:   cfg,
+		ln:    ln,
+		dead:  make(map[string]bool),
+		conns: make(map[net.Conn]struct{}),
+		ctl:   ctlPool{idle: make(map[string][]*serve.Client)},
 	}
 	if cfg.Standby != "" {
 		p.tee = newTee(cfg.Standby, p.logf)
@@ -209,26 +198,16 @@ func (p *Proxy) logf(format string, args ...any) {
 }
 
 // route picks the backend address for a tenant, "" when nothing is
-// routable. Placement is stateless: a migration override wins,
-// otherwise the tenant's rendezvous pick over the FULL backend list —
-// hashing over the live subset instead would silently re-home a dead
-// backend's tenants past the standby holding their teed state. A dead
-// pick fails over to the standby when one is configured (warm failover:
-// the standby already holds the teed state) and re-picks over the live
-// backends otherwise (cold failover: clients rewind and re-feed).
+// routable. Placement is stateless: the tenant's rendezvous pick over
+// the FULL backend list — hashing over the live subset instead would
+// silently re-home a dead backend's tenants past the standby holding
+// their teed state. A dead pick fails over to the standby when one is
+// configured (warm failover: the standby already holds the teed state)
+// and re-picks over the live backends otherwise (cold failover: clients
+// rewind and re-feed).
 func (p *Proxy) route(tenant string) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.routeLocked(tenant)
-}
-
-func (p *Proxy) routeLocked(tenant string) string {
-	if ov, ok := p.overrides[tenant]; ok {
-		if p.dead[ov] && p.cfg.Standby != "" && ov != p.cfg.Standby {
-			return p.cfg.Standby
-		}
-		return ov
-	}
 	addr := p.cfg.Backends[Pick(p.cfg.Backends, tenant)]
 	if !p.dead[addr] {
 		return addr

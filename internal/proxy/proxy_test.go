@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -194,86 +193,6 @@ func TestProxyStatsFanout(t *testing.T) {
 	}
 	if len(one) != 1 || one[0].ID != names[0] {
 		t.Fatalf("single-tenant stats through proxy = %+v, want one row for %s", one, names[0])
-	}
-}
-
-// TestProxyMigrateUnderLoad moves a tenant between backends in the
-// middle of a verified load run: the release tombstone and the
-// sequence-checked restore must make the move invisible — no round
-// lost, none duplicated, results bit-identical.
-func TestProxyMigrateUnderLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet integration test")
-	}
-	px, backends, _ := startFleet(t, 3, false)
-	addrs := make([]string, len(backends))
-	for i, b := range backends {
-		addrs[i] = b.Addr().String()
-	}
-
-	var rep *serve.LoadReport
-	var lerr error
-	loadDone := make(chan struct{})
-	go func() {
-		defer close(loadDone)
-		rep, lerr = serve.RunLoad(serve.LoadConfig{
-			Addr:         px.Addr().String(),
-			Tenants:      16,
-			Params:       workload.Params{Rounds: 80, Seed: 5},
-			Rate:         120,
-			Verify:       true,
-			RetryTimeout: 20 * time.Second,
-		})
-	}()
-
-	time.Sleep(200 * time.Millisecond) // land the migration mid-run
-	tenant := "load-004"
-	home := addrs[Pick(addrs, tenant)]
-	target := addrs[0]
-	if target == home {
-		target = addrs[1]
-	}
-	if err := px.Migrate(tenant, target); err != nil {
-		t.Fatalf("migrate %s -> %s: %v", tenant, target, err)
-	}
-	px.mu.Lock()
-	ov, pinned := px.overrides[tenant]
-	px.mu.Unlock()
-	if !pinned || ov != target {
-		t.Fatalf("override after migrate = (%q, %v), want pin to %s", ov, pinned, target)
-	}
-
-	time.Sleep(100 * time.Millisecond)
-	// Migrate back home: the override must dissolve into the hash route.
-	if err := px.Migrate(tenant, home); err != nil {
-		t.Fatalf("migrate %s back home: %v", tenant, err)
-	}
-	px.mu.Lock()
-	_, pinned = px.overrides[tenant]
-	px.mu.Unlock()
-	if pinned {
-		t.Fatalf("override survived a migration back to the hash home")
-	}
-
-	<-loadDone
-	if lerr != nil {
-		t.Fatal(lerr)
-	}
-	if len(rep.Mismatches) != 0 {
-		t.Fatalf("tenants with non-identical results across migration: %v", rep.Mismatches)
-	}
-	// The tenant really lives at home again: ask the backend directly.
-	hc, err := serve.Dial(home)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hc.Close()
-	rows, err := hc.Stats(tenant)
-	if err != nil {
-		t.Fatalf("stats for migrated-back tenant on its home backend: %v", err)
-	}
-	if len(rows) != 1 || rows[0].ID != tenant {
-		t.Fatalf("home backend rows = %+v, want exactly %s", rows, tenant)
 	}
 }
 
@@ -478,102 +397,6 @@ func TestProxyDuraStatsFanout(t *testing.T) {
 	}
 	if st.Appends == 0 {
 		t.Fatal("fleet-wide appends = 0 after submits on durable backends")
-	}
-}
-
-// TestProxyMigrateAdmissionBounce: migrating a reserved tenant onto a
-// backend whose shard cannot host the reservation must fail with the
-// typed admission error, and the failed move must strand nothing — the
-// restore-back path returns the tenant (reservation included) to the
-// source, where it keeps serving. Freeing the target then lets the
-// same migration succeed, reservation carried along.
-func TestProxyMigrateAdmissionBounce(t *testing.T) {
-	b0 := startBackend(t, serve.Config{Shards: 1, BDR: true})
-	b1 := startBackend(t, serve.Config{Shards: 1, BDR: true})
-	addrs := []string{b0.Addr().String(), b1.Addr().String()}
-	px, err := New(Config{Addr: "127.0.0.1:0", Backends: addrs, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- px.Serve() }()
-	t.Cleanup(func() {
-		px.Close()
-		if err := <-done; err != nil {
-			t.Errorf("proxy serve: %v", err)
-		}
-	})
-
-	// A tenant name the hash routes to backend 0.
-	name := ""
-	for i := 0; name == ""; i++ {
-		if cand := fmt.Sprintf("mv-%03d", i); Pick(addrs, cand) == 0 {
-			name = cand
-		}
-	}
-
-	// Backend 1's single shard is 0.8 reserved: a 0.6 restore cannot fit.
-	cb, err := serve.Dial(addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cb.Close()
-	blocker := serve.TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6},
-		ResRate: 0.8, ResDelay: 32}
-	if _, _, err := cb.Open("blocker", blocker); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := serve.Dial(px.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tc := serve.TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6},
-		ResRate: 0.6, ResDelay: 32}
-	if _, _, err := c.Open(name, tc); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Submit(name, 0, sched.Request{{Color: 0, Count: 1}}); err != nil {
-		t.Fatal(err)
-	}
-
-	var ae *serve.AdmissionError
-	if err := px.Migrate(name, addrs[1]); !errors.As(err, &ae) {
-		t.Fatalf("migrate onto overcommitted backend = %v, want *serve.AdmissionError", err)
-	}
-
-	// The bounce stranded nothing: the tenant is back on the source with
-	// its reservation, and the proxy still serves it.
-	if n := b0.NumTenants(); n != 1 {
-		t.Fatalf("source hosts %d tenants after bounced migration, want 1", n)
-	}
-	rows, err := c.Stats(name)
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("stats after bounce = (%v, %v)", rows, err)
-	}
-	if rows[0].ReservedRate != 0.6 || rows[0].ReservedDelay != 32 {
-		t.Fatalf("reservation after bounce = (%g, %g), want (0.6, 32)",
-			rows[0].ReservedRate, rows[0].ReservedDelay)
-	}
-	if _, _, err := c.Submit(name, 1, sched.Request{{Color: 1, Count: 1}}); err != nil {
-		t.Fatalf("submit after bounced migration: %v", err)
-	}
-
-	// Free the target: the same migration now succeeds and the
-	// reservation rides along.
-	if _, err := cb.CloseTenant("blocker"); err != nil {
-		t.Fatal(err)
-	}
-	if err := px.Migrate(name, addrs[1]); err != nil {
-		t.Fatalf("migrate after freeing target: %v", err)
-	}
-	if n := b1.NumTenants(); n != 1 {
-		t.Fatalf("target hosts %d tenants after migration, want 1", n)
-	}
-	rows, err = c.Stats(name)
-	if err != nil || len(rows) != 1 || rows[0].ReservedRate != 0.6 {
-		t.Fatalf("stats after successful migration = (%v, %v), want reserved rate 0.6", rows, err)
 	}
 }
 

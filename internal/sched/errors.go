@@ -24,27 +24,33 @@ func (e *ArrivalError) Error() string {
 	return fmt.Sprintf("sched: invalid arrival: color %d has non-positive count %d", e.Color, e.Count)
 }
 
-// ConfigError reports an invalid StreamConfig (or Env) field: a
-// non-positive resource count, speed, reconfiguration cost, or delay
-// bound. NewStream returns it so service front-ends can reject a bad
-// tenant-open request as a client error rather than a server fault;
-// test with errors.As.
+// ConfigError reports an invalid StreamConfig (or Env) field: a value
+// below 1 or above its cap (see checkConfig), or one the policy cannot
+// run (EnvChecker). NewStream returns it so service front-ends can
+// reject a bad tenant-open request as a client error rather than a
+// server fault; test with errors.As.
 type ConfigError struct {
 	// Field names the offending StreamConfig field ("N", "Speed",
 	// "Delta", "Delays").
 	Field string
-	// Color is the offending color index when Field == "Delays", and -1
-	// otherwise.
+	// Color is the offending color index when a delay bound is rejected,
+	// and -1 otherwise; with Field "Delays" and Color -1, Value is the
+	// number of colors.
 	Color Color
 	// Value is the rejected value.
 	Value int
+	// Want states the rule Value broke, such as "in [1, 4096]".
+	Want string
 }
 
 func (e *ConfigError) Error() string {
-	if e.Field == "Delays" {
-		return fmt.Sprintf("sched: invalid config: color %d has delay bound %d < 1", e.Color, e.Value)
+	switch {
+	case e.Field == "Delays" && e.Color >= 0:
+		return fmt.Sprintf("sched: invalid config: color %d has delay bound %d, want %s", e.Color, e.Value, e.Want)
+	case e.Field == "Delays":
+		return fmt.Sprintf("sched: invalid config: %d colors, want %s", e.Value, e.Want)
 	}
-	return fmt.Sprintf("sched: invalid config: %s must be ≥ 1, got %d", e.Field, e.Value)
+	return fmt.Sprintf("sched: invalid config: %s = %d, want %s", e.Field, e.Value, e.Want)
 }
 
 // validateArrivals checks every batch against the color universe; it is

@@ -2,7 +2,11 @@ package sched
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/snap"
 )
 
 // The structural-validation contract of the ingest path: Stream.Step and
@@ -92,6 +96,54 @@ func TestNewStreamRejectsInvalidConfig(t *testing.T) {
 			if tc.field == "Delays" && ce.Color < 0 {
 				t.Errorf("ConfigError.Color = %d, want the offending color index", ce.Color)
 			}
+		})
+	}
+}
+
+// TestConfigCaps pins each configuration cap at the cap and one past
+// it: checkConfig accepts the cap, and NewStream and PeekSnapshot both
+// refuse one past it with a *ConfigError naming the field and the cap.
+func TestConfigCaps(t *testing.T) {
+	ones := make([]int, maxColors+1)
+	for i := range ones {
+		ones[i] = 1
+	}
+	base := StreamConfig{N: 1, Speed: 1, Delta: 1, Delays: []int{1}}
+	for _, tc := range []struct {
+		name, field string
+		limit       int
+		with        func(cfg *StreamConfig, v int)
+	}{
+		{"N", "N", maxN, func(cfg *StreamConfig, v int) { cfg.N = v }},
+		{"Speed", "Speed", maxSpeed, func(cfg *StreamConfig, v int) { cfg.Speed = v }},
+		{"delay bound", "Delays", maxDelay, func(cfg *StreamConfig, v int) { cfg.Delays = []int{1, v} }},
+		{"colors", "Delays", maxColors, func(cfg *StreamConfig, v int) { cfg.Delays = ones[:v] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			at, over := base, base
+			tc.with(&at, tc.limit)
+			tc.with(&over, tc.limit+1)
+			if err := checkConfig(at); err != nil {
+				t.Fatalf("at the cap: %v", err)
+			}
+			refused := func(how string, err error) {
+				t.Helper()
+				var ce *ConfigError
+				if !errors.As(err, &ce) || ce.Field != tc.field || !strings.Contains(err.Error(), strconv.Itoa(tc.limit)) {
+					t.Fatalf("%s one past the cap = %v, want a *ConfigError naming %s and %d", how, err, tc.field, tc.limit)
+				}
+			}
+			_, err := NewStream(&scripted{rows: [][]Color{{0}}}, over)
+			refused("NewStream", err)
+			e := snap.NewEncoder()
+			e.Int(SnapshotVersion)
+			e.Int(over.N)
+			e.Int(over.Speed)
+			e.Int(over.Delta)
+			e.Ints(over.Delays)
+			e.String("scripted")
+			_, _, err = PeekSnapshot(e.Bytes())
+			refused("PeekSnapshot", err)
 		})
 	}
 }

@@ -34,6 +34,15 @@ type Policy interface {
 	Reconfigure(ctx *Context) []Color
 }
 
+// EnvChecker is implemented by a policy that runs only in some
+// environments — ΔLRU-EDF needs n divisible by 4, say. NewStream calls
+// CheckEnv before Reset and returns its error, so an environment the
+// policy cannot run is refused as a configuration error instead of
+// panicking in Reset.
+type EnvChecker interface {
+	CheckEnv(env Env) error
+}
+
 // DropObserver is implemented by policies that need to see the drop phase
 // (ΔLRU-EDF classifies drops into eligible and ineligible ones, §3.2).
 // OnDrop is invoked during the drop phase of round for each color that

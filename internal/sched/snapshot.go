@@ -12,16 +12,6 @@ import (
 // is versioned separately — see trace.WriteCheckpoint.)
 const SnapshotVersion = 1
 
-// Restore-time sanity bounds on configuration read from a snapshot.
-// They exist so a corrupt blob cannot make RestoreStream attempt an
-// absurd allocation before validation has a chance to reject it; real
-// deployments sit orders of magnitude below all three.
-const (
-	maxSnapshotN      = 1 << 22
-	maxSnapshotColors = 1 << 22
-	maxSnapshotSpeed  = 1 << 12
-)
-
 // Snapshotter is the checkpoint/restore capability of a Policy. Every
 // policy shipped in this repository implements it; Stream.Snapshot
 // requires it.
@@ -108,10 +98,17 @@ func (s *Stream) SnapshotDelta(base, dst []byte) ([]byte, error) {
 // Stream.Snapshot blob — the StreamConfig it was taken under and the
 // name of its policy — without rebuilding the stream. Servers restoring
 // many tenants use it to size observability sinks and validate metadata
-// before paying for the full RestoreStream. The same sanity bounds as
-// RestoreStream apply; corrupt input yields an error, never a panic.
+// before paying for the full RestoreStream. The header is checked as
+// RestoreStream checks it; corrupt input yields an error, never a panic.
 func PeekSnapshot(snapshot []byte) (cfg StreamConfig, policyName string, err error) {
-	d := snap.NewDecoder(snapshot)
+	return decodeHeader(snap.NewDecoder(snapshot))
+}
+
+// decodeHeader reads a snapshot's version and configuration header from
+// d and checks the configuration (checkConfig), so a corrupt header
+// fails before anything is sized from it. A snapshot always records
+// Speed ≥ 1, so Speed 0 is refused here rather than defaulted.
+func decodeHeader(d *snap.Decoder) (cfg StreamConfig, policyName string, err error) {
 	if v := d.Int(); d.Err() == nil && v != SnapshotVersion {
 		return StreamConfig{}, "", fmt.Errorf("sched: snapshot version %d, this build reads %d", v, SnapshotVersion)
 	}
@@ -123,14 +120,8 @@ func PeekSnapshot(snapshot []byte) (cfg StreamConfig, policyName string, err err
 	if err := d.Err(); err != nil {
 		return StreamConfig{}, "", err
 	}
-	if cfg.N < 1 || cfg.N > maxSnapshotN {
-		return StreamConfig{}, "", fmt.Errorf("sched: snapshot N=%d outside [1, %d]", cfg.N, maxSnapshotN)
-	}
-	if cfg.Speed < 1 || cfg.Speed > maxSnapshotSpeed {
-		return StreamConfig{}, "", fmt.Errorf("sched: snapshot Speed=%d outside [1, %d]", cfg.Speed, maxSnapshotSpeed)
-	}
-	if len(cfg.Delays) > maxSnapshotColors {
-		return StreamConfig{}, "", fmt.Errorf("sched: snapshot has %d colors, limit %d", len(cfg.Delays), maxSnapshotColors)
+	if err := checkConfig(cfg); err != nil {
+		return StreamConfig{}, "", err
 	}
 	return cfg, policyName, nil
 }
@@ -155,30 +146,14 @@ func RestoreStream(pol Policy, snapshot []byte, probe Probe) (st *Stream, err er
 		}
 	}()
 	d := snap.NewDecoder(snapshot)
-	if v := d.Int(); d.Err() == nil && v != SnapshotVersion {
-		return nil, fmt.Errorf("sched: snapshot version %d, this build reads %d", v, SnapshotVersion)
-	}
-	cfg := StreamConfig{Probe: probe}
-	cfg.N = d.Int()
-	cfg.Speed = d.Int()
-	cfg.Delta = d.Int()
-	cfg.Delays = d.Ints()
-	name := d.String()
-	if err := d.Err(); err != nil {
+	cfg, name, err := decodeHeader(d)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.N < 1 || cfg.N > maxSnapshotN {
-		return nil, fmt.Errorf("sched: snapshot N=%d outside [1, %d]", cfg.N, maxSnapshotN)
-	}
-	if cfg.Speed < 1 || cfg.Speed > maxSnapshotSpeed {
-		return nil, fmt.Errorf("sched: snapshot Speed=%d outside [1, %d]", cfg.Speed, maxSnapshotSpeed)
-	}
-	if len(cfg.Delays) > maxSnapshotColors {
-		return nil, fmt.Errorf("sched: snapshot has %d colors, limit %d", len(cfg.Delays), maxSnapshotColors)
 	}
 	if name != pol.Name() {
 		return nil, fmt.Errorf("sched: snapshot was taken with policy %q, restore given %q", name, pol.Name())
 	}
+	cfg.Probe = probe
 	st, err = NewStream(pol, cfg)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,10 @@
 package sched
 
-import "repro/internal/snap"
+import (
+	"fmt"
+
+	"repro/internal/snap"
+)
 
 // StreamConfig configures a Stream.
 type StreamConfig struct {
@@ -77,26 +81,62 @@ func (r StepResult) Clone() StepResult {
 	return r
 }
 
-// NewStream validates the configuration and prepares a stream.
-func NewStream(pol Policy, cfg StreamConfig) (*Stream, error) {
-	if cfg.N < 1 {
-		return nil, &ConfigError{Field: "N", Color: -1, Value: cfg.N}
+// Caps on a stream's configuration. They bound a tenant's memory and
+// its per-round work, and let a corrupt snapshot fail before
+// RestoreStream attempts an absurd allocation. maxDelay also keeps
+// every deadline r + D_c the engine forms far from overflow at any
+// round a stream can reach. Real deployments sit orders of magnitude
+// below all four.
+const (
+	maxN      = 1 << 22
+	maxSpeed  = 1 << 12
+	maxColors = 1 << 22
+	maxDelay  = 1 << 30
+)
+
+// checkConfig checks every field of cfg against its range: N, Speed,
+// Delta and each delay bound at least 1, and N, Speed, the number of
+// colors and each delay bound at most their caps. NewStream and the
+// snapshot header decoder both call it.
+func checkConfig(cfg StreamConfig) error {
+	switch {
+	case cfg.N < 1 || cfg.N > maxN:
+		return outOfRange("N", -1, cfg.N, maxN)
+	case cfg.Speed < 1 || cfg.Speed > maxSpeed:
+		return outOfRange("Speed", -1, cfg.Speed, maxSpeed)
+	case cfg.Delta < 1:
+		return &ConfigError{Field: "Delta", Color: -1, Value: cfg.Delta, Want: "≥ 1"}
+	case len(cfg.Delays) > maxColors:
+		return &ConfigError{Field: "Delays", Color: -1, Value: len(cfg.Delays), Want: fmt.Sprintf("at most %d", maxColors)}
 	}
+	for c, d := range cfg.Delays {
+		if d < 1 || d > maxDelay {
+			return outOfRange("Delays", Color(c), d, maxDelay)
+		}
+	}
+	return nil
+}
+
+// outOfRange is the ConfigError for a value outside [1, limit].
+func outOfRange(field string, c Color, v, limit int) *ConfigError {
+	return &ConfigError{Field: field, Color: c, Value: v, Want: fmt.Sprintf("in [1, %d]", limit)}
+}
+
+// NewStream validates the configuration (checkConfig, then the policy's
+// EnvChecker, if it has one) and prepares a stream. Speed 0 selects 1.
+func NewStream(pol Policy, cfg StreamConfig) (*Stream, error) {
 	if cfg.Speed == 0 {
 		cfg.Speed = 1
 	}
-	if cfg.Speed < 1 {
-		return nil, &ConfigError{Field: "Speed", Color: -1, Value: cfg.Speed}
-	}
-	if cfg.Delta < 1 {
-		return nil, &ConfigError{Field: "Delta", Color: -1, Value: cfg.Delta}
-	}
-	for c, d := range cfg.Delays {
-		if d < 1 {
-			return nil, &ConfigError{Field: "Delays", Color: Color(c), Value: d}
-		}
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
 	}
 	env := Env{N: cfg.N, Speed: cfg.Speed, Delta: cfg.Delta, Delays: cfg.Delays}
+	if ec, ok := pol.(EnvChecker); ok {
+		if err := ec.CheckEnv(env); err != nil {
+			return nil, err
+		}
+	}
 	return &Stream{cfg: cfg, eng: newRoundEngine(pol, env, cfg.Probe)}, nil
 }
 

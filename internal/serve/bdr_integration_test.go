@@ -140,65 +140,6 @@ func TestBDRRecovery(t *testing.T) {
 	}
 }
 
-// TestBDRReleaseRestore pins migration: Release hands the reservation
-// back with the config, Restore re-runs admission on the target — a
-// target with room re-admits, a target without bounces the restore with
-// the typed admission error and keeps the tenant off its books.
-func TestBDRReleaseRestore(t *testing.T) {
-	inst := testInstance(t, 12, 0)
-	src := startServer(t, Config{Shards: 1, BDR: true})
-	cs := dialTest(t, src)
-	tc := tcFor(inst)
-	tc.ResRate, tc.ResDelay = 0.6, 32
-	if _, _, err := cs.Open("mover", tc); err != nil {
-		t.Fatal(err)
-	}
-	feed(t, cs, "mover", inst, 0)
-	rel, err := cs.Release("mover")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Config.ResRate != 0.6 || rel.Config.ResDelay != 32 {
-		t.Fatalf("released reservation = (%g, %g), want (0.6, 32)", rel.Config.ResRate, rel.Config.ResDelay)
-	}
-
-	// A roomy target re-admits; its stats carry the reservation.
-	dst := startServer(t, Config{Shards: 1, BDR: true})
-	cd := dialTest(t, dst)
-	if _, err := cd.Restore("mover", rel.Config, rel.Blob); err != nil {
-		t.Fatalf("restore on roomy target: %v", err)
-	}
-	rows, err := cd.Stats("mover")
-	if err != nil || len(rows) != 1 || rows[0].ReservedRate != 0.6 {
-		t.Fatalf("restored stats = (%v, %v), want reserved rate 0.6", rows, err)
-	}
-
-	// A full target bounces: another release, restore onto a server
-	// whose shard is already 0.8 reserved.
-	rel2, err := cd.Release("mover")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := startServer(t, Config{Shards: 1, BDR: true})
-	cf := dialTest(t, full)
-	blocker := tcFor(testInstance(t, 8, 1))
-	blocker.ResRate, blocker.ResDelay = 0.8, 32
-	if _, _, err := cf.Open("blocker", blocker); err != nil {
-		t.Fatal(err)
-	}
-	var ae *AdmissionError
-	if _, err := cf.Restore("mover", rel2.Config, rel2.Blob); !errors.As(err, &ae) {
-		t.Fatalf("restore on full target = %v, want *AdmissionError", err)
-	}
-	if math.Abs(ae.ResidualRate-0.2) > 1e-9 {
-		t.Fatalf("bounce residual = %g, want 0.2", ae.ResidualRate)
-	}
-	// The bounced tenant left no trace on the full target.
-	if _, err := cf.Stats("mover"); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("bounced tenant stats = %v, want ErrUnknownTenant", err)
-	}
-}
-
 // TestBDRIsolation is the deterministic form of the PR's acceptance
 // scenario, modeled on runStarvation: one hot unreserved tenant holds a
 // standing backlog while reserved victims trickle one round per tick.

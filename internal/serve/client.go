@@ -15,9 +15,9 @@ import (
 // TenantConfig describes a tenant: which policy to run, the stream
 // configuration the tenant simulates under, and its queue cap, service
 // weight and BDR reservation. It is the one tenant description of the
-// protocol — open and restore requests carry it, release responses
-// return it — and the server persists it in every checkpoint-log record
-// the tenant writes. QueueCap 0 accepts the server's default.
+// protocol — open requests carry it — and the server persists it in
+// every checkpoint-log record the tenant writes. QueueCap 0 accepts the
+// server's default.
 type TenantConfig struct {
 	Policy string
 	N      int
@@ -224,7 +224,7 @@ func (c *Client) call(typ uint64, encode func(*snap.Encoder), decode func(*snap.
 func (c *Client) Open(tenant string, tc TenantConfig) (nextSeq int, resumed bool, err error) {
 	var r openResp
 	err = c.call(msgOpen, func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc}).encode(e, msgOpen)
+		(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc}).encode(e)
 	}, r.decode)
 	return r.NextSeq, r.Resumed, err
 }
@@ -291,44 +291,6 @@ func (c *Client) resultCommand(typ uint64, tenant string) (res *sched.Result, er
 		return nil, err
 	}
 	return res, nil
-}
-
-// ReleasedTenant is everything Release hands back — the tenant's
-// configuration as opened, the sequence number the next Submit must
-// carry wherever the tenant lands, and the state blob Restore accepts.
-type ReleasedTenant struct {
-	Config  TenantConfig
-	NextSeq int
-	Blob    []byte
-}
-
-// Release is the source half of a live migration: the server flushes
-// the tenant's admission queue, snapshots it, deletes its durable
-// state, and replaces it with a tombstone that answers every later
-// command — including re-opens — with the retryable ErrDraining until a
-// Restore brings the tenant back. Feed the returned state to Restore on
-// the migration target.
-func (c *Client) Release(tenant string) (*ReleasedTenant, error) {
-	r := &ReleasedTenant{}
-	if err := c.call(msgRelease, (&tenantMsg{Type: msgRelease, Tenant: tenant}).encode, r.decode); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// Restore installs a released tenant snapshot on the server: the
-// target half of a live migration. The declared configuration must
-// match the one embedded in the blob. nextSeq is the sequence number
-// the tenant's next Submit must carry on this server — it equals the
-// ReleasedTenant's NextSeq when the blob came from Release. Restoring a
-// tenant that is already open (and not a migration tombstone) fails
-// with ErrTenantExists.
-func (c *Client) Restore(tenant string, tc TenantConfig, blob []byte) (nextSeq int, err error) {
-	var r openResp
-	err = c.call(msgRestore, func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: tenant, Config: tc, Blob: blob}).encode(e, msgRestore)
-	}, r.decode)
-	return r.NextSeq, err
 }
 
 // DuraStats fetches the checkpoint-log counters of an all-tenant

@@ -54,7 +54,7 @@ func (e *BadSeqError) Error() string {
 	return fmt.Sprintf("serve: bad round sequence %d, expected %d", e.Got, e.Expected)
 }
 
-// AdmissionError reports an open or restore whose BDR reservation
+// AdmissionError reports an open whose BDR reservation
 // failed the shard's supply-bound-function feasibility check
 // (docs/SCHEDULING.md "Admission"). The tenant was rejected before any
 // state was created — nothing was queued or shed. ResidualRate and

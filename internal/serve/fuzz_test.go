@@ -22,7 +22,6 @@ func fuzzServer(f *testing.F) *Server {
 	s := &Server{
 		cfg:       cfg,
 		tenants:   make(map[string]*tenant),
-		released:  make(map[string]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		stopShard: make(chan struct{}),
 	}
@@ -62,7 +61,7 @@ func FuzzFrameDecode(f *testing.F) {
 	reserved := fuzzConfig
 	reserved.Weight, reserved.ResRate, reserved.ResDelay = 1, 0.25, 32
 	seed(1, func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Config: fuzzConfig}).encode(e, msgOpen)
+		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Config: fuzzConfig}).encode(e)
 	})
 	seed(2, func(e *snap.Encoder) { // a strict submit: a batch of one
 		(&batchMsg{Tenant: "fuzz", Seq: 0, Ticks: []sched.Request{
@@ -80,11 +79,11 @@ func FuzzFrameDecode(f *testing.F) {
 		(&batchMsg{Tenant: "fuzz", Seq: 0, Ticks: []sched.Request{{{Color: 0, Count: 2}}}}).encode(e)
 	})
 	seed(tagSpace-1, func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: ""}).encode(e) })
-	// The migration pair.
-	seed(10, func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz2", Config: fuzzConfig, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
-	})
-	seed(11, func(e *snap.Encoder) { (&tenantMsg{Type: msgRelease, Tenant: "fuzz"}).encode(e) })
+	// Types 6 and 7 carried restore and release up to protocol 10. They
+	// are unknown types now, whatever follows them: the server must
+	// refuse them and close.
+	seed(10, func(e *snap.Encoder) { retiredRestore(e, "fuzz2", fuzzConfig) })
+	seed(11, func(e *snap.Encoder) { (&tenantMsg{Type: 7, Tenant: "fuzz"}).encode(e) })
 	seed(12, func(e *snap.Encoder) {
 		(&batchMsg{Tenant: "fuzz", Seq: 0, Ticks: []sched.Request{
 			{{Color: 0, Count: 1}}, nil, {{Color: 1, Count: 2}, {Color: 0, Count: 1}},
@@ -93,14 +92,12 @@ func FuzzFrameDecode(f *testing.F) {
 	seed(13, func(e *snap.Encoder) {
 		(&batchMsg{Tenant: "fuzz", Seq: 3, Ticks: []sched.Request{{{Color: 1, Count: 1}}}}).encode(e)
 	})
-	// A reserved open and restore, and a stats read-out that answers with
-	// an error (the tenant does not exist).
+	// A reserved open and retired restore, and a stats read-out that
+	// answers with an error (the tenant does not exist).
 	seed(14, func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz3", Config: reserved}).encode(e, msgOpen)
+		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz3", Config: reserved}).encode(e)
 	})
-	seed(15, func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz4", Config: reserved, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
-	})
+	seed(15, func(e *snap.Encoder) { retiredRestore(e, "fuzz4", reserved) })
 	seed(16, func(e *snap.Encoder) { (&tenantMsg{Type: msgTenantStats, Tenant: "nope"}).encode(e) })
 	// A batch claiming far more rounds than it carries — the decoder must
 	// bound allocation by MaxBatch and reject, never trust the count.
@@ -113,16 +110,16 @@ func FuzzFrameDecode(f *testing.F) {
 	// An open at the previous protocol version, and a type past the last
 	// one.
 	seed(18, func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion - 1, Tenant: "fuzz5", Config: fuzzConfig}).encode(e, msgOpen)
+		(&openMsg{Version: ProtocolVersion - 1, Tenant: "fuzz5", Config: fuzzConfig}).encode(e)
 	})
-	seed(19, func(e *snap.Encoder) { e.Uint64(msgRelease + 1) })
+	seed(19, func(e *snap.Encoder) { e.Uint64(msgCloseTenant + 1) })
 	// A tag with no type behind it.
 	seed(20, func(*snap.Encoder) {})
 	// An open in the version-7 layout, which had no leading tag: its
 	// message type now reads as the tag and its version as the type.
 	f.Add(func() []byte {
 		e := snap.NewEncoder()
-		(&openMsg{Version: 7, Tenant: "fuzz6", Config: fuzzConfig}).encode(e, msgOpen)
+		(&openMsg{Version: 7, Tenant: "fuzz6", Config: fuzzConfig}).encode(e)
 		var frame bytes.Buffer
 		bw := bufio.NewWriter(&frame)
 		writeFrame(bw, e.Bytes())
@@ -143,6 +140,16 @@ func FuzzFrameDecode(f *testing.F) {
 		// if a well-framed but hostile payload arrived.
 		processBody(t, s, data)
 	})
+}
+
+// retiredRestore encodes a restore request as protocol 10 laid it out
+// under type 6: the open request's fields, then a snapshot blob.
+func retiredRestore(e *snap.Encoder, tenant string, tc TenantConfig) {
+	e.Uint64(6)
+	e.Int(ProtocolVersion - 1)
+	e.String(tenant)
+	tc.encode(e)
+	e.Blob([]byte{1, 2, 3})
 }
 
 func processBody(t *testing.T, s *Server, body []byte) {
@@ -186,13 +193,10 @@ func processBody(t *testing.T, s *Server, body []byte) {
 				before, ft.nextSeq(), body)
 		}
 	}
-	// A mutated close or release frame can legitimately remove the fuzz
-	// tenant; forget a release and re-open it so later inputs still reach
-	// the tenant-addressed handlers.
+	// A mutated close frame can legitimately remove the fuzz tenant;
+	// re-open it so later inputs still reach the tenant-addressed
+	// handlers.
 	if s.tenant("fuzz") == nil {
-		s.mu.Lock()
-		delete(s.released, "fuzz")
-		s.mu.Unlock()
 		s.open(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Config: fuzzConfig})
 	}
 }

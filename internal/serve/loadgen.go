@@ -113,7 +113,8 @@ type LoadReport struct {
 	// (*AdmissionError); those tenants fall back to best-effort, so the
 	// count is the number of tenants running without their requested
 	// guarantee. DrainingRejects counts ErrDraining bounces — the server
-	// (or its proxy) was shutting down or mid-migration, each retried.
+	// was shutting down, or the proxy had no live backend for the tenant,
+	// each retried.
 	// Resumes counts sequence rewinds after a reconnect or restart;
 	// Reconnects counts re-dial attempts.
 	Overloads        int64 `json:"overloads"`

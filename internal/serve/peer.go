@@ -31,8 +31,7 @@ type PeekInfo struct {
 	Tenant string
 	// Mutating reports a request that advances tenant state (open,
 	// submit-batch, drain, close) — the set a warm-standby tee must
-	// replicate. Read-only commands and the migration pair are excluded:
-	// migration is the router's own operation.
+	// replicate. Only stats is read-only.
 	Mutating bool
 }
 
@@ -49,15 +48,13 @@ func PeekRequest(body []byte) (PeekInfo, error) {
 		return info, fmt.Errorf("serve: truncated request tag or message type")
 	}
 	switch typ {
-	case msgOpen, msgRestore:
+	case msgOpen:
 		d.Int() // version
 		info.Tenant = d.String()
-		info.Mutating = typ == msgOpen
+		info.Mutating = true
 	case msgSubmitBatch, msgDrain, msgCloseTenant:
 		info.Tenant = d.String()
 		info.Mutating = true
-	case msgRelease:
-		info.Tenant = d.String()
 	case msgTenantStats:
 		info.Tenant = d.String()
 		info.StatsAll = info.Tenant == ""
@@ -98,8 +95,8 @@ func AppendErrorResponse(e *snap.Encoder, info PeekInfo, msg string) {
 
 // AppendUnavailableResponse encodes a retryable draining error under
 // the request's tag — the router's answer while a tenant's backend is
-// unreachable or its migration is in flight; a well-behaved client (the
-// load generator) backs off and retries.
+// unreachable; a well-behaved client (the load generator) backs off and
+// retries.
 func AppendUnavailableResponse(e *snap.Encoder, info PeekInfo, msg string) {
 	e.Uint64(info.Tag)
 	(&errResp{Code: codeDraining, Msg: msg}).encode(e)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/sched"
-	"repro/internal/snap"
 	"repro/internal/workload"
 )
 
@@ -234,44 +233,28 @@ func TestPipelinedRejections(t *testing.T) {
 }
 
 // TestOpenVersionNegotiation: the server speaks exactly
-// ProtocolVersion. An open or a restore one version either side of it
-// is refused with codeBadVersion before any state is created, while the
-// same requests at ProtocolVersion are accepted.
+// ProtocolVersion. An open one version either side of it is refused
+// with codeBadVersion before any state is created, while the same
+// request at ProtocolVersion is accepted.
 func TestOpenVersionNegotiation(t *testing.T) {
-	inst := testInstance(t, 4, 0)
 	s := startServer(t, Config{})
-	tc := tcFor(inst)
-	c := dialTest(t, s)
-	if _, _, err := c.Open("src", tc); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := c.Release("src") // a valid blob for the restores
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	send := func(typ uint64, version int, tenant string) error {
+	tc := tcFor(testInstance(t, 4, 0))
+	send := func(version int, tenant string) error {
 		var r openResp
-		return dialTest(t, s).call(typ, func(e *snap.Encoder) {
-			(&openMsg{Version: version, Tenant: tenant, Config: tc, Blob: rel.Blob}).encode(e, typ)
-		}, r.decode)
+		return dialTest(t, s).call(msgOpen,
+			(&openMsg{Version: version, Tenant: tenant, Config: tc}).encode, r.decode)
 	}
 	var re *RemoteError
-	for _, typ := range []uint64{msgOpen, msgRestore} {
-		for _, v := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
-			if err := send(typ, v, "skewed"); !errors.As(err, &re) || re.Code != codeBadVersion {
-				t.Fatalf("message type %d at version %d = %v, want codeBadVersion", typ, v, err)
-			}
+	for _, v := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
+		if err := send(v, "skewed"); !errors.As(err, &re) || re.Code != codeBadVersion {
+			t.Fatalf("open at version %d = %v, want codeBadVersion", v, err)
 		}
 	}
 	if s.tenant("skewed") != nil {
-		t.Fatal("a request at the wrong protocol version created a tenant")
+		t.Fatal("an open at the wrong protocol version created a tenant")
 	}
-	if err := send(msgOpen, ProtocolVersion, "opened"); err != nil {
+	if err := send(ProtocolVersion, "opened"); err != nil {
 		t.Fatalf("open at ProtocolVersion = %v, want accepted", err)
-	}
-	if err := send(msgRestore, ProtocolVersion, "restored"); err != nil {
-		t.Fatalf("restore at ProtocolVersion = %v, want accepted", err)
 	}
 }
 

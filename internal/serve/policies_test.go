@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"slices"
 	"testing"
 
@@ -117,6 +119,66 @@ func FuzzRestoreStep(f *testing.F) {
 			st.DropPending()
 		} else if _, err := st.Drain(); err != nil {
 			t.Fatalf("drain after restore: %v", err)
+		}
+	})
+}
+
+// FuzzOpenStep pins the open path against what a new stream does
+// next: for any (spec, N, Speed, Delta, Delays), NewStream either
+// refuses the configuration or returns a stream that takes 32 rounds of
+// valid arrivals and a drain without an error or a panic. A
+// configuration NewStream accepts but the policy or the round engine
+// cannot run is a crashed rrserved at open or at a later round. N and
+// Speed are folded into small ranges so one input stays fast (the
+// sched package's TestConfigCaps pins the caps themselves); delays are
+// read as little-endian 64-bit words, at most 64 of them.
+func FuzzOpenStep(f *testing.F) {
+	add := func(spec string, n, speed, delta int, delays ...int) {
+		var raw []byte
+		for _, d := range delays {
+			raw = binary.LittleEndian.AppendUint64(raw, uint64(d))
+		}
+		f.Add(spec, n, speed, delta, raw)
+	}
+	for _, spec := range PolicySpecs() {
+		add(spec, 8, 1, 4, 2, 4, 8)
+	}
+	add("dlruedf", 6, 1, 4, 2, 4, 8) // ΔLRU-EDF needs N divisible by 4
+	add("dlru", 5, 1, 4, 2, 4, 8)    // a replicated cache needs an even N
+	add("edf", 4, 1, 4, math.MaxInt) // r + D_c overflows at the second round
+
+	f.Fuzz(func(t *testing.T, spec string, n, speed, delta int, raw []byte) {
+		pol, err := NewPolicy(spec)
+		if err != nil {
+			return
+		}
+		var delays []int
+		for ; len(raw) >= 8 && len(delays) < 64; raw = raw[8:] {
+			delays = append(delays, int(int64(binary.LittleEndian.Uint64(raw))))
+		}
+		st, err := sched.NewStream(pol, sched.StreamConfig{N: n % 17, Speed: speed % 5, Delta: delta, Delays: delays})
+		if err != nil {
+			return
+		}
+		k := len(delays)
+		for r := 0; r < 32; r++ {
+			var req sched.Request
+			if k > 0 {
+				req = sched.Request{
+					{Color: sched.Color(r % k), Count: 1 + r%3},
+					{Color: sched.Color((7*r + 3) % k), Count: 2},
+				}
+			}
+			if _, err := st.Step(req); err != nil {
+				t.Fatalf("step %d: %v", r, err)
+			}
+		}
+		// Draining takes up to the largest delay bound in rounds; past a
+		// few thousand, charge the rest instead so one input stays fast.
+		if k > 0 && slices.Max(delays) > 4096 {
+			st.DropPending()
+		} else if _, err := st.Drain(); err != nil {
+			t.Fatalf("drain: %v", err)
 		}
 	})
 }

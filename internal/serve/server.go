@@ -51,7 +51,7 @@ type Config struct {
 	// (default GOMAXPROCS, capped at 16).
 	Shards int
 	// MaxTenants bounds the number of live tenants (default 4096);
-	// released tenants leave the table and do not count against it.
+	// closed tenants leave the table and do not count against it.
 	MaxTenants int
 	// DefaultQueueCap is the per-tenant pending-queue cap applied when
 	// an open request leaves QueueCap 0 (default 64).
@@ -127,11 +127,6 @@ type Server struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
-	// released holds the IDs this server released to a migration target
-	// and has not installed since: every command naming one is answered
-	// with a retryable draining error, so a racing re-open cannot fork a
-	// fresh stream at sequence 0 while the migration settles.
-	released map[string]struct{}
 	// sorted caches tenantList's ID-ordered snapshot; it is rebuilt on
 	// demand and dropped whenever the tenant set changes. Published
 	// slices are never mutated, so callers may hold one across the lock.
@@ -199,7 +194,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		alloc:     alloc,
 		tenants:   make(map[string]*tenant),
-		released:  make(map[string]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 		stopShard: make(chan struct{}),
 	}
@@ -262,8 +256,7 @@ func NewServer(cfg Config) (*Server, error) {
 // Addr reports the bound listen address (useful with ":0").
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// NumTenants reports the number of live tenants. Released tenants are
-// not counted — their state lives on another server.
+// NumTenants reports the number of live tenants.
 func (s *Server) NumTenants() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -355,26 +348,15 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// liveTenant looks up the tenant a command addresses. Only a miss
-// consults the released set, so a live tenant's lookup costs one map
-// read: a released ID is answered with the retryable draining error, any
-// other with the unknown-tenant error.
+// liveTenant looks up the tenant a command addresses, answering a miss
+// with the unknown-tenant error.
 func (s *Server) liveTenant(id string) (*tenant, *errResp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t := s.tenants[id]; t != nil {
 		return t, nil
 	}
-	if _, ok := s.released[id]; ok {
-		return nil, migrating(id)
-	}
 	return nil, &errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}
-}
-
-// migrating is the retryable error every command naming a released
-// tenant gets until a restore installs it again.
-func migrating(id string) *errResp {
-	return &errResp{Code: codeDraining, Msg: "tenant " + id + " is migrating"}
 }
 
 // tenantList returns the tenants sorted by ID. The snapshot is cached
@@ -503,8 +485,8 @@ func (tc *TenantConfig) equal(o *TenantConfig) bool {
 		tc.ResRate == o.ResRate && tc.ResDelay == o.ResDelay
 }
 
-// checkVersion rejects an open or restore spoken at any protocol
-// version but this server's.
+// checkVersion rejects an open spoken at any protocol version but this
+// server's.
 func checkVersion(v int) *errResp {
 	if v == ProtocolVersion {
 		return nil
@@ -529,56 +511,27 @@ func (s *Server) open(m *openMsg) (*openResp, *errResp) {
 		}
 		return &openResp{NextSeq: t.nextSeq(), Resumed: true}, nil
 	}
-	// A released ID keeps re-opens at bay until the migration settles:
-	// forking a fresh stream at sequence 0 here would split the tenant's
-	// history across two servers.
-	if _, ok := s.released[m.Tenant]; ok {
-		return nil, migrating(m.Tenant)
-	}
-	if _, er := s.installLocked(m.Tenant, cfg, nil, false); er != nil {
+	if _, er := s.installLocked(m.Tenant, cfg, nil); er != nil {
 		return nil, er
 	}
 	return &openResp{}, nil
 }
 
-// restore installs a released tenant snapshot on this server (see
-// installLocked). Restoring an ID this server released is allowed — that
-// is how a tenant migrates back — but an open tenant rejects the
-// restore.
-func (s *Server) restore(m *openMsg) (*openResp, *errResp) {
-	if er := checkVersion(m.Version); er != nil {
-		return nil, er
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tenants[m.Tenant] != nil {
-		return nil, &errResp{Code: codeTenantExists, Msg: "tenant " + m.Tenant + " is already open"}
-	}
-	t, er := s.installLocked(m.Tenant, s.normalize(m.Config), m.Blob, false)
-	if er != nil {
-		return nil, er
-	}
-	s.logf("serve: restored tenant %s at round %d", m.Tenant, t.st.Round())
-	return &openResp{NextSeq: t.st.Round()}, nil
-}
-
 // installLocked is the one path by which a tenant comes into existence.
 // It validates the ID, weight and reservation of the normalized cfg,
-// builds the stream — fresh, or from a snapshot blob cross-checked
-// against cfg — admits the reservation into the BDR tree, makes the
+// builds the stream, admits the reservation into the BDR tree, makes the
 // tenant durable and registers it under id, which the table must not
-// hold (callers check). Open, restore and recovery differ only in the
-// checks they run first and in recovered, which marks a tenant rebuilt
-// from this server's own checkpoint log: its records already exist, so
-// nothing is written, and the draining and tenant-limit gates for new
-// tenants do not apply. Otherwise the tenant's first full record is
-// appended and synced before the install is acknowledged: its
-// configuration survives a crash before the first periodic checkpoint,
-// a restored tenant recovers at its restored round even right after a
-// migration's route flip, and the record shadows any tombstone an
-// earlier close or release of id left. A failure leaves no reservation
-// and no table entry behind. Callers hold s.mu.
-func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recovered bool) (*tenant, *errResp) {
+// hold (callers check). Open passes no blob and gets a fresh stream: the
+// draining and tenant-limit gates apply, and the tenant's first full
+// record is appended and synced before the open is acknowledged, so its
+// configuration survives a crash before the first periodic checkpoint
+// and the record shadows any tombstone an earlier close of id left.
+// Recovery passes the snapshot blob of the tenant's latest record in
+// this server's own checkpoint log, cross-checked against cfg: those
+// records already exist, so nothing is written, and the gates for new
+// tenants do not apply. A failure leaves no reservation and no table
+// entry behind. Callers hold s.mu.
+func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte) (*tenant, *errResp) {
 	if !validTenantID(id) {
 		return nil, &errResp{Code: codeBadRequest,
 			Msg: fmt.Sprintf("invalid tenant ID %q (want 1-64 chars of [A-Za-z0-9_-])", id)}
@@ -591,6 +544,7 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 	if er != nil {
 		return nil, er
 	}
+	recovered := blob != nil
 	if !recovered && s.draining.Load() {
 		return nil, &errResp{Code: codeDraining, Msg: "server is draining"}
 	}
@@ -606,7 +560,7 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 		id: id, cfg: cfg, polName: pol.Name(),
 		minDelay: minDelayOf(cfg.Delays), draining: &s.draining,
 	}
-	if blob == nil {
+	if !recovered {
 		t.st, err = sched.NewStream(pol, sched.StreamConfig{
 			N: cfg.N, Speed: cfg.Speed, Delta: cfg.Delta, Delays: cfg.Delays})
 		if err != nil {
@@ -614,22 +568,21 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 		}
 	} else {
 		// The blob embeds the configuration it was snapshotted under; a
-		// mismatch with the declared one proves the blob belongs to some
-		// other tenant (or got corrupted in transit) — reject before any
-		// state is created.
+		// mismatch with the one the record declares proves the record is
+		// corrupt — reject before any state is created.
 		pcfg, polName, perr := sched.PeekSnapshot(blob)
 		switch {
 		case perr != nil:
-			return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", perr)}
+			return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("snapshot blob: %v", perr)}
 		case pcfg.N != cfg.N || pcfg.Speed != cfg.Speed || pcfg.Delta != cfg.Delta || !slices.Equal(pcfg.Delays, cfg.Delays):
 			return nil, &errResp{Code: codeBadRequest,
-				Msg: "restore blob configuration does not match the declared configuration"}
+				Msg: "snapshot blob configuration does not match the declared configuration"}
 		case polName != pol.Name():
 			return nil, &errResp{Code: codeBadRequest,
-				Msg: fmt.Sprintf("restore blob policy %q does not match declared policy %q", polName, pol.Name())}
+				Msg: fmt.Sprintf("snapshot blob policy %q does not match declared policy %q", polName, pol.Name())}
 		}
 		if t.st, err = sched.RestoreStream(pol, blob, nil); err != nil {
-			return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", err)}
+			return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("snapshot blob: %v", err)}
 		}
 	}
 	shard := s.shardIndex(id)
@@ -637,9 +590,6 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 		// The supply-bound-function feasibility check, atomic with
 		// registration (s.mu is held): an infeasible reservation is
 		// rejected before any state exists — nothing queued, nothing shed.
-		// A migration target re-runs it against its own capacity, so
-		// moving a tenant can never overcommit a shard (the proxy restores
-		// a bounced tenant back on its source).
 		if err := s.tree.Admit(shard, id, res); err != nil {
 			return nil, admissionErrResp(err)
 		}
@@ -666,16 +616,15 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte, recover
 			}
 		}
 	}
-	delete(s.released, id)
 	s.tenants[id] = t
 	s.sorted = nil
 	s.shards[shard].add(t)
 	return t, nil
 }
 
-// checkReservation validates an open/restore request's BDR reservation
-// against the server configuration: a reservation on a non-BDR server
-// is a bad request (the client asked for a guarantee this server cannot
+// checkReservation validates a tenant's BDR reservation against the
+// server configuration: a reservation on a non-BDR server is a bad
+// request (the client asked for a guarantee this server cannot
 // enforce), and a malformed one is rejected before the admission check.
 func (s *Server) checkReservation(rate, delay float64) (bdr.BDR, *errResp) {
 	if rate == 0 && delay == 0 {
@@ -726,40 +675,17 @@ func (s *Server) closeTenant(id string) (*sched.Result, *errResp) {
 	if er != nil {
 		return nil, er
 	}
-	s.remove(t, false)
+	s.remove(t)
 	return res, nil
 }
 
-// release hands tenant id's state out of this server: flush its queue,
-// snapshot, tombstone it in the checkpoint log (tenant.release), then
-// drop it from the table and its shard, leaving its ID in the released
-// set. The returned state carries everything a restore on the migration
-// target needs.
-func (s *Server) release(id string) (*ReleasedTenant, *errResp) {
-	t, er := s.liveTenant(id)
-	if er != nil {
-		return nil, er
-	}
-	rel, er := t.release()
-	if er != nil {
-		return nil, er
-	}
-	s.remove(t, true)
-	s.logf("serve: released tenant %s at round %d", id, rel.NextSeq)
-	return rel, nil
-}
-
-// remove unregisters a closed or released tenant: the table entry, the
-// BDR reservation — whose residual opens up for new tenants at once (a
-// migration target re-admits it from the released configuration) — and
-// the shard registration. A released ID joins the released set.
-func (s *Server) remove(t *tenant, released bool) {
+// remove unregisters a closed tenant: the table entry, the BDR
+// reservation — whose residual opens up for new tenants at once — and
+// the shard registration.
+func (s *Server) remove(t *tenant) {
 	s.mu.Lock()
 	delete(s.tenants, t.id)
 	s.sorted = nil
-	if released {
-		s.released[t.id] = struct{}{}
-	}
 	if s.tree != nil {
 		s.tree.Release(s.shardIndex(t.id), t.id)
 	}
@@ -801,7 +727,7 @@ func (s *Server) recover() error {
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("serve: tenant %s: checkpoint record: %w", id, err)
 		}
-		t, er := s.installLocked(id, cfg, rec[len(rec)-d.Remaining():], true)
+		t, er := s.installLocked(id, cfg, rec[len(rec)-d.Remaining():])
 		if er != nil {
 			return fmt.Errorf("serve: recovering tenant %s: %s", id, er.Msg)
 		}
@@ -928,21 +854,17 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 		return bad("truncated message type")
 	}
 	switch typ {
-	case msgOpen, msgRestore:
+	case msgOpen:
 		var m openMsg
-		m.decode(d, typ)
+		m.decode(d)
 		if d.Done() != nil {
-			return bad("malformed open or restore")
+			return bad("malformed open")
 		}
-		install := s.open
-		if typ == msgRestore {
-			install = s.restore
-		}
-		resp, er := install(&m)
+		resp, er := s.open(&m)
 		if er != nil {
 			er.encode(enc)
 		} else {
-			resp.encode(enc, typ)
+			resp.encode(enc)
 		}
 	case msgSubmitBatch:
 		cs.batch.decode(d)
@@ -991,18 +913,6 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 			er.encode(enc)
 		} else {
 			encodeResult(enc, typ, res)
-		}
-	case msgRelease:
-		var m tenantMsg
-		m.decode(d)
-		if d.Done() != nil {
-			return bad("malformed release")
-		}
-		resp, er := s.release(m.Tenant)
-		if er != nil {
-			er.encode(enc)
-		} else {
-			resp.encode(enc)
 		}
 	default:
 		return bad(fmt.Sprintf("unknown message type %d", typ))

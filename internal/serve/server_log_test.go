@@ -85,60 +85,6 @@ func TestCloseTenantLogTombstone(t *testing.T) {
 	}
 }
 
-// TestReleaseLogTombstone walks a migration round trip through the log
-// backend: Release tombstones the tenant (a restart must not recover
-// it), Restore of the released blob shadows the tombstone with a fresh
-// full record, and a crash right after the restore recovers the tenant
-// at its restored round — the "crash after the route flip" guarantee.
-func TestReleaseLogTombstone(t *testing.T) {
-	dir := t.TempDir()
-	inst := testInstance(t, 24, 0)
-	tc := tcFor(inst)
-
-	s1 := startServer(t, logTestConfig(dir))
-	c1 := dialTest(t, s1)
-	if _, _, err := c1.Open("mig", tc); err != nil {
-		t.Fatal(err)
-	}
-	feed(t, c1, "mig", inst, 0)
-	rel, err := c1.Release("mig")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Released away: the tombstone must survive the restart even though
-	// the tenant's checkpoint records are still in the segments.
-	s2 := startServer(t, logTestConfig(dir))
-	if n := s2.NumTenants(); n != 0 {
-		t.Fatalf("restart after release recovered %d tenants, want 0", n)
-	}
-	c2 := dialTest(t, s2)
-	next, err := c2.Restore("mig", rel.Config, rel.Blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != rel.NextSeq {
-		t.Fatalf("restore resumed at seq %d, want %d", next, rel.NextSeq)
-	}
-	s2.Close() // crash immediately after the restore acknowledgement
-
-	s3 := startServer(t, logTestConfig(dir))
-	if n := s3.NumTenants(); n != 1 {
-		t.Fatalf("restart after restore recovered %d tenants, want 1", n)
-	}
-	c3 := dialTest(t, s3)
-	nextSeq, resumed, err := c3.Open("mig", tc)
-	if err != nil || !resumed {
-		t.Fatalf("re-open after restore crash = (resumed %v, %v)", resumed, err)
-	}
-	if nextSeq != rel.NextSeq {
-		t.Fatalf("recovered at seq %d, want the restored round %d", nextSeq, rel.NextSeq)
-	}
-}
-
 // TestServeLogCompactionRestart drives one tenant through several
 // feed → drain → restart cycles over a log squeezed into tiny segments,
 // so rotation and compaction run repeatedly and each recovery resolves
@@ -308,67 +254,73 @@ func TestDrainFailsWhenLogSyncFails(t *testing.T) {
 	}
 }
 
-// TestCloseAndReleaseFailWhenLogFails pins close-tenant and release as
-// durability points: the tombstone is the only record that removes a
-// tenant, so when the log cannot take it both are answered with an
-// internal error, the tenants stay live, and a restart recovers them.
-func TestCloseAndReleaseFailWhenLogFails(t *testing.T) {
+// TestCloseFailsWhenLogFails pins close-tenant as a durability point:
+// the tombstone is the only record that removes a tenant, so when the
+// log cannot take it the close is answered with an internal error, the
+// tenant stays live, and a restart recovers it.
+func TestCloseFailsWhenLogFails(t *testing.T) {
 	dir := t.TempDir()
 	inst := testInstance(t, 16, 0)
 	s := startServer(t, logTestConfig(dir))
 	c := dialTest(t, s)
-	for _, id := range []string{"a", "b"} {
-		if _, _, err := c.Open(id, tcFor(inst)); err != nil {
-			t.Fatal(err)
-		}
-		feed(t, c, id, inst, 0)
-		if _, err := c.DrainTenant(id); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := c.Open("a", tcFor(inst)); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, c, "a", inst, 0)
+	if _, err := c.DrainTenant("a"); err != nil {
+		t.Fatal(err)
 	}
 	s.clog.Abort() // every later append and sync fails
 	var re *RemoteError
 	if _, err := c.CloseTenant("a"); !errors.As(err, &re) || re.Code != codeInternal {
 		t.Fatalf("close over a failed log = %v, want codeInternal", err)
 	}
-	if _, err := c.Release("b"); !errors.As(err, &re) || re.Code != codeInternal {
-		t.Fatalf("release over a failed log = %v, want codeInternal", err)
-	}
-	if rows, err := c.Stats(""); err != nil || len(rows) != 2 || rows[0].ID != "a" || rows[1].ID != "b" {
-		t.Fatalf("stats after the failed close and release = %+v (%v), want rows for a and b", rows, err)
+	if rows, err := c.Stats(""); err != nil || len(rows) != 1 || rows[0].ID != "a" {
+		t.Fatalf("stats after the failed close = %+v (%v), want a row for a", rows, err)
 	}
 	s.Close()
 	s2 := startServer(t, logTestConfig(dir))
-	if s2.tenant("a") == nil || s2.tenant("b") == nil {
-		t.Fatalf("restart recovered %d tenants, want a and b", s2.NumTenants())
+	if s2.tenant("a") == nil {
+		t.Fatalf("restart recovered %d tenants, want a", s2.NumTenants())
 	}
 }
 
-// TestReleasedTenantTakesNoCheckpoint pins the one-lock checkpoint
-// path: a shard worker still holding a tenant that release removed takes
-// no checkpoint, so nothing lands behind the tombstone. Periodic
-// checkpoints are off, so the stream is past its last record when it is
-// released; the late flush stands in for a worker pass that raced the
-// release.
-func TestReleasedTenantTakesNoCheckpoint(t *testing.T) {
+// TestClosedTenantTakesNoCheckpoint pins the one-lock checkpoint path:
+// a shard worker still holding a tenant that close removed takes no
+// checkpoint, so nothing lands behind the tombstone. Periodic
+// checkpoints are off, and one tick stuffed into the closed tenant's
+// queue by hand moves its stream past the last record; the late flush
+// stands in for a worker pass that raced the close. The tenant's delta
+// base is dropped too, so a late checkpoint would be a full record: the
+// log refuses a delta behind a tombstone, but a full record would make
+// the tenant live again.
+func TestClosedTenantTakesNoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	inst := testInstance(t, 16, 0)
 	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1 << 30})
 	c := dialTest(t, s)
-	if _, _, err := c.Open("mig", tcFor(inst)); err != nil {
+	if _, _, err := c.Open("gone", tcFor(inst)); err != nil {
 		t.Fatal(err)
 	}
-	feed(t, c, "mig", inst, 0)
-	tn := s.tenant("mig")
-	if _, err := c.Release("mig"); err != nil {
+	feed(t, c, "gone", inst, 0)
+	tn := s.tenant("gone")
+	if _, err := c.CloseTenant("gone"); err != nil {
 		t.Fatal(err)
 	}
+	tn.mu.Lock()
+	round := tn.st.Round()
+	tn.queue = append(tn.queue, nil)
+	tn.deltaBase = nil
+	tn.mu.Unlock()
 	tn.flush()
+	if tn.st.Round() != round+1 {
+		t.Fatal("the late flush applied no round, so the test pins nothing")
+	}
 	if err := s.Shutdown(); err != nil { // commits anything appended
 		t.Fatal(err)
 	}
 	if ids := logTenants(t, dir); len(ids) != 0 {
-		t.Fatalf("released tenant %v live again in the reopened log", ids)
+		t.Fatalf("closed tenant %v live again in the reopened log", ids)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -198,6 +199,117 @@ func TestStatsMaxPending(t *testing.T) {
 	}
 }
 
+// TestMaxDelayFactorSampledWithoutAdmits is the regression pin for the
+// admission-only sampling bug: a queue that sits deep while the paced
+// worker is parked must surface in MaxDelayFactor on a stats read even
+// when no submit ever observed that depth.
+func TestMaxDelayFactorSampledWithoutAdmits(t *testing.T) {
+	s := startServer(t, Config{Shards: 1, RoundInterval: time.Hour})
+	c := dialTest(t, s)
+	if _, _, err := c.Open("deep", TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}}); err != nil {
+		t.Fatal(err)
+	}
+	// Stuff the queue directly — depth that arrived without admission
+	// sampling (the allocator starvation tests build backlog the same
+	// way). minDelay is 2, so 8 queued ticks mean a delay factor of 4.
+	tn := s.tenant("deep")
+	tn.mu.Lock()
+	for i := 0; i < 8; i++ {
+		tn.queue = append(tn.queue, nil)
+	}
+	tn.mu.Unlock()
+	rows, err := c.Stats("deep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows[0].MaxDelayFactor; got < 4 {
+		t.Fatalf("MaxDelayFactor = %v, want >= 4 (stats read must sample the live depth)", got)
+	}
+	// The allocator's load probe samples too: drain the queue by hand
+	// and push deeper, then check the probe path alone records it.
+	tn.mu.Lock()
+	for i := 0; i < 4; i++ {
+		tn.queue = append(tn.queue, nil)
+	}
+	tn.mu.Unlock()
+	if _, ok := tn.load(); !ok {
+		t.Fatal("load probe saw no backlog")
+	}
+	tn.mu.Lock()
+	hw := tn.maxDelayFactor
+	tn.mu.Unlock()
+	if hw < 6 {
+		t.Fatalf("maxDelayFactor after load probe = %v, want >= 6", hw)
+	}
+}
+
+// TestMaxTenantsSkipsTombstones: MaxTenants bounds live tenants, so a
+// closed tenant, tombstoned in the checkpoint log, holds no slot. A
+// server at its limit opens a new tenant in a closed one's place, while
+// a third live tenant, new or a closed ID re-opened, is still refused.
+func TestMaxTenantsSkipsTombstones(t *testing.T) {
+	s := startServer(t, Config{MaxTenants: 2, CheckpointDir: t.TempDir()})
+	c := dialTest(t, s)
+	tc := tcFor(testInstance(t, 8, 0))
+	for _, id := range []string{"a", "b"} {
+		if _, _, err := c.Open(id, tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.Open("c", tc); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("open of a third live tenant = %v, want ErrOverloaded", err)
+	}
+	if _, err := c.CloseTenant("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Open("c", tc); err != nil {
+		t.Fatalf("open beside a tombstone at the limit: %v", err)
+	}
+	if n := s.NumTenants(); n != 2 {
+		t.Fatalf("NumTenants = %d, want 2", n)
+	}
+	for _, id := range []string{"a", "d"} {
+		if _, _, err := c.Open(id, tc); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("open of %s as a third live tenant = %v, want ErrOverloaded", id, err)
+		}
+	}
+}
+
+// TestServiceShareSkipsClosed: a closed tenant's rounds left with it, so
+// a survivor's ServiceShare must read the same from its single-tenant
+// row as from its row among all tenants.
+func TestServiceShareSkipsClosed(t *testing.T) {
+	s := startServer(t, Config{})
+	c := dialTest(t, s)
+	for i, id := range []string{"a", "b"} {
+		inst := testInstance(t, 16, i)
+		if _, _, err := c.Open(id, tcFor(inst)); err != nil {
+			t.Fatal(err)
+		}
+		feed(t, c, id, inst, 0)
+		if _, err := c.DrainTenant(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.CloseTenant("a"); err != nil {
+		t.Fatal(err)
+	}
+	one, err := c.Stats("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := c.Stats("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 1 || all[0].ID != "b" {
+		t.Fatalf("all-tenant rows after the close = %+v, want only b", all)
+	}
+	if one[0].ServiceShare != all[0].ServiceShare || one[0].ServiceShare != 1 {
+		t.Fatalf("b's ServiceShare = %v alone, %v among all tenants; want 1 in both", one[0].ServiceShare, all[0].ServiceShare)
+	}
+}
+
 func TestServerRejections(t *testing.T) {
 	inst := testInstance(t, 8, 0)
 	s := startServer(t, Config{})
@@ -249,6 +361,56 @@ func TestServerRejections(t *testing.T) {
 	// Arrivals are validated at admission: color out of range.
 	if _, _, err := c.Submit("a", 1, sched.Request{{Color: 99, Count: 1}}); !errors.As(err, &re) || re.Code != codeInvalidArrival {
 		t.Fatalf("invalid arrival = %v", err)
+	}
+}
+
+// TestOpenRefusesUnrunnableConfig: an open whose configuration the
+// policy or the round engine cannot run gets codeBadRequest and installs
+// nothing, and every other open steps. For N from 1 to 8 under every
+// policy spec, each open is one or the other — ΔLRU-EDF needs N
+// divisible by 4, and a replicated cache an even N. An N past the cap
+// and a delay bound of MaxInt, whose deadlines r + D_c would overflow,
+// are refused the same way. The server serves on after all of them.
+func TestOpenRefusesUnrunnableConfig(t *testing.T) {
+	s := startServer(t, Config{})
+	c := dialTest(t, s)
+	tick := sched.Request{{Color: 0, Count: 1}, {Color: 2, Count: 2}}
+	refused := func(id string, err error) {
+		t.Helper()
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != codeBadRequest {
+			t.Fatalf("open of %s = %v, want codeBadRequest", id, err)
+		}
+		if s.tenant(id) != nil {
+			t.Fatalf("refused open of %s installed the tenant", id)
+		}
+	}
+	for _, spec := range PolicySpecs() {
+		for n := 1; n <= 8; n++ {
+			id := fmt.Sprintf("%s-%d", spec, n)
+			if _, _, err := c.Open(id, TenantConfig{Policy: spec, N: n, Delta: 4, Delays: []int{2, 4, 8}}); err != nil {
+				refused(id, err)
+				continue
+			}
+			for seq := 0; seq < 32; seq++ {
+				if _, _, err := c.Submit(id, seq, tick); err != nil {
+					t.Fatalf("%s: submit %d: %v", id, seq, err)
+				}
+			}
+			if res, err := c.DrainTenant(id); err != nil || res.Rounds < 32 {
+				t.Fatalf("%s: drain = (%+v, %v), want at least 32 rounds", id, res, err)
+			}
+		}
+	}
+	for id, tc := range map[string]TenantConfig{
+		"max-delay": {Policy: "edf", N: 4, Delta: 4, Delays: []int{math.MaxInt}},
+		"huge-n":    {Policy: "edf", N: 1 << 23, Delta: 4, Delays: []int{2}},
+	} {
+		_, _, err := c.Open(id, tc)
+		refused(id, err)
+	}
+	if _, err := c.Stats(""); err != nil {
+		t.Fatalf("stats after the refused opens: %v", err)
 	}
 }
 
@@ -779,30 +941,89 @@ func TestRecordVersions(t *testing.T) {
 	}
 	refused(metaDir, "gold.meta")
 
-	bareDir := t.TempDir()
-	pol, err := NewPolicy(want.Policy)
+	blob := snapshotOf(t, specStream(t, want.Policy, sched.StreamConfig{N: want.N, Speed: want.Speed, Delta: want.Delta, Delays: want.Delays}))
+	refused(plantRecord(t, "bare", blob), "record version 1")
+}
+
+// plantRecord writes rec as tenant id's only record in a fresh
+// checkpoint log and returns its directory.
+func plantRecord(t *testing.T, id string, rec []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := ckptlog.Open(ckptlog.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sched.NewStream(pol, sched.StreamConfig{N: want.N, Speed: want.Speed, Delta: want.Delta, Delays: want.Delays})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := st.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := ckptlog.Open(ckptlog.Options{Dir: bareDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("bare", ckptlog.KindFull, 0, 0, blob); err != nil {
+	if err := l.Append(id, ckptlog.KindFull, 0, 0, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	refused(bareDir, "record version 1")
+	return dir
+}
+
+// snapshotOf returns st's snapshot blob.
+func snapshotOf(t *testing.T, st *sched.Stream) []byte {
+	t.Helper()
+	blob, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestRestoreRejections pins every check a snapshot restore runs, which
+// only recovery reaches: each bad snapshot, planted as a tenant's latest
+// checkpoint-log record behind the record version and the configuration
+// it declares, fails NewServer with an error naming the tenant and the
+// reason, before the server listens.
+func TestRestoreRejections(t *testing.T) {
+	tc := TenantConfig{Policy: "dlruedf", N: 8, Speed: 1, Delta: 4, Delays: []int{2, 4, 8}, QueueCap: 64, Weight: 1}
+	blob := snapshotOf(t, specStream(t, tc.Policy, sched.StreamConfig{N: tc.N, Speed: tc.Speed, Delta: tc.Delta, Delays: tc.Delays}))
+	corrupt := append([]byte(nil), blob...)
+	corrupt[len(corrupt)/2] ^= 0xff
+	mismatched := tc
+	mismatched.N++
+	wrongPolicy := tc
+	wrongPolicy.Policy = "edf"
+	badPolicy := tc
+	badPolicy.Policy = "no-such-policy"
+	lateTC, late := lateDeadlineBlob(t)
+	lateTC.QueueCap, lateTC.Weight = 64, 1
+	foreignTC := TenantConfig{Policy: "dlruedf", N: 4, Speed: 1, Delta: 2, Delays: []int{2, 4, 8}, QueueCap: 64, Weight: 1}
+
+	cases := []struct {
+		name   string
+		tenant string
+		tc     TenantConfig
+		blob   []byte
+		want   string // substring of the error
+	}{
+		{"corrupt blob", "t-corrupt", tc, corrupt, "snapshot blob"},
+		{"config mismatch", "t-config", mismatched, blob, "does not match"},
+		{"policy mismatch", "t-policy", wrongPolicy, blob, "does not match"},
+		{"invalid tenant id", "bad id!", tc, blob, "invalid tenant ID"},
+		{"bad policy", "t-unknown", badPolicy, blob, "unknown policy"},
+		{"late deadline", "t-late", lateTC, late, "outside"},
+		{"foreign color", "t-foreign", foreignTC, foreignColorBlob(t), "color 99"},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			e := snap.NewEncoder()
+			e.Int(recordVersion)
+			tt.tc.encode(e)
+			dir := plantRecord(t, tt.tenant, append(e.Bytes(), tt.blob...))
+			s, err := NewServer(Config{Addr: "127.0.0.1:0", CheckpointDir: dir})
+			if err == nil {
+				s.Close()
+				t.Fatalf("NewServer recovered a tenant from a record with a %s", tt.name)
+			}
+			if !strings.Contains(err.Error(), tt.tenant) || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("NewServer = %q, want an error naming %q and %q", err, tt.tenant, tt.want)
+			}
+		})
+	}
 }
 
 // TestServerDrainingRejectsWork: once Shutdown begins, submits and new

@@ -20,8 +20,8 @@ import (
 type tenant struct {
 	id string
 	// cfg is the tenant's normalized configuration (Server.normalize),
-	// immutable after install: re-opens compare against it, release
-	// hands it out, and every checkpoint-log record carries it.
+	// immutable after install: re-opens compare against it, and every
+	// checkpoint-log record carries it.
 	cfg     TenantConfig
 	polName string // the policy's display Name, for stats
 	// minDelay is the tightest delay bound in the tenant's menu; the
@@ -48,12 +48,11 @@ type tenant struct {
 	st    *sched.Stream
 	queue []sched.Request // admitted round ticks; live entries are queue[head:]
 	head  int
-	// closed and released mark a tenant tombstoned by close-tenant or by
-	// release, which then drop it from the server's table; a command that
-	// looked the tenant up before that still reads them here.
-	closed   bool
-	released bool
-	failed   error // a poisoned stream rejects all further commands
+	// closed marks a tenant tombstoned by close-tenant, which then drops
+	// it from the server's table; a command that looked the tenant up
+	// before that still reads it here.
+	closed bool
+	failed error // a poisoned stream rejects all further commands
 
 	served         int64   // rounds applied by workers/drains, for service shares
 	maxPending     int     // high-water of the stream's end-of-round backlog
@@ -120,14 +119,11 @@ func (t *tenant) nextSeq() int {
 }
 
 // goneLocked is the typed error for a command that reached the tenant
-// after close or release — it looked the tenant up before the table
-// dropped it — and nil while the tenant is live. Callers hold mu.
+// after close — it looked the tenant up before the table dropped it —
+// and nil while the tenant is live. Callers hold mu.
 func (t *tenant) goneLocked() *errResp {
 	if t.closed {
 		return &errResp{Code: codeUnknownTenant, Msg: "tenant " + t.id + " is closed"}
-	}
-	if t.released {
-		return migrating(t.id)
 	}
 	return nil
 }
@@ -294,9 +290,9 @@ func (t *tenant) applyQueued(max, every int) (applied int) {
 // taking it under mu makes creation order and append order coincide,
 // which is what keeps the per-tenant delta chains valid without any
 // cross-goroutine ordering protocol, and keeps every append of a closed
-// or released tenant from landing behind its tombstone. Callers hold mu.
+// tenant from landing behind its tombstone. Callers hold mu.
 func (t *tenant) maybeCheckpointLocked(every int, force bool) {
-	if t.clog == nil || t.closed || t.released || t.failed != nil || t.logFailed {
+	if t.clog == nil || t.closed || t.failed != nil || t.logFailed {
 		return
 	}
 	r := t.st.Round()
@@ -349,24 +345,6 @@ func (t *tenant) logCheckpointLocked(r int) error {
 	return nil
 }
 
-// tombstoneLocked appends the tenant's tombstone and syncs it. Close and
-// release call it before they flip their flag: the tombstone is the only
-// record that removes a tenant from recovery, so an acknowledged removal
-// must be durable, and on failure the tenant stays live. Callers hold mu.
-func (t *tenant) tombstoneLocked() *errResp {
-	if t.clog == nil {
-		return nil
-	}
-	err := t.clog.AppendTombstone(t.id)
-	if err == nil {
-		err = t.clog.Sync()
-	}
-	if err != nil {
-		return &errResp{Code: codeInternal, Msg: fmt.Sprintf("serve: tenant %s: logging tombstone: %v", t.id, err)}
-	}
-	return nil
-}
-
 // flush applies every queued round tick and takes a final checkpoint —
 // the graceful-drain path (server shutdown).
 func (t *tenant) flush() {
@@ -411,50 +389,28 @@ func (t *tenant) drainStreamLocked() (*sched.Result, *errResp) {
 // closed in one critical section, returning the final Result. Because
 // no submit can interleave between the drain and the close, every round
 // ever acknowledged is included in the Result — the exactly-once
-// contract CloseTenant relies on. A drain or tombstone failure leaves
-// the tenant open so the caller can surface the fault.
+// contract CloseTenant relies on. The tombstone is the only record that
+// removes a tenant from recovery, so it is synced before the close is
+// acknowledged. A drain or tombstone failure leaves the tenant open so
+// the caller can surface the fault.
 func (t *tenant) drainAndClose() (*sched.Result, *errResp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	res, er := t.drainStreamLocked()
-	if er == nil {
-		er = t.tombstoneLocked()
-	}
 	if er != nil {
 		return nil, er
 	}
+	if t.clog != nil {
+		err := t.clog.AppendTombstone(t.id)
+		if err == nil {
+			err = t.clog.Sync()
+		}
+		if err != nil {
+			return nil, &errResp{Code: codeInternal, Msg: fmt.Sprintf("serve: tenant %s: logging tombstone: %v", t.id, err)}
+		}
+	}
 	t.closed = true
 	return res, nil
-}
-
-// release is the source half of a migration: apply everything queued so
-// the snapshot carries no in-flight rounds, snapshot, tombstone the
-// tenant in the log and mark it released. The returned state carries
-// the configuration as opened, the resume sequence, and the state blob —
-// everything a restore on the target needs. The caller (server.release)
-// drops the tenant from the table and its shard afterwards.
-func (t *tenant) release() (*ReleasedTenant, *errResp) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if er := t.goneLocked(); er != nil {
-		return nil, er
-	}
-	if t.failed == nil {
-		t.applyQueuedLocked(0)
-	}
-	if t.failed != nil {
-		return nil, &errResp{Code: codeInternal, Msg: t.failed.Error()}
-	}
-	blob, err := t.st.Snapshot()
-	if err != nil {
-		t.failed = fmt.Errorf("serve: tenant %s: snapshot for release: %w", t.id, err)
-		return nil, &errResp{Code: codeInternal, Msg: t.failed.Error()}
-	}
-	if er := t.tombstoneLocked(); er != nil {
-		return nil, er
-	}
-	t.released = true
-	return &ReleasedTenant{Config: t.cfg, NextSeq: t.st.Round(), Blob: blob}, nil
 }
 
 // stats fills one TenantStats row.

@@ -48,10 +48,9 @@ import (
 	"repro/internal/snap"
 )
 
-// ProtocolVersion is carried in every open and restore request; the
-// server accepts exactly this version and answers any other with a
-// bad-version error.
-const ProtocolVersion = 10
+// ProtocolVersion is carried in every open request; the server accepts
+// exactly this version and answers any other with a bad-version error.
+const ProtocolVersion = 11
 
 // MaxBatch bounds the round ticks one submit-batch frame may carry. It
 // keeps a hostile length prefix from forcing a large allocation before
@@ -95,19 +94,6 @@ const (
 	msgTenantStats
 	msgDrain
 	msgCloseTenant
-	// msgRestore installs a released tenant: the open request's fields
-	// plus the state blob a msgRelease returned. The server validates the
-	// blob against the declared configuration, recreates the tenant at
-	// its snapshotted round, and persists the blob as the tenant's first
-	// checkpoint, so a migration survives a crash right after the flip.
-	msgRestore
-	// msgRelease is the source half of a migration: the server applies
-	// everything the tenant has queued, snapshots it, removes its durable
-	// state, and replaces the tenant with a released tombstone that
-	// answers every later command with a retryable draining error. The
-	// response carries the tenant's configuration, resume sequence, and
-	// state blob — everything msgRestore needs on the target.
-	msgRelease
 )
 
 // DuraStats is the checkpoint-log block of a stats response: the
@@ -259,46 +245,38 @@ func (tc *TenantConfig) decode(d *snap.Decoder) {
 	tc.ResDelay = d.Float64()
 }
 
-// openMsg is the open request (create a tenant, or re-attach to a live
-// one with an equal configuration) and, with Blob, the restore request
-// (install a released tenant's state). Only msgRestore carries Blob.
+// openMsg is the open request: create a tenant, or re-attach to a live
+// one with an equal configuration.
 type openMsg struct {
 	Version int
 	Tenant  string
 	Config  TenantConfig
-	Blob    []byte
 }
 
-func (m *openMsg) encode(e *snap.Encoder, typ uint64) {
-	e.Uint64(typ)
+func (m *openMsg) encode(e *snap.Encoder) {
+	e.Uint64(msgOpen)
 	e.Int(m.Version)
 	e.String(m.Tenant)
 	m.Config.encode(e)
-	if typ == msgRestore {
-		e.Blob(m.Blob)
-	}
 }
 
-func (m *openMsg) decode(d *snap.Decoder, typ uint64) {
+func (m *openMsg) decode(d *snap.Decoder) {
 	m.Version = d.Int()
 	m.Tenant = d.String()
 	m.Config.decode(d)
-	if typ == msgRestore {
-		m.Blob = d.Blob()
-	}
 }
 
-// openResp acknowledges an open or a restore: NextSeq is the sequence
-// number the next submit must carry (0 for a fresh tenant; the resume
-// point for a recovered, re-attached or restored one), and Resumed
-// reports an open that re-attached to a live tenant.
+// openResp acknowledges an open: NextSeq is the sequence number the next
+// submit must carry (0 for a fresh tenant; the resume point for a
+// recovered or re-attached one), and Resumed reports an open that
+// re-attached to a live tenant.
 type openResp struct {
 	NextSeq int
 	Resumed bool
 }
 
-func (m *openResp) encode(e *snap.Encoder, typ uint64) {
-	e.Uint64(typ)
+func (m *openResp) encode(e *snap.Encoder) {
+	e.Uint64(msgOpen)
 	e.Int(m.NextSeq)
 	e.Bool(m.Resumed)
 }
@@ -396,24 +374,9 @@ func (m *batchResp) decode(d *snap.Decoder) {
 	}
 }
 
-// encode writes a release response: the tenant's configuration as
-// opened, the resume sequence, and the state blob.
-func (r *ReleasedTenant) encode(e *snap.Encoder) {
-	e.Uint64(msgRelease)
-	r.Config.encode(e)
-	e.Int(r.NextSeq)
-	e.Blob(r.Blob)
-}
-
-func (r *ReleasedTenant) decode(d *snap.Decoder) {
-	r.Config.decode(d)
-	r.NextSeq = d.Int()
-	r.Blob = d.Blob()
-}
-
 // tenantMsg is the shape shared by the single-tenant commands (stats,
-// drain, close, release): a type plus the tenant ID ("" asks stats for
-// every tenant).
+// drain, close): a type plus the tenant ID ("" asks stats for every
+// tenant).
 type tenantMsg struct {
 	Type   uint64
 	Tenant string

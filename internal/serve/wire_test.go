@@ -132,14 +132,14 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	res := &sched.Result{Policy: "EDF", Cost: sched.Cost{Reconfig: 12, Drop: 5},
 		Executed: 40, Dropped: 5, Reconfigs: 3, Rounds: 17,
 		DropsByColor: []int{1, 4}, ExecByColor: []int{20, 20}}
-	openCase := func(name string, typ uint64, m openMsg) codecCase {
-		return codecCase{name, typ, m,
-			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e, typ) },
-			func(d *snap.Decoder) any { var out openMsg; out.decode(d, typ); return out }}
+	openCase := func(name string, m openMsg) codecCase {
+		return codecCase{name, msgOpen, m,
+			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e) },
+			func(d *snap.Decoder) any { var out openMsg; out.decode(d); return out }}
 	}
-	openRespCase := func(name string, typ uint64, m openResp) codecCase {
-		return codecCase{name, typ, m,
-			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e, typ) },
+	openRespCase := func(name string, m openResp) codecCase {
+		return codecCase{name, msgOpen, m,
+			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e) },
 			func(d *snap.Decoder) any { var out openResp; out.decode(d); return out }}
 	}
 	batchCase := func(name string, m batchMsg) codecCase {
@@ -171,11 +171,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 			func(e *snap.Encoder) { e.Uint64(tag); encodeResult(e, typ, res) },
 			func(d *snap.Decoder) any { return decodeResult(d) }}
 	}
-	releaseCase := func(name string, r *ReleasedTenant) codecCase {
-		return codecCase{name, msgRelease, r,
-			func(e *snap.Encoder) { e.Uint64(tag); r.encode(e) },
-			func(d *snap.Decoder) any { out := &ReleasedTenant{}; out.decode(d); return out }}
-	}
 	errCase := func(name string, m errResp) codecCase {
 		return codecCase{name, msgErr, m,
 			func(e *snap.Encoder) { e.Uint64(tag); m.encode(e) },
@@ -184,12 +179,9 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	zero := TenantConfig{Policy: "edf"} // weight, reservation, delays all zero
 
 	cases := []codecCase{
-		openCase("open", msgOpen, openMsg{Version: ProtocolVersion, Tenant: "t1", Config: cfg}),
-		openCase("open-zero", msgOpen, openMsg{Version: ProtocolVersion, Tenant: "t0", Config: zero}),
-		openRespCase("open-response", msgOpen, openResp{NextSeq: 7, Resumed: true}),
-		openCase("restore", msgRestore, openMsg{Version: ProtocolVersion, Tenant: "t1", Config: cfg, Blob: []byte{1, 2, 3}}),
-		openCase("restore-zero", msgRestore, openMsg{Version: ProtocolVersion, Tenant: "t0", Config: zero}),
-		openRespCase("restore-response", msgRestore, openResp{NextSeq: 9}),
+		openCase("open", openMsg{Version: ProtocolVersion, Tenant: "t1", Config: cfg}),
+		openCase("open-zero", openMsg{Version: ProtocolVersion, Tenant: "t0", Config: zero}),
+		openRespCase("open-response", openResp{NextSeq: 7, Resumed: true}),
 		batchCase("submit-batch", batchMsg{Tenant: "t1", Seq: 42, Ticks: []sched.Request{
 			{{Color: 3, Count: 7}, {Color: 0, Count: 1}}, nil, {{Color: 5, Count: 2}}}}),
 		// The frame Client.Submit sends: a batch of one.
@@ -214,9 +206,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		resultCase("drain-response", msgDrain),
 		tenantCase("close-tenant", tenantMsg{Type: msgCloseTenant, Tenant: "a"}),
 		resultCase("close-tenant-response", msgCloseTenant),
-		tenantCase("release", tenantMsg{Type: msgRelease, Tenant: "a"}),
-		releaseCase("release-response", &ReleasedTenant{Config: cfg, NextSeq: 41, Blob: []byte{9, 8}}),
-		releaseCase("release-response-zero", &ReleasedTenant{Config: zero}),
 		errCase("error-admission", errResp{Code: codeAdmission, Msg: "shard full", ResidualRate: 0.375, ResidualDelay: 2}),
 		errCase("error-bad-seq", errResp{Code: codeBadSeq, Expected: 7, Msg: "bad seq"}),
 		errCase("error-zero", errResp{}),
@@ -480,11 +469,8 @@ func TestPeekRequest(t *testing.T) {
 		want   PeekInfo
 	}{
 		{"open", func(e *snap.Encoder) {
-			(&openMsg{Version: ProtocolVersion, Tenant: "a", Config: tc}).encode(e, msgOpen)
+			(&openMsg{Version: ProtocolVersion, Tenant: "a", Config: tc}).encode(e)
 		}, PeekInfo{Tenant: "a", Mutating: true}},
-		{"restore", func(e *snap.Encoder) {
-			(&openMsg{Version: ProtocolVersion, Tenant: "b", Config: tc, Blob: []byte{1, 2, 3}}).encode(e, msgRestore)
-		}, PeekInfo{Tenant: "b"}},
 		{"submit-batch", func(e *snap.Encoder) {
 			(&batchMsg{Tenant: "c", Seq: 4, Ticks: []sched.Request{{{Color: 1, Count: 2}}, nil}}).encode(e)
 		}, PeekInfo{Tenant: "c", Mutating: true}},
@@ -496,8 +482,6 @@ func TestPeekRequest(t *testing.T) {
 			PeekInfo{Tenant: "e", Mutating: true}},
 		{"close", func(e *snap.Encoder) { (&tenantMsg{Type: msgCloseTenant, Tenant: "f"}).encode(e) },
 			PeekInfo{Tenant: "f", Mutating: true}},
-		{"release", func(e *snap.Encoder) { (&tenantMsg{Type: msgRelease, Tenant: "g"}).encode(e) },
-			PeekInfo{Tenant: "g"}},
 	} {
 		for _, tag := range []uint64{1, tagSpace - 1} {
 			e := snap.NewEncoder()
@@ -515,7 +499,8 @@ func TestPeekRequest(t *testing.T) {
 		nil,                         // no tag
 		{7},                         // a tag with no type
 		{7, msgErr},                 // a response-only type
-		{7, msgRelease + 1},         // a type past the last one
+		{7, msgCloseTenant + 1},     // a type past the last one, restore up to protocol 10
+		{7, msgCloseTenant + 2},     // release up to protocol 10
 		{7, msgOpen, 2},             // an open cut before its tenant
 		{7, msgSubmitBatch, 5, 'a'}, // a tenant ID cut short
 	} {
