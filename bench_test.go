@@ -16,6 +16,7 @@ import (
 	"repro/internal/offline"
 	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -178,6 +179,53 @@ func BenchmarkPolicyStepDLRUEDF(b *testing.B) { benchPolicyStep(b, core.NewDLRUE
 func BenchmarkPolicyStepDLRU(b *testing.B) { benchPolicyStep(b, policy.NewDLRU()) }
 
 func BenchmarkPolicyStepEDF(b *testing.B) { benchPolicyStep(b, policy.NewEDF()) }
+
+// BenchmarkServedRound is the served round path in process: the
+// `direct` workload's phase B without the wire, queue or allocator. As
+// benchmark/ builds it, 64 router tenants (workload.Tenant, seed 1,
+// 1024-round traces looped) run dlruedf at N = 8; each tenant applies
+// its rounds 32 at a time, one phase-B frame, through Stream.Advance,
+// the report-free step rrserved applies queued rounds with. One op is
+// one tenant-round, so ns/op is the engine and policy cost rrserved
+// pays per round it serves, and allocs/op must read 0.
+func BenchmarkServedRound(b *testing.B) {
+	const tenants, traceRounds, frame = 64, 1024, 32
+	streams := make([]*sched.Stream, tenants)
+	traces := make([][]sched.Request, tenants)
+	for i := range streams {
+		inst, err := workload.Tenant("router", workload.Params{Seed: 1, Rounds: traceRounds}, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pol, err := serve.NewPolicy("dlruedf")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if streams[i], err = sched.NewStream(pol, sched.StreamConfig{N: 8, Delta: inst.Delta, Delays: inst.Delays}); err != nil {
+			b.Fatal(err)
+		}
+		traces[i] = inst.Requests
+	}
+	step := func(op int) {
+		i := op / frame % tenants
+		var req sched.Request
+		if r := streams[i].Round() % traceRounds; r < len(traces[i]) {
+			req = traces[i][r]
+		}
+		if err := streams[i].Advance(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One pass over every tenant's trace grows every scratch buffer.
+	for op := 0; op < tenants*traceRounds; op++ {
+		step(op)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		step(op)
+	}
+}
 
 func BenchmarkStreamStepCounterSink(b *testing.B) { benchStreamStep(b, &sched.CounterSink{}) }
 

@@ -226,7 +226,7 @@ func runStreamed(name string, inst *rrs.Instance, n, every int, ckpt, resume str
 		if r := st.Round(); r < inst.NumRounds() {
 			req = inst.Requests[r]
 		}
-		if _, err := st.Step(req); err != nil {
+		if err := st.Advance(req); err != nil {
 			return nil, err
 		}
 		if every > 0 && st.Round()%every == 0 {

@@ -161,7 +161,7 @@ func playTrace(inst *sched.Instance, polName string, n int, metrics bool, eventP
 		if r < len(inst.Requests) {
 			req = inst.Requests[r]
 		}
-		if _, err := st.Step(req); err != nil {
+		if err := st.Advance(req); err != nil {
 			return err
 		}
 	}

@@ -106,7 +106,7 @@ func NewWithThreshold(delta, threshold int, delays []int) *Tracker {
 		threshold: threshold,
 		delays:    delays,
 		states:    make([]State, len(delays)),
-		due:       container.NewIndexedHeap[sched.Color, int](len(delays), func(a, b int) bool { return a < b }),
+		due:       container.NewIndexedHeap[sched.Color, int](len(delays)),
 	}
 }
 
@@ -348,12 +348,20 @@ func snapshotEvents(e *snap.Encoder, evs []TsEvent) {
 	}
 }
 
-// Restore rebuilds the tracker's dynamic state from d. The receiver must
-// be freshly constructed with the same configuration the snapshot was
-// taken under; any mismatch, truncation or inconsistency is reported as
-// an error (never a panic). The eligible-color slice is reconstructed
-// from the per-color eligibility bits, whose sorted order is canonical.
-func (t *Tracker) Restore(d *snap.Decoder) error {
+// Restore rebuilds the tracker's dynamic state from d for a stream whose
+// next round is round. The receiver must be freshly constructed with the
+// same configuration the snapshot was taken under; any mismatch,
+// truncation or inconsistency is reported as an error (never a panic).
+// The eligible-color slice is reconstructed from the per-color
+// eligibility bits, whose sorted order is canonical.
+//
+// A tracker that has begun every round before round holds, for each
+// known color c, one due multiple: the multiple of D_c in
+// [round, round+D_c−1], equal to the color's deadline. Restore requires
+// exactly that, so BeginRound walks at most one multiple per color in a
+// round; a due multiple far behind the round would make the first
+// BeginRound walk every multiple in between.
+func (t *Tracker) Restore(d *snap.Decoder, round int) error {
 	if v := d.Int(); d.Err() == nil && v != trackerSnapVersion {
 		d.Failf("colorstate: tracker snapshot version %d, this build reads %d", v, trackerSnapVersion)
 	}
@@ -419,6 +427,13 @@ func (t *Tracker) Restore(d *snap.Decoder) error {
 		}
 		if c < 0 || c >= len(t.states) || !t.states[c].Known {
 			return failf(d, "colorstate: due heap names invalid color %d", c)
+		}
+		if dc := t.delays[c]; m < round || m-round >= dc || m%dc != 0 {
+			return failf(d, "colorstate: color %d due at round %d, not the multiple of %d in [%d, %d], the window of a tracker at round %d",
+				c, m, dc, round, round+dc-1, round)
+		}
+		if dl := t.states[c].Deadline; dl != m {
+			return failf(d, "colorstate: color %d has deadline %d but is due at round %d", c, dl, m)
 		}
 		if !t.due.Import(sched.Color(c), m) {
 			return failf(d, "colorstate: due heap repeats color %d", c)

@@ -3,7 +3,7 @@ package container
 import "testing"
 
 func BenchmarkIndexedHeapPushPop(b *testing.B) {
-	h := NewIndexedHeap[int, int](1024, func(a, c int) bool { return a < c })
+	h := NewIndexedHeap[int, int](1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Push(i%1024, (i*2654435761)%100000)
@@ -14,7 +14,7 @@ func BenchmarkIndexedHeapPushPop(b *testing.B) {
 }
 
 func BenchmarkIndexedHeapUpdate(b *testing.B) {
-	h := NewIndexedHeap[int, int](1024, func(a, c int) bool { return a < c })
+	h := NewIndexedHeap[int, int](1024)
 	for i := 0; i < 1024; i++ {
 		h.Push(i, i)
 	}

@@ -110,7 +110,9 @@ func (q *BucketQueue) Buckets(dst []Bucket) []Bucket {
 }
 
 // ringBuf is a growable ring buffer of Buckets, avoiding the per-element
-// allocation of a linked list in the simulator's hot path.
+// allocation of a linked list in the simulator's hot path. Its capacity
+// is zero or a power of two (grow doubles from 4), so a position wraps
+// with a mask instead of a division.
 type ringBuf struct {
 	data  []Bucket
 	head  int
@@ -120,20 +122,20 @@ type ringBuf struct {
 func (r *ringBuf) len() int { return r.count }
 
 func (r *ringBuf) at(i int) *Bucket {
-	return &r.data[(r.head+i)%len(r.data)]
+	return &r.data[(r.head+i)&(len(r.data)-1)]
 }
 
 func (r *ringBuf) pushBack(b Bucket) {
 	if r.count == len(r.data) {
 		r.grow()
 	}
-	r.data[(r.head+r.count)%len(r.data)] = b
+	r.data[(r.head+r.count)&(len(r.data)-1)] = b
 	r.count++
 }
 
 func (r *ringBuf) popFront() {
 	r.data[r.head] = Bucket{}
-	r.head = (r.head + 1) % len(r.data)
+	r.head = (r.head + 1) & (len(r.data) - 1)
 	r.count--
 	if r.count == 0 {
 		r.head = 0

@@ -5,6 +5,8 @@
 // otherwise.
 package container
 
+import "cmp"
+
 // Integer is the key constraint of IndexedHeap: any integer type, so a
 // key doubles as an index into the heap's dense position table.
 type Integer interface {
@@ -17,29 +19,28 @@ type Integer interface {
 // priority update (both decrease and increase), which the EDF-style
 // policies need when a color's deadline or idleness rank changes in
 // place. Item positions live in a dense table indexed by key, so the
-// sift loops update a slice entry instead of hashing the key.
+// sift loops update a slice entry instead of hashing the key, and
+// priorities compare with <, inline in the sift loops.
 //
 // The zero value is not ready for use; construct with NewIndexedHeap.
-type IndexedHeap[K Integer, P any] struct {
+type IndexedHeap[K Integer, P cmp.Ordered] struct {
 	items []heapItem[K, P]
 	pos   []int32 // pos[key] is key's index in items, −1 when absent
-	less  func(a, b P) bool
 }
 
-type heapItem[K Integer, P any] struct {
+type heapItem[K Integer, P cmp.Ordered] struct {
 	key K
 	pri P
 }
 
-// NewIndexedHeap returns an empty indexed heap over the keys [0, n),
-// ordered by less (a min-heap: the item for which less(a, b) holds for
-// all other b pops first).
-func NewIndexedHeap[K Integer, P any](n int, less func(a, b P) bool) *IndexedHeap[K, P] {
+// NewIndexedHeap returns an empty indexed min-heap over the keys
+// [0, n): the item with the smallest priority pops first.
+func NewIndexedHeap[K Integer, P cmp.Ordered](n int) *IndexedHeap[K, P] {
 	pos := make([]int32, n)
 	for i := range pos {
 		pos[i] = -1
 	}
-	return &IndexedHeap[K, P]{pos: pos, less: less}
+	return &IndexedHeap[K, P]{pos: pos}
 }
 
 // index returns key's position in items, and whether key is present. A
@@ -201,7 +202,7 @@ func (h *IndexedHeap[K, P]) fix(i int) {
 func (h *IndexedHeap[K, P]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i].pri, h.items[parent].pri) {
+		if !(h.items[i].pri < h.items[parent].pri) {
 			return
 		}
 		h.swap(i, parent)
@@ -219,10 +220,10 @@ func (h *IndexedHeap[K, P]) down(i int) bool {
 			break
 		}
 		child := l
-		if r := l + 1; r < n && h.less(h.items[r].pri, h.items[l].pri) {
+		if r := l + 1; r < n && h.items[r].pri < h.items[l].pri {
 			child = r
 		}
-		if !h.less(h.items[child].pri, h.items[i].pri) {
+		if !(h.items[child].pri < h.items[i].pri) {
 			break
 		}
 		h.swap(i, child)

@@ -8,7 +8,7 @@ import (
 )
 
 func intHeap() *IndexedHeap[int, int] {
-	return NewIndexedHeap[int, int](64, func(a, b int) bool { return a < b })
+	return NewIndexedHeap[int, int](64)
 }
 
 func TestIndexedHeapBasic(t *testing.T) {
@@ -243,7 +243,7 @@ func TestIndexedHeapKeys(t *testing.T) {
 // TestIndexedHeapKeyRange: a key outside [0, n) is never present, and
 // Import refuses it, so a corrupt checkpoint naming one is an error.
 func TestIndexedHeapKeyRange(t *testing.T) {
-	h := NewIndexedHeap[int32, int](4, func(a, b int) bool { return a < b })
+	h := NewIndexedHeap[int32, int](4)
 	for _, k := range []int32{-1, 4, 1 << 30} {
 		if h.Import(k, 0) {
 			t.Fatalf("Import(%d) accepted a key outside [0, 4)", k)

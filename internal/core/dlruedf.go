@@ -45,6 +45,7 @@ type DLRUEDF struct {
 	scratchA []sched.Color
 	scratchB []sched.Color
 	scratchC []sched.Color
+	rank     policy.Ranker
 
 	eligibleDrops   int64
 	ineligibleDrops int64
@@ -187,7 +188,7 @@ func (d *DLRUEDF) Reconfigure(ctx *sched.Context) []sched.Color {
 	// ΔLRU half: the lruQuota eligible colors with the most recent
 	// timestamps (idleness ignored).
 	elig := d.tr.AppendEligible(d.scratchA[:0])
-	policy.SortByRecency(elig, d.tr, d.cache.Contains)
+	d.rank.SortByRecency(elig, d.tr, d.cache.Contains)
 	lruWant := elig
 	if len(lruWant) > d.lruQuota {
 		lruWant = lruWant[:d.lruQuota]
@@ -206,7 +207,7 @@ func (d *DLRUEDF) Reconfigure(ctx *sched.Context) []sched.Color {
 			nonLRU = append(nonLRU, c)
 		}
 	}
-	policy.RankEligible(nonLRU, d.tr, ctx)
+	d.rank.RankEligible(nonLRU, d.tr, ctx)
 
 	// Bring the LRU colors in, evicting the lowest-ranked non-LRU cached
 	// color when full. Since |LRU| ≤ capacity/2 there is always a non-LRU

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -12,12 +13,11 @@ import (
 func TestDLRUEDFRequiresMultipleOfFour(t *testing.T) {
 	inst := &sched.Instance{Delta: 1, Delays: []int{1}}
 	inst.AddJobs(0, 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("n=6 did not panic")
-		}
-	}()
-	_, _ = sched.Run(inst, NewDLRUEDF(), sched.Options{N: 6})
+	res, err := sched.Run(inst, NewDLRUEDF(), sched.Options{N: 6})
+	var ce *sched.ConfigError
+	if !errors.As(err, &ce) || ce.Field != "N" || ce.Value != 6 {
+		t.Fatalf("Run at n=6 = (%v, %v), want a *sched.ConfigError for N = 6", res, err)
+	}
 }
 
 // TestReplicationInvariant checks §3.1's invariant on every recorded

@@ -15,8 +15,8 @@ var _ sched.Snapshotter = (*DLRUEDF)(nil)
 // (mutable when the adaptive split is on) and — for the adaptive
 // controller — the cost EWMAs plus the previous round's counts and cache
 // content the next adaptTick will consume. The per-round scratch
-// (lruMark, scratchA/B/C) is rebuilt from zero each round and is not
-// state. prevCache is written as its marked colors in ascending order.
+// (lruMark, scratchA/B/C, rank) is rebuilt from zero each round and is
+// not state. prevCache is written as its marked colors in ascending order.
 func (d *DLRUEDF) SnapshotState(e *snap.Encoder) {
 	e.Int(dlruedfSnapVersion)
 	d.tr.Snapshot(e)
@@ -46,14 +46,14 @@ func (d *DLRUEDF) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sched.Snapshotter.
-func (d *DLRUEDF) RestoreState(dec *snap.Decoder) error {
+func (d *DLRUEDF) RestoreState(dec *snap.Decoder, round int) error {
 	if v := dec.Int(); dec.Err() == nil && v != dlruedfSnapVersion {
 		dec.Failf("core: ΔLRU-EDF snapshot version %d, this build reads %d", v, dlruedfSnapVersion)
 	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := d.tr.Restore(dec); err != nil {
+	if err := d.tr.Restore(dec, round); err != nil {
 		return err
 	}
 	if err := d.cache.Restore(dec); err != nil {

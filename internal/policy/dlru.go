@@ -18,6 +18,7 @@ type DLRU struct {
 	tr      *colorstate.Tracker
 	cache   *Cache
 	scratch []sched.Color
+	rank    Ranker
 }
 
 // NewDLRU returns a fresh ΔLRU policy.
@@ -50,7 +51,7 @@ func (d *DLRU) Reconfigure(ctx *sched.Context) []sched.Color {
 	// Desired content: the Capacity() eligible colors with the most
 	// recent timestamps, idleness ignored (that is ΔLRU's flaw).
 	elig := d.tr.AppendEligible(d.scratch[:0])
-	SortByRecency(elig, d.tr, d.cache.Contains)
+	d.rank.SortByRecency(elig, d.tr, d.cache.Contains)
 	if len(elig) > d.cache.Capacity() {
 		elig = elig[:d.cache.Capacity()]
 	}

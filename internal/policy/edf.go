@@ -20,6 +20,7 @@ type EDF struct {
 	tr      *colorstate.Tracker
 	cache   *Cache
 	scratch []sched.Color
+	rank    Ranker
 }
 
 // NewEDF returns a fresh EDF policy.
@@ -50,7 +51,7 @@ func (e *EDF) Reconfigure(ctx *sched.Context) []sched.Color {
 		}
 	}
 	elig := e.tr.AppendEligible(e.scratch[:0])
-	RankEligible(elig, e.tr, ctx)
+	e.rank.RankEligible(elig, e.tr, ctx)
 	AdmitTop(e.cache, elig, e.cache.Capacity(), nil, ctx)
 	e.scratch = elig[:0]
 	return e.cache.Assignment()

@@ -113,7 +113,7 @@ func TestHysteresisRestoreRequiresEveryCredit(t *testing.T) {
 	restore := func(b []byte) error {
 		h := NewHysteresis(1)
 		h.Reset(env)
-		return h.RestoreState(snap.NewDecoder(b))
+		return h.RestoreState(snap.NewDecoder(b), 0)
 	}
 	if err := restore(blob(3)); err != nil {
 		t.Fatalf("restore with the cached color's credit: %v", err)

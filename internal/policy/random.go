@@ -20,6 +20,7 @@ type RandomEvict struct {
 	seed          uint64
 	scratch       []sched.Color
 	cachedScratch []sched.Color
+	rank          Ranker
 }
 
 // NewRandomEvict returns the randomized-eviction baseline with the given
@@ -52,7 +53,7 @@ func (p *RandomEvict) Reconfigure(ctx *sched.Context) []sched.Color {
 		}
 	}
 	elig := p.tr.AppendEligible(p.scratch[:0])
-	RankEligible(elig, p.tr, ctx)
+	p.rank.RankEligible(elig, p.tr, ctx)
 	top := len(elig)
 	if top > p.cache.Capacity() {
 		top = p.cache.Capacity()

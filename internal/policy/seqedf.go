@@ -16,6 +16,7 @@ type SeqEDF struct {
 	tr      *colorstate.Tracker
 	cache   *Cache
 	scratch []sched.Color
+	rank    Ranker
 	pure    bool
 }
 
@@ -60,7 +61,7 @@ func (s *SeqEDF) Reconfigure(ctx *sched.Context) []sched.Color {
 		}
 	}
 	elig := s.tr.AppendEligible(s.scratch[:0])
-	RankEligible(elig, s.tr, ctx)
+	s.rank.RankEligible(elig, s.tr, ctx)
 	AdmitTop(s.cache, elig, s.cache.Capacity(), nil, ctx)
 	s.scratch = elig[:0]
 	return s.cache.Assignment()

@@ -6,7 +6,8 @@
 //   - RestoreState is always invoked on a policy freshly Reset with the
 //     Env the snapshot was taken under (sched.RestoreStream guarantees
 //     this); static derived state therefore already exists and only the
-//     dynamic state is serialized.
+//     dynamic state is serialized. Its round argument, the restored
+//     stream's next round, bounds the tracker's due multiples.
 //   - Everything read back is validated; corrupt input surfaces as an
 //     error via the decoder, never a panic.
 //   - Per-round scratch buffers (scratch, cachedScratch, …) are cleared
@@ -63,11 +64,11 @@ func (p *DLRU) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sched.Snapshotter.
-func (p *DLRU) RestoreState(d *snap.Decoder) error {
+func (p *DLRU) RestoreState(d *snap.Decoder, round int) error {
 	if !checkVersion(d, d.Int(), dlruSnapVersion, "DLRU") {
 		return d.Err()
 	}
-	if err := p.tr.Restore(d); err != nil {
+	if err := p.tr.Restore(d, round); err != nil {
 		return err
 	}
 	return p.cache.Restore(d)
@@ -81,11 +82,11 @@ func (p *EDF) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sched.Snapshotter.
-func (p *EDF) RestoreState(d *snap.Decoder) error {
+func (p *EDF) RestoreState(d *snap.Decoder, round int) error {
 	if !checkVersion(d, d.Int(), edfSnapVersion, "EDF") {
 		return d.Err()
 	}
-	if err := p.tr.Restore(d); err != nil {
+	if err := p.tr.Restore(d, round); err != nil {
 		return err
 	}
 	return p.cache.Restore(d)
@@ -101,11 +102,11 @@ func (p *SeqEDF) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sched.Snapshotter.
-func (p *SeqEDF) RestoreState(d *snap.Decoder) error {
+func (p *SeqEDF) RestoreState(d *snap.Decoder, round int) error {
 	if !checkVersion(d, d.Int(), seqEDFSnapVersion, "SeqEDF") {
 		return d.Err()
 	}
-	if err := p.tr.Restore(d); err != nil {
+	if err := p.tr.Restore(d, round); err != nil {
 		return err
 	}
 	return p.cache.Restore(d)
@@ -117,7 +118,7 @@ func (p *SeqEDF) RestoreState(d *snap.Decoder) error {
 func (p *Static) SnapshotState(e *snap.Encoder) { e.Int(staticSnapVersion) }
 
 // RestoreState implements sched.Snapshotter.
-func (p *Static) RestoreState(d *snap.Decoder) error {
+func (p *Static) RestoreState(d *snap.Decoder, round int) error {
 	checkVersion(d, d.Int(), staticSnapVersion, "Static")
 	return d.Err()
 }
@@ -126,7 +127,7 @@ func (p *Static) RestoreState(d *snap.Decoder) error {
 func (p *Never) SnapshotState(e *snap.Encoder) { e.Int(neverSnapVersion) }
 
 // RestoreState implements sched.Snapshotter.
-func (p *Never) RestoreState(d *snap.Decoder) error {
+func (p *Never) RestoreState(d *snap.Decoder, round int) error {
 	checkVersion(d, d.Int(), neverSnapVersion, "Never")
 	return d.Err()
 }
@@ -140,7 +141,7 @@ func (p *GreedyPending) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sched.Snapshotter.
-func (p *GreedyPending) RestoreState(d *snap.Decoder) error {
+func (p *GreedyPending) RestoreState(d *snap.Decoder, round int) error {
 	if !checkVersion(d, d.Int(), greedySnapVersion, "GreedyPending") {
 		return d.Err()
 	}
@@ -158,11 +159,11 @@ func (p *RandomEvict) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sched.Snapshotter.
-func (p *RandomEvict) RestoreState(d *snap.Decoder) error {
+func (p *RandomEvict) RestoreState(d *snap.Decoder, round int) error {
 	if !checkVersion(d, d.Int(), randomSnapVersion, "RandomEvict") {
 		return d.Err()
 	}
-	if err := p.tr.Restore(d); err != nil {
+	if err := p.tr.Restore(d, round); err != nil {
 		return err
 	}
 	if err := p.cache.Restore(d); err != nil {
@@ -194,7 +195,7 @@ func (p *Hysteresis) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sched.Snapshotter.
-func (p *Hysteresis) RestoreState(d *snap.Decoder) error {
+func (p *Hysteresis) RestoreState(d *snap.Decoder, round int) error {
 	if !checkVersion(d, d.Int(), hysteresisSnapVersion, "Hysteresis") {
 		return d.Err()
 	}

@@ -1,7 +1,5 @@
 package sched
 
-import "fmt"
-
 // Options configures a simulation run.
 type Options struct {
 	// N is the number of resources given to the policy. Must be ≥ 1.
@@ -24,6 +22,9 @@ type Options struct {
 // Run simulates policy pol on instance inst and returns the cost and
 // statistics. The instance is normalized in place (batches sorted and
 // merged per round), which is idempotent and does not change its meaning.
+// The configuration is checked as NewStream checks it: an N, Speed or
+// delay bound out of range, or an environment the policy cannot run, is
+// a *ConfigError.
 //
 // Run and Stream.Step drive the same roundEngine, so a recorded instance
 // fed through either front-end produces the identical Result; the
@@ -32,22 +33,15 @@ func Run(inst *Instance, pol Policy, opts Options) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.N < 1 {
-		return nil, fmt.Errorf("sched: Run needs N ≥ 1, got %d", opts.N)
-	}
-	speed := opts.Speed
-	if speed == 0 {
-		speed = 1
-	}
-	if speed < 1 {
-		return nil, fmt.Errorf("sched: Run needs Speed ≥ 1, got %d", opts.Speed)
+	env, err := checkEnv(pol, StreamConfig{N: opts.N, Speed: opts.Speed, Delta: inst.Delta, Delays: inst.Delays})
+	if err != nil {
+		return nil, err
 	}
 	inst.Normalize()
 
-	env := Env{N: opts.N, Speed: speed, Delta: inst.Delta, Delays: inst.Delays}
 	e := newRoundEngine(pol, env, opts.Probe)
 	if opts.Record {
-		e.sched = &Schedule{Policy: pol.Name(), N: opts.N, Speed: speed}
+		e.sched = &Schedule{Policy: pol.Name(), N: env.N, Speed: env.Speed}
 	}
 
 	horizon := inst.Horizon()

@@ -22,7 +22,7 @@ type jobPool struct {
 func newJobPool(numColors int) *jobPool {
 	return &jobPool{
 		queues: make([]container.BucketQueue, numColors),
-		dl:     container.NewIndexedHeap[Color, int](numColors, func(a, b int) bool { return a < b }),
+		dl:     container.NewIndexedHeap[Color, int](numColors),
 	}
 }
 
@@ -58,7 +58,14 @@ func (p *jobPool) take(c Color) (deadline int, ok bool) {
 		return 0, false
 	}
 	p.total--
-	p.refreshHeap(c, q)
+	// A color's buckets hold distinct deadlines, so its earliest deadline
+	// moves only when the front bucket emptied. Re-fixing the heap at an
+	// unchanged priority would move nothing, so it is skipped.
+	if next, ok := q.EarliestDeadline(); !ok {
+		p.dl.Remove(c)
+	} else if next != deadline {
+		p.dl.Update(c, next)
+	}
 	return deadline, true
 }
 
@@ -78,17 +85,13 @@ func (p *jobPool) expire(round int, onDrop func(c Color, count int)) int {
 		if n > 0 && onDrop != nil {
 			onDrop(c, n)
 		}
-		p.refreshHeap(c, q)
+		if next, ok := q.EarliestDeadline(); ok {
+			p.dl.Update(c, next)
+		} else {
+			p.dl.Remove(c)
+		}
 	}
 	return dropped
-}
-
-func (p *jobPool) refreshHeap(c Color, q *container.BucketQueue) {
-	if dl, ok := q.EarliestDeadline(); ok {
-		p.dl.Update(c, dl)
-	} else {
-		p.dl.Remove(c)
-	}
 }
 
 // nonidle appends the colors with pending jobs to dst in increasing color

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,6 +46,43 @@ func TestJobPoolExpireAndTake(t *testing.T) {
 	}
 	if p.totalPending() != 0 {
 		t.Fatalf("total = %d after drain", p.totalPending())
+	}
+}
+
+// TestJobPoolTakeKeepsHeapLayout pins the take that skips the heap fix:
+// a take that leaves a color's front bucket non-empty leaves its
+// earliest deadline, and so the deadline heap's whole array order (the
+// order Export writes into snapshots), unchanged.
+func TestJobPoolTakeKeepsHeapLayout(t *testing.T) {
+	p := newJobPool(6)
+	// Equal deadlines across colors, so the layout depends on tie order.
+	for c, dl := range []int{4, 2, 4, 2, 3, 4} {
+		p.add(Color(c), dl, 3)
+		p.add(Color(c), dl+2, 1)
+	}
+	layout := func() (out [][2]int) {
+		p.dl.Export(func(c Color, dl int) { out = append(out, [2]int{int(c), dl}) })
+		return out
+	}
+	for _, c := range []Color{5, 0, 3, 1, 4, 2} {
+		before := layout()
+		for i := 0; i < 2; i++ { // the front bucket keeps one of its 3 jobs
+			if _, ok := p.take(c); !ok {
+				t.Fatalf("take(%d) found nothing", c)
+			}
+			if after := layout(); !slices.Equal(after, before) {
+				t.Fatalf("take(%d) #%d moved the heap: %v → %v", c, i+1, before, after)
+			}
+		}
+	}
+	// The third take empties each front bucket; the heap must then
+	// follow the next bucket's deadline.
+	for c := Color(0); c < 6; c++ {
+		p.take(c)
+		dl, _ := p.earliestDeadline(c)
+		if pri, ok := p.dl.Priority(c); !ok || pri != dl {
+			t.Fatalf("color %d: heap priority %d (%v), earliest deadline %d", c, pri, ok, dl)
+		}
 	}
 }
 

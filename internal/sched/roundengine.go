@@ -106,10 +106,11 @@ func (e *roundEngine) onDrop(c Color, n int) {
 
 // step simulates one round. arrivals must already be validated and
 // normalized (sorted by color, one batch per color): Run normalizes the
-// whole instance up front, Stream.Step normalizes each batch into its
-// scratch buffer. When out is non-nil the per-round report is filled in;
-// its slices alias engine-owned scratch that is overwritten by the next
-// step.
+// whole instance up front, Stream.Step and Stream.Advance normalize each
+// batch into the stream's scratch buffer. When out is non-nil the
+// per-round report is filled in; its slices alias engine-owned scratch
+// that is overwritten by the next step. When it is nil (Run and
+// Stream.Advance) no report is built.
 func (e *roundEngine) step(arrivals Request, out *StepResult) error {
 	r := e.round
 

@@ -30,8 +30,13 @@ type Snapshotter interface {
 	// RestoreState rebuilds that state from d. It is invoked on a policy
 	// that has just been Reset with the same Env the snapshot was taken
 	// under, and must validate what it reads, reporting corrupt or
-	// inconsistent input as an error — never a panic.
-	RestoreState(d *snap.Decoder) error
+	// inconsistent input as an error — never a panic. round is the
+	// restored stream's round, the index of the next round it will
+	// simulate, which the engine state has already been checked against:
+	// state tied to rounds (a due multiple, a deadline) must lie in the
+	// window a live stream at that round holds, or the first rounds
+	// after the restore could do unbounded work.
+	RestoreState(d *snap.Decoder, round int) error
 }
 
 // Snapshot serializes the stream's complete state — configuration,
@@ -165,7 +170,7 @@ func RestoreStream(pol Policy, snapshot []byte, probe Probe) (st *Stream, err er
 	if !ok {
 		return nil, fmt.Errorf("sched: policy %s does not implement Snapshotter", pol.Name())
 	}
-	if err := sn.RestoreState(d); err != nil {
+	if err := sn.RestoreState(d, st.eng.round); err != nil {
 		return nil, err
 	}
 	if err := d.Done(); err != nil {

@@ -122,21 +122,35 @@ func outOfRange(field string, c Color, v, limit int) *ConfigError {
 	return &ConfigError{Field: field, Color: c, Value: v, Want: fmt.Sprintf("in [1, %d]", limit)}
 }
 
-// NewStream validates the configuration (checkConfig, then the policy's
-// EnvChecker, if it has one) and prepares a stream. Speed 0 selects 1.
-func NewStream(pol Policy, cfg StreamConfig) (*Stream, error) {
+// checkEnv checks cfg (checkConfig, then the policy's EnvChecker, if it
+// has one) and returns the environment pol will run in. Speed 0 selects
+// 1. NewStream and Run both call it, so a configuration the engine or
+// the policy cannot run is a *ConfigError on either front-end, never a
+// panic in Reset.
+func checkEnv(pol Policy, cfg StreamConfig) (Env, error) {
 	if cfg.Speed == 0 {
 		cfg.Speed = 1
 	}
 	if err := checkConfig(cfg); err != nil {
-		return nil, err
+		return Env{}, err
 	}
 	env := Env{N: cfg.N, Speed: cfg.Speed, Delta: cfg.Delta, Delays: cfg.Delays}
 	if ec, ok := pol.(EnvChecker); ok {
 		if err := ec.CheckEnv(env); err != nil {
-			return nil, err
+			return Env{}, err
 		}
 	}
+	return env, nil
+}
+
+// NewStream validates the configuration (see checkEnv) and prepares a
+// stream. Speed 0 selects 1.
+func NewStream(pol Policy, cfg StreamConfig) (*Stream, error) {
+	env, err := checkEnv(pol, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Speed = env.Speed
 	return &Stream{cfg: cfg, eng: newRoundEngine(pol, env, cfg.Probe)}, nil
 }
 
@@ -174,16 +188,38 @@ func (s *Stream) NumColors() int { return len(s.cfg.Delays) }
 // The returned StepResult's slices are reused across Steps; call
 // StepResult.Clone to retain one (see the StepResult doc).
 func (s *Stream) Step(arrivals Request) (StepResult, error) {
-	if err := validateArrivals(arrivals, len(s.cfg.Delays)); err != nil {
+	req, err := s.normalize(arrivals)
+	if err != nil {
 		return StepResult{}, err
 	}
-	s.scratch = append(s.scratch[:0], arrivals...)
-	s.scratch = normalizeRequest(s.scratch)
 	var out StepResult
-	if err := s.eng.step(s.scratch, &out); err != nil {
+	if err := s.eng.step(req, &out); err != nil {
 		return StepResult{}, err
 	}
 	return out, nil
+}
+
+// Advance is Step without the per-round report: it validates and
+// normalizes the arrivals the same way and simulates the same round,
+// but skips building the StepResult. A caller that reads only the
+// running totals (Result, Cost, TotalPending) or a snapshot should use
+// it; every decision, total and snapshot byte is the same as Step's.
+func (s *Stream) Advance(arrivals Request) error {
+	req, err := s.normalize(arrivals)
+	if err != nil {
+		return err
+	}
+	return s.eng.step(req, nil)
+}
+
+// normalize validates arrivals and returns them normalized in the
+// stream's scratch buffer.
+func (s *Stream) normalize(arrivals Request) (Request, error) {
+	if err := validateArrivals(arrivals, len(s.cfg.Delays)); err != nil {
+		return nil, err
+	}
+	s.scratch = normalizeRequest(append(s.scratch[:0], arrivals...))
+	return s.scratch, nil
 }
 
 // Drain runs empty rounds until no job is pending and returns the number
@@ -191,7 +227,7 @@ func (s *Stream) Step(arrivals Request) (StepResult, error) {
 // properly executed or charged as a drop.
 func (s *Stream) Drain() (rounds int, err error) {
 	for s.eng.pool.totalPending() > 0 {
-		if _, err := s.Step(nil); err != nil {
+		if err := s.Advance(nil); err != nil {
 			return rounds, err
 		}
 		rounds++

@@ -548,7 +548,7 @@ func LocalReference(inst *sched.Instance, policySpec string, n, speed int) (*sch
 		return nil, err
 	}
 	for _, req := range inst.Requests {
-		if _, err := st.Step(req); err != nil {
+		if err := st.Advance(req); err != nil {
 			return nil, err
 		}
 	}

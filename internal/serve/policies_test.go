@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -59,6 +60,62 @@ func TestSnapshotBytesStable(t *testing.T) {
 	}
 }
 
+// TestAdvanceMatchesStep pins the report-free step to Step: per
+// servable policy, each of eight router tenants is driven through two
+// streams, one by Step and one by Advance, and the two must snapshot to
+// the same bytes every 16th round and drain to the same Result. Each
+// round's batches arrive in reverse color order, so both steps must
+// normalize them alike.
+func TestAdvanceMatchesStep(t *testing.T) {
+	for _, spec := range PolicySpecs() {
+		t.Run(spec, func(t *testing.T) {
+			for i := 0; i < 8; i++ {
+				inst := routerTenant(t, i, 512)
+				stepped := specStream(t, spec, routerConfig(inst))
+				advanced := specStream(t, spec, routerConfig(inst))
+				same := func(when string) {
+					a, err := stepped.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := advanced.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(a, b) {
+						t.Fatalf("tenant %d %s: Step and Advance snapshots differ", i, when)
+					}
+				}
+				for r, req := range inst.Requests {
+					req = slices.Clone(req)
+					slices.Reverse(req)
+					if _, err := stepped.Step(req); err != nil {
+						t.Fatalf("tenant %d round %d: Step: %v", i, r, err)
+					}
+					if err := advanced.Advance(req); err != nil {
+						t.Fatalf("tenant %d round %d: Advance: %v", i, r, err)
+					}
+					if (r+1)%16 == 0 {
+						same(fmt.Sprintf("round %d", r))
+					}
+				}
+				for stepped.TotalPending() > 0 {
+					if _, err := stepped.Step(nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := advanced.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				same("drained")
+				if a, b := stepped.Result(), advanced.Result(); !bytes.Equal(resultBytes(a), resultBytes(b)) {
+					t.Fatalf("tenant %d: Step Result %+v, Advance Result %+v", i, a, b)
+				}
+			}
+		})
+	}
+}
+
 // FuzzRestoreStep pins the restore path against what a restored stream
 // does next: for any (spec, blob) pair, RestoreStream never panics, and
 // a stream it accepts takes 32 rounds of valid arrivals and a drain
@@ -84,6 +141,7 @@ func FuzzRestoreStep(f *testing.F) {
 	_, late := lateDeadlineBlob(f)
 	f.Add("hysteresis", late)
 	f.Add("dlruedf", foreignColorBlob(f))
+	f.Add("dlruedf", farAheadBlob(f))
 
 	f.Fuzz(func(t *testing.T, spec string, blob []byte) {
 		pol, err := NewPolicy(spec)
@@ -247,6 +305,66 @@ func foreignColorBlob(tb testing.TB) []byte {
 		tb.Fatalf("cache section %x found %d times in the snapshot", old, bytes.Count(blob, old))
 	}
 	return bytes.Replace(blob, old, section(99), 1)
+}
+
+// farAheadBlob returns a ΔLRU-EDF snapshot over the delay bounds
+// 2, 4 and 8, drained at round 40, whose round and rounds fields are
+// rewritten to 2⁴⁰. Its engine state is consistent (the pool is empty),
+// but its tracker's due multiples lie in [40, 47], far behind the
+// restored round: a first Step would walk every multiple of each delay
+// bound up to round 2⁴⁰ with the tenant lock held.
+func farAheadBlob(tb testing.TB) []byte {
+	tb.Helper()
+	st := specStream(tb, "dlruedf", sched.StreamConfig{N: 8, Speed: 1, Delta: 4, Delays: []int{2, 4, 8}})
+	for r := 0; r < 40; r++ {
+		var req sched.Request
+		if r < 24 {
+			req = sched.Request{{Color: sched.Color(r % 3), Count: 1 + r%4}, {Color: 2, Count: 1}}
+		}
+		if err := st.Advance(req); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if st.Round() != 40 || st.TotalPending() != 0 {
+		tb.Fatalf("stream at round %d with %d jobs pending, want drained at round 40", st.Round(), st.TotalPending())
+	}
+	blob, err := st.Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return withRound(tb, blob, 1<<40)
+}
+
+// withRound returns blob, a stream snapshot, with its engine's round
+// and rounds fields both set to r.
+func withRound(tb testing.TB, blob []byte, r int) []byte {
+	tb.Helper()
+	d := snap.NewDecoder(blob)
+	d.Int()        // snapshot version
+	d.Int()        // N
+	d.Int()        // Speed
+	d.Int()        // Delta
+	d.Ints()       // delay bounds
+	_ = d.String() // policy name
+	head := len(blob) - d.Remaining()
+	d.Int() // round
+	reconfig, drop := d.Int64(), d.Int64()
+	executed, dropped, reconfigs := d.Int(), d.Int(), d.Int()
+	d.Int() // rounds
+	if d.Err() != nil {
+		tb.Fatal(d.Err())
+	}
+	e := snap.NewEncoder()
+	e.Int(r)
+	e.Int64(reconfig)
+	e.Int64(drop)
+	e.Int(executed)
+	e.Int(dropped)
+	e.Int(reconfigs)
+	e.Int(r)
+	out := append([]byte(nil), blob[:head]...)
+	out = append(out, e.Bytes()...)
+	return append(out, blob[len(blob)-d.Remaining():]...)
 }
 
 // withDelays returns blob, a stream snapshot, with the delay bounds in

@@ -942,19 +942,19 @@ func TestRecordVersions(t *testing.T) {
 	refused(metaDir, "gold.meta")
 
 	blob := snapshotOf(t, specStream(t, want.Policy, sched.StreamConfig{N: want.N, Speed: want.Speed, Delta: want.Delta, Delays: want.Delays}))
-	refused(plantRecord(t, "bare", blob), "record version 1")
+	refused(plantRecord(t, "bare", 0, blob), "record version 1")
 }
 
-// plantRecord writes rec as tenant id's only record in a fresh
-// checkpoint log and returns its directory.
-func plantRecord(t *testing.T, id string, rec []byte) string {
+// plantRecord writes rec as tenant id's only record, a full record at
+// round, in a fresh checkpoint log and returns its directory.
+func plantRecord(t *testing.T, id string, round int, rec []byte) string {
 	t.Helper()
 	dir := t.TempDir()
 	l, err := ckptlog.Open(ckptlog.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(id, ckptlog.KindFull, 0, 0, rec); err != nil {
+	if err := l.Append(id, ckptlog.KindFull, round, 0, rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -997,23 +997,25 @@ func TestRestoreRejections(t *testing.T) {
 		name   string
 		tenant string
 		tc     TenantConfig
+		round  int // the round the log records for the blob
 		blob   []byte
 		want   string // substring of the error
 	}{
-		{"corrupt blob", "t-corrupt", tc, corrupt, "snapshot blob"},
-		{"config mismatch", "t-config", mismatched, blob, "does not match"},
-		{"policy mismatch", "t-policy", wrongPolicy, blob, "does not match"},
-		{"invalid tenant id", "bad id!", tc, blob, "invalid tenant ID"},
-		{"bad policy", "t-unknown", badPolicy, blob, "unknown policy"},
-		{"late deadline", "t-late", lateTC, late, "outside"},
-		{"foreign color", "t-foreign", foreignTC, foreignColorBlob(t), "color 99"},
+		{"corrupt blob", "t-corrupt", tc, 0, corrupt, "snapshot blob"},
+		{"config mismatch", "t-config", mismatched, 0, blob, "does not match"},
+		{"policy mismatch", "t-policy", wrongPolicy, 0, blob, "does not match"},
+		{"invalid tenant id", "bad id!", tc, 0, blob, "invalid tenant ID"},
+		{"bad policy", "t-unknown", badPolicy, 0, blob, "unknown policy"},
+		{"late deadline", "t-late", lateTC, 1, late, "outside"},
+		{"foreign color", "t-foreign", foreignTC, 4, foreignColorBlob(t), "color 99"},
+		{"far-ahead tracker", "t-far", tc, 1 << 40, farAheadBlob(t), "due at round"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
 			e := snap.NewEncoder()
 			e.Int(recordVersion)
 			tt.tc.encode(e)
-			dir := plantRecord(t, tt.tenant, append(e.Bytes(), tt.blob...))
+			dir := plantRecord(t, tt.tenant, tt.round, append(e.Bytes(), tt.blob...))
 			s, err := NewServer(Config{Addr: "127.0.0.1:0", CheckpointDir: dir})
 			if err == nil {
 				s.Close()

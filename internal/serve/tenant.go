@@ -255,7 +255,7 @@ func (t *tenant) applyQueuedLocked(max int) (applied int) {
 			t.queue = t.queue[:0]
 			t.head = 0
 		}
-		if _, err := t.st.Step(tick); err != nil {
+		if err := t.st.Advance(tick); err != nil {
 			// Arrivals were validated at admission, so a step failure is
 			// an engine-level fault; poison the tenant rather than guess.
 			t.failed = fmt.Errorf("serve: tenant %s: applying round %d: %w", t.id, t.st.Round(), err)

@@ -42,24 +42,34 @@ func steadyStream(t testing.TB, pol sched.Policy, probe sched.Probe) (*sched.Str
 	return st, req
 }
 
-// pinStepAllocs asserts the steady-state allocation count of one Step.
+// pinStepAllocs asserts the steady-state allocation count of one Step
+// and of one report-free Advance.
 func pinStepAllocs(t *testing.T, name string, pol sched.Policy, probe sched.Probe, want float64) {
 	t.Helper()
 	st, req := steadyStream(t, pol, probe)
-	allocs := testing.AllocsPerRun(300, func() {
-		if _, err := st.Step(req); err != nil {
-			t.Fatal(err)
+	for _, step := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Step", func() error { _, err := st.Step(req); return err }},
+		{"Advance", func() error { return st.Advance(req) }},
+	} {
+		allocs := testing.AllocsPerRun(300, func() {
+			if err := step.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > want {
+			t.Errorf("%s: %v allocs per steady-state %s, want ≤ %v", name, allocs, step.name, want)
 		}
-	})
-	if allocs > want {
-		t.Errorf("%s: %v allocs per steady-state Step, want ≤ %v", name, allocs, want)
 	}
 }
 
 // TestFullPolicyStepAllocFree is the allocation-pinning test for the
 // complete policy step of every servable policy (ΔLRU-EDF, its adaptive
 // split and the §3.1 baselines), so a policy is pinned the moment it is
-// registered: zero heap allocations per round in the steady state. A
+// registered: zero heap allocations per round in the steady state,
+// through Step and through the report-free Advance the server uses. A
 // regression here means a hot-path change reintroduced per-round garbage
 // — see docs/PERFORMANCE.md for the usual culprits (sort.Slice, per-call
 // maps, local scratch).
