@@ -128,11 +128,15 @@ fuzz:
 # The size of the network layer, internal/serve plus internal/proxy, as
 # ROADMAP's line-count goals and CHANGES.md entries quote it: non-test
 # lines, and code lines (non-blank lines that do not start with //).
-# It reports only; nothing gates on it.
+# Then the whole module's non-test Go lines, leaving out the benchmark
+# module and hidden directories such as its build output. It reports
+# only; nothing gates on it.
 LOC_FILES = $(filter-out %_test.go,$(wildcard internal/serve/*.go internal/proxy/*.go))
+REPO_FILES = $(shell find . \( -path ./benchmark -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print)
 loc:
 	@echo "serve+proxy non-test lines: $$(cat $(LOC_FILES) | wc -l)"
 	@echo "serve+proxy code lines:     $$(cat $(LOC_FILES) | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l)"
+	@echo "repo non-test Go lines:     $$(cat $(REPO_FILES) | wc -l)"
 
 # Regenerate every experiment table/figure (DESIGN.md §3) and refresh the
 # data section of EXPERIMENTS.md.

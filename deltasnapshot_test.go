@@ -9,10 +9,11 @@ import (
 )
 
 // TestFaultInjectionDeltaSnapshots extends the crash-fault harness to
-// the delta snapshot path (Stream.SnapshotDelta): at every round of a
-// reference run a delta is taken against a full base snapshot, the
-// delta is applied back onto the base, and the stream "killed" there is
-// restored from the applied blob and driven to the end of the trace.
+// delta snapshots, encoded by snap.DeltaMaker as the serve tier's
+// checkpoint log encodes them: at every round of a reference run a
+// delta is taken against a full base snapshot, the delta is applied
+// back onto the base, and the stream "killed" there is restored from
+// the applied blob and driven to the end of the trace.
 // The resumed Result must be bit-identical to the uninterrupted run —
 // the same contract the full-snapshot harness pins — and each applied
 // delta must reproduce the round's full snapshot byte for byte.
@@ -39,6 +40,7 @@ func TestFaultInjectionDeltaSnapshots(t *testing.T) {
 			type snapPair struct{ full, applied []byte }
 			var snaps []snapPair
 			snaps = append(snaps, snapPair{base, base})
+			var dm snap.DeltaMaker
 			var deltaBuf []byte
 			for st.Round() < inst.NumRounds() || st.TotalPending() > 0 {
 				if _, err := st.Step(arrivals(st.Round())); err != nil {
@@ -48,10 +50,7 @@ func TestFaultInjectionDeltaSnapshots(t *testing.T) {
 				if err != nil {
 					t.Fatalf("full snapshot at round %d: %v", st.Round(), err)
 				}
-				deltaBuf, err = st.SnapshotDelta(base, deltaBuf[:0])
-				if err != nil {
-					t.Fatalf("delta snapshot at round %d: %v", st.Round(), err)
-				}
+				deltaBuf = dm.AppendDelta(deltaBuf[:0], base, full)
 				applied, err := snap.ApplyDelta(nil, base, deltaBuf)
 				if err != nil {
 					t.Fatalf("apply delta at round %d: %v", st.Round(), err)

@@ -15,11 +15,10 @@
 //
 // The package has three parts:
 //
-//   - BDR itself with the SBF, the Theorem-1 feasibility check CanHost,
-//     and the half-half supply-task construction SupplyTask;
-//   - Tree, a concurrency-safe hierarchical reservation tree with
-//     admit/release/resize and residual-capacity queries, used by the
-//     serve layer for admission control;
+//   - BDR itself with the SBF and the Theorem-1 feasibility check
+//     CanHost;
+//   - Tree, a hierarchical reservation tree with admit and release,
+//     used by the serve layer for admission control;
 //   - Controller, an online fractional-share controller in the spirit of
 //     DFRS (Casanova et al.) that converts admitted reservations plus
 //     measured backlog into WDRR weights and per-round service budgets,
@@ -60,23 +59,6 @@ func (b BDR) SBF(t float64) float64 {
 		return 0
 	}
 	return b.Rate * (t - b.Delay)
-}
-
-// SupplyTask converts the reservation into the half-half periodic
-// supply task (budget, period) that realizes it: a task receiving
-// budget units of service every period units of time supplies the BDR
-// (rate, delay) with period = delay / (2·(1−rate)) and budget =
-// rate·period. Rate ≥ 1 degenerates to a dedicated resource (1, 1);
-// rate 0 to no supply at all.
-func (b BDR) SupplyTask() (budget, period float64) {
-	if b.Rate >= 1 {
-		return 1, 1
-	}
-	if b.Rate <= 0 {
-		return 0, 0
-	}
-	period = b.Delay / (2 * (1 - b.Rate))
-	return b.Rate * period, period
 }
 
 // CanHost is the Theorem-1 feasibility check: parent can host children

@@ -21,45 +21,6 @@ func TestSBF(t *testing.T) {
 	}
 }
 
-func TestSupplyTask(t *testing.T) {
-	// Half-half construction: period = delay / (2(1-rate)), budget = rate·period.
-	b := BDR{Rate: 0.5, Delay: 8}
-	budget, period := b.SupplyTask()
-	if math.Abs(period-8) > 1e-12 || math.Abs(budget-4) > 1e-12 {
-		t.Errorf("SupplyTask() = (%g, %g), want (4, 8)", budget, period)
-	}
-	// Degenerate cases.
-	if bu, pe := (BDR{Rate: 1, Delay: 3}).SupplyTask(); bu != 1 || pe != 1 {
-		t.Errorf("rate-1 SupplyTask() = (%g, %g), want (1, 1)", bu, pe)
-	}
-	if bu, pe := (BDR{}).SupplyTask(); bu != 0 || pe != 0 {
-		t.Errorf("zero SupplyTask() = (%g, %g), want (0, 0)", bu, pe)
-	}
-}
-
-// TestSupplyTaskMeetsSBF checks the half-half construction against the
-// model algebraically: a periodic task (budget, period) has worst-case
-// service blackout 2·(period − budget) — budget finished at the start
-// of one period, delivered at the end of the next — so realizing the
-// BDR requires exactly that blackout to equal the delay bound, with
-// the long-run rate budget/period equal to the reserved rate.
-func TestSupplyTaskMeetsSBF(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		b := BDR{Rate: 0.05 + 0.9*rng.Float64(), Delay: 1 + 31*rng.Float64()}
-		budget, period := b.SupplyTask()
-		if budget <= 0 || period <= 0 {
-			t.Fatalf("degenerate supply task (%g, %g) for %+v", budget, period, b)
-		}
-		if blackout := 2 * (period - budget); math.Abs(blackout-b.Delay) > 1e-9 {
-			t.Fatalf("%+v: worst-case blackout %g, want delay %g", b, blackout, b.Delay)
-		}
-		if rate := budget / period; math.Abs(rate-b.Rate) > 1e-9 {
-			t.Fatalf("%+v: long-run rate %g, want %g", b, rate, b.Rate)
-		}
-	}
-}
-
 func TestValid(t *testing.T) {
 	for _, c := range []struct {
 		b    BDR

@@ -30,9 +30,9 @@ func (e *InfeasibleError) Error() string {
 // hosting shard children, each shard hosting tenant reservations. The
 // machine → shard level is validated once at construction (the shard
 // set is static); the shard → tenant level changes online through
-// Admit, Release and Resize, each of which preserves Theorem-1
-// feasibility — an operation that would break it fails with
-// *InfeasibleError and leaves the tree unchanged.
+// Admit and Release. Admit preserves Theorem-1 feasibility: a
+// reservation that would break it fails with *InfeasibleError and
+// leaves the tree unchanged.
 //
 // Tree is not safe for concurrent use; the serve layer guards it with
 // the server mutex it already holds around tenant registration.
@@ -42,7 +42,7 @@ type Tree struct {
 	// reserved[i] maps tenant ID → admitted reservation on shard i.
 	reserved []map[string]BDR
 	// sums[i] caches Σ reserved[i].Rate so Admit is O(1), recomputed
-	// from scratch on Release/Resize to stop float drift accumulating.
+	// from scratch on Release to stop float drift accumulating.
 	sums []float64
 }
 
@@ -75,13 +75,10 @@ func NewTree(machine BDR, shards []BDR) (*Tree, error) {
 	return t, nil
 }
 
-// Shard returns shard i's own reservation.
-func (t *Tree) Shard(i int) BDR { return t.shards[i] }
-
 // Admit reserves r for tenant id on shard i, failing with
 // *InfeasibleError if the reservation would violate the shard's
 // Theorem-1 feasibility. Admitting an ID that already holds a
-// reservation on the shard is an error; use Resize.
+// reservation on the shard is an error.
 func (t *Tree) Admit(shard int, id string, r BDR) error {
 	if !r.Valid() {
 		return fmt.Errorf("bdr: invalid reservation %+v for %q", r, id)
@@ -89,7 +86,7 @@ func (t *Tree) Admit(shard int, id string, r BDR) error {
 	if _, ok := t.reserved[shard][id]; ok {
 		return fmt.Errorf("bdr: %q already reserved on shard %d", id, shard)
 	}
-	if err := t.check(shard, r, t.sums[shard]); err != nil {
+	if err := t.check(shard, r); err != nil {
 		return err
 	}
 	t.reserved[shard][id] = r
@@ -108,52 +105,10 @@ func (t *Tree) Release(shard int, id string) {
 	t.sums[shard] = sumMap(t.reserved[shard])
 }
 
-// Resize replaces tenant id's reservation on shard i with r,
-// atomically: the old reservation's rate is excluded from the
-// feasibility check, and on failure the old reservation stays in
-// force. Resizing an ID with no reservation admits it.
-func (t *Tree) Resize(shard int, id string, r BDR) error {
-	if !r.Valid() {
-		return fmt.Errorf("bdr: invalid reservation %+v for %q", r, id)
-	}
-	old, had := t.reserved[shard][id]
-	base := t.sums[shard]
-	if had {
-		base -= old.Rate
-	}
-	if err := t.check(shard, r, base); err != nil {
-		return err
-	}
-	t.reserved[shard][id] = r
-	t.sums[shard] = sumMap(t.reserved[shard])
-	return nil
-}
-
-// Reservation returns tenant id's reservation on shard i and whether
-// one is held.
-func (t *Tree) Reservation(shard int, id string) (BDR, bool) {
-	r, ok := t.reserved[shard][id]
-	return r, ok
-}
-
-// Residual returns shard i's remaining capacity as a BDR: the rate
-// still unreserved, and the shard's own delay as the exclusive lower
-// bound for any new child's delay.
-func (t *Tree) Residual(shard int) BDR {
-	rate := t.shards[shard].Rate - t.sums[shard]
-	if rate < 0 {
-		rate = 0
-	}
-	return BDR{Rate: rate, Delay: t.shards[shard].Delay}
-}
-
-// Reserved returns the number of reservations held on shard i.
-func (t *Tree) Reserved(shard int) int { return len(t.reserved[shard]) }
-
 // check applies the Theorem-1 conditions for admitting r onto shard i
-// given base = Σ rates of the other children.
-func (t *Tree) check(shard int, r BDR, base float64) error {
-	s := t.shards[shard]
+// beside the children it already hosts.
+func (t *Tree) check(shard int, r BDR) error {
+	s, base := t.shards[shard], t.sums[shard]
 	resid := s.Rate - base
 	if resid < 0 {
 		resid = 0

@@ -59,35 +59,34 @@ func TestAdmitReleaseResize(t *testing.T) {
 	if err := tr.Admit(0, "b", BDR{Rate: 0.5, Delay: 4}); err != nil {
 		t.Fatalf("admit b: %v", err)
 	}
-	if got := tr.Residual(0).Rate; got > 1e-9 {
-		t.Fatalf("residual after full tiling = %g, want 0", got)
+	if got := tr.sums[0]; got < 1-1e-9 {
+		t.Fatalf("reserved rate after full tiling = %g, want 1", got)
 	}
-	// Resize down frees capacity; resize up over residual fails and
-	// leaves the old reservation in force.
-	if err := tr.Resize(0, "b", BDR{Rate: 0.25, Delay: 4}); err != nil {
-		t.Fatalf("resize b down: %v", err)
+	// A failed admit leaves the reservations in force.
+	if err := tr.Admit(0, "c", BDR{Rate: 0.1, Delay: 8}); !errors.As(err, &inf) {
+		t.Fatalf("admit onto a full shard: got %v, want *InfeasibleError", err)
 	}
-	if err := tr.Resize(0, "a", BDR{Rate: 0.8, Delay: 8}); !errors.As(err, &inf) {
-		t.Fatalf("oversize resize: got %v, want *InfeasibleError", err)
-	}
-	if r, ok := tr.Reservation(0, "a"); !ok || r.Rate != 0.5 {
-		t.Fatalf("reservation a after failed resize = (%+v, %v), want rate 0.5", r, ok)
+	if r, ok := tr.reserved[0]["a"]; !ok || r.Rate != 0.5 {
+		t.Fatalf("reservation a after failed admit = (%+v, %v), want rate 0.5", r, ok)
 	}
 	// Release is idempotent and frees the rate.
 	tr.Release(0, "a")
 	tr.Release(0, "a")
-	if got := tr.Residual(0).Rate; got < 0.75-1e-9 {
-		t.Fatalf("residual after release = %g, want 0.75", got)
+	if got := tr.sums[0]; got > 0.5+1e-9 {
+		t.Fatalf("reserved rate after release = %g, want 0.5", got)
 	}
-	if tr.Reserved(0) != 1 {
-		t.Fatalf("Reserved(0) = %d, want 1", tr.Reserved(0))
+	if len(tr.reserved[0]) != 1 {
+		t.Fatalf("%d reservations on shard 0, want 1", len(tr.reserved[0]))
+	}
+	if err := tr.Admit(0, "a", BDR{Rate: 0.5, Delay: 8}); err != nil {
+		t.Fatalf("admit into the released rate: %v", err)
 	}
 }
 
-// TestTreeInvariantProperty drives a random admit/release/resize
-// workload and checks after every operation that the shard's children
-// remain feasible under CanHost — the tree must never transition into
-// an infeasible state, whether the operation succeeded or failed.
+// TestTreeInvariantProperty drives a random admit/release workload and
+// checks after every operation that the shard's children remain
+// feasible under CanHost — the tree must never transition into an
+// infeasible state, whether the operation succeeded or failed.
 func TestTreeInvariantProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 50; trial++ {
@@ -100,20 +99,15 @@ func TestTreeInvariantProperty(t *testing.T) {
 				Rate:  0.01 + 0.6*rng.Float64(),
 				Delay: shards[shard].Delay * (0.8 + rng.Float64()), // straddles the bound
 			}
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(2) == 0 {
 				_ = tr.Admit(shard, id, r)
-			case 1:
+			} else {
 				tr.Release(shard, id)
-			case 2:
-				_ = tr.Resize(shard, id, r)
 			}
 			for i := range shards {
-				children := make([]BDR, 0, tr.Reserved(i))
-				for k := 0; k < 12; k++ {
-					if res, ok := tr.Reservation(i, fmt.Sprintf("t%d", k)); ok {
-						children = append(children, res)
-					}
+				children := make([]BDR, 0, len(tr.reserved[i]))
+				for _, res := range tr.reserved[i] {
+					children = append(children, res)
 				}
 				if !CanHost(shards[i], children) {
 					t.Fatalf("trial %d op %d: shard %d infeasible with %+v", trial, op, i, children)

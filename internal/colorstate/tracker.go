@@ -122,14 +122,8 @@ func (t *Tracker) SetImmediateTimestamps(on bool) { t.immediateTs = on }
 // Get returns a read-only view of color c's state.
 func (t *Tracker) Get(c sched.Color) *State { return &t.states[c] }
 
-// Delta returns the reconfiguration cost Δ.
-func (t *Tracker) Delta() int { return t.delta }
-
 // Delay returns the delay bound of color c.
 func (t *Tracker) Delay(c sched.Color) int { return t.delays[c] }
-
-// NumKnown reports how many colors have appeared so far.
-func (t *Tracker) NumKnown() int { return t.known }
 
 // BeginRound applies the drop-phase and deadline rules for round k.
 // cached reports whether a color is currently in the policy's cache (the
@@ -251,9 +245,6 @@ func searchColor(s []sched.Color, c sched.Color) int {
 func (t *Tracker) AppendEligible(dst []sched.Color) []sched.Color {
 	return append(dst, t.eligible...)
 }
-
-// NumEligible reports the number of currently eligible colors.
-func (t *Tracker) NumEligible() int { return len(t.eligible) }
 
 // NumEpochs reports numEpochs(σ) so far: for every known color, its
 // completed epochs plus the current (possibly incomplete) one (§3.2).

@@ -24,8 +24,8 @@ func TestCounterWrapAndEligibility(t *testing.T) {
 	if !st.Eligible || st.Cnt != 0 || st.Wraps != 1 || st.LastWrap != 0 {
 		t.Fatalf("after wrap: %+v", *st)
 	}
-	if tr.NumEligible() != 1 {
-		t.Fatalf("NumEligible = %d", tr.NumEligible())
+	if len(tr.eligible) != 1 {
+		t.Fatalf("%d eligible colors, want 1", len(tr.eligible))
 	}
 }
 

@@ -92,12 +92,6 @@ func (q *BucketQueue) TakeEarliest() (deadline int, ok bool) {
 	return deadline, true
 }
 
-// Clear removes all pending jobs, retaining capacity.
-func (q *BucketQueue) Clear() {
-	q.buckets.clear()
-	q.total = 0
-}
-
 // Buckets appends a copy of the pending buckets to dst and returns it,
 // front (earliest) first. It is used by the brute-force optimizer to build
 // state signatures.
@@ -140,13 +134,6 @@ func (r *ringBuf) popFront() {
 	if r.count == 0 {
 		r.head = 0
 	}
-}
-
-func (r *ringBuf) clear() {
-	for i := range r.data {
-		r.data[i] = Bucket{}
-	}
-	r.head, r.count = 0, 0
 }
 
 func (r *ringBuf) grow() {

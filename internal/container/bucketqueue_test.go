@@ -98,13 +98,12 @@ func TestBucketQueueClearAndBuckets(t *testing.T) {
 	if len(bs) != 2 || bs[0] != (Bucket{1, 2}) || bs[1] != (Bucket{4, 3}) {
 		t.Fatalf("Buckets = %v", bs)
 	}
-	q.Clear()
-	if !q.Empty() {
-		t.Fatal("Clear left jobs")
+	for !q.Empty() {
+		q.TakeEarliest()
 	}
-	q.Add(0, 1) // usable after Clear, even with a smaller deadline
-	if q.Len() != 1 {
-		t.Fatal("queue unusable after Clear")
+	q.Add(0, 1) // usable once emptied, even with a smaller deadline
+	if bs := q.Buckets(nil); q.Len() != 1 || len(bs) != 1 || bs[0] != (Bucket{0, 1}) {
+		t.Fatalf("after emptying and adding (0, 1): Len %d, Buckets %v", q.Len(), bs)
 	}
 }
 

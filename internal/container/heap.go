@@ -56,22 +56,6 @@ func (h *IndexedHeap[K, P]) index(key K) (int, bool) {
 // Len reports the number of items in the heap.
 func (h *IndexedHeap[K, P]) Len() int { return len(h.items) }
 
-// Contains reports whether key is present.
-func (h *IndexedHeap[K, P]) Contains(key K) bool {
-	_, ok := h.index(key)
-	return ok
-}
-
-// Priority returns the priority stored for key, and whether key is present.
-func (h *IndexedHeap[K, P]) Priority(key K) (P, bool) {
-	i, ok := h.index(key)
-	if !ok {
-		var zero P
-		return zero, false
-	}
-	return h.items[i].pri, true
-}
-
 // Push inserts key with the given priority. If key is already present its
 // priority is updated instead (equivalent to Update). key must lie in
 // [0, n).
@@ -138,11 +122,6 @@ func (h *IndexedHeap[K, P]) Clear() {
 		h.pos[it.key] = -1
 	}
 	h.items = h.items[:0]
-}
-
-// Keys returns the keys currently in the heap in unspecified order.
-func (h *IndexedHeap[K, P]) Keys() []K {
-	return h.AppendKeys(make([]K, 0, len(h.items)))
 }
 
 // AppendKeys appends the keys currently in the heap to dst in unspecified

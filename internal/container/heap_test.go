@@ -1,6 +1,7 @@
 package container
 
 import (
+	"cmp"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,6 +10,17 @@ import (
 
 func intHeap() *IndexedHeap[int, int] {
 	return NewIndexedHeap[int, int](64)
+}
+
+// priorityOf reads key's priority through Export, and whether key is
+// present.
+func priorityOf[K Integer, P cmp.Ordered](h *IndexedHeap[K, P], key K) (pri P, ok bool) {
+	h.Export(func(k K, p P) {
+		if k == key {
+			pri, ok = p, true
+		}
+	})
+	return pri, ok
 }
 
 func TestIndexedHeapBasic(t *testing.T) {
@@ -28,11 +40,11 @@ func TestIndexedHeapBasic(t *testing.T) {
 	if k, p, ok := h.Min(); !ok || k != 2 || p != 10 {
 		t.Fatalf("Min = (%d,%d,%v), want (2,10,true)", k, p, ok)
 	}
-	if !h.Contains(3) || h.Contains(9) {
-		t.Fatal("Contains wrong")
+	if _, ok := priorityOf(h, 9); ok {
+		t.Fatal("absent key 9 reported present")
 	}
-	if p, ok := h.Priority(3); !ok || p != 20 {
-		t.Fatalf("Priority(3) = (%d,%v)", p, ok)
+	if p, ok := priorityOf(h, 3); !ok || p != 20 {
+		t.Fatalf("priority of 3 = (%d,%v)", p, ok)
 	}
 	k, p, _ := h.Pop()
 	if k != 2 || p != 10 {
@@ -82,7 +94,7 @@ func TestIndexedHeapPushExistingUpdates(t *testing.T) {
 	if h.Len() != 1 {
 		t.Fatalf("duplicate push grew heap to %d", h.Len())
 	}
-	if p, _ := h.Priority(1); p != 5 {
+	if p, _ := priorityOf(h, 1); p != 5 {
 		t.Fatalf("Push on existing key did not update priority: %d", p)
 	}
 }
@@ -116,7 +128,7 @@ func TestIndexedHeapClear(t *testing.T) {
 	h.Push(1, 1)
 	h.Push(2, 2)
 	h.Clear()
-	if h.Len() != 0 || h.Contains(1) {
+	if _, ok := priorityOf(h, 1); h.Len() != 0 || ok {
 		t.Fatal("Clear left state behind")
 	}
 	h.Push(3, 3)
@@ -225,7 +237,7 @@ func TestIndexedHeapKeys(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Push(i, i)
 	}
-	keys := h.Keys()
+	keys := h.AppendKeys(nil)
 	if len(keys) != 5 {
 		t.Fatalf("Keys returned %d entries", len(keys))
 	}
@@ -248,14 +260,14 @@ func TestIndexedHeapKeyRange(t *testing.T) {
 		if h.Import(k, 0) {
 			t.Fatalf("Import(%d) accepted a key outside [0, 4)", k)
 		}
-		if h.Contains(k) || h.Update(k, 1) || h.Remove(k) {
+		if _, ok := h.index(k); ok || h.Update(k, 1) || h.Remove(k) {
 			t.Fatalf("key %d outside [0, 4) reported present", k)
 		}
 	}
 	if !h.Import(3, 7) || h.Import(3, 8) {
 		t.Fatal("Import of key 3 once must succeed and twice must fail")
 	}
-	if p, ok := h.Priority(3); !ok || p != 7 || h.Len() != 1 {
-		t.Fatalf("after Import(3, 7): Priority = (%d, %v), Len %d", p, ok, h.Len())
+	if p, ok := priorityOf(h, 3); !ok || p != 7 || h.Len() != 1 {
+		t.Fatalf("after Import(3, 7): priority = (%d, %v), Len %d", p, ok, h.Len())
 	}
 }

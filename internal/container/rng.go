@@ -150,12 +150,3 @@ func (z *Zipf) Next() int {
 	}
 	return lo
 }
-
-// Shuffle permutes the first n indices via swaps provided by swap,
-// Fisher–Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

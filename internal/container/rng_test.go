@@ -107,19 +107,6 @@ func TestZipfSkewsTowardLowRanks(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(8)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, x := range xs {
-		if seen[x] {
-			t.Fatalf("duplicate after shuffle: %v", xs)
-		}
-		seen[x] = true
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := NewRNG(9)
 	n := 20000

@@ -80,10 +80,6 @@ func (d *DLRUEDF) adaptTick() {
 	d.edfQuota = cap - d.lruQuota
 }
 
-// CurrentLRUShare reports the live LRU share (fixed unless the adaptive
-// split is enabled); experiments log it.
-func (d *DLRUEDF) CurrentLRUShare() float64 { return d.lruShare }
-
 // noteReconfigs lets the policy approximate its own reconfiguration count
 // by diffing the cache content it requests, cur, against the previous
 // round's. The engine charges the true cost; this counter only feeds the

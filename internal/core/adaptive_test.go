@@ -14,7 +14,7 @@ func TestAdaptiveShareStaysInBounds(t *testing.T) {
 	if _, err := sched.Run(inst, pol, sched.Options{N: 16}); err != nil {
 		t.Fatal(err)
 	}
-	share := pol.CurrentLRUShare()
+	share := pol.lruShare
 	if share < 0.25-1e-9 || share > 0.75+1e-9 {
 		t.Fatalf("adaptive share %v left [0.25, 0.75]", share)
 	}
@@ -79,8 +79,8 @@ func TestFixedShareUnaffectedByAdaptTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.CurrentLRUShare() != 0.5 {
-		t.Fatalf("fixed share moved to %v", pol.CurrentLRUShare())
+	if pol.lruShare != 0.5 {
+		t.Fatalf("fixed share moved to %v", pol.lruShare)
 	}
 	res2, err := sched.Run(inst.Clone(), NewDLRUEDF(), sched.Options{N: 8})
 	if err != nil {

@@ -11,13 +11,9 @@ import (
 type ColorMapping struct {
 	// base[ℓ] is the first virtual color of original color ℓ; original
 	// color ℓ owns virtual colors base[ℓ] … base[ℓ]+width[ℓ]-1.
-	base  []sched.Color
-	back  []sched.Color // virtual → original
-	total int
+	base []sched.Color
+	back []sched.Color // virtual → original
 }
-
-// NumVirtual reports the number of virtual colors.
-func (m *ColorMapping) NumVirtual() int { return m.total }
 
 // ToOriginal maps a virtual color back to its original color.
 func (m *ColorMapping) ToOriginal(v sched.Color) sched.Color { return m.back[v] }
@@ -55,12 +51,13 @@ func BuildDistributed(inst *sched.Instance) (*sched.Instance, *ColorMapping, err
 		}
 	}
 	m := &ColorMapping{base: make([]sched.Color, nc)}
+	total := 0
 	for l := 0; l < nc; l++ {
-		m.base[l] = sched.Color(m.total)
-		m.total += width[l]
+		m.base[l] = sched.Color(total)
+		total += width[l]
 	}
-	m.back = make([]sched.Color, m.total)
-	delays := make([]int, m.total)
+	m.back = make([]sched.Color, total)
+	delays := make([]int, total)
 	for l := 0; l < nc; l++ {
 		for j := 0; j < width[l]; j++ {
 			v := int(m.base[l]) + j

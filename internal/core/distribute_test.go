@@ -23,8 +23,8 @@ func TestBuildDistributedSplitsBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumVirtual() != 3 {
-		t.Fatalf("NumVirtual = %d, want 3", m.NumVirtual())
+	if virtual.NumColors() != 3 {
+		t.Fatalf("%d virtual colors, want 3", virtual.NumColors())
 	}
 	if !virtual.IsRateLimited() {
 		t.Fatal("distributed instance not rate-limited")
@@ -40,7 +40,7 @@ func TestBuildDistributedSplitsBatches(t *testing.T) {
 		}
 	}
 	// Mapping roundtrip and delay preservation.
-	for v := sched.Color(0); int(v) < m.NumVirtual(); v++ {
+	for v := sched.Color(0); int(v) < virtual.NumColors(); v++ {
 		if m.ToOriginal(v) != 0 {
 			t.Fatalf("ToOriginal(%d) = %d", v, m.ToOriginal(v))
 		}
@@ -55,12 +55,12 @@ func TestBuildDistributedWidthIsMaxOverRounds(t *testing.T) {
 	inst.AddJobs(0, 0, 5) // ⌈5/2⌉ = 3 virtual colors
 	inst.AddJobs(2, 0, 1) // smaller batch later
 	inst.AddJobs(0, 1, 2) // 1 virtual color
-	virtual, m, err := BuildDistributed(inst)
+	virtual, _, err := BuildDistributed(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumVirtual() != 4 {
-		t.Fatalf("NumVirtual = %d, want 4", m.NumVirtual())
+	if virtual.NumColors() != 4 {
+		t.Fatalf("%d virtual colors, want 4", virtual.NumColors())
 	}
 	if virtual.TotalJobs() != 8 {
 		t.Fatalf("TotalJobs = %d", virtual.TotalJobs())

@@ -1,6 +1,6 @@
 // Package events provides a continuous-time front-end to the round-based
-// model: arrival processes (Poisson, on/off-modulated, explicit traces)
-// emit timestamped job events, which Discretize buckets into the slotted
+// model: arrival processes (Poisson and on/off-modulated) emit
+// timestamped job events, which Discretize buckets into the slotted
 // rounds the paper's model — and the simulator — operate on. This mirrors
 // how the motivating systems work: packets hit a router in continuous
 // time, while the processor reconfigures and executes in discrete slots.
@@ -10,7 +10,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/container"
 	"repro/internal/sched"
@@ -139,29 +138,6 @@ func (s *OnOffSource) Next() (Event, bool) {
 			return Event{}, false
 		}
 	}
-}
-
-// SliceSource replays an explicit event list (sorted by time).
-type SliceSource struct {
-	events []Event
-	pos    int
-}
-
-// NewSliceSource wraps a pre-built event list; it sorts a copy by time.
-func NewSliceSource(events []Event) *SliceSource {
-	cp := append([]Event(nil), events...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Time < cp[j].Time })
-	return &SliceSource{events: cp}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (Event, bool) {
-	if s.pos >= len(s.events) {
-		return Event{}, false
-	}
-	e := s.events[s.pos]
-	s.pos++
-	return e, true
 }
 
 // Merge combines sources into one time-ordered stream with a k-way heap

@@ -70,9 +70,21 @@ func TestOnOffSourceBursts(t *testing.T) {
 	}
 }
 
+// listSource replays a fixed event list, already in time order.
+type listSource []Event
+
+func (s *listSource) Next() (Event, bool) {
+	if len(*s) == 0 {
+		return Event{}, false
+	}
+	e := (*s)[0]
+	*s = (*s)[1:]
+	return e, true
+}
+
 func TestMergeInterleavesInTimeOrder(t *testing.T) {
-	a := NewSliceSource([]Event{{1, 0}, {4, 0}, {9, 0}})
-	b := NewSliceSource([]Event{{2, 1}, {3, 1}, {10, 1}})
+	a := &listSource{{1, 0}, {4, 0}, {9, 0}}
+	b := &listSource{{2, 1}, {3, 1}, {10, 1}}
 	merged, err := Collect(Merge(a, b), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -89,25 +101,17 @@ func TestMergeInterleavesInTimeOrder(t *testing.T) {
 }
 
 func TestMergeTieBreakDeterministic(t *testing.T) {
-	a := NewSliceSource([]Event{{5, 0}})
-	b := NewSliceSource([]Event{{5, 1}})
+	a := &listSource{{5, 0}}
+	b := &listSource{{5, 1}}
 	m1, _ := Collect(Merge(a, b), 0)
-	a2 := NewSliceSource([]Event{{5, 0}})
-	b2 := NewSliceSource([]Event{{5, 1}})
+	a2 := &listSource{{5, 0}}
+	b2 := &listSource{{5, 1}}
 	m2, _ := Collect(Merge(a2, b2), 0)
 	if m1[0] != m2[0] || m1[1] != m2[1] {
 		t.Fatal("tie-break not deterministic")
 	}
 	if m1[0].Color != 0 {
 		t.Fatalf("tie should favor the earlier source, got color %d first", m1[0].Color)
-	}
-}
-
-func TestSliceSourceSortsInput(t *testing.T) {
-	src := NewSliceSource([]Event{{3, 0}, {1, 0}, {2, 0}})
-	evs, _ := Collect(src, 0)
-	if evs[0].Time != 1 || evs[1].Time != 2 || evs[2].Time != 3 {
-		t.Fatalf("SliceSource did not sort: %v", evs)
 	}
 }
 

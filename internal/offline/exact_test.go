@@ -233,8 +233,9 @@ func TestBracketOPTResolvesExactBeyondLegacyBudget(t *testing.T) {
 	}
 	inst := workload.RandomBatched(3, 8, 2, 80, []int{1, 2, 4, 8, 16}, 0.9, 0.9, true)
 	const m = 2
-	if b := LowerBoundExact(inst.Clone(), m, 200_000); b.Exact >= 0 {
-		t.Fatalf("legacy 200k budget unexpectedly resolves Exact (%d) — instance no longer demonstrates the budget raise", b.Exact)
+	var lim *BruteForceLimitError
+	if opt, err := SolveExact(inst, m, ExactOptions{MaxStates: 200_000}); !errors.As(err, &lim) {
+		t.Fatalf("legacy 200k budget = (%d, %v), want a *BruteForceLimitError — instance no longer demonstrates the budget raise", opt, err)
 	}
 	br, err := BracketOPT(inst.Clone(), m, 2)
 	if err != nil {

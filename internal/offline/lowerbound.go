@@ -12,8 +12,8 @@ type Bound struct {
 	// color ℓ at least once (≥ Δ) or drops all its jobs (Corollary 3.3's
 	// argument).
 	ColorCost int64
-	// Exact, when ≥ 0, is the brute-force optimum (only set by
-	// LowerBoundExact when the search fits the budget).
+	// Exact, when ≥ 0, is the brute-force optimum (only set when
+	// BracketOPT's search fits its budget).
 	Exact int64
 }
 
@@ -50,13 +50,9 @@ func LowerBound(inst *sched.Instance, m int) Bound {
 	return b
 }
 
-// LowerBoundExact augments LowerBound with the exact optimum when the
-// branch-and-bound search fits within maxStates states; otherwise Exact
-// stays −1 and the cheap bounds are returned.
-func LowerBoundExact(inst *sched.Instance, m, maxStates int) Bound {
-	return lowerBoundExact(inst, m, ExactOptions{MaxStates: maxStates})
-}
-
+// lowerBoundExact augments LowerBound with the exact optimum when the
+// branch-and-bound search fits within opts.MaxStates states; otherwise
+// Exact stays −1 and the cheap bounds are returned.
 func lowerBoundExact(inst *sched.Instance, m int, opts ExactOptions) Bound {
 	b := LowerBound(inst, m)
 	if opt, err := SolveExact(inst, m, opts); err == nil {

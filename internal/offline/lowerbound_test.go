@@ -58,7 +58,7 @@ func TestLowerBoundComponents(t *testing.T) {
 func TestLowerBoundExactUsesBruteForce(t *testing.T) {
 	inst := &sched.Instance{Delta: 2, Delays: []int{4}}
 	inst.AddJobs(0, 0, 3)
-	b := LowerBoundExact(inst, 1, 1_000_000)
+	b := lowerBoundExact(inst, 1, ExactOptions{MaxStates: 1_000_000})
 	if b.Exact < 0 {
 		t.Fatal("Exact not computed on a tiny instance")
 	}
@@ -67,7 +67,7 @@ func TestLowerBoundExactUsesBruteForce(t *testing.T) {
 	}
 	// Over-budget search leaves Exact at −1 without failing.
 	big := workload.RandomBatched(2, 8, 2, 96, []int{1, 2, 4}, 0.9, 0.9, true)
-	b2 := LowerBoundExact(big, 2, 10)
+	b2 := lowerBoundExact(big, 2, ExactOptions{MaxStates: 10})
 	if b2.Exact != -1 {
 		t.Fatalf("Exact = %d on an over-budget instance", b2.Exact)
 	}

@@ -35,57 +35,3 @@ func BestStaticColors(inst *sched.Instance, m int) []sched.Color {
 func StaticCost(inst *sched.Instance, colors []sched.Color, m int) (*sched.Result, error) {
 	return sched.Run(inst, policy.NewStatic(colors...), sched.Options{N: m})
 }
-
-// BestStaticCost enumerates every multiset of up to m colors when the
-// color count is small (≤ maxEnumColors distinct colors), otherwise falls
-// back to the volume heuristic, and returns the best static result. It is
-// a strong offline baseline for experiment tables: the best "configure
-// once" schedule.
-func BestStaticCost(inst *sched.Instance, m int, maxEnumColors int) (*sched.Result, error) {
-	per := inst.JobsPerColor()
-	var live []sched.Color
-	for c, jobs := range per {
-		if jobs > 0 {
-			live = append(live, sched.Color(c))
-		}
-	}
-	if len(live) == 0 || len(live) > maxEnumColors {
-		return StaticCost(inst, BestStaticColors(inst, m), m)
-	}
-
-	var best *sched.Result
-	pick := make([]sched.Color, 0, m)
-	var rec func(pos, minIdx int) error
-	rec = func(pos, minIdx int) error {
-		if pos == m {
-			res, err := StaticCost(inst, pick, m)
-			if err != nil {
-				return err
-			}
-			if best == nil || res.Cost.Total() < best.Cost.Total() {
-				best = res
-			}
-			return nil
-		}
-		for i := minIdx; i < len(live); i++ {
-			pick = append(pick, live[i])
-			if err := rec(pos+1, i); err != nil {
-				return err
-			}
-			pick = pick[:len(pick)-1]
-		}
-		// Also allow leaving the remaining locations black.
-		res, err := StaticCost(inst, pick, m)
-		if err != nil {
-			return err
-		}
-		if best == nil || res.Cost.Total() < best.Cost.Total() {
-			best = res
-		}
-		return nil
-	}
-	if err := rec(0, 0); err != nil {
-		return nil, err
-	}
-	return best, nil
-}

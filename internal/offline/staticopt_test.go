@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/sched"
-	"repro/internal/workload"
 )
 
 func TestBestStaticColorsByVolume(t *testing.T) {
@@ -34,38 +33,5 @@ func TestStaticCostMatchesRun(t *testing.T) {
 	}
 	if res.Cost.Total() != 2 || res.Executed != 3 {
 		t.Fatalf("StaticCost = %v", res)
-	}
-}
-
-func TestBestStaticCostEnumeratesBetterThanHeuristic(t *testing.T) {
-	// Volume alone misleads: color 0 has many jobs but impossible
-	// deadlines (D=1, batches of 4 on one resource), color 1 has fewer
-	// jobs that are all servable.
-	inst := &sched.Instance{Delta: 1, Delays: []int{1, 8}}
-	for r := 0; r < 8; r++ {
-		inst.AddJobs(r, 0, 4)
-	}
-	inst.AddJobs(0, 1, 8)
-	best, err := BestStaticCost(inst.Clone(), 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heur, err := StaticCost(inst.Clone(), BestStaticColors(inst, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Cost.Total() > heur.Cost.Total() {
-		t.Fatalf("enumeration (%d) worse than heuristic (%d)", best.Cost.Total(), heur.Cost.Total())
-	}
-}
-
-func TestBestStaticCostFallsBackOnManyColors(t *testing.T) {
-	inst := workload.RandomBatched(3, 32, 2, 64, []int{1, 2, 4}, 0.8, 0.8, true)
-	res, err := BestStaticCost(inst, 4, 8) // 32 colors > 8: heuristic path
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil {
-		t.Fatal("nil result")
 	}
 }

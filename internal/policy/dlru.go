@@ -37,9 +37,6 @@ func (d *DLRU) Reset(env sched.Env) {
 	d.cache = NewCache(env.N, len(env.Delays), true)
 }
 
-// Tracker exposes the color-state tracker for instrumentation.
-func (d *DLRU) Tracker() *colorstate.Tracker { return d.tr }
-
 // Reconfigure implements sched.Policy.
 func (d *DLRU) Reconfigure(ctx *sched.Context) []sched.Color {
 	if ctx.Mini == 0 {

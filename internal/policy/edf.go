@@ -39,9 +39,6 @@ func (e *EDF) Reset(env sched.Env) {
 	e.cache = NewCache(env.N, len(env.Delays), true)
 }
 
-// Tracker exposes the color-state tracker for instrumentation.
-func (e *EDF) Tracker() *colorstate.Tracker { return e.tr }
-
 // Reconfigure implements sched.Policy.
 func (e *EDF) Reconfigure(ctx *sched.Context) []sched.Color {
 	if ctx.Mini == 0 {

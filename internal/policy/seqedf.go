@@ -49,9 +49,6 @@ func (s *SeqEDF) Reset(env sched.Env) {
 	s.cache = NewCache(env.N, len(env.Delays), false)
 }
 
-// Tracker exposes the color-state tracker for instrumentation.
-func (s *SeqEDF) Tracker() *colorstate.Tracker { return s.tr }
-
 // Reconfigure implements sched.Policy.
 func (s *SeqEDF) Reconfigure(ctx *sched.Context) []sched.Color {
 	if ctx.Mini == 0 {

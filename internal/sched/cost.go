@@ -22,17 +22,6 @@ func (c Cost) String() string {
 	return fmt.Sprintf("%d (reconfig=%d, drop=%d)", c.Total(), c.Reconfig, c.Drop)
 }
 
-// Ratio returns the ratio of the two total costs, treating a zero
-// denominator as 1 so that zero-cost optima (both algorithms perfect)
-// yield a ratio equal to the numerator rather than an infinity.
-func Ratio(num, den Cost) float64 {
-	d := den.Total()
-	if d == 0 {
-		d = 1
-	}
-	return float64(num.Total()) / float64(d)
-}
-
 // Result aggregates everything a simulation run produces.
 type Result struct {
 	// Policy is the name of the policy that produced the run.

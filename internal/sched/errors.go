@@ -21,7 +21,7 @@ func (e *ArrivalError) Error() string {
 	if e.Color < 0 || int(e.Color) >= e.NumColors {
 		return fmt.Sprintf("sched: invalid arrival: color %d outside [0, %d)", e.Color, e.NumColors)
 	}
-	return fmt.Sprintf("sched: invalid arrival: color %d has non-positive count %d", e.Color, e.Count)
+	return fmt.Sprintf("sched: invalid arrival: color %d has count %d, want in [1, %d]", e.Color, e.Count, maxCount)
 }
 
 // ConfigError reports an invalid StreamConfig (or Env) field: a value
@@ -53,24 +53,18 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("sched: invalid config: %s = %d, want %s", e.Field, e.Value, e.Want)
 }
 
-// validateArrivals checks every batch against the color universe; it is
-// the single structural gate in front of the round engine, shared by
-// Stream.Step and anything that pre-validates requests before queueing
-// them (ValidateRequest).
-func validateArrivals(arrivals Request, numColors int) error {
-	for _, b := range arrivals {
-		if b.Color < 0 || int(b.Color) >= numColors || b.Count <= 0 {
+// ValidateRequest checks that every batch of r names a color in
+// [0, numColors) with a count in [1, maxCount], returning an
+// *ArrivalError for the first violation. It is the one arrival check:
+// Stream.Step and Stream.Advance run it before the engine sees a tick,
+// Instance.Validate on every round, and ingest paths that buffer
+// requests before stepping a stream (the rrserved submit queue) at
+// admission time instead of poisoning a later round tick.
+func ValidateRequest(r Request, numColors int) error {
+	for _, b := range r {
+		if b.Color < 0 || int(b.Color) >= numColors || b.Count <= 0 || b.Count > maxCount {
 			return &ArrivalError{Color: b.Color, Count: b.Count, NumColors: numColors}
 		}
 	}
 	return nil
-}
-
-// ValidateRequest checks that every batch of r names a color in
-// [0, numColors) with a positive count, returning an *ArrivalError for
-// the first violation. Ingest paths that buffer requests before stepping
-// a stream (the rrserved submit queue) use it to reject malformed input
-// at admission time instead of poisoning a later round tick.
-func ValidateRequest(r Request, numColors int) error {
-	return validateArrivals(r, numColors)
 }

@@ -9,10 +9,12 @@ import (
 	"repro/internal/snap"
 )
 
-// The structural-validation contract of the ingest path: Stream.Step and
-// ValidateRequest reject out-of-range colors and non-positive counts
-// with an *ArrivalError, NewStream rejects bad configuration with a
-// *ConfigError, and a rejected Step leaves the stream untouched.
+// The structural-validation contract of the ingest path: Stream.Step,
+// Stream.Advance and ValidateRequest reject out-of-range colors and
+// counts outside [1, maxCount] with an *ArrivalError, NewStream rejects
+// bad configuration with a *ConfigError, and a rejected Step leaves the
+// stream untouched. Two batches of 2⁶² jobs of one color used to merge
+// to a negative count that the job pool silently dropped.
 func TestStepRejectsInvalidArrivals(t *testing.T) {
 	cases := []struct {
 		name string
@@ -24,6 +26,8 @@ func TestStepRejectsInvalidArrivals(t *testing.T) {
 		{"zero count", Request{{Color: 0, Count: 0}}},
 		{"negative count", Request{{Color: 1, Count: -4}}},
 		{"valid then invalid", Request{{Color: 0, Count: 2}, {Color: 2, Count: -1}}},
+		{"count past the cap", Request{{Color: 1, Count: maxCount + 1}}},
+		{"counts that overflow when merged", Request{{Color: 0, Count: 1 << 62}, {Color: 0, Count: 1 << 62}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,6 +47,9 @@ func TestStepRejectsInvalidArrivals(t *testing.T) {
 			}
 			if ae.NumColors != 3 {
 				t.Errorf("ArrivalError.NumColors = %d, want 3", ae.NumColors)
+			}
+			if err := st.Advance(tc.req); !errors.As(err, &ae) {
+				t.Fatalf("Advance(%v) = %v, want *ArrivalError", tc.req, err)
 			}
 			if err := ValidateRequest(tc.req, 3); !errors.As(err, &ae) {
 				t.Errorf("ValidateRequest(%v) = %v, want *ArrivalError", tc.req, err)
@@ -65,8 +72,11 @@ func TestStepRejectsInvalidArrivals(t *testing.T) {
 		})
 	}
 
-	if err := ValidateRequest(Request{{Color: 0, Count: 1}, {Color: 2, Count: 3}}, 3); err != nil {
+	if err := ValidateRequest(Request{{Color: 0, Count: 1}, {Color: 2, Count: maxCount}}, 3); err != nil {
 		t.Errorf("ValidateRequest(valid) = %v", err)
+	}
+	if err := ValidateRequest(Request{{Color: 0, Count: maxCount + 1}}, 3); err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxCount)) {
+		t.Errorf("ValidateRequest(count past the cap) = %v, want an error naming %d", err, maxCount)
 	}
 }
 

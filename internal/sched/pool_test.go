@@ -80,7 +80,13 @@ func TestJobPoolTakeKeepsHeapLayout(t *testing.T) {
 	for c := Color(0); c < 6; c++ {
 		p.take(c)
 		dl, _ := p.earliestDeadline(c)
-		if pri, ok := p.dl.Priority(c); !ok || pri != dl {
+		pri, ok := 0, false
+		p.dl.Export(func(k Color, v int) {
+			if k == c {
+				pri, ok = v, true
+			}
+		})
+		if !ok || pri != dl {
 			t.Fatalf("color %d: heap priority %d (%v), earliest deadline %d", c, pri, ok, dl)
 		}
 	}

@@ -81,24 +81,6 @@ func (s *Stream) AppendSnapshot(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// SnapshotDelta captures the stream's state as a binary delta against
-// base, a full snapshot blob previously taken from this stream (see
-// snap.MakeDelta for the format). The delta is appended onto dst and
-// the extended slice returned; snap.ApplyDelta(nil, base, delta)
-// reproduces the full snapshot bit-identically. Deltas are always
-// computed against the given base — they never chain — so the caller
-// retains one full blob and may take any number of deltas against it.
-// Like AppendSnapshot, a caller recycling dst reaches an
-// allocation-flat steady state.
-func (s *Stream) SnapshotDelta(base, dst []byte) ([]byte, error) {
-	cur, err := s.AppendSnapshot(s.deltaScratch[:0])
-	if err != nil {
-		return nil, err
-	}
-	s.deltaScratch = cur // retain the grown buffer for next time
-	return s.dm.AppendDelta(dst, base, cur), nil
-}
-
 // PeekSnapshot decodes just the configuration header of a
 // Stream.Snapshot blob — the StreamConfig it was taken under and the
 // name of its policy — without rebuilding the stream. Servers restoring

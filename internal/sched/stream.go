@@ -36,13 +36,9 @@ type Stream struct {
 	eng     *roundEngine
 	scratch Request
 
-	// Snapshot-path scratch (see AppendSnapshot / SnapshotDelta): a
-	// retained encoder so repeated snapshots reuse one backing buffer,
-	// a scratch buffer holding the current full snapshot while a delta
-	// is computed, and the reusable delta block index.
-	snapEnc      snap.Encoder
-	deltaScratch []byte
-	dm           snap.DeltaMaker
+	// snapEnc is AppendSnapshot's retained encoder, so repeated
+	// snapshots reuse one backing buffer.
+	snapEnc snap.Encoder
 }
 
 // StepResult reports one round of a Stream.
@@ -85,13 +81,17 @@ func (r StepResult) Clone() StepResult {
 // its per-round work, and let a corrupt snapshot fail before
 // RestoreStream attempts an absurd allocation. maxDelay also keeps
 // every deadline r + D_c the engine forms far from overflow at any
-// round a stream can reach. Real deployments sit orders of magnitude
-// below all four.
+// round a stream can reach. maxCount caps one batch of arrivals
+// (ValidateRequest), so merging a tick's batches of one color cannot
+// overflow: that would take 2³³ batches, far more than a 4 MiB wire
+// frame or any real memory holds. Real deployments sit orders of
+// magnitude below all five.
 const (
 	maxN      = 1 << 22
 	maxSpeed  = 1 << 12
 	maxColors = 1 << 22
 	maxDelay  = 1 << 30
+	maxCount  = 1 << 30
 )
 
 // checkConfig checks every field of cfg against its range: N, Speed,
@@ -179,12 +179,13 @@ func (s *Stream) Reconfigs() int { return s.eng.res.Reconfigs }
 func (s *Stream) NumColors() int { return len(s.cfg.Delays) }
 
 // Step simulates one round with the given arrivals. Batches must name
-// declared colors with positive counts; they need not be sorted or
+// declared colors with counts in [1, 2³⁰]; they need not be sorted or
 // deduplicated — Step normalizes a scratch copy exactly the way Run's
 // Instance.Normalize would, so a policy sees identical arrivals under
 // both front-ends. Structurally invalid arrivals (out-of-range colors,
-// non-positive counts) are rejected with an *ArrivalError before the
-// engine sees them; the stream is left untouched and may keep stepping.
+// counts outside that range) are rejected with an *ArrivalError before
+// the engine sees them; the stream is left untouched and may keep
+// stepping.
 // The returned StepResult's slices are reused across Steps; call
 // StepResult.Clone to retain one (see the StepResult doc).
 func (s *Stream) Step(arrivals Request) (StepResult, error) {
@@ -215,7 +216,7 @@ func (s *Stream) Advance(arrivals Request) error {
 // normalize validates arrivals and returns them normalized in the
 // stream's scratch buffer.
 func (s *Stream) normalize(arrivals Request) (Request, error) {
-	if err := validateArrivals(arrivals, len(s.cfg.Delays)); err != nil {
+	if err := ValidateRequest(arrivals, len(s.cfg.Delays)); err != nil {
 		return nil, err
 	}
 	s.scratch = normalizeRequest(append(s.scratch[:0], arrivals...))

@@ -4,7 +4,39 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// TestAdvanceSortsWideTickQuickly: one tick naming each of 2¹⁷ colors
+// once, in descending order, is normalized and stepped within 5 s; an
+// insertion sort makes about 2³³ swaps on it. The step runs on its own
+// goroutine, so a slow sort fails at the deadline instead of hanging.
+func TestAdvanceSortsWideTickQuickly(t *testing.T) {
+	const colors = 1 << 17
+	delays := make([]int, colors)
+	tick := make(Request, colors)
+	for c := range delays {
+		delays[c] = 1
+		tick[c] = Batch{Color: Color(colors - 1 - c), Count: 1}
+	}
+	st, err := NewStream(&scripted{rows: [][]Color{{0}}}, StreamConfig{N: 1, Delta: 1, Delays: delays})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- st.Advance(tick) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("one tick of 2¹⁷ colors still stepping after 5 s")
+	}
+	if got := st.Executed() + st.TotalPending(); got != colors {
+		t.Fatalf("executed + pending = %d, want %d", got, colors)
+	}
+}
 
 func TestStreamValidation(t *testing.T) {
 	pol := &scripted{rows: [][]Color{{0}}}

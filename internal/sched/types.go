@@ -11,7 +11,11 @@
 // (§2 of the paper). The goal is to minimize reconfiguration + drop cost.
 package sched
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Color identifies a job category. Colors are dense small integers
 // 0 … NumColors-1. NoColor represents the initial "black" configuration of
@@ -97,8 +101,8 @@ func (in *Instance) JobsPerColor() []int {
 	return per
 }
 
-// Validate checks structural sanity: Δ ≥ 1, every delay bound ≥ 1, every
-// batch names a valid color with a positive count.
+// Validate checks structural sanity: Δ ≥ 1, every delay bound ≥ 1, and
+// every round passes ValidateRequest.
 func (in *Instance) Validate() error {
 	if in.Delta < 1 {
 		return fmt.Errorf("sched: instance %q: Delta must be ≥ 1, got %d", in.Name, in.Delta)
@@ -109,13 +113,8 @@ func (in *Instance) Validate() error {
 		}
 	}
 	for i, r := range in.Requests {
-		for _, b := range r {
-			if b.Color < 0 || int(b.Color) >= in.NumColors() {
-				return fmt.Errorf("sched: instance %q: round %d names unknown color %d", in.Name, i, b.Color)
-			}
-			if b.Count <= 0 {
-				return fmt.Errorf("sched: instance %q: round %d has non-positive batch count %d", in.Name, i, b.Count)
-			}
+		if err := ValidateRequest(r, in.NumColors()); err != nil {
+			return fmt.Errorf("sched: instance %q: round %d: %w", in.Name, i, err)
 		}
 	}
 	return nil
@@ -192,18 +191,14 @@ func (in *Instance) Normalize() *Instance {
 // normalizeRequest sorts a request's batches by color and merges
 // duplicates, in place, returning the canonical slice. Both Instance
 // normalization and Stream.Step use it, so the two front-ends hand
-// policies byte-identical arrivals. Insertion sort keeps the common
-// small-request case allocation-free, which the Stream dataplane's
-// zero-allocation guarantee relies on.
+// policies byte-identical arrivals. The sort allocates nothing, which
+// the Stream dataplane's zero-allocation guarantee relies on; it need
+// not be stable, because the merge sums equal colors in any order.
 func normalizeRequest(r Request) Request {
 	if len(r) <= 1 {
 		return r
 	}
-	for i := 1; i < len(r); i++ {
-		for j := i; j > 0 && r[j].Color < r[j-1].Color; j-- {
-			r[j], r[j-1] = r[j-1], r[j]
-		}
-	}
+	slices.SortFunc(r, func(a, b Batch) int { return cmp.Compare(a.Color, b.Color) })
 	out := r[:0]
 	for _, b := range r {
 		if n := len(out); n > 0 && out[n-1].Color == b.Color {
@@ -225,15 +220,6 @@ func (in *Instance) AddJobs(round int, c Color, count int) {
 		in.Requests = append(in.Requests, nil)
 	}
 	in.Requests[round] = append(in.Requests[round], Batch{Color: c, Count: count})
-}
-
-// PowerOfTwoAtLeast returns the smallest power of two ≥ v (v ≥ 1).
-func PowerOfTwoAtLeast(v int) int {
-	p := 1
-	for p < v {
-		p <<= 1
-	}
-	return p
 }
 
 // PowerOfTwoAtMost returns the largest power of two ≤ v (v ≥ 1).

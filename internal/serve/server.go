@@ -94,11 +94,6 @@ func (c *Config) fill() {
 	}
 }
 
-// connWindow bounds a connection's staged-but-unwritten responses. A
-// pipelining client may keep up to this many requests in flight before
-// the reader stops pulling frames and TCP backpressure takes over.
-const connWindow = 256
-
 // shardBDR is each shard's supply under Config.BDR: one worker serving
 // one round per tick, at delay bound 1 below a machine root of delay 0.
 var shardBDR = bdr.BDR{Rate: 1, Delay: 1}
@@ -747,56 +742,28 @@ type connState struct {
 	batch batchMsg
 }
 
-// connWriter drains a connection's staged responses onto the wire,
-// flushing only when the queue runs dry — so a pipelining client's K
+// handleConn runs one connection on this goroutine: read a frame,
+// process it, stage the response in bw. Requests on one connection are
+// applied in the order they were sent, which is what lets a pipelined
+// submit window carry strictly increasing sequence numbers. bw is
+// flushed only once br holds no more input, so a pipelining client's K
 // responses coalesce into one Flush (and often one syscall) instead of
-// K. Written buffers are recycled through free back to the reader.
-// Exits on the first write error or when resp closes (reader gone).
-func connWriter(bw *bufio.Writer, resp <-chan []byte, free chan<- []byte) {
-	for body := range resp {
-		err := writeFrame(bw, body)
-		select {
-		case free <- body:
-		default:
-		}
-		if err != nil {
-			return
-		}
-		if len(resp) == 0 {
-			if bw.Flush() != nil {
-				return
-			}
-		}
-	}
-	bw.Flush()
-}
-
-// handleConn runs one connection: a reader loop (this goroutine)
-// decoding and processing frames in arrival order, and a writer
-// goroutine flushing staged responses with coalescing. Processing stays
-// in the reader, so requests on one connection are still applied in the
-// order they were sent — which is what lets a pipelined submit window
-// carry strictly increasing sequence numbers — while the bounded
-// response queue lets up to connWindow requests be in flight before
-// backpressure stops the reader.
+// K. Holding responses while br has input cannot stall a peer, because
+// every peer flushes each frame it has begun before it waits for a
+// response (docs/SERVER.md "Connections"), so the rest of a frame br
+// holds part of is already on its way. A peer that stops reading blocks
+// only this connection, through TCP, until it reads again or stop
+// closes the connection.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.connWG.Done()
 	br := bufio.NewReader(c)
 	bw := bufio.NewWriter(c)
-	resp := make(chan []byte, connWindow)
-	free := make(chan []byte, connWindow)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		connWriter(bw, resp, free)
-	}()
 	defer func() {
-		// Let the writer drain what is staged (a poisoned request's
-		// error response must still reach the peer), but bound how long
-		// a wedged peer can hold the handler, then tear down.
-		close(resp)
+		// Flush what is staged (a poisoned request's error response must
+		// still reach the peer), but bound how long a wedged peer can hold
+		// the handler, then tear down.
 		c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		<-writerDone
+		bw.Flush()
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
@@ -813,18 +780,10 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 		enc.Reset()
 		closeAfter := s.process(buf, &cs, enc)
-		var out []byte
-		select {
-		case out = <-free:
-		default:
-		}
-		out = append(out[:0], enc.Bytes()...)
-		select {
-		case resp <- out:
-		case <-writerDone: // writer hit a write error; conn is dead
+		if writeFrame(bw, enc.Bytes()) != nil || closeAfter {
 			return
 		}
-		if closeAfter {
+		if br.Buffered() == 0 && bw.Flush() != nil {
 			return
 		}
 	}

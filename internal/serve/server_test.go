@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -361,6 +365,11 @@ func TestServerRejections(t *testing.T) {
 	// Arrivals are validated at admission: color out of range.
 	if _, _, err := c.Submit("a", 1, sched.Request{{Color: 99, Count: 1}}); !errors.As(err, &re) || re.Code != codeInvalidArrival {
 		t.Fatalf("invalid arrival = %v", err)
+	}
+	// A count past the cap: these two batches would merge to a negative
+	// count, and the tick's jobs would vanish.
+	if _, _, err := c.Submit("a", 1, sched.Request{{Color: 0, Count: 1 << 62}, {Color: 0, Count: 1 << 62}}); !errors.As(err, &re) || re.Code != codeInvalidArrival {
+		t.Fatalf("arrival counts past the cap = %v", err)
 	}
 }
 
@@ -815,6 +824,154 @@ func TestShutdownAcceptStorm(t *testing.T) {
 	}
 	wg.Wait()
 	// connWG.Wait has returned, so every handler deregistered itself.
+	s.mu.Lock()
+	n := len(s.conns)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d connections still registered after Shutdown", n)
+	}
+}
+
+// TestConnAnswersPipelineInOrder: K requests and then a frame of an
+// unknown type, written to a raw connection in one flush, come back as
+// K+1 responses in request order, each echoing its tag, the last a bad
+// request; then the server closes the connection.
+func TestConnAnswersPipelineInOrder(t *testing.T) {
+	inst := testInstance(t, 32, 0)
+	s := startServer(t, Config{})
+	if _, _, err := dialTest(t, s).Open("a", tcFor(inst)); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const k, tag0 = 64, 1000
+	bw := bufio.NewWriter(conn)
+	enc := snap.NewEncoder()
+	var want []uint64 // the response type of each request, in order
+	for i := 0; i < k; i++ {
+		enc.Reset()
+		enc.Uint64(uint64(tag0 + i))
+		if i%2 == 0 {
+			(&batchMsg{Tenant: "a", Seq: i / 2, Ticks: inst.Requests[i/2 : i/2+1]}).encode(enc)
+			want = append(want, msgSubmitBatch)
+		} else {
+			(&tenantMsg{Type: msgTenantStats, Tenant: "a"}).encode(enc)
+			want = append(want, msgTenantStats)
+		}
+		if err := writeFrame(bw, enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc.Reset()
+	enc.Uint64(tag0 + k)
+	enc.Uint64(99) // no such message type
+	if err := writeFrame(bw, enc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, msgErr)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	var buf []byte
+	for i, typ := range want {
+		if buf, err = readFrame(br, buf); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		d := snap.NewDecoder(buf)
+		if tag, got := d.Uint64(), d.Uint64(); tag != uint64(tag0+i) || got != typ {
+			t.Fatalf("response %d: tag %d, type %d; want tag %d, type %d", i, tag, got, tag0+i, typ)
+		}
+		switch typ {
+		case msgSubmitBatch:
+			var r batchResp
+			if r.decode(d); r.Admitted != 1 || r.Err != nil {
+				t.Fatalf("response %d: submit admitted %d, err %+v", i, r.Admitted, r.Err)
+			}
+		case msgErr:
+			var e errResp
+			if e.decode(d); e.Code != codeBadRequest {
+				t.Fatalf("response %d: code %d (%s), want a bad request", i, e.Code, e.Msg)
+			}
+		}
+	}
+	if _, err := readFrame(br, buf); err != io.EOF {
+		t.Fatalf("after the bad request: %v, want EOF", err)
+	}
+}
+
+// TestShutdownUnblocksStalledPeer: a peer pipelines all-tenant stats
+// requests against 64 tenants and never reads. The responses back up
+// through both socket buffers until the server can write no more and,
+// in turn, stops reading. Shutdown still returns within a few seconds,
+// with every connection deregistered.
+func TestShutdownUnblocksStalledPeer(t *testing.T) {
+	s := startServer(t, Config{})
+	c := dialTest(t, s)
+	for i := 0; i < 64; i++ {
+		if _, _, err := c.Open(fmt.Sprintf("t%02d", i), tcFor(testInstance(t, 8, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Small buffers on the peer's own socket make the backlog reach the
+	// server sooner; the server's socket keeps its defaults.
+	tc := conn.(*net.TCPConn)
+	if err := tc.SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SetWriteBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+
+	var burst bytes.Buffer
+	bw := bufio.NewWriter(&burst)
+	enc := snap.NewEncoder()
+	for i := 0; i < 256; i++ {
+		enc.Reset()
+		enc.Uint64(uint64(i + 1))
+		(&tenantMsg{Type: msgTenantStats}).encode(enc)
+		if err := writeFrame(bw, enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bw.Flush()
+	// Write until a write stalls: the server has stopped reading, which
+	// it does only while it cannot write.
+	giveUp := time.Now().Add(20 * time.Second)
+	for {
+		conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+		if _, err := conn.Write(burst.Bytes()); err != nil {
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatal(err)
+			}
+			break
+		}
+		if time.Now().After(giveUp) {
+			t.Fatal("the server kept reading from a peer that never reads")
+		}
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown still blocked after 5s behind a peer that never reads")
+	}
 	s.mu.Lock()
 	n := len(s.conns)
 	s.mu.Unlock()

@@ -1,10 +1,9 @@
 // Package stats provides the small statistics and reporting toolkit used
-// by the experiment harness: summaries, histograms, aligned text tables,
-// CSV output and ASCII series plots for the "figure" experiments.
+// by the experiment harness: summaries, histograms, aligned text tables
+// and ASCII series plots for the "figure" experiments.
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -23,13 +22,6 @@ type Summary struct {
 	P50  float64 `json:"p50"`
 	P90  float64 `json:"p90"`
 	P99  float64 `json:"p99"`
-
-	// sortedForPercent retains the sorted sample so Quantile can answer
-	// arbitrary percentiles. It is deliberately unexported and therefore
-	// NOT part of the JSON form: a Summary read back from JSON carries
-	// only the precomputed fields, and Quantile reports ErrNoSample
-	// rather than silently degrading (see the Quantile doc).
-	sortedForPercent []float64
 }
 
 // Summarize computes a Summary of xs. An empty sample yields a zero
@@ -41,7 +33,6 @@ func Summarize(xs []float64) Summary {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	s.sortedForPercent = sorted
 	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
 	sum := 0.0
 	for _, x := range sorted {
@@ -96,28 +87,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// ErrNoSample is reported by Summary.Quantile when the summary does not
-// hold its sample — a Summary deserialized from JSON, or the zero value.
-var ErrNoSample = errors.New("stats: summary holds no sample (deserialized or empty); only the precomputed fields are available")
-
-// Quantile returns the p-quantile (0 ≤ p ≤ 1) of the summarized sample.
-//
-// Only a Summary produced by Summarize in this process can answer: the
-// raw sample is intentionally excluded from the JSON form, so after a
-// JSON roundtrip exactly the exported fields (N, Mean, …, P50/P90/P99)
-// survive and Quantile reports ErrNoSample instead of returning a wrong
-// or zero quantile. Callers that need other percentiles after
-// persistence must store them explicitly.
-func (s Summary) Quantile(p float64) (float64, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("stats: Quantile(%v) outside [0, 1]", p)
-	}
-	if len(s.sortedForPercent) == 0 {
-		return 0, ErrNoSample
-	}
-	return Percentile(s.sortedForPercent, p), nil
 }
 
 // String renders the summary on one line.

@@ -105,28 +105,3 @@ func (t *Table) RenderMarkdown(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// RenderCSV writes the table as CSV (header + rows). Cells containing
-// commas or quotes are quoted.
-func (t *Table) RenderCSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				b.WriteString(`"` + strings.ReplaceAll(cell, `"`, `""`) + `"`)
-			} else {
-				b.WriteString(cell)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}

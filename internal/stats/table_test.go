@@ -46,25 +46,6 @@ func TestTableRenderMarkdown(t *testing.T) {
 	}
 }
 
-func TestTableRenderCSV(t *testing.T) {
-	tab := NewTable("", "a", "b")
-	tab.AddRow(`quote"inside`, "with,comma")
-	var b strings.Builder
-	if err := tab.RenderCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `"quote""inside"`) {
-		t.Fatalf("CSV quoting wrong:\n%s", out)
-	}
-	if !strings.Contains(out, `"with,comma"`) {
-		t.Fatalf("CSV comma quoting wrong:\n%s", out)
-	}
-	if !strings.HasPrefix(out, "a,b\n") {
-		t.Fatalf("CSV header wrong:\n%s", out)
-	}
-}
-
 func TestFigureTableUnionOfX(t *testing.T) {
 	fig := NewFigure("f", "x", "y")
 	s1 := fig.NewSeries("s1")

@@ -187,49 +187,3 @@ func ReadCSV(r io.Reader) (*sched.Instance, error) {
 	}
 	return inst.Normalize(), nil
 }
-
-// jsonResult is the serialized run summary.
-type jsonResult struct {
-	Version   int    `json:"version"`
-	Policy    string `json:"policy"`
-	Reconfig  int64  `json:"reconfigCost"`
-	Drop      int64  `json:"dropCost"`
-	Executed  int    `json:"executed"`
-	Dropped   int    `json:"dropped"`
-	Reconfigs int    `json:"reconfigs"`
-	Rounds    int    `json:"rounds"`
-}
-
-// WriteResultJSON serializes a run summary (without the schedule).
-func WriteResultJSON(w io.Writer, res *sched.Result) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(&jsonResult{
-		Version:   FormatVersion,
-		Policy:    res.Policy,
-		Reconfig:  res.Cost.Reconfig,
-		Drop:      res.Cost.Drop,
-		Executed:  res.Executed,
-		Dropped:   res.Dropped,
-		Reconfigs: res.Reconfigs,
-		Rounds:    res.Rounds,
-	})
-}
-
-// ReadResultJSON deserializes a run summary.
-func ReadResultJSON(r io.Reader) (*sched.Result, error) {
-	var in jsonResult
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("trace: decoding result: %w", err)
-	}
-	if in.Version != FormatVersion {
-		return nil, fmt.Errorf("trace: unsupported result version %d", in.Version)
-	}
-	return &sched.Result{
-		Policy:    in.Policy,
-		Cost:      sched.Cost{Reconfig: in.Reconfig, Drop: in.Drop},
-		Executed:  in.Executed,
-		Dropped:   in.Dropped,
-		Reconfigs: in.Reconfigs,
-		Rounds:    in.Rounds,
-	}, nil
-}

@@ -119,31 +119,6 @@ func TestRoundtripProperty(t *testing.T) {
 	}
 }
 
-func TestResultJSONRoundtrip(t *testing.T) {
-	res := &sched.Result{
-		Policy:    "X",
-		Cost:      sched.Cost{Reconfig: 12, Drop: 7},
-		Executed:  100,
-		Dropped:   7,
-		Reconfigs: 4,
-		Rounds:    50,
-	}
-	var buf bytes.Buffer
-	if err := WriteResultJSON(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadResultJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, res) {
-		t.Fatalf("result roundtrip: %+v vs %+v", got, res)
-	}
-	if _, err := ReadResultJSON(strings.NewReader(`{"version":2}`)); err == nil {
-		t.Fatal("wrong result version accepted")
-	}
-}
-
 func TestWriteRejectsInvalidInstance(t *testing.T) {
 	bad := &sched.Instance{Delta: 0, Delays: []int{1}}
 	if err := WriteJSON(&bytes.Buffer{}, bad); err == nil {
