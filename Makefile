@@ -59,11 +59,12 @@ durasmoke:
 # 0)"): the whole internal/bdr package fresh — SBF feasibility
 # properties, the reservation tree, the fractional-share controller —
 # plus the serve-layer BDR contracts: typed admission rejection with
-# residuals, durable reservations across restarts and the deterministic
-# isolation harness. Fresh runs, never cached.
+# residuals, durable reservations across restarts, the deterministic
+# isolation harness, and the paced shard's pass clock, which keeps the
+# shard's rate-1 supply in wall time. Fresh runs, never cached.
 bdrsmoke:
 	go test -count=1 ./internal/bdr/
-	go test -run 'TestBDR' -count=1 ./internal/serve/
+	go test -run 'TestBDR|TestPace' -count=1 ./internal/serve/
 	go test -run 'TestProxyDuraStatsFanout' -count=1 ./internal/proxy/
 
 # The multi-tenant server smoke (docs/SERVER.md): the full serve-layer

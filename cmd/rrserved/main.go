@@ -57,7 +57,7 @@ func main() {
 		ckptEvery    = flag.Int("checkpoint-every", 64, "rounds between periodic per-tenant checkpoints")
 		ckptCommit   = flag.Duration("ckpt-commit-interval", 0, "checkpoint-log group-commit fsync interval (0 = default 2ms)")
 		ckptSegBytes = flag.Int("ckpt-segment-bytes", 0, "log segment size before rotation (0 = default 4MiB)")
-		interval     = flag.Duration("round-interval", 0, "pace round application (0 = apply eagerly)")
+		interval     = flag.Duration("round-interval", 0, "pace round application (0 = apply eagerly; negative is an error)")
 		shards       = flag.Int("shards", 0, "round-engine worker shards (0 = GOMAXPROCS, capped at 16)")
 		maxTen       = flag.Int("max-tenants", 0, "live tenant limit (0 = default 4096)")
 		queueCap     = flag.Int("queue-cap", 0, "default per-tenant queue cap (0 = default 64)")

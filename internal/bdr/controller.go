@@ -54,8 +54,9 @@ const maxPressure = 4.0
 // Shares computes each demand's fractional share for one service pass
 // and writes the result into out (which must be len(demands)).
 // passBudget is the pass's total service budget in rounds (the paced
-// worker's one-round-per-backlogged-tenant budget, or 0 for an eager
-// unbounded pass, in which case budgets are left uncapped).
+// worker's one round per backlogged tenant per interval the pass is
+// owed, or 0 for an eager unbounded pass, in which case budgets are
+// left uncapped).
 func (c *Controller) Shares(demands []Demand, passBudget int, out []Share) {
 	scale := c.Scale
 	if scale <= 0 {

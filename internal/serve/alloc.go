@@ -170,15 +170,15 @@ type passState struct {
 // backlogged tenants, then repeatedly asks the allocator which one to
 // serve next, applying up to one quantum of queued round ticks per pick
 // and settling the deficit accounts, until the snapshot backlog is
-// drained or the budget is spent. budget 0 means unlimited (the eager
-// worker); budget < 0 means one round per backlogged tenant (the paced
-// worker), so the aggregate pace matches the pre-allocator behavior
-// while the allocator decides the distribution — a budgeted pass is
-// exactly the cup game's emptier, with the budget as the processor
-// count. Rounds admitted mid-pass are
-// not chased — they re-poke the shard and the next pass serves them —
-// so a pass always terminates.
-func (s *Server) servePass(sh *shard, ps *passState, budget int) {
+// drained or the budget is spent. intervals 0 means an unlimited budget
+// (the eager worker); intervals k > 0 is a paced pass owed k intervals,
+// with a budget of k rounds per backlogged tenant, so the aggregate pace
+// is on average one round per backlogged tenant per interval while the
+// allocator decides the distribution — a budgeted pass is exactly the
+// cup game's emptier, with the budget as the processor count. Rounds
+// admitted mid-pass are not chased — they re-poke the shard and the
+// next pass serves them — so a pass always terminates.
+func (s *Server) servePass(sh *shard, ps *passState, intervals int) {
 	ps.scratch = sh.snapshot(ps.scratch[:0])
 	ps.live = ps.live[:0]
 	ps.loads = ps.loads[:0]
@@ -188,10 +188,8 @@ func (s *Server) servePass(sh *shard, ps *passState, budget int) {
 			ps.loads = append(ps.loads, l)
 		}
 	}
-	if budget < 0 {
-		budget = len(ps.loads)
-	}
-	unlimited := budget == 0
+	budget := intervals * len(ps.loads)
+	unlimited := intervals == 0
 	totalApplied := 0
 	budgeted := false // a BDR pass with per-tenant budgets assigned
 	if s.ctrl != nil && len(ps.loads) > 0 {

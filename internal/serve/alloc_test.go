@@ -78,10 +78,10 @@ func TestWDRRPick(t *testing.T) {
 // server using the named allocator and reports the worst victim
 // delay-factor high-water mark. A hot tenant opened first (scan index
 // 0) holds a standing backlog; each simulated tick the victims submit
-// one round apiece and the test drives one paced allocation pass
-// (budget -1 = one round per backlogged tenant), exactly what the
-// paced shard worker runs per RoundInterval. The hot tenant's own
-// delay factor is self-inflicted and ignored.
+// one round apiece and the test drives one paced allocation pass owed
+// one interval (a budget of one round per backlogged tenant), exactly
+// what the paced shard worker runs for an on-time RoundInterval tick.
+// The hot tenant's own delay factor is self-inflicted and ignored.
 func runStarvation(t *testing.T, allocator string) float64 {
 	t.Helper()
 	const victims, ticks = 4, 40
@@ -131,7 +131,7 @@ func runStarvation(t *testing.T, allocator string) float64 {
 			}
 			f.next++
 		}
-		s.servePass(sh, &ps, -1)
+		s.servePass(sh, &ps, 1)
 	}
 
 	rows, err := c.Stats("")

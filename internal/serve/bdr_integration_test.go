@@ -2,9 +2,12 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // TestBDRAdmission pins the admission surface end to end on a
@@ -140,21 +143,34 @@ func TestBDRRecovery(t *testing.T) {
 	}
 }
 
-// TestBDRIsolation is the deterministic form of the PR's acceptance
-// scenario, modeled on runStarvation: one hot unreserved tenant holds a
-// standing backlog while reserved victims trickle one round per tick.
+// TestBDRIsolation is the deterministic form of the admission scenario,
+// modeled on runStarvation: one hot unreserved tenant holds a standing
+// backlog while reserved victims trickle rounds in between passes.
 // Under the fractional-share controller every reserved victim's delay
 // factor must stay at or under 1.0 — the guarantee the admission check
 // promised — and the victims' budget utilization must reach their
 // accrual (≥ 1: they got at least the service their reservation
-// integrates to).
+// integrates to). It runs two schedules: on-time passes, each owed one
+// interval, with one victim round between them; and late passes, each
+// owed 4 intervals as a paced worker's pass clock grants them after a
+// late wake, with 4 victim rounds between them. 4 is the most a victim
+// can queue before its own arrivals exceed its tightest bound (the
+// router trace's MinDelay 4).
 func TestBDRIsolation(t *testing.T) {
-	const victims, ticks = 4, 40
+	for _, intervals := range []int{1, 4} {
+		t.Run(fmt.Sprintf("intervals=%d", intervals), func(t *testing.T) {
+			runBDRIsolation(t, intervals)
+		})
+	}
+}
+
+func runBDRIsolation(t *testing.T, intervals int) {
+	const victims, passes = 4, 40
 	s := startServer(t, Config{Shards: 1, BDR: true, RoundInterval: time.Hour,
 		DefaultQueueCap: 1024})
 	c := dialTest(t, s)
 
-	hot := testInstance(t, 512, 0)
+	hot := testInstance(t, 1024, 0)
 	htc := tcFor(hot)
 	htc.QueueCap = 1024
 	if _, _, err := c.Open("hot", htc); err != nil {
@@ -162,13 +178,12 @@ func TestBDRIsolation(t *testing.T) {
 	}
 	type feedState struct {
 		id   string
+		inst *sched.Instance
 		next int
-		reqs int
 	}
 	feeds := make([]feedState, victims)
-	insts := make(map[string]int)
 	for i := range feeds {
-		inst := testInstance(t, 64, i+1)
+		inst := testInstance(t, passes*intervals, i+1)
 		id := "victim" + string(rune('A'+i))
 		vtc := tcFor(inst)
 		// Each victim reserves 1/8 of the shard with a delay bound of 8
@@ -178,11 +193,12 @@ func TestBDRIsolation(t *testing.T) {
 		if _, _, err := c.Open(id, vtc); err != nil {
 			t.Fatal(err)
 		}
-		feeds[i] = feedState{id: id}
-		insts[id] = i + 1
+		feeds[i] = feedState{id: id, inst: inst}
 	}
 
-	need := ticks * (victims + 2)
+	// The hot tenant's standing backlog: more rounds than the whole
+	// run's pass budgets add up to, so it never drains.
+	need := passes * (victims + 2) * intervals
 	for seq := 0; seq < need; seq++ {
 		if _, _, err := c.Submit("hot", seq, hot.Requests[seq]); err != nil {
 			t.Fatalf("hot submit %d: %v", seq, err)
@@ -191,16 +207,17 @@ func TestBDRIsolation(t *testing.T) {
 
 	sh := s.shards[0]
 	var ps passState
-	for tick := 0; tick < ticks; tick++ {
+	for pass := 0; pass < passes; pass++ {
 		for i := range feeds {
 			f := &feeds[i]
-			inst := testInstance(t, 64, insts[f.id])
-			if _, _, err := c.Submit(f.id, f.next, inst.Requests[f.next]); err != nil {
-				t.Fatalf("%s submit %d: %v", f.id, f.next, err)
+			for k := 0; k < intervals; k++ {
+				if _, _, err := c.Submit(f.id, f.next, f.inst.Requests[f.next]); err != nil {
+					t.Fatalf("%s submit %d: %v", f.id, f.next, err)
+				}
+				f.next++
 			}
-			f.next++
 		}
-		s.servePass(sh, &ps, -1)
+		s.servePass(sh, &ps, intervals)
 	}
 
 	rows, err := c.Stats("")

@@ -43,9 +43,12 @@ type Config struct {
 	// CkptSegmentBytes caps a log segment before rotation (default 4MiB).
 	CkptSegmentBytes int
 	// RoundInterval, when positive, paces round application: each shard
-	// worker applies at most one queued tick per tenant per interval, so
-	// arrivals batch into timed round ticks and a client outrunning the
-	// rate is shed at its queue cap. Zero applies ticks eagerly.
+	// worker applies on average one queued tick per backlogged tenant per
+	// interval, so arrivals batch into timed round ticks and a client
+	// outrunning the rate is shed at its queue cap. The Go runtime wakes
+	// a sleeping worker at about 1 ms granularity, so a late pass serves
+	// every interval it missed, up to 4 ms of them. Zero applies ticks
+	// eagerly; a negative value is an error.
 	RoundInterval time.Duration
 	// Shards is the worker-pool size tenants are hashed across
 	// (default GOMAXPROCS, capped at 16).
@@ -96,6 +99,8 @@ func (c *Config) fill() {
 
 // shardBDR is each shard's supply under Config.BDR: one worker serving
 // one round per tick, at delay bound 1 below a machine root of delay 0.
+// A paced worker's pass clock (paceClock) budgets every interval that
+// has elapsed, so that rate holds in wall time.
 var shardBDR = bdr.BDR{Rate: 1, Delay: 1}
 
 // Server hosts many tenants — each an independent sched.Stream with its
@@ -180,6 +185,9 @@ func (sh *shard) poke() {
 // CheckpointDir, binds the listener (so Addr is valid before Serve),
 // and starts the shard workers. Call Serve to accept connections.
 func NewServer(cfg Config) (*Server, error) {
+	if cfg.RoundInterval < 0 {
+		return nil, fmt.Errorf("serve: negative RoundInterval %v (0 applies rounds eagerly)", cfg.RoundInterval)
+	}
 	cfg.fill()
 	alloc, err := NewAllocator(cfg.Allocator, 0, 0)
 	if err != nil {
@@ -384,40 +392,73 @@ func (s *Server) shardIndex(id string) int {
 }
 
 // shardWorker applies admitted round ticks for the shard's tenants: a
-// full allocation pass (servePass) on every poke in eager mode, or a
-// budgeted pass — one round of budget per backlogged tenant — per
-// RoundInterval in paced mode. Which backlogged tenant each round goes
-// to is the cross-tenant allocator's decision (alloc.go), not arrival
-// order.
+// full allocation pass (servePass) on every poke in eager mode, or, in
+// paced mode, a budgeted pass on each ticker tick for the intervals the
+// pass clock owes — one round of budget per backlogged tenant per
+// interval. When nothing else is runnable the Go runtime sleeps in
+// whole milliseconds, so ticks at a shorter interval arrive late and
+// merge; the pass clock makes up the intervals they missed. Which
+// backlogged tenant each round goes to is the cross-tenant allocator's
+// decision (alloc.go), not arrival order.
 func (s *Server) shardWorker(sh *shard) {
 	defer s.shardWG.Done()
-	var tick <-chan time.Time
-	if s.cfg.RoundInterval > 0 {
-		tk := time.NewTicker(s.cfg.RoundInterval)
-		defer tk.Stop()
-		tick = tk.C
-	}
-	budget := 0 // eager: drain the pass snapshot completely
-	if tick != nil {
-		budget = -1 // paced: one round per backlogged tenant per interval
-	}
 	var ps passState
-	for {
-		if tick != nil {
-			select {
-			case <-s.stopShard:
-				return
-			case <-tick:
-			}
-		} else {
+	if s.cfg.RoundInterval == 0 {
+		for {
 			select {
 			case <-s.stopShard:
 				return
 			case <-sh.wake:
 			}
+			s.servePass(sh, &ps, 0)
 		}
-		s.servePass(sh, &ps, budget)
 	}
+	// The origin is read before the ticker starts, so no tick reads as
+	// early: every tick lands at or after its interval's end.
+	pc := newPaceClock(s.cfg.RoundInterval, time.Now())
+	tk := time.NewTicker(s.cfg.RoundInterval)
+	defer tk.Stop()
+	for {
+		select {
+		case <-s.stopShard:
+			return
+		case <-tk.C:
+		}
+		if n := pc.owed(time.Now()); n > 0 {
+			s.servePass(sh, &ps, n)
+		}
+	}
+}
+
+// maxPaceLag caps the wall time one paced pass may make up. It covers
+// the runtime's 1 ms sleeps with margin (20 intervals at 200 µs), while
+// a stalled worker never bursts more than 4 ms of service. An interval
+// longer than the cap still grants its one interval.
+const maxPaceLag = 4 * time.Millisecond
+
+// paceClock is a paced shard worker's pass clock: it turns each wake
+// into the whole intervals owed since the last pass.
+type paceClock struct {
+	interval time.Duration
+	maxOwed  int64     // maxPaceLag in intervals, at least 1
+	origin   time.Time // start of the first interval not yet granted
+}
+
+func newPaceClock(interval time.Duration, now time.Time) paceClock {
+	return paceClock{interval: interval, maxOwed: max(int64(maxPaceLag/interval), 1), origin: now}
+}
+
+// owed returns the whole intervals elapsed since the origin, capped at
+// maxOwed, and advances the origin past all of them: the origin keeps
+// its phase, and what a stall owed beyond the cap is dropped, never
+// owed later.
+func (c *paceClock) owed(now time.Time) int {
+	n := int64(now.Sub(c.origin) / c.interval)
+	if n <= 0 {
+		return 0
+	}
+	c.origin = c.origin.Add(time.Duration(n) * c.interval)
+	return int(min(n, c.maxOwed))
 }
 
 // ——— Tenant lifecycle ———
