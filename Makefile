@@ -47,13 +47,15 @@ faultsmoke:
 # The group-commit durability smoke (docs/CHECKPOINT.md "Group-commit
 # log"): the whole ckptlog package fresh — segment framing, recovery
 # scans over truncated/corrupted tails, rotation and compaction, sticky
-# write/sync failures — plus the serve-layer durability contracts:
-# tombstones shadowing closed tenants, compacting restarts, delta-chain
-# recovery, record versions and the snapshot checks recovery runs.
-# Fresh runs, never cached.
+# write/sync failures, the committer's fsync outside the log lock — plus
+# the serve-layer durability contracts: tombstones shadowing closed
+# tenants, compacting and deep-state restarts, recovery of an older
+# build's delta records, the zero-allocation checkpoint path, record
+# versions and the snapshot checks recovery runs. Fresh runs, never
+# cached.
 durasmoke:
 	go test -count=1 ./internal/ckptlog/
-	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestServeLog|TestServeCrashRestartLogSegments|TestRecordVersions|TestRestoreRejections' -count=1 ./internal/serve/
+	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestServeLogCompactionRestart|TestServeLogDeepStateRestart|TestRecoverOlderDeltaRecords|TestCheckpointPathAllocFree|TestServeCrashRestartLogSegments|TestRecordVersions|TestRestoreRejections' -count=1 ./internal/serve/
 
 # The admission-control smoke (docs/SCHEDULING.md "Admission (layer
 # 0)"): the whole internal/bdr package fresh — SBF feasibility

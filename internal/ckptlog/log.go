@@ -4,7 +4,9 @@
 // are appended to one shared, CRC-framed segment file, and a single
 // background committer turns any number of appends into one fsync per
 // commit interval — the batching that collapses the serve tier's
-// fsyncs/round from ~1 to ~1/batch. Segments rotate at a size bound.
+// fsyncs/round from ~1 to ~1/batch. The committer fsyncs with the log's
+// lock released, so an append waits on the disk only when it rotates the
+// segment. Segments rotate at a size bound.
 // The log counts, per segment, the records still live (each tenant's
 // latest full snapshot, its latest delta, or its tombstone); at every
 // rotation it deletes the sealed segments holding none, wherever they
@@ -130,10 +132,8 @@ func (o *Options) fill() {
 
 // Stats is a point-in-time snapshot of the log's counters.
 type Stats struct {
-	// Appends counts records appended (all kinds); Deltas the subset
-	// appended as KindDelta.
+	// Appends counts records appended (all kinds).
 	Appends int64
-	Deltas  int64
 	// Bytes counts framed bytes appended.
 	Bytes int64
 	// Fsyncs counts file syncs issued — the number the group commit
@@ -190,7 +190,7 @@ type Log struct {
 	activeSeq  int
 	activeOff  int64 // header + flushed + buffered bytes
 	wbuf       []byte
-	dirty      bool // bytes written to the file since the last fsync
+	dirty      bool // bytes written to the file since the last fsync began
 	index      map[string]tenantState
 	closed     bool
 	compacting bool
@@ -202,20 +202,29 @@ type Log struct {
 	// failLocked): once set, nothing is written again.
 	err error
 
+	// syncMu is held by whoever fsyncs the active segment: the committer,
+	// which takes it under mu and fsyncs with mu released (commit), and
+	// every commit made under mu (commitLocked). So fsyncs never overlap,
+	// and a commit under mu that finds the committer's fsync in flight
+	// waits for it without releasing mu. syncErr, guarded by syncMu, is
+	// the committer's failed fsync, for such a commit to see before the
+	// committer has re-taken mu to record it.
+	syncMu  sync.Mutex
+	syncErr error
+
 	enc snap.Encoder // payload scratch, reused under mu
 
 	done chan struct{}
 	wg   sync.WaitGroup
 
 	appends     atomic.Int64
-	deltas      atomic.Int64
 	bytes       atomic.Int64
 	fsyncs      atomic.Int64
 	rotations   atomic.Int64
 	compactions atomic.Int64
 	// segments mirrors the on-disk segment count (sealed + active) so
-	// that Stats never takes mu, which the committer holds across every
-	// group-commit fsync. countSegmentsLocked keeps it current.
+	// that Stats never takes mu, which a rotation holds across its fsync
+	// and compaction. countSegmentsLocked keeps it current.
 	segments atomic.Int64
 }
 
@@ -537,10 +546,23 @@ func (l *Log) flushLocked() error {
 	return nil
 }
 
-// commitLocked flushes and fsyncs the active segment.
+// commitLocked flushes and fsyncs the active segment with mu held: the
+// commit of Sync, of a rotation before it seals the segment and
+// compacts, of compaction before it unlinks, and of Close. A committer
+// fsync in flight holds syncMu, so this waits for it — on a mutex, so mu
+// is never released partway through a rotation — and fails with it if
+// it failed: the kernel reports a writeback error to one fsync of the
+// file, so a second one could succeed over the pages the first lost.
+// It then fsyncs whatever no fsync has begun to cover. So no caller
+// returns before the bytes it covers are durable. Callers hold l.mu.
 func (l *Log) commitLocked() error {
 	if err := l.flushLocked(); err != nil {
 		return err
+	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	if l.syncErr != nil {
+		return l.failLocked(l.syncErr)
 	}
 	if !l.dirty {
 		return nil
@@ -566,13 +588,60 @@ func (l *Log) committer() {
 		case <-l.done:
 			return
 		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && l.err == nil && (len(l.wbuf) > 0 || l.dirty) {
-				_ = l.commitLocked() // a failure is sticky and logged by failLocked
-			}
-			l.mu.Unlock()
+			l.commit()
 		}
 	}
+}
+
+// commit is one group commit. Under mu it flushes the write buffer and
+// claims the fsync (beginCommitLocked); the fsync runs with mu released,
+// so Append, Latest and the tenant locks held around them never wait on
+// the disk; then endCommit re-takes mu to count it or record its
+// failure.
+func (l *Log) commit() {
+	l.mu.Lock()
+	f := l.beginCommitLocked()
+	l.mu.Unlock()
+	if f != nil {
+		l.endCommit(f.Sync())
+	}
+}
+
+// beginCommitLocked flushes the write buffer and, when the active
+// segment holds bytes no fsync has begun to cover, takes syncMu, clears
+// dirty and returns the segment: the caller fsyncs it with mu released
+// and hands the outcome to endCommit. It returns nil when there is
+// nothing to commit or the log takes no more writes. The fsync holds its
+// own reference to the *os.File, and syncMu keeps a rotation from
+// sealing the segment, and compaction from closing and unlinking it,
+// until that fsync has returned: both commit first (commitLocked), which
+// waits on syncMu. Taking syncMu here never blocks, since every commit
+// under mu releases it before mu. Callers hold l.mu.
+func (l *Log) beginCommitLocked() *os.File {
+	if l.closed || l.flushLocked() != nil || !l.dirty {
+		return nil
+	}
+	l.syncMu.Lock()
+	l.dirty = false
+	return l.active
+}
+
+// endCommit finishes the commit beginCommitLocked claimed, given its
+// fsync's outcome: it releases syncMu, then under mu counts the fsync or
+// records its failure, which is sticky and logged once (failLocked).
+// Callers do not hold l.mu.
+func (l *Log) endCommit(err error) {
+	if err != nil {
+		l.syncErr = err
+	}
+	l.syncMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		l.failLocked(err)
+		return
+	}
+	l.fsyncs.Add(1)
 }
 
 // Append adds one checkpoint record for tenant. KindDelta records must
@@ -615,7 +684,6 @@ func (l *Log) Append(tenant string, kind Kind, round, baseRound int, blob []byte
 		st = tenantState{full: ref, fullRound: round}
 	case KindDelta:
 		st.delta, st.deltaRound, st.hasDelta = ref, round, true
-		l.deltas.Add(1)
 	case KindTombstone:
 		st = tenantState{tomb: true, tombRef: ref}
 	}
@@ -637,8 +705,8 @@ func (l *Log) AppendTombstone(tenant string) error {
 }
 
 // Sync forces everything appended so far to durable storage now,
-// without waiting for the committer. It returns the log's sticky
-// failure once a write or sync has failed.
+// without waiting for the next commit interval (commitLocked). It
+// returns the log's sticky failure once a write or sync has failed.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -844,11 +912,10 @@ func (l *Log) Tenants() []string {
 }
 
 // Stats returns a snapshot of the log's counters. It reads only
-// atomics, so it never waits behind an append or an fsync.
+// atomics, so it never waits behind an append, a rotation or an fsync.
 func (l *Log) Stats() Stats {
 	return Stats{
 		Appends:     l.appends.Load(),
-		Deltas:      l.deltas.Load(),
 		Bytes:       l.bytes.Load(),
 		Fsyncs:      l.fsyncs.Load(),
 		Rotations:   l.rotations.Load(),

@@ -3,6 +3,7 @@ package ckptlog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -913,8 +914,8 @@ func TestLogFailureIsSticky(t *testing.T) {
 }
 
 // TestLogStatsSkipsLock: Stats reads only atomics, so a caller polling
-// the counters never queues behind the committer, which holds the log's
-// lock across every group-commit fsync. The segment count it reports
+// the counters never queues behind the log's lock, which a rotation
+// holds across its fsync and compaction. The segment count it reports
 // must still track rotation and compaction exactly.
 func TestLogStatsSkipsLock(t *testing.T) {
 	dir := t.TempDir()
@@ -946,5 +947,186 @@ func TestLogStatsSkipsLock(t *testing.T) {
 	}
 	if st.Segments != len(files) {
 		t.Fatalf("Stats reports %d segments, %d on disk", st.Segments, len(files))
+	}
+}
+
+// TestLogCommitOffLock: the committer fsyncs with the log's lock
+// released. While its fsync is in flight — begun as the committer begins
+// it: the write buffer flushed, dirty cleared, syncMu held — Append,
+// Latest and Stats return. A Sync issued then waits for that fsync
+// instead of overlapping it, and still issues its own fsync (Fsyncs +1)
+// for the bytes Latest flushed after it began, before returning.
+func TestLogCommitOffLock(t *testing.T) {
+	l := openTest(t, t.TempDir(), nil) // CommitInterval 1h: the test is the committer
+	defer l.Close()
+	if err := l.Append("a", KindFull, 1, 0, blobFor("a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	f := l.beginCommitLocked()
+	l.mu.Unlock()
+	if f == nil {
+		t.Fatal("no commit begun over an appended record")
+	}
+	base := l.Stats().Fsyncs
+
+	done := make(chan error, 1)
+	go func() {
+		if err := l.Append("a", KindFull, 2, 0, blobFor("a", 2)); err != nil {
+			done <- err
+			return
+		}
+		blob, round, ok, err := l.Latest("a") // flushes round 2 into the segment
+		if err == nil && (!ok || round != 2 || !bytes.Equal(blob, blobFor("a", 2))) {
+			err = fmt.Errorf("Latest(a) = round %d, ok %v; want round 2", round, ok)
+		}
+		l.Stats()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		l.endCommit(f.Sync())
+		t.Fatal("Append, Latest or Stats waited on the committer's fsync")
+	}
+
+	synced := make(chan error, 1)
+	go func() { synced <- l.Sync() }()
+	select {
+	case err := <-synced:
+		l.endCommit(f.Sync()) // so the deferred Close can commit
+		t.Fatalf("Sync returned (%v) while the committer's fsync was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	l.endCommit(f.Sync())
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Stats().Fsyncs; got != base+2 {
+		t.Fatalf("Fsyncs = %d, want %d: the committer's fsync and Sync's own", got, base+2)
+	}
+}
+
+// failureCounter returns a Logf that counts the sticky-failure lines it
+// receives, and a reader of the count.
+func failureCounter(t *testing.T) (func(string, ...any), func() int) {
+	var mu sync.Mutex
+	n := 0
+	logf := func(format string, args ...any) {
+		msg := fmt.Sprintf(format, args...)
+		if strings.Contains(msg, ErrFailed.Error()) {
+			mu.Lock()
+			n++
+			mu.Unlock()
+		}
+		t.Log(msg)
+	}
+	return logf, func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return n
+	}
+}
+
+// TestLogOffLockFsyncFailureIsSticky: a group-commit fsync that fails
+// with the lock released is as sticky as one under it. A closed file
+// swapped in as the active segment, holding bytes no fsync covers, fails
+// the committer's next fsync; afterwards Append, Sync and Close all
+// return an ErrFailed-wrapped error, and Logf saw the failure once.
+func TestLogOffLockFsyncFailureIsSticky(t *testing.T) {
+	logf, failures := failureCounter(t)
+	l := openTest(t, t.TempDir(), func(o *Options) {
+		o.CommitInterval = time.Millisecond
+		o.Logf = logf
+	})
+	if err := l.Append("a", KindFull, 1, 0, blobFor("a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dead, err := os.Create(filepath.Join(t.TempDir(), "dead.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	l.mu.Lock()
+	active := l.active
+	l.active, l.dirty = dead, true // written, uncovered: the next commit fsyncs it
+	l.mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		failed := l.err
+		l.mu.Unlock()
+		if failed != nil {
+			if !errors.Is(failed, os.ErrClosed) {
+				t.Fatalf("sticky failure %v, want the committer's fsync of the closed segment", failed)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the committer never failed over a closed active segment")
+		}
+	}
+	l.mu.Lock()
+	l.active = active // so Close closes the real segment
+	l.mu.Unlock()
+
+	if err := l.Append("b", KindFull, 1, 0, blobFor("b", 1)); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Append after a failed off-lock fsync = %v, want ErrFailed", err)
+	}
+	if err := l.Sync(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Sync after a failed off-lock fsync = %v, want ErrFailed", err)
+	}
+	if err := l.Close(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Close after a failed off-lock fsync = %v, want ErrFailed", err)
+	}
+	if n := failures(); n != 1 {
+		t.Fatalf("Logf saw the failure %d times, want once", n)
+	}
+}
+
+// TestLogSyncSeesFailedOffLockFsync: the kernel reports a writeback
+// error to one fsync of a file, so a commit under the lock that follows
+// a failed committer fsync must fail with it, not fsync again and report
+// success over the pages the failed one lost — even in the window before
+// the committer has re-taken the lock to record its failure.
+func TestLogSyncSeesFailedOffLockFsync(t *testing.T) {
+	logf, failures := failureCounter(t)
+	l := openTest(t, t.TempDir(), func(o *Options) { o.Logf = logf })
+	if err := l.Append("a", KindFull, 1, 0, blobFor("a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	f := l.beginCommitLocked()
+	l.mu.Unlock()
+	if f == nil {
+		t.Fatal("no commit begun over an appended record")
+	}
+	synced := make(chan error, 1)
+	go func() { synced <- l.Sync() }() // nothing written since the commit began
+	// Once Sync holds the lock it is queued on the in-flight fsync: it
+	// cannot finish until endCommit releases syncMu.
+	for l.mu.TryLock() {
+		l.mu.Unlock()
+		select {
+		case err := <-synced:
+			t.Fatalf("Sync returned (%v) while the committer's fsync was in flight", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	eio := errors.New("injected writeback error")
+	l.endCommit(eio)
+	if err := <-synced; !errors.Is(err, ErrFailed) || !errors.Is(err, eio) {
+		t.Fatalf("Sync after a failed off-lock fsync = %v, want ErrFailed wrapping it", err)
+	}
+	if err := l.Close(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Close after a failed off-lock fsync = %v, want ErrFailed", err)
+	}
+	if n := failures(); n != 1 {
+		t.Fatalf("Logf saw the failure %d times, want once", n)
 	}
 }

@@ -497,7 +497,6 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 		sum.Appends += st.Appends
 		sum.Bytes += st.Bytes
 		sum.Fsyncs += st.Fsyncs
-		sum.Deltas += st.Deltas
 		sum.Rotations += st.Rotations
 		sum.Compactions += st.Compactions
 		sum.Segments += st.Segments

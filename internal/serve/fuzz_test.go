@@ -146,7 +146,7 @@ func FuzzFrameDecode(f *testing.F) {
 // under type 6: the open request's fields, then a snapshot blob.
 func retiredRestore(e *snap.Encoder, tenant string, tc TenantConfig) {
 	e.Uint64(6)
-	e.Int(ProtocolVersion - 1)
+	e.Int(10)
 	e.String(tenant)
 	tc.encode(e)
 	e.Blob([]byte{1, 2, 3})

@@ -733,9 +733,11 @@ func (s *Server) remove(t *tenant) {
 
 // recordVersion is the layout of every record a tenant appends to the
 // checkpoint log: this version, the TenantConfig codec, then the Stream
-// snapshot (a delta record encodes that whole byte string). Version 4
-// follows the retired meta files' version 3; a record of any other
-// version is refused, not migrated.
+// snapshot. The server appends full records only; a delta record an
+// older build appended encodes that whole byte string, and the log
+// resolves it (ckptlog.Log.Latest). Version 4 follows the retired meta
+// files' version 3; a record of any other version is refused, not
+// migrated.
 const recordVersion = 4
 
 // recover rebuilds every tenant the checkpoint log holds a live record
@@ -972,7 +974,6 @@ func (s *Server) DuraStats() DuraStats {
 		Appends:     ls.Appends,
 		Bytes:       ls.Bytes,
 		Fsyncs:      ls.Fsyncs,
-		Deltas:      ls.Deltas,
 		Rotations:   ls.Rotations,
 		Compactions: ls.Compactions,
 		Segments:    int64(ls.Segments),

@@ -88,9 +88,8 @@ func TestCloseTenantLogTombstone(t *testing.T) {
 // TestServeLogCompactionRestart drives one tenant through several
 // feed → drain → restart cycles over a log squeezed into tiny segments,
 // so rotation and compaction run repeatedly and each recovery resolves
-// state that compaction has rewritten (including full+delta pairs).
-// After the final cycle the drained result must be bit-identical to an
-// uninterrupted local replay.
+// state that compaction has rewritten. After the final cycle the
+// drained result must be bit-identical to an uninterrupted local replay.
 func TestServeLogCompactionRestart(t *testing.T) {
 	dir := t.TempDir()
 	const cycles = 4
@@ -145,21 +144,19 @@ func TestServeLogCompactionRestart(t *testing.T) {
 	}
 }
 
-// TestServeLogDeltaSnapshots pins the delta path end to end. Deltas
-// only land when they beat the 2× profitability bar, so the tenant is
-// shaped to carry real state: long delays keep a deep pending backlog,
-// making each round's full snapshot large while the round-over-round
-// change stays local. The trace goes in small chunks, each applied —
-// and so checkpointed, in the same critical section — before the next
-// is sent; a worker starved of CPU could otherwise leave every round to
-// the drain, whose single full record would leave no delta to find. The
-// run must record deltas in DuraStats, and a restart must resolve the
-// tenant through a full+delta chain to the bit-identical drained
-// result.
-func TestServeLogDeltaSnapshots(t *testing.T) {
+// TestServeLogDeepStateRestart pins a deep-state tenant across a
+// restart: long delays keep a deep pending backlog, so each round's full
+// record is large. The trace goes in small chunks, each applied — and so
+// checkpointed, in the same critical section — before the next is sent;
+// a worker starved of CPU could otherwise leave every round to the
+// drain's one record. The log must hold a record per chunk, and a
+// restart must recover the drained tenant from its latest full record to
+// the bit-identical drained result. TestRecoverOlderDeltaRecords covers
+// a tenant whose latest record is an older build's delta.
+func TestServeLogDeepStateRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := logTestConfig(dir)
-	cfg.CkptSegmentBytes = 1 << 20 // no rotation: keep the chain in one segment
+	cfg.CkptSegmentBytes = 1 << 20 // no rotation: keep every record in one segment
 	s := startServer(t, cfg)
 	c := dialTest(t, s)
 	delays := []int{64, 64, 64, 64, 64, 64, 64, 64}
@@ -196,8 +193,8 @@ func TestServeLogDeltaSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Deltas == 0 {
-		t.Fatalf("no delta checkpoints recorded for a deep-state tenant: %+v", st)
+	if want := int64(rounds/chunk + 1); st.Appends < want {
+		t.Fatalf("%d records appended for %d applied chunks, want at least %d: %+v", st.Appends, rounds/chunk, want, st)
 	}
 	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -206,11 +203,55 @@ func TestServeLogDeltaSnapshots(t *testing.T) {
 	s2 := startServer(t, cfg)
 	c2 := dialTest(t, s2)
 	if _, resumed, err := c2.Open("deep", tc); err != nil || !resumed {
-		t.Fatalf("open after delta-chain recovery = (resumed %v, %v)", resumed, err)
+		t.Fatalf("open after a deep-state recovery = (resumed %v, %v)", resumed, err)
 	}
 	res2, err := c2.DrainTenant("deep")
 	if err != nil || !resultsEqual(res, res2) {
-		t.Fatalf("delta-chain recovered result = (%+v, %v), want the drained result %+v", res2, err, res)
+		t.Fatalf("deep-state recovered result = (%+v, %v), want the drained result %+v", res2, err, res)
+	}
+}
+
+// TestCheckpointPathAllocFree pins a durable tenant's round path at
+// zero allocations: a steady-state Stream.Advance followed by
+// logCheckpointLocked — the full record's snapshot into the pooled
+// buffer and its append to the log's write buffer — allocates nothing.
+// The root package's TestSnapshotAllocFlat pins the snapshot alone.
+func TestCheckpointPathAllocFree(t *testing.T) {
+	cfg := logTestConfig(t.TempDir())
+	cfg.CkptCommitInterval = time.Hour // no committer pass inside the measurement
+	cfg.CkptSegmentBytes = 64 << 20    // and no rotation
+	s := startServer(t, cfg)
+	tc := TenantConfig{Policy: "dlruedf", N: 16, Delta: 4, Delays: []int{2, 8, 4, 16, 2, 8, 4, 16}}
+	if _, er := s.open(&openMsg{Version: ProtocolVersion, Tenant: "hot", Config: tc}); er != nil {
+		t.Fatal(er.Msg)
+	}
+	tn := s.tenant("hot")
+	// Unsorted, with a duplicate batch, as perf_test.go's steady stream.
+	req := sched.Request{
+		{Color: 1, Count: 2}, {Color: 0, Count: 1}, {Color: 3, Count: 1},
+		{Color: 5, Count: 2}, {Color: 0, Count: 1}, {Color: 6, Count: 1},
+	}
+	round := func() {
+		if err := tn.st.Advance(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := tn.logCheckpointLocked(tn.st.Round()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	// Warm the stream's scratch, the snapshot buffer and the log's write
+	// buffer past what the measured rounds need, then empty the write
+	// buffer (Sync keeps its capacity).
+	for i := 0; i < 1024; i++ {
+		round()
+	}
+	if err := s.clog.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(300, round); allocs != 0 {
+		t.Fatalf("steady-state Advance + logCheckpointLocked: %v allocs per round, want 0", allocs)
 	}
 }
 
@@ -290,10 +331,8 @@ func TestCloseFailsWhenLogFails(t *testing.T) {
 // checkpoint, so nothing lands behind the tombstone. Periodic
 // checkpoints are off, and one tick stuffed into the closed tenant's
 // queue by hand moves its stream past the last record; the late flush
-// stands in for a worker pass that raced the close. The tenant's delta
-// base is dropped too, so a late checkpoint would be a full record: the
-// log refuses a delta behind a tombstone, but a full record would make
-// the tenant live again.
+// stands in for a worker pass that raced the close. A late checkpoint
+// would be a full record, which would make the tenant live again.
 func TestClosedTenantTakesNoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	inst := testInstance(t, 16, 0)
@@ -310,7 +349,6 @@ func TestClosedTenantTakesNoCheckpoint(t *testing.T) {
 	tn.mu.Lock()
 	round := tn.st.Round()
 	tn.queue = append(tn.queue, nil)
-	tn.deltaBase = nil
 	tn.mu.Unlock()
 	tn.flush()
 	if tn.st.Round() != round+1 {

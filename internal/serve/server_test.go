@@ -1120,6 +1120,87 @@ func plantRecord(t *testing.T, id string, round int, rec []byte) string {
 	return dir
 }
 
+// plantDeltaPair writes tenant id's last two records as an older build
+// appended them, in a fresh checkpoint log, and returns its directory:
+// the full record full at fullRound, then rec at round as a delta
+// against it, made with snap.MakeDelta over the whole record, prefix
+// included.
+func plantDeltaPair(t *testing.T, id string, fullRound int, full []byte, round int, rec []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := ckptlog.Open(ckptlog.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(id, ckptlog.KindFull, fullRound, 0, full); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(id, ckptlog.KindDelta, round, fullRound, snap.MakeDelta(full, rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestRecoverOlderDeltaRecords: an older build appended a checkpoint as
+// a delta against the tenant's latest full record when the delta was
+// small. The server appends full records only, but the log still
+// resolves such a pair, so NewServer recovers the tenant at the delta's
+// round, the rest of the trace drains to a local replay's Result, and
+// after a restart the server's own full record supersedes the pair.
+func TestRecoverOlderDeltaRecords(t *testing.T) {
+	inst := testInstance(t, 96, 0)
+	tc := tcFor(inst)
+	tc.QueueCap, tc.Speed, tc.Weight = 64, 1, 1 // normalized, as records carry it
+	st := specStream(t, tc.Policy, sched.StreamConfig{N: tc.N, Speed: tc.Speed, Delta: tc.Delta, Delays: tc.Delays})
+	e := snap.NewEncoder()
+	e.Int(recordVersion)
+	tc.encode(e)
+	record := func(until int) []byte {
+		t.Helper()
+		for st.Round() < until {
+			if err := st.Advance(inst.Requests[st.Round()]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec, err := st.AppendSnapshot(append([]byte(nil), e.Bytes()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	const fullRound, round = 40, 48
+	full := record(fullRound)
+	dir := plantDeltaPair(t, "old", fullRound, full, round, record(round))
+
+	s := startServer(t, Config{CheckpointDir: dir})
+	c := dialTest(t, s)
+	if next, resumed, err := c.Open("old", tc); err != nil || !resumed || next != round {
+		t.Fatalf("re-open over a full+delta pair = (%d, %v, %v), want (%d, true, nil)", next, resumed, err, round)
+	}
+	feed(t, c, "old", inst, round)
+	res, err := c.DrainTenant("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := LocalReference(inst, tc.Policy, tc.N, tc.Speed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(ref, res) {
+		t.Fatalf("result after recovering a delta record differs:\n server %+v\n local  %+v", res, ref)
+	}
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	c2 := dialTest(t, startServer(t, Config{CheckpointDir: dir}))
+	if res2, err := c2.DrainTenant("old"); err != nil || !resultsEqual(res, res2) {
+		t.Fatalf("drain after a restart = (%+v, %v), want the drained result %+v", res2, err, res)
+	}
+}
+
 // snapshotOf returns st's snapshot blob.
 func snapshotOf(t *testing.T, st *sched.Stream) []byte {
 	t.Helper()

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bdr"
 	"repro/internal/ckptlog"
 	"repro/internal/sched"
-	"repro/internal/snap"
 )
 
 // tenant is one hosted stream: the live sched.Stream, its bounded
@@ -78,30 +77,17 @@ type tenant struct {
 	logf func(format string, args ...any)
 
 	// prefix is every record's head — recordVersion, then the cfg codec —
-	// encoded once at install. Pooled snapshot-path buffers, guarded by
-	// mu: snapBuf holds the latest full record, prefix and snapshot
-	// (reused every checkpoint), deltaBase the full record the current
-	// delta chain is computed against, deltaBuf the delta scratch — so a
+	// encoded once at install. snapBuf, guarded by mu, holds the latest
+	// record, prefix and snapshot, and is reused every checkpoint, so a
 	// steady-state checkpoint allocates nothing.
-	prefix         []byte
-	snapBuf        []byte
-	deltaBase      []byte
-	deltaBuf       []byte
-	deltaBaseRound int
-	deltasSince    int
-	dm             snap.DeltaMaker
+	prefix  []byte
+	snapBuf []byte
 }
 
 // res is the tenant's admitted BDR reservation (zero = best-effort). The
 // matching reservation-tree entry is released with the tenant by the
 // server lifecycle paths.
 func (t *tenant) res() bdr.BDR { return bdr.BDR{Rate: t.cfg.ResRate, Delay: t.cfg.ResDelay} }
-
-// deltaEveryFull is the delta-chain length bound: after this many
-// consecutive delta checkpoints a full snapshot is re-emitted even if
-// deltas stay small, bounding the work recovery pays to resolve a
-// tenant (one full + one delta, never a chain).
-const deltaEveryFull = 16
 
 // queuedLocked reports the number of admitted-but-unapplied round ticks.
 // Callers hold mu.
@@ -288,9 +274,9 @@ func (t *tenant) applyQueued(max, every int) (applied int) {
 // and the stream has moved since the last checkpoint. An append is a
 // buffered copy — durability is the committer's batched fsync — and
 // taking it under mu makes creation order and append order coincide,
-// which is what keeps the per-tenant delta chains valid without any
-// cross-goroutine ordering protocol, and keeps every append of a closed
-// tenant from landing behind its tombstone. Callers hold mu.
+// so a tenant's latest record is its latest snapshot without any
+// cross-goroutine ordering protocol, and no append of a closed tenant
+// lands behind its tombstone. Callers hold mu.
 func (t *tenant) maybeCheckpointLocked(every int, force bool) {
 	if t.clog == nil || t.closed || t.failed != nil || t.logFailed {
 		return
@@ -309,36 +295,19 @@ func (t *tenant) maybeCheckpointLocked(every int, force bool) {
 	}
 }
 
-// logCheckpointLocked appends one record at round r to the group-commit
-// log: the prefix and a fresh snapshot as a full record, restarting the
-// delta chain, or a delta of that against the retained base when the
-// chain is short and the delta pays for itself. A failed append leaves
-// the chain untouched. Buffers are pooled; the steady state allocates
-// nothing. Callers hold mu.
+// logCheckpointLocked appends one full record at round r to the
+// group-commit log: the prefix and a fresh snapshot. Every checkpoint is
+// a full record, so recovery reads one record per tenant; the buffer is
+// pooled, so the steady state allocates nothing. Callers hold mu.
 func (t *tenant) logCheckpointLocked(r int) error {
-	cur, err := t.st.AppendSnapshot(append(t.snapBuf[:0], t.prefix...))
+	rec, err := t.st.AppendSnapshot(append(t.snapBuf[:0], t.prefix...))
 	if err != nil {
 		t.failed = fmt.Errorf("serve: tenant %s: snapshot at round %d: %w", t.id, r, err)
 		return t.failed
 	}
-	t.snapBuf = cur
-	kind, base, rec := ckptlog.KindFull, 0, cur
-	if t.deltaBase != nil && t.deltasSince < deltaEveryFull {
-		d := t.dm.AppendDelta(t.deltaBuf[:0], t.deltaBase, cur)
-		t.deltaBuf = d
-		if 2*len(d) <= len(cur) {
-			kind, base, rec = ckptlog.KindDelta, t.deltaBaseRound, d
-		}
-	}
-	if err := t.clog.Append(t.id, kind, r, base, rec); err != nil {
+	t.snapBuf = rec
+	if err := t.clog.Append(t.id, ckptlog.KindFull, r, 0, rec); err != nil {
 		return err
-	}
-	if kind == ckptlog.KindFull {
-		t.deltaBase = append(t.deltaBase[:0], cur...)
-		t.deltaBaseRound = r
-		t.deltasSince = 0
-	} else {
-		t.deltasSince++
 	}
 	t.lastCkpt = r
 	t.checkpoints++

@@ -50,7 +50,7 @@ import (
 
 // ProtocolVersion is carried in every open request; the server accepts
 // exactly this version and answers any other with a bad-version error.
-const ProtocolVersion = 11
+const ProtocolVersion = 12
 
 // MaxBatch bounds the round ticks one submit-batch frame may carry. It
 // keeps a hostile length prefix from forcing a large allocation before
@@ -97,7 +97,7 @@ const (
 )
 
 // DuraStats is the checkpoint-log block of a stats response: the
-// answering server's cumulative append, byte, fsync, delta, rotation,
+// answering server's cumulative append, byte, fsync, rotation,
 // compaction and live-segment counts, all zero when durability is off
 // (a durable server always has at least one segment). Fsyncs counts
 // group commits, which is the number the batching exists to shrink.
@@ -105,7 +105,6 @@ type DuraStats struct {
 	Appends     int64
 	Bytes       int64
 	Fsyncs      int64
-	Deltas      int64
 	Rotations   int64
 	Compactions int64
 	Segments    int64
@@ -140,7 +139,6 @@ func (s *DuraStats) encodeCounters(e *snap.Encoder) {
 	e.Int64(s.Appends)
 	e.Int64(s.Bytes)
 	e.Int64(s.Fsyncs)
-	e.Int64(s.Deltas)
 	e.Int64(s.Rotations)
 	e.Int64(s.Compactions)
 	e.Int64(s.Segments)
@@ -164,7 +162,6 @@ func (s *DuraStats) decodeCounters(d *snap.Decoder) {
 	s.Appends = d.Int64()
 	s.Bytes = d.Int64()
 	s.Fsyncs = d.Int64()
-	s.Deltas = d.Int64()
 	s.Rotations = d.Int64()
 	s.Compactions = d.Int64()
 	s.Segments = d.Int64()

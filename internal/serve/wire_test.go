@@ -128,7 +128,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		Weight: 2, MinDelay: 4, ServedRounds: 70, DelayFactor: 0.5,
 		MaxDelayFactor: 2.25, ServiceShare: 0.125,
 		ReservedRate: 0.25, ReservedDelay: 32, BudgetUtilization: 1.5}
-	counters := DuraStats{Appends: 6, Bytes: 600, Fsyncs: 2, Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1}
+	counters := DuraStats{Appends: 6, Bytes: 600, Fsyncs: 2, Rotations: 1, Compactions: 1, Segments: 1}
 	res := &sched.Result{Policy: "EDF", Cost: sched.Cost{Reconfig: 12, Drop: 5},
 		Executed: 40, Dropped: 5, Reconfigs: 3, Rounds: 17,
 		DropsByColor: []int{1, 4}, ExecByColor: []int{20, 20}}
@@ -198,7 +198,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		statsCase("stats-response", []TenantStats{row, {ID: "b"}}, counters),
 		statsCase("stats-response-empty", nil, DuraStats{}),
 		statsCase("dura-stats-response", []TenantStats{row}, DuraStats{Appends: 6, Bytes: 600, Fsyncs: 2,
-			Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1, Backends: []BackendDuraStats{
+			Rotations: 1, Compactions: 1, Segments: 1, Backends: []BackendDuraStats{
 				{Addr: "127.0.0.1:1", DuraStats: counters}, {Addr: "127.0.0.1:2"}}}),
 		statsCase("dura-stats-response-no-backends", nil, counters),
 		statsCase("dura-stats-response-zero", []TenantStats{{ID: "b"}}, DuraStats{}),
@@ -434,9 +434,9 @@ func TestErrRespAdmissionRoundTrip(t *testing.T) {
 // no rows.
 func TestDuraStatsBackendsRoundTrip(t *testing.T) {
 	in := DuraStats{Appends: 10, Bytes: 1000, Fsyncs: 3,
-		Deltas: 2, Rotations: 1, Compactions: 1, Segments: 2,
+		Rotations: 1, Compactions: 1, Segments: 2,
 		Backends: []BackendDuraStats{
-			{Addr: "127.0.0.1:1", DuraStats: DuraStats{Appends: 6, Bytes: 600, Fsyncs: 2, Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1}},
+			{Addr: "127.0.0.1:1", DuraStats: DuraStats{Appends: 6, Bytes: 600, Fsyncs: 2, Rotations: 1, Compactions: 1, Segments: 1}},
 			{Addr: "127.0.0.1:2"},
 		}}
 	for _, want := range []DuraStats{in, {Appends: 4, Segments: 1}} {

@@ -1,7 +1,8 @@
-// Binary delta encoding between two opaque byte strings, used by the
-// group-commit checkpoint log (docs/CHECKPOINT.md "Group-commit log")
-// to store steady-state checkpoints as changes against a retained full
-// snapshot. The scheme is a greedy block-match in the rsync family:
+// Binary delta encoding between two opaque byte strings. The
+// group-commit checkpoint log (docs/CHECKPOINT.md "Full records only")
+// resolves delta records against their full record with ApplyDelta;
+// the server appends full records only, so those deltas come from
+// older builds. The scheme is a greedy block-match in the rsync family:
 // the base is indexed at block-aligned offsets, the target is scanned
 // byte by byte under a rolling hash of the block-sized window starting
 // there, and runs that match the base verbatim become COPY ops while

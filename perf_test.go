@@ -93,8 +93,8 @@ func TestFullPolicyStepAllocFreeWithCounterSink(t *testing.T) {
 // steady-state Stream.AppendSnapshot into a recycled buffer must not
 // allocate. This is what keeps the serve tier's group-commit checkpoint
 // path flat — every checkpointed round takes one of these snapshots.
-// The delta the serve tier may encode from it is pinned by snap's
-// TestDeltaMakerSteadyStateAllocs.
+// internal/serve's TestCheckpointPathAllocFree pins the whole served
+// round of a durable tenant: Advance, the snapshot and the log append.
 func TestSnapshotAllocFlat(t *testing.T) {
 	st, req := steadyStream(t, core.NewDLRUEDF(), nil)
 	var buf []byte
