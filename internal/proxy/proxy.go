@@ -38,7 +38,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -470,7 +470,9 @@ func (fc *frontConn) teardown(failedAddr string) {
 // appendFleetStats answers an all-tenant stats request by fanning out
 // to every live backend, one read-out each, merging the rows sorted by
 // tenant ID, and recomputing each ServiceShare against the fleet-wide
-// served-rounds total (each backend only knows its own). The
+// served-rounds total (each backend only knows its own). Each read-out
+// runs on a pooled control client, which decodes a repeat response
+// against the strings of its previous one. The
 // checkpoint-log counters are summed over the backends that answered,
 // each also listed under its address in the counters' Backends.
 // Standby rows are included only for tenants the routing table actually
@@ -487,7 +489,11 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 		perBackend[i], counters[i], err = c.ReadOut("")
 		return err
 	})
-	var rows []serve.TenantStats
+	n := 0
+	for _, rs := range perBackend {
+		n += len(rs)
+	}
+	rows := make([]serve.TenantStats, 0, n)
 	var sum serve.DuraStats
 	for i, rs := range perBackend {
 		if errs[i] != nil {
@@ -512,7 +518,7 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 			}
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
+	slices.SortFunc(rows, func(a, b serve.TenantStats) int { return strings.Compare(a.ID, b.ID) })
 	var total float64
 	for i := range rows {
 		total += float64(rows[i].ServedRounds)

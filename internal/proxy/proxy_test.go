@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,7 +127,9 @@ func TestProxyBasicVerify(t *testing.T) {
 // TestProxyStatsFanout: all-tenant stats are answered at the proxy by
 // fanning out and merging — one row per fleet tenant, sorted by tenant
 // ID, service shares recomputed fleet-wide — while single-tenant
-// requests relay to the owning backend.
+// requests relay to the owning backend, so a single row's share is its
+// backend's: 0.5 of the 2+2 split's one backend, against 0.25 of the
+// fleet.
 func TestProxyStatsFanout(t *testing.T) {
 	px, backends, _ := startFleet(t, 2, false)
 	addrs := []string{backends[0].Addr().String(), backends[1].Addr().String()}
@@ -193,6 +196,11 @@ func TestProxyStatsFanout(t *testing.T) {
 	}
 	if len(one) != 1 || one[0].ID != names[0] {
 		t.Fatalf("single-tenant stats through proxy = %+v, want one row for %s", one, names[0])
+	}
+	i := slices.IndexFunc(rows, func(r serve.TenantStats) bool { return r.ID == names[0] })
+	if one[0].ServiceShare != 0.5 || rows[i].ServiceShare != 0.25 {
+		t.Fatalf("%s's ServiceShare = %v alone, %v among the fleet's rows; want its backend's 0.5 and the fleet's 0.25",
+			names[0], one[0].ServiceShare, rows[i].ServiceShare)
 	}
 }
 

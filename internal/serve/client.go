@@ -60,11 +60,15 @@ type Client struct {
 	bw   *bufio.Writer
 	enc  *snap.Encoder
 	buf  []byte
-	err  error // sticky transport/protocol error
+	dec  snap.Decoder // the response being read, positioned by receive
+	err  error        // sticky transport/protocol error
 	// tag is the last request tag issued (it wraps at tagSpace); infl
 	// lists the staged requests still awaiting their responses.
 	tag  uint64
 	infl []inflight
+	// stats holds the strings of the last stats response, which the
+	// next one is decoded against (call decodes under mu).
+	stats statsCache
 }
 
 // inflight is one staged request awaiting its response: its tag, the
@@ -147,7 +151,8 @@ func (c *Client) stage(req inflight, encode func(*snap.Encoder)) error {
 // frame (the server cannot answer what it has not seen), reads one
 // response and matches its tag to an in-flight request, which it
 // removes and returns. A success response must echo the request's type
-// and comes back as a decoder positioned at its fields; an error
+// and comes back as the client's decoder, positioned at its fields and
+// valid until the next receive; an error
 // response comes back as its typed error, the client still healthy.
 // Anything else — a transport failure, a missing tag or type, an
 // unknown tag, a wrong type, a malformed error body — poisons the
@@ -161,7 +166,8 @@ func (c *Client) receive() (req inflight, d *snap.Decoder, err error) {
 		return req, nil, c.poison(err)
 	}
 	c.buf = buf
-	d = snap.NewDecoder(buf)
+	c.dec.Reset(buf)
+	d = &c.dec
 	tag, typ := d.Uint64(), d.Uint64()
 	if d.Err() != nil {
 		return req, nil, c.poison(fmt.Errorf("serve: response missing tag or type: %w", d.Err()))
@@ -259,7 +265,7 @@ func (c *Client) Submit(tenant string, seq int, arrivals sched.Request) (round, 
 // own counters in DuraStats.Backends.
 func (c *Client) ReadOut(tenant string) (rows []TenantStats, st DuraStats, err error) {
 	err = c.call(msgTenantStats, (&tenantMsg{Type: msgTenantStats, Tenant: tenant}).encode,
-		func(d *snap.Decoder) { rows, st = decodeStatsResp(d) })
+		func(d *snap.Decoder) { rows, st = c.stats.decode(d) })
 	return rows, st, err
 }
 

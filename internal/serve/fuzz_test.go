@@ -206,7 +206,10 @@ func processBody(t *testing.T, s *Server, body []byte) {
 // formed — neither a synchronous call nor a pipelined reap may panic;
 // a response that is not an exact answer under the request's own tag
 // poisons the client, so every later call fails with the same error,
-// and one that is leaves it healthy.
+// and one that is leaves it healthy. The stats call runs on clients
+// whose cache holds none, some or all of cachedIDs from a previous
+// read-out, so a response has more rows than the cache or fewer, and a
+// stats answer must decode to the rows a fresh client reads.
 func FuzzResponseDecode(f *testing.F) {
 	// A fresh client's first request carries tag 1.
 	seed := func(tag uint64, build func(e *snap.Encoder)) {
@@ -223,6 +226,10 @@ func FuzzResponseDecode(f *testing.F) {
 	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, []TenantStats{row}, &log) })
 	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, []TenantStats{row}, &fleet) })
 	seed(1, func(e *snap.Encoder) { encodeStatsResp(e, nil, &off) })
+	seed(1, func(e *snap.Encoder) { // the cached IDs with one changed, and one more row
+		rows := []TenantStats{row, {ID: "b", Policy: "EDF"}, {ID: "c", Policy: "ΔLRU-EDF"}, {ID: "d", Policy: "EDF"}}
+		encodeStatsResp(e, rows, &log)
+	})
 	seed(1, func(e *snap.Encoder) { (&batchResp{Admitted: 1, Round: 1, QueueDepth: 1}).encode(e) })
 	seed(1, func(e *snap.Encoder) {
 		(&batchResp{Round: 1, QueueDepth: 4, Err: &errResp{Code: codeOverloaded, Msg: "full"}}).encode(e)
@@ -242,16 +249,26 @@ func FuzzResponseDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	ticks := []sched.Request{{{Color: 0, Count: 1}}}
+	cachedIDs := []string{"fuzz", "a", "c"}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, pipelined := range []bool{false, true} {
+		for _, run := range []struct {
+			pipelined bool
+			cached    int
+		}{{true, 0}, {false, 0}, {false, 1}, {false, len(cachedIDs)}} {
+			pipelined := run.pipelined
 			c := respondOnce(t, body)
+			cacheStats(t, c, cachedIDs[:run.cached])
 			var err error
 			want := uint64(msgTenantStats)
 			if pipelined {
 				want = msgSubmitBatch
 				err = c.NewPipeline(1, func(SubmitResult) {}).SubmitBatch("fuzz", 0, ticks)
 			} else {
-				_, err = c.Stats("")
+				var rows []TenantStats
+				rows, err = c.Stats("")
+				if err == nil && !bytes.Equal(statsBytes(rows), statsBytes(freshStatsRows(body))) {
+					t.Fatalf("response %x: a client caching %d IDs decoded %+v, a fresh one %+v", body, run.cached, rows, freshStatsRows(body))
+				}
 			}
 			poisoned := c.err != nil
 			switch {
@@ -270,6 +287,41 @@ func FuzzResponseDecode(f *testing.F) {
 			c.Close()
 		}
 	})
+}
+
+// cacheStats leaves c's stats cache as a previous read-out with one row
+// per ID in ids would.
+func cacheStats(t *testing.T, c *Client, ids []string) {
+	t.Helper()
+	rows := make([]TenantStats, len(ids))
+	for i, id := range ids {
+		rows[i] = TenantStats{ID: id, Policy: "EDF"}
+	}
+	d := snap.NewDecoder(statsBytes(rows))
+	d.Uint64() // the type
+	c.stats.decode(d)
+	if err := d.Done(); err != nil || len(c.stats.ids) != len(ids) {
+		t.Fatalf("caching %d IDs: %v", len(ids), err)
+	}
+}
+
+// statsBytes encodes rows as a stats response (type onwards), the form
+// two decodes of one response are compared in: a fuzzed float may be a
+// NaN, which no == holds for.
+func statsBytes(rows []TenantStats) []byte {
+	e := snap.NewEncoder()
+	encodeStatsResp(e, rows, &DuraStats{})
+	return e.Bytes()
+}
+
+// freshStatsRows decodes the rows of a well-formed stats response body
+// (tag onwards) as a client with nothing cached does.
+func freshStatsRows(body []byte) []TenantStats {
+	d := snap.NewDecoder(body)
+	d.Uint64() // the tag
+	d.Uint64() // the type
+	rows, _ := decodeStatsResp(d)
+	return rows
 }
 
 // wellFormed reports whether body answers a fresh client's first

@@ -780,9 +780,20 @@ func (s *Server) recover() error {
 // ——— Request processing ———
 
 // connState is the per-connection scratch reused across frames so a
-// steady-state submit loop does not allocate per request.
+// steady-state submit loop or stats poll does not allocate per request.
 type connState struct {
-	batch batchMsg
+	batch  batchMsg
+	tenant tenantMsg // a stats, drain or close request
+	// shares holds the ServiceShare placeholders of the stats response
+	// being encoded (encodeStats).
+	shares []sharePatch
+}
+
+// sharePatch is one stats row's ServiceShare placeholder: the offset of
+// its 8 bytes in the response and the row's served rounds.
+type sharePatch struct {
+	at     int
+	served int64
 }
 
 // handleConn runs one connection on this goroutine: read a frame,
@@ -887,22 +898,15 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 		}
 		(&batchResp{Admitted: admitted, Round: round, QueueDepth: depth, Err: er}).encode(enc)
 	case msgTenantStats:
-		var m tenantMsg
-		m.decode(d)
+		cs.tenant.decode(d)
 		if d.Done() != nil {
 			return bad("malformed stats request")
 		}
-		rows, er := s.statsRows(m.Tenant)
-		if er != nil {
+		if er := s.encodeStats(enc, cs, cs.tenant.Tenant); er != nil {
 			er.encode(enc)
-			return false
 		}
-		s.fillServiceShares(rows, m.Tenant == "")
-		st := s.DuraStats()
-		encodeStatsResp(enc, rows, &st)
 	case msgDrain, msgCloseTenant:
-		var m tenantMsg
-		m.decode(d)
+		cs.tenant.decode(d)
 		if d.Done() != nil {
 			return bad("malformed tenant command")
 		}
@@ -910,7 +914,7 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 		if typ == msgCloseTenant {
 			finish = s.closeTenant
 		}
-		res, er := finish(m.Tenant)
+		res, er := finish(cs.tenant.Tenant)
 		if er != nil {
 			er.encode(enc)
 		} else {
@@ -922,45 +926,50 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 	return false
 }
 
-// statsRows builds the stats rows for one tenant (id non-empty) or all.
-func (s *Server) statsRows(id string) ([]TenantStats, *errResp) {
+// encodeStats encodes the stats response for one tenant (id non-empty)
+// or all straight into enc, behind the tag process wrote. Each row is
+// copied under its tenant's lock and encoded after the unlock, so a
+// shard worker never waits on the encoding. A row's ServiceShare is its
+// fraction of every round tick the server's live tenants have applied,
+// so a single-tenant row reads the share it has among all rows; an
+// all-tenant read-out knows that total only after its last row, so each
+// share goes out as a zero placeholder and is patched in place once the
+// total is known. The placeholders live in cs, so a steady read-out
+// allocates nothing. An unknown id is answered before anything is
+// encoded.
+func (s *Server) encodeStats(enc *snap.Encoder, cs *connState, id string) *errResp {
+	ts := s.tenantList()
 	if id != "" {
 		t, er := s.liveTenant(id)
 		if er != nil {
-			return nil, er
+			return er
 		}
-		return []TenantStats{t.stats()}, nil
+		one := [1]*tenant{t}
+		ts = one[:]
 	}
-	var rows []TenantStats
-	for _, t := range s.tenantList() {
-		rows = append(rows, t.stats())
-	}
-	return rows, nil
-}
-
-// fillServiceShares computes each row's ServiceShare — its fraction of
-// every round tick the server's live tenants have applied — so even a
-// single-tenant row reports its server-wide share, equal to that
-// tenant's share in the all-tenant rows. allRows says rows already
-// covers every live tenant, letting the total come from the rows
-// themselves instead of a second locked walk.
-func (s *Server) fillServiceShares(rows []TenantStats, allRows bool) {
+	enc.Uint64(msgTenantStats)
+	enc.Int(len(ts))
+	cs.shares = cs.shares[:0]
 	var total float64
-	if allRows {
-		for i := range rows {
-			total += float64(rows[i].ServedRounds)
-		}
-	} else {
+	for _, t := range ts {
+		row := t.stats()
+		cs.shares = append(cs.shares, sharePatch{at: row.encode(enc), served: row.ServedRounds})
+		total += float64(row.ServedRounds)
+	}
+	if id != "" {
+		total = 0
 		for _, t := range s.tenantList() {
 			total += float64(t.servedRounds())
 		}
 	}
-	if total == 0 {
-		return
+	if total > 0 {
+		for _, p := range cs.shares {
+			enc.PutFloat64(p.at, float64(p.served)/total)
+		}
 	}
-	for i := range rows {
-		rows[i].ServiceShare = float64(rows[i].ServedRounds) / total
-	}
+	st := s.DuraStats()
+	st.encode(enc)
+	return nil
 }
 
 // DuraStats reports the checkpoint log's cumulative counters, the block

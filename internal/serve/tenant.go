@@ -382,7 +382,10 @@ func (t *tenant) drainAndClose() (*sched.Result, *errResp) {
 	return res, nil
 }
 
-// stats fills one TenantStats row.
+// stats copies the tenant's TenantStats row under its lock. The caller
+// encodes it after the unlock, and ServiceShare is left zero: it is the
+// server's to fill, against every live tenant's served rounds
+// (Server.encodeStats).
 func (t *tenant) stats() TenantStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()

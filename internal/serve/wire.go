@@ -384,8 +384,10 @@ func (m *tenantMsg) encode(e *snap.Encoder) {
 	e.String(m.Tenant)
 }
 
+// decode reads the tenant ID against the one m already holds, so a
+// connection polling one tenant's stats decodes it without allocating.
 func (m *tenantMsg) decode(d *snap.Decoder) {
-	m.Tenant = d.String()
+	m.Tenant = d.StringCached(m.Tenant)
 }
 
 // TenantStats is one tenant's row of the stats command: scheduling
@@ -427,8 +429,13 @@ type TenantStats struct {
 	// is the live backlog pressure signal the allocator escalates on, and
 	// MaxDelayFactor its high-water mark sampled at admission (since this
 	// process started). ServedRounds counts round ticks applied by shard
-	// workers; ServiceShare is this tenant's fraction of every round the
-	// server has applied. See docs/SCHEDULING.md.
+	// workers; ServiceShare is this tenant's fraction of the rounds the
+	// server's live tenants have applied — a closed tenant's rounds leave
+	// the total with it — and a single-tenant row reads the same share as
+	// the tenant's row among all rows. Through rrproxy an all-tenant row
+	// carries the fleet-wide share, while a single-tenant request is
+	// relayed to the owning backend and reads that backend's share. See
+	// docs/SCHEDULING.md.
 	Weight         int     `json:"weight,omitempty"`
 	MinDelay       int     `json:"min_delay,omitempty"`
 	ServedRounds   int64   `json:"served_rounds,omitempty"`
@@ -446,7 +453,10 @@ type TenantStats struct {
 	BudgetUtilization float64 `json:"budget_utilization,omitempty"`
 }
 
-func (s *TenantStats) encode(e *snap.Encoder) {
+// encode writes the row and returns the offset of its ServiceShare,
+// which the server patches once the served total is known
+// (Server.encodeStats).
+func (s *TenantStats) encode(e *snap.Encoder) (shareAt int) {
 	e.String(s.ID)
 	e.String(s.Policy)
 	e.Int(s.Round)
@@ -468,15 +478,20 @@ func (s *TenantStats) encode(e *snap.Encoder) {
 	e.Int64(s.ServedRounds)
 	e.Float64(s.DelayFactor)
 	e.Float64(s.MaxDelayFactor)
+	shareAt = e.Len()
 	e.Float64(s.ServiceShare)
 	e.Float64(s.ReservedRate)
 	e.Float64(s.ReservedDelay)
 	e.Float64(s.BudgetUtilization)
+	return shareAt
 }
 
+// decode reads the ID and the policy against the strings s already
+// holds (statsCache.decode), returning those without allocating when
+// they match.
 func (s *TenantStats) decode(d *snap.Decoder) {
-	s.ID = d.String()
-	s.Policy = d.String()
+	s.ID = d.StringCached(s.ID)
+	s.Policy = d.StringCached(s.Policy)
 	s.Round = d.Int()
 	s.NextSeq = d.Int()
 	s.Pending = d.Int()
@@ -513,19 +528,44 @@ func encodeStatsResp(e *snap.Encoder, rows []TenantStats, st *DuraStats) {
 	st.encode(e)
 }
 
-func decodeStatsResp(d *snap.Decoder) (rows []TenantStats, st DuraStats) {
+// statsCache is what a client keeps of the last stats response it
+// decoded: each row's ID, in order, and the first row's policy.
+type statsCache struct {
+	ids    []string
+	policy string
+}
+
+// decode decodes a stats response against the previous one: row i's ID
+// is read against the cached ID i, and each policy against the previous
+// row's (the first against the cached one). A repeat read-out of a
+// steady fleet thus shares every string with the one before and
+// allocates only the rows slice. On success the cache holds this
+// response's strings.
+func (c *statsCache) decode(d *snap.Decoder) (rows []TenantStats, st DuraStats) {
 	n := d.Len()
 	if d.Err() == nil && n > 0 {
 		rows = make([]TenantStats, 0, min(n, 4096))
 	}
+	policy := c.policy
 	for i := 0; i < n && d.Err() == nil; i++ {
-		var s TenantStats
+		s := TenantStats{Policy: policy}
+		if i < len(c.ids) {
+			s.ID = c.ids[i]
+		}
 		s.decode(d)
 		rows = append(rows, s)
+		policy = s.Policy
 	}
 	st.decode(d)
 	if d.Err() != nil {
 		return nil, DuraStats{}
+	}
+	c.ids = c.ids[:0]
+	for i := range rows {
+		c.ids = append(c.ids, rows[i].ID)
+	}
+	if len(rows) > 0 {
+		c.policy = rows[0].Policy
 	}
 	return rows, st
 }

@@ -324,6 +324,13 @@ func TestBatchRespRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeStatsResp decodes a stats response the way a fresh client's
+// first read-out does, with nothing cached.
+func decodeStatsResp(d *snap.Decoder) ([]TenantStats, DuraStats) {
+	var c statsCache
+	return c.decode(d)
+}
+
 func TestStatsRespRoundTrip(t *testing.T) {
 	rows := []TenantStats{
 		{ID: "a", Policy: "ΔLRU-EDF", Round: 9, NextSeq: 11, Pending: 3, QueueDepth: 2,

@@ -81,6 +81,13 @@ func (e *Encoder) Float64(f float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
 }
 
+// PutFloat64 overwrites the float a Float64 call appended at offset at
+// (the encoder's Len just before that call), for a field whose value is
+// known only after later fields were encoded.
+func (e *Encoder) PutFloat64(at int, f float64) {
+	binary.LittleEndian.PutUint64(e.buf[at:at+8], math.Float64bits(f))
+}
+
 // String appends s length-prefixed.
 func (e *Encoder) String(s string) {
 	e.Int(len(s))
@@ -114,6 +121,11 @@ type Decoder struct {
 
 // NewDecoder returns a decoder over data.
 func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
+
+// Reset makes d decode data from its start, clearing any error, so a
+// long-lived decoder (a client reading one response per call) reaches a
+// steady state with no per-frame allocation.
+func (d *Decoder) Reset(data []byte) { *d = Decoder{data: data} }
 
 // Err reports the first decoding failure, if any.
 func (d *Decoder) Err() error { return d.err }
