@@ -99,11 +99,14 @@ docscheck:
 	go run ./cmd/docscheck
 
 # The pre-commit gate: static analysis, the docs drift gate, then every
-# test of the module exactly once, fresh, under the race detector. The
-# smoke targets above are subsets of that run, kept as shortcuts for
-# iterating on one subsystem.
+# test of the module exactly once, fresh, under the race detector, and
+# last a vet of the benchmark module, which links internal packages but
+# is a module of its own, so nothing above builds it. The smoke targets
+# above are subsets of that run, kept as shortcuts for iterating on one
+# subsystem.
 check: vet docscheck
 	go test -race -count=1 ./...
+	cd benchmark && go vet ./...
 
 # Run every fuzz target for FUZZTIME past its seed corpus (`make check`
 # runs only the seeds). `go test -fuzz` takes one target per run, so the

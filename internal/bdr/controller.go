@@ -40,16 +40,42 @@ type Controller struct {
 	// ShardRate is the shard's own reserved rate — the denominator of
 	// every tenant's guaranteed fraction.
 	ShardRate float64
-	// Scale is the integer resolution of the emitted weights (default
-	// 1 << 12): a share of 1.0 maps to Scale. Larger values resolve
-	// finer fractions at the cost of larger deficit counters.
-	Scale int
 }
+
+// scale is the integer resolution of the emitted weights: a share of
+// 1.0 maps to scale.
+const scale = 1 << 12
 
 // maxPressure caps how much a reserved tenant's backlog can amplify
 // its slack demand, so one deeply backlogged reservation cannot starve
 // best-effort tenants of all slack.
 const maxPressure = 4.0
+
+// bid returns a backlogged demand's guaranteed fraction of the shard
+// (0 for a best-effort tenant) and its demand for slack: its weight,
+// scaled for a reserved tenant by its backlog pressure.
+func (c *Controller) bid(d *Demand) (f, demand float64) {
+	w := float64(d.Weight)
+	if w < 1 {
+		w = 1
+	}
+	if d.Res.IsZero() || c.ShardRate <= 0 {
+		return 0, w
+	}
+	// Pressure: backlog relative to the work the reservation can
+	// absorb inside its own delay bound. A reservation running at or
+	// under its bound contributes modest demand; one falling behind
+	// bids for slack up to the cap.
+	capacity := d.Res.Rate * d.Res.Delay
+	if capacity < 1 {
+		capacity = 1
+	}
+	p := float64(d.Backlog) / capacity
+	if p > maxPressure {
+		p = maxPressure
+	}
+	return d.Res.Rate / c.ShardRate, w * p
+}
 
 // Shares computes each demand's fractional share for one service pass
 // and writes the result into out (which must be len(demands)).
@@ -58,10 +84,6 @@ const maxPressure = 4.0
 // owed, or 0 for an eager unbounded pass, in which case budgets are
 // left uncapped).
 func (c *Controller) Shares(demands []Demand, passBudget int, out []Share) {
-	scale := c.Scale
-	if scale <= 0 {
-		scale = 1 << 12
-	}
 	// First pass: guaranteed fractions and slack demand.
 	guaranteed := 0.0
 	totalDemand := 0.0
@@ -70,29 +92,9 @@ func (c *Controller) Shares(demands []Demand, passBudget int, out []Share) {
 		if d.Backlog <= 0 {
 			continue
 		}
-		w := float64(d.Weight)
-		if w < 1 {
-			w = 1
-		}
-		if d.Res.IsZero() || c.ShardRate <= 0 {
-			totalDemand += w
-			continue
-		}
-		f := d.Res.Rate / c.ShardRate
+		f, demand := c.bid(d)
 		guaranteed += f
-		// Pressure: backlog relative to the work the reservation can
-		// absorb inside its own delay bound. A reservation running at
-		// or under its bound contributes modest demand; one falling
-		// behind bids for slack up to the cap.
-		capacity := d.Res.Rate * d.Res.Delay
-		if capacity < 1 {
-			capacity = 1
-		}
-		p := float64(d.Backlog) / capacity
-		if p > maxPressure {
-			p = maxPressure
-		}
-		totalDemand += w * p
+		totalDemand += demand
 	}
 	slack := 1 - guaranteed
 	if slack < 0 {
@@ -107,23 +109,7 @@ func (c *Controller) Shares(demands []Demand, passBudget int, out []Share) {
 			out[i] = Share{}
 			continue
 		}
-		w := float64(d.Weight)
-		if w < 1 {
-			w = 1
-		}
-		f, demand := 0.0, w
-		if !d.Res.IsZero() && c.ShardRate > 0 {
-			f = d.Res.Rate / c.ShardRate
-			capacity := d.Res.Rate * d.Res.Delay
-			if capacity < 1 {
-				capacity = 1
-			}
-			p := float64(d.Backlog) / capacity
-			if p > maxPressure {
-				p = maxPressure
-			}
-			demand = w * p
-		}
+		f, demand := c.bid(d)
 		share := f
 		if totalDemand > 0 {
 			share += slack * demand / totalDemand

@@ -53,8 +53,8 @@ func TestSharesGuaranteeClamp(t *testing.T) {
 				continue
 			}
 			f := d.Res.Rate / c.ShardRate
-			// Weight floor: ceil(f·Scale) regardless of competition.
-			if floor := int(math.Ceil(f * float64(1<<12))); out[i].Weight < floor {
+			// Weight floor: ceil(f·scale) regardless of competition.
+			if floor := int(math.Ceil(f * float64(scale))); out[i].Weight < floor {
 				t.Fatalf("trial %d: tenant %d weight %d below guarantee floor %d (f=%g)",
 					trial, i, out[i].Weight, floor, f)
 			}
@@ -72,16 +72,17 @@ func TestSharesGuaranteeClamp(t *testing.T) {
 // mix: one reserved tenant well inside its bound takes its fraction
 // plus a modest slack bid; the best-effort tenant absorbs the rest.
 func TestSharesSlackSplit(t *testing.T) {
-	c := &Controller{ShardRate: 1, Scale: 1000}
+	c := &Controller{ShardRate: 1}
 	demands := []Demand{
 		{Res: BDR{Rate: 0.5, Delay: 8}, Backlog: 4, Weight: 1}, // pressure = 4/(0.5·8) = 1
 		{Backlog: 100, Weight: 1},                              // best-effort
 	}
 	out := make([]Share, 2)
 	c.Shares(demands, 10, out)
-	// slack = 0.5, demand = {1, 1} → reserved share 0.75, best-effort 0.25.
-	if out[0].Weight != 750 || out[1].Weight != 250 {
-		t.Fatalf("weights = %d/%d, want 750/250", out[0].Weight, out[1].Weight)
+	// slack = 0.5, demand = {1, 1} → reserved share 0.75, best-effort
+	// 0.25, of a scale of 4096.
+	if out[0].Weight != 3072 || out[1].Weight != 1024 {
+		t.Fatalf("weights = %d/%d, want 3072/1024", out[0].Weight, out[1].Weight)
 	}
 	if out[0].Budget != 8 || out[1].Budget != 3 {
 		t.Fatalf("budgets = %d/%d, want 8/3", out[0].Budget, out[1].Budget)
@@ -91,30 +92,32 @@ func TestSharesSlackSplit(t *testing.T) {
 // TestSharesPressureCap: a deeply backlogged reservation bids for slack
 // at most maxPressure× its weight, so best-effort tenants keep a floor.
 func TestSharesPressureCap(t *testing.T) {
-	c := &Controller{ShardRate: 1, Scale: 1000}
+	c := &Controller{ShardRate: 1}
 	demands := []Demand{
 		{Res: BDR{Rate: 0.1, Delay: 2}, Backlog: 100000, Weight: 1},
 		{Backlog: 100, Weight: 1},
 	}
 	out := make([]Share, 2)
 	c.Shares(demands, 0, out)
-	// slack = 0.9, demand = {4, 1} → shares 0.1+0.72=0.82 and 0.18.
-	if out[0].Weight != 820 || out[1].Weight != 180 {
-		t.Fatalf("weights = %d/%d, want 820/180", out[0].Weight, out[1].Weight)
+	// slack = 0.9, demand = {4, 1} → shares 0.1+0.72=0.82 and 0.18, of
+	// a scale of 4096.
+	if out[0].Weight != 3359 || out[1].Weight != 737 {
+		t.Fatalf("weights = %d/%d, want 3359/737", out[0].Weight, out[1].Weight)
 	}
 }
 
 // TestSharesUnreservedOnly: with no reservations the controller reduces
 // to plain weighted fair sharing.
 func TestSharesUnreservedOnly(t *testing.T) {
-	c := &Controller{ShardRate: 1, Scale: 900}
+	c := &Controller{ShardRate: 1}
 	demands := []Demand{
 		{Backlog: 10, Weight: 2},
 		{Backlog: 10, Weight: 1},
 	}
 	out := make([]Share, 2)
 	c.Shares(demands, 0, out)
-	if out[0].Weight != 600 || out[1].Weight != 300 {
-		t.Fatalf("weights = %d/%d, want 600/300", out[0].Weight, out[1].Weight)
+	// Shares 2/3 and 1/3 of a scale of 4096.
+	if out[0].Weight != 2731 || out[1].Weight != 1365 {
+		t.Fatalf("weights = %d/%d, want 2731/1365", out[0].Weight, out[1].Weight)
 	}
 }

@@ -37,8 +37,7 @@ func (e *InfeasibleError) Error() string {
 // Tree is not safe for concurrent use; the serve layer guards it with
 // the server mutex it already holds around tenant registration.
 type Tree struct {
-	machine BDR
-	shards  []BDR
+	shards []BDR
 	// reserved[i] maps tenant ID → admitted reservation on shard i.
 	reserved []map[string]BDR
 	// sums[i] caches Σ reserved[i].Rate so Admit is O(1), recomputed
@@ -64,7 +63,6 @@ func NewTree(machine BDR, shards []BDR) (*Tree, error) {
 			machine.Rate, machine.Delay, len(shards), sumRates(shards))
 	}
 	t := &Tree{
-		machine:  machine,
 		shards:   append([]BDR(nil), shards...),
 		reserved: make([]map[string]BDR, len(shards)),
 		sums:     make([]float64, len(shards)),

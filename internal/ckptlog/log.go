@@ -46,7 +46,7 @@
 // The log stores three record kinds: KindFull (a complete snapshot),
 // KindDelta (a snap.ApplyDelta delta against the tenant's latest full
 // record — deltas never chain), and KindTombstone (the tenant was
-// closed or migrated away; earlier records must not resurrect).
+// closed; earlier records must not resurrect).
 package ckptlog
 
 import (
@@ -695,7 +695,7 @@ func (l *Log) Append(tenant string, kind Kind, round, baseRound int, blob []byte
 	return nil
 }
 
-// AppendTombstone records that tenant was closed or migrated away:
+// AppendTombstone records that tenant was closed:
 // recovery will report no record for it even though earlier records
 // remain on disk until compaction. The caller should follow with Sync
 // when the tombstone must be durable before proceeding (the serve tier

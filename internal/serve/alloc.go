@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bdr"
 )
@@ -51,93 +52,55 @@ func (l TenantLoad) DelayFactor() float64 {
 	return float64(l.Queued) / float64(max(l.MinDelay, 1))
 }
 
-// Allocator picks which backlogged tenant a shard worker serves next.
-// Implementations must be deterministic (ties broken by index) — the
-// starvation tests and the bit-identical verification harness rely on
-// reproducible decisions — and are called from exactly one worker
-// goroutine per shard, so they need no internal locking.
-type Allocator interface {
-	// Name reports the spec string NewAllocator resolves.
-	Name() string
-	// Pick returns the index into loads of the tenant to serve next.
-	// loads is never empty and every entry has Queued > 0.
-	Pick(loads []TenantLoad) int
-	// Quantum bounds the rounds applied for the picked tenant before the
-	// allocator is consulted again; 0 or negative means drain the
-	// tenant's current backlog completely before moving on.
-	Quantum(l TenantLoad) int
-}
+// Allocator is the cross-tenant policy a shard worker consults: weighted
+// deficit round-robin with priority escalation. When any backlogged
+// tenant's delay factor reaches the escalation threshold, service is
+// restricted to the tenants at or past it — the ones nearest their
+// bound — and within the eligible set the most underserved (largest
+// deficit) tenant wins, weights respected. Each pick serves at most
+// quantum×Weight rounds, so one deep queue can never hold a worker
+// while peers wait. Decisions are deterministic (ties go to the lowest
+// index): the starvation tests and the bit-identical verification
+// harness rely on reproducible picks. It has no state: the zero value
+// is the allocator every shard worker runs.
+type Allocator struct{}
 
-// DefaultAllocator is the allocator spec Config.Allocator "" selects.
-const DefaultAllocator = "wdrr"
+// The allocator's constants: 8 rounds per pick per unit of weight,
+// escalating a tenant at half its tightest delay bound.
+const (
+	defaultQuantum    = 8
+	defaultEscalation = 0.5
+)
 
-// NewAllocator builds a cross-tenant allocator by spec:
-//
-//   - "wdrr" (the default): weighted deficit round-robin with priority
-//     escalation. When any backlogged tenant's delay factor reaches
-//     escalation, service is restricted to the tenants at or past that
-//     threshold — the ones nearest their bound — and within the eligible
-//     set the most underserved (largest deficit) tenant wins, weights
-//     respected. Each pick serves at most quantum×Weight rounds, so one
-//     deep queue can never hold a worker while peers wait.
-//   - "fifo": the legacy poking order — scan order, each tenant drained
-//     completely before the next. Kept as the baseline the skewed
-//     benchmark and the starvation test measure against.
-//
-// quantum ≤ 0 and escalation 0 select the defaults (8 rounds and 0.5);
-// escalation < 0 disables escalation entirely.
-func NewAllocator(spec string, quantum int, escalation float64) (Allocator, error) {
-	switch spec {
-	case "", "wdrr":
-		if quantum <= 0 {
-			quantum = 8
-		}
-		if escalation == 0 {
-			escalation = 0.5
-		}
-		return &wdrrAllocator{quantum: quantum, escalation: escalation}, nil
-	case "fifo":
-		return fifoAllocator{}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown allocator %q (have fifo, wdrr)", spec)
+// NewAllocator builds the allocator for replaying its decisions outside
+// a server. spec must be "" or "wdrr", and quantum and escalation must
+// both be 0, which selects the constants (8 rounds and 0.5).
+func NewAllocator(spec string, quantum int, escalation float64) (*Allocator, error) {
+	if spec != "" && spec != "wdrr" {
+		return nil, fmt.Errorf("serve: unknown allocator %q (have wdrr)", spec)
 	}
+	if quantum != 0 || escalation != 0 {
+		return nil, fmt.Errorf("serve: allocator quantum %d and escalation %g must be 0 (the constants %d and %g)",
+			quantum, escalation, defaultQuantum, defaultEscalation)
+	}
+	return &Allocator{}, nil
 }
 
-// fifoAllocator reproduces the pre-allocator worker behavior: serve
-// backlogged tenants in scan order and drain each one fully before
-// moving on. A deep queue therefore holds the worker for its entire
-// backlog — the starvation mode the skewed benchmark quantifies.
-type fifoAllocator struct{}
-
-func (fifoAllocator) Name() string                { return "fifo" }
-func (fifoAllocator) Pick(loads []TenantLoad) int { return 0 }
-func (fifoAllocator) Quantum(TenantLoad) int      { return 0 }
-
-// wdrrAllocator is weighted deficit round-robin with delay-factor
-// escalation, the default cross-tenant policy.
-type wdrrAllocator struct {
-	quantum    int     // base rounds per pick, scaled by the tenant's weight
-	escalation float64 // delay factor at which a tenant enters the priority set
-}
-
-func (a *wdrrAllocator) Name() string { return "wdrr" }
-
-// Pick restricts service to the escalated set (delay factor ≥ the
-// threshold) when it is non-empty, then takes the largest deficit;
-// ties go to the lowest index so decisions are deterministic.
-func (a *wdrrAllocator) Pick(loads []TenantLoad) int {
+// Pick returns the index into loads of the tenant to serve next: it
+// restricts service to the escalated set (delay factor ≥ the threshold)
+// when that set is non-empty, then takes the largest deficit. loads is
+// never empty and every entry has Queued > 0.
+func (Allocator) Pick(loads []TenantLoad) int {
 	escalated := false
-	if a.escalation >= 0 {
-		for i := range loads {
-			if loads[i].DelayFactor() >= a.escalation {
-				escalated = true
-				break
-			}
+	for i := range loads {
+		if loads[i].DelayFactor() >= defaultEscalation {
+			escalated = true
+			break
 		}
 	}
 	best := -1
 	for i := range loads {
-		if escalated && loads[i].DelayFactor() < a.escalation {
+		if escalated && loads[i].DelayFactor() < defaultEscalation {
 			continue
 		}
 		if best < 0 || loads[i].Deficit > loads[best].Deficit {
@@ -147,12 +110,14 @@ func (a *wdrrAllocator) Pick(loads []TenantLoad) int {
 	return best
 }
 
-func (a *wdrrAllocator) Quantum(l TenantLoad) int {
-	return a.quantum * max(l.Weight, 1)
+// Quantum bounds the rounds applied for the picked tenant before the
+// allocator is consulted again: the base quantum times its weight.
+func (Allocator) Quantum(l TenantLoad) int {
+	return defaultQuantum * max(l.Weight, 1)
 }
 
 // passState is one shard worker's reusable scratch for servePass, so a
-// steady-state pass allocates nothing.
+// steady-state pass allocates nothing (TestServePassAllocFree).
 type passState struct {
 	scratch []*tenant
 	live    []*tenant
@@ -189,15 +154,15 @@ func (s *Server) servePass(sh *shard, ps *passState, intervals int) {
 		}
 	}
 	budget := intervals * len(ps.loads)
-	unlimited := intervals == 0
 	totalApplied := 0
-	budgeted := false // a BDR pass with per-tenant budgets assigned
 	if s.ctrl != nil && len(ps.loads) > 0 {
 		// BDR fractional shares: convert each backlogged tenant's
 		// reservation plus measured backlog into this pass's effective
 		// weight and service budget. The controller's guarantee clamp
 		// means an admitted reservation's share never drops below its
-		// rate, whatever the best-effort tenants demand.
+		// rate, whatever the best-effort tenants demand. An eager pass
+		// hands the controller a budget of 0, which leaves every tenant's
+		// budget 0: uncapped.
 		ps.demands = ps.demands[:0]
 		for j, t := range ps.live {
 			ps.demands = append(ps.demands, bdr.Demand{
@@ -217,34 +182,24 @@ func (s *Server) servePass(sh *shard, ps *passState, intervals int) {
 		for _, t := range ps.initLive {
 			t.passApplied = 0
 		}
-		budgeted = !unlimited
 	}
-	for len(ps.loads) > 0 && (unlimited || budget > 0) {
-		i := s.alloc.Pick(ps.loads)
-		if i < 0 || i >= len(ps.loads) {
-			i = 0 // defensive against a misbehaving Allocator
-		}
-		q := s.alloc.Quantum(ps.loads[i])
-		if q <= 0 || q > ps.loads[i].Queued {
-			q = ps.loads[i].Queued
-		}
-		if !unlimited && q > budget {
-			q = budget
-		}
-		if b := ps.loads[i].Budget; b > 0 && q > b {
-			q = b
+	if intervals == 0 {
+		budget = math.MaxInt
+	}
+	var alloc Allocator
+	for len(ps.loads) > 0 && budget > 0 {
+		i := alloc.Pick(ps.loads)
+		l := &ps.loads[i]
+		q := min(alloc.Quantum(*l), l.Queued, budget)
+		if l.Budget > 0 {
+			q = min(q, l.Budget)
 		}
 		t := ps.live[i]
 		applied := t.applyQueued(q, s.cfg.CheckpointEvery)
-		if !unlimited {
-			budget -= applied
-		}
+		budget -= applied
 		totalApplied += applied
 		if s.ctrl != nil {
 			t.passApplied += applied
-			if ps.loads[i].Budget > 0 {
-				ps.loads[i].Budget -= applied
-			}
 		}
 		if applied > 0 {
 			// Settle the deficit accounts: every backlogged tenant accrues
@@ -260,18 +215,23 @@ func (s *Server) servePass(sh *shard, ps *passState, intervals int) {
 				ps.loads[j].Deficit += float64(applied) * float64(max(ps.loads[j].Weight, 1)) / totalW
 				ps.live[j].deficit = ps.loads[j].Deficit
 			}
-			ps.loads[i].Deficit -= float64(applied)
-			t.deficit = ps.loads[i].Deficit
+			l.Deficit -= float64(applied)
+			t.deficit = l.Deficit
 		}
-		ps.loads[i].Queued -= applied
-		budgetSpent := budgeted && ps.loads[i].Budget <= 0
-		if ps.loads[i].Queued <= 0 || applied == 0 || budgetSpent {
-			// Drained, poisoned/raced empty (applied 0), or out of BDR
-			// budget for this pass; either way the tenant leaves this
-			// pass. Ordered removal keeps scan order (and with it
-			// tie-breaking) deterministic.
+		// A pick applies at most the tenant's queue and its BDR budget,
+		// so reaching either one — or applying nothing, a poisoned or
+		// raced-empty queue — ends the tenant's turn in this pass. An
+		// uncapped tenant's budget is 0, which only applied 0 reaches.
+		// Ordered removal keeps scan order (and with it tie-breaking)
+		// deterministic.
+		if applied == 0 || applied == l.Queued || applied == l.Budget {
 			ps.live = append(ps.live[:i], ps.live[i+1:]...)
 			ps.loads = append(ps.loads[:i], ps.loads[i+1:]...)
+			continue
+		}
+		l.Queued -= applied
+		if l.Budget > 0 {
+			l.Budget -= applied
 		}
 	}
 	if s.ctrl != nil && totalApplied > 0 {

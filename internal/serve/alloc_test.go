@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -10,28 +11,28 @@ import (
 )
 
 func TestNewAllocator(t *testing.T) {
-	a, err := NewAllocator("", 0, 0)
-	if err != nil || a.Name() != DefaultAllocator {
-		t.Fatalf("NewAllocator(\"\") = (%v, %v), want the default %q", a, err, DefaultAllocator)
+	for _, spec := range []string{"", "wdrr"} {
+		if a, err := NewAllocator(spec, 0, 0); err != nil || a == nil {
+			t.Fatalf("NewAllocator(%q, 0, 0) = (%v, %v), want the allocator", spec, a, err)
+		}
 	}
-	w := a.(*wdrrAllocator)
-	if w.quantum != 8 || w.escalation != 0.5 {
-		t.Fatalf("defaults = (quantum %d, escalation %v), want (8, 0.5)", w.quantum, w.escalation)
+	for _, spec := range []string{"fifo", "lifo"} {
+		if _, err := NewAllocator(spec, 0, 0); err == nil {
+			t.Fatalf("NewAllocator accepted spec %q", spec)
+		}
 	}
-	if a, err = NewAllocator("fifo", 0, 0); err != nil || a.Name() != "fifo" {
-		t.Fatalf("NewAllocator(fifo) = (%v, %v)", a, err)
-	}
-	if _, err = NewAllocator("lifo", 0, 0); err == nil {
-		t.Fatal("NewAllocator accepted an unknown spec")
-	}
-	// A server config with a bad spec must fail construction, not serve.
-	if _, err = NewServer(Config{Addr: "127.0.0.1:0", Allocator: "lifo"}); err == nil {
-		t.Fatal("NewServer accepted an unknown allocator")
+	for _, arg := range []struct {
+		quantum    int
+		escalation float64
+	}{{4, 0}, {0, 1.5}} {
+		if _, err := NewAllocator("wdrr", arg.quantum, arg.escalation); err == nil {
+			t.Fatalf("NewAllocator accepted quantum %d, escalation %g", arg.quantum, arg.escalation)
+		}
 	}
 }
 
 func TestWDRRPick(t *testing.T) {
-	a := &wdrrAllocator{quantum: 8, escalation: 0.5}
+	var a Allocator
 
 	// Nobody escalated: the largest deficit wins, ties to the lowest index.
 	loads := []TenantLoad{
@@ -53,12 +54,6 @@ func TestWDRRPick(t *testing.T) {
 		t.Fatalf("Pick = %d, want the escalated tenant 1", got)
 	}
 
-	// escalation < 0 disables the priority set: deficit rules alone.
-	noesc := &wdrrAllocator{quantum: 8, escalation: -1}
-	if got := noesc.Pick(loads); got != 0 {
-		t.Fatalf("Pick (escalation off) = %d, want 0", got)
-	}
-
 	// The quantum scales with weight.
 	if q := a.Quantum(TenantLoad{Weight: 3}); q != 24 {
 		t.Fatalf("Quantum(weight 3) = %d, want 24", q)
@@ -66,29 +61,22 @@ func TestWDRRPick(t *testing.T) {
 	if q := a.Quantum(TenantLoad{Weight: 0}); q != 8 {
 		t.Fatalf("Quantum(weight 0) = %d, want 8", q)
 	}
-
-	// fifo always drains the first backlogged tenant completely.
-	f := fifoAllocator{}
-	if f.Pick(loads) != 0 || f.Quantum(loads[0]) != 0 {
-		t.Fatal("fifo must pick index 0 with an unlimited quantum")
-	}
 }
 
-// runStarvation replays one deterministic starved schedule against a
-// server using the named allocator and reports the worst victim
-// delay-factor high-water mark. A hot tenant opened first (scan index
-// 0) holds a standing backlog; each simulated tick the victims submit
-// one round apiece and the test drives one paced allocation pass owed
-// one interval (a budget of one round per backlogged tenant), exactly
-// what the paced shard worker runs for an on-time RoundInterval tick.
-// The hot tenant's own delay factor is self-inflicted and ignored.
-func runStarvation(t *testing.T, allocator string) float64 {
+// runStarvation replays one deterministic starved schedule and reports
+// the worst victim delay-factor high-water mark and the hot tenant's
+// delay factor at the end of the run. A hot tenant opened first (scan
+// index 0) holds a standing backlog; each simulated tick the victims
+// submit one round apiece and the test drives one paced allocation pass
+// owed one interval (a budget of one round per backlogged tenant),
+// exactly what the paced shard worker runs for an on-time RoundInterval
+// tick.
+func runStarvation(t *testing.T) (worst, hotFactor float64) {
 	t.Helper()
 	const victims, ticks = 4, 40
 	// RoundInterval parks the paced worker (first tick is an hour out),
 	// so the test owns every allocation pass and the schedule is exact.
-	s := startServer(t, Config{Shards: 1, RoundInterval: time.Hour,
-		Allocator: allocator, DefaultQueueCap: 1024})
+	s := startServer(t, Config{Shards: 1, RoundInterval: time.Hour, DefaultQueueCap: 1024})
 	c := dialTest(t, s)
 
 	hot := testInstance(t, 512, 0)
@@ -138,29 +126,67 @@ func runStarvation(t *testing.T, allocator string) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst := 0.0
 	for _, r := range rows {
-		if r.ID != "hot" && r.MaxDelayFactor > worst {
+		switch {
+		case r.ID == "hot":
+			hotFactor = r.DelayFactor
+		case r.MaxDelayFactor > worst:
 			worst = r.MaxDelayFactor
 		}
 	}
-	return worst
+	return worst, hotFactor
 }
 
-// TestAllocatorStarvation pins the tentpole behavior the skewed
-// benchmark measures, deterministically: under fifo a hot tenant's
-// standing backlog starves every victim for the whole run, so victim
-// delay factors grow with the tick count; under wdrr escalation caps
-// them near the threshold. The schedule is identical in both runs.
+// TestAllocatorStarvation pins the behavior the skewed_bdr benchmark
+// measures, deterministically: a hot tenant's standing backlog, served
+// first in scan order, would hold the worker for the whole run under a
+// drain-first order, and victim delay factors would grow with the tick
+// count; escalation caps them near the threshold.
 func TestAllocatorStarvation(t *testing.T) {
-	fifo := runStarvation(t, "fifo")
-	wdrr := runStarvation(t, "wdrr")
-	t.Logf("worst victim delay factor: fifo %.3f, wdrr %.3f", fifo, wdrr)
-	if wdrr > 1.0 {
-		t.Fatalf("wdrr worst victim delay factor = %.3f, want ≤ 1.0 (escalation must bound victims)", wdrr)
+	worst, hot := runStarvation(t)
+	t.Logf("worst victim delay factor %.3f; hot tenant's at the end %.3f", worst, hot)
+	if worst > 1.0 {
+		t.Fatalf("worst victim delay factor = %.3f, want ≤ 1.0 (escalation must bound victims)", worst)
 	}
-	if fifo < 2*wdrr {
-		t.Fatalf("fifo worst victim delay factor %.3f not ≥ 2x wdrr's %.3f", fifo, wdrr)
+	// The hot backlog is real: still past its tightest bound after every
+	// pass, so it competed with the victims for the whole run.
+	if hot < 1.0 {
+		t.Fatalf("hot tenant's delay factor = %.3f after the run, want ≥ 1.0 (a standing backlog)", hot)
+	}
+}
+
+// TestServePassAllocFree pins passState's promise: once the tenants'
+// streams have grown their own scratch, a paced pass over a backlogged
+// shard allocates nothing, with the BDR share controller off and on.
+// Eight tenants hold 4,096 queued rounds each; a first pass serves about
+// 1,000 of each, the warm-up a stream needs before its rounds stop
+// allocating.
+func TestServePassAllocFree(t *testing.T) {
+	for _, bdrOn := range []bool{false, true} {
+		s := startServer(t, Config{Shards: 1, RoundInterval: time.Hour, BDR: bdrOn})
+		for i := 0; i < 8; i++ {
+			inst := testInstance(t, 4096, i)
+			tc := tcFor(inst)
+			tc.QueueCap = len(inst.Requests)
+			if bdrOn && i < 2 {
+				tc.ResRate, tc.ResDelay = 0.25, 8
+			}
+			id := fmt.Sprintf("t%d", i)
+			if _, er := s.open(&openMsg{Version: ProtocolVersion, Tenant: id, Config: tc}); er != nil {
+				t.Fatal(er.Msg)
+			}
+			if n, _, _, er := s.tenant(id).submitBatch(0, inst.Requests); er != nil {
+				t.Fatalf("%s: queued %d rounds: %s", id, n, er.Msg)
+			}
+		}
+		sh := s.shards[0]
+		var ps passState
+		s.servePass(sh, &ps, 1000)
+		for _, k := range []int{1, 4} {
+			if allocs := testing.AllocsPerRun(100, func() { s.servePass(sh, &ps, k) }); allocs != 0 {
+				t.Errorf("BDR %v, a pass owed %d intervals: %v allocs, want 0", bdrOn, k, allocs)
+			}
+		}
 	}
 }
 

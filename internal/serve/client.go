@@ -187,7 +187,7 @@ func (c *Client) receive() (req inflight, d *snap.Decoder, err error) {
 		if err := c.done(d); err != nil {
 			return req, nil, err
 		}
-		return req, nil, errFromResp(&e)
+		return req, nil, errFromResp(&e, req.seq)
 	}
 	return req, nil, c.poison(fmt.Errorf("serve: response type %d to a request of type %d", typ, req.typ))
 }
@@ -249,7 +249,7 @@ func (c *Client) Submit(tenant string, seq int, arrivals sched.Request) (round, 
 		(&batchMsg{Tenant: tenant, Seq: seq, Ticks: one[:]}).encode(e)
 	}, r.decode)
 	if err == nil && r.Err != nil {
-		err = errFromResp(r.Err)
+		err = errFromResp(r.Err, seq+r.Admitted)
 	}
 	if err != nil {
 		return 0, 0, err

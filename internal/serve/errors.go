@@ -91,8 +91,9 @@ type RemoteError struct {
 func (e *RemoteError) Error() string { return "serve: " + e.Msg }
 
 // errFromResp converts a decoded error response into the typed error
-// the Client returns.
-func errFromResp(m *errResp) error {
+// the Client returns. seq is the sequence of the round the response
+// rejects, which a *BadSeqError reports as Got.
+func errFromResp(m *errResp, seq int) error {
 	switch m.Code {
 	case codeOverloaded:
 		return ErrOverloaded
@@ -103,7 +104,7 @@ func errFromResp(m *errResp) error {
 	case codeTenantExists:
 		return ErrTenantExists
 	case codeBadSeq:
-		return &BadSeqError{Expected: m.Expected}
+		return &BadSeqError{Got: seq, Expected: m.Expected}
 	case codeAdmission:
 		return &AdmissionError{
 			ResidualRate:  m.ResidualRate,

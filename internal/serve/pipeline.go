@@ -126,7 +126,7 @@ func (p *Pipeline) reapLocked() error {
 		}
 		r.Admitted, r.Round, r.Depth = br.Admitted, br.Round, br.QueueDepth
 		if br.Err != nil {
-			r.Err = errFromResp(br.Err)
+			r.Err = errFromResp(br.Err, req.seq+br.Admitted)
 		}
 	}
 	if p.onAck != nil {

@@ -94,8 +94,8 @@ func TestSubmitBatchPartialAdmit(t *testing.T) {
 	// A batch at the wrong sequence is rejected before admitting anything.
 	var bs *BadSeqError
 	r = syncBatch(t, c, "hot", 9, inst.Requests[9:12])
-	if r.Admitted != 0 || !errors.As(r.Err, &bs) || bs.Expected != 4 {
-		t.Fatalf("bad-seq batch = (admitted %d, %v), want (0, BadSeq expected 4)", r.Admitted, r.Err)
+	if r.Admitted != 0 || !errors.As(r.Err, &bs) || bs.Got != r.Seq || bs.Expected != 4 {
+		t.Fatalf("bad-seq batch = (admitted %d, %v), want (0, BadSeq got %d expected 4)", r.Admitted, r.Err, r.Seq)
 	}
 
 	// A mid-batch sequence jump splits the batch: the prefix before the

@@ -18,10 +18,10 @@ import (
 // snapshotHashes pins, per servable policy spec, one SHA-256 over every
 // 16th-round snapshot and the drained Result of eight router tenants
 // (seed 7, 512 rounds) at N=8. The snapshots are the bytes a checkpoint
-// log holds and a migration carries; the Results are what rrload
-// -verify compares. A changed policy decision, heap layout, tie-break or
-// snapshot encoding moves the hash, so an optimisation that claims to
-// change none of them is checked against builds that predate it.
+// log holds; the Results are what rrload -verify compares. A changed
+// policy decision, heap layout, tie-break or snapshot encoding moves the
+// hash, so an optimisation that claims to change none of them is checked
+// against builds that predate it.
 var snapshotHashes = map[string]string{
 	"adaptive":   "9226ca59dd2ea3f4a8f22972cead9e8749c16baa48c720afac621c25822f1a2d",
 	"dlru":       "26aef6fac37bdb0310ce140d9fccf30587f2afe6d1f0a5acffb13c064e529c4c",

@@ -59,13 +59,6 @@ type Config struct {
 	// DefaultQueueCap is the per-tenant pending-queue cap applied when
 	// an open request leaves QueueCap 0 (default 64).
 	DefaultQueueCap int
-	// Allocator selects the cross-tenant allocation policy shard workers
-	// use to pick the next backlogged tenant (see NewAllocator): "wdrr"
-	// — weighted deficit round-robin with delay-factor escalation, at its
-	// default quantum and escalation threshold — by default, or "fifo",
-	// the legacy drain-in-scan-order baseline TestAllocatorStarvation
-	// measures against (rrserved always runs the default).
-	Allocator string
 	// BDR enables bounded-delay admission control (docs/SCHEDULING.md
 	// "Admission"): open requests may carry a (rate, delay) reservation,
 	// admitted iff the shard's supply-bound-function feasibility check
@@ -109,9 +102,8 @@ var shardBDR = bdr.BDR{Rate: 1, Delay: 1}
 // sharded worker pool; per-tenant checkpoints make every tenant
 // recoverable across restarts.
 type Server struct {
-	cfg   Config
-	alloc Allocator // cross-tenant allocation policy (see alloc.go)
-	ln    net.Listener
+	cfg Config
+	ln  net.Listener
 
 	// tree is the hierarchical BDR reservation tree (machine → shard →
 	// tenant) and ctrl the fractional-share controller shard workers
@@ -189,13 +181,8 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: negative RoundInterval %v (0 applies rounds eagerly)", cfg.RoundInterval)
 	}
 	cfg.fill()
-	alloc, err := NewAllocator(cfg.Allocator, 0, 0)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:       cfg,
-		alloc:     alloc,
 		tenants:   make(map[string]*tenant),
 		conns:     make(map[net.Conn]struct{}),
 		stopShard: make(chan struct{}),
@@ -380,11 +367,10 @@ func (s *Server) tenantList() []*tenant {
 	return s.sorted
 }
 
-func (s *Server) shardFor(id string) *shard { return s.shards[s.shardIndex(id)] }
-
-// shardIndex is the tenant-to-shard hash. The BDR reservation tree is
-// indexed by the same value, so a tenant's reservation always lives on
-// the shard whose worker serves it.
+// shardIndex is the tenant-to-shard hash, computed once at install and
+// kept on the tenant. The BDR reservation tree is indexed by the same
+// value, so a tenant's reservation always lives on the shard whose
+// worker serves it.
 func (s *Server) shardIndex(id string) int {
 	h := fnv.New32a()
 	h.Write([]byte(id))
@@ -593,7 +579,7 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte) (*tenan
 		return nil, &errResp{Code: codeBadPolicy, Msg: err.Error()}
 	}
 	t := &tenant{
-		id: id, cfg: cfg, polName: pol.Name(),
+		id: id, cfg: cfg, polName: pol.Name(), shard: s.shardIndex(id),
 		minDelay: minDelayOf(cfg.Delays), draining: &s.draining,
 	}
 	if !recovered {
@@ -621,12 +607,11 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte) (*tenan
 			return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("snapshot blob: %v", err)}
 		}
 	}
-	shard := s.shardIndex(id)
 	if !res.IsZero() {
 		// The supply-bound-function feasibility check, atomic with
 		// registration (s.mu is held): an infeasible reservation is
 		// rejected before any state exists — nothing queued, nothing shed.
-		if err := s.tree.Admit(shard, id, res); err != nil {
+		if err := s.tree.Admit(t.shard, id, res); err != nil {
 			return nil, admissionErrResp(err)
 		}
 	}
@@ -645,7 +630,7 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte) (*tenan
 			}
 			if err != nil {
 				if !res.IsZero() {
-					s.tree.Release(shard, id)
+					s.tree.Release(t.shard, id)
 				}
 				return nil, &errResp{Code: codeInternal,
 					Msg: fmt.Sprintf("serve: tenant %s: logging its first record: %v", id, err)}
@@ -654,7 +639,7 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte) (*tenan
 	}
 	s.tenants[id] = t
 	s.sorted = nil
-	s.shards[shard].add(t)
+	s.shards[t.shard].add(t)
 	return t, nil
 }
 
@@ -723,10 +708,10 @@ func (s *Server) remove(t *tenant) {
 	delete(s.tenants, t.id)
 	s.sorted = nil
 	if s.tree != nil {
-		s.tree.Release(s.shardIndex(t.id), t.id)
+		s.tree.Release(t.shard, t.id)
 	}
 	s.mu.Unlock()
-	s.shardFor(t.id).remove(t)
+	s.shards[t.shard].remove(t)
 }
 
 // ——— Recovery ———
@@ -894,7 +879,7 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 		}
 		admitted, round, depth, er := t.submitBatch(cs.batch.Seq, cs.batch.Ticks)
 		if admitted > 0 {
-			s.shardFor(cs.batch.Tenant).poke()
+			s.shards[t.shard].poke()
 		}
 		(&batchResp{Admitted: admitted, Round: round, QueueDepth: depth, Err: er}).encode(enc)
 	case msgTenantStats:

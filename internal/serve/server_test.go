@@ -351,10 +351,12 @@ func TestServerRejections(t *testing.T) {
 	if _, _, err := c.Open("a", tc); err != nil {
 		t.Fatal(err)
 	}
-	// Out-of-sequence submits carry the resume point both ways.
+	// Out-of-sequence submits carry the resume point both ways, and the
+	// sequence they were sent at.
 	var bs *BadSeqError
-	if _, _, err := c.Submit("a", 5, nil); !errors.As(err, &bs) || bs.Expected != 0 {
-		t.Fatalf("future seq = %v", err)
+	if _, _, err := c.Submit("a", 5, nil); !errors.As(err, &bs) || bs.Got != 5 || bs.Expected != 0 ||
+		!strings.Contains(err.Error(), "sequence 5,") {
+		t.Fatalf("future seq = %v (%+v)", err, bs)
 	}
 	if _, _, err := c.Submit("a", 0, inst.Requests[0]); err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ type tenant struct {
 	// checkpoint-log record carries it.
 	cfg     TenantConfig
 	polName string // the policy's display Name, for stats
+	shard   int    // index of the shard that serves it (Server.shardIndex)
 	// minDelay is the tightest delay bound in the tenant's menu; the
 	// tenant's delay factor is queued/minDelay (see TenantLoad).
 	minDelay int

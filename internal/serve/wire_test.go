@@ -430,7 +430,7 @@ func TestErrRespAdmissionRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v, want %+v", out, in)
 	}
 	var ae *AdmissionError
-	if err := errFromResp(&out); !errors.As(err, &ae) || ae.ResidualRate != 0.375 || ae.ResidualDelay != 2 {
+	if err := errFromResp(&out, 0); !errors.As(err, &ae) || ae.ResidualRate != 0.375 || ae.ResidualDelay != 2 {
 		t.Fatalf("typed error = %v, want *AdmissionError with the residuals", err)
 	}
 }
