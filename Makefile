@@ -47,15 +47,20 @@ faultsmoke:
 # The group-commit durability smoke (docs/CHECKPOINT.md "Group-commit
 # log"): the whole ckptlog package fresh — segment framing, recovery
 # scans over truncated/corrupted tails, rotation and compaction, sticky
-# write/sync failures, the committer's fsync outside the log lock — plus
-# the serve-layer durability contracts: tombstones shadowing closed
-# tenants, compacting and deep-state restarts, recovery of an older
-# build's delta records, the zero-allocation checkpoint path, record
-# versions and the snapshot checks recovery runs. Fresh runs, never
-# cached.
+# write/sync failures, the committer's fsync outside the log lock, the
+# flush count the checkpoint rule reads — plus the serve-layer
+# durability contracts: tombstones shadowing closed tenants, compacting
+# and deep-state restarts, recovery of an older build's delta records,
+# the zero-allocation checkpoint path, record versions and the snapshot
+# checks recovery runs. The TestCheckpointRule tests pin when a due
+# checkpoint is taken (the queue emptied, or the log flushed since the
+# tenant's previous record) with no committer pass to blur it, and
+# TestServeCrashRestartDeferredCheckpoints crashes a deep-queued load
+# amid rotations and requires bit-identical results with fewer records
+# than one per pick. Fresh runs, never cached.
 durasmoke:
 	go test -count=1 ./internal/ckptlog/
-	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestServeLogCompactionRestart|TestServeLogDeepStateRestart|TestRecoverOlderDeltaRecords|TestCheckpointPathAllocFree|TestServeCrashRestartLogSegments|TestRecordVersions|TestRestoreRejections' -count=1 ./internal/serve/
+	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestServeLogCompactionRestart|TestServeLogDeepStateRestart|TestRecoverOlderDeltaRecords|TestCheckpointPathAllocFree|TestCheckpointRule|TestServeCrashRestartLogSegments|TestServeCrashRestartDeferredCheckpoints|TestRecordVersions|TestRestoreRejections' -count=1 ./internal/serve/
 
 # The admission-control smoke (docs/SCHEDULING.md "Admission (layer
 # 0)"): the whole internal/bdr package fresh — SBF feasibility

@@ -54,7 +54,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7145", "TCP listen address")
 		ckptDir      = flag.String("ckpt", "", "checkpoint directory (empty = no durability)")
-		ckptEvery    = flag.Int("checkpoint-every", 64, "rounds between periodic per-tenant checkpoints")
+		ckptEvery    = flag.Int("checkpoint-every", 64, "rounds after which a per-tenant checkpoint falls due; it is taken once the tenant's queue is empty or the log has flushed its previous record")
 		ckptCommit   = flag.Duration("ckpt-commit-interval", 0, "checkpoint-log group-commit fsync interval (0 = default 2ms)")
 		ckptSegBytes = flag.Int("ckpt-segment-bytes", 0, "log segment size before rotation (0 = default 4MiB)")
 		interval     = flag.Duration("round-interval", 0, "pace round application (0 = apply eagerly; negative is an error)")

@@ -219,6 +219,7 @@ type Log struct {
 
 	appends     atomic.Int64
 	bytes       atomic.Int64
+	flushes     atomic.Int64 // non-empty write-buffer flushes (Flushes)
 	fsyncs      atomic.Int64
 	rotations   atomic.Int64
 	compactions atomic.Int64
@@ -543,6 +544,7 @@ func (l *Log) flushLocked() error {
 	}
 	l.wbuf = l.wbuf[:0]
 	l.dirty = true
+	l.flushes.Add(1)
 	return nil
 }
 
@@ -910,6 +912,13 @@ func (l *Log) Tenants() []string {
 	sort.Strings(ids)
 	return ids
 }
+
+// Flushes counts the write-buffer flushes that moved bytes into the
+// active segment: each hands every record appended before it to the OS,
+// where the next fsync covers it. A caller that notes the count before
+// an append knows, once it has moved, that the appended record has left
+// the buffer. It reads one atomic.
+func (l *Log) Flushes() int64 { return l.flushes.Load() }
 
 // Stats returns a snapshot of the log's counters. It reads only
 // atomics, so it never waits behind an append, a rotation or an fsync.

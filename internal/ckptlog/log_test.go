@@ -731,6 +731,34 @@ func TestLogGroupCommitBatches(t *testing.T) {
 	}
 }
 
+// TestLogFlushesCountsWrites: Flushes moves once per flush that hands
+// buffered records to the segment file — a Sync, a Latest read, a
+// committer pass — and not for one that finds the buffer empty, so a
+// caller that read it before an append sees it move once that record
+// has left the buffer.
+func TestLogFlushesCountsWrites(t *testing.T) {
+	l := openTest(t, t.TempDir(), nil) // CommitInterval 1h → only explicit flushes
+	defer l.Close()
+	step := func(what string, op func() error, want int64) {
+		t.Helper()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := l.Flushes(); got != want {
+			t.Fatalf("after %s: Flushes = %d, want %d", what, got, want)
+		}
+	}
+	appendA := func() error { return l.Append("a", KindFull, 1, 0, blobFor("a", 1)) }
+	step("an append", appendA, 0)
+	step("a Sync", l.Sync, 1)
+	step("a Sync of an empty buffer", l.Sync, 1)
+	step("a second append", appendA, 1)
+	step("a Latest read", func() error { _, _, _, err := l.Latest("a"); return err }, 2)
+	step("a third append", appendA, 2)
+	l.commit()
+	step("a committer pass", func() error { return nil }, 3)
+}
+
 // TestLogConcurrentAppends exercises the lock paths under the race
 // detector: many goroutines appending and reading concurrently, with a
 // fast committer and tiny segments forcing rotation and compaction.

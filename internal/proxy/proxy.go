@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -493,7 +492,9 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 	for _, rs := range perBackend {
 		n += len(rs)
 	}
-	rows := make([]serve.TenantStats, 0, n)
+	// runs holds each answering backend's rows, which it sends sorted by
+	// tenant ID; the standby's are filtered in place, keeping that order.
+	runs := perBackend[:0]
 	var sum serve.DuraStats
 	for i, rs := range perBackend {
 		if errs[i] != nil {
@@ -508,17 +509,18 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 		sum.Segments += st.Segments
 		st.Backends = nil // a backend never reports rows; keep it that way
 		sum.Backends = append(sum.Backends, serve.BackendDuraStats{Addr: addrs[i], DuraStats: st})
-		if addrs[i] != p.cfg.Standby {
-			rows = append(rows, rs...)
-			continue
-		}
-		for _, r := range rs {
-			if p.route(r.ID) == p.cfg.Standby {
-				rows = append(rows, r)
+		if addrs[i] == p.cfg.Standby {
+			kept := rs[:0]
+			for _, r := range rs {
+				if p.route(r.ID) == p.cfg.Standby {
+					kept = append(kept, r)
+				}
 			}
+			rs = kept
 		}
+		runs = append(runs, rs)
 	}
-	slices.SortFunc(rows, func(a, b serve.TenantStats) int { return strings.Compare(a.ID, b.ID) })
+	rows := mergeByID(make([]serve.TenantStats, 0, n), runs)
 	var total float64
 	for i := range rows {
 		total += float64(rows[i].ServedRounds)
@@ -530,6 +532,25 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 		}
 	}
 	serve.AppendStatsResponse(enc, info, rows, &sum)
+}
+
+// mergeByID appends the rows of runs, each sorted by tenant ID, to dst
+// in ID order: a k-way merge over a handful of backends, taking the
+// least head each step. It consumes runs.
+func mergeByID(dst []serve.TenantStats, runs [][]serve.TenantStats) []serve.TenantStats {
+	for {
+		least := -1
+		for i, r := range runs {
+			if len(r) > 0 && (least < 0 || r[0].ID < runs[least][0].ID) {
+				least = i
+			}
+		}
+		if least < 0 {
+			return dst
+		}
+		dst = append(dst, runs[least][0])
+		runs[least] = runs[least][1:]
+	}
 }
 
 // liveBackends snapshots the backends not marked dead.

@@ -204,6 +204,62 @@ func TestProxyStatsFanout(t *testing.T) {
 	}
 }
 
+// TestProxyStatsMergeFailover: after a backend dies, the fleet rows
+// merge the live backends' runs with the standby's rows for the tenants
+// that failed over to it, still one row per tenant in ID order. Two
+// tenants per backend over three backends, and the dead one owns a
+// tenant whose ID sorts between the live backends' rows, so its standby
+// row lands mid-merge.
+func TestProxyStatsMergeFailover(t *testing.T) {
+	px, backends, standby := startFleet(t, 3, true)
+	addrs := make([]string, len(backends))
+	for i, b := range backends {
+		addrs[i] = b.Addr().String()
+	}
+	names := spreadNames(addrs, 2)
+	slices.Sort(names)
+	c, err := serve.Dial(px.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	openTenants(t, c, names)
+	for deadline := time.Now().Add(5 * time.Second); standby.NumTenants() < len(names); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("standby holds %d of %d teed tenants", standby.NumTenants(), len(names))
+		}
+	}
+
+	victim := Pick(addrs, names[len(names)/2])
+	if err := backends[victim].Close(); err != nil {
+		t.Fatal(err)
+	}
+	px.probeBackend(addrs[victim])
+	// The dead upstream tore down c's front connection; read on a new one.
+	c2, err := serve.Dial(px.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	rows, err := c2.Stats("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, len(rows))
+	for i, r := range rows {
+		got[i] = r.ID
+		if r.ServedRounds != 1 {
+			t.Errorf("tenant %s ServedRounds = %d, want 1", r.ID, r.ServedRounds)
+		}
+	}
+	if !slices.Equal(got, names) {
+		t.Fatalf("fleet rows after failover = %v, want every tenant once in ID order %v", got, names)
+	}
+	if standby := px.route(names[len(names)/2]); standby != px.cfg.Standby {
+		t.Fatalf("%s routes to %s, want the standby", names[len(names)/2], standby)
+	}
+}
+
 // TestProxyFailover is the acceptance scenario: 3 backends plus a warm
 // standby, a verified load run, one backend killed mid-run. Its tenants
 // must fail over to the standby — which has been replaying the teed

@@ -179,8 +179,8 @@ func (s *Server) servePass(sh *shard, ps *passState, intervals int) {
 			ps.loads[j].Budget = ps.shares[j].Budget
 		}
 		ps.initLive = append(ps.initLive[:0], ps.live...)
-		for _, t := range ps.initLive {
-			t.passApplied = 0
+		for j, t := range ps.initLive {
+			t.passApplied, t.passQueued = 0, ps.loads[j].Queued
 		}
 	}
 	if intervals == 0 {
@@ -238,13 +238,16 @@ func (s *Server) servePass(sh *shard, ps *passState, intervals int) {
 		// Accrue budget-utilization accounting: every reserved tenant that
 		// was backlogged at the start of the pass earns its guaranteed
 		// fraction of the rounds actually served, whether or not the pick
-		// loop reached it — a reserved tenant served less than its accrual
-		// shows a utilization below 1 in its stats row.
+		// loop reached it, but never more than it had queued: a pass owes
+		// no tenant rounds it never asked for. A reserved tenant served
+		// less than its accrual shows a utilization below 1 in its stats
+		// row.
 		for _, t := range ps.initLive {
 			if t.res().IsZero() {
 				continue
 			}
-			t.accrueBDR(t.cfg.ResRate/s.ctrl.ShardRate*float64(totalApplied), t.passApplied)
+			owed := t.cfg.ResRate / s.ctrl.ShardRate * float64(totalApplied)
+			t.accrueBDR(min(owed, float64(t.passQueued)), t.passApplied)
 		}
 	}
 }

@@ -157,18 +157,28 @@ func TestAllocatorStarvation(t *testing.T) {
 
 // TestServePassAllocFree pins passState's promise: once the tenants'
 // streams have grown their own scratch, a paced pass over a backlogged
-// shard allocates nothing, with the BDR share controller off and on.
-// Eight tenants hold 4,096 queued rounds each; a first pass serves about
-// 1,000 of each, the warm-up a stream needs before its rounds stop
-// allocating.
+// shard allocates nothing, with the BDR share controller off and on,
+// and with the checkpoint log on at CheckpointEvery 1. Eight tenants
+// hold 4,096 queued rounds each; a first pass serves about 1,000 of
+// each, the warm-up a stream needs before its rounds stop allocating.
+// With the log on, each measured pass follows a Sync, as it would a
+// group commit, so each of its picks appends a record: the snapshot
+// into the tenant's pooled buffer and the copy into the log's write
+// buffer, warmed as TestCheckpointPathAllocFree warms it.
 func TestServePassAllocFree(t *testing.T) {
-	for _, bdrOn := range []bool{false, true} {
-		s := startServer(t, Config{Shards: 1, RoundInterval: time.Hour, BDR: bdrOn})
+	for _, mode := range []string{"plain", "BDR", "log"} {
+		cfg := Config{Shards: 1, RoundInterval: time.Hour, BDR: mode == "BDR"}
+		if mode == "log" {
+			cfg.CheckpointDir, cfg.CheckpointEvery = t.TempDir(), 1
+			cfg.CkptCommitInterval = time.Hour // the test is the committer
+			cfg.CkptSegmentBytes = 64 << 20    // and no segment rotates
+		}
+		s := startServer(t, cfg)
 		for i := 0; i < 8; i++ {
 			inst := testInstance(t, 4096, i)
 			tc := tcFor(inst)
 			tc.QueueCap = len(inst.Requests)
-			if bdrOn && i < 2 {
+			if cfg.BDR && i < 2 {
 				tc.ResRate, tc.ResDelay = 0.25, 8
 			}
 			id := fmt.Sprintf("t%d", i)
@@ -182,12 +192,85 @@ func TestServePassAllocFree(t *testing.T) {
 		sh := s.shards[0]
 		var ps passState
 		s.servePass(sh, &ps, 1000)
+		if s.clog != nil {
+			// Grow every snapshot buffer and the log's write buffer past
+			// what a measured pass needs; each measured Sync empties the
+			// write buffer and keeps its capacity.
+			for _, tn := range s.tenantList() {
+				tn.mu.Lock()
+				for i := 0; i < 64; i++ {
+					if err := tn.logCheckpointLocked(tn.st.Round()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tn.mu.Unlock()
+			}
+		}
 		for _, k := range []int{1, 4} {
-			if allocs := testing.AllocsPerRun(100, func() { s.servePass(sh, &ps, k) }); allocs != 0 {
-				t.Errorf("BDR %v, a pass owed %d intervals: %v allocs, want 0", bdrOn, k, allocs)
+			var appends int64
+			pass := func() { s.servePass(sh, &ps, k) }
+			if s.clog != nil {
+				appends = s.clog.Stats().Appends
+				pass = func() {
+					if err := s.clog.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					s.servePass(sh, &ps, k)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, pass); allocs != 0 {
+				t.Errorf("%s, a pass owed %d intervals: %v allocs, want 0", mode, k, allocs)
+			}
+			if s.clog != nil {
+				// AllocsPerRun makes one warm-up run, then the 100 it measures.
+				if n := s.clog.Stats().Appends - appends; n < 101 {
+					t.Errorf("log on, passes owed %d intervals appended %d records over 101 passes, want at least one per pass", k, n)
+				}
 			}
 		}
 	}
+}
+
+// BenchmarkServePassDurable is the in-process rung of durable's round
+// path: one eager servePass over a parked shard of 32 dlruedf router
+// tenants with 128 queued rounds each, the checkpoint log at
+// CheckpointEvery 1 and its committer at the default interval. ns/round
+// is the pass's time per applied round — the allocator, Advance and the
+// checkpoints the rule takes — and records/round the records it
+// appended per applied round; queueing the rounds is not timed.
+func BenchmarkServePassDurable(b *testing.B) {
+	const tenants, depth = 32, 128
+	s := startServer(b, Config{Shards: 1, RoundInterval: time.Hour,
+		CheckpointDir: b.TempDir(), CheckpointEvery: 1})
+	ts := make([]*tenant, tenants)
+	traces := make([][]sched.Request, tenants)
+	for i := range ts {
+		inst := testInstance(b, depth, i)
+		tc := tcFor(inst)
+		tc.QueueCap = depth
+		id := fmt.Sprintf("t%02d", i)
+		if _, er := s.open(&openMsg{Version: ProtocolVersion, Tenant: id, Config: tc}); er != nil {
+			b.Fatal(er.Msg)
+		}
+		ts[i], traces[i] = s.tenant(id), inst.Requests
+	}
+	var ps passState
+	appends := s.clog.Stats().Appends
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		for i, tn := range ts {
+			if k, _, _, er := tn.submitBatch(n*depth, traces[i]); er != nil {
+				b.Fatalf("%s: queued %d rounds: %s", tn.id, k, er.Msg)
+			}
+		}
+		b.StartTimer()
+		s.servePass(s.shards[0], &ps, 0)
+	}
+	b.StopTimer()
+	rounds := float64(b.N * tenants * depth)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rounds, "ns/round")
+	b.ReportMetric(float64(s.clog.Stats().Appends-appends)/rounds, "records/round")
 }
 
 // TestStatsRespExRoundTrip round-trips a stats row with every field

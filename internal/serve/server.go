@@ -32,9 +32,16 @@ type Config struct {
 	// (internal/ckptlog) in this directory, and NewServer recovers every
 	// tenant the log holds. "" disables both.
 	CheckpointDir string
-	// CheckpointEvery is the number of applied rounds between periodic
-	// per-tenant checkpoints (default 64). Graceful shutdown always
-	// writes a final checkpoint regardless.
+	// CheckpointEvery is the number of applied rounds after which a
+	// periodic per-tenant checkpoint falls due (default 64). A due
+	// checkpoint is taken when the pick that applied the rounds emptied
+	// the tenant's queue, or when the log has flushed its write buffer
+	// since the tenant's previous record; otherwise a later pick takes
+	// it. So a backlogged tenant's record trails its stream by at most
+	// the larger of CheckpointEvery rounds and the rounds it applies in
+	// one CkptCommitInterval, and is current once its queue empties.
+	// Open, drain, close and graceful shutdown always write their own
+	// records regardless.
 	CheckpointEvery int
 	// CkptCommitInterval is the checkpoint log's group-commit fsync
 	// interval (default 2ms). Appends buffered within one interval share a
@@ -621,7 +628,9 @@ func (s *Server) installLocked(id string, cfg TenantConfig, blob []byte) (*tenan
 		e.Int(recordVersion)
 		cfg.encode(e)
 		t.prefix = e.Bytes()
-		t.lastCkpt = t.st.Round()
+		// A recovered tenant's record is on disk already: -1, a count
+		// Flushes never returns, lets its first due checkpoint go ahead.
+		t.lastCkpt, t.ckptFlushes = t.st.Round(), -1
 		if !recovered {
 			// t is not shared yet, so its lock need not be held.
 			err = t.logCheckpointLocked(t.lastCkpt)

@@ -255,6 +255,115 @@ func TestCheckpointPathAllocFree(t *testing.T) {
 	}
 }
 
+// ruleServer starts a server on whose checkpoint log nothing flushes by
+// itself — no committer pass within a test, segments too large to
+// rotate — with one parked shard, so the test's own servePass calls are
+// the only picks, and CheckpointEvery 1, so every pick that applies a
+// round makes a checkpoint due. It opens tenant "r" over a 4,096-round
+// router trace with a queue that holds all of it. The open's Sync has
+// flushed the open's record, so the first due checkpoint goes ahead.
+func ruleServer(t *testing.T) (*Server, *tenant, *sched.Instance) {
+	t.Helper()
+	cfg := logTestConfig(t.TempDir())
+	cfg.CkptCommitInterval = time.Hour
+	cfg.CkptSegmentBytes = 64 << 20
+	cfg.Shards, cfg.RoundInterval = 1, time.Hour
+	s := startServer(t, cfg)
+	inst := testInstance(t, 4096, 0)
+	tc := tcFor(inst)
+	tc.QueueCap = len(inst.Requests)
+	if _, er := s.open(&openMsg{Version: ProtocolVersion, Tenant: "r", Config: tc}); er != nil {
+		t.Fatal(er.Msg)
+	}
+	return s, s.tenant("r"), inst
+}
+
+// queue admits ticks into tn's queue from sequence seq.
+func queue(t *testing.T, tn *tenant, seq int, ticks []sched.Request) {
+	t.Helper()
+	if n, _, _, er := tn.submitBatch(seq, ticks); er != nil {
+		t.Fatalf("queued %d of %d rounds: %s", n, len(ticks), er.Msg)
+	}
+}
+
+// TestCheckpointRuleBacklog: one eager pass over a tenant with 4,096
+// queued rounds picks it 512 times, 8 rounds each, and with no log
+// flush in between appends at most two records: at the first pick,
+// whose previous record the open's Sync flushed, and at the last, which
+// empties the queue and so leaves the tenant's record current. A
+// checkpoint at every due pick appended 512.
+func TestCheckpointRuleBacklog(t *testing.T) {
+	s, tn, inst := ruleServer(t)
+	queue(t, tn, 0, inst.Requests)
+	before := s.clog.Stats().Appends
+	var ps passState
+	s.servePass(s.shards[0], &ps, 0)
+	appended := s.clog.Stats().Appends - before
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	if r := tn.st.Round(); r != len(inst.Requests) {
+		t.Fatalf("the pass applied %d of %d rounds", r, len(inst.Requests))
+	}
+	if appended > 2 {
+		t.Fatalf("one pass over a %d-round backlog appended %d records, want at most 2", len(inst.Requests), appended)
+	}
+	if tn.lastCkpt != tn.st.Round() {
+		t.Fatalf("latest record at round %d after the queue emptied at round %d", tn.lastCkpt, tn.st.Round())
+	}
+}
+
+// TestCheckpointRuleFlush: a due checkpoint of a backlogged tenant is
+// taken once the log has flushed since the tenant's previous record. A
+// paced pass owed 8 intervals over one backlogged tenant is one pick of
+// 8 rounds; the queue never empties, so only the flush decides: the
+// first pick appends (the open's Sync flushed), the next does not, and
+// after a Sync the next one appends again.
+func TestCheckpointRuleFlush(t *testing.T) {
+	s, tn, inst := ruleServer(t)
+	queue(t, tn, 0, inst.Requests[:64])
+	var ps passState
+	for i, step := range []struct {
+		sync bool
+		want int64
+	}{{false, 1}, {false, 0}, {true, 1}, {false, 0}} {
+		if step.sync {
+			if err := s.clog.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := s.clog.Stats().Appends
+		s.servePass(s.shards[0], &ps, 8)
+		if got := s.clog.Stats().Appends - before; got != step.want {
+			t.Fatalf("pick %d (Sync before it: %v) appended %d records, want %d", i+1, step.sync, got, step.want)
+		}
+		if r := tn.stats().Round; r != 8*(i+1) {
+			t.Fatalf("pick %d left the stream at round %d, want %d", i+1, r, 8*(i+1))
+		}
+	}
+}
+
+// TestCheckpointRuleQueueEmpty: a pick that empties the tenant's queue
+// takes its due checkpoint whether or not the log has flushed, so a
+// one-round submit is recorded as soon as it is applied.
+func TestCheckpointRuleQueueEmpty(t *testing.T) {
+	s, tn, inst := ruleServer(t)
+	var ps passState
+	for seq := 0; seq < 4; seq++ {
+		queue(t, tn, seq, inst.Requests[seq:seq+1])
+		before := s.clog.Stats().Appends
+		s.servePass(s.shards[0], &ps, 0)
+		if got := s.clog.Stats().Appends - before; got != 1 {
+			t.Fatalf("applying one-round submit %d appended %d records, want 1", seq, got)
+		}
+		tn.mu.Lock()
+		r, last := tn.st.Round(), tn.lastCkpt
+		tn.mu.Unlock()
+		if r != seq+1 || last != r {
+			t.Fatalf("after submit %d: stream at round %d, latest record at round %d; want both %d", seq, r, last, seq+1)
+		}
+	}
+}
+
 // TestServeCrashRestartLogSegments is the crash-mid-load harness
 // (restartLoad, 64 tenants, rrload-style verification) over the log
 // backend under duress: every round checkpoint-due, segments a few KiB
@@ -269,6 +378,54 @@ func TestServeCrashRestartLogSegments(t *testing.T) {
 	cfg := logTestConfig(t.TempDir())
 	rep := restartLoad(t, cfg, (*Server).Close)
 	if want := int64(64*80) - 64; rep.RoundsSent < want {
+		t.Fatalf("RoundsSent = %d, want ≥ %d", rep.RoundsSent, want)
+	}
+}
+
+// TestServeCrashRestartDeferredCheckpoints is the crash-mid-load
+// harness (restartLoad) over logTestConfig — every round
+// checkpoint-due, a 1ms group commit, 4 KiB segments — with queues deep
+// enough that the checkpoint rule defers: four tenants, few enough that
+// a tenant's next pick usually comes before the log has flushed its
+// previous record, each pipelining 8 frames of 128 rounds into a queue
+// that holds them all. Every final result must still be bit-identical
+// to a local replay. At the crash the log must have rotated at least
+// once, and the rows must hold fewer records, beyond each tenant's open
+// record, than an eighth of the rounds applied: a pick applies at most
+// one quantum of 8 rounds, so a record at every due pick would be at
+// least that many. On a 2-vCPU host under -race, at -cpu 1 and 2 with
+// other tests running, the records read 0.14–0.20 of that bound.
+func TestServeCrashRestartDeferredCheckpoints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restart integration test")
+	}
+	const tenants, window, batch = 4, 8, 128
+	var applied, records, rotations int64
+	crash := func(s *Server) error {
+		for _, tn := range s.tenantList() {
+			row := tn.stats()
+			applied += int64(row.Round)
+			records += row.Checkpoints - 1 // less the open's record
+		}
+		rotations = s.clog.Stats().Rotations
+		return s.Close()
+	}
+	rep := restartLoad(t, logTestConfig(t.TempDir()), crash, func(lc *LoadConfig) {
+		lc.Tenants = tenants
+		lc.Params.Rounds = 1600
+		lc.Rate = 2400 // ~670ms of paced submits per tenant, as restartLoad's default
+		lc.Pipeline, lc.Batch = window, batch
+		lc.QueueCap = window * batch
+	})
+	t.Logf("at the crash: %d rounds applied, %d periodic records, %d rotations", applied, records, rotations)
+	if rotations == 0 {
+		t.Fatal("no segment rotated before the crash")
+	}
+	if records*defaultQuantum >= applied {
+		t.Fatalf("%d periodic records for %d applied rounds: no fewer than one per %d-round pick, so no checkpoint was deferred",
+			records, applied, defaultQuantum)
+	}
+	if want := int64(tenants*1600 - tenants*window*batch); rep.RoundsSent < want {
 		t.Fatalf("RoundsSent = %d, want ≥ %d", rep.RoundsSent, want)
 	}
 }

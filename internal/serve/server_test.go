@@ -24,7 +24,7 @@ import (
 
 // startServer boots a server on a loopback port and serves until the
 // test ends.
-func startServer(t *testing.T, cfg Config) *Server {
+func startServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -61,7 +61,7 @@ func dialTest(t *testing.T, s *Server) *Client {
 	return c
 }
 
-func testInstance(t *testing.T, rounds int, tenant int) *sched.Instance {
+func testInstance(t testing.TB, rounds int, tenant int) *sched.Instance {
 	t.Helper()
 	inst, err := workload.Tenant("router", workload.Params{Rounds: rounds, Seed: 7}, tenant)
 	if err != nil {
@@ -590,8 +590,8 @@ func restartLoad(t *testing.T, cfg Config, stop func(*Server) error, mut ...func
 			t.Errorf("serve: %v", err)
 		}
 	})
-	if n := s2.NumTenants(); n != 64 {
-		t.Fatalf("recovered %d tenants, want 64", n)
+	if n := s2.NumTenants(); n != lcfg.Tenants {
+		t.Fatalf("recovered %d tenants, want %d", n, lcfg.Tenants)
 	}
 
 	<-loadDone

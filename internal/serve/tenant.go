@@ -34,10 +34,13 @@ type tenant struct {
 	// needs no lock.
 	deficit float64
 	// passApplied counts the rounds applied for this tenant within the
-	// current BDR allocation pass (Config.BDR). Like deficit it is owned
-	// by the shard worker: servePass resets it at pass start and folds it
-	// into the BDR budget accounting at pass end.
+	// current BDR allocation pass (Config.BDR), and passQueued is its
+	// backlog when the pass began, which caps the pass's accrual. Like
+	// deficit they are owned by the shard worker: servePass sets them at
+	// pass start and folds them into the BDR budget accounting at pass
+	// end.
 	passApplied int
+	passQueued  int
 
 	// draining is the server's draining flag. Admission reads it under mu,
 	// so once Shutdown has flushed a tenant no later submit can be
@@ -60,8 +63,9 @@ type tenant struct {
 	// BDR budget accounting (Config.BDR): bdrAccrued integrates the
 	// service the reservation guaranteed over the passes the tenant was
 	// backlogged in (its guaranteed fraction × the pass's applied
-	// rounds), bdrServed the rounds it actually received in those
-	// passes. Their ratio is the stats row's BudgetUtilization.
+	// rounds, at most its backlog at pass start), bdrServed the rounds
+	// it actually received in those passes. Their ratio is the stats
+	// row's BudgetUtilization.
 	bdrAccrued  float64
 	bdrServed   int64
 	overloads   int64
@@ -69,6 +73,10 @@ type tenant struct {
 	checkpoints int64
 	lastCkpt    int  // round of the last snapshot taken
 	logFailed   bool // the checkpoint log takes no more writes
+	// ckptFlushes is the log's flush count (ckptlog.Log.Flushes) read
+	// just before the latest record was appended: once the count moves,
+	// that record has left the log's write buffer.
+	ckptFlushes int64
 
 	// clog, when non-nil (durability on), is the group-commit checkpoint
 	// log (internal/ckptlog): records are appended to the shared segment
@@ -204,8 +212,9 @@ func (t *tenant) servedRounds() int64 {
 
 // accrueBDR folds one allocation pass into the tenant's BDR budget
 // accounting: accrued is the service its reservation guaranteed across
-// the pass (guaranteed fraction × rounds the pass applied shard-wide),
-// served the rounds the tenant itself received.
+// the pass (guaranteed fraction × rounds the pass applied shard-wide,
+// capped at the tenant's backlog), served the rounds the tenant itself
+// received.
 func (t *tenant) accrueBDR(accrued float64, served int) {
 	t.mu.Lock()
 	t.bdrAccrued += accrued
@@ -270,20 +279,28 @@ func (t *tenant) applyQueued(max, every int) (applied int) {
 }
 
 // maybeCheckpointLocked appends a checkpoint to the group-commit log
-// when one is due — `every` rounds applied since the last one (the
-// CheckpointEvery cadence) — or, with force, whenever durability is on
-// and the stream has moved since the last checkpoint. An append is a
-// buffered copy — durability is the committer's batched fsync — and
-// taking it under mu makes creation order and append order coincide,
-// so a tenant's latest record is its latest snapshot without any
-// cross-goroutine ordering protocol, and no append of a closed tenant
-// lands behind its tombstone. Callers hold mu.
+// when one is due and can change what a crash keeps, or, with force,
+// whenever durability is on and the stream has moved since the last
+// checkpoint. A checkpoint falls due `every` rounds after the last one
+// (the CheckpointEvery cadence), and is taken once the tenant's queue
+// is empty or the log has flushed its write buffer since the tenant's
+// previous append. Until then that record is still buffered, so a new
+// one would only replace it before any write; the due checkpoint waits
+// for a later pick. An append is a buffered copy — durability is the
+// committer's batched fsync — and taking it under mu makes creation
+// order and append order coincide, so a tenant's latest record is its
+// latest snapshot without any cross-goroutine ordering protocol, and no
+// append of a closed tenant lands behind its tombstone. Callers hold mu.
 func (t *tenant) maybeCheckpointLocked(every int, force bool) {
 	if t.clog == nil || t.closed || t.failed != nil || t.logFailed {
 		return
 	}
 	r := t.st.Round()
-	if r == t.lastCkpt || !force && (every <= 0 || r-t.lastCkpt < every) {
+	if r == t.lastCkpt {
+		return
+	}
+	if !force && (every <= 0 || r-t.lastCkpt < every ||
+		t.queuedLocked() > 0 && t.clog.Flushes() == t.ckptFlushes) {
 		return
 	}
 	// A snapshot failure has poisoned the tenant already; an append
@@ -307,10 +324,11 @@ func (t *tenant) logCheckpointLocked(r int) error {
 		return t.failed
 	}
 	t.snapBuf = rec
+	flushes := t.clog.Flushes()
 	if err := t.clog.Append(t.id, ckptlog.KindFull, r, 0, rec); err != nil {
 		return err
 	}
-	t.lastCkpt = r
+	t.lastCkpt, t.ckptFlushes = r, flushes
 	t.checkpoints++
 	return nil
 }

@@ -446,8 +446,9 @@ type TenantStats struct {
 	// admitted reservation (zero for a best-effort tenant).
 	// BudgetUtilization is served rounds over the service the
 	// reservation accrued across the passes the tenant was backlogged
-	// in — below 1 means the tenant is drawing less than its guarantee,
-	// above 1 that it is also consuming slack. See docs/SCHEDULING.md.
+	// in, each pass's accrual capped at the rounds it had queued — below
+	// 1 means the tenant is drawing less than its guarantee, above 1
+	// that it is also consuming slack. See docs/SCHEDULING.md.
 	ReservedRate      float64 `json:"reserved_rate,omitempty"`
 	ReservedDelay     float64 `json:"reserved_delay,omitempty"`
 	BudgetUtilization float64 `json:"budget_utilization,omitempty"`
