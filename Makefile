@@ -45,22 +45,25 @@ faultsmoke:
 	go test -run 'TestCheckpoint' -count=1 ./internal/trace/
 
 # The group-commit durability smoke (docs/CHECKPOINT.md "Group-commit
-# log"): the whole ckptlog package fresh — segment framing, recovery
-# scans over truncated/corrupted tails, rotation and compaction, sticky
-# write/sync failures, the committer's fsync outside the log lock, the
-# flush count the checkpoint rule reads — plus the serve-layer
-# durability contracts: tombstones shadowing closed tenants, compacting
-# and deep-state restarts, recovery of an older build's delta records,
-# the zero-allocation checkpoint path, record versions and the snapshot
-# checks recovery runs. The TestCheckpointRule tests pin when a due
-# checkpoint is taken (the queue emptied, or the log flushed since the
-# tenant's previous record) with no committer pass to blur it, and
+# log"): the whole ckptlog package fresh — segment framing and the
+# record-kind check, recovery scans over truncated/corrupted tails,
+# rotation and compaction, one live record per tenant and the refusal
+# of a latest delta, sticky write/sync failures, the committer's fsync
+# outside the log lock, the flush count the checkpoint rule reads —
+# plus the serve-layer durability contracts: tombstones shadowing closed
+# tenants, compacting and deep-state restarts, startup refusing a tenant
+# whose latest record is an older build's delta (and recovering one
+# whose delta a later full superseded), the zero-allocation checkpoint
+# path, record versions and the snapshot checks recovery runs. The
+# TestCheckpointRule tests pin when a due checkpoint is taken (the
+# queue emptied, or the log flushed since the tenant's previous record)
+# with no committer pass to blur it, and
 # TestServeCrashRestartDeferredCheckpoints crashes a deep-queued load
 # amid rotations and requires bit-identical results with fewer records
 # than one per pick. Fresh runs, never cached.
 durasmoke:
 	go test -count=1 ./internal/ckptlog/
-	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestServeLogCompactionRestart|TestServeLogDeepStateRestart|TestRecoverOlderDeltaRecords|TestCheckpointPathAllocFree|TestCheckpointRule|TestServeCrashRestartLogSegments|TestServeCrashRestartDeferredCheckpoints|TestRecordVersions|TestRestoreRejections' -count=1 ./internal/serve/
+	go test -run 'TestCloseTenantLogTombstone|TestCloseTenantCheckpointRace|TestServeLogCompactionRestart|TestServeLogDeepStateRestart|TestRecoverRefusesOlderDelta|TestCheckpointPathAllocFree|TestCheckpointRule|TestServeCrashRestartLogSegments|TestServeCrashRestartDeferredCheckpoints|TestRecordVersions|TestRestoreRejections' -count=1 ./internal/serve/
 
 # The admission-control smoke (docs/SCHEDULING.md "Admission (layer
 # 0)"): the whole internal/bdr package fresh — SBF feasibility
@@ -99,7 +102,8 @@ optsmoke:
 
 # Documentation drift gate: every relative link in README.md and
 # docs/*.md must resolve, and every exported declaration of
-# internal/serve must carry a doc comment.
+# internal/serve, internal/proxy, internal/ckptlog, internal/bdr and
+# internal/snap must carry a doc comment.
 docscheck:
 	go run ./cmd/docscheck
 

@@ -15,13 +15,14 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	rrs "repro"
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/offline"
-	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -30,7 +31,7 @@ import (
 func main() {
 	var (
 		workloadName = flag.String("workload", "router", fmt.Sprintf("workload: %v", workload.Names()))
-		policyName   = flag.String("policy", "dlruedf", "policy: dlruedf | adaptive | solve | distribute | dlru | edf | seqedf | hysteresis | greedy | never | static")
+		policyName   = flag.String("policy", "dlruedf", fmt.Sprintf("policy: %s | solve | distribute | static", strings.Join(serve.PolicySpecs(), " | ")))
 		n            = flag.Int("n", 16, "online resources")
 		m            = flag.Int("m", 2, "offline reference resources (for -lb)")
 		delta        = flag.Int("delta", 8, "reconfiguration cost Δ")
@@ -157,37 +158,12 @@ func runPolicy(name string, inst *rrs.Instance, n int, record bool, probe sched.
 	case "static":
 		return offline.StaticCost(inst, offline.BestStaticColors(inst, n), n)
 	}
-	pol, err := newDirectPolicy(name)
+	// Every other policy is one the round engine drives directly.
+	pol, err := serve.NewPolicy(name)
 	if err != nil {
 		return nil, err
 	}
 	return sched.Run(inst, pol, sched.Options{N: n, Record: record, Probe: probe})
-}
-
-// newDirectPolicy builds a fresh instance of one of the policies the
-// round engine can drive directly (everything except the layered
-// solve/distribute/static modes).
-func newDirectPolicy(name string) (sched.Policy, error) {
-	switch name {
-	case "dlruedf":
-		return core.NewDLRUEDF(), nil
-	case "adaptive":
-		return core.NewDLRUEDF(core.WithAdaptiveSplit()), nil
-	case "dlru":
-		return policy.NewDLRU(), nil
-	case "edf":
-		return policy.NewEDF(), nil
-	case "seqedf":
-		return policy.NewSeqEDF(), nil
-	case "hysteresis":
-		return policy.NewHysteresis(1), nil
-	case "greedy":
-		return policy.NewGreedyPending(), nil
-	case "never":
-		return policy.NewNever(), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
 }
 
 // runStreamed drives the instance through the Stream front-end so the
@@ -197,7 +173,7 @@ func newDirectPolicy(name string) (sched.Policy, error) {
 // resume guarantee), so -resume composes with -checkpoint-every to
 // survive repeated interruptions.
 func runStreamed(name string, inst *rrs.Instance, n, every int, ckpt, resume string, probe sched.Probe) (*rrs.Result, error) {
-	pol, err := newDirectPolicy(name)
+	pol, err := serve.NewPolicy(name)
 	if err != nil {
 		return nil, err
 	}

@@ -17,9 +17,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -40,7 +39,7 @@ func main() {
 		j       = flag.Int("j", 6, "j parameter for appendix constructions")
 		k       = flag.Int("k", 8, "k parameter for appendix constructions")
 
-		polName     = flag.String("policy", "dlruedf", "policy for -play: dlruedf | adaptive | dlru | edf | seqedf | hysteresis | greedy | never")
+		polName     = flag.String("policy", "dlruedf", fmt.Sprintf("policy for -play: %s", strings.Join(serve.PolicySpecs(), " | ")))
 		metrics     = flag.Bool("metrics", false, "with -play: print latency/occupancy histograms")
 		traceEvents = flag.String("trace-events", "", "with -play: write per-round engine events as JSON lines to this file")
 	)
@@ -120,7 +119,7 @@ func writeTrace(inst *sched.Instance, path string) error {
 // Stream — the same path a live deployment would use — then drains the
 // backlog and prints the Result plus any requested sink reports.
 func playTrace(inst *sched.Instance, polName string, n int, metrics bool, eventPath string) error {
-	pol, err := playPolicy(polName)
+	pol, err := serve.NewPolicy(polName)
 	if err != nil {
 		return err
 	}
@@ -182,28 +181,6 @@ func playTrace(inst *sched.Instance, polName string, n int, metrics bool, eventP
 		}
 	}
 	return nil
-}
-
-func playPolicy(name string) (sched.Policy, error) {
-	switch name {
-	case "dlruedf":
-		return core.NewDLRUEDF(), nil
-	case "adaptive":
-		return core.NewDLRUEDF(core.WithAdaptiveSplit()), nil
-	case "dlru":
-		return policy.NewDLRU(), nil
-	case "edf":
-		return policy.NewEDF(), nil
-	case "seqedf":
-		return policy.NewSeqEDF(), nil
-	case "hysteresis":
-		return policy.NewHysteresis(1), nil
-	case "greedy":
-		return policy.NewGreedyPending(), nil
-	case "never":
-		return policy.NewNever(), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q for -play", name)
 }
 
 func printStats(inst *sched.Instance) {

@@ -8,10 +8,10 @@
 // lock released, so an append waits on the disk only when it rotates the
 // segment. Segments rotate at a size bound.
 // The log counts, per segment, the records still live (each tenant's
-// latest full snapshot, its latest delta, or its tombstone); at every
-// rotation it deletes the sealed segments holding none, wherever they
-// sit, and rewrites the live records out of the oldest segments beyond
-// a bound, so disk use and recovery work track live state, not history.
+// latest record, whatever its kind); at every rotation it deletes the
+// sealed segments holding none, wherever they sit, and rewrites the
+// live records out of the oldest segments beyond a bound, so disk use
+// and recovery work track live state, not history.
 //
 // On-disk layout, one directory per shard:
 //
@@ -26,14 +26,15 @@
 //	uint32 LE payload length | payload | uint32 LE CRC-32 (IEEE) of payload
 //
 // with the payload itself encoded by internal/snap: kind (uvarint),
-// tenant ID (string), round, delta base round, then the blob. Records
-// are self-describing and self-checking; recovery is a single forward
-// scan of all segments in sequence order, last record per tenant wins
-// (append order, not round numbers — a tenant closed and re-opened
-// legitimately restarts at round 0). A torn or corrupt record in the
-// final segment marks the crash point: recovery logs it loudly, keeps
-// everything before it and cuts the tail off the file before sealing
-// it, so the next recovery reads that segment clean. Corruption in a
+// tenant ID (string), round, delta base round (stored, never read),
+// then the blob. Records are self-describing and self-checking;
+// recovery is a single forward scan of all segments in sequence order,
+// last record per tenant wins (append order, not round numbers — a
+// tenant closed and re-opened legitimately restarts at round 0). A torn
+// or corrupt record, or one of an unknown kind, in the final segment
+// marks the crash point: recovery logs it loudly, keeps everything
+// before it and cuts the tail off the file before sealing it, so the
+// next recovery reads that segment clean. Corruption in a
 // sealed segment cannot be explained by a crash mid-append and is
 // reported as an error.
 //
@@ -44,9 +45,12 @@
 // closed log, wraps ErrFailed.
 //
 // The log stores three record kinds: KindFull (a complete snapshot),
-// KindDelta (a snap.ApplyDelta delta against the tenant's latest full
-// record — deltas never chain), and KindTombstone (the tenant was
-// closed; earlier records must not resurrect).
+// KindDelta (a delta against an earlier full record, which only older
+// builds and the benchmark's replay write), and KindTombstone (the
+// tenant was closed; earlier records must not resurrect). A tenant's
+// latest record is its whole state: Latest returns a full record's
+// blob, reports no record after a tombstone, and refuses a delta by
+// name rather than resolve it.
 package ckptlog
 
 import (
@@ -69,13 +73,17 @@ import (
 type Kind int
 
 // Record kinds. KindFull carries a complete snapshot blob, KindDelta a
-// binary delta against the tenant's latest KindFull record, and
-// KindTombstone marks the tenant closed (blob empty).
+// binary delta against an earlier KindFull record, which the log stores
+// and compacts like any record but never resolves, and KindTombstone
+// marks the tenant closed (blob empty).
 const (
 	KindFull Kind = iota
 	KindDelta
 	KindTombstone
 )
+
+// known reports whether k is one of the record kinds above.
+func (k Kind) known() bool { return KindFull <= k && k <= KindTombstone }
 
 const (
 	segMagic   = "RRLG"
@@ -153,23 +161,12 @@ type recordRef struct {
 	n   int   // payload length
 }
 
-// tenantState is the index entry per tenant: where its latest full
-// record lives, the latest delta against it (if any), or its
-// tombstone. Exactly one of (full[, delta]) and tomb is meaningful.
+// tenantState is the index entry per tenant: where its latest record
+// lives, of whatever kind, and the round it records.
 type tenantState struct {
-	full       recordRef
-	fullRound  int
-	delta      recordRef
-	deltaRound int
-	hasDelta   bool
-	tomb       bool
-	tombRef    recordRef
-	// dangling, set only during the Open scan, records a delta whose
-	// base full record is gone — legal when compaction dropped a full
-	// that stale (superseded) deltas in middle segments still name, but
-	// fatal if the dangling delta ends up as the tenant's latest record.
-	// Any later full, tombstone, or resolvable delta clears it.
-	dangling error
+	ref   recordRef
+	round int
+	kind  Kind
 }
 
 // segment is one sealed, read-only segment file.
@@ -184,19 +181,18 @@ type segment struct {
 type Log struct {
 	opt Options
 
-	mu         sync.Mutex
-	sealed     []*segment // ascending seq
-	active     *os.File
-	activeSeq  int
-	activeOff  int64 // header + flushed + buffered bytes
-	wbuf       []byte
-	dirty      bool // bytes written to the file since the last fsync began
-	index      map[string]tenantState
-	closed     bool
-	compacting bool
-	// live counts, per segment sequence number, the index's references
-	// into that segment (see addLive); setLocked keeps it current. A
-	// sealed segment at zero holds only superseded records.
+	mu        sync.Mutex
+	sealed    []*segment // ascending seq
+	active    *os.File
+	activeSeq int
+	activeOff int64 // header + flushed + buffered bytes
+	wbuf      []byte
+	dirty     bool // bytes written to the file since the last fsync began
+	index     map[string]tenantState
+	closed    bool
+	// live counts, per segment sequence number, the tenants whose latest
+	// record lies in that segment; setLocked keeps it current. A sealed
+	// segment at zero holds only superseded records.
 	live map[int]int
 	// err is the log's first write or sync failure. It is sticky (see
 	// failLocked): once set, nothing is written again.
@@ -263,18 +259,6 @@ func Open(opt Options) (*Log, error) {
 				s.f.Close()
 			}
 			return nil, err
-		}
-	}
-	// A dangling delta that survived to the end of the scan is a
-	// tenant's latest record with its base gone — unrecoverable state,
-	// not compaction residue. Fail loudly rather than resurrect the
-	// tenant at an older round.
-	for tenant, st := range l.index {
-		if st.dangling != nil {
-			for _, s := range l.sealed {
-				s.f.Close()
-			}
-			return nil, fmt.Errorf("ckptlog: tenant %q: latest record is unresolvable: %w", tenant, st.dangling)
 		}
 	}
 	if err := l.openActive(maxSeq + 1); err != nil {
@@ -416,36 +400,15 @@ func (l *Log) indexRecord(seq int, payloadOff int64, payload []byte) error {
 	kind := Kind(d.Uint64())
 	tenant := d.String()
 	round := d.Int()
-	base := d.Int()
-	blobLen := d.Len()
+	d.Int() // delta base round
+	d.Len() // blob
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("record payload: %w", err)
 	}
-	ref := recordRef{seg: seq, off: payloadOff, n: len(payload)}
-	st := l.index[tenant]
-	switch kind {
-	case KindFull:
-		st = tenantState{full: ref, fullRound: round}
-	case KindDelta:
-		if st.tomb || st.full.n == 0 || st.fullRound != base {
-			// The base full is not the latest one the scan has seen. This
-			// is normal after compaction: a doomed segment's full can be
-			// dropped while stale deltas naming it survive in younger
-			// segments, always followed (in append order) by the record
-			// that superseded them. Defer the error — it only stands if
-			// no later record clears it (checked at the end of Open).
-			st.dangling = fmt.Errorf("delta for %q against round %d, latest full is round %d", tenant, base, st.fullRound)
-		} else {
-			st.delta, st.deltaRound, st.hasDelta = ref, round, true
-			st.dangling = nil
-		}
-	case KindTombstone:
-		st = tenantState{tomb: true, tombRef: ref}
-	default:
+	if !kind.known() {
 		return fmt.Errorf("unknown record kind %d", kind)
 	}
-	_ = blobLen
-	l.setLocked(tenant, st, true)
+	l.setLocked(tenant, tenantState{ref: recordRef{seg: seq, off: payloadOff, n: len(payload)}, round: round, kind: kind}, true)
 	return nil
 }
 
@@ -454,27 +417,15 @@ func (l *Log) indexRecord(seq int, payloadOff int64, payload []byte) error {
 // The Open scan, Append and compaction all change the index through
 // it. Callers hold l.mu (or own l, during Open).
 func (l *Log) setLocked(tenant string, st tenantState, keep bool) {
-	l.addLive(l.index[tenant], -1)
+	if old, ok := l.index[tenant]; ok {
+		l.live[old.ref.seg]--
+	}
 	if !keep {
 		delete(l.index, tenant)
 		return
 	}
-	l.addLive(st, 1)
+	l.live[st.ref.seg]++
 	l.index[tenant] = st
-}
-
-// addLive adds d to the live count of every segment st references: its
-// tombstone, or its full record and the delta against it.
-func (l *Log) addLive(st tenantState, d int) {
-	switch {
-	case st.tomb:
-		l.live[st.tombRef.seg] += d
-	case st.full.n > 0:
-		l.live[st.full.seg] += d
-		if st.hasDelta {
-			l.live[st.delta.seg] += d
-		}
-	}
 }
 
 func (l *Log) openActive(seq int) error {
@@ -646,11 +597,11 @@ func (l *Log) endCommit(err error) {
 	l.fsyncs.Add(1)
 }
 
-// Append adds one checkpoint record for tenant. KindDelta records must
-// name the tenant's latest full record round as baseRound — the log
-// validates the chain so recovery can always resolve a delta against
-// the full record it was computed from. Durability is deferred to the
-// committer (bounded by CommitInterval); call Sync to force it.
+// Append adds one checkpoint record for tenant, which becomes its
+// latest. baseRound is stored with the record and never read. An
+// unknown kind is refused and nothing is written. Durability is
+// deferred to the committer (bounded by CommitInterval); call Sync to
+// force it.
 func (l *Log) Append(tenant string, kind Kind, round, baseRound int, blob []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -660,18 +611,7 @@ func (l *Log) Append(tenant string, kind Kind, round, baseRound int, blob []byte
 	if l.err != nil {
 		return l.err
 	}
-	st := l.index[tenant]
-	switch kind {
-	case KindFull:
-	case KindDelta:
-		if st.tomb || st.full.n == 0 {
-			return fmt.Errorf("ckptlog: delta for %q without a full record", tenant)
-		}
-		if st.fullRound != baseRound {
-			return fmt.Errorf("ckptlog: delta for %q against round %d, latest full is round %d", tenant, baseRound, st.fullRound)
-		}
-	case KindTombstone:
-	default:
+	if !kind.known() {
 		return fmt.Errorf("ckptlog: unknown record kind %d", kind)
 	}
 	l.enc.Reset()
@@ -680,18 +620,9 @@ func (l *Log) Append(tenant string, kind Kind, round, baseRound int, blob []byte
 	l.enc.Int(round)
 	l.enc.Int(baseRound)
 	l.enc.Blob(blob)
-	ref := l.appendPayloadLocked(l.enc.Bytes())
-	switch kind {
-	case KindFull:
-		st = tenantState{full: ref, fullRound: round}
-	case KindDelta:
-		st.delta, st.deltaRound, st.hasDelta = ref, round, true
-	case KindTombstone:
-		st = tenantState{tomb: true, tombRef: ref}
-	}
-	l.setLocked(tenant, st, true)
+	l.setLocked(tenant, tenantState{ref: l.appendPayloadLocked(l.enc.Bytes()), round: round, kind: kind}, true)
 	l.appends.Add(1)
-	if l.activeOff > l.opt.SegmentBytes && !l.compacting {
+	if l.activeOff > l.opt.SegmentBytes {
 		return l.rotateLocked()
 	}
 	return nil
@@ -781,10 +712,7 @@ func (l *Log) compactLocked() error {
 			if err := l.flushLocked(); err != nil {
 				return err
 			}
-			l.compacting = true
-			err := l.compactSegmentLocked(l.sealed[0])
-			l.compacting = false
-			if err != nil {
+			if err := l.compactSegmentLocked(l.sealed[0]); err != nil {
 				return err
 			}
 		}
@@ -800,13 +728,11 @@ func (l *Log) compactLocked() error {
 	}
 }
 
-// compactSegmentLocked re-appends every live record of doomed to the
-// active segment. A tenant whose latest full or delta lives in doomed
-// has the whole full(+delta) pair re-appended — together, so the
-// full-before-delta chronology recovery depends on survives. A
-// tombstone in doomed is dropped along with the segment: doomed is the
-// oldest segment, so every record the tombstone shadowed lived in this
-// or earlier segments, all gone.
+// compactSegmentLocked re-appends every live record of doomed, each a
+// tenant's latest, to the active segment. A tombstone in doomed is
+// dropped along with the segment: doomed is the oldest segment, so
+// every record the tombstone shadowed lived in this or earlier
+// segments, all gone.
 func (l *Log) compactSegmentLocked(doomed *segment) error {
 	// Deterministic order keeps tests reproducible.
 	tenants := make([]string, 0, len(l.index))
@@ -817,24 +743,16 @@ func (l *Log) compactSegmentLocked(doomed *segment) error {
 	for _, id := range tenants {
 		st := l.index[id]
 		switch {
-		case st.tomb && st.tombRef.seg == doomed.seq:
+		case st.ref.seg != doomed.seq:
+		case st.kind == KindTombstone:
 			l.setLocked(id, tenantState{}, false)
-		case st.tomb:
-			// Tombstone lives in a later segment; nothing to move.
-		case st.full.seg == doomed.seq || (st.hasDelta && st.delta.seg == doomed.seq):
-			full, err := l.readRef(st.full)
+		default:
+			payload, err := l.readRef(st.ref)
 			if err != nil {
 				return fmt.Errorf("ckptlog: compacting %s: %w", filepath.Base(doomed.path), err)
 			}
-			nst := tenantState{full: l.appendPayloadLocked(full), fullRound: st.fullRound}
-			if st.hasDelta {
-				delta, err := l.readRef(st.delta)
-				if err != nil {
-					return fmt.Errorf("ckptlog: compacting %s: %w", filepath.Base(doomed.path), err)
-				}
-				nst.delta, nst.deltaRound, nst.hasDelta = l.appendPayloadLocked(delta), st.deltaRound, true
-			}
-			l.setLocked(id, nst, true)
+			st.ref = l.appendPayloadLocked(payload)
+			l.setLocked(id, st, true)
 		}
 	}
 	// The moved records must be durable before the doomed segment
@@ -842,10 +760,12 @@ func (l *Log) compactSegmentLocked(doomed *segment) error {
 	return l.commitLocked()
 }
 
-// Latest resolves tenant's current checkpoint: its latest full record
-// with the latest delta (if any) applied. ok is false when the log has
-// no record for the tenant or its latest record is a tombstone. The
-// returned blob is freshly allocated and caller-owned.
+// Latest returns tenant's current checkpoint: the blob and round of its
+// latest record, a full one. ok is false when the log has no record for
+// the tenant or its latest record is a tombstone. A latest delta is
+// refused with an error naming the tenant and its round: the log does
+// not resolve deltas. The returned blob is freshly allocated and
+// caller-owned.
 func (l *Log) Latest(tenant string) (blob []byte, round int, ok bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -853,59 +773,49 @@ func (l *Log) Latest(tenant string) (blob []byte, round int, ok bool, err error)
 		return nil, 0, false, fmt.Errorf("%w: read of closed log", ErrFailed)
 	}
 	st, found := l.index[tenant]
-	if !found || st.tomb {
+	switch {
+	case !found || st.kind == KindTombstone:
 		return nil, 0, false, nil
+	case st.kind == KindDelta:
+		return nil, 0, false, fmt.Errorf("ckptlog: tenant %q: latest record is a delta at round %d, and this build reads only full records", tenant, st.round)
 	}
 	if err := l.flushLocked(); err != nil {
 		return nil, 0, false, err
 	}
-	fullPay, err := l.readRef(st.full)
+	payload, err := l.readRef(st.ref)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	fullBlob, _, err := decodeBlob(fullPay)
-	if err != nil {
+	if blob, err = decodeBlob(payload); err != nil {
 		return nil, 0, false, err
 	}
-	if !st.hasDelta {
-		return fullBlob, st.fullRound, true, nil
-	}
-	deltaPay, err := l.readRef(st.delta)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	deltaBlob, _, err := decodeBlob(deltaPay)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	blob, err = snap.ApplyDelta(nil, fullBlob, deltaBlob)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("ckptlog: resolving delta for %q: %w", tenant, err)
-	}
-	return blob, st.deltaRound, true, nil
+	return blob, st.round, true, nil
 }
 
 // decodeBlob extracts the blob from a record payload.
-func decodeBlob(payload []byte) (blob []byte, round int, err error) {
+func decodeBlob(payload []byte) ([]byte, error) {
 	d := snap.NewDecoder(payload)
-	d.Uint64()      // kind
-	_ = d.String()  // tenant
-	round = d.Int() // round
-	d.Int()         // base round
-	blob = d.Blob() // the checkpoint state
+	d.Uint64()       // kind
+	_ = d.String()   // tenant
+	d.Int()          // round
+	d.Int()          // base round
+	blob := d.Blob() // the checkpoint state
 	if err := d.Done(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return blob, round, nil
+	return blob, nil
 }
 
-// Tenants returns the IDs with a live (non-tombstone) record, sorted.
+// Tenants returns the IDs whose latest record is not a tombstone,
+// sorted. A tenant whose latest record is a delta is listed, so that a
+// caller rebuilding every tenant meets Latest's refusal of it rather
+// than drop it silently.
 func (l *Log) Tenants() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ids := make([]string, 0, len(l.index))
 	for id, st := range l.index {
-		if !st.tomb {
+		if st.kind != KindTombstone {
 			ids = append(ids, id)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -44,22 +45,33 @@ func openTest(t *testing.T, dir string, mut func(*Options)) *Log {
 }
 
 // liveFromIndex recomputes, from the index alone, how many of the
-// index's references point into each segment: a tenant's tombstone, or
-// its full record and the delta against it.
+// index's references point into each segment: each tenant's latest
+// record.
 func liveFromIndex(l *Log) map[int]int {
 	refs := make(map[int]int)
 	for _, st := range l.index {
-		switch {
-		case st.tomb:
-			refs[st.tombRef.seg]++
-		case st.full.n > 0:
-			refs[st.full.seg]++
-			if st.hasDelta {
-				refs[st.delta.seg]++
-			}
-		}
+		refs[st.ref.seg]++
 	}
 	return refs
+}
+
+// checkDeltaRefused requires Latest to refuse tenant, whose latest
+// record is a delta at round, with an error naming both that does not
+// mark the log failed, and Tenants to list the tenant, so a caller
+// rebuilding every tenant cannot drop it silently.
+func checkDeltaRefused(t *testing.T, l *Log, tenant string, round int) {
+	t.Helper()
+	blob, _, ok, err := l.Latest(tenant)
+	if err == nil || ok || blob != nil {
+		t.Fatalf("Latest(%s) over a latest delta = (%d bytes, ok %v, err %v), want a refusal", tenant, len(blob), ok, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", tenant)) ||
+		!strings.Contains(msg, fmt.Sprintf("delta at round %d", round)) || errors.Is(err, ErrFailed) {
+		t.Fatalf("Latest(%s) = %v, want a refusal naming the tenant and its delta at round %d", tenant, err, round)
+	}
+	if ids := l.Tenants(); !slices.Contains(ids, tenant) {
+		t.Fatalf("Tenants() = %v omits %s, whose latest record is a delta", ids, tenant)
+	}
 }
 
 // checkLive requires the log's per-segment live counts to equal a
@@ -142,7 +154,11 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-func TestLogDeltaResolve(t *testing.T) {
+// TestLogDeltaLatestRefused: a delta record, with or without a full
+// record before it, becomes its tenant's latest record, and Latest
+// refuses it by name rather than resolve it, live and after a reopen.
+// A later full record clears the refusal.
+func TestLogDeltaLatestRefused(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, nil)
 	base := blobFor("ten", 3)
@@ -150,33 +166,42 @@ func TestLogDeltaResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 4; round <= 7; round++ {
-		target := blobFor("ten", round)
-		if err := l.Append("ten", KindDelta, round, 3, snap.MakeDelta(base, target)); err != nil {
+		if err := l.Append("ten", KindDelta, round, 3, snap.MakeDelta(base, blobFor("ten", round))); err != nil {
 			t.Fatal(err)
 		}
-		blob, got, ok, err := l.Latest("ten")
-		if err != nil || !ok || got != round || !bytes.Equal(blob, target) {
-			t.Fatalf("round %d: Latest = round %d, ok %v, err %v", round, got, ok, err)
-		}
+		checkDeltaRefused(t, l, "ten", round)
 	}
-	// A delta against the wrong base round is rejected.
-	if err := l.Append("ten", KindDelta, 8, 7, nil); err == nil {
-		t.Fatal("delta against a non-full round was accepted")
+	// The log checks no chain: a delta with no full record behind it is
+	// stored, and refused, the same way.
+	if err := l.Append("fresh", KindDelta, 1, 0, nil); err != nil {
+		t.Fatal(err)
 	}
-	// A delta for a tenant with no full record is rejected.
-	if err := l.Append("fresh", KindDelta, 1, 0, nil); err == nil {
-		t.Fatal("delta without a full record was accepted")
-	}
+	checkDeltaRefused(t, l, "fresh", 1)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	l2 := openTest(t, dir, nil)
-	defer l2.Close()
-	blob, round, ok, err := l2.Latest("ten")
-	if err != nil || !ok || round != 7 || !bytes.Equal(blob, blobFor("ten", 7)) {
-		t.Fatalf("after reopen: Latest = round %d, ok %v, err %v", round, ok, err)
+	checkDeltaRefused(t, l2, "ten", 7)
+	checkDeltaRefused(t, l2, "fresh", 1)
+	if err := l2.Append("ten", KindFull, 8, 0, blobFor("ten", 8)); err != nil {
+		t.Fatal(err)
 	}
+	blob, round, ok, err := l2.Latest("ten")
+	if err != nil || !ok || round != 8 || !bytes.Equal(blob, blobFor("ten", 8)) {
+		t.Fatalf("after a later full: Latest = round %d, ok %v, err %v; want round 8", round, ok, err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l3 := openTest(t, dir, nil)
+	defer l3.Close()
+	blob, round, ok, err = l3.Latest("ten")
+	if err != nil || !ok || round != 8 || !bytes.Equal(blob, blobFor("ten", 8)) {
+		t.Fatalf("reopened after a later full: Latest = round %d, ok %v, err %v; want round 8", round, ok, err)
+	}
+	checkDeltaRefused(t, l3, "fresh", 1)
 }
 
 func TestLogTombstone(t *testing.T) {
@@ -285,57 +310,75 @@ func TestLogRotationCompaction(t *testing.T) {
 // that only runs at rotation time.
 func mut0CompactBound() int { return 5 }
 
-// TestLogCompactionPreservesDeltaPairs forces the full+delta pair of a
-// tenant into the oldest segment, compacts, and requires the pair to
-// survive together (recovery depends on full-before-delta order).
-func TestLogCompactionPreservesDeltaPairs(t *testing.T) {
+// TestLogCompactionCarriesDeltas buries delta records in the oldest
+// segment and compacts it away. A tenant whose latest record is a delta
+// keeps that one record, moved forward and still refused by Latest; a
+// tenant whose delta a later full record superseded recovers at the
+// full's round. Both hold live and across a reopen, whose scan reads
+// the carried delta.
+func TestLogCompactionCarriesDeltas(t *testing.T) {
 	dir := t.TempDir()
 	mut := func(o *Options) {
 		o.SegmentBytes = 1 << 10
 		o.CompactSegments = 1
 	}
 	l := openTest(t, dir, mut)
-	base := blobFor("pair", 1)
-	if err := l.Append("pair", KindFull, 1, 0, base); err != nil {
-		t.Fatal(err)
-	}
-	target := blobFor("pair", 2)
-	if err := l.Append("pair", KindDelta, 2, 1, snap.MakeDelta(base, target)); err != nil {
-		t.Fatal(err)
-	}
-	// Bury the pair under churn from another tenant until compaction has
-	// rewritten it forward at least once.
-	for round := 1; round <= 200; round++ {
-		if err := l.Append("churn", KindFull, round, 0, blobFor("churn", round)); err != nil {
+	step := func(id string, kind Kind, round, base int, blob []byte) {
+		t.Helper()
+		if err := l.Append(id, kind, round, base, blob); err != nil {
 			t.Fatal(err)
 		}
+		checkLive(t, l)
+	}
+	for _, id := range []string{"pair", "healed"} {
+		base := blobFor(id, 1)
+		step(id, KindFull, 1, 0, base)
+		step(id, KindDelta, 2, 1, snap.MakeDelta(base, blobFor(id, 2)))
+	}
+	step("healed", KindFull, 3, 0, blobFor("healed", 3))
+	l.mu.Lock()
+	seg := l.index["pair"].ref.seg
+	l.mu.Unlock()
+	if seg != 1 {
+		t.Fatalf("pair's delta landed in segment %d, want the first", seg)
+	}
+	// Bury them under churn from another tenant until compaction has
+	// rewritten them forward at least once.
+	for round := 1; round <= 200; round++ {
+		step("churn", KindFull, round, 0, blobFor("churn", round))
 	}
 	if st := l.Stats(); st.Compactions == 0 {
 		t.Fatalf("no compactions after churn: %+v", st)
 	}
-	blob, round, ok, err := l.Latest("pair")
-	if err != nil || !ok || round != 2 || !bytes.Equal(blob, target) {
-		t.Fatalf("live: Latest(pair) = round %d, ok %v, err %v", round, ok, err)
+	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
+		t.Fatalf("segment 1 should have been compacted away (stat err %v)", err)
 	}
+	check := func(l *Log, when string) {
+		t.Helper()
+		checkDeltaRefused(t, l, "pair", 2)
+		blob, round, ok, err := l.Latest("healed")
+		if err != nil || !ok || round != 3 || !bytes.Equal(blob, blobFor("healed", 3)) {
+			t.Fatalf("%s: Latest(healed) = round %d, ok %v, err %v; want round 3", when, round, ok, err)
+		}
+	}
+	check(l, "live")
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	l2 := openTest(t, dir, mut)
 	defer l2.Close()
-	blob, round, ok, err = l2.Latest("pair")
-	if err != nil || !ok || round != 2 || !bytes.Equal(blob, target) {
-		t.Fatalf("reopened: Latest(pair) = round %d, ok %v, err %v", round, ok, err)
-	}
+	checkLive(t, l2)
+	check(l2, "reopened")
 }
 
 // TestLogReclaimsDeadSegments: every rotation deletes the sealed
 // segments holding no live record, wherever they sit, so after it the
 // files on disk are exactly the active segment plus the sealed segments
-// a live record needs. An idle tenant's full record, or its delta,
-// keeps a segment alive among younger dead ones, and a closed tenant's
-// latest tombstone keeps its segment — and the tenant closed across a
-// crash, although its older full record survives in the idle tenant's
-// segment.
+// a live record needs. An idle tenant's full record, or another's last
+// delta, keeps a segment alive among younger dead ones, and a closed
+// tenant's latest tombstone keeps its segment — and the tenant closed
+// across a crash, although its older full record survives in the idle
+// tenant's segment.
 func TestLogReclaimsDeadSegments(t *testing.T) {
 	dir := t.TempDir()
 	mut := func(o *Options) {
@@ -397,7 +440,8 @@ func TestLogReclaimsDeadSegments(t *testing.T) {
 			step(id, KindFull, round, 0, blobFor(id, round))
 		}
 		// d stops at round 40, so its last delta ends up the only live
-		// record of its segment, and its base full of another one.
+		// record of its segment; the full record it was made against
+		// pins nothing.
 		switch {
 		case round > 40:
 		case round%8 == 1:
@@ -409,7 +453,7 @@ func TestLogReclaimsDeadSegments(t *testing.T) {
 		if round == 10 {
 			step("gone", KindTombstone, 0, 0, nil)
 			l.mu.Lock()
-			tombSeg = l.index["gone"].tombRef.seg
+			tombSeg = l.index["gone"].ref.seg
 			l.mu.Unlock()
 		}
 	}
@@ -426,13 +470,17 @@ func TestLogReclaimsDeadSegments(t *testing.T) {
 		t.Fatalf("segment %d holding gone's tombstone was deleted: on disk %v", tombSeg, files)
 	}
 	l.mu.Lock()
-	created := l.activeSeq
+	created, deltaSeg := l.activeSeq, l.index["d"].ref.seg
 	l.mu.Unlock()
+	if !slices.Contains(files, deltaSeg) {
+		t.Fatalf("segment %d holding d's last delta was deleted: on disk %v", deltaSeg, files)
+	}
 	if int64(created-len(files)) != st.Compactions {
 		t.Fatalf("%d segments created, %d on disk, but %d compactions counted", created, len(files), st.Compactions)
 	}
 
-	ids := []string{"idle", "c0", "c1", "c2", "c3", "d"}
+	ids := []string{"idle", "c0", "c1", "c2", "c3"}
+	checkDeltaRefused(t, l, "d", 40)
 	want := make(map[string][]byte)
 	rounds := make(map[string]int)
 	for _, id := range ids {
@@ -454,9 +502,10 @@ func TestLogReclaimsDeadSegments(t *testing.T) {
 	if _, _, ok, err := l2.Latest("gone"); ok || err != nil {
 		t.Fatalf("closed tenant after reopen: ok %v, err %v; want it to stay closed", ok, err)
 	}
-	if got := l2.Tenants(); !equalStrings(got, ids) {
-		t.Fatalf("Tenants after reopen = %v, want %v", got, ids)
+	if got, want := l2.Tenants(), append(ids, "d"); !equalStrings(got, want) {
+		t.Fatalf("Tenants after reopen = %v, want %v", got, want)
 	}
+	checkDeltaRefused(t, l2, "d", 40)
 	for _, id := range ids {
 		blob, round, ok, err := l2.Latest(id)
 		if err != nil || !ok || round != rounds[id] || !bytes.Equal(blob, want[id]) {
@@ -467,24 +516,31 @@ func TestLogReclaimsDeadSegments(t *testing.T) {
 
 // TestLogTruncationSweep cuts the newest segment at every byte length
 // and requires recovery to come up loudly with a consistent prefix:
-// each recovered tenant resolves to the exact blob of some round ≤ the
-// last one written, and recovery never panics or mis-resolves.
+// each tenant's Latest matches its last record the cut left whole —
+// nothing before its first, the exact blob of a full record, the
+// refusal of a delta — and recovery never panics or mis-resolves.
 func TestLogTruncationSweep(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, nil)
-	base := blobFor("d", 1)
+	type rec struct {
+		id    string
+		kind  Kind
+		round int
+	}
+	var recs []rec // in append order
 	for round := 1; round <= 6; round++ {
+		recs = append(recs, rec{"a", KindFull, round})
 		if err := l.Append("a", KindFull, round, 0, blobFor("a", round)); err != nil {
 			t.Fatal(err)
 		}
-		if round == 1 {
-			if err := l.Append("d", KindFull, 1, 0, base); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := l.Append("d", KindDelta, round, 1, snap.MakeDelta(base, blobFor("d", round))); err != nil {
-				t.Fatal(err)
-			}
+		// d alternates full records with deltas against them.
+		r, base, blob := rec{"d", KindFull, round}, 0, blobFor("d", round)
+		if round%2 == 0 {
+			r.kind, base, blob = KindDelta, round-1, snap.MakeDelta(blobFor("d", round-1), blob)
+		}
+		recs = append(recs, r)
+		if err := l.Append("d", r.kind, round, base, blob); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
@@ -500,12 +556,18 @@ func TestLogTruncationSweep(t *testing.T) {
 	}
 	// Cuts landing exactly on a record boundary (or the bare header) are
 	// clean prefixes — indistinguishable from a crash between commits —
-	// and recover silently. Every other cut must be loud.
+	// and recover silently. Every other cut must be loud. ends[i] is
+	// where recs[i] ends.
 	boundary := map[int]bool{segHeader: true}
+	var ends []int
 	for off := segHeader; off < len(whole); {
 		n := int(binary.LittleEndian.Uint32(whole[off:]))
 		off += 4 + n + 4
 		boundary[off] = true
+		ends = append(ends, off)
+	}
+	if len(ends) != len(recs) {
+		t.Fatalf("segment holds %d records, %d appended", len(ends), len(recs))
 	}
 
 	for cut := 0; cut < len(whole); cut++ {
@@ -524,16 +586,26 @@ func TestLogTruncationSweep(t *testing.T) {
 		if !loud && !boundary[cut] {
 			t.Fatalf("cut %d: truncation recovered silently", cut)
 		}
+		last := map[string]rec{}
+		for i, r := range recs {
+			if ends[i] <= cut {
+				last[r.id] = r
+			}
+		}
 		for _, id := range []string{"a", "d"} {
-			blob, round, ok, err := lc.Latest(id)
-			if err != nil {
-				t.Fatalf("cut %d: Latest(%s): %v", cut, id, err)
-			}
-			if !ok {
-				continue // truncated before this tenant's first record
-			}
-			if round < 1 || round > 6 || !bytes.Equal(blob, blobFor(id, round)) {
-				t.Fatalf("cut %d: Latest(%s) resolved to corrupt state at round %d", cut, id, round)
+			r, kept := last[id]
+			switch {
+			case !kept:
+				if _, _, ok, err := lc.Latest(id); ok || err != nil {
+					t.Fatalf("cut %d: Latest(%s) = ok %v, err %v before its first record", cut, id, ok, err)
+				}
+			case r.kind == KindDelta:
+				checkDeltaRefused(t, lc, id, r.round)
+			default:
+				blob, round, ok, err := lc.Latest(id)
+				if err != nil || !ok || round != r.round || !bytes.Equal(blob, blobFor(id, r.round)) {
+					t.Fatalf("cut %d: Latest(%s) = round %d, ok %v, err %v; want the whole record of round %d", cut, id, round, ok, err, r.round)
+				}
 			}
 		}
 		lc.Close()
@@ -607,6 +679,136 @@ func TestLogCorruptionLoudness(t *testing.T) {
 			t.Fatal("corruption in a sealed segment did not fail Open")
 		} else if !strings.Contains(err.Error(), "sealed") {
 			t.Fatalf("error does not name the sealed segment: %v", err)
+		}
+	})
+}
+
+// frameRecord returns one framed, CRC-valid record as Append would
+// write it, of any kind, valid or not.
+func frameRecord(kind Kind, tenant string, round int, blob []byte) []byte {
+	e := snap.NewEncoder()
+	e.Uint64(uint64(kind))
+	e.String(tenant)
+	e.Int(round)
+	e.Int(0)
+	e.Blob(blob)
+	payload := e.Bytes()
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = append(frame, payload...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+}
+
+// TestLogUnknownKind pins the record-kind check. Append refuses a kind
+// outside KindFull…KindTombstone and writes nothing. Recovery reads a
+// CRC-valid record of an unknown kind as damage: in a sealed segment it
+// fails Open naming the segment, and in the newest one it is a torn
+// tail, logged and cut, with the records before it kept.
+func TestLogUnknownKind(t *testing.T) {
+	// build writes full records of a and b at round 1 to a fresh log,
+	// then a CRC-valid record of kind 7 after them, and returns the
+	// directory, the segment's path and its length before the record.
+	build := func(t *testing.T) (dir, seg string, clean int64) {
+		dir = t.TempDir()
+		l := openTest(t, dir, nil)
+		for _, id := range []string{"a", "b"} {
+			if err := l.Append(id, KindFull, 1, 0, blobFor(id, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg = filepath.Join(dir, segName(1))
+		f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(frameRecord(7, "a", 2, blobFor("a", 2))); err != nil {
+			t.Fatal(err)
+		}
+		return dir, seg, fi.Size()
+	}
+
+	t.Run("append-refuses", func(t *testing.T) {
+		dir := t.TempDir()
+		l := openTest(t, dir, nil)
+		defer l.Close()
+		if err := l.Append("a", KindFull, 1, 0, blobFor("a", 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		size := func() int64 {
+			t.Helper()
+			fi, err := os.Stat(filepath.Join(dir, segName(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fi.Size()
+		}
+		before, stats := size(), l.Stats()
+		for _, kind := range []Kind{-1, KindTombstone + 1} {
+			err := l.Append("x", kind, 2, 0, blobFor("x", 2))
+			if err == nil || errors.Is(err, ErrFailed) || !strings.Contains(err.Error(), fmt.Sprintf("unknown record kind %d", kind)) {
+				t.Fatalf("Append of kind %d = %v, want a refusal naming the kind", kind, err)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got, st := size(), l.Stats(); got != before || st.Appends != stats.Appends || st.Bytes != stats.Bytes {
+			t.Fatalf("refused appends wrote: segment %d → %d bytes, Stats %+v → %+v", before, got, stats, st)
+		}
+		if ids := l.Tenants(); slices.Contains(ids, "x") {
+			t.Fatalf("Tenants() = %v lists the refused record's tenant", ids)
+		}
+		if err := l.Append("a", KindFull, 2, 0, blobFor("a", 2)); err != nil {
+			t.Fatalf("Append after a refusal: %v", err)
+		}
+	})
+
+	t.Run("sealed-fails", func(t *testing.T) {
+		dir, _, _ := build(t)
+		hdr := segmentHeader()
+		if err := os.WriteFile(filepath.Join(dir, segName(2)), hdr[:], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(Options{Dir: dir, CommitInterval: time.Hour})
+		if err == nil {
+			l.Close()
+			t.Fatal("a record of unknown kind in a sealed segment did not fail Open")
+		}
+		if msg := err.Error(); !strings.Contains(msg, segName(1)) || !strings.Contains(msg, "unknown record kind 7") || !strings.Contains(msg, "sealed") {
+			t.Fatalf("Open = %v, want an error naming %s, the kind and the sealed segment", err, segName(1))
+		}
+	})
+
+	t.Run("tail-cut", func(t *testing.T) {
+		dir, seg, clean := build(t)
+		var logged []string
+		l, err := Open(Options{Dir: dir, CommitInterval: time.Hour,
+			Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }})
+		if err != nil {
+			t.Fatalf("Open over a newest segment ending in an unknown kind: %v", err)
+		}
+		defer l.Close()
+		if !slices.ContainsFunc(logged, func(m string) bool { return strings.Contains(m, "unknown record kind 7") }) {
+			t.Fatalf("recovery logged %q, want the unknown kind named", logged)
+		}
+		if fi, err := os.Stat(seg); err != nil || fi.Size() != clean {
+			t.Fatalf("segment after recovery: %v, err %v; want it cut to its %d clean bytes", fi.Size(), err, clean)
+		}
+		for _, id := range []string{"a", "b"} {
+			blob, round, ok, err := l.Latest(id)
+			if err != nil || !ok || round != 1 || !bytes.Equal(blob, blobFor(id, 1)) {
+				t.Fatalf("Latest(%s) = round %d, ok %v, err %v; want the round 1 record before the cut", id, round, ok, err)
+			}
 		}
 	})
 }
@@ -809,10 +1011,11 @@ func TestLogConcurrentAppends(t *testing.T) {
 
 // TestLogStaleDeltaAfterCompaction pins the recovery scan against
 // compaction residue: compaction may drop a segment holding an old full
-// record while younger sealed segments still hold stale deltas naming
+// record while younger sealed segments still hold stale deltas against
 // it. The scan must tolerate those (they are superseded in append
-// order) yet still fail loudly when a dangling delta is a tenant's
-// actual latest record.
+// order), and when such a delta is a tenant's actual latest record the
+// reopened log must still list the tenant and refuse it by name, not
+// resurrect it at an older round or drop it.
 func TestLogStaleDeltaAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, func(o *Options) {
@@ -861,8 +1064,9 @@ func TestLogStaleDeltaAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Now make the dangling delta the latest record: truncate away every
-	// segment after seg2 and reopen — recovery must refuse, loudly.
+	// Now make the stale delta the latest record: truncate away every
+	// segment after seg2 and reopen — a's recovery must be refused,
+	// loudly, while p's record still reads.
 	names, err := filepath.Glob(filepath.Join(dir, "log-*.seg"))
 	if err != nil {
 		t.Fatal(err)
@@ -876,10 +1080,11 @@ func TestLogStaleDeltaAfterCompaction(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Open(Options{Dir: dir, CommitInterval: time.Hour, Logf: t.Logf}); err == nil {
-		t.Fatal("Open resolved a dangling latest delta silently, want an error")
-	} else if !strings.Contains(err.Error(), "unresolvable") {
-		t.Fatalf("dangling latest delta error = %v, want it to name the unresolvable record", err)
+	l3 := openTest(t, dir, nil)
+	defer l3.Close()
+	checkDeltaRefused(t, l3, "a", 2)
+	if blob, round, ok, err := l3.Latest("p"); err != nil || !ok || round != 1 || !bytes.Equal(blob, blobFor("p", 1)) {
+		t.Fatalf("Latest(p) beside a's stale delta = round %d, ok %v, err %v; want round 1", round, ok, err)
 	}
 }
 

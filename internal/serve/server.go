@@ -727,21 +727,20 @@ func (s *Server) remove(t *tenant) {
 
 // recordVersion is the layout of every record a tenant appends to the
 // checkpoint log: this version, the TenantConfig codec, then the Stream
-// snapshot. The server appends full records only; a delta record an
-// older build appended encodes that whole byte string, and the log
-// resolves it (ckptlog.Log.Latest). Version 4 follows the retired meta
-// files' version 3; a record of any other version is refused, not
-// migrated.
+// snapshot. The server appends and recovers full records only: a
+// tenant whose latest record is an older build's delta is refused by
+// name (ckptlog.Log.Latest). Version 4 follows the retired meta files'
+// version 3; a record of any other version is refused, not migrated.
 const recordVersion = 4
 
 // recover rebuilds every tenant the checkpoint log holds a live record
 // for, from its latest one: the configuration in the record's prefix,
 // the stream from the snapshot behind it, cross-checked by install and
 // against the round the log recorded. A corrupt record, an older
-// build's record, or a reservation that no longer fits (the server
-// restarted with less BDR capacity, or without -bdr) fails recovery
-// loudly: silently dropping a tenant or hosting it unreserved would lose
-// its stream or its guarantee.
+// build's record (another version, or a delta), or a reservation that
+// no longer fits (the server restarted with less BDR capacity, or
+// without -bdr) fails recovery loudly: silently dropping a tenant or
+// hosting it unreserved would lose its stream or its guarantee.
 func (s *Server) recover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

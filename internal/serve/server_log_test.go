@@ -151,7 +151,7 @@ func TestServeLogCompactionRestart(t *testing.T) {
 // a worker starved of CPU could otherwise leave every round to the
 // drain's one record. The log must hold a record per chunk, and a
 // restart must recover the drained tenant from its latest full record to
-// the bit-identical drained result. TestRecoverOlderDeltaRecords covers
+// the bit-identical drained result. TestRecoverRefusesOlderDelta covers
 // a tenant whose latest record is an older build's delta.
 func TestServeLogDeepStateRestart(t *testing.T) {
 	dir := t.TempDir()

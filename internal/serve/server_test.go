@@ -1146,13 +1146,34 @@ func plantDeltaPair(t *testing.T, id string, fullRound int, full []byte, round i
 	return dir
 }
 
-// TestRecoverOlderDeltaRecords: an older build appended a checkpoint as
+// dirFiles returns the contents of every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestRecoverRefusesOlderDelta: an older build appended a checkpoint as
 // a delta against the tenant's latest full record when the delta was
-// small. The server appends full records only, but the log still
-// resolves such a pair, so NewServer recovers the tenant at the delta's
-// round, the rest of the trace drains to a local replay's Result, and
-// after a restart the server's own full record supersedes the pair.
-func TestRecoverOlderDeltaRecords(t *testing.T) {
+// small. This build reads full records only, so NewServer over a log
+// whose tenant ends in such a full+delta pair fails naming the tenant
+// and the delta, and leaves the pair's segment byte for byte as it was;
+// the empty segment the log opens is the only new file. A delta that a
+// later full record superseded is history, not state: the tenant
+// recovers at the full's round, the rest of the trace drains to a local
+// replay's Result, and a restart recovers the drained tenant.
+func TestRecoverRefusesOlderDelta(t *testing.T) {
 	inst := testInstance(t, 96, 0)
 	tc := tcFor(inst)
 	tc.QueueCap, tc.Speed, tc.Weight = 64, 1, 1 // normalized, as records carry it
@@ -1173,16 +1194,50 @@ func TestRecoverOlderDeltaRecords(t *testing.T) {
 		}
 		return rec
 	}
-	const fullRound, round = 40, 48
-	full := record(fullRound)
-	dir := plantDeltaPair(t, "old", fullRound, full, round, record(round))
+	const fullRound, round, laterRound = 40, 48, 56
+	full, delta := record(fullRound), record(round)
+	dir := plantDeltaPair(t, "old", fullRound, full, round, delta)
+	before := dirFiles(t, dir)
+	if s, err := NewServer(Config{Addr: "127.0.0.1:0", CheckpointDir: dir}); err == nil {
+		s.Close()
+		t.Fatal("NewServer recovered a tenant whose latest record is a delta")
+	} else if msg := err.Error(); !strings.Contains(msg, "tenant old") || !strings.Contains(msg, fmt.Sprintf("delta at round %d", round)) {
+		t.Fatalf("NewServer = %q, want an error naming tenant old and its delta at round %d", msg, round)
+	}
+	after := dirFiles(t, dir)
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Fatalf("refused recovery changed %s (%d → %d bytes)", name, len(data), len(after[name]))
+		}
+	}
+	for name, data := range after {
+		// A new file may only be the empty active segment the log opens:
+		// its 8-byte header, the same as every segment's first 8 bytes.
+		if _, old := before[name]; !old && (len(data) != 8 || !bytes.HasPrefix(before["log-00000001.seg"], data)) {
+			t.Fatalf("refused recovery left a new file %s of %d bytes, want only an empty segment", name, len(data))
+		}
+	}
+	if len(after) != len(before)+1 {
+		t.Fatalf("refused recovery went from files %d to %d, want one empty segment more", len(before), len(after))
+	}
 
+	dir = plantDeltaPair(t, "old", fullRound, full, round, delta)
+	l, err := ckptlog.Open(ckptlog.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append("old", ckptlog.KindFull, laterRound, 0, record(laterRound)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	s := startServer(t, Config{CheckpointDir: dir})
 	c := dialTest(t, s)
-	if next, resumed, err := c.Open("old", tc); err != nil || !resumed || next != round {
-		t.Fatalf("re-open over a full+delta pair = (%d, %v, %v), want (%d, true, nil)", next, resumed, err, round)
+	if next, resumed, err := c.Open("old", tc); err != nil || !resumed || next != laterRound {
+		t.Fatalf("re-open over a superseded delta = (%d, %v, %v), want (%d, true, nil)", next, resumed, err, laterRound)
 	}
-	feed(t, c, "old", inst, round)
+	feed(t, c, "old", inst, laterRound)
 	res, err := c.DrainTenant("old")
 	if err != nil {
 		t.Fatal(err)
@@ -1192,7 +1247,7 @@ func TestRecoverOlderDeltaRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !resultsEqual(ref, res) {
-		t.Fatalf("result after recovering a delta record differs:\n server %+v\n local  %+v", res, ref)
+		t.Fatalf("result after recovering past a superseded delta differs:\n server %+v\n local  %+v", res, ref)
 	}
 	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
