@@ -140,17 +140,22 @@ fuzz:
 		go test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg; \
 	done
 
-# The size of the network layer, internal/serve plus internal/proxy, as
-# ROADMAP's line-count goals and CHANGES.md entries quote it: non-test
-# lines, and code lines (non-blank lines that do not start with //).
-# Then the whole module's non-test Go lines, leaving out the benchmark
-# module and hidden directories such as its build output. It reports
-# only; nothing gates on it.
+# The size of the network layer, internal/serve plus internal/proxy, and
+# of the checkpoint log, internal/ckptlog, as ROADMAP's line-count goals
+# and CHANGES.md entries quote them: non-test lines, and code lines
+# (non-blank lines that do not start with //). Then the whole module's
+# non-test Go lines, leaving out the benchmark module and hidden
+# directories such as its build output. It reports only; nothing gates
+# on it.
 LOC_FILES = $(filter-out %_test.go,$(wildcard internal/serve/*.go internal/proxy/*.go))
+CKPT_FILES = $(filter-out %_test.go,$(wildcard internal/ckptlog/*.go))
 REPO_FILES = $(shell find . \( -path ./benchmark -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print)
+CODE_LINES = grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l
 loc:
 	@echo "serve+proxy non-test lines: $$(cat $(LOC_FILES) | wc -l)"
-	@echo "serve+proxy code lines:     $$(cat $(LOC_FILES) | grep -v -e '^[[:space:]]*$$' -e '^[[:space:]]*//' | wc -l)"
+	@echo "serve+proxy code lines:     $$(cat $(LOC_FILES) | $(CODE_LINES))"
+	@echo "ckptlog non-test lines:     $$(cat $(CKPT_FILES) | wc -l)"
+	@echo "ckptlog code lines:         $$(cat $(CKPT_FILES) | $(CODE_LINES))"
 	@echo "repo non-test Go lines:     $$(cat $(REPO_FILES) | wc -l)"
 
 # Regenerate every experiment table/figure (DESIGN.md §3) and refresh the

@@ -6,12 +6,16 @@
 // commit interval — the batching that collapses the serve tier's
 // fsyncs/round from ~1 to ~1/batch. The committer fsyncs with the log's
 // lock released, so an append waits on the disk only when it rotates the
-// segment. Segments rotate at a size bound.
-// The log counts, per segment, the records still live (each tenant's
-// latest record, whatever its kind); at every rotation it deletes the
-// sealed segments holding none, wherever they sit, and rewrites the
-// live records out of the oldest segments beyond a bound, so disk use
-// and recovery work track live state, not history.
+// segment: the rotation commits it, and a compaction that copies records
+// commits them too. Segments rotate at a size bound.
+// The log counts, per segment, the bytes of its live records (each
+// tenant's latest record, whatever its kind). At every rotation it
+// deletes the sealed segments holding none, wherever they sit; then,
+// while the sealed segments hold more than twice the live bytes plus a
+// slack of four segments, it rewrites the live records out of the oldest
+// one. So disk use and recovery work track live state, not history, and
+// compaction copies less than is appended: write amplification stays
+// below 2 however large the live state grows.
 //
 // On-disk layout, one directory per shard:
 //
@@ -31,12 +35,13 @@
 // recovery is a single forward scan of all segments in sequence order,
 // last record per tenant wins (append order, not round numbers — a
 // tenant closed and re-opened legitimately restarts at round 0). A torn
-// or corrupt record, or one of an unknown kind, in the final segment
-// marks the crash point: recovery logs it loudly, keeps everything
-// before it and cuts the tail off the file before sealing it, so the
-// next recovery reads that segment clean. Corruption in a
-// sealed segment cannot be explained by a crash mid-append and is
-// reported as an error.
+// or corrupt record in the final segment marks the crash point:
+// recovery logs it loudly, keeps everything before it and cuts the tail
+// off the file before sealing it, so the next recovery reads that
+// segment clean. Corruption in a sealed segment cannot be explained by
+// a crash mid-append and is reported as an error. So is a CRC-valid
+// record of a kind this build does not know, wherever it sits: a newer
+// build wrote it, and cutting it would drop every record after it.
 //
 // The first failed write or fsync is sticky: from then on every
 // Append, Sync and Close returns it and nothing is written again, since
@@ -85,6 +90,11 @@ const (
 // known reports whether k is one of the record kinds above.
 func (k Kind) known() bool { return KindFull <= k && k <= KindTombstone }
 
+// errUnknownKind marks a record whose kind is none of the above: Append
+// refuses one, and recovery fails on a CRC-valid one wherever it sits,
+// since no crash writes it.
+var errUnknownKind = errors.New("unknown record kind")
+
 const (
 	segMagic   = "RRLG"
 	segVersion = 1
@@ -94,6 +104,11 @@ const (
 	// maxPayload bounds the declared record length so a corrupt frame
 	// cannot trigger an unbounded allocation during recovery.
 	maxPayload = 1 << 30
+
+	// compactSlack is the number of segments' worth of bytes the sealed
+	// segments may hold beyond twice the live bytes before compaction
+	// rewrites the oldest one (compactLocked).
+	compactSlack = 4
 )
 
 // ErrFailed is wrapped by every error the log returns once it can take
@@ -111,13 +126,10 @@ type Options struct {
 	// group commit. Default 2ms.
 	CommitInterval time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this many
-	// bytes. Default 4 MiB.
+	// bytes. Default 4 MiB. It also sizes compaction's slack: the sealed
+	// segments may hold four segments' worth of bytes beyond twice the
+	// live records before the oldest is rewritten.
 	SegmentBytes int64
-	// CompactSegments is the number of sealed segments tolerated before
-	// the compactor rewrites live records out of the oldest one. Sealed
-	// segments holding no live record are deleted at every rotation, so
-	// it bounds the segments pinned by live records. Default 4.
-	CompactSegments int
 	// Logf, when non-nil, receives recovery diagnostics (torn tails,
 	// discarded records). Default: silent.
 	Logf func(format string, args ...any)
@@ -130,9 +142,6 @@ func (o *Options) fill() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.CompactSegments <= 0 {
-		o.CompactSegments = 4
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -142,7 +151,8 @@ func (o *Options) fill() {
 type Stats struct {
 	// Appends counts records appended (all kinds).
 	Appends int64
-	// Bytes counts framed bytes appended.
+	// Bytes counts framed bytes written to segments: the appended
+	// records and compaction's copies of live ones.
 	Bytes int64
 	// Fsyncs counts file syncs issued — the number the group commit
 	// exists to minimize. Rotations and Compactions count segment
@@ -161,6 +171,9 @@ type recordRef struct {
 	n   int   // payload length
 }
 
+// framed is the record's size in its segment: the payload and its frame.
+func (r recordRef) framed() int64 { return int64(r.n) + frameOver }
+
 // tenantState is the index entry per tenant: where its latest record
 // lives, of whatever kind, and the round it records.
 type tenantState struct {
@@ -174,6 +187,7 @@ type segment struct {
 	seq  int
 	path string
 	f    *os.File
+	size int64 // the file's length: header and records
 }
 
 // Log is a group-commit checkpoint log over one directory. All methods
@@ -190,10 +204,10 @@ type Log struct {
 	dirty     bool // bytes written to the file since the last fsync began
 	index     map[string]tenantState
 	closed    bool
-	// live counts, per segment sequence number, the tenants whose latest
-	// record lies in that segment; setLocked keeps it current. A sealed
-	// segment at zero holds only superseded records.
-	live map[int]int
+	// live sums, per segment sequence number, the framed bytes of the
+	// tenants' latest records that lie in that segment; setLocked keeps
+	// it current. A sealed segment at zero holds only superseded records.
+	live map[int]int64
 	// err is the log's first write or sync failure. It is sticky (see
 	// failLocked): once set, nothing is written again.
 	err error
@@ -229,15 +243,16 @@ type Log struct {
 // seals every existing segment, opens a fresh active segment and
 // starts the background committer. A torn tail in the newest segment
 // (the signature of a crash mid-commit) is logged via Options.Logf and
-// cut from the file; corruption anywhere else fails Open. The newest
-// segment is fsynced as it is sealed, so every sealed segment is
-// durable before compaction deletes a record it supersedes.
+// cut from the file; corruption anywhere else fails Open, and so does a
+// record of an unknown kind in any segment, leaving every file as it
+// was. The newest segment is fsynced as it is sealed, so every sealed
+// segment is durable before compaction deletes a record it supersedes.
 func Open(opt Options) (*Log, error) {
 	opt.fill()
 	l := &Log{
 		opt:   opt,
 		index: make(map[string]tenantState),
-		live:  make(map[int]int),
+		live:  make(map[int]int64),
 		done:  make(chan struct{}),
 	}
 	names, err := filepath.Glob(filepath.Join(opt.Dir, "log-*.seg"))
@@ -331,7 +346,17 @@ func (l *Log) scanSegment(path string, seq int, last bool) error {
 			}
 		}
 		if bad == "" {
-			if err := l.indexRecord(seq, off+4, payload); err != nil {
+			err := l.indexRecord(seq, off+4, payload)
+			if errors.Is(err, errUnknownKind) {
+				// A newer build's record: cutting it as a torn tail would
+				// drop every record after it.
+				where := "a sealed segment"
+				if last {
+					where = "the newest segment"
+				}
+				return fmt.Errorf("ckptlog: %s: %w at offset %d in %s", filepath.Base(path), err, off, where)
+			}
+			if err != nil {
 				bad = err.Error()
 			}
 		}
@@ -352,7 +377,7 @@ func (l *Log) scanSegment(path string, seq int, last bool) error {
 	if err != nil {
 		return err
 	}
-	l.sealed = append(l.sealed, &segment{seq: seq, path: path, f: f})
+	l.sealed = append(l.sealed, &segment{seq: seq, path: path, f: f, size: int64(len(data))})
 	return nil
 }
 
@@ -383,7 +408,7 @@ func (l *Log) sealNewest(path string, seq int, off int64) error {
 		f.Close()
 		return fmt.Errorf("ckptlog: sealing %s: %w", filepath.Base(path), err)
 	}
-	l.sealed = append(l.sealed, &segment{seq: seq, path: path, f: f})
+	l.sealed = append(l.sealed, &segment{seq: seq, path: path, f: f, size: off})
 	return nil
 }
 
@@ -394,10 +419,15 @@ func segmentHeader() (hdr [segHeader]byte) {
 }
 
 // indexRecord folds one decoded record into the tenant index, in
-// append order (later records win).
+// append order (later records win). A payload that does not decode is
+// damage; one whose kind decodes to none this build knows wraps
+// errUnknownKind.
 func (l *Log) indexRecord(seq int, payloadOff int64, payload []byte) error {
 	d := snap.NewDecoder(payload)
 	kind := Kind(d.Uint64())
+	if d.Err() == nil && !kind.known() {
+		return fmt.Errorf("%w %d", errUnknownKind, kind)
+	}
 	tenant := d.String()
 	round := d.Int()
 	d.Int() // delta base round
@@ -405,26 +435,23 @@ func (l *Log) indexRecord(seq int, payloadOff int64, payload []byte) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("record payload: %w", err)
 	}
-	if !kind.known() {
-		return fmt.Errorf("unknown record kind %d", kind)
-	}
 	l.setLocked(tenant, tenantState{ref: recordRef{seg: seq, off: payloadOff, n: len(payload)}, round: round, kind: kind}, true)
 	return nil
 }
 
 // setLocked replaces tenant's index entry with st, or deletes the entry
-// when keep is false, and moves the per-segment live counts with it.
+// when keep is false, and moves the per-segment live bytes with it.
 // The Open scan, Append and compaction all change the index through
 // it. Callers hold l.mu (or own l, during Open).
 func (l *Log) setLocked(tenant string, st tenantState, keep bool) {
 	if old, ok := l.index[tenant]; ok {
-		l.live[old.ref.seg]--
+		l.live[old.ref.seg] -= old.ref.framed()
 	}
 	if !keep {
 		delete(l.index, tenant)
 		return
 	}
-	l.live[st.ref.seg]++
+	l.live[st.ref.seg] += st.ref.framed()
 	l.index[tenant] = st
 }
 
@@ -612,7 +639,7 @@ func (l *Log) Append(tenant string, kind Kind, round, baseRound int, blob []byte
 		return l.err
 	}
 	if !kind.known() {
-		return fmt.Errorf("ckptlog: unknown record kind %d", kind)
+		return fmt.Errorf("ckptlog: %w %d", errUnknownKind, kind)
 	}
 	l.enc.Reset()
 	l.enc.Uint64(uint64(kind))
@@ -649,15 +676,15 @@ func (l *Log) Sync() error {
 	return l.commitLocked()
 }
 
-// rotateLocked seals the active segment and opens the next one,
-// compacting if the sealed count now exceeds the bound.
+// rotateLocked seals the active segment, opens the next one and
+// compacts.
 func (l *Log) rotateLocked() error {
 	if err := l.commitLocked(); err != nil {
 		return err
 	}
 	f := l.active
 	seq := l.activeSeq
-	l.sealed = append(l.sealed, &segment{seq: seq, path: filepath.Join(l.opt.Dir, segName(seq)), f: f})
+	l.sealed = append(l.sealed, &segment{seq: seq, path: filepath.Join(l.opt.Dir, segName(seq)), f: f, size: l.activeOff})
 	if err := l.openActive(seq + 1); err != nil {
 		// The old active stays usable as a sealed segment; the log is
 		// failed for writes but recovery remains intact.
@@ -691,21 +718,32 @@ func (l *Log) readRef(ref recordRef) ([]byte, error) {
 	return buf, nil
 }
 
-// compactLocked deletes sealed segments until none is dead and at most
-// CompactSegments remain. A dead segment — one no index entry
-// references, its records all superseded — goes first, wherever it
-// sits; nothing needs copying. Rotation commits before it compacts, so
-// every record superseding a dead segment's is already durable. Then,
-// while too many sealed segments remain, the oldest one's live records
-// are rewritten to the active segment (compactSegmentLocked) and it
-// goes too. Unlinks happen under l.mu: compaction drops a tombstone
-// only from the oldest segment, which is safe only while every older
-// segment, and so every record it shadows, is already gone from disk.
+// compactLocked deletes sealed segments until none is dead and the
+// sealed segments hold at most twice the live bytes plus compactSlack
+// segments. A dead segment — one no index entry references, its records
+// all superseded — goes first, wherever it sits; nothing needs copying.
+// Rotation commits before it compacts, so every record superseding a
+// dead segment's is already durable. Then, while the sealed segments
+// hold too many bytes, the oldest one's live records are rewritten to
+// the active segment (compactSegmentLocked) and it goes too. Each pass
+// through the log so copies at most the live bytes L, while at least L
+// plus the slack was appended since the last: write amplification stays
+// below 2. Oldest first keeps the tombstone rule free: compaction drops
+// a tombstone only from the oldest segment, which is safe only while
+// every older segment, and so every record it shadows, is already gone
+// from disk; unlinks happen under l.mu.
 func (l *Log) compactLocked() error {
 	for {
 		i := slices.IndexFunc(l.sealed, func(s *segment) bool { return l.live[s.seq] == 0 })
 		if i < 0 {
-			if len(l.sealed) <= l.opt.CompactSegments {
+			var sealed, live int64
+			for _, s := range l.sealed {
+				sealed += s.size
+			}
+			for _, n := range l.live {
+				live += n
+			}
+			if sealed <= 2*live+compactSlack*l.opt.SegmentBytes {
 				return nil
 			}
 			i = 0
@@ -734,26 +772,26 @@ func (l *Log) compactLocked() error {
 // every record the tombstone shadowed lived in this or earlier
 // segments, all gone.
 func (l *Log) compactSegmentLocked(doomed *segment) error {
-	// Deterministic order keeps tests reproducible.
-	tenants := make([]string, 0, len(l.index))
-	for id := range l.index {
-		tenants = append(tenants, id)
+	var tenants []string
+	for id, st := range l.index {
+		if st.ref.seg == doomed.seq {
+			tenants = append(tenants, id)
+		}
 	}
+	// Deterministic order keeps tests reproducible.
 	sort.Strings(tenants)
 	for _, id := range tenants {
 		st := l.index[id]
-		switch {
-		case st.ref.seg != doomed.seq:
-		case st.kind == KindTombstone:
+		if st.kind == KindTombstone {
 			l.setLocked(id, tenantState{}, false)
-		default:
-			payload, err := l.readRef(st.ref)
-			if err != nil {
-				return fmt.Errorf("ckptlog: compacting %s: %w", filepath.Base(doomed.path), err)
-			}
-			st.ref = l.appendPayloadLocked(payload)
-			l.setLocked(id, st, true)
+			continue
 		}
+		payload, err := l.readRef(st.ref)
+		if err != nil {
+			return fmt.Errorf("ckptlog: compacting %s: %w", filepath.Base(doomed.path), err)
+		}
+		st.ref = l.appendPayloadLocked(payload)
+		l.setLocked(id, st, true)
 	}
 	// The moved records must be durable before the doomed segment
 	// disappears, or a crash in between loses them.

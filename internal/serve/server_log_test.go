@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +16,10 @@ import (
 
 // logTestConfig is a group-commit-log server configuration tuned so a
 // short test exercises the whole machinery: every round is
-// checkpoint-due, segments rotate after a few KiB, and compaction runs
-// aggressively.
+// checkpoint-due and segments rotate after a few KiB, so superseded
+// segments are deleted often. Compaction rewrites live records only
+// once the sealed segments hold more than twice the live bytes plus four
+// segments: a test that needs it pins segments with idle tenants.
 func logTestConfig(dir string) Config {
 	return Config{
 		CheckpointDir:      dir,
@@ -86,13 +90,19 @@ func TestCloseTenantLogTombstone(t *testing.T) {
 }
 
 // TestServeLogCompactionRestart drives one tenant through several
-// feed → drain → restart cycles over a log squeezed into tiny segments,
-// so rotation and compaction run repeatedly and each recovery resolves
-// state that compaction has rewritten. After the final cycle the
-// drained result must be bit-identical to an uninterrupted local replay.
+// feed → restart cycles over a log squeezed into tiny segments, beside
+// idle tenants that each write a few records and then pin the segment
+// holding their latest. Pinned segments of churn garbage accumulate
+// until compaction rewrites the oldest, so each recovery resolves state
+// that compaction has rewritten. The second cycle ends in a crash
+// (Close), the others in a graceful Shutdown. Segment 1, pinned by an
+// idle tenant opened first and never fed, must be gone; every idle
+// tenant must recover at its round after each restart; and the churn
+// tenant's drained result must be bit-identical to an uninterrupted
+// local replay.
 func TestServeLogCompactionRestart(t *testing.T) {
 	dir := t.TempDir()
-	const cycles = 4
+	const cycles, crashCycle = 4, 1
 	inst := testInstance(t, 32*cycles, 0)
 	tc := tcFor(inst)
 	ref, err := LocalReference(inst, tc.Policy, tc.N, tc.Speed)
@@ -102,21 +112,10 @@ func TestServeLogCompactionRestart(t *testing.T) {
 
 	cfg := logTestConfig(dir)
 	cfg.CkptSegmentBytes = 2 << 10
-	next := 0
-	var res *sched.Result
-	for cy := 0; cy < cycles; cy++ {
-		s := startServer(t, cfg)
-		c := dialTest(t, s)
-		nextSeq, _, err := c.Open("churn", tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nextSeq != next {
-			t.Fatalf("cycle %d resumed at seq %d, want %d", cy, nextSeq, next)
-		}
-		until := min(32*(cy+1), len(inst.Requests))
-		for seq := nextSeq; seq < until; {
-			_, _, err := c.Submit("churn", seq, inst.Requests[seq])
+	submit := func(c *Client, id string, from, until int) {
+		t.Helper()
+		for seq := from; seq < until; {
+			_, _, err := c.Submit(id, seq, inst.Requests[seq])
 			switch {
 			case err == nil:
 				seq++
@@ -126,22 +125,82 @@ func TestServeLogCompactionRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Only the last cycle drains (a drain runs extra empty rounds, so
-		// it would shift every later cycle's resume sequence); Shutdown's
-		// flush applies the queued ticks and checkpoints the rest.
+	}
+	idle := make(map[string]int) // each idle tenant's round
+	checkIdle := func(c *Client, when string) {
+		t.Helper()
+		for id, round := range idle {
+			rows, err := c.Stats(id)
+			if err != nil || len(rows) != 1 || rows[0].Round != round {
+				t.Fatalf("%s: idle tenant %s = %+v (%v), want it recovered at round %d", when, id, rows, err, round)
+			}
+		}
+	}
+	next := 0
+	var res *sched.Result
+	for cy := 0; cy < cycles; cy++ {
+		s := startServer(t, cfg)
+		c := dialTest(t, s)
+		checkIdle(c, fmt.Sprintf("cycle %d", cy))
+		nextSeq, _, err := c.Open("churn", tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A crash may lose the churn tenant's unsynced tail, so it resumes
+		// where its latest durable record left it.
+		if nextSeq != next && (cy != crashCycle+1 || nextSeq > next) {
+			t.Fatalf("cycle %d resumed at seq %d, want %d", cy, nextSeq, next)
+		}
+		until := min(32*(cy+1), len(inst.Requests))
+		for seq := nextSeq; seq < until; seq += 8 {
+			// An idle tenant: the first is opened and never fed, so its
+			// open record pins segment 1; each later one is fed a few
+			// rounds and drained, which syncs its latest record.
+			id := fmt.Sprintf("idle-%d-%d", cy, seq)
+			if _, _, err := c.Open(id, tc); err != nil {
+				t.Fatal(err)
+			}
+			idle[id] = 0
+			if len(idle) > 1 {
+				submit(c, id, 0, 1+seq%3)
+				if _, err := c.DrainTenant(id); err != nil {
+					t.Fatal(err)
+				}
+				rows, err := c.Stats(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				idle[id] = rows[0].Round
+			}
+			submit(c, "churn", seq, min(seq+8, until))
+		}
+		// Only the last cycle drains the churn tenant (a drain runs extra
+		// empty rounds, so it would shift every later cycle's resume
+		// sequence); Shutdown's flush applies the queued ticks and
+		// checkpoints the rest.
 		if cy == cycles-1 {
 			if res, err = c.DrainTenant("churn"); err != nil {
 				t.Fatal(err)
 			}
 		}
 		next = until
-		if err := s.Shutdown(); err != nil {
+		if cy == crashCycle {
+			err = s.Close()
+		} else {
+			err = s.Shutdown()
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !resultsEqual(ref, res) {
 		t.Fatalf("result after %d compacting restarts differs:\n server %+v\n local  %+v", cycles, res, ref)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "log-00000001.seg")); !os.IsNotExist(err) {
+		t.Fatalf("segment 1, pinned by an idle tenant, was not compacted away (stat err %v)", err)
+	}
+	s := startServer(t, cfg)
+	checkIdle(dialTest(t, s), "after the last cycle")
 }
 
 // TestServeLogDeepStateRestart pins a deep-state tenant across a
